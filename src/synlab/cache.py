@@ -27,14 +27,20 @@ def cache_key(command: str, params: dict) -> str:
 
 
 def lookup(cache_dir: str | None, key: str) -> str | None:
+    """The cached payload, or None on a miss.
+
+    An entry that is missing or cannot be read back (truncated, empty, or
+    without a string payload) is a miss, so the caller recomputes and
+    store() overwrites it.
+    """
     if not cache_dir:
         return None
-    path = os.path.join(cache_dir, key + ".json")
-    if not os.path.exists(path):
+    try:
+        with open(os.path.join(cache_dir, key + ".json")) as fh:
+            payload = json.load(fh)["payload"]
+    except (OSError, ValueError, KeyError, TypeError):
         return None
-    with open(path) as fh:
-        entry = json.load(fh)
-    return entry["payload"]
+    return payload if isinstance(payload, str) else None
 
 
 def store(cache_dir: str | None, key: str, payload: str) -> None:

@@ -21,7 +21,7 @@ from .errors import InputError, InvariantError, VerificationFailure
 from .graded import PrimeContext
 from .nygaard import SSPage, Variant, default_v1_cutoff, run_to_einf
 from .trkernel import tr_gr_module
-from .verify import run_suite
+from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, required=True, help="affine cohomological dimension")
 
     sp = sub.add_parser("verify", help="run a cross-verification suite")
-    sp.add_argument("--suite", choices=("einf", "families", "tr", "assembly", "all"), required=True)
+    sp.add_argument("--suite", choices=SUITE_NAMES + ("all",), required=True)
     sp.add_argument("--p", type=int, action="append", default=None, help="restrict to this prime (repeatable)")
     sp.add_argument("--n-max", type=int, default=None)
     sp.add_argument("--deg-max", type=int, default=None)
@@ -152,22 +152,16 @@ def _cmd_assembly(args, which: str) -> tuple[int, str]:
 
 
 def _cmd_verify(args) -> tuple[int, str]:
-    kw = {}
-    if args.p:
-        kw["ps"] = tuple(sorted(set(args.p)))
-    if args.n_max is not None:
-        kw["n_max"] = args.n_max
-    if args.deg_max is not None:
-        kw["deg_max"] = args.deg_max
-    if args.ell_max is not None:
-        kw["ell_max"] = args.ell_max
-    if args.m_max is not None and args.suite in ("tr",):
-        kw["m_max"] = args.m_max
-    if args.double_cutoff and args.suite in ("einf", "all"):
-        kw["double_cutoff"] = True
-    if args.two_line_max is not None and args.suite in ("assembly",):
-        kw["two_line_max"] = args.two_line_max
-    report = run_suite(args.suite, **kw)
+    report = run_suite(
+        args.suite,
+        ps=tuple(sorted(set(args.p))) if args.p else None,
+        n_max=args.n_max,
+        deg_max=args.deg_max,
+        ell_max=args.ell_max,
+        m_max=args.m_max,
+        double_cutoff=args.double_cutoff,
+        two_line_max=args.two_line_max,
+    )
     for check in report.checks:
         print(check.line(), file=sys.stderr)
     payload = json.dumps(report.to_json_obj(), indent=2)

@@ -52,10 +52,6 @@ class FamilyTag(str, Enum):
     G = "G"
 
 
-#: Placeholder for a unit in F_p^x not pinned by the closed forms.
-UNKNOWN = None
-
-
 @dataclass(frozen=True)
 class FamilyElement:
     tag: FamilyTag
@@ -64,11 +60,11 @@ class FamilyElement:
     r: int | None
     index: int  # j for mu-type families, i for C
     e: int  # exterior exponent (lambda1 for A/B/F, u for C/D/E/G)
-    components: tuple  # ((level, Monomial, coeff or UNKNOWN), ...)
+    components: tuple  # ((level, Monomial), ...), leading component first
     torsion: int
 
     def bidegree(self, ctx: PrimeContext) -> Bidegree:
-        bids = {m.bidegree(ctx) for (_lvl, m, _c) in self.components}
+        bids = {m.bidegree(ctx) for (_lvl, m) in self.components}
         if len(bids) != 1:
             raise InputError(f"components of {self.label()} disagree in bidegree: {bids}")
         return next(iter(bids))
@@ -293,13 +289,13 @@ def _families_at_level(ctx: PrimeContext, ell: int, n: int, trunc, window) -> li
                 if top_level:  # family F: no Frobenius target to match
                     tors = family_torsion(FamilyTag.F, ctx, n, ell, None, j, trunc)
                     keep(FamilyElement(FamilyTag.F, n, ell, None, j, e,
-                                       ((n, mono(n, 0, j, e, 0), 1),), tors))
+                                       ((n, mono(n, 0, j, e, 0)),), tors))
                 continue
-            comps = [(n, mono(n, 0, j, e, 0), 1)]
+            comps = [(n, mono(n, 0, j, e, 0))]
             if trunc == TRUNC_INF or n + 1 <= trunc:
-                comps.append((n + 1, mono(n + 1, i_t, 0, e, 0), UNKNOWN))
+                comps.append((n + 1, mono(n + 1, i_t, 0, e, 0)))
             if i_t == 0 and (trunc == TRUNC_INF or n + 2 <= trunc):
-                comps.append((n + 2, mono(n + 2, p ** (n + 1) * ell * (p - 1), 0, e, 0), UNKNOWN))
+                comps.append((n + 2, mono(n + 2, p ** (n + 1) * ell * (p - 1), 0, e, 0)))
             tag = FamilyTag.A if i_t >= p ** (n + 1) else FamilyTag.B
             tors = family_torsion(tag, ctx, n, ell, None, j, trunc)
             keep(FamilyElement(tag, n, ell, None, j, e, tuple(comps), tors))
@@ -311,7 +307,7 @@ def _families_at_level(ctx: PrimeContext, ell: int, n: int, trunc, window) -> li
                 if vp(p, i + cong) == 0:
                     tors = family_torsion(FamilyTag.C, ctx, n, ell, None, i, trunc)
                     keep(FamilyElement(FamilyTag.C, n, ell, None, i, e,
-                                       ((n, mono(n, i, 0, 1, e), 1),), tors))
+                                       ((n, mono(n, i, 0, 1, e)),), tors))
 
     # families D, E, G: mu^j lambda1 u^e chains, 1 <= r <= n
     j_min_u = 0 if n == 1 else 1
@@ -326,13 +322,13 @@ def _families_at_level(ctx: PrimeContext, ell: int, n: int, trunc, window) -> li
                     if top_level:  # family G
                         tors = family_torsion(FamilyTag.G, ctx, n, ell, r, j, trunc)
                         keep(FamilyElement(FamilyTag.G, n, ell, r, j, e,
-                                           ((n, mono(n, 0, j, 1, e), 1),), tors))
+                                           ((n, mono(n, 0, j, 1, e)),), tors))
                     continue
-                comps = [(n, mono(n, 0, j, 1, e), 1)]
+                comps = [(n, mono(n, 0, j, 1, e))]
                 if trunc == TRUNC_INF or n + 1 <= trunc:
-                    comps.append((n + 1, mono(n + 1, i_t, 0, 1, e), UNKNOWN))
+                    comps.append((n + 1, mono(n + 1, i_t, 0, 1, e)))
                 if i_t == 0 and (trunc == TRUNC_INF or n + 2 <= trunc):
-                    comps.append((n + 2, mono(n + 2, p ** (n + 1) * ell * (p - 1), 0, 1, e), UNKNOWN))
+                    comps.append((n + 2, mono(n + 2, p ** (n + 1) * ell * (p - 1), 0, 1, e)))
                 tag = FamilyTag.D if i_t >= p ** (r + 1) else FamilyTag.E
                 tors = family_torsion(tag, ctx, n, ell, r, j, trunc)
                 keep(FamilyElement(tag, n, ell, r, j, e, tuple(comps), tors))
@@ -349,8 +345,7 @@ def leading_disjoint(elems) -> bool:
     """No (level, leading monomial) pair repeats across family elements."""
     seen = set()
     for el in elems:
-        lvl, m, _c = el.leading()
-        key = (lvl, m)
+        key = el.leading()
         if key in seen:
             return False
         seen.add(key)

@@ -2,9 +2,8 @@
 
 Vectors are tuples of ints reduced into [0, p).  Pivots are always the
 first nonzero entry in column order, so every basis returned here is
-deterministic.  Matrices store entries sparsely; row reduction switches
-between dense lists and sparse dicts at DENSE_LIMIT columns, since the
-graded pieces this package produces are mostly tiny with a sparse tail.
+deterministic.  Matrices store entries sparsely as {(row, col): residue};
+row reduction works on dense lists of residues, one per column.
 """
 
 from __future__ import annotations
@@ -12,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InputError
-
-# Above this many columns row reduction works on {col: entry} dicts.
-DENSE_LIMIT = 64
 
 
 def is_prime(n: int) -> bool:
@@ -76,15 +72,6 @@ class FpMatrix:
                     entries[(i, j)] = v
         return cls(p, nrows, len(columns), entries)
 
-    def to_rows(self):
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
-    def column(self, j: int) -> tuple:
-        return tuple(self.entries.get((i, j), 0) for i in range(self.rows))
-
     def mul_vec(self, v) -> tuple:
         if len(v) != self.cols:
             raise InputError(f"vector length {len(v)} != cols {self.cols}")
@@ -126,86 +113,43 @@ class VectorSpan:
         _check_prime(p)
         self.p = p
         self.dim = dim
-        self._rows: dict = {}  # pivot col -> row
-        self._sparse = dim > DENSE_LIMIT
+        self._rows: dict = {}  # pivot col -> row, a list of dim residues
         for v in vectors:
             self.add(v)
 
-    def _to_row(self, vec):
+    def _reduce_row(self, vec) -> list:
         if len(vec) != self.dim:
             raise InputError(f"vector length {len(vec)} != ambient dim {self.dim}")
-        if self._sparse:
-            return {j: v % self.p for j, v in enumerate(vec) if v % self.p}
-        return [v % self.p for v in vec]
-
-    def _row_to_vec(self, row) -> tuple:
-        if self._sparse:
-            return tuple(row.get(j, 0) for j in range(self.dim))
-        return tuple(row)
-
-    def _reduce_row(self, row):
         p = self.p
-        if self._sparse:
-            for piv in sorted(self._rows):
-                c = row.get(piv)
-                if c:
-                    base = self._rows[piv]
-                    for j, v in base.items():
-                        s = (row.get(j, 0) - c * v) % p
-                        if s:
-                            row[j] = s
-                        elif j in row:
-                            del row[j]
-        else:
-            for piv, base in self._rows.items():
-                c = row[piv]
-                if c:
-                    for j in range(piv, self.dim):
-                        if base[j]:
-                            row[j] = (row[j] - c * base[j]) % p
+        row = [v % p for v in vec]
+        for piv, base in self._rows.items():
+            c = row[piv]
+            if c:
+                for j in range(piv, self.dim):
+                    if base[j]:
+                        row[j] = (row[j] - c * base[j]) % p
         return row
 
-    def _pivot_of(self, row):
-        if self._sparse:
-            return min(row) if row else None
-        for j, v in enumerate(row):
-            if v:
-                return j
-        return None
-
     def reduce(self, vec) -> tuple:
-        return self._row_to_vec(self._reduce_row(self._to_row(vec)))
+        return tuple(self._reduce_row(vec))
 
     def contains(self, vec) -> bool:
-        row = self._reduce_row(self._to_row(vec))
-        return not row if self._sparse else not any(row)
+        return not any(self._reduce_row(vec))
 
     def add(self, vec) -> bool:
         """Insert vec; True if it enlarged the span."""
-        row = self._reduce_row(self._to_row(vec))
-        piv = self._pivot_of(row)
+        row = self._reduce_row(vec)
+        piv = next((j for j, v in enumerate(row) if v), None)
         if piv is None:
             return False
         inv = pow(row[piv], -1, self.p)
-        if self._sparse:
-            row = {j: (v * inv) % self.p for j, v in row.items()}
-            for q, other in self._rows.items():
-                c = other.get(piv)
-                if c:
-                    for j, v in row.items():
-                        s = (other.get(j, 0) - c * v) % self.p
-                        if s:
-                            other[j] = s
-                        elif j in other:
-                            del other[j]
-        else:
-            row = [(v * inv) % self.p for v in row]
-            for q, other in self._rows.items():
-                c = other[piv]
-                if c:
-                    for j in range(self.dim):
-                        if row[j]:
-                            other[j] = (other[j] - c * row[j]) % self.p
+        row = [(v * inv) % self.p for v in row]
+        for other in self._rows.values():
+            c = other[piv]
+            if c:
+                for j in range(piv, self.dim):
+                    if row[j]:
+                        other[j] = (other[j] - c * row[j]) % self.p
         self._rows[piv] = row
         return True
 
@@ -214,68 +158,41 @@ class VectorSpan:
         return len(self._rows)
 
     def basis(self):
-        return [self._row_to_vec(self._rows[piv]) for piv in sorted(self._rows)]
+        return [tuple(self._rows[piv]) for piv in sorted(self._rows)]
+
+
+def _row_span(m: FpMatrix) -> VectorSpan:
+    """Span of the rows of m, added in row order."""
+    span = VectorSpan(m.p, m.cols)
+    rows: dict = {}
+    for (r, c), v in m.entries.items():
+        rows.setdefault(r, [0] * m.cols)[c] = v
+    for r in sorted(rows):
+        span.add(rows[r])
+    return span
 
 
 def rank(m: FpMatrix) -> int:
-    span = VectorSpan(m.p, m.cols)
-    rows_seen: dict = {}
-    for (r, c), v in m.entries.items():
-        rows_seen.setdefault(r, {})[c] = v
-    for r in sorted(rows_seen):
-        span.add(tuple(rows_seen[r].get(j, 0) for j in range(m.cols)))
-    return span.rank
+    return _row_span(m).rank
 
 
 def kernel_basis(m: FpMatrix):
     """Deterministic basis of {v : m.v = 0}, one vector per free column."""
     p = m.p
-    span = VectorSpan(p, m.cols)
-    rows_seen: dict = {}
-    for (r, c), v in m.entries.items():
-        rows_seen.setdefault(r, {})[c] = v
-    for r in sorted(rows_seen):
-        span.add(tuple(rows_seen[r].get(j, 0) for j in range(m.cols)))
-    pivots = sorted(span._rows)
-    pivot_rows = {piv: span._rows[piv] for piv in pivots}
-    free_cols = [j for j in range(m.cols) if j not in pivot_rows]
+    pivot_rows = _row_span(m)._rows
+    pivots = sorted(pivot_rows)
     basis = []
-    for f in free_cols:
+    for f in range(m.cols):
+        if f in pivot_rows:
+            continue
         vec = [0] * m.cols
         vec[f] = 1
         for piv in pivots:
-            row = pivot_rows[piv]
-            coef = row.get(f, 0) if span._sparse else row[f]
+            coef = pivot_rows[piv][f]
             if coef:
                 vec[piv] = (-coef) % p
         basis.append(tuple(vec))
     return basis
-
-
-def solve(m: FpMatrix, rhs) -> tuple | None:
-    """One solution of m.x = rhs, or None; free variables are set to 0."""
-    if len(rhs) != m.rows:
-        raise InputError(f"rhs length {len(rhs)} != rows {m.rows}")
-    p = m.p
-    aug = VectorSpan(p, m.cols + 1)
-    rows_seen: dict = {}
-    for (r, c), v in m.entries.items():
-        rows_seen.setdefault(r, {})[c] = v
-    for r in range(m.rows):
-        row = [rows_seen.get(r, {}).get(j, 0) for j in range(m.cols)]
-        row.append(rhs[r] % p)
-        aug.add(tuple(row))
-    sol = [0] * m.cols
-    for piv in sorted(aug._rows):
-        if piv == m.cols:
-            return None  # row (0 ... 0 | 1): inconsistent
-        row = aug._rows[piv]
-        # Rows are in reduced echelon form, so with every free variable set
-        # to 0 the pivot variable equals the augmented entry.
-        sol[piv] = (row.get(m.cols, 0) if aug._sparse else row[m.cols]) % p
-    if m.mul_vec(tuple(sol)) != tuple(v % p for v in rhs):
-        return None
-    return tuple(sol)
 
 
 @dataclass
@@ -313,21 +230,3 @@ def subquotient(numerator, denominator, p: int, ambient_dim: int) -> Subquotient
             acc.add(red)
     return SubquotientBasis(ambient_dim, reps, relations)
 
-
-def express_in(vectors, target, p: int):
-    """Coefficients writing target as a combination of vectors, or None."""
-    if not vectors:
-        return None if any(target) else ()
-    dim = len(vectors[0])
-    mat = FpMatrix(
-        p,
-        dim,
-        len(vectors),
-        {
-            (i, j): vectors[j][i] % p
-            for j in range(len(vectors))
-            for i in range(dim)
-            if vectors[j][i] % p
-        },
-    )
-    return solve(mat, target)

@@ -178,13 +178,16 @@ class SSPage:
         if self.v1_cutoff < 1:
             raise InputError("v1 cutoff must be >= 1")
         p = ctx.p
-        # Stage schedule: T_0 .. T_{n-1}, then U.
-        self.stages = tuple(f"T{k}" for k in range(n)) + ("U",)
+        # Stage schedule T_0 .. T_{n-1}, then U: name -> (k, G, P), k None
+        # for U.  A stage sends x to x * v1^G * t^P.
+        self.schedule = {f"T{k}": (k, geo(p, 1, k), p ** (k + 1)) for k in range(n)}
+        self.schedule["U"] = (None, geo(p, 0, n - 1), p**n)
+        self.stages = tuple(self.schedule)
         self.stages_done: list = []
         # Interval kills are decided from target aliveness one v1-jump up,
         # so correctness of heights < V needs the modeled band to extend by
         # the total of all stage jumps.
-        slack = sum(geo(p, 1, k) + p ** (k + 1) for k in range(n)) + geo(p, 0, n - 1) + p**n
+        slack = sum(G + P for _k, G, P in self.schedule.values())
         self._v_internal = self.v1_cutoff + slack + 4
         # Stems: differentials step down by 1 per stage, torsion probing
         # climbs by q per power of v1.
@@ -253,15 +256,6 @@ class SSPage:
             raise InputError("monomial belongs to a different page")
         return self.ladders.get((m.lam, m.u_exp, m.t_exp - m.mu_exp))
 
-    def height_of(self, m: Monomial) -> int:
-        lad = self.ladder_of(m)
-        if lad is None:
-            raise InvariantError(f"monomial {m} outside modeled ladders")
-        h = m.t_exp - lad.base_a
-        if h != m.mu_exp - lad.base_b or h < 0:
-            raise InputError(f"monomial {m} not on its ladder lattice")
-        return h
-
     def basis_monomials(self, stem: int, line: int):
         """Contract view of the E2 basis at one bidegree.
 
@@ -285,17 +279,6 @@ class SSPage:
 
     # -- stages ----------------------------------------------------------
 
-    def _stage_params(self, stage: str):
-        p = self.ctx.p
-        if stage == "U":
-            return {"kind": "U", "G": geo(p, 0, self.n - 1), "P": p**self.n}
-        if not stage.startswith("T"):
-            raise InputError(f"unknown stage {stage}")
-        k = int(stage[1:])
-        if not 0 <= k < self.n:
-            raise InputError(f"stage {stage} out of range for n={self.n}")
-        return {"kind": "T", "k": k, "G": geo(p, 1, k), "P": p ** (k + 1)}
-
     def _shift(self, delta: int, G: int, P: int) -> int:
         if self.variant is Variant.TATE:
             return G
@@ -307,43 +290,40 @@ class SSPage:
             return G - delta
         return G + P
 
-    def stage_coefficient(self, stage: str, lad_key) -> int:
-        """Coefficient of the stage map on the whole ladder (0 = no map)."""
+    def stage_image(self, stage: str, lad_key):
+        """(coefficient, target ladder key) of the stage map on a whole
+        ladder, or None where the map vanishes."""
+        par = self.schedule.get(stage)
+        if par is None:
+            raise InputError(f"stage {stage} not scheduled for n={self.n}")
+        k, _G, P = par
         e1, e2, delta = lad_key
-        par = self._stage_params(stage)
-        p = self.ctx.p
-        if par["kind"] == "U":
-            return 1 if e2 == 1 else 0
+        if k is None:
+            return (1, (e1, 0, delta + P)) if e2 == 1 else None
         if e1 == 1:
-            return 0
-        k = par["k"]
+            return None
+        p = self.ctx.p
         val = delta + self._twist_coeff
         if vp(p, val) != k:
-            return 0
-        return (val // p**k) % p
-
-    def _stage_target_key(self, stage: str, lad_key):
-        e1, e2, delta = lad_key
-        par = self._stage_params(stage)
-        if par["kind"] == "U":
-            return (e1, 0, delta + par["P"])
-        return (1, e2, delta + par["P"])
+            return None
+        return ((val // p**k) % p, (1, e2, delta + P))
 
     def run_stage(self, stage: str):
         expected = self.stages[len(self.stages_done)] if len(self.stages_done) < len(self.stages) else None
         if stage != expected:
             raise StateError(f"stage {stage} out of order; expected {expected}")
-        par = self._stage_params(stage)
+        _k, G, P = self.schedule[stage]
         updates = []
         for key, lad in self.ladders.items():
-            coeff = self.stage_coefficient(stage, key)
-            if not coeff or not lad.alive:
+            if not lad.alive:
                 continue
-            tkey = self._stage_target_key(stage, key)
-            tlad = self.ladders.get(tkey)
+            im = self.stage_image(stage, key)
+            if im is None:
+                continue
+            tlad = self.ladders.get(im[1])
             if tlad is None or not tlad.alive:
                 continue
-            s = self._shift(key[2], par["G"], par["P"])
+            s = self._shift(key[2], G, P)
             dead_src = _interval_intersect(lad.alive, _interval_shift(tlad.alive, -s))
             dead_tgt = _interval_intersect(tlad.alive, _interval_shift(lad.alive, s))
             if dead_src:
@@ -363,8 +343,7 @@ class StageMap:
     """The stage differential as a linear map between graded pieces."""
 
     def __init__(self, page: SSPage, stage: str):
-        page._stage_params(stage)  # validates the name
-        if stage not in page.stages:
+        if stage not in page.schedule:
             raise InputError(f"stage {stage} not scheduled for n={page.n}")
         done = list(page.stages_done)
         expected = page.stages[len(done)] if len(done) < len(page.stages) else None
@@ -372,33 +351,24 @@ class StageMap:
             raise StateError(f"stage {stage} requested out of order; expected {expected}")
         self.page = page
         self.stage = stage
-        self._par = page._stage_params(stage)
+        _k, G, P = page.schedule[stage]
+        self._jump = (G + P, G)  # added to (t_exp, mu_exp)
 
     def on_monomial(self, m: Monomial):
         """(coefficient, target monomial), or None when the map is zero.
 
-        A monomial with p-valuation of (a - b + twist) strictly below the
+        The map is the page's stage_image on the monomial's ladder.  A
+        monomial with p-valuation of (a - b + twist) strictly below the
         stage index was already consumed at an earlier stage; it can only be
         queried here through a class on which the induced differential
         vanishes, so the map returns None there as well.
         """
-        page = self.page
-        p = page.ctx.p
-        par = self._par
-        if par["kind"] == "T":
-            if m.lam == 1:
-                return None
-            val = (m.t_exp - m.mu_exp) + page._twist_coeff
-            k = par["k"]
-            if vp(p, val) != k:
-                return None
-            coeff = (val // p**k) % p
-            tgt = Monomial(m.level, m.twist, m.t_exp + par["G"] + par["P"], m.mu_exp + par["G"], 1, m.u_exp)
-            return (coeff, tgt)
-        if m.u_exp == 0:
+        im = self.page.stage_image(self.stage, (m.lam, m.u_exp, m.t_exp - m.mu_exp))
+        if im is None:
             return None
-        tgt = Monomial(m.level, m.twist, m.t_exp + par["G"] + par["P"], m.mu_exp + par["G"], m.lam, 0)
-        return (1, tgt)
+        coeff, (lam, u_exp, _delta) = im
+        dt, dmu = self._jump
+        return (coeff, Monomial(m.level, m.twist, m.t_exp + dt, m.mu_exp + dmu, lam, u_exp))
 
     def matrix(self, stem: int, line: int) -> fplinalg.FpMatrix:
         """Matrix from the (stem, line) basis piece to (stem-1, line+1)."""
@@ -408,24 +378,13 @@ class StageMap:
         index = {m: i for i, m in enumerate(dst)}
         entries = {}
         for j, m in enumerate(src):
-            try:
-                im = self.on_monomial(m)
-            except InvariantError:
-                continue
+            im = self.on_monomial(m)
             if im is None:
                 continue
             coeff, tgt = im
             if tgt in index:
                 entries[(index[tgt], j)] = coeff % page.ctx.p
         return fplinalg.FpMatrix(page.ctx.p, len(dst), len(src), entries)
-
-
-def build_page(ctx: PrimeContext, n: int, ell: int, variant: Variant, window, v1_cutoff: int | None = None) -> SSPage:
-    return SSPage(ctx, n, ell, variant, window, v1_cutoff)
-
-
-def stage_differential(page: SSPage, stage: str) -> StageMap:
-    return StageMap(page, stage)
 
 
 @dataclass(frozen=True)
@@ -467,14 +426,6 @@ class EInfResult:
         if iv[1] >= lad.h_cap:
             raise InvariantError(f"life of {m} runs into the modeled boundary; enlarge the window")
         return iv[1] - h
-
-    def chain_offset(self, m: Monomial) -> int:
-        lad = self.page.ladder_of(m)
-        h = m.t_exp - lad.base_a
-        iv = lad.interval_of(h)
-        if iv is None:
-            raise InputError(f"{m} is not a survivor")
-        return h - iv[0]
 
     def iter_alive(self, window=None, div_cap=None):
         """(monomial, h) over survivors, optionally stem-windowed/V-capped."""

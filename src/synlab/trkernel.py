@@ -42,12 +42,11 @@ from .nygaard import SSPage, Variant, run_to_einf
 
 @dataclass(frozen=True)
 class GrV1Class:
-    """v1^s times a pure monomial at one level, with a scalar."""
+    """v1^s times a pure monomial at one level."""
 
     level: int
     s: int
     base: Monomial  # min(t_exp, mu_exp) == 0
-    coeff: int = 1
 
     def __post_init__(self):
         if self.base.t_exp > 0 and self.base.mu_exp > 0:
@@ -96,7 +95,7 @@ def gr_can(cls: GrV1Class, pages: PageSet) -> GrV1Class | None:
     tate = pages.tate[cls.level]
     if not tate.alive(cls.monomial):
         return None
-    return GrV1Class(cls.level, cls.s, cls.base, cls.coeff)
+    return cls
 
 
 def gr_phi(cls: GrV1Class, pages: PageSet) -> GrV1Class | None:
@@ -112,16 +111,17 @@ def gr_phi(cls: GrV1Class, pages: PageSet) -> GrV1Class | None:
     tate = pages.tate[n + 1]
     if not tate.alive(target_base.v1_times(cls.s)):
         return None
-    return GrV1Class(n + 1, cls.s, target_base, cls.coeff)
+    return GrV1Class(n + 1, cls.s, target_base)
 
 
 def complete_to_kernel(leading: GrV1Class, pages: PageSet, trunc=TRUNC_INF) -> list:
-    """Extend a leading term to a full kernel chain, solving the units.
+    """Extend a leading term to a full kernel chain.
 
     Walks phi(component_i) = can(component_{i+1}) upward through the
     levels; fails loudly when the forced next component is not alive on its
-    fixed-point page, and checks that the final Frobenius image vanishes or
-    falls off the truncation.
+    fixed-point page.  The chain ends where the Frobenius image vanishes or
+    falls off the truncation.  Both maps have unit coefficient 1, so the
+    components need no coefficients.
     """
     top = pages.top if trunc == TRUNC_INF else min(pages.top, trunc)
     if leading.level > top:
@@ -138,19 +138,13 @@ def complete_to_kernel(leading: GrV1Class, pages: PageSet, trunc=TRUNC_INF) -> l
         img = gr_phi(cur, pages)
         if img is None:
             break
-        nxt = GrV1Class(img.level, img.s, img.base, 1)
-        if not pages.hfp[img.level].alive(nxt.monomial):
+        # can is the identity on img, a live t-type Tate class
+        if not pages.hfp[img.level].alive(img.monomial):
             raise InvariantError(
-                f"chain from {leading} needs dead class {nxt.monomial} at level {img.level}"
+                f"chain from {leading} needs dead class {img.monomial} at level {img.level}"
             )
-        # solve can(c * next) = phi(cur): both maps have unit coefficient 1
-        c = img.coeff % pages.ctx.p
-        nxt = GrV1Class(img.level, img.s, img.base, c)
-        back = gr_can(nxt, pages)
-        if back is None or (back.coeff - img.coeff) % pages.ctx.p:
-            raise InvariantError(f"cannot match phi with can above {leading}")
-        comps.append(nxt)
-        cur = nxt
+        comps.append(img)
+        cur = img
     return comps
 
 

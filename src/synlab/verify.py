@@ -160,14 +160,14 @@ def suite_families(ps=(2, 3), ell_max=8, stem_max=300) -> list:
             count = 0
             for el in elems:
                 count += 1
-                lvl, lead, _c = el.leading()
+                lvl, lead = el.leading()
                 try:
                     comps = complete_to_kernel(GrV1Class(lvl, 0, lead), pages, TRUNC_INF)
                 except Exception as exc:  # InvariantError and friends
                     bad = f"{el.label()}: {exc}"
                     break
                 got = [(c.level, c.base) for c in comps]
-                want = [(l, m) for (l, m, _u) in el.components]
+                want = list(el.components)
                 if got != want:
                     bad = f"{el.label()}: solver chain {got} != stated {want}"
                     break
@@ -198,7 +198,7 @@ def suite_families(ps=(2, 3), ell_max=8, stem_max=300) -> list:
                     bad_fg = f"trunc {m}: leading terms collide"
                     break
                 for el in t_elems:
-                    lvl, lead, _c = el.leading()
+                    lvl, lead = el.leading()
                     probed = probe_element_torsion(pages, [GrV1Class(lvl, 0, lead)])
                     if probed != el.torsion:
                         bad_fg = f"{el.label()} trunc {m}: probed {probed} stated {el.torsion}"
@@ -337,56 +337,46 @@ def suite_assembly(ps=(2, 3, 5), two_line_max=300, seed=20260808) -> list:
     return checks
 
 
-SUITES = {
-    "einf": lambda **kw: suite_einf(**kw),
-    "families": lambda **kw: suite_families(**kw),
-    "tr": lambda **kw: suite_tr(**kw),
-    "assembly": lambda **kw: suite_assembly(**kw),
-}
+SUITE_NAMES = ("einf", "families", "tr", "assembly")
 
 
-def run_suite(name: str, **kw) -> VerifyReport:
-    if name == "all":
-        small_ps = tuple(p for p in kw.get("ps", (2, 3)) if p in (2, 3)) or (2, 3)
-        report = VerifyReport()
+def run_suite(
+    name: str,
+    ps=None,
+    n_max=None,
+    deg_max=None,
+    ell_max=None,
+    m_max=None,
+    double_cutoff=False,
+    two_line_max=None,
+) -> VerifyReport:
+    """Run one suite, or all four in order ("all"), from the verify flags.
+
+    Each flag maps to suite parameters the same way whichever suites run;
+    None keeps a suite's acceptance default.  ps restricts every suite,
+    though families and tr only run p in {2, 3} (both when ps names
+    neither).  deg_max bounds the stems of every suite, the two-line check
+    included unless two_line_max is given.  ell_max bounds the twists of
+    einf, families and tr; n_max and double_cutoff reach einf, m_max tr.
+    """
+    if name != "all" and name not in SUITE_NAMES:
+        raise InputError(f"unknown suite {name}; pick from {list(SUITE_NAMES)} or 'all'")
+    small_ps = None if ps is None else tuple(p for p in ps if p in (2, 3)) or (2, 3)
+    if two_line_max is None:
+        two_line_max = deg_max
+
+    def given(**kw):
+        return {k: v for k, v in kw.items() if v is not None}
+
+    report = VerifyReport()
+    if name in ("einf", "all"):
         report.checks += suite_einf(
-            ps=kw.get("ps", (2, 3, 5)),
-            n_max=kw.get("n_max", 3),
-            deg_max=kw.get("deg_max"),
-            ell_max=kw.get("ell_max"),
-            double_cutoff=kw.get("double_cutoff", False),
+            **given(ps=ps, n_max=n_max, deg_max=deg_max, ell_max=ell_max), double_cutoff=double_cutoff
         )
-        report.checks += suite_families(
-            ps=small_ps,
-            ell_max=kw.get("ell_max") or 8,
-            stem_max=kw.get("deg_max") or 300,
-        )
-        report.checks += suite_tr(
-            ps=small_ps,
-            ell_max=kw.get("ell_max") or 8,
-            m_max=kw.get("m_max") or 3,
-            stem_max=kw.get("deg_max") or 200,
-        )
-        report.checks += suite_assembly(
-            ps=kw.get("ps", (2, 3, 5)),
-            two_line_max=kw.get("two_line_max") or kw.get("deg_max") or 300,
-        )
-        return report
-    if name not in SUITES:
-        raise InputError(f"unknown suite {name}; pick from {sorted(SUITES)} or 'all'")
-    filtered = dict(kw)
-    if name in ("families", "tr"):
-        filtered.pop("n_max", None)
-        filtered.pop("double_cutoff", None)
-        if "deg_max" in filtered:
-            dm = filtered.pop("deg_max")
-            if dm is not None:
-                filtered["stem_max"] = dm
-        filtered = {k: v for k, v in filtered.items() if v is not None}
-        if "ps" in filtered:
-            filtered["ps"] = tuple(p for p in filtered["ps"] if p in (2, 3)) or (2, 3)
-    elif name == "assembly":
-        filtered = {k: v for k, v in filtered.items() if k in ("ps", "two_line_max", "seed") and v is not None}
-    else:
-        filtered = {k: v for k, v in filtered.items() if v is not None}
-    return VerifyReport(list(SUITES[name](**filtered)))
+    if name in ("families", "all"):
+        report.checks += suite_families(**given(ps=small_ps, ell_max=ell_max, stem_max=deg_max))
+    if name in ("tr", "all"):
+        report.checks += suite_tr(**given(ps=small_ps, ell_max=ell_max, m_max=m_max, stem_max=deg_max))
+    if name in ("assembly", "all"):
+        report.checks += suite_assembly(**given(ps=ps, two_line_max=two_line_max))
+    return report

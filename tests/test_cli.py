@@ -73,6 +73,22 @@ def test_cache_transparency(tmp_path, capsys):
     assert any(name.endswith(".json") for name in os.listdir(tmp_path))
 
 
+@pytest.mark.parametrize("corrupt", ["truncated", "empty", "no-payload"])
+def test_unreadable_cache_entry_is_a_miss(tmp_path, capsys, corrupt):
+    args = ["tc", "--p", "3", "--n", "3", "--k", "1", "--deg-max", "8"]
+    code, plain, _ = run(capsys, *args)
+    cached_args = args + ["--cache-dir", str(tmp_path)]
+    run(capsys, *cached_args)
+    (entry,) = tmp_path.iterdir()
+    text = entry.read_text()
+    entry.write_text({"truncated": text[: len(text) // 2], "empty": "", "no-payload": "{}"}[corrupt])
+    code1, first, _ = run(capsys, *cached_args)
+    assert code == code1 == 0 and first == plain
+    assert "payload" in json.loads(entry.read_text())  # rewritten by the recompute
+    code2, second, _ = run(capsys, *cached_args)
+    assert code2 == 0 and second == plain
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SYNLAB_CACHE", str(tmp_path))
     code, out, _ = run(capsys, "betti-bound", "--p", "2", "--d", "1")
@@ -115,3 +131,37 @@ def test_verify_einf_small_grid(capsys):
     )
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_verify_flags_map_the_same_under_all(capsys, monkeypatch):
+    import synlab.verify as verifymod
+
+    calls = []
+    for name in ("einf", "families", "tr", "assembly"):
+        def record(name=name, **kw):
+            calls.append((name, kw))
+            return []
+
+        monkeypatch.setattr(verifymod, f"suite_{name}", record)
+    flags = ["--p", "5", "--p", "3", "--n-max", "1", "--deg-max", "40", "--ell-max", "2", "--m-max", "1",
+             "--double-cutoff"]
+    single = []
+    for name in ("einf", "families", "tr", "assembly"):
+        code, _, _ = run(capsys, "verify", "--suite", name, *flags)
+        assert code == 0
+        single += calls
+        calls.clear()
+    code, _, _ = run(capsys, "verify", "--suite", "all", *flags)
+    assert code == 0
+    assert calls == single == [
+        ("einf", {"ps": (3, 5), "n_max": 1, "deg_max": 40, "ell_max": 2, "double_cutoff": True}),
+        ("families", {"ps": (3,), "ell_max": 2, "stem_max": 40}),
+        ("tr", {"ps": (3,), "ell_max": 2, "m_max": 1, "stem_max": 40}),
+        ("assembly", {"ps": (3, 5), "two_line_max": 40}),
+    ]
+    calls.clear()
+    run(capsys, "verify", "--suite", "all", "--deg-max", "40", "--two-line-max", "50")
+    assert calls[-1] == ("assembly", {"two_line_max": 50})
+    calls.clear()
+    run(capsys, "verify", "--suite", "tr", "--p", "5")
+    assert calls == [("tr", {"ps": (2, 3)})]

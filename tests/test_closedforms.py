@@ -78,7 +78,7 @@ def test_suspension_chain_included_at_level_zero():
     assert len(bottom) == 1
     el = bottom[0]
     assert el.tag is FamilyTag.B and el.bidegree(CTX3) == (2, 0)
-    assert [lvl for (lvl, _m, _c) in el.components] == [0, 1]
+    assert [lvl for (lvl, _m) in el.components] == [0, 1]
     assert el.torsion == 2  # comp2 lives in the short t-range
 
 
