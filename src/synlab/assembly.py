@@ -53,15 +53,21 @@ def twist_bound(window_top: int) -> int:
 
 
 def tc_eps_dims(ctx: PrimeContext, window, mode: str = "closed") -> CyclicDecomposition:
-    """gr TC of the square-zero extension: TC(Z_p) plus twisted TR summands."""
+    """gr TC of the square-zero extension: TC(Z_p) plus twisted TR summands.
+
+    The generators of tc_zp_dims come first, then those of each twist-l TR
+    summand (l prime to p, ascending) with labels prefixed "l{l}:".  The
+    list is gathered first and wrapped once, so the duplicate-label check
+    runs once and the merge stays linear in the number of generators.
+    """
     lo, hi = window
-    dec = tc_zp_dims(ctx, window)
+    gens = list(tc_zp_dims(ctx, window))
     for ell in range(1, twist_bound(hi) + 1):
         if ell % ctx.p == 0:
             continue
         tr = tr_gr_module(ctx, ell, TRUNC_INF, (0, hi), mode=mode)
-        dec = dec.direct_sum(tr.decomposition, prefix=f"l{ell}:")
-    return dec
+        gens.extend(Generator(f"l{ell}:{g.label}", g.bidegree, g.torsion, g.certified) for g in tr.decomposition)
+    return CyclicDecomposition(gens)
 
 
 @dataclass(frozen=True)

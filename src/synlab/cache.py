@@ -1,13 +1,15 @@
 """Content-addressed result cache for the CLI.
 
 One file per key under the cache directory; the key hashes the command,
-every parameter, and the artifact version, so a version bump invalidates
-everything.  Writes go through a temp file and rename, so a crash never
-leaves a half-written entry; hits are byte-identical to recomputation.
+every parameter, the artifact version and a fingerprint of the package's
+sources, so a version bump or any edit to the code invalidates everything.
+Writes go through a temp file and rename, so a crash never leaves a
+half-written entry; hits are byte-identical to recomputation.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -17,9 +19,23 @@ import time
 from . import __version__
 
 
+@functools.cache
+def source_fingerprint() -> str:
+    """SHA-256 of the package's *.py sources, taken in sorted file-name order."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(f for f in os.listdir(here) if f.endswith(".py")):
+        with open(os.path.join(here, name), "rb") as fh:
+            data = fh.read()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def cache_key(command: str, params: dict) -> str:
+    """The entry name for one command; hashes the sources on first use."""
     blob = json.dumps(
-        {"command": command, "params": params, "version": __version__},
+        {"command": command, "params": params, "version": __version__, "code": source_fingerprint()},
         sort_keys=True,
         default=str,
     )

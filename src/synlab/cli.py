@@ -179,9 +179,12 @@ def main(argv=None) -> int:
             code, payload = _cmd_verify(args)
             _emit(args, payload)
             return code
-        params = {k: v for k, v in sorted(vars(args).items()) if k not in ("out", "cache_dir")}
-        key = cache.cache_key(args.command, params)
-        cached = cache.lookup(_cache_dir(args), key)
+        cache_dir = _cache_dir(args)
+        key = None
+        if cache_dir:
+            params = {k: v for k, v in sorted(vars(args).items()) if k not in ("out", "cache_dir")}
+            key = cache.cache_key(args.command, params)
+        cached = cache.lookup(cache_dir, key)
         if cached is not None:
             _emit(args, cached)
             return EXIT_OK
@@ -193,7 +196,7 @@ def main(argv=None) -> int:
             code, payload = _cmd_assembly(args, args.command)
         else:  # pragma: no cover
             raise InputError(f"unknown command {args.command}")
-        cache.store(_cache_dir(args), key, payload)
+        cache.store(cache_dir, key, payload)
         _emit(args, payload)
         return code
     except InputError as exc:

@@ -62,12 +62,20 @@ class FamilyElement:
     e: int  # exterior exponent (lambda1 for A/B/F, u for C/D/E/G)
     components: tuple  # ((level, Monomial), ...), leading component first
     torsion: int
+    bid: Bidegree  # the bidegree every component shares, checked by build()
+
+    @classmethod
+    def build(cls, ctx: PrimeContext, tag, n, ell, r, index, e, components, torsion) -> "FamilyElement":
+        """The element, with its bidegree computed once from the components."""
+        bids = {m.bidegree(ctx) for (_lvl, m) in components}
+        if len(bids) != 1:
+            el = cls(tag, n, ell, r, index, e, components, torsion, None)
+            raise InputError(f"components of {el.label()} disagree in bidegree: {bids}")
+        return cls(tag, n, ell, r, index, e, components, torsion, next(iter(bids)))
 
     def bidegree(self, ctx: PrimeContext) -> Bidegree:
-        bids = {m.bidegree(ctx) for (_lvl, m) in self.components}
-        if len(bids) != 1:
-            raise InputError(f"components of {self.label()} disagree in bidegree: {bids}")
-        return next(iter(bids))
+        """The shared bidegree of the components (computed by build())."""
+        return self.bid
 
     def label(self) -> str:
         r = f",r{self.r}" if self.r is not None else ""
@@ -262,6 +270,12 @@ def enumerate_families(ctx: PrimeContext, ell: int, trunc=TRUNC_INF, window=(0, 
 
 
 def _families_at_level(ctx: PrimeContext, ell: int, n: int, trunc, window) -> list:
+    """The family elements of level n with stem in the window, in a fixed order.
+
+    Only the indices a family can take are visited: j = cong (mod p^n) for
+    A/B/F, and j = cong (mod p^(r-1)) for D/E/G, of which those with
+    vp(j - cong) = r - 1 are kept.
+    """
     p = ctx.p
     lo, hi = window
     out: list = []
@@ -271,73 +285,66 @@ def _families_at_level(ctx: PrimeContext, ell: int, n: int, trunc, window) -> li
     def mono(level, t_exp, mu_exp, lam, u_exp):
         return Monomial(level, ell, t_exp, mu_exp, lam, u_exp)
 
-    def keep(elem):
-        bid = elem.bidegree(ctx)
-        if lo <= bid.d <= hi:
+    def keep(tag, r, index, e, comps):
+        elem = FamilyElement.build(ctx, tag, n, ell, r, index, e, tuple(comps),
+                                   family_torsion(tag, ctx, n, ell, r, index, trunc))
+        if lo <= elem.bid.d <= hi:
             out.append(elem)
+
+    def residue_range(j_min, j_max, step):
+        """j_min <= j <= j_max with j = cong (mod step), ascending."""
+        return range(j_min + (cong - j_min) % step, j_max + 1, step)
 
     # families A and B: lambda^e (mu^j at level n  +  t^(tilt) at level n+1
     #                             [+ delta: t^(p^(n+1) l (p-1)) at level n+2])
     j_min = 0 if n == 0 else 1
     for e in (0, 1):
         e_stem = e * (2 * p - 1)
-        for j in range(j_min, _mu_upper(ctx, n, ell, hi, e_stem) + 1):
-            if (j - cong) % p**n:
-                continue
+        for j in residue_range(j_min, _mu_upper(ctx, n, ell, hi, e_stem), p**n):
             i_t = _tilt(ctx, n, ell, j)
             if i_t < 0:
                 if top_level:  # family F: no Frobenius target to match
-                    tors = family_torsion(FamilyTag.F, ctx, n, ell, None, j, trunc)
-                    keep(FamilyElement(FamilyTag.F, n, ell, None, j, e,
-                                       ((n, mono(n, 0, j, e, 0)),), tors))
+                    keep(FamilyTag.F, None, j, e, [(n, mono(n, 0, j, e, 0))])
                 continue
             comps = [(n, mono(n, 0, j, e, 0))]
             if trunc == TRUNC_INF or n + 1 <= trunc:
                 comps.append((n + 1, mono(n + 1, i_t, 0, e, 0)))
             if i_t == 0 and (trunc == TRUNC_INF or n + 2 <= trunc):
                 comps.append((n + 2, mono(n + 2, p ** (n + 1) * ell * (p - 1), 0, e, 0)))
-            tag = FamilyTag.A if i_t >= p ** (n + 1) else FamilyTag.B
-            tors = family_torsion(tag, ctx, n, ell, None, j, trunc)
-            keep(FamilyElement(tag, n, ell, None, j, e, tuple(comps), tors))
+            keep(FamilyTag.A if i_t >= p ** (n + 1) else FamilyTag.B, None, j, e, comps)
 
     # family C: t^i lambda1 u^e at level n alone (empty at level 0)
     if n >= 1:
         for e in (0, 1):
             for i in range(1, p):
                 if vp(p, i + cong) == 0:
-                    tors = family_torsion(FamilyTag.C, ctx, n, ell, None, i, trunc)
-                    keep(FamilyElement(FamilyTag.C, n, ell, None, i, e,
-                                       ((n, mono(n, i, 0, 1, e)),), tors))
+                    keep(FamilyTag.C, None, i, e, [(n, mono(n, i, 0, 1, e))])
 
     # families D, E, G: mu^j lambda1 u^e chains, 1 <= r <= n
     j_min_u = 0 if n == 1 else 1
     for r in range(1, n + 1):
         for e in (0, 1):
             e_stem = (2 * p - 1) - e
-            for j in range(j_min_u, _mu_upper(ctx, n, ell, hi, e_stem) + 1):
+            for j in residue_range(j_min_u, _mu_upper(ctx, n, ell, hi, e_stem), p ** (r - 1)):
                 if vp(p, j - cong) != r - 1:
                     continue
                 i_t = _tilt(ctx, n, ell, j)
                 if i_t < 0:
                     if top_level:  # family G
-                        tors = family_torsion(FamilyTag.G, ctx, n, ell, r, j, trunc)
-                        keep(FamilyElement(FamilyTag.G, n, ell, r, j, e,
-                                           ((n, mono(n, 0, j, 1, e)),), tors))
+                        keep(FamilyTag.G, r, j, e, [(n, mono(n, 0, j, 1, e))])
                     continue
                 comps = [(n, mono(n, 0, j, 1, e))]
                 if trunc == TRUNC_INF or n + 1 <= trunc:
                     comps.append((n + 1, mono(n + 1, i_t, 0, 1, e)))
                 if i_t == 0 and (trunc == TRUNC_INF or n + 2 <= trunc):
                     comps.append((n + 2, mono(n + 2, p ** (n + 1) * ell * (p - 1), 0, 1, e)))
-                tag = FamilyTag.D if i_t >= p ** (r + 1) else FamilyTag.E
-                tors = family_torsion(tag, ctx, n, ell, r, j, trunc)
-                keep(FamilyElement(tag, n, ell, r, j, e, tuple(comps), tors))
+                keep(FamilyTag.D if i_t >= p ** (r + 1) else FamilyTag.E, r, j, e, comps)
     return out
 
 
 def tr_closed_decomposition(ctx: PrimeContext, ell: int, trunc=TRUNC_INF, window=(0, 200)) -> CyclicDecomposition:
     elems = enumerate_families(ctx, ell, trunc, window)
-    gens = [Generator(el.label(), el.bidegree(ctx), el.torsion) for el in elems]
+    gens = [Generator(el.label(), el.bid, el.torsion) for el in elems]
     return CyclicDecomposition(gens)
 
 

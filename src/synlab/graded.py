@@ -172,12 +172,6 @@ class CyclicDecomposition:
     def __len__(self):
         return len(self.entries)
 
-    def direct_sum(self, other: "CyclicDecomposition", prefix: str = "") -> "CyclicDecomposition":
-        extra = [
-            Generator(prefix + g.label, g.bidegree, g.torsion, g.certified) for g in other.entries
-        ]
-        return CyclicDecomposition(self.entries + extra)
-
     def generators_in(self, window) -> list:
         lo, hi = window
         return [g for g in self.entries if lo <= g.bidegree.d <= hi]

@@ -548,8 +548,7 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
 
         def image_vec(bid, vec):
             tgt_bid = (bid[0] - 1, bid[1] + 1)
-            tgt = basis.get(tgt_bid)
-            out = [0] * (len(tgt) if tgt else 0)
+            out = [0] * len(basis[tgt_bid])
             for i, c in enumerate(vec):
                 if not c:
                     continue
@@ -561,7 +560,7 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
                     tb, ti = position[tmono]
                     if tb == tgt_bid:
                         out[ti] = (out[ti] + c * coeff) % ctx.p
-            return tgt_bid, tuple(out)
+            return tuple(out)
 
         new_numerators = {}
         new_boundaries = {bid: list(vs) for bid, vs in boundaries.items()}
@@ -571,8 +570,9 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
             if tgt_dim == 0 or not nvecs:
                 new_numerators[bid] = list(nvecs)
             else:
+                images = [image_vec(bid, v) for v in nvecs]
                 bspan = fplinalg.VectorSpan(ctx.p, tgt_dim, boundaries.get(tgt_bid, ()))
-                reduced = [bspan.reduce(image_vec(bid, v)[1]) for v in nvecs]
+                reduced = [bspan.reduce(iv) for iv in images]
                 mat = fplinalg.FpMatrix.from_columns(ctx.p, reduced, tgt_dim)
                 combos = fplinalg.kernel_basis(mat)
                 kept = []
@@ -584,10 +584,7 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
                                 acc[t] = (acc[t] + c * nvecs[j][t]) % ctx.p
                     kept.append(tuple(acc))
                 new_numerators[bid] = kept
-            for v in nvecs:
-                tb, iv = image_vec(bid, v)
-                if tb in new_boundaries and any(iv):
-                    new_boundaries[tb].append(iv)
+                new_boundaries[tgt_bid].extend(iv for iv in images if any(iv))
         numerators = new_numerators
         boundaries = new_boundaries
         fresh_page.run_stage(stage)  # advance the schedule guard only

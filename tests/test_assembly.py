@@ -10,8 +10,9 @@ from synlab.assembly import (
     tc_zp_dims,
     two_line_check,
 )
+from synlab.closedforms import TRUNC_INF, tr_closed_decomposition
 from synlab.errors import InputError
-from synlab.graded import TORSION_FREE, PrimeContext
+from synlab.graded import TORSION_FREE, CyclicDecomposition, PrimeContext
 
 CTX3 = PrimeContext(3)
 CTX2 = PrimeContext(2)
@@ -152,3 +153,29 @@ def test_betti_bound_values():
     assert betti_bound(CTX2, 1) == 4
     with pytest.raises(InputError):
         betti_bound(CTX3, -1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_tc_eps_is_tc_zp_then_prefixed_twists(p):
+    ctx = PrimeContext(p)
+    hi = 120
+    want = [(g.label, g.bidegree, g.torsion, g.certified) for g in tc_zp_dims(ctx, (-2, hi))]
+    for ell in range(1, hi):
+        if ell % p and 2 * ell - 1 <= hi:
+            want += [(f"l{ell}:{g.label}", g.bidegree, g.torsion, g.certified)
+                     for g in tr_closed_decomposition(ctx, ell, TRUNC_INF, (0, hi))]
+    got = [(g.label, g.bidegree, g.torsion, g.certified) for g in tc_eps_dims(ctx, (-2, hi))]
+    assert got == want
+
+
+def test_tc_eps_merge_is_linear(monkeypatch):
+    seen = []
+    check = CyclicDecomposition.__post_init__
+
+    def counting(self):
+        seen.append(len(self.entries))
+        check(self)
+
+    monkeypatch.setattr(CyclicDecomposition, "__post_init__", counting)
+    dec = tc_eps_dims(CTX3, (-2, 200))
+    assert sum(seen) <= 3 * len(dec)

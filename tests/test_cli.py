@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from synlab import cache
 from synlab.cli import main
 from synlab.graded import DimTable
 
@@ -87,6 +88,19 @@ def test_unreadable_cache_entry_is_a_miss(tmp_path, capsys, corrupt):
     assert "payload" in json.loads(entry.read_text())  # rewritten by the recompute
     code2, second, _ = run(capsys, *cached_args)
     assert code2 == 0 and second == plain
+
+
+def test_cache_key_covers_the_sources(tmp_path, capsys, monkeypatch):
+    args = ["tc", "--p", "3", "--n", "3", "--k", "1", "--deg-max", "8", "--cache-dir", str(tmp_path)]
+    code, first, _ = run(capsys, *args)
+    key = cache.cache_key("tc", {"p": 3})
+    (entry,) = tmp_path.iterdir()
+    monkeypatch.setattr(cache, "source_fingerprint", lambda: "edited sources")
+    assert cache.cache_key("tc", {"p": 3}) != key
+    assert cache.lookup(str(tmp_path), entry.stem) is not None
+    code2, second, _ = run(capsys, *args)
+    assert code == code2 == 0 and second == first
+    assert len(list(tmp_path.iterdir())) == 2  # a miss: recomputed under a new key
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

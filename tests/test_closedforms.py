@@ -10,7 +10,7 @@ from synlab.closedforms import (
     tr_closed_decomposition,
 )
 from synlab.errors import InputError
-from synlab.graded import Monomial, PrimeContext
+from synlab.graded import Monomial, PrimeContext, vp
 from synlab.nygaard import Variant
 
 CTX3 = PrimeContext(3)
@@ -136,3 +136,60 @@ def test_stems_bounded_below_by_connectivity():
         dec = tr_closed_decomposition(CTX3, ell, TRUNC_INF, (0, 100))
         table = dec.dims(CTX3, (0, 2 * ell - 2))
         assert not table.entries  # nothing below stem 2l - 1
+
+
+def _brute_family_labels(ctx, ell, trunc, window):
+    """Family labels in enumeration order, scanning every index j up to the window top."""
+    p = ctx.p
+    lo, hi = window
+    labels = []
+    n = 0
+    while 2 * ell * p**n <= hi:
+        if trunc != TRUNC_INF and n > trunc:
+            break
+        cong = n * ell * p ** (n - 1) if n >= 1 else 0
+        top_level = trunc != TRUNC_INF and n == trunc
+
+        def emit(tag, r, index, e, lead):
+            if lo <= lead.bidegree(ctx).d <= hi:
+                rs = f",r{r}" if r is not None else ""
+                labels.append(f"{tag}[n{n},l{ell}{rs}]j{index}e{e}")
+
+        for e in (0, 1):
+            for j in range(0 if n == 0 else 1, hi + 1):
+                if (j - cong) % p**n:
+                    continue
+                i_t = p**n * ell * (p - 1) - p * j
+                if i_t < 0:
+                    if top_level:
+                        emit("F", None, j, e, Monomial(n, ell, 0, j, e, 0))
+                    continue
+                emit("A" if i_t >= p ** (n + 1) else "B", None, j, e, Monomial(n, ell, 0, j, e, 0))
+        if n >= 1:
+            for e in (0, 1):
+                for i in range(1, p):
+                    if (i + cong) % p:
+                        emit("C", None, i, e, Monomial(n, ell, i, 0, 1, e))
+        for r in range(1, n + 1):
+            for e in (0, 1):
+                for j in range(0 if n == 1 else 1, hi + 1):
+                    if vp(p, j - cong) != r - 1:
+                        continue
+                    i_t = p**n * ell * (p - 1) - p * j
+                    if i_t < 0:
+                        if top_level:
+                            emit("G", r, j, e, Monomial(n, ell, 0, j, 1, e))
+                        continue
+                    emit("D" if i_t >= p ** (r + 1) else "E", r, j, e, Monomial(n, ell, 0, j, 1, e))
+        n += 1
+    return labels
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_enumeration_matches_every_index_scan(p):
+    ctx = PrimeContext(p)
+    window = (0, 150)
+    for ell in [l for l in range(1, 8) if l % p][:4]:
+        for trunc in (0, 1, 2, 3, TRUNC_INF):
+            got = [el.label() for el in enumerate_families(ctx, ell, trunc, window)]
+            assert got == _brute_family_labels(ctx, ell, trunc, window), (ell, trunc)
