@@ -59,6 +59,8 @@ def tc_eps_dims(ctx: PrimeContext, window, mode: str = "closed") -> CyclicDecomp
     summand (l prime to p, ascending) with labels prefixed "l{l}:".  The
     list is gathered first and wrapped once, so the duplicate-label check
     runs once and the merge stays linear in the number of generators.
+    Mode "both" raises VerificationFailure on the first twist whose oracle
+    and closed form disagree.
     """
     lo, hi = window
     gens = list(tc_zp_dims(ctx, window))
@@ -66,6 +68,8 @@ def tc_eps_dims(ctx: PrimeContext, window, mode: str = "closed") -> CyclicDecomp
         if ell % ctx.p == 0:
             continue
         tr = tr_gr_module(ctx, ell, TRUNC_INF, (0, hi), mode=mode)
+        if mode == "both":
+            tr.comparison.require_ok(f"twist l={ell}")
         gens.extend(Generator(f"l{ell}:{g.label}", g.bidegree, g.torsion, g.certified) for g in tr.decomposition)
     return CyclicDecomposition(gens)
 

@@ -1,7 +1,8 @@
 """Shared exception types.
 
-The CLI maps InputError to exit code 2 and VerificationFailure to exit
-code 3; everything else is a genuine bug and escapes as a traceback.
+The CLI maps InputError and ResourceError to exit code 2, and
+VerificationFailure and InvariantError to exit code 3; everything else is a
+genuine bug and escapes as a traceback.
 """
 
 

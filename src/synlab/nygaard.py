@@ -29,8 +29,9 @@ the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from . import fplinalg
 from .errors import InputError, InvariantError, ResourceError, StateError
@@ -75,8 +76,14 @@ def divisibility(variant: Variant, a: int, b: int) -> int:
     return a
 
 
+# Alive sets are lists of half-open height intervals (lo, hi) that are
+# sorted and gapped: lo < hi within an interval and hi < lo' between
+# neighbours.  A ladder starts with one interval; subtracting and
+# intersecting gapped lists yields gapped lists, so no merge pass is needed.
+
+
 def _interval_subtract(A, B):
-    """A \\ B for sorted disjoint half-open interval lists."""
+    """A \\ B for sorted gapped interval lists."""
     if not A or not B:
         return list(A)
     out = []
@@ -92,21 +99,11 @@ def _interval_subtract(A, B):
                 break
         if cur < hi:
             out.append((cur, hi))
-    return _normalize(out)
-
-
-def _normalize(ivs):
-    ivs = sorted((lo, hi) for lo, hi in ivs if hi > lo)
-    out = []
-    for lo, hi in ivs:
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
     return out
 
 
 def _interval_intersect(A, B):
+    """A & B for sorted gapped interval lists."""
     out = []
     ai = bi = 0
     while ai < len(A) and bi < len(B):
@@ -137,13 +134,10 @@ class Ladder:
     stem0: int
     h_lo: int
     h_cap: int  # exclusive
-    alive: list = field(default_factory=list)
+    alive: list
 
     def monomial(self, page: "SSPage", h: int) -> Monomial:
         return Monomial(page.n, page.ell, self.base_a + h, self.base_b + h, self.e1, self.e2)
-
-    def contains_h(self, h: int) -> bool:
-        return any(lo <= h < hi for lo, hi in self.alive)
 
     def interval_of(self, h: int):
         for lo, hi in self.alive:
@@ -204,8 +198,8 @@ class SSPage:
         a0, b0 = _base_exponents(self.variant, delta)
         return 2 * self.ell * p**self.n - 2 * a0 + 2 * p * b0 + (2 * p - 1) * e1 - e2
 
-    def _delta_range(self, e1: int, e2: int):
-        """All delta whose ladder meets the padded window below v_internal.
+    def _delta_ranges(self, e1: int, e2: int):
+        """Ranges of the delta whose ladder meets the padded window below v_internal.
 
         A ladder is worth modeling when some height h in [0, v_internal)
         puts its stem inside [lo_pad, hi_pad]; stems climb with h, so that
@@ -213,41 +207,35 @@ class SSPage:
         """
         q = self.ctx.q
         p = self.ctx.p
-        K = 2 * self.ell * p**self.n + (2 * p - 1) * e1 - e2
+        K = self._stem0(e1, e2, 0)
         lo_need = self.lo_pad - (self._v_internal - 1) * q
         hi_need = self.hi_pad
         if self.variant is Variant.TATE:
             # base (delta, 0): stem0 = K - 2*delta, delta in Z
-            return list(range(-((hi_need - K) // 2), (K - lo_need) // 2 + 1))
+            return (range(-((hi_need - K) // 2), (K - lo_need) // 2 + 1),)
         if self.variant is Variant.MUINV:
             # base (0, -delta): stem0 = K - 2p*delta, delta in Z
-            return list(range(-((hi_need - K) // (2 * p)), (K - lo_need) // (2 * p) + 1))
+            return (range(-((hi_need - K) // (2 * p)), (K - lo_need) // (2 * p) + 1),)
         # HFP: t-side delta >= 0 with stem0 = K - 2*delta, mu-side delta < 0
         # with stem0 = K + 2p*(-delta).
-        deltas = list(range(max(0, -((hi_need - K) // 2)), (K - lo_need) // 2 + 1))
-        for md in range(1, (hi_need - K) // (2 * p) + 1):
-            deltas.append(-md)
-        return deltas
+        return (
+            range(max(0, -((hi_need - K) // 2)), (K - lo_need) // 2 + 1),
+            range(-1, -((hi_need - K) // (2 * p)) - 1, -1),
+        )
 
     def _build(self):
         q = self.ctx.q
-        count = 0
-        for e1 in (0, 1):
-            for e2 in (0, 1):
-                for delta in self._delta_range(e1, e2):
-                    a0, b0 = _base_exponents(self.variant, delta)
-                    stem0 = self._stem0(e1, e2, delta)
-                    h_lo = max(0, -((stem0 - self.lo_pad) // q))
-                    h_cap = min((self.hi_pad - stem0) // q + 1, self._v_internal)
-                    if h_cap <= h_lo:
-                        continue
-                    lad = Ladder(e1, e2, delta, a0, b0, stem0, h_lo, h_cap, [(h_lo, h_cap)])
-                    self.ladders[(e1, e2, delta)] = lad
-                    count += 1
-                    if count > MAX_LADDERS:
-                        raise ResourceError(
-                            f"page needs more than {MAX_LADDERS} ladders; shrink the window or cutoff"
-                        )
+        ranges = {(e1, e2): self._delta_ranges(e1, e2) for e1 in (0, 1) for e2 in (0, 1)}
+        if sum(len(r) for rs in ranges.values() for r in rs) > MAX_LADDERS:
+            raise ResourceError(f"page needs more than {MAX_LADDERS} ladders; shrink the window or cutoff")
+        for (e1, e2), rs in ranges.items():
+            for delta in chain(*rs):
+                a0, b0 = _base_exponents(self.variant, delta)
+                stem0 = self._stem0(e1, e2, delta)
+                h_lo = max(0, -((stem0 - self.lo_pad) // q))
+                h_cap = min((self.hi_pad - stem0) // q + 1, self._v_internal)
+                if h_cap > h_lo:
+                    self.ladders[(e1, e2, delta)] = Ladder(e1, e2, delta, a0, b0, stem0, h_lo, h_cap, [(h_lo, h_cap)])
 
     # -- monomial lookups ------------------------------------------------
 
@@ -279,17 +267,6 @@ class SSPage:
 
     # -- stages ----------------------------------------------------------
 
-    def _shift(self, delta: int, G: int, P: int) -> int:
-        if self.variant is Variant.TATE:
-            return G
-        if self.variant is Variant.MUINV:
-            return G + P
-        if delta >= 0:
-            return G
-        if delta >= -P:
-            return G - delta
-        return G + P
-
     def stage_image(self, stage: str, lad_key):
         """(coefficient, target ladder key) of the stage map on a whole
         ladder, or None where the map vanishes."""
@@ -313,7 +290,10 @@ class SSPage:
         if stage != expected:
             raise StateError(f"stage {stage} out of order; expected {expected}")
         _k, G, P = self.schedule[stage]
-        updates = []
+        # The cuts are applied as they are found.  That equals cutting from
+        # the state before the stage, because each ladder is in at most one
+        # pair: T_k sources have e1 = 0 and targets e1 = 1, U sources have
+        # e2 = 1 and targets e2 = 0, and delta -> delta + P is injective.
         for key, lad in self.ladders.items():
             if not lad.alive:
                 continue
@@ -323,20 +303,14 @@ class SSPage:
             tlad = self.ladders.get(im[1])
             if tlad is None or not tlad.alive:
                 continue
-            s = self._shift(key[2], G, P)
-            dead_src = _interval_intersect(lad.alive, _interval_shift(tlad.alive, -s))
-            dead_tgt = _interval_intersect(tlad.alive, _interval_shift(lad.alive, s))
-            if dead_src:
-                updates.append((lad, dead_src))
-            if dead_tgt:
-                updates.append((tlad, dead_tgt))
-        for lad, dead in updates:
-            lad.alive = _interval_subtract(lad.alive, dead)
+            # t^a mu^b goes to t^(a+G+P) mu^(b+G): height h on lad lands at
+            # height h + s on tlad.
+            s = G + P + lad.base_a - tlad.base_a
+            dead = _interval_intersect(lad.alive, _interval_shift(tlad.alive, -s))
+            if dead:
+                lad.alive = _interval_subtract(lad.alive, dead)
+                tlad.alive = _interval_subtract(tlad.alive, _interval_shift(dead, s))
         self.stages_done.append(stage)
-
-    def run_all_stages(self):
-        for stage in self.stages[len(self.stages_done):]:
-            self.run_stage(stage)
 
 
 class StageMap:
@@ -412,7 +386,7 @@ class EInfResult:
         h = m.t_exp - lad.base_a
         if h < 0 or h != m.mu_exp - lad.base_b:
             return False
-        return lad.contains_h(h)
+        return lad.interval_of(h) is not None
 
     def life(self, m: Monomial) -> int:
         """Remaining chain length above m: smallest r with v1^r * m dead."""
@@ -427,37 +401,54 @@ class EInfResult:
             raise InvariantError(f"life of {m} runs into the modeled boundary; enlarge the window")
         return iv[1] - h
 
-    def iter_alive(self, window=None, div_cap=None):
-        """(monomial, h) over survivors, optionally stem-windowed/V-capped."""
+    def _survivors(self, window):
+        """(ladder, h) over the surviving heights below the v1 cutoff whose
+        stem lies in the window, ladders in key order, h ascending."""
         q = self.page.ctx.q
-        lo, hi = window if window is not None else (self.page.lo_pad, self.page.hi_pad)
-        cap = div_cap if div_cap is not None else self.page.v1_cutoff
+        cut = self.page.v1_cutoff
+        lo, hi = window
         for key in sorted(self.page.ladders):
             lad = self.page.ladders[key]
             for ilo, ihi in lad.alive:
-                top = min(ihi, cap)
-                for h in range(ilo, top):
-                    stem = lad.stem0 + h * q
-                    if lo <= stem <= hi:
-                        yield lad.monomial(self.page, h), h
+                # lo <= stem0 + h*q <= hi, solved for h
+                for h in range(max(ilo, -((lad.stem0 - lo) // q)), min(ihi, cut, (hi - lad.stem0) // q + 1)):
+                    yield lad, h
+
+    def iter_alive(self, window):
+        """(monomial, h) over survivors below the v1 cutoff in a stem window."""
+        for lad, h in self._survivors(window):
+            yield lad.monomial(self.page, h), h
 
     def dim_table(self, window, params=None):
         from .graded import DimTable
 
         counts: dict = {}
         q = self.page.ctx.q
-        lo, hi = window
-        for key in sorted(self.page.ladders):
-            lad = self.page.ladders[key]
-            line = lad.e1 - lad.e2
-            for ilo, ihi in lad.alive:
-                top = min(ihi, self.page.v1_cutoff)
-                for h in range(ilo, top):
-                    stem = lad.stem0 + h * q
-                    if lo <= stem <= hi:
-                        key2 = (stem, line)
-                        counts[key2] = counts.get(key2, 0) + 1
+        for lad, h in self._survivors(window):
+            key = (lad.stem0 + h * q, lad.e1 - lad.e2)
+            counts[key] = counts.get(key, 0) + 1
         return DimTable(params or {"p": self.page.ctx.p, "n": self.page.n, "k": None}, counts, window)
+
+    def assert_pure_chains(self, stem_hi: int) -> None:
+        """Survivor chains must be v1-power towers on pure generators.
+
+        Heights double as v1-adic filtrations in the TR kernel oracle, which
+        is only right when every surviving interval in the consumed zone
+        starts at the bottom of its ladder.  Edge rubble above the cutoff or
+        above stem_hi is uncertified by construction and exempt.  If this
+        fired, the name-level can/phi formulas would not apply; it is the
+        tripwire against misreading the page structure.
+        """
+        page = self.page
+        q = page.ctx.q
+        for key, lad in page.ladders.items():
+            seen_first = False
+            for ilo, _ihi in lad.alive:
+                if ilo >= page.v1_cutoff or lad.stem0 + ilo * q > stem_hi:
+                    continue
+                if ilo != lad.h_lo or seen_first:
+                    raise InvariantError(f"page {page.variant} n={page.n}: broken chain on ladder {key}")
+                seen_first = True
 
     def classes(self, window) -> list:
         """E-infinity generators whose bidegree lies in the window.
@@ -490,17 +481,11 @@ class EInfResult:
                 )
         return out
 
-    def decomposition(self, window) -> CyclicDecomposition:
-        gens = []
-        for cls in self.classes(window):
-            label = f"L{self.page.n}:{cls.representative}"
-            gens.append(Generator(label, cls.bidegree, cls.v1_torsion, cls.certified))
-        return CyclicDecomposition(gens)
-
 
 def run_to_einf(page: SSPage) -> EInfResult:
-    """Run every stage in order and return the survivor structure."""
-    page.run_all_stages()
+    """Run every remaining stage in order and return the survivor structure."""
+    for stage in page.stages[len(page.stages_done):]:
+        page.run_stage(stage)
     return EInfResult(page)
 
 
@@ -540,7 +525,7 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
         return tuple(v)
 
     numerators = {bid: [unit_vec(bid, i) for i in range(len(monos))] for bid, monos in basis.items()}
-    boundaries: dict = {bid: [] for bid in basis}
+    boundaries = {bid: fplinalg.VectorSpan(ctx.p, len(monos)) for bid, monos in basis.items()}
 
     fresh_page = SSPage(ctx, page.n, page.ell, page.variant, page.window, page.v1_cutoff)
     for stage in fresh_page.stages:
@@ -562,8 +547,10 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
                         out[ti] = (out[ti] + c * coeff) % ctx.p
             return tuple(out)
 
+        # Each target bidegree has one source bidegree, which reduces its
+        # images by the target's boundaries before adding them, so the
+        # boundary spans can grow in place.
         new_numerators = {}
-        new_boundaries = {bid: list(vs) for bid, vs in boundaries.items()}
         for bid, nvecs in numerators.items():
             tgt_bid = (bid[0] - 1, bid[1] + 1)
             tgt_dim = len(basis.get(tgt_bid, ()))
@@ -571,7 +558,7 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
                 new_numerators[bid] = list(nvecs)
             else:
                 images = [image_vec(bid, v) for v in nvecs]
-                bspan = fplinalg.VectorSpan(ctx.p, tgt_dim, boundaries.get(tgt_bid, ()))
+                bspan = boundaries[tgt_bid]
                 reduced = [bspan.reduce(iv) for iv in images]
                 mat = fplinalg.FpMatrix.from_columns(ctx.p, reduced, tgt_dim)
                 combos = fplinalg.kernel_basis(mat)
@@ -584,9 +571,10 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
                                 acc[t] = (acc[t] + c * nvecs[j][t]) % ctx.p
                     kept.append(tuple(acc))
                 new_numerators[bid] = kept
-                new_boundaries[tgt_bid].extend(iv for iv in images if any(iv))
+                for red in reduced:
+                    if any(red):
+                        bspan.add(red)
         numerators = new_numerators
-        boundaries = new_boundaries
         fresh_page.run_stage(stage)  # advance the schedule guard only
 
     def v1_shift(bid, vec):
@@ -603,13 +591,6 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
                 return nxt_bid, None
         return nxt_bid, tuple(shifted)
 
-    bspans = {}
-
-    def bspan(bid):
-        if bid not in bspans:
-            bspans[bid] = fplinalg.VectorSpan(ctx.p, len(basis[bid]), boundaries[bid])
-        return bspans[bid]
-
     gens = []
     lo, hi = window
     for bid in sorted(basis):
@@ -618,7 +599,7 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
             continue
         # Generators: survivors modulo boundaries AND modulo v1 times the
         # survivors one v1-step down.
-        denom = list(boundaries[bid])
+        denom = boundaries[bid].basis()
         prev_bid = (stem - q, line)
         for v in numerators.get(prev_bid, ()):
             _, sh = v1_shift(prev_bid, v)
@@ -639,7 +620,7 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
             vec = rep
             cur_bid = bid
             certified = True
-            while any(vec) and not bspan(cur_bid).contains(vec):
+            while any(vec) and not boundaries[cur_bid].contains(vec):
                 cur_bid, vec = v1_shift(cur_bid, vec)
                 r += 1
                 if vec is None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from . import fplinalg
 from .closedforms import TRUNC_INF, tr_closed_decomposition
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, VerificationFailure
 from .graded import (
     Bidegree,
     CyclicDecomposition,
@@ -171,6 +171,12 @@ class TrComparison:
     def ok(self) -> bool:
         return not self.dim_mismatches and not self.torsion_mismatches
 
+    def require_ok(self, what: str) -> None:
+        """Raise VerificationFailure naming the first mismatch."""
+        if not self.ok:
+            first = (self.dim_mismatches or self.torsion_mismatches)[0]
+            raise VerificationFailure(f"{what}: oracle and closed form disagree at {first}")
+
 
 @dataclass
 class TrResult:
@@ -239,50 +245,18 @@ class TrOracle:
     # -- basis assembly ---------------------------------------------------
 
     def _assemble(self):
-        q = self.ctx.q
         lo, hi = self.window
-        kernel_hi = hi + 1  # kills from one stem above can reach the window
-        for level in range(self.top + 1):
-            res = self.pages.hfp[level]
-            self._assert_pure_chains(res, kernel_hi)
-            for mono, h in res.iter_alive((min(lo, 0), kernel_hi), div_cap=None):
-                stem = mono.stem(self.ctx)
-                key = (stem, mono.line, h)
-                self._src_pieces.setdefault(key, []).append((level, mono))
-            if level >= 1:
-                resT = self.pages.tate[level]
-                self._assert_pure_chains(resT, kernel_hi)
-                for mono, h in resT.iter_alive((min(lo, 0), kernel_hi), div_cap=None):
-                    stem = mono.stem(self.ctx)
-                    key = (stem, mono.line, h)
-                    self._tgt_pieces.setdefault(key, []).append((level, mono))
-        for key in self._src_pieces:
-            self._src_pieces[key].sort(key=lambda lm: (lm[0], lm[1].t_exp, lm[1].mu_exp))
-        for key in self._tgt_pieces:
-            self._tgt_pieces[key].sort(key=lambda lm: (lm[0], lm[1].t_exp, lm[1].mu_exp))
-
-    def _assert_pure_chains(self, res, stem_hi):
-        """Survivor chains must be v1-power towers on pure generators.
-
-        Heights here double as v1-adic filtrations, which is only right when
-        every surviving interval in the consumed zone starts at the bottom
-        of its ladder.  Edge rubble above the cutoff or beyond the consumed
-        stems is uncertified by construction and exempt.  If this fired, the
-        name-level can/phi formulas would not apply; it is the tripwire
-        against misreading the page structure.
-        """
-        q = self.ctx.q
-        cut = res.page.v1_cutoff
-        for key, lad in res.page.ladders.items():
-            seen_first = False
-            for ilo, ihi in lad.alive:
-                if ilo >= cut or lad.stem0 + ilo * q > stem_hi:
-                    continue
-                if ilo != lad.h_lo or seen_first:
-                    raise InvariantError(
-                        f"page {res.page.variant} n={res.page.n}: broken chain on ladder {key}"
-                    )
-                seen_first = True
+        # kills from one stem above can reach the window
+        window = (min(lo, 0), hi + 1)
+        sides = ((self.pages.hfp, self._src_pieces), (self.pages.tate, self._tgt_pieces))
+        for pages, pieces in sides:
+            for level, res in pages.items():
+                res.assert_pure_chains(window[1])
+                for mono, h in res.iter_alive(window):
+                    pieces.setdefault((mono.stem(self.ctx), mono.line, h), []).append((level, mono))
+        for _pages, pieces in sides:
+            for piece in pieces.values():
+                piece.sort(key=lambda lm: (lm[0], lm[1].t_exp, lm[1].mu_exp))
 
     def _gr_class(self, level: int, mono: Monomial, s: int) -> GrV1Class:
         base = Monomial(level, self.ell, mono.t_exp - s, mono.mu_exp - s, mono.lam, mono.u_exp)

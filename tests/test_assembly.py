@@ -1,5 +1,6 @@
 import pytest
 
+from synlab import trkernel
 from synlab.assembly import (
     AssemblyParams,
     betti_bound,
@@ -11,7 +12,7 @@ from synlab.assembly import (
     two_line_check,
 )
 from synlab.closedforms import TRUNC_INF, tr_closed_decomposition
-from synlab.errors import InputError
+from synlab.errors import InputError, VerificationFailure
 from synlab.graded import TORSION_FREE, CyclicDecomposition, PrimeContext
 
 CTX3 = PrimeContext(3)
@@ -179,3 +180,16 @@ def test_tc_eps_merge_is_linear(monkeypatch):
     monkeypatch.setattr(CyclicDecomposition, "__post_init__", counting)
     dec = tc_eps_dims(CTX3, (-2, 200))
     assert sum(seen) <= 3 * len(dec)
+
+
+def test_both_mode_raises_on_a_twist_mismatch(monkeypatch):
+    params = AssemblyParams(3, 3, 1, (-2, 12))
+    assert syntomic_dims(params, mode="both").entries == syntomic_dims(params).entries
+    closed = trkernel.tr_closed_decomposition
+
+    def drop_first(ctx, ell, trunc, window):
+        return CyclicDecomposition(list(closed(ctx, ell, trunc, window))[1:])
+
+    monkeypatch.setattr(trkernel, "tr_closed_decomposition", drop_first)
+    with pytest.raises(VerificationFailure, match="twist l=1: oracle and closed form disagree"):
+        syntomic_dims(params, mode="both")

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from synlab import cache
+from synlab import cache, nygaard
 from synlab.cli import main
 from synlab.graded import DimTable
 
@@ -179,3 +179,10 @@ def test_verify_flags_map_the_same_under_all(capsys, monkeypatch):
     calls.clear()
     run(capsys, "verify", "--suite", "tr", "--p", "5")
     assert calls == [("tr", {"ps": (2, 3)})]
+
+
+def test_size_guard_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(nygaard, "MAX_LADDERS", 10)
+    code, out, err = run(capsys, "einf", "--p", "3", "--n", "1", "--ell", "1", "--deg-max", "30", "--mode", "oracle")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err

@@ -1,13 +1,19 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from synlab import nygaard
 from synlab.errors import InputError, ResourceError, StateError
 from synlab.graded import Monomial, PrimeContext, geo, vp
 from synlab.nygaard import (
     SSPage,
     StageMap,
     Variant,
+    _interval_intersect,
+    _interval_subtract,
     divisibility,
     run_to_einf,
     run_to_einf_dense,
@@ -216,3 +222,61 @@ def test_bad_inputs():
         SSPage(CTX3, 1, 0, Variant.HFP, (10, 0))
     with pytest.raises(InputError):
         SSPage(CTX3, 1, 0, Variant.HFP, (0, 10), v1_cutoff=0)
+
+
+def test_ladder_guard_fires_before_any_ladder(monkeypatch):
+    built = []
+
+    class CountingLadder(nygaard.Ladder):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(nygaard, "MAX_LADDERS", 10)
+    monkeypatch.setattr(nygaard, "Ladder", CountingLadder)
+    with pytest.raises(ResourceError):
+        SSPage(CTX3, 1, 1, Variant.HFP, (0, 30))
+    assert built == []
+
+
+def _gapped_from_steps(start, steps):
+    out, cur = [], start
+    for gap, length in steps:
+        out.append((cur + gap, cur + gap + length))
+        cur += gap + length
+    return out
+
+
+GAPPED = st.builds(
+    _gapped_from_steps,
+    st.integers(-20, 20),
+    st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), max_size=6),
+)
+
+
+def _heights(ivs):
+    return {h for lo, hi in ivs for h in range(lo, hi)}
+
+
+def _is_gapped(ivs):
+    return all(lo < hi for lo, hi in ivs) and all(a[1] < b[0] for a, b in zip(ivs, ivs[1:]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(GAPPED, GAPPED)
+def test_interval_helpers_match_sets_and_stay_gapped(A, B):
+    meet = _interval_intersect(A, B)
+    rest = _interval_subtract(A, B)
+    assert _heights(meet) == _heights(A) & _heights(B)
+    assert _heights(rest) == _heights(A) - _heights(B)
+    assert _is_gapped(meet) and _is_gapped(rest)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_dim_table_counts_iter_alive(variant):
+    for p, n, ell, window in ((3, 1, 1, (-10, 40)), (2, 2, 1, (0, 30)), (5, 1, 2, (-20, 60))):
+        ctx = PrimeContext(p)
+        res = run_to_einf(SSPage(ctx, n, ell, variant, window, 5))
+        assert all(_is_gapped(lad.alive) for lad in res.page.ladders.values())
+        walked = Counter((m.stem(ctx), m.line) for m, _h in res.iter_alive(window))
+        assert res.dim_table(window).entries == dict(walked)
