@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .closedforms import TRUNC_INF
-from .errors import InputError
+from .closedforms import TRUNC_INF, family_count_bound
+from .errors import InputError, InvariantError, ResourceError
 from .graded import (
     TORSION_FREE,
     Bidegree,
@@ -31,6 +31,8 @@ from .graded import (
     geo,
 )
 from .trkernel import tr_gr_module
+
+MAX_GENERATORS = 2_500_000
 
 
 def tc_zp_dims(ctx: PrimeContext, window) -> CyclicDecomposition:
@@ -60,11 +62,22 @@ def tc_eps_dims(ctx: PrimeContext, window, mode: str = "closed") -> CyclicDecomp
     list is gathered first and wrapped once, so the duplicate-label check
     runs once and the merge stays linear in the number of generators.
     Mode "both" raises VerificationFailure on the first twist whose oracle
-    and closed form disagree.
+    and closed form disagree.  Before any twist is computed, the generator
+    count is bounded from the window (family index counts per level, summed
+    over the twists), and ResourceError is raised past MAX_GENERATORS.
     """
     lo, hi = window
+    twists = range(1, twist_bound(hi) + 1)
+    estimate = 0
+    for ell in twists:
+        if ell % ctx.p:
+            estimate += family_count_bound(ctx, ell, hi)
+            if estimate > MAX_GENERATORS:
+                raise ResourceError(
+                    f"stems up to {hi} may need more than {MAX_GENERATORS} generators; lower the window top"
+                )
     gens = list(tc_zp_dims(ctx, window))
-    for ell in range(1, twist_bound(hi) + 1):
+    for ell in twists:
         if ell % ctx.p == 0:
             continue
         tr = tr_gr_module(ctx, ell, TRUNC_INF, (0, hi), mode=mode)
@@ -123,6 +136,8 @@ def syntomic_dims(params: AssemblyParams, mode: str = "closed") -> DimTable:
             entries[(stem, line)] = entries.get((stem, line), 0) + 1
 
     for g in M:
+        if not g.certified:
+            raise InvariantError(f"generator {g.label} at {tuple(g.bidegree)} has only a lower bound on its torsion")
         d, s = g.bidegree
         r = g.torsion
         reduction_top = k if r == TORSION_FREE else min(int(r), k)

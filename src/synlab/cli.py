@@ -66,6 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=help_text)
         _common_flags(sp, with_nk=True)
+        sp.add_argument("--mode", choices=("oracle", "closed", "both"), default="closed")
 
     sp = sub.add_parser("betti-bound", help="p-power truncation depth for mod p Betti numbers")
     sp.add_argument("--p", type=int, required=True)
@@ -141,11 +142,11 @@ def _cmd_tr(args) -> tuple[int, str]:
 def _cmd_assembly(args, which: str) -> tuple[int, str]:
     params = AssemblyParams(args.p, args.n, args.k, (args.deg_min, args.deg_max))
     if which == "syntomic":
-        table = syntomic_dims(params)
+        table = syntomic_dims(params, mode=args.mode)
     elif which == "tc":
-        table = tc_mod_dims(params)
+        table = tc_mod_dims(params, mode=args.mode)
     else:
-        table = k_mod_dims(params)
+        table = k_mod_dims(params, mode=args.mode)
     return EXIT_OK, _table_payload(table, args.format)
 
 

@@ -342,6 +342,25 @@ def _families_at_level(ctx: PrimeContext, ell: int, n: int, trunc, window) -> li
     return out
 
 
+def family_count_bound(ctx: PrimeContext, ell: int, hi: int) -> int:
+    """Upper bound on the family elements of twist ell with stem <= hi.
+
+    Counts the indices _families_at_level can visit at each level n with
+    2*l*p^n <= hi: j = cong (mod p^n) up to the mu^j stem bound for A/B/F,
+    2(p-1) classes for C, and j = cong (mod p^(r-1)) for D/E/G, each for
+    both exterior exponents.  No element is built.
+    """
+    p = ctx.p
+    total = 0
+    n = 0
+    while 2 * ell * p**n <= hi:
+        j_max = _mu_upper(ctx, n, ell, hi, 0)
+        total += 2 * (j_max // p**n + 1) + 2 * (p - 1)
+        total += 2 * sum(j_max // p ** (r - 1) + 1 for r in range(1, n + 1))
+        n += 1
+    return total
+
+
 def tr_closed_decomposition(ctx: PrimeContext, ell: int, trunc=TRUNC_INF, window=(0, 200)) -> CyclicDecomposition:
     elems = enumerate_families(ctx, ell, trunc, window)
     gens = [Generator(el.label(), el.bid, el.torsion) for el in elems]

@@ -25,13 +25,23 @@ cancellation along ladders, which this module performs exactly; a dense
 matrix-by-matrix implementation of the same homology (run_to_einf_dense)
 serves as an independent cross-check on small windows and is exercised by
 the test suite.
+
+The ladders of a page are keyed (e1, e2, delta) with delta = a - b.  For
+each (e1, e2) the modeled deltas form at most two ranges, one per side of
+the fixed-point split (delta < 0 on the mu side, delta >= 0 on the t
+side), and on each range the base exponents and the bottom stem are
+affine in delta.  The page is built range by range in ascending key
+order, so page.ladders iterates sorted and every reader walks it as is.
+A stage visits only the ladders its map acts on (SSPage.stage_pairs):
+T_k walks the residue class delta = -c (mod p^k) of the e1 = 0 ladders in
+steps of p^k and skips delta = -c (mod p^(k+1)), U walks the e2 = 1
+ladders.  The dense engine reads the same rule through stage_image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 
 from . import fplinalg
 from .errors import InputError, InvariantError, ResourceError, StateError
@@ -42,7 +52,6 @@ from .graded import (
     Monomial,
     PrimeContext,
     geo,
-    vp,
 )
 
 MAX_LADDERS = 5_000_000
@@ -122,7 +131,7 @@ def _interval_shift(A, s):
     return [(lo + s, hi + s) for lo, hi in A]
 
 
-@dataclass
+@dataclass(slots=True)
 class Ladder:
     """All v1-multiples of one pure monomial, alive intervals in h."""
 
@@ -144,14 +153,6 @@ class Ladder:
             if lo <= h < hi:
                 return (lo, hi)
         return None
-
-
-def _base_exponents(variant: Variant, delta: int):
-    if variant is Variant.HFP:
-        return (max(delta, 0), max(-delta, 0))
-    if variant is Variant.TATE:
-        return (delta, 0)
-    return (0, -delta)
 
 
 class SSPage:
@@ -188,54 +189,68 @@ class SSPage:
         self.lo_pad = lo - ctx.q - 2 * (n + 3)
         self.hi_pad = hi + 2 * self.v1_cutoff * p
         self._twist_coeff = -ell * n * (p - 1) * p ** (n - 1) if n >= 1 else 0
+        self._images: dict = {}  # stage -> {source key: (coeff, target key)}, for stage_image
         self.ladders: dict = {}
         self._build()
 
     # -- construction ---------------------------------------------------
 
-    def _stem0(self, e1: int, e2: int, delta: int) -> int:
-        p = self.ctx.p
-        a0, b0 = _base_exponents(self.variant, delta)
-        return 2 * self.ell * p**self.n - 2 * a0 + 2 * p * b0 + (2 * p - 1) * e1 - e2
-
     def _delta_ranges(self, e1: int, e2: int):
-        """Ranges of the delta whose ladder meets the padded window below v_internal.
+        """The deltas whose ladder meets the padded window below v_internal,
+        as ascending (deltas, a_slope, b_slope, stem_slope) segments.
 
-        A ladder is worth modeling when some height h in [0, v_internal)
-        puts its stem inside [lo_pad, hi_pad]; stems climb with h, so that
-        means lo_pad - (v_internal-1)*q <= stem0 <= hi_pad.
+        On a segment the ladder's base monomial is t^(a_slope*delta)
+        mu^(b_slope*delta) and its bottom stem is stem0 = K +
+        stem_slope*delta, K the stem of the delta = 0 ladder.  A ladder is
+        worth modeling when some height h in [0, v_internal) puts its stem
+        inside [lo_pad, hi_pad]; stems climb with h, so that means
+        lo_pad - (v_internal-1)*q <= stem0 <= hi_pad.
         """
         q = self.ctx.q
         p = self.ctx.p
-        K = self._stem0(e1, e2, 0)
+        K = self._stem_at_zero(e1, e2)
         lo_need = self.lo_pad - (self._v_internal - 1) * q
         hi_need = self.hi_pad
+        # t side: base (delta, 0), stem0 = K - 2*delta; mu side: base
+        # (0, -delta), stem0 = K - 2p*delta.
+        t_deltas = range(-((hi_need - K) // 2), (K - lo_need) // 2 + 1)
+        mu_deltas = range(-((hi_need - K) // (2 * p)), (K - lo_need) // (2 * p) + 1)
         if self.variant is Variant.TATE:
-            # base (delta, 0): stem0 = K - 2*delta, delta in Z
-            return (range(-((hi_need - K) // 2), (K - lo_need) // 2 + 1),)
+            return ((t_deltas, 1, 0, -2),)
         if self.variant is Variant.MUINV:
-            # base (0, -delta): stem0 = K - 2p*delta, delta in Z
-            return (range(-((hi_need - K) // (2 * p)), (K - lo_need) // (2 * p) + 1),)
-        # HFP: t-side delta >= 0 with stem0 = K - 2*delta, mu-side delta < 0
-        # with stem0 = K + 2p*(-delta).
+            return ((mu_deltas, 0, -1, -2 * p),)
+        # HFP: the mu side holds delta < 0, the t side delta >= 0
         return (
-            range(max(0, -((hi_need - K) // 2)), (K - lo_need) // 2 + 1),
-            range(-1, -((hi_need - K) // (2 * p)) - 1, -1),
+            (range(mu_deltas.start, min(mu_deltas.stop, 0)), 0, -1, -2 * p),
+            (range(max(t_deltas.start, 0), t_deltas.stop), 1, 0, -2),
         )
+
+    def _stem_at_zero(self, e1: int, e2: int) -> int:
+        return 2 * self.ell * self.ctx.p**self.n + (2 * self.ctx.p - 1) * e1 - e2
 
     def _build(self):
         q = self.ctx.q
-        ranges = {(e1, e2): self._delta_ranges(e1, e2) for e1 in (0, 1) for e2 in (0, 1)}
-        if sum(len(r) for rs in ranges.values() for r in rs) > MAX_LADDERS:
+        self._ranges = {(e1, e2): self._delta_ranges(e1, e2) for e1 in (0, 1) for e2 in (0, 1)}
+        if sum(len(seg[0]) for segs in self._ranges.values() for seg in segs) > MAX_LADDERS:
             raise ResourceError(f"page needs more than {MAX_LADDERS} ladders; shrink the window or cutoff")
-        for (e1, e2), rs in ranges.items():
-            for delta in chain(*rs):
-                a0, b0 = _base_exponents(self.variant, delta)
-                stem0 = self._stem0(e1, e2, delta)
-                h_lo = max(0, -((stem0 - self.lo_pad) // q))
-                h_cap = min((self.hi_pad - stem0) // q + 1, self._v_internal)
-                if h_cap > h_lo:
-                    self.ladders[(e1, e2, delta)] = Ladder(e1, e2, delta, a0, b0, stem0, h_lo, h_cap, [(h_lo, h_cap)])
+        lo_pad, hi_pad, v_internal = self.lo_pad, self.hi_pad, self._v_internal
+        ladders = self.ladders
+        # (e1, e2) ascending, then each side's deltas ascending: key order
+        for (e1, e2), segs in self._ranges.items():
+            K = self._stem_at_zero(e1, e2)
+            for deltas, a_slope, b_slope, stem_slope in segs:
+                for delta in deltas:
+                    stem0 = K + stem_slope * delta
+                    h_lo = -((stem0 - lo_pad) // q)
+                    if h_lo < 0:
+                        h_lo = 0
+                    h_cap = (hi_pad - stem0) // q + 1
+                    if h_cap > v_internal:
+                        h_cap = v_internal
+                    if h_cap > h_lo:
+                        ladders[(e1, e2, delta)] = Ladder(
+                            e1, e2, delta, a_slope * delta, b_slope * delta, stem0, h_lo, h_cap, [(h_lo, h_cap)]
+                        )
 
     # -- monomial lookups ------------------------------------------------
 
@@ -252,8 +267,8 @@ class SSPage:
         """
         out = []
         q = self.ctx.q
-        for (e1, e2, delta), lad in sorted(self.ladders.items()):
-            if e1 - e2 != line:
+        for lad in self.ladders.values():
+            if lad.e1 - lad.e2 != line:
                 continue
             if (stem - lad.stem0) % q:
                 continue
@@ -267,49 +282,89 @@ class SSPage:
 
     # -- stages ----------------------------------------------------------
 
-    def stage_image(self, stage: str, lad_key):
-        """(coefficient, target ladder key) of the stage map on a whole
-        ladder, or None where the map vanishes."""
+    def stage_pairs(self, stage: str):
+        """(source key, coefficient, target key) for every ladder of the page
+        on which the stage map is nonzero, sources in key order.
+
+        T_k acts on t^a mu^b (e1 = 0) when vp(delta + c) == k, with the
+        coefficient (delta + c)/p^k mod p: walk delta = -c (mod p^k) in steps
+        of p^k and skip the zero coefficients, i.e. delta = -c (mod p^(k+1)).
+        U acts on every e2 = 1 ladder with coefficient 1.  The target key
+        need not be a ladder of the page.
+        """
         par = self.schedule.get(stage)
         if par is None:
             raise InputError(f"stage {stage} not scheduled for n={self.n}")
         k, _G, P = par
-        e1, e2, delta = lad_key
+        ladders = self.ladders
         if k is None:
-            return (1, (e1, 0, delta + P)) if e2 == 1 else None
-        if e1 == 1:
-            return None
+            for e1 in (0, 1):
+                for deltas, *_slopes in self._ranges[(e1, 1)]:
+                    for delta in deltas:
+                        if (e1, 1, delta) in ladders:
+                            yield (e1, 1, delta), 1, (e1, 0, delta + P)
+            return
         p = self.ctx.p
-        val = delta + self._twist_coeff
-        if vp(p, val) != k:
-            return None
-        return ((val // p**k) % p, (1, e2, delta + P))
+        c = self._twist_coeff
+        step = p**k
+        for e2 in (0, 1):
+            for deltas, *_slopes in self._ranges[(0, e2)]:
+                for delta in range(deltas.start + (-c - deltas.start) % step, deltas.stop, step):
+                    coeff = (delta + c) // step % p
+                    if coeff and (0, e2, delta) in ladders:
+                        yield (0, e2, delta), coeff, (1, e2, delta + P)
+
+    def stage_image(self, stage: str, lad_key):
+        """(coefficient, target ladder key) of the stage map on a ladder of
+        the page, or None where the map vanishes; read from stage_pairs."""
+        images = self._images.get(stage)
+        if images is None:
+            images = self._images[stage] = {src: (coeff, tgt) for src, coeff, tgt in self.stage_pairs(stage)}
+        return images.get(lad_key)
 
     def run_stage(self, stage: str):
         expected = self.stages[len(self.stages_done)] if len(self.stages_done) < len(self.stages) else None
         if stage != expected:
             raise StateError(f"stage {stage} out of order; expected {expected}")
         _k, G, P = self.schedule[stage]
+        ladders = self.ladders
         # The cuts are applied as they are found.  That equals cutting from
         # the state before the stage, because each ladder is in at most one
         # pair: T_k sources have e1 = 0 and targets e1 = 1, U sources have
         # e2 = 1 and targets e2 = 0, and delta -> delta + P is injective.
-        for key, lad in self.ladders.items():
-            if not lad.alive:
+        for src, _coeff, tgt in self.stage_pairs(stage):
+            lad = ladders[src]
+            A = lad.alive
+            if not A:
                 continue
-            im = self.stage_image(stage, key)
-            if im is None:
-                continue
-            tlad = self.ladders.get(im[1])
+            tlad = ladders.get(tgt)
             if tlad is None or not tlad.alive:
                 continue
+            B = tlad.alive
             # t^a mu^b goes to t^(a+G+P) mu^(b+G): height h on lad lands at
             # height h + s on tlad.
             s = G + P + lad.base_a - tlad.base_a
-            dead = _interval_intersect(lad.alive, _interval_shift(tlad.alive, -s))
+            if len(A) == 1 and len(B) == 1:
+                # one interval each: dead = [lo, hi), cut from both in O(1)
+                (alo, ahi), (blo, bhi) = A[0], B[0]
+                lo = alo if alo > blo - s else blo - s
+                hi = ahi if ahi < bhi - s else bhi - s
+                if lo < hi:
+                    if alo < lo:
+                        lad.alive = [(alo, lo), (hi, ahi)] if hi < ahi else [(alo, lo)]
+                    else:
+                        lad.alive = [(hi, ahi)] if hi < ahi else []
+                    lo += s
+                    hi += s
+                    if blo < lo:
+                        tlad.alive = [(blo, lo), (hi, bhi)] if hi < bhi else [(blo, lo)]
+                    else:
+                        tlad.alive = [(hi, bhi)] if hi < bhi else []
+                continue
+            dead = _interval_intersect(A, _interval_shift(B, -s))
             if dead:
-                lad.alive = _interval_subtract(lad.alive, dead)
-                tlad.alive = _interval_subtract(tlad.alive, _interval_shift(dead, s))
+                lad.alive = _interval_subtract(A, dead)
+                tlad.alive = _interval_subtract(B, _interval_shift(dead, s))
         self.stages_done.append(stage)
 
 
@@ -407,8 +462,7 @@ class EInfResult:
         q = self.page.ctx.q
         cut = self.page.v1_cutoff
         lo, hi = window
-        for key in sorted(self.page.ladders):
-            lad = self.page.ladders[key]
+        for lad in self.page.ladders.values():
             for ilo, ihi in lad.alive:
                 # lo <= stem0 + h*q <= hi, solved for h
                 for h in range(max(ilo, -((lad.stem0 - lo) // q)), min(ihi, cut, (hi - lad.stem0) // q + 1)):
@@ -461,8 +515,7 @@ class EInfResult:
         q = self.page.ctx.q
         cut = self.page.v1_cutoff
         lo, hi = window
-        for key in sorted(self.page.ladders):
-            lad = self.page.ladders[key]
+        for lad in self.page.ladders.values():
             line = lad.e1 - lad.e2
             for ilo, ihi in lad.alive:
                 if ilo >= cut:
@@ -504,8 +557,7 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
     basis: dict = {}  # (stem, line) -> list of monomials
     position: dict = {}  # monomial -> (bidegree, index)
     total = 0
-    for key in sorted(page.ladders):
-        lad = page.ladders[key]
+    for lad in page.ladders.values():
         line = lad.e1 - lad.e2
         for h in range(lad.h_lo, lad.h_cap):
             stem = lad.stem0 + h * q

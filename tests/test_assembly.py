@@ -193,3 +193,19 @@ def test_both_mode_raises_on_a_twist_mismatch(monkeypatch):
     monkeypatch.setattr(trkernel, "tr_closed_decomposition", drop_first)
     with pytest.raises(VerificationFailure, match="twist l=1: oracle and closed form disagree"):
         syntomic_dims(params, mode="both")
+
+
+def test_assembly_refuses_uncertified_torsion(monkeypatch):
+    from synlab import assembly
+    from synlab.errors import InvariantError
+    from synlab.graded import Bidegree, Generator
+    from synlab.trkernel import TrResult
+
+    def one_bound(ctx, ell, trunc, window, mode):
+        return TrResult(CyclicDecomposition([Generator("g", Bidegree(2 * ell, 0), 2, certified=False)]))
+
+    monkeypatch.setattr(assembly, "tr_gr_module", one_bound)
+    params = AssemblyParams(3, 3, 1, (-2, 12))
+    for table in (syntomic_dims, tc_mod_dims, k_mod_dims):
+        with pytest.raises(InvariantError, match="l1:g at \\(2, 0\\)"):
+            table(params)

@@ -1,11 +1,12 @@
 import json
 import os
+import time
 
 import pytest
 
-from synlab import cache, nygaard
+from synlab import cache, nygaard, trkernel
 from synlab.cli import main
-from synlab.graded import DimTable
+from synlab.graded import CyclicDecomposition, DimTable
 
 
 def run(capsys, *argv):
@@ -186,3 +187,34 @@ def test_size_guard_exits_two(capsys, monkeypatch):
     code, out, err = run(capsys, "einf", "--p", "3", "--n", "1", "--ell", "1", "--deg-max", "30", "--mode", "oracle")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["syntomic", "tc", "ktheory"])
+def test_closed_size_guard_exits_two(capsys, command):
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--p", "3", "--n", "4", "--k", "1", "--deg-max", "10000000")
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["syntomic", "tc", "ktheory"])
+def test_table_modes_print_the_same_table(capsys, command):
+    args = [command, "--p", "3", "--n", "4", "--k", "1", "--deg-min", "-4", "--deg-max", "16"]
+    code, closed, _ = run(capsys, *args)
+    assert code == 0
+    for mode in ("oracle", "both"):
+        code, out, _ = run(capsys, *args, "--mode", mode)
+        assert code == 0 and out == closed
+
+
+def test_table_mode_both_exits_three_on_a_mismatch(capsys, monkeypatch):
+    closed = trkernel.tr_closed_decomposition
+
+    def drop_first(ctx, ell, trunc, window):
+        return CyclicDecomposition(list(closed(ctx, ell, trunc, window))[1:])
+
+    monkeypatch.setattr(trkernel, "tr_closed_decomposition", drop_first)
+    code, out, err = run(capsys, "tc", "--p", "3", "--n", "3", "--k", "1", "--deg-max", "12", "--mode", "both")
+    assert code == 3 and out == ""
+    assert err.startswith("verification failure: twist l=1")

@@ -280,3 +280,81 @@ def test_dim_table_counts_iter_alive(variant):
         assert all(_is_gapped(lad.alive) for lad in res.page.ladders.values())
         walked = Counter((m.stem(ctx), m.line) for m, _h in res.iter_alive(window))
         assert res.dim_table(window).entries == dict(walked)
+
+
+def _reference_sweep(page):
+    """Every ladder at every stage, with the valuation test read off the
+    stage formulas; cuts come from the pre-stage state."""
+    p, c = page.ctx.p, page._twist_coeff
+    for stage in page.stages:
+        k, G, P = page.schedule[stage]
+        cuts = []
+        for (e1, e2, delta), lad in page.ladders.items():
+            if k is None:
+                if e2 != 1:
+                    continue
+                tkey = (e1, 0, delta + P)
+            else:
+                if e1 == 1 or vp(p, delta + c) != k:
+                    continue
+                tkey = (1, e2, delta + P)
+            tlad = page.ladders.get(tkey)
+            if tlad is None:
+                continue
+            s = G + P + lad.base_a - tlad.base_a
+            dead = _interval_intersect(lad.alive, [(lo - s, hi - s) for lo, hi in tlad.alive])
+            cuts.append((lad, tlad, dead, [(lo + s, hi + s) for lo, hi in dead]))
+        for lad, tlad, dead, tdead in cuts:
+            lad.alive = _interval_subtract(lad.alive, dead)
+            tlad.alive = _interval_subtract(tlad.alive, tdead)
+        page.stages_done.append(stage)
+
+
+def _base_of(variant, delta):
+    if variant is Variant.HFP:
+        return (max(delta, 0), max(-delta, 0))
+    return (delta, 0) if variant is Variant.TATE else (0, -delta)
+
+
+PAGE_DRAWS = st.tuples(
+    st.sampled_from((2, 3, 5, 7)),
+    st.integers(0, 3),
+    st.integers(0, 4),
+    st.sampled_from(list(Variant)),
+    st.integers(-40, 60),
+    st.integers(0, 50),
+    st.integers(1, 6),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(PAGE_DRAWS)
+def test_residue_class_sweep_matches_every_ladder_sweep(draw):
+    p, n, ell, variant, lo, width, cutoff = draw
+    ctx = PrimeContext(p)
+    window = (lo, lo + width)
+    page = SSPage(ctx, n, ell, variant, window, cutoff)
+    assert list(page.ladders) == sorted(page.ladders)
+    for (_e1, _e2, delta), lad in page.ladders.items():
+        assert (lad.base_a, lad.base_b) == _base_of(page.variant, delta)
+        assert lad.monomial(page, 0).stem(ctx) == lad.stem0
+    reference = SSPage(ctx, n, ell, variant, window, cutoff)
+    _reference_sweep(reference)
+    res = run_to_einf(page)
+    assert {k: lad.alive for k, lad in page.ladders.items()} == {k: lad.alive for k, lad in reference.ladders.items()}
+    if sum(lad.h_cap - lad.h_lo for lad in page.ladders.values()) <= 4000:
+        # Matched by representative: a class either engine leaves
+        # uncertified (its chain runs into the cutoff or the modeled band)
+        # carries a lower bound on the other engine's torsion.
+        dense = run_to_einf_dense(SSPage(ctx, n, ell, variant, window, cutoff), window)
+        ladder = {f"dense:L{n}:{cl.representative}": cl for cl in res.classes(window)}
+        assert sorted(ladder) == sorted(g.label for g in dense)
+        for g in dense:
+            cl = ladder[g.label]
+            assert cl.bidegree == g.bidegree
+            if cl.certified and g.certified:
+                assert cl.v1_torsion == g.torsion
+            elif g.certified:
+                assert cl.v1_torsion <= g.torsion
+            elif cl.certified:
+                assert g.torsion <= cl.v1_torsion
