@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .closedforms import TRUNC_INF, family_count_bound
+from .closedforms import TRUNC_INF, family_count
 from .errors import InputError, InvariantError, ResourceError
 from .graded import (
     TORSION_FREE,
@@ -32,7 +32,11 @@ from .graded import (
 )
 from .trkernel import tr_gr_module
 
-MAX_GENERATORS = 2_500_000
+# A closed-route table costs about 340 bytes of peak memory and 32 us per TR
+# generator (syntomic --p 3 --n 4 --k 1: 0.50 M generators at --deg-max 3000
+# in 16 s and 189 MB, 1.13 M at 4500 in 36 s and 395 MB), so this cap keeps
+# a table near 1 GB and 100 s.
+MAX_GENERATORS = 3_000_000
 
 
 def tc_zp_dims(ctx: PrimeContext, window) -> CyclicDecomposition:
@@ -62,20 +66,18 @@ def tc_eps_dims(ctx: PrimeContext, window, mode: str = "closed") -> CyclicDecomp
     list is gathered first and wrapped once, so the duplicate-label check
     runs once and the merge stays linear in the number of generators.
     Mode "both" raises VerificationFailure on the first twist whose oracle
-    and closed form disagree.  Before any twist is computed, the generator
-    count is bounded from the window (family index counts per level, summed
-    over the twists), and ResourceError is raised past MAX_GENERATORS.
+    and closed form disagree.  Before any twist is computed, the TR
+    generators are counted from the window (family_count summed over the
+    twists), and ResourceError is raised past MAX_GENERATORS.
     """
     lo, hi = window
     twists = range(1, twist_bound(hi) + 1)
-    estimate = 0
+    count = 0
     for ell in twists:
         if ell % ctx.p:
-            estimate += family_count_bound(ctx, ell, hi)
-            if estimate > MAX_GENERATORS:
-                raise ResourceError(
-                    f"stems up to {hi} may need more than {MAX_GENERATORS} generators; lower the window top"
-                )
+            count += family_count(ctx, ell, hi)
+            if count > MAX_GENERATORS:
+                raise ResourceError(f"stems up to {hi} need more than {MAX_GENERATORS} generators; lower the window top")
     gens = list(tc_zp_dims(ctx, window))
     for ell in twists:
         if ell % ctx.p == 0:

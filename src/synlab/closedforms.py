@@ -342,21 +342,40 @@ def _families_at_level(ctx: PrimeContext, ell: int, n: int, trunc, window) -> li
     return out
 
 
-def family_count_bound(ctx: PrimeContext, ell: int, hi: int) -> int:
-    """Upper bound on the family elements of twist ell with stem <= hi.
+def family_count(ctx: PrimeContext, ell: int, hi: int) -> int:
+    """len(enumerate_families(ctx, ell, TRUNC_INF, (0, hi))), counted
+    without building any element.
 
-    Counts the indices _families_at_level can visit at each level n with
-    2*l*p^n <= hi: j = cong (mod p^n) up to the mu^j stem bound for A/B/F,
-    2(p-1) classes for C, and j = cong (mod p^(r-1)) for D/E/G, each for
-    both exterior exponents.  No element is built.
+    Counts the indices _families_at_level keeps at each level n with
+    2*l*p^n <= hi: for A/B the j = cong (mod p^n), for D/E the j = cong
+    (mod p^(r-1)) with vp(j - cong) = r - 1, each up to the mu^j stem bound
+    and the cut _tilt >= 0, i.e. p*j <= p^n*l*(p-1); and the C indices
+    with stem <= hi.  Every family stem is at least 2l, so any window
+    starting at or below 0 gives the same count.
     """
     p = ctx.p
     total = 0
     n = 0
     while 2 * ell * p**n <= hi:
-        j_max = _mu_upper(ctx, n, ell, hi, 0)
-        total += 2 * (j_max // p**n + 1) + 2 * (p - 1)
-        total += 2 * sum(j_max // p ** (r - 1) + 1 for r in range(1, n + 1))
+        cong = n * ell * p ** (n - 1) if n >= 1 else 0
+        j_tilt = p**n * ell * (p - 1) // p
+
+        def count(j_min, e_stem, step):
+            """j_min <= j <= the level's bound with j = cong (mod step)."""
+            j_max = min(_mu_upper(ctx, n, ell, hi, e_stem), j_tilt)
+            return len(range(j_min + (cong - j_min) % step, j_max + 1, step))
+
+        j_min = 0 if n == 0 else 1
+        total += sum(count(j_min, e * (2 * p - 1), p**n) for e in (0, 1))
+        if n >= 1:  # C: t^i lambda1 u^e, stem 2*l*p^n - 2i + 2p - 1 - e
+            total += sum(
+                1 for i in range(1, p) for e in (0, 1) if (i + cong) % p and 2 * ell * p**n - 2 * i + 2 * p - 1 - e <= hi
+            )
+        j_min_u = 0 if n == 1 else 1
+        for r in range(1, n + 1):
+            for e in (0, 1):
+                e_stem = (2 * p - 1) - e
+                total += count(j_min_u, e_stem, p ** (r - 1)) - count(j_min_u, e_stem, p**r)
         n += 1
     return total
 

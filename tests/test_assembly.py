@@ -12,7 +12,7 @@ from synlab.assembly import (
     two_line_check,
 )
 from synlab.closedforms import TRUNC_INF, tr_closed_decomposition
-from synlab.errors import InputError, VerificationFailure
+from synlab.errors import InputError, ResourceError, VerificationFailure
 from synlab.graded import TORSION_FREE, CyclicDecomposition, PrimeContext
 
 CTX3 = PrimeContext(3)
@@ -209,3 +209,15 @@ def test_assembly_refuses_uncertified_torsion(monkeypatch):
     for table in (syntomic_dims, tc_mod_dims, k_mod_dims):
         with pytest.raises(InvariantError, match="l1:g at \\(2, 0\\)"):
             table(params)
+
+
+def test_generator_guard_is_the_tr_generator_count(monkeypatch):
+    from synlab import assembly
+
+    ctx, window = PrimeContext(3), (-2, 40)
+    tr_count = len(tc_eps_dims(ctx, window)) - len(tc_zp_dims(ctx, window))
+    monkeypatch.setattr(assembly, "MAX_GENERATORS", tr_count)
+    tc_eps_dims(ctx, window)
+    monkeypatch.setattr(assembly, "MAX_GENERATORS", tr_count - 1)
+    with pytest.raises(ResourceError, match=f"more than {tr_count - 1} generators"):
+        tc_eps_dims(ctx, window)

@@ -5,6 +5,7 @@ from synlab.closedforms import (
     FamilyTag,
     einf_closed,
     enumerate_families,
+    family_count,
     family_torsion,
     leading_disjoint,
     tr_closed_decomposition,
@@ -193,3 +194,15 @@ def test_enumeration_matches_every_index_scan(p):
         for trunc in (0, 1, 2, 3, TRUNC_INF):
             got = [el.label() for el in enumerate_families(ctx, ell, trunc, window)]
             assert got == _brute_family_labels(ctx, ell, trunc, window), (ell, trunc)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_family_count_matches_the_enumeration(p):
+    ctx = PrimeContext(p)
+    for ell in (1, 2, 4, 9, 13):
+        if ell % p == 0:
+            continue
+        for hi in (2 * ell - 1, 2 * ell, 2 * ell * p + 5, 97, 250):
+            expected = len(enumerate_families(ctx, ell, TRUNC_INF, (0, hi)))
+            assert family_count(ctx, ell, hi) == expected
+            assert len(enumerate_families(ctx, ell, TRUNC_INF, (-9, hi))) == expected

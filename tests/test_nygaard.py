@@ -88,6 +88,16 @@ def test_twisted_coefficient_on_bottom_class():
     assert page3.stage_image("T0", (0, 0, 0)) is None
 
 
+def test_stage_maps_refuse_a_ladder_off_the_page():
+    page = SSPage(CTX3, 1, 1, Variant.HFP, (0, 12), v1_cutoff=2)
+    far = (0, 0, 10**6)
+    assert far not in page.ladders
+    with pytest.raises(InputError):
+        page.stage_image("T0", far)
+    with pytest.raises(InputError):
+        StageMap(page, "T0").on_monomial(Monomial(level=1, twist=1, t_exp=10**6))
+
+
 def test_stage_order_enforced():
     page = SSPage(CTX3, 2, 0, Variant.HFP, (0, 10), v1_cutoff=2)
     with pytest.raises(StateError):
