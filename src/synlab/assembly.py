@@ -17,10 +17,11 @@ sign discussion.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .closedforms import TRUNC_INF, family_count
-from .errors import InputError, InvariantError, ResourceError
+from .closedforms import TRUNC_INF, family_count, family_multiset
+from .errors import InputError, ResourceError
 from .graded import (
     TORSION_FREE,
     Bidegree,
@@ -32,11 +33,12 @@ from .graded import (
 )
 from .trkernel import tr_gr_module
 
-# A closed-route table costs about 340 bytes of peak memory and 32 us per TR
-# generator (syntomic --p 3 --n 4 --k 1: 0.50 M generators at --deg-max 3000
-# in 16 s and 189 MB, 1.13 M at 4500 in 36 s and 395 MB), so this cap keeps
-# a table near 1 GB and 100 s.
-MAX_GENERATORS = 3_000_000
+# A closed-route table costs about 1.1 us per TR generator, and its peak
+# memory hardly grows with the count (syntomic --p 3 --n 4 --k 1: 4.5 M
+# generators at --deg-max 9000 in 4.8 s and 26 MB, 50 M at 30000 in 57 s
+# and 40 MB; syntomic --p 2 --n 4 --k 4 --deg-max 35700: 79.7 M in 91 s
+# and 47 MB), so this cap keeps a table near 90 s.
+MAX_GENERATORS = 80_000_000
 
 
 def tc_zp_dims(ctx: PrimeContext, window) -> CyclicDecomposition:
@@ -58,35 +60,49 @@ def twist_bound(window_top: int) -> int:
     return max(-((window_top + 1) // -2), 0)
 
 
-def tc_eps_dims(ctx: PrimeContext, window, mode: str = "closed") -> CyclicDecomposition:
+def _torsion_multiset(gens, prefix: str = "") -> Counter:
+    """Counter{(stem, line, torsion): multiplicity} of the generators.
+
+    Raises InvariantError on a generator whose torsion is only a lower
+    bound: no table may be built on it.
+    """
+    out: Counter = Counter()
+    for g in gens:
+        g.require_certified(prefix)
+        out[(g.bidegree.d, g.bidegree.s, g.torsion)] += 1
+    return out
+
+
+def tc_eps_dims(ctx: PrimeContext, window, mode: str = "closed") -> Counter:
     """gr TC of the square-zero extension: TC(Z_p) plus twisted TR summands.
 
-    The generators of tc_zp_dims come first, then those of each twist-l TR
-    summand (l prime to p, ascending) with labels prefixed "l{l}:".  The
-    list is gathered first and wrapped once, so the duplicate-label check
-    runs once and the merge stays linear in the number of generators.
-    Mode "both" raises VerificationFailure on the first twist whose oracle
-    and closed form disagree.  Before any twist is computed, the TR
-    generators are counted from the window (family_count summed over the
-    twists), and ResourceError is raised past MAX_GENERATORS.
+    Returns Counter{(stem, line, torsion): multiplicity} over the generators
+    of tc_zp_dims and of each twist-l TR summand (l prime to p) with stems
+    up to the window top; no table needs more than this multiset.  Mode
+    "closed" reads each twist from family_multiset; "oracle" and "both"
+    convert the oracle's generators, refusing a torsion that is only a
+    lower bound, and "both" raises VerificationFailure on the first twist
+    whose oracle and closed form disagree.  Before any twist is computed,
+    the TR generators are counted from the window (family_count summed over
+    the twists), and ResourceError is raised past MAX_GENERATORS.
     """
     lo, hi = window
-    twists = range(1, twist_bound(hi) + 1)
+    twists = [ell for ell in range(1, twist_bound(hi) + 1) if ell % ctx.p]
     count = 0
     for ell in twists:
-        if ell % ctx.p:
-            count += family_count(ctx, ell, hi)
-            if count > MAX_GENERATORS:
-                raise ResourceError(f"stems up to {hi} need more than {MAX_GENERATORS} generators; lower the window top")
-    gens = list(tc_zp_dims(ctx, window))
+        count += family_count(ctx, ell, hi)
+        if count > MAX_GENERATORS:
+            raise ResourceError(f"stems up to {hi} need more than {MAX_GENERATORS} generators; lower the window top")
+    out = _torsion_multiset(tc_zp_dims(ctx, window))
     for ell in twists:
-        if ell % ctx.p == 0:
+        if mode == "closed":
+            out.update(family_multiset(ctx, ell, hi))
             continue
         tr = tr_gr_module(ctx, ell, TRUNC_INF, (0, hi), mode=mode)
         if mode == "both":
             tr.comparison.require_ok(f"twist l={ell}")
-        gens.extend(Generator(f"l{ell}:{g.label}", g.bidegree, g.torsion, g.certified) for g in tr.decomposition)
-    return CyclicDecomposition(gens)
+        out.update(_torsion_multiset(tr.decomposition, f"l{ell}:"))
+    return out
 
 
 @dataclass(frozen=True)
@@ -133,21 +149,17 @@ def syntomic_dims(params: AssemblyParams, mode: str = "closed") -> DimTable:
     M = tc_eps_dims(ctx, (min(lo, -1), hi), mode=mode)
     entries: dict = {}
 
-    def add(stem, line):
+    def add(stem, line, mult):
         if lo <= stem <= hi:
-            entries[(stem, line)] = entries.get((stem, line), 0) + 1
+            entries[(stem, line)] = entries.get((stem, line), 0) + mult
 
-    for g in M:
-        if not g.certified:
-            raise InvariantError(f"generator {g.label} at {tuple(g.bidegree)} has only a lower bound on its torsion")
-        d, s = g.bidegree
-        r = g.torsion
+    for (d, s, r), mult in M.items():
         reduction_top = k if r == TORSION_FREE else min(int(r), k)
         for j in range(reduction_top):
-            add(d + j * q, s)
+            add(d + j * q, s, mult)
         if r != TORSION_FREE:
             for j in range(max(int(r) - k, 0), int(r)):
-                add(d + j * q + q * k + 1, s + 1)
+                add(d + j * q + q * k + 1, s + 1, mult)
     notes = {"assoc_graded": True} if params.p2_mode else {}
     return DimTable({"p": params.p, "n": params.n, "k": k}, entries, params.window, notes)
 
@@ -215,30 +227,33 @@ def two_line_check(ctx: PrimeContext, window, mode: str = "closed") -> TwoLineRe
     """Every line-2 class of gr TC(Z_p<eps>)/p is a v1-power of del*l1.
 
     Only generators whose v1-orbit meets the window are examined, so an
-    empty window passes vacuously.
+    empty window passes vacuously.  A violation is a (stem, line, torsion)
+    key off lines -1..2, or a line-2 key with more generators than del*l1
+    puts there, with that excess.
     """
     lo, hi = window
-    dec = tc_eps_dims(ctx, window, mode=mode) if lo <= hi else CyclicDecomposition([])
+    multiset = tc_eps_dims(ctx, window, mode=mode) if lo <= hi else Counter()
+    allowed = _torsion_multiset(g for g in tc_zp_dims(ctx, window) if g.label == "Zp:del*l1")
     rep = TwoLineReport(window)
     q = ctx.q
 
-    def orbit_meets_window(g) -> bool:
-        if g.bidegree.d > hi:
+    def orbit_meets_window(d, torsion) -> bool:
+        if d > hi:
             return False
-        if g.torsion == TORSION_FREE:
-            return g.bidegree.d + max(0, -(-(lo - g.bidegree.d) // q)) * q <= hi
-        top = g.bidegree.d + (int(g.torsion) - 1) * q
-        return top >= lo
+        if torsion == TORSION_FREE:
+            return d + max(0, -(-(lo - d) // q)) * q <= hi
+        return d + (int(torsion) - 1) * q >= lo
 
-    for g in dec:
-        if not orbit_meets_window(g):
+    for key, mult in sorted(multiset.items()):
+        d, s, torsion = key
+        if not orbit_meets_window(d, torsion):
             continue
-        if g.bidegree.s == 2:
-            rep.line2_count += 1
-            if g.label != "Zp:del*l1":
-                rep.violations.append((g.label, tuple(g.bidegree)))
-        elif g.bidegree.s > 2 or g.bidegree.s < -1:
-            rep.violations.append((g.label, tuple(g.bidegree)))
+        if s == 2:
+            rep.line2_count += mult
+            if mult > allowed[key]:
+                rep.violations.append((key, mult - allowed[key]))
+        elif s > 2 or s < -1:
+            rep.violations.append((key, mult))
     return rep
 
 

@@ -6,6 +6,17 @@ partial sums follow the empty-sum convention (p + ... + p^k is 0 at k = 0,
 
 Family tags: A..E generate the untruncated kernel, F and G appear only for
 a finite truncation level (top-level mu-tails with no Frobenius target).
+
+The index ranges are stated once, as progressions (family_progressions):
+per level n, one j range per e for A/B, split at _tilt = p^(n+1); p-1
+residue classes mod p^r per (r, e) for D/E, split at _tilt = p^(r+1); the
+finite C index set; F/G past _tilt = 0 at the top level of a finite
+truncation.  Component exponents, hence stem and torsion, are affine in j
+within a progression; the B/E index with _tilt = 0 is a progression of its
+own.  Three readers share them: enumerate_families expands them into
+elements, family_count sums their lengths, and family_multiset tallies
+(stem, line, torsion) without building any element.
+
 Index edge cases the displayed ranges miss are handled explicitly:
 
   * A/B admit j = 0 at level n = 0 (the suspension generator's chain);
@@ -22,8 +33,10 @@ index set, which forces p | n+1; for E it forces r = n and p not | n+1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
 from enum import Enum
+from itertools import count, repeat
+from typing import NamedTuple
 
 from .errors import InputError
 from .graded import (
@@ -52,8 +65,7 @@ class FamilyTag(str, Enum):
     G = "G"
 
 
-@dataclass(frozen=True)
-class FamilyElement:
+class FamilyElement(NamedTuple):
     tag: FamilyTag
     n: int
     ell: int
@@ -62,27 +74,22 @@ class FamilyElement:
     e: int  # exterior exponent (lambda1 for A/B/F, u for C/D/E/G)
     components: tuple  # ((level, Monomial), ...), leading component first
     torsion: int
-    bid: Bidegree  # the bidegree every component shares, checked by build()
-
-    @classmethod
-    def build(cls, ctx: PrimeContext, tag, n, ell, r, index, e, components, torsion) -> "FamilyElement":
-        """The element, with its bidegree computed once from the components."""
-        bids = {m.bidegree(ctx) for (_lvl, m) in components}
-        if len(bids) != 1:
-            el = cls(tag, n, ell, r, index, e, components, torsion, None)
-            raise InputError(f"components of {el.label()} disagree in bidegree: {bids}")
-        return cls(tag, n, ell, r, index, e, components, torsion, next(iter(bids)))
+    bid: Bidegree  # the bidegree every component shares
 
     def bidegree(self, ctx: PrimeContext) -> Bidegree:
-        """The shared bidegree of the components (computed by build())."""
+        """The shared bidegree of the components."""
         return self.bid
 
     def label(self) -> str:
-        r = f",r{self.r}" if self.r is not None else ""
-        return f"{self.tag.value}[n{self.n},l{self.ell}{r}]j{self.index}e{self.e}"
+        return _label(self.tag, self.n, self.ell, self.r, self.index, self.e)
 
     def leading(self):
         return self.components[0]
+
+
+def _label(tag, n, ell, r, index, e) -> str:
+    rs = f",r{r}" if r is not None else ""
+    return f"{tag.value}[n{n},l{ell}{rs}]j{index}e{e}"
 
 
 # ---------------------------------------------------------------------------
@@ -243,141 +250,192 @@ def family_torsion(tag: FamilyTag, ctx: PrimeContext, n: int, ell: int, r: int |
     raise InputError(f"unknown tag {tag}")
 
 
+class Progression(NamedTuple):
+    """The family elements (tag, n, r, e, j) for j in js, one kind of chain.
+
+    Component i of element j is se(l*p^level) t^(t0 + t1*j) mu^(m1*j)
+    l1^lam u^u for chain[i] = (level, t0, t1, m1), so every component's
+    stem is affine in j, and so is the torsion at truncation trunc.
+    """
+
+    tag: FamilyTag
+    n: int
+    ell: int
+    r: int | None
+    e: int
+    js: range
+    lam: int
+    u: int
+    chain: tuple
+    trunc: float  # TRUNC_INF or the truncation level
+
+    @property
+    def line(self) -> int:
+        return self.lam - self.u
+
+    def components(self, j: int) -> tuple:
+        return tuple(
+            (level, Monomial(level, self.ell, t0 + t1 * j, m1 * j, self.lam, self.u)) for level, t0, t1, m1 in self.chain
+        )
+
+    def affine(self, ctx: PrimeContext) -> tuple:
+        """((stem, torsion) at js[0], their increments per step of js).
+
+        Raises InputError unless the components agree in bidegree at the
+        first and the last j; stems are affine in j, so that covers every j.
+        """
+        js = self.js
+        ends = []
+        for j in sorted({js[0], js[-1]}):
+            bids = {m.bidegree(ctx) for (_lvl, m) in self.components(j)}
+            if len(bids) != 1:
+                raise InputError(f"components of {_label(self.tag, self.n, self.ell, self.r, j, self.e)} "
+                                 f"disagree in bidegree: {bids}")
+            ends.append((next(iter(bids)).d, family_torsion(self.tag, ctx, self.n, self.ell, self.r, j, self.trunc)))
+        (d0, t0), (d1, t1) = ends[0], ends[-1]
+        steps = max(len(js) - 1, 1)
+        return (d0, t0), ((d1 - d0) // steps, (t1 - t0) // steps)
+
+
 def _mu_upper(ctx: PrimeContext, n: int, ell: int, hi: int, e_stem: int) -> int:
     """Largest j with the level-n mu^j class stem within hi."""
     p = ctx.p
     return (hi - 2 * ell * p**n - e_stem) // (2 * p)
 
 
-def enumerate_families(ctx: PrimeContext, ell: int, trunc=TRUNC_INF, window=(0, 200)) -> list:
-    """All family elements with bidegree in the window.
+def _upto(js: range, j_max: int) -> tuple:
+    """js split into its indices <= j_max and the rest."""
+    k = max(0, (j_max - js.start) // js.step + 1)
+    return js[:k], js[k:]
+
+
+def family_progressions(ctx: PrimeContext, ell: int, trunc, hi: int) -> list:
+    """The index progressions of every family element with stem <= hi.
 
     trunc = TRUNC_INF gives families A..E with full torsion; a finite trunc
     m restricts to levels <= m, adjusts torsion (components above level m
     fall away), and adds the mu-tail families F_m and G_m at the top level.
+    No (tag, n, r, e, j) lies in two progressions.
     """
     p = ctx.p
     if ell < 1 or ell % p == 0:
         raise InputError("twist must be positive and prime to p")
-    lo, hi = window
     out: list = []
     n = 0
-    while 2 * ell * p**n <= hi:
-        if trunc == TRUNC_INF or n <= trunc:
-            out.extend(_families_at_level(ctx, ell, n, trunc, window))
+    while 2 * ell * p**n <= hi and (trunc == TRUNC_INF or n <= trunc):
+        out.extend(_level_progressions(ctx, ell, n, trunc, hi))
         n += 1
     return out
 
 
-def _families_at_level(ctx: PrimeContext, ell: int, n: int, trunc, window) -> list:
-    """The family elements of level n with stem in the window, in a fixed order.
+def _level_progressions(ctx: PrimeContext, ell: int, n: int, trunc, hi: int) -> list:
+    """The progressions of level n.
 
-    Only the indices a family can take are visited: j = cong (mod p^n) for
-    A/B/F, and j = cong (mod p^(r-1)) for D/E/G, of which those with
-    vp(j - cong) = r - 1 are kept.
+    A/B (per e): j = cong (mod p^n), split at _tilt = p^(n+1) into A and B.
+    C (per e): the i in 1..p-1 with p not | i + cong, around the one
+    excluded i.  D/E (per r, e): the p-1 classes j = cong + c*p^(r-1)
+    (mod p^r), c = 1..p-1, i.e. vp(j - cong) = r - 1, split at
+    _tilt = p^(r+1) into D and E.  Every mu-type range stops at _tilt >= 0;
+    at the top level of a finite truncation the indices past it are F/G.
+    The B/E index with _tilt = 0, whose chain has a delta component, is a
+    progression of its own.
     """
     p = ctx.p
-    lo, hi = window
     out: list = []
     cong = n * ell * p ** (n - 1) if n >= 1 else 0
     top_level = trunc != TRUNC_INF and n == trunc
+    i_t0 = _tilt(ctx, n, ell, 0)  # _tilt(j) = i_t0 - p*j
 
-    def mono(level, t_exp, mu_exp, lam, u_exp):
-        return Monomial(level, ell, t_exp, mu_exp, lam, u_exp)
+    def add(tag, r, e, js, lam, u, chain):
+        if js:
+            out.append(Progression(tag, n, ell, r, e, js, lam, u, chain, trunc))
 
-    def keep(tag, r, index, e, comps):
-        elem = FamilyElement.build(ctx, tag, n, ell, r, index, e, tuple(comps),
-                                   family_torsion(tag, ctx, n, ell, r, index, trunc))
-        if lo <= elem.bid.d <= hi:
-            out.append(elem)
+    # mu^j at level n, its Frobenius target t^(_tilt) at n+1 and, when
+    # _tilt = 0, t^(p^(n+1) l (p-1)) at n+2, cut at the truncation
+    links = ((n, 0, 0, 1), (n + 1, i_t0, -p, 0), (n + 2, p ** (n + 1) * ell * (p - 1), 0, 0))
+    lead, plain, delta = (tuple(link for link in links[:k] if trunc == TRUNC_INF or link[0] <= trunc) for k in (1, 2, 3))
 
-    def residue_range(j_min, j_max, step):
-        """j_min <= j <= j_max with j = cong (mod step), ascending."""
-        return range(j_min + (cong - j_min) % step, j_max + 1, step)
+    def mu_family(js, cut, tags, r, e, lam, u):
+        """js split at _tilt = p^(cut+1) and at _tilt = 0 into tags."""
+        low, rest = _upto(js, (i_t0 - p ** (cut + 1)) // p)
+        high, tail = _upto(rest, i_t0 // p)
+        add(tags[0], r, e, low, lam, u, plain)
+        if high and p * high[-1] == i_t0:
+            add(tags[1], r, e, high[:-1], lam, u, plain)
+            add(tags[1], r, e, high[-1:], lam, u, delta)
+        else:
+            add(tags[1], r, e, high, lam, u, plain)
+        if top_level:  # F/G: no Frobenius target to match
+            add(tags[2], r, e, tail, lam, u, lead)
 
-    # families A and B: lambda^e (mu^j at level n  +  t^(tilt) at level n+1
-    #                             [+ delta: t^(p^(n+1) l (p-1)) at level n+2])
-    j_min = 0 if n == 0 else 1
+    def residue_range(j_min, j_max, residue, step):
+        """j_min <= j <= j_max with j = residue (mod step), ascending."""
+        return range(j_min + (residue - j_min) % step, j_max + 1, step)
+
+    # families A, B, F: lambda^e mu^j chains
     for e in (0, 1):
-        e_stem = e * (2 * p - 1)
-        for j in residue_range(j_min, _mu_upper(ctx, n, ell, hi, e_stem), p**n):
-            i_t = _tilt(ctx, n, ell, j)
-            if i_t < 0:
-                if top_level:  # family F: no Frobenius target to match
-                    keep(FamilyTag.F, None, j, e, [(n, mono(n, 0, j, e, 0))])
-                continue
-            comps = [(n, mono(n, 0, j, e, 0))]
-            if trunc == TRUNC_INF or n + 1 <= trunc:
-                comps.append((n + 1, mono(n + 1, i_t, 0, e, 0)))
-            if i_t == 0 and (trunc == TRUNC_INF or n + 2 <= trunc):
-                comps.append((n + 2, mono(n + 2, p ** (n + 1) * ell * (p - 1), 0, e, 0)))
-            keep(FamilyTag.A if i_t >= p ** (n + 1) else FamilyTag.B, None, j, e, comps)
+        j_max = _mu_upper(ctx, n, ell, hi, e * (2 * p - 1))
+        js = residue_range(0 if n == 0 else 1, j_max, cong, p**n)
+        mu_family(js, n, (FamilyTag.A, FamilyTag.B, FamilyTag.F), None, e, e, 0)
 
     # family C: t^i lambda1 u^e at level n alone (empty at level 0)
     if n >= 1:
+        skip = -cong % p
         for e in (0, 1):
-            for i in range(1, p):
-                if vp(p, i + cong) == 0:
-                    keep(FamilyTag.C, None, i, e, [(n, mono(n, i, 0, 1, e))])
+            i_min = max(1, -((hi - 2 * ell * p**n - (2 * p - 1) + e) // 2))  # stem <= hi
+            for i_range in ((range(i_min, skip), range(max(i_min, skip + 1), p)) if skip else (range(i_min, p),)):
+                add(FamilyTag.C, None, e, i_range, 1, e, ((n, 0, 1, 0),))
 
     # families D, E, G: mu^j lambda1 u^e chains, 1 <= r <= n
-    j_min_u = 0 if n == 1 else 1
     for r in range(1, n + 1):
         for e in (0, 1):
-            e_stem = (2 * p - 1) - e
-            for j in residue_range(j_min_u, _mu_upper(ctx, n, ell, hi, e_stem), p ** (r - 1)):
-                if vp(p, j - cong) != r - 1:
-                    continue
-                i_t = _tilt(ctx, n, ell, j)
-                if i_t < 0:
-                    if top_level:  # family G
-                        keep(FamilyTag.G, r, j, e, [(n, mono(n, 0, j, 1, e))])
-                    continue
-                comps = [(n, mono(n, 0, j, 1, e))]
-                if trunc == TRUNC_INF or n + 1 <= trunc:
-                    comps.append((n + 1, mono(n + 1, i_t, 0, 1, e)))
-                if i_t == 0 and (trunc == TRUNC_INF or n + 2 <= trunc):
-                    comps.append((n + 2, mono(n + 2, p ** (n + 1) * ell * (p - 1), 0, 1, e)))
-                keep(FamilyTag.D if i_t >= p ** (r + 1) else FamilyTag.E, r, j, e, comps)
+            j_max = _mu_upper(ctx, n, ell, hi, (2 * p - 1) - e)
+            for c in range(1, p):
+                js = residue_range(0 if n == 1 else 1, j_max, cong + c * p ** (r - 1), p**r)
+                mu_family(js, r, (FamilyTag.D, FamilyTag.E, FamilyTag.G), r, e, 1, e)
+    return out
+
+
+_BLOCK = {FamilyTag.A: 0, FamilyTag.B: 0, FamilyTag.F: 0, FamilyTag.C: 1, FamilyTag.D: 2, FamilyTag.E: 2, FamilyTag.G: 2}
+
+
+def enumerate_families(ctx: PrimeContext, ell: int, trunc=TRUNC_INF, window=(0, 200)) -> list:
+    """All family elements with bidegree in the window, by level, then
+    A/B/F, C, D/E/G, then r, e and index ascending.
+
+    Each element is expanded from its progression; its bidegree is that of
+    its leading component and its torsion is family_torsion's.
+    """
+    lo, hi = window
+    out: list = []
+    for prog in family_progressions(ctx, ell, trunc, hi):
+        prog.affine(ctx)  # the bidegree check
+        for j in prog.js:
+            comps = prog.components(j)
+            bid = comps[0][1].bidegree(ctx)
+            if lo <= bid.d:
+                torsion = family_torsion(prog.tag, ctx, prog.n, ell, prog.r, j, trunc)
+                out.append(FamilyElement(prog.tag, prog.n, ell, prog.r, j, prog.e, comps, torsion, bid))
+    out.sort(key=lambda el: (el.n, _BLOCK[el.tag], el.r or 0, el.e, el.index))
     return out
 
 
 def family_count(ctx: PrimeContext, ell: int, hi: int) -> int:
-    """len(enumerate_families(ctx, ell, TRUNC_INF, (0, hi))), counted
-    without building any element.
+    """len(enumerate_families(ctx, ell, TRUNC_INF, (0, hi))), the summed
+    lengths of the progressions.  Every family stem is at least 2l, so any
+    window starting at or below 0 gives the same count."""
+    return sum(len(prog.js) for prog in family_progressions(ctx, ell, TRUNC_INF, hi))
 
-    Counts the indices _families_at_level keeps at each level n with
-    2*l*p^n <= hi: for A/B the j = cong (mod p^n), for D/E the j = cong
-    (mod p^(r-1)) with vp(j - cong) = r - 1, each up to the mu^j stem bound
-    and the cut _tilt >= 0, i.e. p*j <= p^n*l*(p-1); and the C indices
-    with stem <= hi.  Every family stem is at least 2l, so any window
-    starting at or below 0 gives the same count.
-    """
-    p = ctx.p
-    total = 0
-    n = 0
-    while 2 * ell * p**n <= hi:
-        cong = n * ell * p ** (n - 1) if n >= 1 else 0
-        j_tilt = p**n * ell * (p - 1) // p
 
-        def count(j_min, e_stem, step):
-            """j_min <= j <= the level's bound with j = cong (mod step)."""
-            j_max = min(_mu_upper(ctx, n, ell, hi, e_stem), j_tilt)
-            return len(range(j_min + (cong - j_min) % step, j_max + 1, step))
-
-        j_min = 0 if n == 0 else 1
-        total += sum(count(j_min, e * (2 * p - 1), p**n) for e in (0, 1))
-        if n >= 1:  # C: t^i lambda1 u^e, stem 2*l*p^n - 2i + 2p - 1 - e
-            total += sum(
-                1 for i in range(1, p) for e in (0, 1) if (i + cong) % p and 2 * ell * p**n - 2 * i + 2 * p - 1 - e <= hi
-            )
-        j_min_u = 0 if n == 1 else 1
-        for r in range(1, n + 1):
-            for e in (0, 1):
-                e_stem = (2 * p - 1) - e
-                total += count(j_min_u, e_stem, p ** (r - 1)) - count(j_min_u, e_stem, p**r)
-        n += 1
-    return total
+def family_multiset(ctx: PrimeContext, ell: int, hi: int) -> Counter:
+    """Counter{(stem, line, torsion): multiplicity} over
+    enumerate_families(ctx, ell, TRUNC_INF, (0, hi)), read off the
+    progressions without building any element."""
+    out: Counter = Counter()
+    for prog in family_progressions(ctx, ell, TRUNC_INF, hi):
+        (d0, t0), (dd, dt) = prog.affine(ctx)
+        out.update(zip(count(d0, dd), repeat(prog.line, len(prog.js)), count(t0, dt)))
+    return out
 
 
 def tr_closed_decomposition(ctx: PrimeContext, ell: int, trunc=TRUNC_INF, window=(0, 200)) -> CyclicDecomposition:

@@ -155,6 +155,11 @@ class Generator:
         if self.torsion != TORSION_FREE and (self.torsion <= 0 or self.torsion != int(self.torsion)):
             raise InputError(f"bad torsion order {self.torsion}")
 
+    def require_certified(self, prefix: str = "") -> None:
+        """Raise InvariantError if the torsion is only a lower bound."""
+        if not self.certified:
+            raise InvariantError(f"generator {prefix}{self.label} at {tuple(self.bidegree)} has only a lower bound on its torsion")
+
 
 @dataclass
 class CyclicDecomposition:
@@ -177,11 +182,16 @@ class CyclicDecomposition:
         return [g for g in self.entries if lo <= g.bidegree.d <= hi]
 
     def dims(self, ctx: PrimeContext, window, params: dict | None = None) -> "DimTable":
-        """Counts per (stem, line) of all v1-power translates in the window."""
+        """Counts per (stem, line) of all v1-power translates in the window.
+
+        Raises InvariantError on a generator whose torsion is only a lower
+        bound, which would make the counts a guess.
+        """
         lo, hi = window
         q = ctx.q
         counts: dict = {}
         for g in self.entries:
+            g.require_certified()
             d, s = g.bidegree
             j = 0
             while d + j * q <= hi:

@@ -49,9 +49,10 @@ def test_ac5_to_ac8_and_ac10_assembly():
     # AC5: TC(Z_p)/p free on p+3 stated generators.
     # AC6: the 2-line of TC(Z_p<eps>)/p carries only del*l1 powers,
     #      p in {2,3,5}, stems <= 300, TR summands by brute force.
-    # AC7: syntomic table independent of n in {3,4,5} at p=3, k=1.
+    # (AC7, n-independence of the syntomic table, is the unit test
+    #  test_identification_license_boundary: the table reads n only there.)
     # AC8: K/TC difference supported on stems {-1, (2p-2)k - 1}, p=3, n=4.
     # AC10: Betti bound values; localization rank vs direct count on 20
     #       randomized bounded-torsion modules.
     checks = suite_assembly(ps=(2, 3, 5), two_line_max=300)
-    _report(checks, "AC5-AC8/AC10")
+    _report(checks, "AC5/AC6/AC8/AC10")

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from synlab import trkernel
@@ -11,7 +13,7 @@ from synlab.assembly import (
     tc_zp_dims,
     two_line_check,
 )
-from synlab.closedforms import TRUNC_INF, tr_closed_decomposition
+from synlab.closedforms import TRUNC_INF, family_count, family_multiset, tr_closed_decomposition
 from synlab.errors import InputError, ResourceError, VerificationFailure
 from synlab.graded import TORSION_FREE, CyclicDecomposition, PrimeContext
 
@@ -38,22 +40,30 @@ def test_tc_zp_low_stem_dims():
     assert table.get(4, 0) == 1 and table.get(4, 2) == 1
 
 
+def _keys(gens) -> Counter:
+    return Counter((g.bidegree.d, g.bidegree.s, g.torsion) for g in gens)
+
+
 def test_tc_eps_agrees_with_tc_zp_below_stem_one():
+    # v1 raises the stem, so the generators at stems <= 0 fix the table there
     eps = tc_eps_dims(CTX3, (-4, 20))
-    zp = tc_zp_dims(CTX3, (-4, 20))
-    assert eps.dims(CTX3, (-4, 0)).same_entries(zp.dims(CTX3, (-4, 0)))
+    zp = _keys(tc_zp_dims(CTX3, (-4, 20)))
+    assert {k: m for k, m in eps.items() if k[0] <= 0} == {k: m for k, m in zp.items() if k[0] <= 0}
 
 
 def test_tc_eps_lines_and_two_line_labels():
     eps = tc_eps_dims(CTX3, (-4, 40))
-    assert {g.bidegree.s for g in eps} <= {-1, 0, 1, 2}
-    assert [g.label for g in eps if g.bidegree.s == 2] == ["Zp:del*l1"]
+    assert {s for (_d, s, _t) in eps} <= {-1, 0, 1, 2}
+    # the only line-2 generator is del*l1
+    assert {k: m for k, m in eps.items() if k[1] == 2} == {(2 * 3 - 2, 2, TORSION_FREE): 1}
 
 
 def test_tc_eps_stem_two_from_first_twist():
     eps = tc_eps_dims(CTX3, (0, 6))
-    at2 = [g for g in eps if g.bidegree.d == 2]
-    assert len(at2) == 1 and at2[0].label.startswith("l1:")
+    at2 = {k: m for k, m in eps.items() if k[0] == 2}
+    assert sum(at2.values()) == 1
+    assert set(at2) <= set(family_multiset(CTX3, 1, 6))
+    assert not any(d == 2 for (d, _s, _t) in _keys(tc_zp_dims(CTX3, (0, 6))))
 
 
 def test_syntomic_free_generator_contributes_k_reduction_classes():
@@ -84,6 +94,17 @@ def test_syntomic_n_independence():
 def test_syntomic_requires_identification_range():
     with pytest.raises(InputError):
         syntomic_dims(AssemblyParams(3, 2, 2, (0, 10)))  # k > p^(n-2) = 1
+
+
+def test_identification_license_boundary():
+    # syntomic_dims reads n only through this rule, so it is what makes a
+    # table independent of n
+    for p, n in ((3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 3), (2, 4), (2, 5)):
+        top = p ** (n - 2)
+        over = top + (4 if p == 2 else 1)  # at p = 2, k stays a multiple of 4
+        assert syntomic_dims(AssemblyParams(p, n, top, (-2, 10))).entries
+        with pytest.raises(InputError, match="exceeds"):
+            syntomic_dims(AssemblyParams(p, n, over, (-2, 10)))
 
 
 def test_tc_table_is_column_sums():
@@ -160,26 +181,34 @@ def test_betti_bound_values():
 def test_tc_eps_is_tc_zp_then_prefixed_twists(p):
     ctx = PrimeContext(p)
     hi = 120
-    want = [(g.label, g.bidegree, g.torsion, g.certified) for g in tc_zp_dims(ctx, (-2, hi))]
+    want = _keys(tc_zp_dims(ctx, (-2, hi)))
     for ell in range(1, hi):
         if ell % p and 2 * ell - 1 <= hi:
-            want += [(f"l{ell}:{g.label}", g.bidegree, g.torsion, g.certified)
-                     for g in tr_closed_decomposition(ctx, ell, TRUNC_INF, (0, hi))]
-    got = [(g.label, g.bidegree, g.torsion, g.certified) for g in tc_eps_dims(ctx, (-2, hi))]
-    assert got == want
+            want.update(_keys(tr_closed_decomposition(ctx, ell, TRUNC_INF, (0, hi))))
+    assert tc_eps_dims(ctx, (-2, hi)) == want
 
 
 def test_tc_eps_merge_is_linear(monkeypatch):
-    seen = []
-    check = CyclicDecomposition.__post_init__
+    # the closed route builds no FamilyElement and no Generator for a twist
+    from synlab import assembly, closedforms
+    from synlab.graded import Generator
 
-    def counting(self):
-        seen.append(len(self.entries))
+    def no_object(*args, **kwargs):
+        raise AssertionError("a twist built a per-generator object")
+
+    monkeypatch.setattr(closedforms, "FamilyElement", no_object)
+    monkeypatch.setattr(assembly, "tr_gr_module", no_object)
+    check = Generator.__post_init__
+
+    def only_tc_zp(self):
+        assert self.label.startswith("Zp:"), f"twist generator {self.label} built"
         check(self)
 
-    monkeypatch.setattr(CyclicDecomposition, "__post_init__", counting)
-    dec = tc_eps_dims(CTX3, (-2, 200))
-    assert sum(seen) <= 3 * len(dec)
+    monkeypatch.setattr(Generator, "__post_init__", only_tc_zp)
+    eps = tc_eps_dims(CTX3, (-2, 200))
+    twists = [ell for ell in range(1, assembly.twist_bound(200) + 1) if ell % 3]
+    tr_count = sum(family_count(CTX3, ell, 200) for ell in twists)
+    assert sum(eps.values()) == len(tc_zp_dims(CTX3, (-2, 200))) + tr_count
 
 
 def test_both_mode_raises_on_a_twist_mismatch(monkeypatch):
@@ -208,14 +237,14 @@ def test_assembly_refuses_uncertified_torsion(monkeypatch):
     params = AssemblyParams(3, 3, 1, (-2, 12))
     for table in (syntomic_dims, tc_mod_dims, k_mod_dims):
         with pytest.raises(InvariantError, match="l1:g at \\(2, 0\\)"):
-            table(params)
+            table(params, mode="oracle")
 
 
 def test_generator_guard_is_the_tr_generator_count(monkeypatch):
     from synlab import assembly
 
     ctx, window = PrimeContext(3), (-2, 40)
-    tr_count = len(tc_eps_dims(ctx, window)) - len(tc_zp_dims(ctx, window))
+    tr_count = sum(tc_eps_dims(ctx, window).values()) - len(tc_zp_dims(ctx, window))
     monkeypatch.setattr(assembly, "MAX_GENERATORS", tr_count)
     tc_eps_dims(ctx, window)
     monkeypatch.setattr(assembly, "MAX_GENERATORS", tr_count - 1)

@@ -193,7 +193,7 @@ def test_closed_size_guard_exits_two(capsys, monkeypatch, command):
     def no_twist(*args, **kwargs):
         raise AssertionError("a twist was computed before the size guard")
 
-    monkeypatch.setattr(assembly, "tr_gr_module", no_twist)
+    monkeypatch.setattr(assembly, "family_multiset", no_twist)
     code, out, err = run(capsys, command, "--p", "3", "--n", "4", "--k", "1", "--deg-max", "10000000")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err

@@ -1,11 +1,17 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synlab.closedforms import (
     TRUNC_INF,
     FamilyTag,
+    Progression,
     einf_closed,
     enumerate_families,
     family_count,
+    family_multiset,
     family_torsion,
     leading_disjoint,
     tr_closed_decomposition,
@@ -206,3 +212,37 @@ def test_family_count_matches_the_enumeration(p):
             expected = len(enumerate_families(ctx, ell, TRUNC_INF, (0, hi)))
             assert family_count(ctx, ell, hi) == expected
             assert len(enumerate_families(ctx, ell, TRUNC_INF, (-9, hi))) == expected
+
+
+
+def test_progression_checks_bidegrees_at_both_ends():
+    # mu^j at level 1 against t^(5 - 2j) at level 2 (p = 3, l = 1): both at
+    # stem 12 for j = 1, apart at j = 4
+    chain = ((1, 0, 0, 1), (2, 5, -2, 0))
+    assert Progression(FamilyTag.A, 1, 1, None, 0, range(1, 2), 0, 0, chain, TRUNC_INF).affine(CTX3)
+    with pytest.raises(InputError, match=r"A\[n1,l1\]j4e0 disagree in bidegree"):
+        Progression(FamilyTag.A, 1, 1, None, 0, range(1, 5, 3), 0, 0, chain, TRUNC_INF).affine(CTX3)
+
+
+@st.composite
+def _twist_draws(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    ell = draw(st.integers(1, 40).filter(lambda x: x % p))
+    hi = draw(st.integers(2 * ell - 1, 2 * ell * p**3 + 40))
+    return p, ell, hi
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_twist_draws())
+def test_progressions_give_the_enumeration(draw):
+    p, ell, hi = draw
+    ctx = PrimeContext(p)
+    elems = enumerate_families(ctx, ell, TRUNC_INF, (0, hi))
+    multiset = family_multiset(ctx, ell, hi)
+    assert multiset == Counter((el.bid.d, el.bid.s, el.torsion) for el in elems)
+    assert family_count(ctx, ell, hi) == sum(multiset.values())
+    for trunc in (TRUNC_INF, 0, 1, 2, 3):
+        elems = enumerate_families(ctx, ell, trunc, (0, hi))
+        indices = [(el.tag, el.n, el.r, el.e, el.index) for el in elems]
+        assert len(set(indices)) == len(indices), trunc
+        assert leading_disjoint(elems), trunc

@@ -91,6 +91,12 @@ def test_dims_torsion_two():
     assert table.entries == {(5, 1): 1, (9, 1): 1}
 
 
+def test_dims_refuses_uncertified_torsion():
+    dec = CyclicDecomposition([Generator("g", Bidegree(5, 1), 2, certified=False)])
+    with pytest.raises(InvariantError, match="g at \\(5, 1\\) has only a lower bound"):
+        dec.dims(CTX3, (0, 20))
+
+
 def test_dims_tc_zp_pattern():
     # basis 1, l1, del, del*l1, t*l1, t^2*l1 over F_3[v1], stems -1..4
     gens = [

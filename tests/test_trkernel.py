@@ -109,7 +109,7 @@ def test_kernel_vectors_satisfy_equalizer():
     oracle = TrOracle(CTX3, 1, 2, (0, 40))
     seen = 0
     for gen, key, vec in oracle.generators():
-        assert oracle.check_equalizer(key, vec)
+        assert not any(oracle.matrix(key).mul_vec(vec))
         seen += 1
     assert seen > 0
 
