@@ -29,7 +29,7 @@ from .graded import (
     DimTable,
     Generator,
     PrimeContext,
-    geo,
+    orbit_stems,
 )
 from .trkernel import tr_gr_module
 
@@ -148,18 +148,14 @@ def syntomic_dims(params: AssemblyParams, mode: str = "closed") -> DimTable:
     # below; torsion must be exact for all generators with stem <= hi.
     M = tc_eps_dims(ctx, (min(lo, -1), hi), mode=mode)
     entries: dict = {}
-
-    def add(stem, line, mult):
-        if lo <= stem <= hi:
-            entries[(stem, line)] = entries.get((stem, line), 0) + mult
-
     for (d, s, r), mult in M.items():
-        reduction_top = k if r == TORSION_FREE else min(int(r), k)
-        for j in range(reduction_top):
-            add(d + j * q, s, mult)
-        if r != TORSION_FREE:
-            for j in range(max(int(r) - k, 0), int(r)):
-                add(d + j * q + q * k + 1, s + 1, mult)
+        # min(r, k) reduction classes from v1^0 g, and for finite r as many
+        # kernel classes from v1^(r - min(r, k)) g shifted by (q*k + 1, +1)
+        top = min(r, k)
+        starts = [(d, s)] if r == TORSION_FREE else [(d, s), (d + (r - top + k) * q + 1, s + 1)]
+        for start, line in starts:
+            for stem in orbit_stems(q, start, top, params.window):
+                entries[(stem, line)] = entries.get((stem, line), 0) + mult
     notes = {"assoc_graded": True} if params.p2_mode else {}
     return DimTable({"p": params.p, "n": params.n, "k": k}, entries, params.window, notes)
 
@@ -214,7 +210,6 @@ def k_mod_dims(params: AssemblyParams, mode: str = "closed") -> DimTable:
 
 @dataclass
 class TwoLineReport:
-    window: tuple
     violations: list = field(default_factory=list)
     line2_count: int = 0
 
@@ -234,19 +229,10 @@ def two_line_check(ctx: PrimeContext, window, mode: str = "closed") -> TwoLineRe
     lo, hi = window
     multiset = tc_eps_dims(ctx, window, mode=mode) if lo <= hi else Counter()
     allowed = _torsion_multiset(g for g in tc_zp_dims(ctx, window) if g.label == "Zp:del*l1")
-    rep = TwoLineReport(window)
-    q = ctx.q
-
-    def orbit_meets_window(d, torsion) -> bool:
-        if d > hi:
-            return False
-        if torsion == TORSION_FREE:
-            return d + max(0, -(-(lo - d) // q)) * q <= hi
-        return d + (int(torsion) - 1) * q >= lo
-
+    rep = TwoLineReport()
     for key, mult in sorted(multiset.items()):
         d, s, torsion = key
-        if not orbit_meets_window(d, torsion):
+        if not orbit_stems(ctx.q, d, torsion, window):
             continue
         if s == 2:
             rep.line2_count += mult

@@ -178,6 +178,8 @@ def main(argv=None) -> int:
             code, payload = _cmd_verify(args)
             _emit(args, payload)
             return code
+        if args.deg_min > args.deg_max:
+            raise InputError(f"empty window ({args.deg_min}, {args.deg_max}): --deg-min exceeds --deg-max")
         cache_dir = _cache_dir(args)
         key = None
         if cache_dir:

@@ -320,6 +320,8 @@ def family_progressions(ctx: PrimeContext, ell: int, trunc, hi: int) -> list:
     p = ctx.p
     if ell < 1 or ell % p == 0:
         raise InputError("twist must be positive and prime to p")
+    if trunc < 0:
+        raise InputError("truncation level must be >= 0")
     out: list = []
     n = 0
     while 2 * ell * p**n <= hi and (trunc == TRUNC_INF or n <= trunc):

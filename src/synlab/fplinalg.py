@@ -47,21 +47,6 @@ class FpMatrix:
                 raise InputError(f"entry ({r},{c})={v} not reduced and nonzero mod {self.p}")
 
     @classmethod
-    def from_rows(cls, p: int, dense_rows) -> "FpMatrix":
-        dense_rows = [list(r) for r in dense_rows]
-        nrows = len(dense_rows)
-        ncols = len(dense_rows[0]) if dense_rows else 0
-        entries = {}
-        for i, row in enumerate(dense_rows):
-            if len(row) != ncols:
-                raise InputError("ragged rows")
-            for j, v in enumerate(row):
-                v %= p
-                if v:
-                    entries[(i, j)] = v
-        return cls(p, nrows, ncols, entries)
-
-    @classmethod
     def from_columns(cls, p: int, columns, nrows: int) -> "FpMatrix":
         columns = list(columns)
         entries = {}
@@ -79,27 +64,6 @@ class FpMatrix:
         for (r, c), a in self.entries.items():
             out[r] = (out[r] + a * v[c]) % self.p
         return tuple(out)
-
-    def compose(self, other: "FpMatrix") -> "FpMatrix":
-        """self @ other."""
-        if other.rows != self.cols or other.p != self.p:
-            raise InputError("composition shape/modulus mismatch")
-        entries: dict = {}
-        by_col: dict = {}
-        for (r, c), v in self.entries.items():
-            by_col.setdefault(c, []).append((r, v))
-        for (k, j), b in other.entries.items():
-            for r, a in by_col.get(k, ()):
-                key = (r, j)
-                s = (entries.get(key, 0) + a * b) % self.p
-                if s:
-                    entries[key] = s
-                elif key in entries:
-                    del entries[key]
-        return FpMatrix(self.p, self.rows, other.cols, entries)
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
 
 class VectorSpan:
@@ -195,21 +159,8 @@ def kernel_basis(m: FpMatrix):
     return basis
 
 
-@dataclass
-class SubquotientBasis:
-    """Basis data for span(numerator)/span(denominator)."""
-
-    ambient_dim: int
-    representatives: list
-    relations: list
-
-    @property
-    def dim(self) -> int:
-        return len(self.representatives)
-
-
-def subquotient(numerator, denominator, p: int, ambient_dim: int) -> SubquotientBasis:
-    """Representatives of span(numerator) modulo span(denominator).
+def subquotient(numerator, denominator, p: int, ambient_dim: int) -> list:
+    """A list of representatives of span(numerator) modulo span(denominator).
 
     Requires span(denominator) to be contained in span(numerator); each
     representative is reduced modulo the denominator (and earlier
@@ -221,12 +172,11 @@ def subquotient(numerator, denominator, p: int, ambient_dim: int) -> Subquotient
         if not num_span.contains(v):
             raise InputError("denominator not contained in numerator span")
     acc = VectorSpan(p, ambient_dim, denominator)
-    relations = acc.basis()
     reps = []
     for v in numerator:
         red = acc.reduce(v)
         if any(red):
             reps.append(red)
             acc.add(red)
-    return SubquotientBasis(ambient_dim, reps, relations)
+    return reps
 

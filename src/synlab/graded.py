@@ -142,6 +142,20 @@ def mul(a: Monomial, b: Monomial) -> Monomial | None:
     return Monomial(a.level, a.twist, a.t_exp + b.t_exp, a.mu_exp + b.mu_exp, a.lam + b.lam, a.u_exp + b.u_exp)
 
 
+def orbit_stems(q: int, d: int, length, window) -> range:
+    """The stems d + j*q, 0 <= j < length, that lie in the window, ascending.
+
+    These are the stems of the v1-translates v1^j g of a class g at stem d
+    whose v1-orbit has `length` members; length may be TORSION_FREE.
+    """
+    lo, hi = window
+    j_lo = max(0, -((d - lo) // q))  # ceil((lo - d) / q)
+    j_hi = (hi - d) // q
+    if length != TORSION_FREE:
+        j_hi = min(j_hi, int(length) - 1)
+    return range(d + j_lo * q, d + j_hi * q + 1, q)
+
+
 @dataclass(frozen=True)
 class Generator:
     """One cyclic summand F_p[v1]/(v1^torsion) {label at bidegree}."""
@@ -187,20 +201,12 @@ class CyclicDecomposition:
         Raises InvariantError on a generator whose torsion is only a lower
         bound, which would make the counts a guess.
         """
-        lo, hi = window
-        q = ctx.q
         counts: dict = {}
         for g in self.entries:
             g.require_certified()
             d, s = g.bidegree
-            j = 0
-            while d + j * q <= hi:
-                if g.torsion != TORSION_FREE and j >= g.torsion:
-                    break
-                if d + j * q >= lo:
-                    key = (d + j * q, s)
-                    counts[key] = counts.get(key, 0) + 1
-                j += 1
+            for stem in orbit_stems(ctx.q, d, g.torsion, window):
+                counts[(stem, s)] = counts.get((stem, s), 0) + 1
         return DimTable(params or {}, counts, window)
 
 
@@ -215,12 +221,6 @@ class DimTable:
 
     def get(self, stem: int, line: int) -> int:
         return self.entries.get((stem, line), 0)
-
-    def stem_totals(self) -> dict:
-        out: dict = {}
-        for (d, _s), n in self.entries.items():
-            out[d] = out.get(d, 0) + n
-        return out
 
     def same_entries(self, other: "DimTable") -> bool:
         a = {k: v for k, v in self.entries.items() if v}
@@ -246,13 +246,6 @@ class DimTable:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DimTable":
-        obj = json.loads(text)
-        entries = {(e["stem"], e["line"]): e["dim"] for e in obj["entries"]}
-        params = {k: obj.get(k) for k in ("p", "n", "k")}
-        return cls(params, entries, tuple(obj["window"]), obj.get("meta", {}))
 
     def to_csv(self) -> str:
         buf = io.StringIO()

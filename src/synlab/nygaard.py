@@ -48,6 +48,7 @@ from .errors import InputError, InvariantError, ResourceError, StateError
 from .graded import (
     Bidegree,
     CyclicDecomposition,
+    DimTable,
     Generator,
     Monomial,
     PrimeContext,
@@ -313,18 +314,6 @@ class SSPage:
                     if coeff and (0, e2, delta) in ladders:
                         yield (0, e2, delta), coeff, (1, e2, delta + P)
 
-    def stage_image(self, stage: str, lad_key):
-        """(coefficient, target ladder key) of the stage map on one ladder of
-        the page, or None where the map vanishes.
-
-        Read off stage_pairs, so each call walks the stage; StageMap keeps
-        the images of a whole stage for repeated lookups.  A key that is not
-        a ladder of the page raises InputError.
-        """
-        if lad_key not in self.ladders:
-            raise InputError(f"ladder {lad_key} is not modeled on this page")
-        return next(((coeff, tgt) for src, coeff, tgt in self.stage_pairs(stage) if src == lad_key), None)
-
     def run_stage(self, stage: str):
         expected = self.stages[len(self.stages_done)] if len(self.stages_done) < len(self.stages) else None
         if stage != expected:
@@ -394,7 +383,7 @@ class StageMap:
     def on_monomial(self, m: Monomial):
         """(coefficient, target monomial), or None when the map is zero.
 
-        The map is the page's stage_image on the monomial's ladder.  A
+        The map is the page's stage_pairs entry for the monomial's ladder.  A
         monomial with p-valuation of (a - b + twist) strictly below the
         stage index was already consumed at an earlier stage; it can only be
         queried here through a class on which the induced differential
@@ -486,8 +475,6 @@ class EInfResult:
             yield lad.monomial(self.page, h), h
 
     def dim_table(self, window, params=None):
-        from .graded import DimTable
-
         counts: dict = {}
         q = self.page.ctx.q
         for lad, h in self._survivors(window):
@@ -670,11 +657,11 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
             if sh is not None and any(sh):
                 denom.append(sh)
         try:
-            sq = fplinalg.subquotient(numerators[bid], denom, ctx.p, len(basis[bid]))
+            reps = fplinalg.subquotient(numerators[bid], denom, ctx.p, len(basis[bid]))
         except InputError:
             # v1-image can stick out of the cycle span only at window edges
             continue
-        for rep in sq.representatives:
+        for rep in reps:
             lead = min(i for i, c in enumerate(rep) if c)
             lead_mono = basis[bid][lead]
             if divisibility(page.variant, lead_mono.t_exp, lead_mono.mu_exp) >= page.v1_cutoff:

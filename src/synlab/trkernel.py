@@ -77,7 +77,6 @@ class PageSet:
         self.ctx = ctx
         self.ell = ell
         self.top = top
-        self.window = window
         self.hfp = {}
         self.tate = {}
         for i in range(top + 1):
@@ -150,9 +149,6 @@ def complete_to_kernel(leading: GrV1Class, pages: PageSet, trunc=TRUNC_INF) -> l
 
 @dataclass
 class SurjectivityReport:
-    ell: int
-    trunc: object
-    window: tuple
     failures: list = field(default_factory=list)
     pieces_checked: int = 0
     margins: dict = field(default_factory=dict)  # (stem, line, s) -> src_dim - tgt_dim
@@ -181,7 +177,6 @@ class TrComparison:
 @dataclass
 class TrResult:
     decomposition: CyclicDecomposition
-    closed: CyclicDecomposition | None = None
     comparison: TrComparison | None = None
     surjectivity: SurjectivityReport | None = None
 
@@ -215,7 +210,6 @@ class TrOracle:
             raise InputError("twist must be positive and prime to p")
         self.ctx = ctx
         self.ell = ell
-        self.trunc = trunc
         lo, hi = window
         self.window = (lo, hi)
         if trunc == TRUNC_INF:
@@ -224,16 +218,13 @@ class TrOracle:
                 m_max += 1
             # levels above m_max contribute nothing in the window; modeling
             # two more levels makes every surviving family's torsion exact.
-            self.m = m_max
             self.top = max(m_max + 2, 0)
             tors_bound = _window_torsion_bound(p, ell, hi, m_max)
         else:
             if trunc < 0:
                 raise InputError("truncation level must be >= 0")
-            self.m = trunc
             self.top = trunc
             tors_bound = geo(p, 0, trunc) + 2
-        self.tors_bound = tors_bound
         page_hi = hi + ctx.q * (tors_bound + 2)
         v_cut = tors_bound + 4
         self.pages = PageSet(ctx, ell, self.top, (min(lo, 0), page_hi), v_cut)
@@ -380,7 +371,7 @@ class TrOracle:
         return failures
 
     def surjectivity_report(self) -> SurjectivityReport:
-        rep = SurjectivityReport(self.ell, self.trunc, self.window)
+        rep = SurjectivityReport()
         lo, hi = self.window
         for key in sorted(self._tgt_pieces):
             stem, line, s = key
@@ -416,10 +407,10 @@ def tr_gr_module(
     if mode in ("closed", "both"):
         closed = tr_closed_decomposition(ctx, ell, trunc, (0, window[1]))
     if mode == "closed":
-        return TrResult(decomposition=closed, closed=closed)
+        return TrResult(closed)
     oracle = TrOracle(ctx, ell, trunc, window)
     dec = oracle.decomposition()
-    result = TrResult(decomposition=dec, closed=closed)
+    result = TrResult(dec)
     if with_surjectivity:
         result.surjectivity = oracle.surjectivity_report()
     vfail = oracle.check_v1_surjectivity()
@@ -443,15 +434,6 @@ def tr_gr_module(
         ]
         result.comparison = TrComparison(dim_mismatches, torsion_mismatches)
     return result
-
-
-def check_surjectivity(ctx: PrimeContext, ell: int, m, window) -> SurjectivityReport:
-    """gr(phi - can) must surject onto every Tate piece in the window."""
-    lo, hi = window
-    if lo > hi:
-        return SurjectivityReport(ell, m, window)  # vacuous
-    oracle = TrOracle(ctx, ell, m, window)
-    return oracle.surjectivity_report()
 
 
 def probe_element_torsion(pages: PageSet, comps) -> int:

@@ -11,14 +11,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .assembly import (
-    AssemblyParams,
-    betti_bound,
-    k_mod_dims,
-    tc_mod_dims,
-    tc_zp_dims,
-    two_line_check,
-)
+from .assembly import two_line_check
 from .closedforms import (
     TRUNC_INF,
     FamilyTag,
@@ -26,6 +19,7 @@ from .closedforms import (
     enumerate_families,
     family_torsion,
     leading_disjoint,
+    tr_closed_decomposition,
 )
 from .errors import InputError
 from .graded import (
@@ -230,8 +224,6 @@ def _truncation_bound(ctx, ell, m, stem_max) -> int:
     agree strictly below it.  When they never differ in the window, the
     bound is one past the window top.
     """
-    from .closedforms import tr_closed_decomposition
-
     w = (0, stem_max)
     a = tr_closed_decomposition(ctx, ell, m, w).dims(ctx, w).entries
     b = tr_closed_decomposition(ctx, ell, m + 1, w).dims(ctx, w).entries
@@ -281,16 +273,8 @@ def suite_tr(ps=(2, 3), ell_max=8, m_max=3, stem_max=200, stability=True) -> lis
 
 
 def suite_assembly(ps=(2, 3, 5), two_line_max=300, seed=20260808) -> list:
-    """AC5, AC6, AC8 and AC10."""
+    """AC6 and AC10."""
     checks = []
-    # AC5: shape of gr TC(Z_p)/p
-    for p in ps:
-        ctx = PrimeContext(p)
-        dec = tc_zp_dims(ctx, (0, 1))
-        expect = {(0, 0), (2 * p - 1, 1), (-1, 1), (2 * p - 2, 2)} | {(2 * p - 1 - 2 * i, 1) for i in range(1, p)}
-        got = {tuple(g.bidegree) for g in dec}
-        ok = len(dec) == p + 3 and got == expect and all(g.torsion == TORSION_FREE for g in dec)
-        checks.append(Check("assembly", f"AC5 p={p} TC(Z_p)/p free on p+3 stated generators", ok))
     # AC6: the 2-line carries only del*l1 powers
     for p in ps:
         ctx = PrimeContext(p)
@@ -303,23 +287,7 @@ def suite_assembly(ps=(2, 3, 5), two_line_max=300, seed=20260808) -> list:
                 str(rep.violations[:3]) if rep.violations else "",
             )
         )
-    # AC8: K vs TC delta
-    for k in (1, 2):
-        params = AssemblyParams(3, 4, k, (-4, 60))
-        tc = tc_mod_dims(params)
-        kt = k_mod_dims(params)
-        diff = {}
-        for key in set(tc.entries) | set(kt.entries):
-            d = kt.entries.get(key, 0) - tc.entries.get(key, 0)
-            if d:
-                diff[key[0]] = diff.get(key[0], 0) + d
-        q = 2 * 3 - 2
-        ok8 = diff == {-1: -1, q * k - 1: 1}
-        checks.append(Check("assembly", f"AC8 p=3 n=4 k={k} K/TC delta supported on {{-1, {q*k-1}}}", ok8, str(diff) if not ok8 else ""))
-    # AC10: Betti bound values and localization rank on random modules
-    ctx3, ctx2 = PrimeContext(3), PrimeContext(2)
-    ok_b = betti_bound(ctx3, 3) == 3 and betti_bound(ctx3, 0) == 3 and betti_bound(ctx2, 1) == 4
-    checks.append(Check("assembly", "AC10 betti_bound(3,3)=3, betti_bound(3,0)=3, betti_bound(2,1)=4", ok_b))
+    # AC10: localization rank on random modules
     rng = random.Random(seed)
     bad10 = ""
     for trial in range(20):

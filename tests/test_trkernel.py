@@ -7,7 +7,6 @@ from synlab.trkernel import (
     GrV1Class,
     PageSet,
     TrOracle,
-    check_surjectivity,
     complete_to_kernel,
     gr_can,
     gr_phi,
@@ -120,11 +119,11 @@ def test_v1_surjectivity_of_kernel():
 
 
 def test_surjectivity_report():
-    rep = check_surjectivity(CTX3, 1, 2, (-20, 120))
+    rep = TrOracle(CTX3, 1, 2, (-20, 120)).surjectivity_report()
     assert rep.all_surjective and rep.pieces_checked > 0
-    rep2 = check_surjectivity(PrimeContext(2), 1, 1, (0, 60))
+    rep2 = TrOracle(PrimeContext(2), 1, 1, (0, 60)).surjectivity_report()
     assert rep2.all_surjective
-    vac = check_surjectivity(CTX3, 1, 1, (10, 0))
+    vac = TrOracle(CTX3, 1, 1, (10, 0)).surjectivity_report()
     assert vac.all_surjective and vac.pieces_checked == 0
 
 
