@@ -29,7 +29,7 @@ EXIT_INPUT = 2
 EXIT_VERIFY = 3
 
 
-def _common_flags(sp, with_nk=False, with_page=False):
+def _common_flags(sp, mode_default: str, with_nk=False):
     sp.add_argument("--p", type=int, required=True, help="prime")
     if with_nk:
         sp.add_argument("--n", type=int, required=True, help="p-power exponent of Z/p^n")
@@ -39,9 +39,7 @@ def _common_flags(sp, with_nk=False, with_page=False):
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out", type=str, default=None, help="write the table here instead of stdout")
     sp.add_argument("--cache-dir", type=str, default=None)
-    if with_page:
-        sp.add_argument("--v1-cutoff", type=int, default=None)
-        sp.add_argument("--mode", choices=("oracle", "closed", "both"), default="both")
+    sp.add_argument("--mode", choices=("oracle", "closed", "both"), default=mode_default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,13 +47,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("einf", help="E-infinity page of one twisted Nygaard spectral sequence")
-    _common_flags(sp, with_page=True)
+    _common_flags(sp, "both")
+    sp.add_argument("--v1-cutoff", type=int, default=None)
     sp.add_argument("--n", type=int, required=True, help="level of the C_(p^n) construction")
     sp.add_argument("--ell", type=int, required=True, help="twist")
     sp.add_argument("--variant", choices=("hfp", "tate", "muinv"), default="hfp")
 
     sp = sub.add_parser("tr", help="gr TR(Z_p; Sigma^(2l) Z_p)/p dimension table")
-    _common_flags(sp, with_page=True)
+    _common_flags(sp, "both")
     sp.add_argument("--ell", type=int, required=True, help="twist (prime to p)")
     sp.add_argument("--m", type=int, default=None, help="truncation level (omitted: untruncated)")
 
@@ -65,8 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("ktheory", "pi_* K(Z/p^n)/(p, v1^k) dimension table"),
     ):
         sp = sub.add_parser(name, help=help_text)
-        _common_flags(sp, with_nk=True)
-        sp.add_argument("--mode", choices=("oracle", "closed", "both"), default="closed")
+        _common_flags(sp, "closed", with_nk=True)
 
     sp = sub.add_parser("betti-bound", help="p-power truncation depth for mod p Betti numbers")
     sp.add_argument("--p", type=int, required=True)

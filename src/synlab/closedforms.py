@@ -4,6 +4,11 @@ Everything here evaluates displayed formulas; no linear algebra.  Geometric
 partial sums follow the empty-sum convention (p + ... + p^k is 0 at k = 0,
 1 + ... + p^(n-1) is 0 at n = 0), shared through graded.geo.
 
+The E-infinity pages (einf_closed) are one list of families for all three
+variants: l1^e and l1 u^e times t^i or mu^j, the exponent in a union of
+residue classes, with torsion constant up to a boost below a cap on the
+fixed-point t side.  The variant picks the sides and the exponent range.
+
 Family tags: A..E generate the untruncated kernel, F and G appear only for
 a finite truncation level (top-level mu-tails with no Frobenius target).
 
@@ -40,14 +45,12 @@ from typing import NamedTuple
 
 from .errors import InputError
 from .graded import (
-    TORSION_FREE,
     Bidegree,
     CyclicDecomposition,
     Generator,
     Monomial,
     PrimeContext,
     geo,
-    vp,
 )
 from .nygaard import Variant
 
@@ -76,10 +79,6 @@ class FamilyElement(NamedTuple):
     torsion: int
     bid: Bidegree  # the bidegree every component shares
 
-    def bidegree(self, ctx: PrimeContext) -> Bidegree:
-        """The shared bidegree of the components."""
-        return self.bid
-
     def label(self) -> str:
         return _label(self.tag, self.n, self.ell, self.r, self.index, self.e)
 
@@ -96,104 +95,58 @@ def _label(tag, n, ell, r, index, e) -> str:
 # E-infinity pages
 
 
+def residue_range(x_min: int, x_max: int, residue: int, step: int) -> range:
+    """x_min <= x <= x_max with x = residue (mod step), ascending."""
+    return range(x_min + (residue - x_min) % step, x_max + 1, step)
+
+
 def einf_closed(ctx: PrimeContext, n: int, ell: int, variant: Variant, window) -> CyclicDecomposition:
-    """Generators of the stated E-infinity page with bidegree in the window."""
+    """Generators of the stated E-infinity page with bidegree in the window.
+
+    Each class is l1^lam u^u times t^i (the t side) or mu^j (the mu side).
+    With cong = n*l*p^(n-1) and geo(a,b) = p^a + ... + p^b, the families
+    are
+
+        class        t side: i           mu side: j          torsion t | mu
+        l1^e         i = -cong (p^n)     j = cong (p^n)      geo(0,n-1) | geo(0,n)
+        l1 u^e, k<n  vp(i + cong) = k    vp(j - cong) = k    geo(1,k) | geo(1,k+1)
+
+    (for k < n-1, vp(i + cong) = vp(i) since p^(n-1) | cong), and vp = k
+    is walked as the p-1 residue classes c*p^k (mod p^(k+1)).  The
+    fixed-point page takes the t side for i > 0, its torsion raised by
+    max(0, p^n - i) resp. max(0, p^(k+1) - i), and the mu side for j >= 0;
+    the Tate page takes the t side over Z, the mu-inverted page the mu side
+    over Z.  A torsion <= 0 (an empty sum at k = 0 or n = 0) is no class.
+    """
     if n < 0 or ell < 0:
         raise InputError("need n >= 0 and twist >= 0")
     p = ctx.p
     variant = Variant(variant)
+    hfp = variant is Variant.HFP
     lo, hi = window
+    cong = n * ell * p ** (n - 1) if n >= 1 else 0
+    # (lam, u, residues mod step, step, t-side torsion, mu-side torsion)
+    families = [(e, 0, (0,), p**n, geo(p, 0, n - 1), geo(p, 0, n)) for e in (0, 1)]
+    families += [(1, e, range(p**k, p ** (k + 1), p**k), p ** (k + 1), geo(p, 1, k), geo(p, 1, k + 1))
+                 for k in range(n) for e in (0, 1)]
     gens: list = []
 
-    def emit(t_exp, mu_exp, lam, u_exp, torsion):
-        if torsion <= 0:
-            return
-        m = Monomial(n, ell, t_exp, mu_exp, lam, u_exp)
-        bid = m.bidegree(ctx)
-        if lo <= bid.d <= hi:
-            gens.append(Generator(f"L{n}:{m}", bid, torsion))
+    def emit(t_exp, mu_exp, lam, u, torsion):
+        if torsion > 0:
+            m = Monomial(n, ell, t_exp, mu_exp, lam, u)
+            gens.append(Generator(f"L{n}:{m}", m.bidegree(ctx), torsion))
 
-    def stem_of(t_exp, mu_exp, lam, u_exp):
-        return Monomial(n, ell, t_exp, mu_exp, lam, u_exp).bidegree(ctx).d
-
-    def t_range(lam, u_exp):
-        """t-exponents (sign per variant) whose class stem is in the window."""
-        base = stem_of(0, 0, lam, u_exp)  # stem(i) = base - 2i
-        i_min = -((hi - base) // 2)
-        i_max = (base - lo) // 2
-        if not variant.t_in_z:
-            i_min = max(i_min, 0)
-        return range(i_min, i_max + 1)
-
-    def mu_range(lam, u_exp):
-        base = stem_of(0, 0, lam, u_exp)  # stem(j) = base + 2p*j
-        j_min = -((base - lo) // (2 * p)) if variant.mu_in_z else 0
-        j_max = (hi - base) // (2 * p)
-        return range(j_min, j_max + 1)
-
-    cong = n * ell * p ** (n - 1) if n >= 1 else 0
-
-    if variant is Variant.HFP:
-        for e1 in (0, 1):
-            for i in t_range(e1, 0):
-                if i <= 0 or (i + cong) % p**n:
-                    continue
-                if i >= p**n:
-                    emit(i, 0, e1, 0, geo(p, 0, n - 1))
-                else:
-                    emit(i, 0, e1, 0, geo(p, 0, n - 1) + p**n - i)
-            for j in mu_range(e1, 0):
-                if j >= 0 and (j - cong) % p**n == 0:
-                    emit(0, j, e1, 0, geo(p, 0, n))
-        for e2 in (0, 1):
-            for k in range(1, n - 1):
-                for i in t_range(1, e2):
-                    if i > p ** (k + 1) and vp(p, i) == k:
-                        emit(i, 0, 1, e2, geo(p, 1, k))
-            for k in range(0, n - 1):
-                for i0 in range(1, p):
-                    emit(p**k * i0, 0, 1, e2, geo(p, 1, k) + p**k * (p - i0))
-                for j in mu_range(1, e2):
-                    if j > 0 and vp(p, j) == k:
-                        emit(0, j, 1, e2, geo(p, 1, k + 1))
-            if n >= 1:
-                for i in t_range(1, e2):
-                    if i >= p**n and vp(p, i + cong) == n - 1:
-                        emit(i, 0, 1, e2, geo(p, 1, n - 1))
-                for i0 in range(1, p):
-                    if vp(p, p ** (n - 1) * i0 + cong) == n - 1:
-                        emit(p ** (n - 1) * i0, 0, 1, e2, geo(p, 1, n - 1) + p ** (n - 1) * (p - i0))
-                for j in mu_range(1, e2):
-                    if j >= 0 and vp(p, j - cong) == n - 1:
-                        emit(0, j, 1, e2, geo(p, 1, n))
-    elif variant is Variant.TATE:
-        for e1 in (0, 1):
-            for i in t_range(e1, 0):
-                if (i + cong) % p**n == 0:
-                    emit(i, 0, e1, 0, geo(p, 0, n - 1))
-        for e2 in (0, 1):
-            for k in range(1, n - 1):
-                for i in t_range(1, e2):
-                    if i != 0 and vp(p, i) == k:
-                        emit(i, 0, 1, e2, geo(p, 1, k))
-            if n >= 1:
-                for i in t_range(1, e2):
-                    if vp(p, i + cong) == n - 1:
-                        emit(i, 0, 1, e2, geo(p, 1, n - 1))
-    else:  # MUINV
-        for e1 in (0, 1):
-            for j in mu_range(e1, 0):
-                if (j - cong) % p**n == 0:
-                    emit(0, j, e1, 0, geo(p, 0, n))
-        for e2 in (0, 1):
-            for k in range(0, n - 1):
-                for j in mu_range(1, e2):
-                    if j != 0 and vp(p, j) == k:
-                        emit(0, j, 1, e2, geo(p, 1, k + 1))
-            if n >= 1:
-                for j in mu_range(1, e2):
-                    if vp(p, j - cong) == n - 1:
-                        emit(0, j, 1, e2, geo(p, 1, n))
+    for lam, u, residues, step, t_torsion, mu_torsion in families:
+        base = Monomial(n, ell, 0, 0, lam, u).bidegree(ctx).d  # stem base - 2i resp. base + 2p*j
+        for res in residues:
+            if variant is not Variant.MUINV:
+                i_min = -((hi - base) // 2)
+                for i in residue_range(max(i_min, 1) if hfp else i_min, (base - lo) // 2, res - cong, step):
+                    emit(i, 0, lam, u, t_torsion + (max(0, step - i) if hfp else 0))
+            if variant is not Variant.TATE:
+                j_min = -((base - lo) // (2 * p))
+                for j in residue_range(max(j_min, 0) if hfp else j_min, (hi - base) // (2 * p), res + cong, step):
+                    emit(0, j, lam, u, mu_torsion)
     return CyclicDecomposition(gens)
 
 
@@ -369,10 +322,6 @@ def _level_progressions(ctx: PrimeContext, ell: int, n: int, trunc, hi: int) -> 
             add(tags[1], r, e, high, lam, u, plain)
         if top_level:  # F/G: no Frobenius target to match
             add(tags[2], r, e, tail, lam, u, lead)
-
-    def residue_range(j_min, j_max, residue, step):
-        """j_min <= j <= j_max with j = residue (mod step), ascending."""
-        return range(j_min + (residue - j_min) % step, j_max + 1, step)
 
     # families A, B, F: lambda^e mu^j chains
     for e in (0, 1):

@@ -66,12 +66,6 @@ class Bidegree(NamedTuple):
     d: int  # stem
     s: int  # line
 
-    @property
-    def weight(self) -> int:
-        if (self.d + self.s) % 2:
-            raise InvariantError(f"odd d+s at {self}; weight undefined")
-        return (self.d + self.s) // 2
-
     def __add__(self, other):
         return Bidegree(self.d + other[0], self.s + other[1])
 
@@ -131,15 +125,6 @@ class Monomial:
         if self.u_exp:
             parts.append(f"u{self.level}")
         return "*".join(parts) if parts else "1"
-
-
-def mul(a: Monomial, b: Monomial) -> Monomial | None:
-    """Product of two monomials; None if an exterior square appears."""
-    if a.level != b.level or a.twist != b.twist:
-        raise InputError("monomials live at different (level, twist)")
-    if a.lam + b.lam > 1 or a.u_exp + b.u_exp > 1:
-        return None
-    return Monomial(a.level, a.twist, a.t_exp + b.t_exp, a.mu_exp + b.mu_exp, a.lam + b.lam, a.u_exp + b.u_exp)
 
 
 def orbit_stems(q: int, d: int, length, window) -> range:

@@ -64,14 +64,6 @@ class Variant(str, Enum):
     TATE = "tate"  # t-inverted: a in Z, b >= 0
     MUINV = "muinv"  # mu-inverted: a >= 0, b in Z
 
-    @property
-    def t_in_z(self) -> bool:
-        return self is Variant.TATE
-
-    @property
-    def mu_in_z(self) -> bool:
-        return self is Variant.MUINV
-
 
 def default_v1_cutoff(ctx: PrimeContext, n: int) -> int:
     return 2 * geo(ctx.p, 0, n + 1)
@@ -259,27 +251,6 @@ class SSPage:
             raise InputError("monomial belongs to a different page")
         return self.ladders.get((m.lam, m.u_exp, m.t_exp - m.mu_exp))
 
-    def basis_monomials(self, stem: int, line: int):
-        """Contract view of the E2 basis at one bidegree.
-
-        Exactly the variant's monomials whose stem lies in the padded window
-        and whose v1-divisibility is below the cutoff.
-        """
-        out = []
-        q = self.ctx.q
-        for lad in self.ladders.values():
-            if lad.e1 - lad.e2 != line:
-                continue
-            if (stem - lad.stem0) % q:
-                continue
-            h = (stem - lad.stem0) // q
-            if h < 0 or h >= self.v1_cutoff:
-                continue
-            if not (self.lo_pad <= stem <= self.hi_pad):
-                continue
-            out.append(lad.monomial(self, h))
-        return out
-
     # -- stages ----------------------------------------------------------
 
     def stage_pairs(self, stage: str):
@@ -365,17 +336,16 @@ class SSPage:
 
 
 class StageMap:
-    """The stage differential as a linear map between graded pieces."""
+    """The stage differential on the monomials of a page.
+
+    It reads only the page's ladder keys and schedule, never the alive
+    sets, so it serves any stage of the schedule in any state of the page.
+    """
 
     def __init__(self, page: SSPage, stage: str):
         if stage not in page.schedule:
             raise InputError(f"stage {stage} not scheduled for n={page.n}")
-        done = list(page.stages_done)
-        expected = page.stages[len(done)] if len(done) < len(page.stages) else None
-        if stage != expected:
-            raise StateError(f"stage {stage} requested out of order; expected {expected}")
         self.page = page
-        self.stage = stage
         _k, G, P = page.schedule[stage]
         self._jump = (G + P, G)  # added to (t_exp, mu_exp)
         self._images = {src: (coeff, tgt) for src, coeff, tgt in page.stage_pairs(stage)}
@@ -399,22 +369,6 @@ class StageMap:
         coeff, (lam, u_exp, _delta) = im
         dt, dmu = self._jump
         return (coeff, Monomial(m.level, m.twist, m.t_exp + dt, m.mu_exp + dmu, lam, u_exp))
-
-    def matrix(self, stem: int, line: int) -> fplinalg.FpMatrix:
-        """Matrix from the (stem, line) basis piece to (stem-1, line+1)."""
-        page = self.page
-        src = page.basis_monomials(stem, line)
-        dst = page.basis_monomials(stem - 1, line + 1)
-        index = {m: i for i, m in enumerate(dst)}
-        entries = {}
-        for j, m in enumerate(src):
-            im = self.on_monomial(m)
-            if im is None:
-                continue
-            coeff, tgt = im
-            if tgt in index:
-                entries[(index[tgt], j)] = coeff % page.ctx.p
-        return fplinalg.FpMatrix(page.ctx.p, len(dst), len(src), entries)
 
 
 @dataclass(frozen=True)
@@ -549,7 +503,9 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
 
     Enumerates the page basis explicitly and runs every stage as honest
     linear algebra over F_p (kernels of induced maps modulo accumulated
-    boundaries).  Only fit for small windows; guards with ResourceError.
+    boundaries).  It reads the page's ladders and stage schedule, not its
+    alive sets, so the page may be fresh or already run.  Only fit for
+    small windows; guards with ResourceError.
     """
     ctx = page.ctx
     q = ctx.q
@@ -578,9 +534,8 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
     numerators = {bid: [unit_vec(bid, i) for i in range(len(monos))] for bid, monos in basis.items()}
     boundaries = {bid: fplinalg.VectorSpan(ctx.p, len(monos)) for bid, monos in basis.items()}
 
-    fresh_page = SSPage(ctx, page.n, page.ell, page.variant, page.window, page.v1_cutoff)
-    for stage in fresh_page.stages:
-        smap = StageMap(fresh_page, stage)
+    for stage in page.stages:
+        smap = StageMap(page, stage)
 
         def image_vec(bid, vec):
             tgt_bid = (bid[0] - 1, bid[1] + 1)
@@ -626,7 +581,6 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
                     if any(red):
                         bspan.add(red)
         numerators = new_numerators
-        fresh_page.run_stage(stage)  # advance the schedule guard only
 
     def v1_shift(bid, vec):
         """Image of a vector under multiplication by v1, or None at an edge."""

@@ -211,7 +211,11 @@ class TrOracle:
         self.ctx = ctx
         self.ell = ell
         lo, hi = window
-        self.window = (lo, hi)
+        # Generators and both surjectivity checks start at stem min(lo, 0),
+        # as the pages do: v1-translates of generators below lo reach the
+        # window, so lo only cuts the printed table.  An empty window stays
+        # empty.
+        self.window = (min(lo, 0) if lo <= hi else lo, hi)
         if trunc == TRUNC_INF:
             m_max = -1
             while 2 * ell * p ** (m_max + 1) <= hi:

@@ -85,12 +85,6 @@ def test_syntomic_torsion_generator_kernel_classes():
     assert table.get(2 + 4 + 4 + 1, 1) >= 1
 
 
-def test_syntomic_n_independence():
-    tables = [syntomic_dims(AssemblyParams(3, n, 1, (-4, 60))) for n in (3, 4, 5)]
-    assert tables[0].same_entries(tables[1])
-    assert tables[1].same_entries(tables[2])
-
-
 def test_syntomic_requires_identification_range():
     with pytest.raises(InputError):
         syntomic_dims(AssemblyParams(3, 2, 2, (0, 10)))  # k > p^(n-2) = 1

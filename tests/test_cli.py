@@ -56,6 +56,24 @@ def test_tr_table(capsys):
     assert obj["entries"] and obj["meta"]["m"] == 1
 
 
+def test_tr_window_bottom_only_cuts_the_table(capsys):
+    # v1-translates of generators below --deg-min still count in the window
+    args = ["tr", "--p", "3", "--ell", "1", "--deg-max", "60", "--format", "csv"]
+    code, full, _ = run(capsys, *args, "--deg-min", "-2")
+    header, *rows = full.splitlines(keepends=True)
+    want = header + "".join(row for row in rows if int(row.split(",")[0]) >= 20)
+    assert len(want) < len(full)
+    for mode in ("oracle", "closed", "both"):
+        assert run(capsys, *args, "--deg-min", "20", "--mode", mode) == (0, want, "")
+
+
+def test_tr_has_no_v1_cutoff(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tr", "--p", "3", "--ell", "1", "--deg-max", "20", "--v1-cutoff", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --v1-cutoff" in capsys.readouterr().err
+
+
 def test_input_errors_exit_two(capsys):
     code, _, err = run(capsys, "syntomic", "--p", "4", "--n", "3", "--k", "1", "--deg-max", "10")
     assert code == 2 and "error" in err

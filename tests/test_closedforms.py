@@ -84,7 +84,7 @@ def test_suspension_chain_included_at_level_zero():
     bottom = [e for e in elems if e.n == 0 and e.index == 0 and e.e == 0]
     assert len(bottom) == 1
     el = bottom[0]
-    assert el.tag is FamilyTag.B and el.bidegree(CTX3) == (2, 0)
+    assert el.tag is FamilyTag.B and el.bid == (2, 0)
     assert [lvl for (lvl, _m) in el.components] == [0, 1]
     assert el.torsion == 2  # comp2 lives in the short t-range
 
@@ -127,7 +127,7 @@ def test_components_share_bidegree_and_leading_disjoint():
         for trunc in (TRUNC_INF, 0, 1, 2):
             elems = enumerate_families(ctx, ell, trunc, (0, 120))
             for el in elems:
-                el.bidegree(ctx)  # raises on mismatch
+                assert {m.bidegree(ctx) for _lvl, m in el.components} == {el.bid}
             assert leading_disjoint(elems)
 
 
