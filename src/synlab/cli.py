@@ -101,22 +101,30 @@ def _table_payload(table, fmt: str) -> str:
     return table.to_json() if fmt == "json" else table.to_csv()
 
 
+def _einf_closed_table(ctx, args, variant, window, cutoff):
+    """The closed-form E-infinity table, counted as the oracle page counts.
+
+    The page reports only v1-heights below the cutoff, and every closed
+    generator is a pure monomial, so v1^j g counts for j < cutoff.
+    """
+    dec = einf_closed(ctx, args.n, args.ell, variant, (window[0] - ctx.q * (cutoff + 1), window[1]))
+    return dec.dims(ctx, window, {"p": args.p, "n": args.n, "k": None}, height_cap=cutoff)
+
+
 def _cmd_einf(args) -> tuple[int, str]:
     ctx = PrimeContext(args.p)
     window = (args.deg_min, args.deg_max)
     variant = Variant(args.variant)
     cutoff = args.v1_cutoff if args.v1_cutoff is not None else default_v1_cutoff(ctx, args.n)
+    if cutoff < 1:
+        raise InputError("v1 cutoff must be >= 1")
     meta = {"ell": args.ell, "variant": variant.value, "mode": args.mode, "v1_cutoff": cutoff}
     if args.mode == "closed":
-        dec = einf_closed(ctx, args.n, args.ell, variant, (window[0] - ctx.q * (cutoff + 1), window[1]))
-        table = dec.dims(ctx, window, {"p": args.p, "n": args.n, "k": None})
+        table = _einf_closed_table(ctx, args, variant, window, cutoff)
     else:
-        res = run_to_einf(SSPage(ctx, args.n, args.ell, variant, window, cutoff))
-        table = res.dim_table(window)
+        table = run_to_einf(SSPage(ctx, args.n, args.ell, variant, window, cutoff)).dim_table(window)
         if args.mode == "both":
-            dec = einf_closed(ctx, args.n, args.ell, variant, (window[0] - ctx.q * (cutoff + 1), window[1]))
-            closed_table = dec.dims(ctx, window, {"p": args.p, "n": args.n, "k": None})
-            if not table.same_entries(closed_table):
+            if not table.same_entries(_einf_closed_table(ctx, args, variant, window, cutoff)):
                 raise VerificationFailure("einf oracle and closed form disagree on this window")
             meta["cross_checked"] = True
     table.notes.update(meta)

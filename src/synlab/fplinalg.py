@@ -1,9 +1,10 @@
 """Exact linear algebra over the prime field F_p.
 
-Vectors are tuples of ints reduced into [0, p).  Pivots are always the
-first nonzero entry in column order, so every basis returned here is
-deterministic.  Matrices store entries sparsely as {(row, col): residue};
-row reduction works on dense lists of residues, one per column.
+A vector is a sparse row: a dict from column to a nonzero residue in
+[1, p).  Absent columns hold 0, and a residue that is 0 mod p is never
+stored.  Pivots are always the first nonzero column and rows are kept
+fully reduced, so every basis returned here is deterministic.  Matrices
+store entries sparsely as {(row, col): residue}.
 """
 
 from __future__ import annotations
@@ -29,6 +30,18 @@ def _check_prime(p: int) -> None:
         raise InputError(f"modulus {p} is not prime")
 
 
+def _residues(vec, p: int, dim: int) -> dict:
+    """A fresh sparse row of vec mod p; a column outside [0, dim) raises."""
+    row = {}
+    for c, v in vec.items():
+        if not 0 <= c < dim:
+            raise InputError(f"column {c} outside ambient dim {dim}")
+        v %= p
+        if v:
+            row[c] = v
+    return row
+
+
 @dataclass(frozen=True)
 class FpMatrix:
     """Sparse matrix over F_p; entries maps (row, col) to a nonzero residue."""
@@ -48,22 +61,19 @@ class FpMatrix:
 
     @classmethod
     def from_columns(cls, p: int, columns, nrows: int) -> "FpMatrix":
+        """The matrix whose j-th column is the sparse vector columns[j]."""
         columns = list(columns)
-        entries = {}
-        for j, col in enumerate(columns):
-            for i, v in enumerate(col):
-                v %= p
-                if v:
-                    entries[(i, j)] = v
+        entries = {(i, j): v for j, col in enumerate(columns) for i, v in _residues(col, p, nrows).items()}
         return cls(p, nrows, len(columns), entries)
 
-    def mul_vec(self, v) -> tuple:
-        if len(v) != self.cols:
-            raise InputError(f"vector length {len(v)} != cols {self.cols}")
-        out = [0] * self.rows
+    def mul_vec(self, v) -> dict:
+        v = _residues(v, self.p, self.cols)
+        out: dict = {}
         for (r, c), a in self.entries.items():
-            out[r] = (out[r] + a * v[c]) % self.p
-        return tuple(out)
+            x = v.get(c)
+            if x:
+                out[r] = out.get(r, 0) + a * x
+        return _residues(out, self.p, self.rows)
 
 
 class VectorSpan:
@@ -77,44 +87,58 @@ class VectorSpan:
         _check_prime(p)
         self.p = p
         self.dim = dim
-        self._rows: dict = {}  # pivot col -> row, a list of dim residues
+        self._rows: dict = {}  # pivot col -> sparse row with a 1 there
+        self._tails: set = set()  # pivots whose rows have entries past the pivot
         for v in vectors:
             self.add(v)
 
-    def _reduce_row(self, vec) -> list:
-        if len(vec) != self.dim:
-            raise InputError(f"vector length {len(vec)} != ambient dim {self.dim}")
+    def _reduce_row(self, vec) -> dict:
         p = self.p
-        row = [v % p for v in vec]
-        for piv, base in self._rows.items():
-            c = row[piv]
-            if c:
-                for j in range(piv, self.dim):
-                    if base[j]:
-                        row[j] = (row[j] - c * base[j]) % p
+        row = _residues(vec, p, self.dim)
+        rows = self._rows
+        # Each stored row is 0 at every other pivot, so the coefficient of
+        # a pivot row is the input's own entry there.
+        for piv, c in [(j, v) for j, v in row.items() if j in rows]:
+            for j, b in rows[piv].items():
+                x = (row.get(j, 0) - c * b) % p
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
         return row
 
-    def reduce(self, vec) -> tuple:
-        return tuple(self._reduce_row(vec))
+    def reduce(self, vec) -> dict:
+        return self._reduce_row(vec)
 
     def contains(self, vec) -> bool:
-        return not any(self._reduce_row(vec))
+        return not self._reduce_row(vec)
 
     def add(self, vec) -> bool:
         """Insert vec; True if it enlarged the span."""
         row = self._reduce_row(vec)
-        piv = next((j for j, v in enumerate(row) if v), None)
-        if piv is None:
+        if not row:
             return False
-        inv = pow(row[piv], -1, self.p)
-        row = [(v * inv) % self.p for v in row]
-        for other in self._rows.values():
-            c = other[piv]
+        p = self.p
+        piv = min(row)
+        inv = pow(row[piv], -1, p)
+        if inv != 1:
+            row = {j: v * inv % p for j, v in row.items()}
+        # only a row with entries past its own pivot can have one at piv
+        for opiv in list(self._tails):
+            other = self._rows[opiv]
+            c = other.get(piv)
             if c:
-                for j in range(piv, self.dim):
-                    if row[j]:
-                        other[j] = (other[j] - c * row[j]) % self.p
+                for j, v in row.items():
+                    x = (other.get(j, 0) - c * v) % p
+                    if x:
+                        other[j] = x
+                    else:
+                        del other[j]
+                if len(other) == 1:
+                    self._tails.discard(opiv)
         self._rows[piv] = row
+        if len(row) > 1:
+            self._tails.add(piv)
         return True
 
     @property
@@ -122,7 +146,7 @@ class VectorSpan:
         return len(self._rows)
 
     def basis(self):
-        return [tuple(self._rows[piv]) for piv in sorted(self._rows)]
+        return [dict(self._rows[piv]) for piv in sorted(self._rows)]
 
 
 def _row_span(m: FpMatrix) -> VectorSpan:
@@ -130,7 +154,7 @@ def _row_span(m: FpMatrix) -> VectorSpan:
     span = VectorSpan(m.p, m.cols)
     rows: dict = {}
     for (r, c), v in m.entries.items():
-        rows.setdefault(r, [0] * m.cols)[c] = v
+        rows.setdefault(r, {})[c] = v
     for r in sorted(rows):
         span.add(rows[r])
     return span
@@ -141,21 +165,24 @@ def rank(m: FpMatrix) -> int:
 
 
 def kernel_basis(m: FpMatrix):
-    """Deterministic basis of {v : m.v = 0}, one vector per free column."""
+    """Deterministic basis of {v : m.v = 0}, one vector per free column.
+
+    The vector of free column f is e_f minus, for each pivot row with an
+    entry at f, that entry at the row's pivot.
+    """
     p = m.p
     pivot_rows = _row_span(m)._rows
-    pivots = sorted(pivot_rows)
+    at_free: dict = {}  # free col -> {pivot: -entry}
+    for piv in sorted(pivot_rows):
+        for j, v in pivot_rows[piv].items():
+            if j != piv:
+                at_free.setdefault(j, {})[piv] = p - v
     basis = []
     for f in range(m.cols):
-        if f in pivot_rows:
-            continue
-        vec = [0] * m.cols
-        vec[f] = 1
-        for piv in pivots:
-            coef = pivot_rows[piv][f]
-            if coef:
-                vec[piv] = (-coef) % p
-        basis.append(tuple(vec))
+        if f not in pivot_rows:
+            vec = {f: 1}
+            vec.update(at_free.get(f, ()))
+            basis.append(vec)
     return basis
 
 
@@ -175,8 +202,7 @@ def subquotient(numerator, denominator, p: int, ambient_dim: int) -> list:
     reps = []
     for v in numerator:
         red = acc.reduce(v)
-        if any(red):
+        if red:
             reps.append(red)
             acc.add(red)
     return reps
-

@@ -180,8 +180,9 @@ class CyclicDecomposition:
         lo, hi = window
         return [g for g in self.entries if lo <= g.bidegree.d <= hi]
 
-    def dims(self, ctx: PrimeContext, window, params: dict | None = None) -> "DimTable":
-        """Counts per (stem, line) of all v1-power translates in the window.
+    def dims(self, ctx: PrimeContext, window, params: dict | None = None, height_cap=TORSION_FREE) -> "DimTable":
+        """Counts per (stem, line) of the v1-power translates v1^j g in the
+        window, j below both the torsion of g and height_cap.
 
         Raises InvariantError on a generator whose torsion is only a lower
         bound, which would make the counts a guess.
@@ -190,7 +191,7 @@ class CyclicDecomposition:
         for g in self.entries:
             g.require_certified()
             d, s = g.bidegree
-            for stem in orbit_stems(ctx.q, d, g.torsion, window):
+            for stem in orbit_stems(ctx.q, d, min(g.torsion, height_cap), window):
                 counts[(stem, s)] = counts.get((stem, s), 0) + 1
         return DimTable(params or {}, counts, window)
 

@@ -21,10 +21,11 @@ coefficient that is constant along each ladder:
 All "defined up to a unit" coefficients are pinned to +1; dimensions and
 torsion orders do not depend on that choice.  Because the maps are diagonal
 on monomials, iterated subquotient homology reduces to pairwise interval
-cancellation along ladders, which this module performs exactly; a dense
-matrix-by-matrix implementation of the same homology (run_to_einf_dense)
-serves as an independent cross-check on small windows and is exercised by
-the test suite.
+cancellation along ladders, which this module performs exactly.  The
+"dense" engine (run_to_einf_dense) computes the same homology with full
+linear algebra over F_p on the explicit page basis, one stage at a time;
+its vectors are sparse rows ({basis index: residue}, see fplinalg).  It is
+an independent cross-check on small windows, exercised by the test suite.
 
 The ladders of a page are keyed (e1, e2, delta) with delta = a - b.  For
 each (e1, e2) the modeled deltas form at most two ranges, one per side of
@@ -499,13 +500,15 @@ def run_to_einf(page: SSPage) -> EInfResult:
 
 
 def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
-    """Independent dense-subquotient computation of the same E-infinity page.
+    """Independent subquotient computation of the same E-infinity page.
 
     Enumerates the page basis explicitly and runs every stage as honest
     linear algebra over F_p (kernels of induced maps modulo accumulated
-    boundaries).  It reads the page's ladders and stage schedule, not its
-    alive sets, so the page may be fresh or already run.  Only fit for
-    small windows; guards with ResourceError.
+    boundaries), on sparse vectors indexed by position in each bidegree's
+    basis.  It reads the page's ladders and stage schedule, not its alive
+    sets, so the page may be fresh or already run.  Only fit for small
+    windows; guards with ResourceError.  A v1-image of the survivors that
+    leaves their span raises InvariantError.
     """
     ctx = page.ctx
     q = ctx.q
@@ -526,32 +529,27 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
         for i, m in enumerate(monos):
             position[m] = (bid, i)
 
-    def unit_vec(bid, i):
-        v = [0] * len(basis[bid])
-        v[i] = 1
-        return tuple(v)
-
-    numerators = {bid: [unit_vec(bid, i) for i in range(len(monos))] for bid, monos in basis.items()}
-    boundaries = {bid: fplinalg.VectorSpan(ctx.p, len(monos)) for bid, monos in basis.items()}
+    p = ctx.p
+    numerators = {bid: [{i: 1} for i in range(len(monos))] for bid, monos in basis.items()}
+    boundaries = {bid: fplinalg.VectorSpan(p, len(monos)) for bid, monos in basis.items()}
 
     for stage in page.stages:
         smap = StageMap(page, stage)
 
         def image_vec(bid, vec):
+            """The stage image, with entries not yet reduced mod p."""
             tgt_bid = (bid[0] - 1, bid[1] + 1)
-            out = [0] * len(basis[tgt_bid])
-            for i, c in enumerate(vec):
-                if not c:
-                    continue
-                im = smap.on_monomial(basis[bid][i])
+            monos = basis[bid]
+            out = {}
+            for i, c in vec.items():
+                im = smap.on_monomial(monos[i])
                 if im is None:
                     continue
                 coeff, tmono = im
-                if tmono in position:
-                    tb, ti = position[tmono]
-                    if tb == tgt_bid:
-                        out[ti] = (out[ti] + c * coeff) % ctx.p
-            return tuple(out)
+                pos = position.get(tmono)
+                if pos is not None and pos[0] == tgt_bid:
+                    out[pos[1]] = out.get(pos[1], 0) + c * coeff
+            return out
 
         # Each target bidegree has one source bidegree, which reduces its
         # images by the target's boundaries before adding them, so the
@@ -563,38 +561,33 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
             if tgt_dim == 0 or not nvecs:
                 new_numerators[bid] = list(nvecs)
             else:
-                images = [image_vec(bid, v) for v in nvecs]
                 bspan = boundaries[tgt_bid]
-                reduced = [bspan.reduce(iv) for iv in images]
-                mat = fplinalg.FpMatrix.from_columns(ctx.p, reduced, tgt_dim)
-                combos = fplinalg.kernel_basis(mat)
+                reduced = [bspan.reduce(image_vec(bid, v)) for v in nvecs]
+                combos = fplinalg.kernel_basis(fplinalg.FpMatrix.from_columns(p, reduced, tgt_dim))
                 kept = []
                 for combo in combos:
-                    acc = [0] * len(basis[bid])
-                    for j, c in enumerate(combo):
-                        if c:
-                            for t in range(len(acc)):
-                                acc[t] = (acc[t] + c * nvecs[j][t]) % ctx.p
-                    kept.append(tuple(acc))
+                    acc = {}
+                    for j, c in combo.items():
+                        for t, x in nvecs[j].items():
+                            acc[t] = acc.get(t, 0) + c * x
+                    kept.append({t: x % p for t, x in acc.items() if x % p})
                 new_numerators[bid] = kept
                 for red in reduced:
-                    if any(red):
+                    if red:
                         bspan.add(red)
         numerators = new_numerators
 
     def v1_shift(bid, vec):
         """Image of a vector under multiplication by v1, or None at an edge."""
         nxt_bid = (bid[0] + q, bid[1])
-        shifted = [0] * len(basis.get(nxt_bid, ()))
-        for i, c in enumerate(vec):
-            if not c:
-                continue
-            tm = basis[bid][i].v1_times()
-            if tm in position and position[tm][0] == nxt_bid:
-                shifted[position[tm][1]] = c
-            else:
+        monos = basis[bid]
+        shifted = {}
+        for i, c in vec.items():
+            pos = position.get(monos[i].v1_times())
+            if pos is None or pos[0] != nxt_bid:
                 return nxt_bid, None
-        return nxt_bid, tuple(shifted)
+            shifted[pos[1]] = c
+        return nxt_bid, shifted
 
     gens = []
     lo, hi = window
@@ -608,16 +601,14 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
         prev_bid = (stem - q, line)
         for v in numerators.get(prev_bid, ()):
             _, sh = v1_shift(prev_bid, v)
-            if sh is not None and any(sh):
+            if sh:
                 denom.append(sh)
         try:
-            reps = fplinalg.subquotient(numerators[bid], denom, ctx.p, len(basis[bid]))
-        except InputError:
-            # v1-image can stick out of the cycle span only at window edges
-            continue
+            reps = fplinalg.subquotient(numerators[bid], denom, p, len(basis[bid]))
+        except InputError as exc:
+            raise InvariantError(f"dense engine at (stem, line) = {bid}: {exc}") from exc
         for rep in reps:
-            lead = min(i for i, c in enumerate(rep) if c)
-            lead_mono = basis[bid][lead]
+            lead_mono = basis[bid][min(rep)]
             if divisibility(page.variant, lead_mono.t_exp, lead_mono.mu_exp) >= page.v1_cutoff:
                 continue
             # torsion: shift until the class dies (lands in the boundaries)
@@ -625,7 +616,7 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
             vec = rep
             cur_bid = bid
             certified = True
-            while any(vec) and not boundaries[cur_bid].contains(vec):
+            while vec and not boundaries[cur_bid].contains(vec):
                 cur_bid, vec = v1_shift(cur_bid, vec)
                 r += 1
                 if vec is None:

@@ -302,10 +302,8 @@ class TrOracle:
         src = self._src_pieces.get(key, [])
         nsrc = self._src_pieces.get(nkey, [])
         nindex = {lm: i for i, lm in enumerate(nsrc)}
-        out = [0] * len(nsrc)
-        for j, c in enumerate(vec):
-            if not c:
-                continue
+        out = {}
+        for j, c in vec.items():
             level, mono = src[j]
             tm = mono.v1_times()
             pos = nindex.get((level, tm))
@@ -313,7 +311,7 @@ class TrOracle:
                 out[pos] = c
             elif self.pages.hfp[level].alive(tm):
                 raise InvariantError("v1 shift left the assembled stem range")
-        return nkey, tuple(out)
+        return nkey, out
 
     def generators(self) -> list:
         """Kernel generators: filtration-0 kernel basis with exact torsion.
@@ -330,12 +328,10 @@ class TrOracle:
             src = self._src_pieces[key]
             for vec in vecs:
                 r = 0
-                for j, c in enumerate(vec):
-                    if c:
-                        level, mono = src[j]
-                        r = max(r, self.pages.hfp[level].life(mono))
-                lead = min(j for j, c in enumerate(vec) if c)
-                level, mono = src[lead]
+                for j in vec:
+                    level, mono = src[j]
+                    r = max(r, self.pages.hfp[level].life(mono))
+                level, mono = src[min(vec)]
                 label = f"ker:L{level}:{mono}@{key[0]},{key[1]}"
                 out.append(
                     (Generator(label, Bidegree(key[0], key[1]), r), key, vec)
@@ -368,7 +364,7 @@ class TrOracle:
             span = fplinalg.VectorSpan(self.ctx.p, len(self._src_pieces[key]))
             for pv in self.kernel(pkey):
                 _nk, sh = self._shift_vector(pkey, pv)
-                if any(sh):
+                if sh:
                     span.add(sh)
             if span.rank < kdim:
                 failures.append((key, kdim, span.rank))

@@ -23,6 +23,8 @@ JOB_IDS = (
     "syntomic-oracle p=3 n=4 k=1 window=-4..20",
     "suite_einf p=3 n_max=3 ell_max=1 deg_max=108 double_cutoff=True",
     "dense p=3 n=1 ell=0 hfp window=+-8p",
+    # the widest dense page: its spans exceed 64 columns
+    "dense p=3 n=2 ell=1 tate window=+-8p",
 )
 
 # Tracer targets that name functions synlab no longer has; the tracer lists

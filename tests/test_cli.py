@@ -271,3 +271,35 @@ def test_tr_negative_truncation_exits_two_in_every_mode(capsys, mode):
     code, out, err = run(capsys, "tr", "--p", "3", "--ell", "1", "--m", "-1", "--deg-max", "20", "--mode", mode)
     assert code == 2 and out == ""
     assert err.startswith("error: truncation level must be >= 0")
+
+
+EINF_CUTOFF_ARGS = ["einf", "--p", "3", "--n", "1", "--ell", "1", "--deg-max", "30", "--format", "csv"]
+
+
+@pytest.mark.parametrize("cutoff", ["1", "3"])
+def test_einf_modes_print_the_same_table_below_a_v1_cutoff(capsys, cutoff):
+    tables = []
+    for mode in ("oracle", "closed", "both"):
+        code, out, err = run(capsys, *EINF_CUTOFF_ARGS, "--v1-cutoff", cutoff, "--mode", mode)
+        assert code == 0, err
+        tables.append(out)
+    assert tables[0] == tables[1] == tables[2]
+    # the cutoff drops the v1-translates at heights >= cutoff
+    code, default, _ = run(capsys, *EINF_CUTOFF_ARGS)
+    total = lambda csv: sum(int(row.split(",")[3]) for row in csv.splitlines()[1:])
+    assert code == 0 and total(tables[0]) < total(default)
+
+
+@pytest.mark.parametrize("mode", ["oracle", "closed", "both"])
+@pytest.mark.parametrize("cutoff", ["0", "-3"])
+def test_einf_cutoff_below_one_exits_two_in_every_mode(capsys, monkeypatch, cutoff, mode):
+    import synlab.cli as climod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a v1 cutoff below 1")
+
+    for name in ("einf_closed", "SSPage"):
+        monkeypatch.setattr(climod, name, no_work)
+    code, out, err = run(capsys, *EINF_CUTOFF_ARGS, "--v1-cutoff", cutoff, "--mode", mode)
+    assert code == 2 and out == ""
+    assert err.startswith("error: v1 cutoff must be >= 1")

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synlab.errors import InputError
 from synlab.fplinalg import (
@@ -38,78 +40,118 @@ def test_kernel_rank_one_f5():
     basis = kernel_basis(m)
     assert len(basis) == 1
     v = basis[0]
-    assert m.mul_vec(v) == (0, 0)
+    assert m.mul_vec(v) == {}
     # proportional to (3, 1)
-    assert (v[0] * 1 - v[1] * 3) % 5 == 0 and any(v)
+    assert v and (v.get(0, 0) * 1 - v.get(1, 0) * 3) % 5 == 0
 
 
 def test_subquotient_trivial():
-    assert subquotient([(1, 0)], [(1, 0)], 3, 2) == []
+    assert subquotient([{0: 1}], [{0: 1}], 3, 2) == []
 
 
 def test_subquotient_full():
-    assert len(subquotient([(1, 0), (0, 1)], [], 3, 2)) == 2
+    assert len(subquotient([{0: 1}, {1: 1}], [], 3, 2)) == 2
 
 
 def test_subquotient_representative_reduced():
     # one representative, congruent to e2 mod the denominator
-    assert subquotient([(1, 0), (1, 1)], [(1, 0)], 5, 2) == [(0, 1)]
+    assert subquotient([{0: 1}, {0: 1, 1: 1}], [{0: 1}], 5, 2) == [{1: 1}]
 
 
 def test_subquotient_containment_enforced():
     with pytest.raises(InputError):
-        subquotient([(1, 0)], [(0, 1)], 3, 2)
+        subquotient([{0: 1}], [{1: 1}], 3, 2)
 
 
 def test_compose_and_zero():
     a = mat(3, [[1, 2], [0, 1]])
     b = mat(3, [[2, 0], [1, 1]])
     ab = mat(3, [[1, 2], [1, 1]])  # a @ b by hand: [[4, 2], [1, 1]] mod 3
-    for v in [(1, 0), (0, 1), (2, 2)]:
+    for v in [{0: 1}, {1: 1}, {0: 2, 1: 2}]:
         assert a.mul_vec(b.mul_vec(v)) == ab.mul_vec(v)
     nil = mat(3, [[0, 1], [0, 0]])
-    for v in [(1, 0), (0, 1), (2, 2)]:
-        assert nil.mul_vec(nil.mul_vec(v)) == (0, 0)
+    for v in [{0: 1}, {1: 1}, {0: 2, 1: 2}]:
+        assert nil.mul_vec(nil.mul_vec(v)) == {}
 
 
-def random_matrix(rng, p, rows, cols, density=0.4):
-    entries = {}
-    for i in range(rows):
-        for j in range(cols):
-            if rng.random() < density:
-                v = rng.randrange(1, p)
-                entries[(i, j)] = v
+def test_vector_columns_checked_and_zero_residues_never_stored():
+    span = VectorSpan(5, 3)
+    for bad in ({3: 1}, {-1: 1}, {0: 1, 7: 0}):
+        for op in (span.add, span.reduce, span.contains):
+            with pytest.raises(InputError, match="outside ambient dim 3"):
+                op(bad)
+        with pytest.raises(InputError, match="outside ambient dim 3"):
+            mat(5, [[1, 0, 0]]).mul_vec(bad)
+    assert span.reduce({0: 5, 1: 7, 2: -1}) == {1: 2, 2: 4}
+    assert not span.add({1: 10}) and span.rank == 0
+    assert span.add({0: 2, 1: 5, 2: 4})
+    assert span.basis() == [{0: 1, 2: 2}]
+    assert span.reduce({0: 1, 2: 2}) == {}
+    assert mat(5, [[1, 1, 0]]).mul_vec({0: 1, 1: 4}) == {}
+
+
+# The property tests draw the shape, density and seed of a random matrix
+# or vector list; hypothesis shrinks those and reports them on a failure.
+PRIMES = st.sampled_from([2, 3, 5])
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def random_vectors(seed, p, count, dim, density):
+    rng = random.Random(seed)
+    return [{j: rng.randrange(1, p) for j in range(dim) if rng.random() < density} for _ in range(count)]
+
+
+@st.composite
+def matrices(draw):
+    p = draw(PRIMES)
+    # wide (up to 90 columns) and sparse, or up to 50 and denser
+    hi, density = draw(st.sampled_from([(90, 0.15), (50, 0.4)]))
+    rows, cols = draw(st.integers(1, hi)), draw(st.integers(1, hi))
+    entries = {(i, j): v for i, row in enumerate(random_vectors(draw(SEEDS), p, rows, cols, density)) for j, v in row.items()}
     return FpMatrix(p, rows, cols, entries)
 
 
-def test_rank_nullity_and_annihilation_randomized():
-    rng = random.Random(11)
-    for trial in range(60):
-        p = rng.choice([2, 3, 5])
-        # every tenth trial is wider (up to 90 columns) and sparser
-        hi = 90 if trial % 10 == 0 else 50
-        rows, cols = rng.randint(1, hi), rng.randint(1, hi)
-        m = random_matrix(rng, p, rows, cols, density=0.15 if hi > 50 else 0.4)
-        ker = kernel_basis(m)
-        assert len(ker) + rank(m) == cols
-        for v in ker:
-            assert not any(m.mul_vec(v))
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(matrices())
+def test_rank_nullity_and_annihilation_randomized(m):
+    ker = kernel_basis(m)
+    assert len(ker) + rank(m) == m.cols
+    for v in ker:
+        assert m.mul_vec(v) == {}
 
 
-def test_subquotient_rank_arithmetic_randomized():
-    rng = random.Random(13)
-    for _ in range(40):
-        p = rng.choice([2, 3, 5])
-        dim = rng.randint(1, 30)
-        vecs = [tuple(rng.randrange(p) for _ in range(dim)) for _ in range(rng.randint(1, 12))]
-        num_span = VectorSpan(p, dim, vecs)
-        # denominator: random combinations of the numerator
-        den = []
-        for _ in range(rng.randint(0, 6)):
-            coeffs = [rng.randrange(p) for _ in vecs]
-            combo = tuple(sum(c * v[i] for c, v in zip(coeffs, vecs)) % p for i in range(dim))
-            den.append(combo)
-        reps = subquotient(vecs, den, p, dim)
-        assert len(reps) == num_span.rank - VectorSpan(p, dim, den).rank
-        for r in reps:
-            assert num_span.contains(r)
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(PRIMES, st.integers(1, 30), st.integers(1, 12), st.integers(0, 6), st.sampled_from([0.2, 0.6, 1.0]), SEEDS)
+def test_subquotient_rank_arithmetic_randomized(p, dim, count, den_count, density, seed):
+    vecs = random_vectors(seed, p, count, dim, density)
+    num_span = VectorSpan(p, dim, vecs)
+    # denominator: random combinations of the numerator
+    rng = random.Random(seed + 1)
+    den = []
+    for _ in range(den_count):
+        combo = {}
+        for v in vecs:
+            c = rng.randrange(p)
+            for j, x in v.items():
+                combo[j] = combo.get(j, 0) + c * x
+        den.append(combo)
+    reps = subquotient(vecs, den, p, dim)
+    assert len(reps) == num_span.rank - VectorSpan(p, dim, den).rank
+    for r in reps:
+        assert num_span.contains(r)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(PRIMES, st.integers(1, 90), st.integers(1, 40), st.sampled_from([0.05, 0.3]), SEEDS, st.randoms(use_true_random=False))
+def test_span_basis_is_independent_of_insertion_order(p, dim, count, density, seed, shuffler):
+    """The dense engine's labels read the canonical reduced echelon form."""
+    vecs = random_vectors(seed, p, count, dim, density)
+    basis = VectorSpan(p, dim, vecs).basis()
+    shuffler.shuffle(vecs)
+    assert VectorSpan(p, dim, vecs).basis() == basis
+    # each row has a 1 at its pivot, the first nonzero column, and 0 at every other pivot
+    pivots = [min(row) for row in basis]
+    assert pivots == sorted(set(pivots))
+    for row, piv in zip(basis, pivots):
+        assert row[piv] == 1 and all(0 < x < p for x in row.values())
+        assert not set(row) & (set(pivots) - {piv})

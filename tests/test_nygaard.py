@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synlab import nygaard, verify
-from synlab.errors import InputError, ResourceError, StateError
+from synlab.errors import InputError, InvariantError, ResourceError, StateError
 from synlab.graded import Monomial, PrimeContext, geo, vp
 from synlab.nygaard import (
     SSPage,
@@ -227,6 +227,17 @@ def test_resource_guard_dense():
     page = SSPage(CTX3, 2, 1, Variant.HFP, (-500, 500), v1_cutoff=40)
     with pytest.raises(ResourceError):
         run_to_einf_dense(page, (-500, 500))
+
+
+def test_dense_engine_refusal_names_the_bidegree(monkeypatch):
+    # a subquotient the dense engine cannot form is an error, never a
+    # bidegree silently skipped by the independent witness
+    def refuse(*args):
+        raise InputError("denominator not contained in numerator span")
+
+    monkeypatch.setattr(nygaard.fplinalg, "subquotient", refuse)
+    with pytest.raises(InvariantError, match=r"dense engine at \(stem, line\) = \(-?\d+, -?\d+\): denominator"):
+        run_to_einf_dense(SSPage(CTX3, 1, 1, Variant.HFP, (0, 24), 4), (0, 24))
 
 
 def test_bad_inputs():
