@@ -27,22 +27,39 @@ linear algebra over F_p on the explicit page basis, one stage at a time;
 its vectors are sparse rows ({basis index: residue}, see fplinalg).  It is
 an independent cross-check on small windows, exercised by the test suite.
 
-The ladders of a page are keyed (e1, e2, delta) with delta = a - b.  For
-each (e1, e2) the modeled deltas form at most two ranges, one per side of
-the fixed-point split (delta < 0 on the mu side, delta >= 0 on the t
-side), and on each range the base exponents and the bottom stem are
-affine in delta.  The page is built range by range in ascending key
-order, so page.ladders iterates sorted and every reader walks it as is.
-A stage visits only the ladders its map acts on (SSPage.stage_pairs):
-T_k walks the residue class delta = -c (mod p^k) of the e1 = 0 ladders in
-steps of p^k and skips delta = -c (mod p^(k+1)), U walks the e2 = 1
-ladders.  The dense engine reads the same rule through StageMap.
+Layout.  A ladder is keyed (e1, e2, delta) with delta = a - b.  For each
+(e1, e2) the modeled deltas form at most two ranges, one per side of the
+fixed-point split (delta < 0 on the mu side, delta >= 0 on the t side).
+Each range is a Segment: on it the base exponents and the bottom stem
+stem0 are affine in delta, and so are the modeled heights [h_lo, h_cap),
+up to the floor of a division, so none of them is stored.  The only
+per-ladder state is segment.alive[delta - start], the ladder's list of
+alive height intervals.
+
+Stages.  SSPage._stage_sources states once which ladders a stage map acts
+on, as progressions of source deltas with a constant coefficient: T_k
+walks each nonzero coefficient r of the e1 = 0 ladders, delta = r*p^k - c
+(mod p^(k+1)), U walks every e2 = 1 ladder.  The target is delta + P on
+the (e1, e2) the stage maps to, so the sweep finds it by index arithmetic
+on the target segment; the dense engine reads the same rule through
+StageMap.
+
+Readers.  A height h of a ladder has stem stem0 + h*q, so a class below
+the v1 cutoff V can meet a stem window [lo, hi] only when stem0 lies in
+[lo - (V-1)*q, hi].  The E-infinity readers walk only those deltas of each
+segment (SSPage._reach).  SSPage.ladders is a read-only mapping view of
+the segments with Ladder values, made on first use, for callers that want
+one object per ladder (the dense engine, tests and outside tracing);
+neither the sweep nor the readers use it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
 
 from . import fplinalg
 from .errors import InputError, InvariantError, ResourceError, StateError
@@ -83,6 +100,7 @@ def divisibility(variant: Variant, a: int, b: int) -> int:
 # sorted and gapped: lo < hi within an interval and hi < lo' between
 # neighbours.  A ladder starts with one interval; subtracting and
 # intersecting gapped lists yields gapped lists, so no merge pass is needed.
+# A cut replaces a ladder's list and never edits it in place.
 
 
 def _interval_subtract(A, B):
@@ -125,34 +143,91 @@ def _interval_shift(A, s):
     return [(lo + s, hi + s) for lo, hi in A]
 
 
+def _deltas_by_stem(K: int, stem_slope: int, stem_lo: int, stem_hi: int) -> range:
+    """The deltas whose bottom stem K + stem_slope*delta (stem_slope < 0)
+    lies in [stem_lo, stem_hi]."""
+    s = -stem_slope
+    return range(-((stem_hi - K) // s), (K - stem_lo) // s + 1)
+
+
+def _clip(r: range, lo: int, hi: int) -> range:
+    """The elements of r (step > 0) in [lo, hi)."""
+    first = r.start if r.start >= lo else r.start + -((r.start - lo) // r.step) * r.step
+    return range(first, min(r.stop, hi), r.step)
+
+
 @dataclass(slots=True)
-class Ladder:
-    """All v1-multiples of one pure monomial, alive intervals in h."""
+class Segment:
+    """The ladders (e1, e2, delta) of a page for delta in `deltas`.
+
+    A ladder's base monomial is t^(a_slope*delta) mu^(b_slope*delta) and
+    its bottom stem is K + stem_slope*delta.  alive[i] is the alive list of
+    the ladder at delta = deltas.start + i.
+    """
 
     e1: int
     e2: int
-    delta: int
-    base_a: int
-    base_b: int
-    stem0: int
-    h_lo: int
-    h_cap: int  # exclusive
-    alive: list
+    deltas: range
+    a_slope: int
+    b_slope: int
+    stem_slope: int
+    K: int
+    alive: list | None = None  # filled by SSPage._build
 
-    def monomial(self, page: "SSPage", h: int) -> Monomial:
-        return Monomial(page.n, page.ell, self.base_a + h, self.base_b + h, self.e1, self.e2)
+    def by_stem(self, stem_lo: int, stem_hi: int) -> range:
+        """The deltas of the segment whose bottom stem lies in [stem_lo, stem_hi]."""
+        r = _deltas_by_stem(self.K, self.stem_slope, stem_lo, stem_hi)
+        return _clip(self.deltas, r.start, r.stop)
 
-    def interval_of(self, h: int):
-        for lo, hi in self.alive:
-            if lo <= h < hi:
-                return (lo, hi)
-        return None
+
+class Ladder:
+    """Read-only view of one ladder: all v1-multiples of one pure monomial.
+
+    The fields are computed from the segment; `alive` is the segment's live
+    entry.
+    """
+
+    __slots__ = ("_page", "_seg", "e1", "e2", "delta", "base_a", "base_b", "stem0", "h_lo", "h_cap")
+
+    def __init__(self, page: "SSPage", seg: Segment, delta: int):
+        self._page = page
+        self._seg = seg
+        self.e1 = seg.e1
+        self.e2 = seg.e2
+        self.delta = delta
+        self.base_a = seg.a_slope * delta
+        self.base_b = seg.b_slope * delta
+        self.stem0 = seg.K + seg.stem_slope * delta
+        self.h_lo, self.h_cap = page._heights(self.stem0)  # h_cap exclusive
+
+    @property
+    def alive(self) -> list:
+        return self._seg.alive[self.delta - self._seg.deltas.start]
+
+    def monomial(self, h: int) -> Monomial:
+        return Monomial(self._page.n, self._page.ell, self.base_a + h, self.base_b + h, self.e1, self.e2)
 
 
 class SSPage:
     """One twisted Nygaard page and its staged differential state."""
 
     def __init__(self, ctx: PrimeContext, n: int, ell: int, variant: Variant, window, v1_cutoff: int | None = None):
+        self._place(ctx, n, ell, variant, window, v1_cutoff)
+        self._build()
+
+    @classmethod
+    def check_size(cls, ctx: PrimeContext, n: int, ell: int, variant: Variant, window, v1_cutoff=None) -> int:
+        """The ladder count of SSPage(ctx, n, ell, variant, window, v1_cutoff),
+        from its segment ranges alone, allocating no ladder.  Raises what the
+        constructor would raise before building: InputError, or
+        ResourceError past MAX_LADDERS ladders."""
+        shape = cls.__new__(cls)
+        shape._place(ctx, n, ell, variant, window, v1_cutoff)
+        return shape.ladder_count
+
+    def _place(self, ctx, n, ell, variant, window, v1_cutoff):
+        """Everything but the alive lists: parameters, schedule, padded
+        window and the segments' delta ranges; then the size guard."""
         if n < 0 or ell < 0:
             raise InputError("need n >= 0 and twist >= 0")
         lo, hi = window
@@ -183,156 +258,188 @@ class SSPage:
         self.lo_pad = lo - ctx.q - 2 * (n + 3)
         self.hi_pad = hi + 2 * self.v1_cutoff * p
         self._twist_coeff = -ell * n * (p - 1) * p ** (n - 1) if n >= 1 else 0
-        self.ladders: dict = {}
-        self._build()
+        self.segments = {(e1, e2): self._side_segments(e1, e2) for e1 in (0, 1) for e2 in (0, 1)}
+        self.ladder_count = sum(len(seg.deltas) for seg in self._all_segments())
+        if self.ladder_count > MAX_LADDERS:
+            raise ResourceError(f"page needs more than {MAX_LADDERS} ladders; shrink the window or cutoff")
 
     # -- construction ---------------------------------------------------
 
-    def _delta_ranges(self, e1: int, e2: int):
-        """The deltas whose ladder meets the padded window below v_internal,
-        as ascending (deltas, a_slope, b_slope, stem_slope) segments.
+    def _side_segments(self, e1: int, e2: int) -> tuple:
+        """The nonempty segments of (e1, e2), deltas ascending.
 
-        On a segment the ladder's base monomial is t^(a_slope*delta)
-        mu^(b_slope*delta) and its bottom stem is stem0 = K +
-        stem_slope*delta, K the stem of the delta = 0 ladder.  A ladder is
-        worth modeling when some height h in [0, v_internal) puts its stem
-        inside [lo_pad, hi_pad]; stems climb with h, so that means
-        lo_pad - (v_internal-1)*q <= stem0 <= hi_pad.
+        A ladder is worth modeling when some height h in [0, v_internal)
+        puts its stem inside [lo_pad, hi_pad]; stems climb with h, so that
+        means lo_pad - (v_internal-1)*q <= stem0 <= hi_pad.
         """
-        q = self.ctx.q
         p = self.ctx.p
-        K = self._stem_at_zero(e1, e2)
-        lo_need = self.lo_pad - (self._v_internal - 1) * q
-        hi_need = self.hi_pad
+        K = 2 * self.ell * p**self.n + (2 * p - 1) * e1 - e2  # stem0 at delta = 0
+        lo_need = self.lo_pad - (self._v_internal - 1) * self.ctx.q
         # t side: base (delta, 0), stem0 = K - 2*delta; mu side: base
         # (0, -delta), stem0 = K - 2p*delta.
-        t_deltas = range(-((hi_need - K) // 2), (K - lo_need) // 2 + 1)
-        mu_deltas = range(-((hi_need - K) // (2 * p)), (K - lo_need) // (2 * p) + 1)
+        t_deltas = _deltas_by_stem(K, -2, lo_need, self.hi_pad)
+        mu_deltas = _deltas_by_stem(K, -2 * p, lo_need, self.hi_pad)
         if self.variant is Variant.TATE:
-            return ((t_deltas, 1, 0, -2),)
-        if self.variant is Variant.MUINV:
-            return ((mu_deltas, 0, -1, -2 * p),)
-        # HFP: the mu side holds delta < 0, the t side delta >= 0
-        return (
-            (range(mu_deltas.start, min(mu_deltas.stop, 0)), 0, -1, -2 * p),
-            (range(max(t_deltas.start, 0), t_deltas.stop), 1, 0, -2),
-        )
+            sides = ((t_deltas, 1, 0, -2),)
+        elif self.variant is Variant.MUINV:
+            sides = ((mu_deltas, 0, -1, -2 * p),)
+        else:  # HFP: the mu side holds delta < 0, the t side delta >= 0
+            sides = (
+                (range(mu_deltas.start, min(mu_deltas.stop, 0)), 0, -1, -2 * p),
+                (range(max(t_deltas.start, 0), t_deltas.stop), 1, 0, -2),
+            )
+        return tuple(Segment(e1, e2, deltas, a, b, s, K) for deltas, a, b, s in sides if len(deltas))
 
-    def _stem_at_zero(self, e1: int, e2: int) -> int:
-        return 2 * self.ell * self.ctx.p**self.n + (2 * self.ctx.p - 1) * e1 - e2
+    def _all_segments(self):
+        """Every segment, in key order."""
+        for segs in self.segments.values():
+            yield from segs
+
+    def _heights(self, stem0: int) -> tuple:
+        """(h_lo, h_cap) of the ladder with bottom stem stem0: the heights
+        below v_internal whose stem lies in [lo_pad, hi_pad], h_cap exclusive.
+        Nonempty for every modeled ladder."""
+        q = self.ctx.q
+        h_lo = -((stem0 - self.lo_pad) // q)
+        h_cap = (self.hi_pad - stem0) // q + 1
+        return (h_lo if h_lo > 0 else 0, h_cap if h_cap < self._v_internal else self._v_internal)
 
     def _build(self):
-        q = self.ctx.q
-        self._ranges = {(e1, e2): self._delta_ranges(e1, e2) for e1 in (0, 1) for e2 in (0, 1)}
-        if sum(len(seg[0]) for segs in self._ranges.values() for seg in segs) > MAX_LADDERS:
-            raise ResourceError(f"page needs more than {MAX_LADDERS} ladders; shrink the window or cutoff")
-        lo_pad, hi_pad, v_internal = self.lo_pad, self.hi_pad, self._v_internal
-        ladders = self.ladders
-        # (e1, e2) ascending, then each side's deltas ascending: key order
-        for (e1, e2), segs in self._ranges.items():
-            K = self._stem_at_zero(e1, e2)
-            for deltas, a_slope, b_slope, stem_slope in segs:
-                for delta in deltas:
-                    stem0 = K + stem_slope * delta
-                    h_lo = -((stem0 - lo_pad) // q)
-                    if h_lo < 0:
-                        h_lo = 0
-                    h_cap = (hi_pad - stem0) // q + 1
-                    if h_cap > v_internal:
-                        h_cap = v_internal
-                    if h_cap > h_lo:
-                        ladders[(e1, e2, delta)] = Ladder(
-                            e1, e2, delta, a_slope * delta, b_slope * delta, stem0, h_lo, h_cap, [(h_lo, h_cap)]
-                        )
+        """Give every ladder its one starting interval [h_lo, h_cap)."""
+        q, v, lo_pad, hi_pad = self.ctx.q, self._v_internal, self.lo_pad, self.hi_pad
+        # h_lo = 0 iff stem0 >= lo_pad, and h_cap = v iff stem0 <= full_below.
+        # Stems fall as delta rises, so the deltas split in three runs: stem0
+        # above both bounds (h_lo = 0), between them, and below both (h_cap
+        # = v).  Between them h_lo = 0 and h_cap = v when full_below >=
+        # lo_pad, and neither is clamped otherwise.
+        full_below = hi_pad - (v - 1) * q
+        wide = full_below >= lo_pad
+        full = (0, v)
+        for seg in self._all_segments():
+            d, K, sl = seg.deltas, seg.K, seg.stem_slope
+            top = hi_pad - K + q  # unclamped h_cap = (top - sl*x) // q
+            bottom = lo_pad - K + q - 1  # unclamped h_lo = (bottom - sl*x) // q
+            mid = seg.by_stem(min(lo_pad, full_below + 1), max(full_below, lo_pad - 1))
+            m0 = min(mid.start, d.stop)
+            m1 = max(mid.stop, m0)
+            seg.alive = (
+                [[(0, (top - sl * x) // q)] for x in range(d.start, m0)]
+                + (
+                    [[full] for _ in range(m1 - m0)]
+                    if wide
+                    else [[((bottom - sl * x) // q, (top - sl * x) // q)] for x in range(m0, m1)]
+                )
+                + [[((bottom - sl * x) // q, v)] for x in range(m1, d.stop)]
+            )
 
-    # -- monomial lookups ------------------------------------------------
+    # -- lookups ----------------------------------------------------------
 
-    def ladder_of(self, m: Monomial):
+    @cached_property
+    def ladders(self) -> Mapping:
+        """Read-only {(e1, e2, delta): Ladder} view of the segments, in key
+        order, made on first use."""
+        views = {(seg.e1, seg.e2, d): Ladder(self, seg, d) for seg in self._all_segments() for d in seg.deltas}
+        return MappingProxyType(views)
+
+    def _segment_of(self, m: Monomial):
+        """(segment, delta) of the ladder through m, or None off the page."""
         if m.level != self.n or m.twist != self.ell:
             raise InputError("monomial belongs to a different page")
-        return self.ladders.get((m.lam, m.u_exp, m.t_exp - m.mu_exp))
+        delta = m.t_exp - m.mu_exp
+        for seg in self.segments.get((m.lam, m.u_exp), ()):
+            if delta in seg.deltas:
+                return seg, delta
+        return None
+
+    def _reach(self, stem_lo: int, stem_hi: int):
+        """(segment, deltas, their alive lists) per segment, in key order,
+        over the ladders whose bottom stem lies in [stem_lo, stem_hi]."""
+        for seg in self._all_segments():
+            deltas = seg.by_stem(stem_lo, stem_hi)
+            if deltas:
+                start = seg.deltas.start
+                yield seg, deltas, seg.alive[deltas.start - start : deltas.stop - start]
 
     # -- stages ----------------------------------------------------------
 
-    def stage_pairs(self, stage: str):
-        """(source key, coefficient, target key) for every ladder of the page
-        on which the stage map is nonzero, sources in key order.
+    def _stage_sources(self, stage: str):
+        """(coefficient, source segment, source deltas, target (e1, e2)) over
+        the progressions of ladders on which the stage map is nonzero.
 
         T_k acts on t^a mu^b (e1 = 0) when vp(delta + c) == k, with the
-        coefficient (delta + c)/p^k mod p: walk delta = -c (mod p^k) in steps
-        of p^k and skip the zero coefficients, i.e. delta = -c (mod p^(k+1)).
-        U acts on every e2 = 1 ladder with coefficient 1.  The target key
-        need not be a ladder of the page.
+        coefficient (delta + c)/p^k mod p; so coefficient r in 1..p-1 sits
+        on delta = r*p^k - c (mod p^(k+1)), walked in steps of p^(k+1).  U
+        acts on every e2 = 1 ladder with coefficient 1.  A source at delta
+        maps to the ladder at delta + P of the target (e1, e2), which need
+        not be on the page.
         """
-        par = self.schedule.get(stage)
-        if par is None:
-            raise InputError(f"stage {stage} not scheduled for n={self.n}")
-        k, _G, P = par
-        ladders = self.ladders
+        k = self.schedule[stage][0]
         if k is None:
             for e1 in (0, 1):
-                for deltas, *_slopes in self._ranges[(e1, 1)]:
-                    for delta in deltas:
-                        if (e1, 1, delta) in ladders:
-                            yield (e1, 1, delta), 1, (e1, 0, delta + P)
+                for seg in self.segments[(e1, 1)]:
+                    yield 1, seg, seg.deltas, (e1, 0)
             return
         p = self.ctx.p
-        c = self._twist_coeff
-        step = p**k
+        step = p ** (k + 1)
         for e2 in (0, 1):
-            for deltas, *_slopes in self._ranges[(0, e2)]:
-                for delta in range(deltas.start + (-c - deltas.start) % step, deltas.stop, step):
-                    coeff = (delta + c) // step % p
-                    if coeff and (0, e2, delta) in ladders:
-                        yield (0, e2, delta), coeff, (1, e2, delta + P)
+            for seg in self.segments[(0, e2)]:
+                d = seg.deltas
+                for r in range(1, p):
+                    first = d.start + (r * p**k - self._twist_coeff - d.start) % step
+                    yield r, seg, range(first, d.stop, step), (1, e2)
 
     def run_stage(self, stage: str):
         expected = self.stages[len(self.stages_done)] if len(self.stages_done) < len(self.stages) else None
         if stage != expected:
             raise StateError(f"stage {stage} out of order; expected {expected}")
         _k, G, P = self.schedule[stage]
-        ladders = self.ladders
         # The cuts are applied as they are found.  That equals cutting from
         # the state before the stage, because each ladder is in at most one
         # pair: T_k sources have e1 = 0 and targets e1 = 1, U sources have
         # e2 = 1 and targets e2 = 0, and delta -> delta + P is injective.
-        for src, _coeff, tgt in self.stage_pairs(stage):
-            lad = ladders[src]
-            A = lad.alive
-            if not A:
-                continue
-            tlad = ladders.get(tgt)
-            if tlad is None or not tlad.alive:
-                continue
-            B = tlad.alive
-            # t^a mu^b goes to t^(a+G+P) mu^(b+G): height h on lad lands at
-            # height h + s on tlad.
-            s = G + P + lad.base_a - tlad.base_a
-            if len(A) == 1 and len(B) == 1:
-                # One interval each, 95-98 % of the pairs cut on the
-                # benchmark workloads: dead = [lo, hi) is cut from both
-                # inline.  Through the interval helpers this case takes
-                # einf-grid from 1.41 to 1.91 s (medians of 10 runs on a
-                # 2-core x86-64 Xeon).
-                (alo, ahi), (blo, bhi) = A[0], B[0]
-                lo = alo if alo > blo - s else blo - s
-                hi = ahi if ahi < bhi - s else bhi - s
-                if lo < hi:
-                    if alo < lo:
-                        lad.alive = [(alo, lo), (hi, ahi)] if hi < ahi else [(alo, lo)]
-                    else:
-                        lad.alive = [(hi, ahi)] if hi < ahi else []
-                    lo += s
-                    hi += s
-                    if blo < lo:
-                        tlad.alive = [(blo, lo), (hi, bhi)] if hi < bhi else [(blo, lo)]
-                    else:
-                        tlad.alive = [(hi, bhi)] if hi < bhi else []
-                continue
-            dead = _interval_intersect(A, _interval_shift(B, -s))
-            if dead:
-                lad.alive = _interval_subtract(A, dead)
-                tlad.alive = _interval_subtract(B, _interval_shift(dead, s))
+        for _coeff, src, deltas, tkey in self._stage_sources(stage):
+            As, a0 = src.alive, src.deltas.start
+            for tgt in self.segments[tkey]:
+                t0 = tgt.deltas.start
+                run = _clip(deltas, t0 - P, tgt.deltas.stop - P)  # targets on tgt
+                if not run:
+                    continue
+                Bs = tgt.alive
+                off = a0 + P - t0  # target index of source index i
+                # t^a mu^b goes to t^(a+G+P) mu^(b+G): height h at delta
+                # lands at height h + s at delta + P, s = G + P + a_src - a_tgt
+                ds = src.a_slope - tgt.a_slope
+                s0 = G + P - tgt.a_slope * P + ds * a0
+                i0, i1, step = run.start - a0, run.stop - a0, run.step
+                for i, A, B in zip(range(i0, i1, step), As[i0:i1:step], Bs[i0 + off : i1 + off : step]):
+                    if not A or not B:
+                        continue
+                    s = s0 + ds * i
+                    if len(A) == 1 and len(B) == 1:
+                        # One interval each, 95-98 % of the pairs cut on the
+                        # benchmark workloads: dead = [lo, hi) is cut from
+                        # both inline.  Through the interval helpers this
+                        # case takes the einf-grid jobs from 0.30 to 0.47 s
+                        # (one process, best of 3, 2-core x86-64 Xeon).
+                        (alo, ahi), (blo, bhi) = A[0], B[0]
+                        dlo = alo if alo > blo - s else blo - s
+                        dhi = ahi if ahi < bhi - s else bhi - s
+                        if dlo < dhi:
+                            if alo < dlo:
+                                As[i] = [(alo, dlo), (dhi, ahi)] if dhi < ahi else [(alo, dlo)]
+                            else:
+                                As[i] = [(dhi, ahi)] if dhi < ahi else []
+                            dlo += s
+                            dhi += s
+                            if blo < dlo:
+                                Bs[i + off] = [(blo, dlo), (dhi, bhi)] if dhi < bhi else [(blo, dlo)]
+                            else:
+                                Bs[i + off] = [(dhi, bhi)] if dhi < bhi else []
+                        continue
+                    dead = _interval_intersect(A, _interval_shift(B, -s))
+                    if dead:
+                        As[i] = _interval_subtract(A, dead)
+                        Bs[i + off] = _interval_subtract(B, _interval_shift(dead, s))
         self.stages_done.append(stage)
 
 
@@ -349,12 +456,17 @@ class StageMap:
         self.page = page
         _k, G, P = page.schedule[stage]
         self._jump = (G + P, G)  # added to (t_exp, mu_exp)
-        self._images = {src: (coeff, tgt) for src, coeff, tgt in page.stage_pairs(stage)}
+        # source key -> (coefficient, target (e1, e2))
+        self._images = {
+            (seg.e1, seg.e2, delta): (coeff, tkey)
+            for coeff, seg, deltas, tkey in page._stage_sources(stage)
+            for delta in deltas
+        }
 
     def on_monomial(self, m: Monomial):
         """(coefficient, target monomial), or None when the map is zero.
 
-        The map is the page's stage_pairs entry for the monomial's ladder.  A
+        The map is read from SSPage._stage_sources, as the sweep reads it.  A
         monomial with p-valuation of (a - b + twist) strictly below the
         stage index was already consumed at an earlier stage; it can only be
         queried here through a class on which the induced differential
@@ -367,7 +479,7 @@ class StageMap:
         im = self._images.get(key)
         if im is None:
             return None
-        coeff, (lam, u_exp, _delta) = im
+        coeff, (lam, u_exp) = im
         dt, dmu = self._jump
         return (coeff, Monomial(m.level, m.twist, m.t_exp + dt, m.mu_exp + dmu, lam, u_exp))
 
@@ -390,51 +502,69 @@ class EInfResult:
 
     # aliveness / chain queries, used by the TR kernel oracle
 
+    def _interval(self, m: Monomial):
+        """(stem0, h, hi) for m at height h of its ladder, inside the alive
+        interval [lo, hi); None when m is dead or lies on no ladder."""
+        found = self.page._segment_of(m)
+        if found is None:
+            return None
+        seg, delta = found
+        h = m.t_exp - seg.a_slope * delta
+        for lo, hi in seg.alive[delta - seg.deltas.start]:
+            if lo <= h < hi:
+                return seg.K + seg.stem_slope * delta, h, hi
+        return None
+
     def alive(self, m: Monomial) -> bool:
-        lad = self.page.ladder_of(m)
-        if lad is None:
-            return False
-        h = m.t_exp - lad.base_a
-        if h < 0 or h != m.mu_exp - lad.base_b:
-            return False
-        return lad.interval_of(h) is not None
+        return self._interval(m) is not None
 
     def life(self, m: Monomial) -> int:
         """Remaining chain length above m: smallest r with v1^r * m dead."""
-        lad = self.page.ladder_of(m)
-        if lad is None:
+        found = self._interval(m)
+        if found is None:
             return 0
-        h = m.t_exp - lad.base_a
-        iv = lad.interval_of(h)
-        if iv is None:
-            return 0
-        if iv[1] >= lad.h_cap:
+        stem0, h, hi = found
+        if hi >= self.page._heights(stem0)[1]:
             raise InvariantError(f"life of {m} runs into the modeled boundary; enlarge the window")
-        return iv[1] - h
+        return hi - h
 
     def _survivors(self, window):
-        """(ladder, h) over the surviving heights below the v1 cutoff whose
-        stem lies in the window, ladders in key order, h ascending."""
+        """(segment, delta, stem0, heights) over the surviving heights below
+        the v1 cutoff whose stem lies in the window, one range of heights
+        per alive interval, ladders in key order, h ascending."""
         q = self.page.ctx.q
         cut = self.page.v1_cutoff
         lo, hi = window
-        for lad in self.page.ladders.values():
-            for ilo, ihi in lad.alive:
+        for seg, deltas, alives in self.page._reach(lo - (cut - 1) * q, hi):
+            K, sl = seg.K, seg.stem_slope
+            for delta, alive in zip(deltas, alives):
+                if not alive:
+                    continue
+                stem0 = K + sl * delta
                 # lo <= stem0 + h*q <= hi, solved for h
-                for h in range(max(ilo, -((lad.stem0 - lo) // q)), min(ihi, cut, (hi - lad.stem0) // q + 1)):
-                    yield lad, h
+                h_min = -((stem0 - lo) // q)
+                h_end = min(cut, (hi - stem0) // q + 1)
+                for ilo, ihi in alive:
+                    hs = range(ilo if ilo > h_min else h_min, ihi if ihi < h_end else h_end)
+                    if hs:
+                        yield seg, delta, stem0, hs
 
     def iter_alive(self, window):
         """(monomial, h) over survivors below the v1 cutoff in a stem window."""
-        for lad, h in self._survivors(window):
-            yield lad.monomial(self.page, h), h
+        n, ell = self.page.n, self.page.ell
+        for seg, delta, _stem0, hs in self._survivors(window):
+            a, b = seg.a_slope * delta, seg.b_slope * delta
+            for h in hs:
+                yield Monomial(n, ell, a + h, b + h, seg.e1, seg.e2), h
 
     def dim_table(self, window, params=None):
         counts: dict = {}
         q = self.page.ctx.q
-        for lad, h in self._survivors(window):
-            key = (lad.stem0 + h * q, lad.e1 - lad.e2)
-            counts[key] = counts.get(key, 0) + 1
+        for seg, _delta, stem0, hs in self._survivors(window):
+            line = seg.e1 - seg.e2
+            for h in hs:
+                key = (stem0 + h * q, line)
+                counts[key] = counts.get(key, 0) + 1
         return DimTable(params or {"p": self.page.ctx.p, "n": self.page.n, "k": None}, counts, window)
 
     def assert_pure_chains(self, stem_hi: int) -> None:
@@ -449,14 +579,20 @@ class EInfResult:
         """
         page = self.page
         q = page.ctx.q
-        for key, lad in page.ladders.items():
-            seen_first = False
-            for ilo, _ihi in lad.alive:
-                if ilo >= page.v1_cutoff or lad.stem0 + ilo * q > stem_hi:
-                    continue
-                if ilo != lad.h_lo or seen_first:
-                    raise InvariantError(f"page {page.variant} n={page.n}: broken chain on ladder {key}")
-                seen_first = True
+        cut = page.v1_cutoff
+        # an interval in the zone starts at a height in [h_lo, cut) with stem
+        # <= stem_hi, and h_lo >= 0 rises past cut once stem0 < lo_pad - (cut-1)*q
+        for seg, deltas, alives in page._reach(page.lo_pad - (cut - 1) * q, stem_hi):
+            for delta, alive in zip(deltas, alives):
+                stem0 = seg.K + seg.stem_slope * delta
+                seen_first = False
+                for ilo, _ihi in alive:
+                    if ilo >= cut or stem0 + ilo * q > stem_hi:
+                        continue
+                    if ilo != page._heights(stem0)[0] or seen_first:
+                        key = (seg.e1, seg.e2, delta)
+                        raise InvariantError(f"page {page.variant} n={page.n}: broken chain on ladder {key}")
+                    seen_first = True
 
     def classes(self, window) -> list:
         """E-infinity generators whose bidegree lies in the window.
@@ -466,26 +602,32 @@ class EInfResult:
         so far with certified=False, i.e. "torsion at least this".
         """
         out = []
-        q = self.page.ctx.q
-        cut = self.page.v1_cutoff
+        page = self.page
+        q = page.ctx.q
+        cut = page.v1_cutoff
         lo, hi = window
-        for lad in self.page.ladders.values():
-            line = lad.e1 - lad.e2
-            for ilo, ihi in lad.alive:
-                if ilo >= cut:
+        for seg, deltas, alives in page._reach(lo - (cut - 1) * q, hi):
+            for delta, alive in zip(deltas, alives):
+                if not alive:
                     continue
-                stem = lad.stem0 + ilo * q
-                if not (lo <= stem <= hi):
-                    continue
-                certified = ihi < lad.h_cap and ihi <= cut
-                out.append(
-                    EInfClass(
-                        representative=lad.monomial(self.page, ilo),
-                        bidegree=Bidegree(stem, line),
-                        v1_torsion=(ihi - ilo) if certified else (min(ihi, cut) - ilo),
-                        certified=certified,
+                stem0 = seg.K + seg.stem_slope * delta
+                for ilo, ihi in alive:
+                    if ilo >= cut:
+                        break
+                    stem = stem0 + ilo * q
+                    if not (lo <= stem <= hi):
+                        continue
+                    certified = ihi <= cut and ihi < page._heights(stem0)[1]
+                    out.append(
+                        EInfClass(
+                            representative=Monomial(
+                                page.n, page.ell, seg.a_slope * delta + ilo, seg.b_slope * delta + ilo, seg.e1, seg.e2
+                            ),
+                            bidegree=Bidegree(stem, seg.e1 - seg.e2),
+                            v1_torsion=(ihi - ilo) if certified else (min(ihi, cut) - ilo),
+                            certified=certified,
+                        )
                     )
-                )
         return out
 
 
@@ -512,18 +654,19 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
     """
     ctx = page.ctx
     q = ctx.q
+    size = 0  # sum of h_cap - h_lo, from the segments before any ladder view
+    for seg in page._all_segments():
+        for delta in seg.deltas:
+            h_lo, h_cap = page._heights(seg.K + seg.stem_slope * delta)
+            size += h_cap - h_lo
+            if size > DENSE_MAX_BASIS:
+                raise ResourceError("dense engine basis too large; use the ladder engine")
     basis: dict = {}  # (stem, line) -> list of monomials
     position: dict = {}  # monomial -> (bidegree, index)
-    total = 0
     for lad in page.ladders.values():
-        line = lad.e1 - lad.e2
+        stem0, line, monomial = lad.stem0, lad.e1 - lad.e2, lad.monomial
         for h in range(lad.h_lo, lad.h_cap):
-            stem = lad.stem0 + h * q
-            m = lad.monomial(page, h)
-            basis.setdefault((stem, line), []).append(m)
-            total += 1
-            if total > DENSE_MAX_BASIS:
-                raise ResourceError("dense engine basis too large; use the ladder engine")
+            basis.setdefault((stem0 + h * q, line), []).append(monomial(h))
     for bid, monos in basis.items():
         monos.sort(key=lambda m: (m.t_exp, m.mu_exp))
         for i, m in enumerate(monos):

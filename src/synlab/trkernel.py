@@ -71,18 +71,24 @@ class GrV1Class:
 
 
 class PageSet:
-    """Fixed-point and Tate E-infinity pages for levels 0..top."""
+    """Fixed-point and Tate E-infinity pages for levels 0..top.
+
+    Every page's size guard runs before the first page is built, so a
+    window too large for the top page fails before any work.
+    """
 
     def __init__(self, ctx: PrimeContext, ell: int, top: int, window, v1_cutoff: int):
         self.ctx = ctx
         self.ell = ell
         self.top = top
+        plan = [(i, v) for i in range(top + 1) for v in (Variant.HFP, Variant.TATE) if i >= 1 or v is Variant.HFP]
+        for i, variant in plan:
+            SSPage.check_size(ctx, i, ell, variant, window, v1_cutoff)
         self.hfp = {}
         self.tate = {}
-        for i in range(top + 1):
-            self.hfp[i] = run_to_einf(SSPage(ctx, i, ell, Variant.HFP, window, v1_cutoff))
-            if i >= 1:
-                self.tate[i] = run_to_einf(SSPage(ctx, i, ell, Variant.TATE, window, v1_cutoff))
+        for i, variant in plan:
+            pages = self.hfp if variant is Variant.HFP else self.tate
+            pages[i] = run_to_einf(SSPage(ctx, i, ell, variant, window, v1_cutoff))
 
 
 def gr_can(cls: GrV1Class, pages: PageSet) -> GrV1Class | None:

@@ -207,6 +207,8 @@ def test_size_guard_exits_two(capsys, monkeypatch):
     code, out, err = run(capsys, "einf", "--p", "3", "--n", "1", "--ell", "1", "--deg-max", "30", "--mode", "oracle")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    code, out, err = run(capsys, "tr", "--p", "2", "--ell", "1", "--deg-max", "40", "--mode", "oracle")
+    assert code == 2 and out == "" and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["syntomic", "tc", "ktheory"])

@@ -27,13 +27,13 @@ def test_ladder_view_of_basis_cutoff():
     # window stems 0..6 with cutoff 2: the delta=0 ladder holds exactly 1, t*mu
     page = SSPage(CTX3, 0, 0, Variant.HFP, (0, 6), v1_cutoff=2)
     lad = page.ladders[(0, 0, 0)]
-    monos = [lad.monomial(page, h) for h in range(page.v1_cutoff)]
+    monos = [lad.monomial(h) for h in range(page.v1_cutoff)]
     assert monos == [Monomial(), Monomial(t_exp=1, mu_exp=1)]
     # every ladder starts at a monomial of the variant not divisible by v1,
     # so height is v1-divisibility and the cutoff bounds what is reported
     for lad in page.ladders.values():
         for h in (lad.h_lo, lad.h_cap - 1):
-            m = lad.monomial(page, h)
+            m = lad.monomial(h)
             assert divisibility(page.variant, m.t_exp, m.mu_exp) == h
     # E-infinity reports only heights below the cutoff
     res = run_to_einf(page)
@@ -49,7 +49,7 @@ def test_page_bottom_class_stem():
 
 def test_tate_basis_when_cutoff_one():
     page = SSPage(CTX3, 1, 0, Variant.TATE, (0, 0), v1_cutoff=1)
-    assert page.ladders[(0, 0, 0)].monomial(page, 0) == Monomial(level=1)
+    assert page.ladders[(0, 0, 0)].monomial(0) == Monomial(level=1)
     res = run_to_einf(page)
     reported = [m for m, _h in res.iter_alive((page.lo_pad, page.hi_pad))]
     assert reported and all(divisibility(Variant.TATE, m.t_exp, m.mu_exp) < 1 for m in reported)
@@ -120,7 +120,7 @@ def test_differential_bidegree_shift_and_dd_zero():
             hits = 0
             for lad in page.ladders.values():
                 for h in (lad.h_lo, lad.h_cap - 1):
-                    mono = lad.monomial(page, h)
+                    mono = lad.monomial(h)
                     img = d.on_monomial(mono)
                     if img is None:
                         continue
@@ -129,7 +129,7 @@ def test_differential_bidegree_shift_and_dd_zero():
                     assert coeff % p
                     src_bid, tgt_bid = mono.bidegree(ctx), tgt.bidegree(ctx)
                     assert tgt_bid.d == src_bid.d - 1 and tgt_bid.s == src_bid.s + 1
-                    if page.ladder_of(tgt) is not None:
+                    if (tgt.lam, tgt.u_exp, tgt.t_exp - tgt.mu_exp) in page.ladders:
                         assert d.on_monomial(tgt) is None  # d o d = 0
             assert hits, (p, n, ell, stage)
 
@@ -138,7 +138,7 @@ def test_t_stage_images_are_lambda_multiples_and_vanish_on_them():
     page = SSPage(CTX3, 2, 1, Variant.HFP, (0, 30), v1_cutoff=3)
     d = StageMap(page, "T0")
     for key, lad in page.ladders.items():
-        mono = lad.monomial(page, lad.h_lo)
+        mono = lad.monomial(lad.h_lo)
         img = d.on_monomial(mono)
         if mono.lam == 1:
             assert img is None
@@ -223,10 +223,19 @@ def test_ladder_engine_matches_dense_engine():
         assert a == b, (p, n, ell, variant)
 
 
-def test_resource_guard_dense():
+def test_resource_guard_dense(monkeypatch):
+    made = []
+
+    class CountingMonomial(Monomial):
+        def __post_init__(self):
+            made.append(self)
+            super().__post_init__()
+
     page = SSPage(CTX3, 2, 1, Variant.HFP, (-500, 500), v1_cutoff=40)
+    monkeypatch.setattr(nygaard, "Monomial", CountingMonomial)
     with pytest.raises(ResourceError):
         run_to_einf_dense(page, (-500, 500))
+    assert made == [] and "ladders" not in vars(page)  # refused before any view or monomial
 
 
 def test_dense_engine_refusal_names_the_bidegree(monkeypatch):
@@ -250,17 +259,25 @@ def test_bad_inputs():
 
 
 def test_ladder_guard_fires_before_any_ladder(monkeypatch):
+    # SSPage._build allocates the alive lists, the only per-ladder state
     built = []
+    build = SSPage._build
 
-    class CountingLadder(nygaard.Ladder):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
+    def counting_build(page):
+        built.append(page)
+        build(page)
 
+    monkeypatch.setattr(SSPage, "_build", counting_build)
+    args = (CTX3, 1, 1, Variant.HFP, (0, 30))
+    page = SSPage(*args)
+    assert built == [page] and all(seg.alive is not None for seg in page._all_segments())
+    assert SSPage.check_size(*args) == page.ladder_count == len(page.ladders) > 10
+    built.clear()
     monkeypatch.setattr(nygaard, "MAX_LADDERS", 10)
-    monkeypatch.setattr(nygaard, "Ladder", CountingLadder)
     with pytest.raises(ResourceError):
-        SSPage(CTX3, 1, 1, Variant.HFP, (0, 30))
+        SSPage(*args)
+    with pytest.raises(ResourceError):
+        SSPage.check_size(*args)
     assert built == []
 
 
@@ -309,12 +326,15 @@ def test_dim_table_counts_iter_alive(variant):
 
 def _reference_sweep(page):
     """Every ladder at every stage, with the valuation test read off the
-    stage formulas; cuts come from the pre-stage state."""
+    stage formulas and the shift off _base_of; cuts come from the
+    pre-stage state.  Runs on a {key: alive} dict read from the fresh page
+    and returns it."""
     p, c = page.ctx.p, page._twist_coeff
+    alive = {key: list(lad.alive) for key, lad in page.ladders.items()}
     for stage in page.stages:
         k, G, P = page.schedule[stage]
         cuts = []
-        for (e1, e2, delta), lad in page.ladders.items():
+        for (e1, e2, delta), A in alive.items():
             if k is None:
                 if e2 != 1:
                     continue
@@ -323,16 +343,15 @@ def _reference_sweep(page):
                 if e1 == 1 or vp(p, delta + c) != k:
                     continue
                 tkey = (1, e2, delta + P)
-            tlad = page.ladders.get(tkey)
-            if tlad is None:
+            if tkey not in alive:
                 continue
-            s = G + P + lad.base_a - tlad.base_a
-            dead = _interval_intersect(lad.alive, [(lo - s, hi - s) for lo, hi in tlad.alive])
-            cuts.append((lad, tlad, dead, [(lo + s, hi + s) for lo, hi in dead]))
-        for lad, tlad, dead, tdead in cuts:
-            lad.alive = _interval_subtract(lad.alive, dead)
-            tlad.alive = _interval_subtract(tlad.alive, tdead)
-        page.stages_done.append(stage)
+            s = G + P + _base_of(page.variant, delta)[0] - _base_of(page.variant, delta + P)[0]
+            dead = _interval_intersect(A, [(lo - s, hi - s) for lo, hi in alive[tkey]])
+            cuts.append(((e1, e2, delta), tkey, dead, [(lo + s, hi + s) for lo, hi in dead]))
+        for key, tkey, dead, tdead in cuts:
+            alive[key] = _interval_subtract(alive[key], dead)
+            alive[tkey] = _interval_subtract(alive[tkey], tdead)
+    return alive
 
 
 def _base_of(variant, delta):
@@ -362,11 +381,11 @@ def test_residue_class_sweep_matches_every_ladder_sweep(draw):
     assert list(page.ladders) == sorted(page.ladders)
     for (_e1, _e2, delta), lad in page.ladders.items():
         assert (lad.base_a, lad.base_b) == _base_of(page.variant, delta)
-        assert lad.monomial(page, 0).stem(ctx) == lad.stem0
-    reference = SSPage(ctx, n, ell, variant, window, cutoff)
-    _reference_sweep(reference)
+        assert lad.monomial(0).stem(ctx) == lad.stem0
+        assert lad.alive == [(lad.h_lo, lad.h_cap)] and lad.h_lo < lad.h_cap
+    reference = _reference_sweep(SSPage(ctx, n, ell, variant, window, cutoff))
     res = run_to_einf(page)
-    assert {k: lad.alive for k, lad in page.ladders.items()} == {k: lad.alive for k, lad in reference.ladders.items()}
+    assert {k: lad.alive for k, lad in page.ladders.items()} == reference
     # the closed forms, at a cutoff that certifies every torsion (AC1)
     detail, _signature = verify._compare_page(ctx, n, ell, variant, window, max(cutoff, geo(p, 0, n) + 1))
     assert detail == ""
@@ -386,3 +405,35 @@ def test_residue_class_sweep_matches_every_ladder_sweep(draw):
                 assert cl.v1_torsion <= g.torsion
             elif cl.certified:
                 assert g.torsion <= cl.v1_torsion
+
+
+TRANSLATION_DRAWS = st.tuples(
+    st.sampled_from((2, 3, 5, 7)),
+    st.integers(1, 3),
+    st.integers(0, 4),
+    st.integers(1, 3),
+    st.sampled_from(list(Variant)),
+    st.integers(-40, 40),
+    st.integers(0, 40),
+    st.integers(1, 6),
+)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(TRANSLATION_DRAWS)
+def test_congruent_twists_give_translated_pages(draw):
+    # A page depends on the twist l only through the stem offset 2*l*p^n and
+    # through c = -l*n*(p-1)*p^(n-1) mod p^n, which n*l mod p fixes.
+    p, n, ell, j, variant, lo, width, cutoff = draw
+    ell2 = ell + j if n % p == 0 else ell + j * p
+    assert (n * ell - n * ell2) % p == 0
+    ctx = PrimeContext(p)
+    shift = 2 * (ell2 - ell) * p**n
+    res = run_to_einf(SSPage(ctx, n, ell, variant, (lo, lo + width), cutoff))
+    res2 = run_to_einf(SSPage(ctx, n, ell2, variant, (lo + shift, lo + width + shift), cutoff))
+    alive = {key: lad.alive for key, lad in res.page.ladders.items()}
+    assert {key: lad.alive for key, lad in res2.page.ladders.items()} == alive
+    assert any(alive.values())
+    window2 = (lo - 10 + shift, lo + width + shift)
+    moved = {(d - shift, s): k for (d, s), k in res2.dim_table(window2).entries.items()}
+    assert moved == res.dim_table((lo - 10, lo + width)).entries

@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from synlab import nygaard
 from synlab.closedforms import TRUNC_INF, FamilyTag, enumerate_families
-from synlab.errors import InputError, InvariantError
+from synlab.errors import InputError, InvariantError, ResourceError
 from synlab.graded import Monomial, PrimeContext
+from synlab.nygaard import SSPage
 from synlab.trkernel import (
     GrV1Class,
     PageSet,
@@ -125,6 +129,48 @@ def test_surjectivity_report():
     assert rep2.all_surjective
     vac = TrOracle(CTX3, 1, 1, (10, 0)).surjectivity_report()
     assert vac.all_surjective and vac.pieces_checked == 0
+
+
+TR_DRAWS = st.tuples(
+    st.sampled_from((2, 3, 5)),
+    st.integers(0, 5),
+    st.sampled_from((0, 1, 2, 3, TRUNC_INF)),
+    st.integers(0, 150),
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(TR_DRAWS)
+def test_tr_oracle_equals_closed_families_with_both_surjectivity_checks(draw):
+    p, i, m, hi = draw
+    ell = i + 1 + i // (p - 1)  # the i-th positive integer prime to p
+    res = tr_gr_module(PrimeContext(p), ell, m, (0, hi), mode="both", with_surjectivity=True)
+    # tr_gr_module raises unless v1 is onto on the kernel; gr(phi - can)
+    # must be onto every Tate piece
+    assert res.comparison.ok, (res.comparison.dim_mismatches[:3], res.comparison.torsion_mismatches[:3])
+    assert res.surjectivity.all_surjective, res.surjectivity.failures[:3]
+
+
+def test_page_guards_all_fire_before_the_first_page(monkeypatch):
+    built = []
+    build = SSPage._build
+
+    def counting_build(page):
+        built.append((page.n, page.variant, page.ladder_count))
+        build(page)
+
+    monkeypatch.setattr(SSPage, "_build", counting_build)
+    args = (PrimeContext(2), 1, TRUNC_INF, (0, 60))
+    TrOracle(*args)
+    counts = sorted(count for _n, _v, count in built)
+    top = max(n for n, _v, _c in built)
+    assert (top, nygaard.Variant.TATE, counts[-1]) in built and counts[-2] < counts[-1]
+    # only the top page is too large, and it is built last
+    monkeypatch.setattr(nygaard, "MAX_LADDERS", counts[-1] - 1)
+    built.clear()
+    with pytest.raises(ResourceError):
+        TrOracle(*args)
+    assert built == []
 
 
 def test_twist_validation():
