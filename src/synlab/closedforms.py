@@ -43,7 +43,7 @@ from enum import Enum
 from itertools import count, repeat
 from typing import NamedTuple
 
-from .errors import InputError
+from .errors import InputError, ResourceError
 from .graded import (
     Bidegree,
     CyclicDecomposition,
@@ -56,6 +56,13 @@ from .nygaard import Variant
 
 #: Truncation sentinel: the untruncated (inverse limit) module.
 TRUNC_INF = math.inf
+
+# A closed TR decomposition costs 15-24 us and about 1 KB per family
+# element, and the table printed from it grows with the window: tr --p 3
+# --ell 1 --mode closed --deg-max 60000 (20,034 elements) takes 1.4 s and
+# 107 MB in all, and --deg-max 300000 (100,006, just past this cap) 7.7 s
+# and 445 MB.
+MAX_FAMILY_ELEMENTS = 100_000
 
 
 class FamilyTag(str, Enum):
@@ -371,11 +378,11 @@ def enumerate_families(ctx: PrimeContext, ell: int, trunc=TRUNC_INF, window=(0, 
     return out
 
 
-def family_count(ctx: PrimeContext, ell: int, hi: int) -> int:
-    """len(enumerate_families(ctx, ell, TRUNC_INF, (0, hi))), the summed
+def family_count(ctx: PrimeContext, ell: int, hi: int, trunc=TRUNC_INF) -> int:
+    """len(enumerate_families(ctx, ell, trunc, (0, hi))), the summed
     lengths of the progressions.  Every family stem is at least 2l, so any
     window starting at or below 0 gives the same count."""
-    return sum(len(prog.js) for prog in family_progressions(ctx, ell, TRUNC_INF, hi))
+    return sum(len(prog.js) for prog in family_progressions(ctx, ell, trunc, hi))
 
 
 def family_multiset(ctx: PrimeContext, ell: int, hi: int) -> Counter:
@@ -390,6 +397,11 @@ def family_multiset(ctx: PrimeContext, ell: int, hi: int) -> Counter:
 
 
 def tr_closed_decomposition(ctx: PrimeContext, ell: int, trunc=TRUNC_INF, window=(0, 200)) -> CyclicDecomposition:
+    """The family elements in the window as generators.  Refuses with
+    ResourceError past MAX_FAMILY_ELEMENTS elements with stems up to the
+    window top, counted from the progressions before any is built."""
+    if family_count(ctx, ell, window[1], trunc) > MAX_FAMILY_ELEMENTS:
+        raise ResourceError(f"stems up to {window[1]} need more than {MAX_FAMILY_ELEMENTS} family elements; lower the window top")
     elems = enumerate_families(ctx, ell, trunc, window)
     gens = [Generator(el.label(), el.bid, el.torsion) for el in elems]
     return CyclicDecomposition(gens)

@@ -242,49 +242,3 @@ class DimTable:
                 w.writerow([d, s, (d + s) // 2, n])
         return buf.getvalue()
 
-
-def localization_rank(ctx: PrimeContext, dec: CyclicDecomposition, torsion_bound: int) -> dict:
-    """Rank of the v1-localization, read off the v1^(n+1)-cofiber.
-
-    Returns {(line, stem mod q): rank}, where rank is the total dimension of
-    the image of v1^n on H of the cofiber of v1^(n+1), accumulated over the
-    stems in that residue class.  This equals the number of free generators
-    in the class, but it is computed the indirect way, by building the
-    cofiber's graded pieces explicitly and taking matrix ranks.  Finite
-    torsion above the stated bound is an invariant violation (v1^n would
-    fail to kill the torsion part).
-    """
-    n = torsion_bound
-    if n < 0:
-        raise InputError("torsion bound must be >= 0")
-    q = ctx.q
-    for g in dec:
-        if g.torsion != TORSION_FREE and g.torsion > n:
-            raise InvariantError(
-                f"generator {g.label} has torsion {g.torsion} > bound {n}; v1^{n} does not kill torsion"
-            )
-    if not dec.entries:
-        return {}
-    # Quotient part of H(cofiber): v1^j g for j < min(torsion, n+1).  The
-    # suspended kernel part is v1^n-torsion by hypothesis and contributes
-    # nothing to the image, so it never enters the matrices.
-    piece: dict = {}  # (line, stem) -> list of (gen index, j)
-    for gi, g in enumerate(dec):
-        top = n + 1 if g.torsion == TORSION_FREE else min(int(g.torsion), n + 1)
-        for j in range(top):
-            piece.setdefault((g.bidegree.s, g.bidegree.d + j * q), []).append((gi, j))
-    out: dict = {}
-    for (s, stem), src_basis in sorted(piece.items()):
-        dst_basis = piece.get((s, stem + n * q), [])
-        entries = {}
-        for col, (gi, j) in enumerate(src_basis):
-            g = dec.entries[gi]
-            top = n + 1 if g.torsion == TORSION_FREE else min(int(g.torsion), n + 1)
-            if j + n < top:
-                entries[(dst_basis.index((gi, j + n)), col)] = 1
-        mat = fplinalg.FpMatrix(ctx.p, len(dst_basis), len(src_basis), entries)
-        r = fplinalg.rank(mat)
-        if r:
-            key = (s, stem % q)
-            out[key] = out.get(key, 0) + r
-    return out

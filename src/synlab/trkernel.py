@@ -10,10 +10,13 @@ on the v1-adic associated graded by their name-level formulas
          v1^s se mu^j ... ->  v1^s se' t^(p^n l (p-1) - p j) ...  (level + 1)
 
 and take kernels of phi - can piece by piece with exact linear algebra.
-Both maps act on monomial names, so no degree-based name resolution is
-needed; the one degree where two classes share a stem (p | n) stays
-unambiguous.  Units are pinned to +1, which changes no dimension or
-torsion order (the map's bipartite graph is a disjoint union of paths).
+A class is (level, Monomial) on the fixed-point or Tate page of that level;
+in the piece at (stem, line, s) it is v1^s times a pure monomial, so it is
+t-type when mu_exp == s and mu-type when t_exp == s.  Both maps act on
+monomial names, so no degree-based name resolution is needed; the one
+degree where two classes share a stem (p | n) stays unambiguous.  Units
+are pinned to +1, which changes no dimension or torsion order (the map's
+bipartite graph is a disjoint union of paths).
 
 The kernel's own v1-structure is re-derived, not assumed: the module
 checks that gr(phi - can) is surjective onto every Tate piece and that v1
@@ -40,36 +43,6 @@ from .graded import (
 from .nygaard import SSPage, Variant, run_to_einf
 
 
-@dataclass(frozen=True)
-class GrV1Class:
-    """v1^s times a pure monomial at one level."""
-
-    level: int
-    s: int
-    base: Monomial  # min(t_exp, mu_exp) == 0
-
-    def __post_init__(self):
-        if self.base.t_exp > 0 and self.base.mu_exp > 0:
-            raise InputError(f"base {self.base} is not pure (divisible by v1)")
-        if self.base.level != self.level:
-            raise InputError("base monomial level disagrees")
-        if self.s < 0:
-            raise InputError("negative v1 filtration")
-
-    @property
-    def monomial(self) -> Monomial:
-        return self.base.v1_times(self.s)
-
-    @property
-    def is_t_type(self) -> bool:
-        # t^0 mu^0 counts as both; can and phi each handle it.
-        return self.base.mu_exp == 0
-
-    @property
-    def is_mu_type(self) -> bool:
-        return self.base.t_exp == 0
-
-
 class PageSet:
     """Fixed-point and Tate E-infinity pages for levels 0..top.
 
@@ -91,66 +64,73 @@ class PageSet:
             pages[i] = run_to_einf(SSPage(ctx, i, ell, variant, window, v1_cutoff))
 
 
-def gr_can(cls: GrV1Class, pages: PageSet) -> GrV1Class | None:
-    """Associated-graded canonical map; None when it vanishes."""
-    if cls.level < 1:
+def gr_can(level: int, mono: Monomial, s: int, pages: PageSet) -> tuple | None:
+    """Associated-graded canonical map on the class (level, mono) at v1-height
+    s; its image (level, mono), or None when it vanishes."""
+    if level < 1:
         return None  # level 0 has no Tate target in the limit diagram
-    if not cls.is_t_type:
-        return None  # mu^j with j > 0 dies
-    tate = pages.tate[cls.level]
-    if not tate.alive(cls.monomial):
+    if mono.mu_exp != s:
+        return None  # v1^s mu^j with j > 0 dies; t^0 mu^0 is t-type too
+    if not pages.tate[level].alive(mono):
         return None
-    return cls
+    return level, mono
 
 
-def gr_phi(cls: GrV1Class, pages: PageSet) -> GrV1Class | None:
-    """Associated-graded Frobenius into the next level's Tate page."""
-    if not cls.is_mu_type:
-        return None  # t^i with i > 0 dies
+def gr_phi(level: int, mono: Monomial, s: int, pages: PageSet) -> tuple | None:
+    """Associated-graded Frobenius on the class (level, mono) at v1-height s,
+    into the next level's Tate page; its image, or None when it vanishes."""
+    if mono.t_exp != s:
+        return None  # v1^s t^i with i > 0 dies
     p = pages.ctx.p
-    n = cls.level
-    if n + 1 > pages.top:
-        raise InputError(f"phi target level {n + 1} not modeled")
-    i_t = p**n * pages.ell * (p - 1) - p * cls.base.mu_exp
-    target_base = Monomial(n + 1, pages.ell, i_t, 0, cls.base.lam, cls.base.u_exp)
-    tate = pages.tate[n + 1]
-    if not tate.alive(target_base.v1_times(cls.s)):
+    if level + 1 > pages.top:
+        raise InputError(f"phi target level {level + 1} not modeled")
+    i_t = p**level * pages.ell * (p - 1) - p * (mono.mu_exp - s)
+    target = Monomial(level + 1, pages.ell, i_t + s, s, mono.lam, mono.u_exp)
+    if not pages.tate[level + 1].alive(target):
         return None
-    return GrV1Class(n + 1, cls.s, target_base)
+    return level + 1, target
 
 
-def complete_to_kernel(leading: GrV1Class, pages: PageSet, trunc=TRUNC_INF) -> list:
-    """Extend a leading term to a full kernel chain.
+def complete_to_kernel(leading: tuple, pages: PageSet) -> list:
+    """Extend a leading term (level, mono), a pure monomial, to a full kernel
+    chain of (level, Monomial) components.
 
     Walks phi(component_i) = can(component_{i+1}) upward through the
     levels; fails loudly when the forced next component is not alive on its
     fixed-point page.  The chain ends where the Frobenius image vanishes or
-    falls off the truncation.  Both maps have unit coefficient 1, so the
+    at the top modeled level.  Both maps have unit coefficient 1, so the
     components need no coefficients.
     """
-    top = pages.top if trunc == TRUNC_INF else min(pages.top, trunc)
-    if leading.level > top:
-        raise InputError("leading term above the truncation level")
-    if leading.level >= 1:
-        lead_can = gr_can(leading, pages)
-        if lead_can is not None:
-            raise InvariantError(f"leading term {leading} is not in ker(can)")
+    level, mono = leading
+    if mono.level != level:
+        raise InputError("leading monomial level disagrees")
+    if mono.t_exp > 0 and mono.mu_exp > 0:
+        raise InputError(f"leading term {mono} is not pure (divisible by v1)")
+    if level > pages.top:
+        raise InputError("leading term above the top modeled level")
+    if gr_can(level, mono, 0, pages) is not None:
+        raise InvariantError(f"leading term {mono} at level {level} is not in ker(can)")
     comps = [leading]
-    cur = leading
-    while True:
-        if cur.level == top:
-            break  # phi falls off the truncated diagram
-        img = gr_phi(cur, pages)
+    while level < pages.top:
+        img = gr_phi(level, mono, 0, pages)
         if img is None:
             break
+        level, mono = img
         # can is the identity on img, a live t-type Tate class
-        if not pages.hfp[img.level].alive(img.monomial):
-            raise InvariantError(
-                f"chain from {leading} needs dead class {img.monomial} at level {img.level}"
-            )
+        if not pages.hfp[level].alive(mono):
+            raise InvariantError(f"chain from {leading[1]} needs dead class {mono} at level {level}")
         comps.append(img)
-        cur = img
     return comps
+
+
+def probe_element_torsion(pages: PageSet, comps) -> int:
+    """Torsion of a kernel chain of (level, Monomial) components.
+
+    v1^r of the chain is zero exactly when every component has died on its
+    own page (components are distinct basis elements, so nothing can
+    cancel), so the torsion is the largest component life.
+    """
+    return max((pages.hfp[level].life(mono) for level, mono in comps), default=0)
 
 
 @dataclass
@@ -259,10 +239,6 @@ class TrOracle:
             for piece in pieces.values():
                 piece.sort(key=lambda lm: (lm[0], lm[1].t_exp, lm[1].mu_exp))
 
-    def _gr_class(self, level: int, mono: Monomial, s: int) -> GrV1Class:
-        base = Monomial(level, self.ell, mono.t_exp - s, mono.mu_exp - s, mono.lam, mono.u_exp)
-        return GrV1Class(level, s, base)
-
     def matrix(self, key) -> fplinalg.FpMatrix:
         """phi - can from the source piece at key to the Tate piece at key."""
         p = self.ctx.p
@@ -270,23 +246,18 @@ class TrOracle:
         tgt = self._tgt_pieces.get(key, [])
         index = {lm: i for i, lm in enumerate(tgt)}
         entries = {}
-        stem, line, s = key
+        s = key[2]
         for j, (level, mono) in enumerate(src):
-            cls = self._gr_class(level, mono, s)
-            if level >= 1:
-                img = gr_can(cls, self.pages)
-                if img is not None:
-                    row = index.get((level, img.monomial))
-                    if row is None:
-                        raise InvariantError(f"can image {img.monomial} missing from Tate basis")
-                    entries[(row, j)] = (entries.get((row, j), 0) - 1) % p
-            if level < self.top:
-                img = gr_phi(cls, self.pages)
-                if img is not None:
-                    row = index.get((level + 1, img.monomial))
-                    if row is None:
-                        raise InvariantError(f"phi image {img.monomial} missing from Tate basis")
-                    entries[(row, j)] = (entries.get((row, j), 0) + 1) % p
+            for img, sign, what in (
+                (gr_can(level, mono, s, self.pages), -1, "can"),
+                (gr_phi(level, mono, s, self.pages) if level < self.top else None, 1, "phi"),
+            ):
+                if img is None:
+                    continue
+                row = index.get(img)
+                if row is None:
+                    raise InvariantError(f"{what} image {img[1]} missing from Tate basis")
+                entries[(row, j)] = (entries.get((row, j), 0) + sign) % p
         entries = {k: v for k, v in entries.items() if v}
         return fplinalg.FpMatrix(p, len(tgt), len(src), entries)
 
@@ -320,23 +291,15 @@ class TrOracle:
         return nkey, out
 
     def generators(self) -> list:
-        """Kernel generators: filtration-0 kernel basis with exact torsion.
-
-        v1^r of a kernel vector is zero exactly when every monomial
-        component has died on its own page (components are distinct basis
-        elements, so nothing can cancel), so the torsion is the largest
-        component lifetime.
-        """
+        """Kernel generators: filtration-0 kernel basis, each with the
+        torsion of its chain (probe_element_torsion)."""
         out = []
         lo, hi = self.window
         for key in sorted(k for k in self._src_pieces if k[2] == 0 and lo <= k[0] <= hi):
             vecs = self.kernel(key)
             src = self._src_pieces[key]
             for vec in vecs:
-                r = 0
-                for j in vec:
-                    level, mono = src[j]
-                    r = max(r, self.pages.hfp[level].life(mono))
+                r = probe_element_torsion(self.pages, [src[j] for j in vec])
                 level, mono = src[min(vec)]
                 label = f"ker:L{level}:{mono}@{key[0]},{key[1]}"
                 out.append(
@@ -406,6 +369,9 @@ def tr_gr_module(
 
     mode "oracle": brute-force kernel; "closed": family enumeration;
     "both": run the two independently and attach an entrywise comparison.
+    Every oracle run raises InvariantError unless gr(phi - can) is onto
+    every Tate piece of the window and v1 is onto the kernel;
+    with_surjectivity attaches the first check's report to the result.
     """
     if mode not in ("oracle", "closed", "both"):
         raise InputError(f"unknown mode {mode}")
@@ -416,9 +382,10 @@ def tr_gr_module(
         return TrResult(closed)
     oracle = TrOracle(ctx, ell, trunc, window)
     dec = oracle.decomposition()
-    result = TrResult(dec)
-    if with_surjectivity:
-        result.surjectivity = oracle.surjectivity_report()
+    surj = oracle.surjectivity_report()
+    if surj.failures:
+        raise InvariantError(f"gr(phi - can) not onto the Tate piece at {surj.failures[0]}")
+    result = TrResult(dec, surjectivity=surj if with_surjectivity else None)
     vfail = oracle.check_v1_surjectivity()
     if vfail:
         raise InvariantError(f"v1 not surjective on the kernel at {vfail[:3]}")
@@ -441,12 +408,3 @@ def tr_gr_module(
         result.comparison = TrComparison(dim_mismatches, torsion_mismatches)
     return result
 
-
-def probe_element_torsion(pages: PageSet, comps) -> int:
-    """Torsion of a kernel chain: all components must die simultaneously."""
-    best = 0
-    for cls in comps:
-        res = pages.hfp[cls.level]
-        life = res.life(cls.monomial)
-        best = max(best, life)
-    return best

@@ -45,11 +45,9 @@ def test_ac3_ac4_ac9_main_theorem_surjectivity_stability():
     _report(checks, "AC3/AC4/AC9")
 
 
-def test_ac5_to_ac8_and_ac10_assembly():
+def test_ac5_to_ac8_assembly():
     # AC6: the 2-line of TC(Z_p<eps>)/p carries only del*l1 powers,
     #      p in {2,3,5}, stems <= 300, TR summands by brute force.
-    # AC10: localization rank vs direct count on 20 randomized
-    #       bounded-torsion modules.
     # The other criteria are regression pins, not two-route agreements, so
     # they are unit tests: AC5 (TC(Z_p)/p free on p+3 stated generators) is
     # test_tc_zp_generator_count_and_degrees, AC7 (n-independence; the table
@@ -58,4 +56,4 @@ def test_ac5_to_ac8_and_ac10_assembly():
     # on stems {-1, (2p-2)k - 1}) is test_k_tc_delta, and the Betti bound
     # values of AC10 are test_betti_bound_values.
     checks = suite_assembly(ps=(2, 3, 5), two_line_max=300)
-    _report(checks, "AC6/AC10")
+    _report(checks, "AC6")

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from synlab import assembly, cache, nygaard, trkernel
+from synlab import assembly, cache, closedforms, nygaard, trkernel
 from synlab.cli import main
 from synlab.graded import CyclicDecomposition, DimTable
 
@@ -190,8 +190,8 @@ def test_verify_flags_map_the_same_under_all(capsys, monkeypatch):
     assert code == 0
     assert calls == single == [
         ("einf", {"ps": (3, 5), "n_max": 1, "deg_max": 40, "ell_max": 2, "double_cutoff": True}),
-        ("families", {"ps": (3,), "ell_max": 2, "stem_max": 40}),
-        ("tr", {"ps": (3,), "ell_max": 2, "m_max": 1, "stem_max": 40}),
+        ("families", {"ps": (3, 5), "ell_max": 2, "stem_max": 40}),
+        ("tr", {"ps": (3, 5), "ell_max": 2, "m_max": 1, "stem_max": 40}),
         ("assembly", {"ps": (3, 5), "two_line_max": 40}),
     ]
     calls.clear()
@@ -199,7 +199,7 @@ def test_verify_flags_map_the_same_under_all(capsys, monkeypatch):
     assert calls[-1] == ("assembly", {"two_line_max": 50})
     calls.clear()
     run(capsys, "verify", "--suite", "tr", "--p", "5")
-    assert calls == [("tr", {"ps": (2, 3)})]
+    assert calls == [("tr", {"ps": (5,)})]
 
 
 def test_size_guard_exits_two(capsys, monkeypatch):
@@ -220,6 +220,21 @@ def test_closed_size_guard_exits_two(capsys, monkeypatch, command):
     code, out, err = run(capsys, command, "--p", "3", "--n", "4", "--k", "1", "--deg-max", "10000000")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--deg-max", "10000000"],
+    ["--m", "2", "--mode", "closed", "--deg-max", "100000000"],
+])
+def test_closed_tr_size_guard_exits_two_before_any_element(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the size guard")
+
+    monkeypatch.setattr(closedforms, "enumerate_families", refuse)
+    monkeypatch.setattr(trkernel, "TrOracle", refuse)
+    code, out, err = run(capsys, "tr", "--p", "3", "--ell", "1", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "family elements" in err
 
 
 @pytest.mark.parametrize("command", ["syntomic", "tc", "ktheory"])

@@ -13,7 +13,6 @@ from synlab.graded import (
     Monomial,
     PrimeContext,
     geo,
-    localization_rank,
     vp,
 )
 
@@ -132,26 +131,3 @@ def test_dimtable_csv_header():
     assert lines[0] == "stem,line,weight,dim"
     assert lines[1] == "5,1,3,1"
 
-
-def test_localization_rank_free():
-    dec = CyclicDecomposition([Generator("g", Bidegree(0, 0), TORSION_FREE)])
-    assert localization_rank(CTX3, dec, 0) == {(0, 0): 1}
-
-
-def test_localization_rank_pure_torsion():
-    dec = CyclicDecomposition([Generator("g", Bidegree(0, 0), 1)])
-    assert localization_rank(CTX3, dec, 1) == {}
-
-
-def test_localization_rank_mixed():
-    dec = CyclicDecomposition([
-        Generator("free", Bidegree(0, 0), TORSION_FREE),
-        Generator("tors", Bidegree(0, 0), 1),
-    ])
-    assert localization_rank(CTX3, dec, 1) == {(0, 0): 1}
-
-
-def test_localization_rank_bound_violation():
-    dec = CyclicDecomposition([Generator("g", Bidegree(0, 0), 3)])
-    with pytest.raises(InvariantError):
-        localization_rank(CTX3, dec, 1)

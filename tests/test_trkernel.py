@@ -3,12 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synlab import nygaard
+from synlab.cli import main
 from synlab.closedforms import TRUNC_INF, FamilyTag, enumerate_families
 from synlab.errors import InputError, InvariantError, ResourceError
 from synlab.graded import Monomial, PrimeContext
 from synlab.nygaard import SSPage
 from synlab.trkernel import (
-    GrV1Class,
     PageSet,
     TrOracle,
     complete_to_kernel,
@@ -29,45 +29,46 @@ def pages31():
 
 
 def test_gr_can_identity_on_t_type(pages31):
-    cls = GrV1Class(1, 0, Monomial(1, 1, t_exp=2, lam=1))
-    out = gr_can(cls, pages31)
-    assert out is not None and out.base == cls.base and out.s == 0
+    mono = Monomial(1, 1, t_exp=2, lam=1)
+    assert gr_can(1, mono, 0, pages31) == (1, mono)
     # one v1 higher the Tate class is dead, so the graded map vanishes
-    assert gr_can(GrV1Class(1, 1, cls.base), pages31) is None
+    assert gr_can(1, mono.v1_times(), 1, pages31) is None
 
 
 def test_gr_can_zero_on_mu_type(pages31):
-    assert gr_can(GrV1Class(1, 1, Monomial(1, 1, mu_exp=2, u_exp=1)), pages31) is None
+    assert gr_can(1, Monomial(1, 1, mu_exp=2, u_exp=1).v1_times(), 1, pages31) is None
 
 
 def test_gr_can_identity_includes_bottom_class(pages31):
     # t^0 = mu^0: the canonical map keeps the name (here it survives iff
     # the Tate class does; at level 1, twist 1 it does not)
-    cls = GrV1Class(1, 0, Monomial(1, 1))
-    out = gr_can(cls, pages31)
-    assert out is None  # 0 is not congruent to -n*l*p^(n-1) mod p
+    assert gr_can(1, Monomial(1, 1), 0, pages31) is None  # 0 is not congruent to -n*l*p^(n-1) mod p
 
 
 def test_gr_phi_formula(pages31):
     # se(3)*mu at level 1: target exponent p^n l (p-1) - p j = 3
-    out = gr_phi(GrV1Class(1, 0, Monomial(1, 1, mu_exp=1)), pages31)
-    assert out is not None
-    assert out.level == 2 and out.base == Monomial(2, 1, t_exp=3)
+    assert gr_phi(1, Monomial(1, 1, mu_exp=1), 0, pages31) == (2, Monomial(2, 1, t_exp=3))
+
+
+def test_gr_phi_keeps_the_height(pages31):
+    # v1 * se(3)*mu: the same target one v1 higher, t^4 mu at level 2
+    target = (2, Monomial(2, 1, t_exp=4, mu_exp=1))
+    assert pages31.tate[2].alive(target[1])
+    assert gr_phi(1, Monomial(1, 1, mu_exp=1).v1_times(), 1, pages31) == target
 
 
 def test_gr_phi_zero_on_positive_t(pages31):
-    assert gr_phi(GrV1Class(1, 0, Monomial(1, 1, t_exp=2, lam=1)), pages31) is None
+    assert gr_phi(1, Monomial(1, 1, t_exp=2, lam=1), 0, pages31) is None
 
 
 def test_gr_phi_level_zero_bottom(pages31):
-    out = gr_phi(GrV1Class(0, 0, Monomial(0, 1)), pages31)
-    assert out is not None and out.level == 1 and out.base == Monomial(1, 1, t_exp=2)
+    assert gr_phi(0, Monomial(0, 1), 0, pages31) == (1, Monomial(1, 1, t_exp=2))
 
 
 def test_complete_to_kernel_two_component_chain(pages31):
     # the suspension generator's chain: se(l) + c * se(pl) t^(l(p-1))
-    comps = complete_to_kernel(GrV1Class(0, 0, Monomial(0, 1)), pages31)
-    assert [(c.level, c.base) for c in comps] == [
+    comps = complete_to_kernel((0, Monomial(0, 1)), pages31)
+    assert comps == [
         (0, Monomial(0, 1)),
         (1, Monomial(1, 1, t_exp=2)),
     ]
@@ -75,23 +76,30 @@ def test_complete_to_kernel_two_component_chain(pages31):
 
 
 def test_complete_to_kernel_single_component(pages31):
-    comps = complete_to_kernel(GrV1Class(1, 0, Monomial(1, 1, t_exp=1, lam=1, u_exp=1)), pages31)
+    comps = complete_to_kernel((1, Monomial(1, 1, t_exp=1, lam=1, u_exp=1)), pages31)
     assert len(comps) == 1
     assert probe_element_torsion(pages31, comps) == 2  # p - i
 
 
 def test_complete_to_kernel_delta_chain(pages31):
     # B at n=2, j = p(p-1) = 6 has three components (p | n+1)
-    comps = complete_to_kernel(GrV1Class(2, 0, Monomial(2, 1, mu_exp=6)), pages31)
-    assert [c.level for c in comps] == [2, 3, 4]
-    assert comps[2].base.t_exp == 54
+    comps = complete_to_kernel((2, Monomial(2, 1, mu_exp=6)), pages31)
+    assert [level for level, _mono in comps] == [2, 3, 4]
+    assert comps[2][1].t_exp == 54
     assert probe_element_torsion(pages31, comps) == 67
 
 
 def test_complete_to_kernel_rejects_non_kernel_leading(pages31):
     # a t-type class whose canonical image survives is not a chain lead
     with pytest.raises(InvariantError):
-        complete_to_kernel(GrV1Class(1, 0, Monomial(1, 1, t_exp=2)), pages31)
+        complete_to_kernel((1, Monomial(1, 1, t_exp=2)), pages31)
+
+
+def test_complete_to_kernel_rejects_a_leading_term_divisible_by_v1(pages31):
+    with pytest.raises(InputError, match="not pure"):
+        complete_to_kernel((1, Monomial(1, 1, t_exp=2, lam=1).v1_times()), pages31)
+    with pytest.raises(InputError, match="level disagrees"):
+        complete_to_kernel((2, Monomial(1, 1, t_exp=2, lam=1)), pages31)
 
 
 def test_truncation_zero_is_shifted_thh():
@@ -151,6 +159,25 @@ def test_tr_oracle_equals_closed_families_with_both_surjectivity_checks(draw):
     assert res.surjectivity.all_surjective, res.surjectivity.failures[:3]
 
 
+def test_a_tate_only_class_fails_every_oracle_run(monkeypatch, capsys):
+    # one Tate class no source class maps to: gr(phi - can) is not onto its
+    # piece, and no oracle table may be built on that
+    assemble = TrOracle._assemble
+
+    def with_a_tate_only_class(oracle):
+        assemble(oracle)
+        lo, hi = oracle.window
+        key = min(k for k in oracle._tgt_pieces if lo <= k[0] <= hi)
+        level = oracle._tgt_pieces[key][0][0]
+        oracle._tgt_pieces[key].append((level, Monomial(level, oracle.ell, t_exp=10**6)))
+
+    monkeypatch.setattr(TrOracle, "_assemble", with_a_tate_only_class)
+    with pytest.raises(InvariantError, match="not onto the Tate piece"):
+        tr_gr_module(CTX3, 1, 2, (0, 40), mode="oracle")
+    code = main(["tr", "--p", "3", "--ell", "1", "--m", "2", "--deg-max", "40", "--mode", "oracle"])
+    assert code == 3 and capsys.readouterr().out == ""
+
+
 def test_page_guards_all_fire_before_the_first_page(monkeypatch):
     built = []
     build = SSPage._build
@@ -183,12 +210,13 @@ def test_twist_validation():
 
 
 def test_chain_solver_agrees_with_enumerator():
-    elems = enumerate_families(CTX3, 2, TRUNC_INF, (0, 90))
-    top = max(e.n for e in elems) + 2
-    maxtors = max(e.torsion for e in elems)
-    pages = PageSet(CTX3, 2, top, (0, 90 + CTX3.q * (maxtors + 2)), maxtors + 4)
-    for el in elems:
-        lvl, lead = el.leading()
-        comps = complete_to_kernel(GrV1Class(lvl, 0, lead), pages)
-        assert [(c.level, c.base) for c in comps] == list(el.components)
-        assert probe_element_torsion(pages, comps) == el.torsion
+    for p, ell, top in ((2, 3, 60), (3, 2, 90), (5, 2, 90), (7, 2, 90)):
+        ctx = PrimeContext(p)
+        elems = enumerate_families(ctx, ell, TRUNC_INF, (0, top))
+        levels = max(e.n for e in elems) + 2
+        maxtors = max(e.torsion for e in elems)
+        pages = PageSet(ctx, ell, levels, (0, top + ctx.q * (maxtors + 2)), maxtors + 4)
+        for el in elems:
+            comps = complete_to_kernel(el.leading(), pages)
+            assert comps == list(el.components), (p, el.label())
+            assert probe_element_torsion(pages, comps) == el.torsion, (p, el.label())
