@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .closedforms import TRUNC_INF, family_count, family_multiset
-from .errors import InputError, ResourceError
+from .errors import InputError, InvariantError, ResourceError
 from .graded import (
     TORSION_FREE,
     Bidegree,
@@ -30,6 +30,7 @@ from .graded import (
     Generator,
     PrimeContext,
     orbit_stems,
+    torsion_multiset,
 )
 from .trkernel import tr_gr_module
 
@@ -60,19 +61,6 @@ def twist_bound(window_top: int) -> int:
     return max(-((window_top + 1) // -2), 0)
 
 
-def _torsion_multiset(gens, prefix: str = "") -> Counter:
-    """Counter{(stem, line, torsion): multiplicity} of the generators.
-
-    Raises InvariantError on a generator whose torsion is only a lower
-    bound: no table may be built on it.
-    """
-    out: Counter = Counter()
-    for g in gens:
-        g.require_certified(prefix)
-        out[(g.bidegree.d, g.bidegree.s, g.torsion)] += 1
-    return out
-
-
 def tc_eps_dims(ctx: PrimeContext, window, mode: str = "closed") -> Counter:
     """gr TC of the square-zero extension: TC(Z_p) plus twisted TR summands.
 
@@ -81,10 +69,11 @@ def tc_eps_dims(ctx: PrimeContext, window, mode: str = "closed") -> Counter:
     up to the window top; no table needs more than this multiset.  Mode
     "closed" reads each twist from family_multiset; "oracle" and "both"
     convert the oracle's generators, refusing a torsion that is only a
-    lower bound, and "both" raises VerificationFailure on the first twist
-    whose oracle and closed form disagree.  Before any twist is computed,
-    the TR generators are counted from the window (family_count summed over
-    the twists), and ResourceError is raised past MAX_GENERATORS.
+    lower bound, and under "both" tr_gr_module raises VerificationFailure
+    on the first twist whose oracle and closed form disagree.  Before any
+    twist is computed, the TR generators are counted from the window
+    (family_count summed over the twists), and ResourceError is raised
+    past MAX_GENERATORS.
     """
     lo, hi = window
     twists = [ell for ell in range(1, twist_bound(hi) + 1) if ell % ctx.p]
@@ -93,15 +82,13 @@ def tc_eps_dims(ctx: PrimeContext, window, mode: str = "closed") -> Counter:
         count += family_count(ctx, ell, hi)
         if count > MAX_GENERATORS:
             raise ResourceError(f"stems up to {hi} need more than {MAX_GENERATORS} generators; lower the window top")
-    out = _torsion_multiset(tc_zp_dims(ctx, window))
+    out = torsion_multiset(tc_zp_dims(ctx, window))
     for ell in twists:
         if mode == "closed":
             out.update(family_multiset(ctx, ell, hi))
             continue
         tr = tr_gr_module(ctx, ell, TRUNC_INF, (0, hi), mode=mode)
-        if mode == "both":
-            tr.comparison.require_ok(f"twist l={ell}")
-        out.update(_torsion_multiset(tr.decomposition, f"l{ell}:"))
+        out.update(torsion_multiset(tr.decomposition, f"l{ell}:"))
     return out
 
 
@@ -197,7 +184,7 @@ def k_mod_dims(params: AssemblyParams, mode: str = "closed") -> DimTable:
             key = (stem, 0)
             entries[key] = entries.get(key, 0) + amount
             if entries[key] < 0:
-                raise InputError(f"K-theory correction underflow at stem {stem}")
+                raise InvariantError(f"K-theory correction underflow at stem {stem}")
             if not entries[key]:
                 del entries[key]
 
@@ -228,7 +215,7 @@ def two_line_check(ctx: PrimeContext, window, mode: str = "closed") -> TwoLineRe
     """
     lo, hi = window
     multiset = tc_eps_dims(ctx, window, mode=mode) if lo <= hi else Counter()
-    allowed = _torsion_multiset(g for g in tc_zp_dims(ctx, window) if g.label == "Zp:del*l1")
+    allowed = torsion_multiset(g for g in tc_zp_dims(ctx, window) if g.label == "Zp:del*l1")
     rep = TwoLineReport()
     for key, mult in sorted(multiset.items()):
         d, s, torsion = key

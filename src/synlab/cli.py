@@ -19,7 +19,7 @@ from . import cache
 from .assembly import AssemblyParams, betti_bound, k_mod_dims, syntomic_dims, tc_mod_dims
 from .closedforms import TRUNC_INF, einf_closed
 from .errors import InputError, InvariantError, ResourceError, VerificationFailure
-from .graded import PrimeContext
+from .graded import PrimeContext, differences
 from .nygaard import SSPage, Variant, default_v1_cutoff, run_to_einf
 from .trkernel import tr_gr_module
 from .verify import SUITE_NAMES, run_suite
@@ -27,6 +27,12 @@ from .verify import SUITE_NAMES, run_suite
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
+
+# The printed table, not the computation, sets a wide window's memory: at
+# one or two cells a stem, tr --p 7 --ell 1 --mode closed over 300,000
+# stems takes 4.6 s and 417 MB as JSON (einf --p 3 --n 1 --ell 1 --mode
+# closed 4.3 s and 405 MB), and a million stems 1.3 GB.
+MAX_TABLE_STEMS = 300_000
 
 
 def _common_flags(sp, mode_default: str, with_nk=False):
@@ -78,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ell-max", type=int, default=None)
     sp.add_argument("--m-max", type=int, default=None)
     sp.add_argument("--double-cutoff", action="store_true", help="also run the cutoff-doubling stability half of AC9")
-    sp.add_argument("--two-line-max", type=int, default=None)
     sp.add_argument("--out", type=str, default=None)
     return ap
 
@@ -124,8 +129,9 @@ def _cmd_einf(args) -> tuple[int, str]:
     else:
         table = run_to_einf(SSPage(ctx, args.n, args.ell, variant, window, cutoff)).dim_table(window)
         if args.mode == "both":
-            if not table.same_entries(_einf_closed_table(ctx, args, variant, window, cutoff)):
-                raise VerificationFailure("einf oracle and closed form disagree on this window")
+            diff = differences(table.entries, _einf_closed_table(ctx, args, variant, window, cutoff).entries)
+            if diff:
+                raise VerificationFailure(f"einf oracle and closed form disagree at {diff[0]}")
             meta["cross_checked"] = True
     table.notes.update(meta)
     return EXIT_OK, _table_payload(table, args.format)
@@ -136,8 +142,6 @@ def _cmd_tr(args) -> tuple[int, str]:
     window = (args.deg_min, args.deg_max)
     trunc = TRUNC_INF if args.m is None else args.m
     res = tr_gr_module(ctx, args.ell, trunc, window, mode=args.mode)
-    if args.mode == "both":
-        res.comparison.require_ok(f"tr l={args.ell}")
     table = res.decomposition.dims(ctx, window, {"p": args.p, "n": None, "k": None})
     table.notes.update({"ell": args.ell, "m": None if args.m is None else args.m, "mode": args.mode})
     if args.mode == "both":
@@ -165,7 +169,6 @@ def _cmd_verify(args) -> tuple[int, str]:
         ell_max=args.ell_max,
         m_max=args.m_max,
         double_cutoff=args.double_cutoff,
-        two_line_max=args.two_line_max,
     )
     for check in report.checks:
         print(check.line(), file=sys.stderr)
@@ -186,6 +189,8 @@ def main(argv=None) -> int:
             return code
         if args.deg_min > args.deg_max:
             raise InputError(f"empty window ({args.deg_min}, {args.deg_max}): --deg-min exceeds --deg-max")
+        if args.deg_max - args.deg_min >= MAX_TABLE_STEMS:
+            raise ResourceError(f"window ({args.deg_min}, {args.deg_max}) spans more than {MAX_TABLE_STEMS} stems; narrow it")
         cache_dir = _cache_dir(args)
         key = None
         if cache_dir:

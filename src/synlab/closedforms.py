@@ -64,6 +64,12 @@ TRUNC_INF = math.inf
 # and 445 MB.
 MAX_FAMILY_ELEMENTS = 100_000
 
+# A closed E-infinity generator costs about 6-10 us and 360 B: einf --p 3
+# --n 1 --ell 1 --deg-max 10 --mode closed, whose window is padded by q
+# times the v1 cutoff, takes 5.7 s and 355 MB at --v1-cutoff 740000
+# (986,674 generators, just under this cap).
+MAX_EINF_GENERATORS = 1_000_000
+
 
 class FamilyTag(str, Enum):
     A = "A"
@@ -123,7 +129,11 @@ def einf_closed(ctx: PrimeContext, n: int, ell: int, variant: Variant, window) -
     fixed-point page takes the t side for i > 0, its torsion raised by
     max(0, p^n - i) resp. max(0, p^(k+1) - i), and the mu side for j >= 0;
     the Tate page takes the t side over Z, the mu-inverted page the mu side
-    over Z.  A torsion <= 0 (an empty sum at k = 0 or n = 0) is no class.
+    over Z.  A torsion <= 0 (an empty sum at k = 0 or n = 0) is no class,
+    so such a t side keeps only the fixed-point i < p^n resp. p^(k+1).
+
+    The exponent ranges are counted before any generator is built, and
+    ResourceError is raised past MAX_EINF_GENERATORS.
     """
     if n < 0 or ell < 0:
         raise InputError("need n >= 0 and twist >= 0")
@@ -136,24 +146,29 @@ def einf_closed(ctx: PrimeContext, n: int, ell: int, variant: Variant, window) -
     families = [(e, 0, (0,), p**n, geo(p, 0, n - 1), geo(p, 0, n)) for e in (0, 1)]
     families += [(1, e, range(p**k, p ** (k + 1), p**k), p ** (k + 1), geo(p, 1, k), geo(p, 1, k + 1))
                  for k in range(n) for e in (0, 1)]
-    gens: list = []
-
-    def emit(t_exp, mu_exp, lam, u, torsion):
-        if torsion > 0:
-            m = Monomial(n, ell, t_exp, mu_exp, lam, u)
-            gens.append(Generator(f"L{n}:{m}", m.bidegree(ctx), torsion))
-
+    sides: list = []  # (lam, u, t exponents, mu exponents, step, t-side torsion, mu-side torsion)
     for lam, u, residues, step, t_torsion, mu_torsion in families:
         base = Monomial(n, ell, 0, 0, lam, u).bidegree(ctx).d  # stem base - 2i resp. base + 2p*j
         for res in residues:
-            if variant is not Variant.MUINV:
+            i_range = j_range = range(0)
+            if variant is not Variant.MUINV and (t_torsion > 0 or hfp):
                 i_min = -((hi - base) // 2)
-                for i in residue_range(max(i_min, 1) if hfp else i_min, (base - lo) // 2, res - cong, step):
-                    emit(i, 0, lam, u, t_torsion + (max(0, step - i) if hfp else 0))
+                i_max = (base - lo) // 2 if t_torsion > 0 else min((base - lo) // 2, step - 1)
+                i_range = residue_range(max(i_min, 1) if hfp else i_min, i_max, res - cong, step)
             if variant is not Variant.TATE:
                 j_min = -((base - lo) // (2 * p))
-                for j in residue_range(max(j_min, 0) if hfp else j_min, (hi - base) // (2 * p), res + cong, step):
-                    emit(0, j, lam, u, mu_torsion)
+                j_range = residue_range(max(j_min, 0) if hfp else j_min, (hi - base) // (2 * p), res + cong, step)
+            sides.append((lam, u, i_range, j_range, step, t_torsion, mu_torsion))
+    if sum(len(i_range) + len(j_range) for _lam, _u, i_range, j_range, *_rest in sides) > MAX_EINF_GENERATORS:
+        raise ResourceError(f"stems {lo}..{hi} need more than {MAX_EINF_GENERATORS} E-infinity generators; narrow the window")
+    gens: list = []
+    for lam, u, i_range, j_range, step, t_torsion, mu_torsion in sides:
+        for i in i_range:
+            m = Monomial(n, ell, i, 0, lam, u)
+            gens.append(Generator(f"L{n}:{m}", m.bidegree(ctx), t_torsion + (max(0, step - i) if hfp else 0)))
+        for j in j_range:
+            m = Monomial(n, ell, 0, j, lam, u)
+            gens.append(Generator(f"L{n}:{m}", m.bidegree(ctx), mu_torsion))
     return CyclicDecomposition(gens)
 
 

@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -65,9 +66,6 @@ class PrimeContext:
 class Bidegree(NamedTuple):
     d: int  # stem
     s: int  # line
-
-    def __add__(self, other):
-        return Bidegree(self.d + other[0], self.s + other[1])
 
 
 @dataclass(frozen=True)
@@ -160,6 +158,29 @@ class Generator:
             raise InvariantError(f"generator {prefix}{self.label} at {tuple(self.bidegree)} has only a lower bound on its torsion")
 
 
+def torsion_multiset(gens, prefix: str = "") -> Counter:
+    """Counter{(stem, line, torsion): multiplicity} of the generators.
+
+    Raises InvariantError on a generator whose torsion is only a lower
+    bound: no table may be built on it.
+    """
+    out: Counter = Counter()
+    for g in gens:
+        g.require_certified(prefix)
+        out[(g.bidegree.d, g.bidegree.s, g.torsion)] += 1
+    return out
+
+
+def differences(a: dict, b: dict) -> list:
+    """[(key, a count, b count), ...] in key order over the keys where the
+    count maps a and b differ, an absent key counting 0.  Two routes are
+    compared here, so maps that agree cost one equality test and no sort."""
+    if a == b:
+        return []
+    keys = [k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0)]
+    return [(k, a.get(k, 0), b.get(k, 0)) for k in sorted(keys)]
+
+
 @dataclass
 class CyclicDecomposition:
     entries: list = field(default_factory=list)
@@ -209,9 +230,7 @@ class DimTable:
         return self.entries.get((stem, line), 0)
 
     def same_entries(self, other: "DimTable") -> bool:
-        a = {k: v for k, v in self.entries.items() if v}
-        b = {k: v for k, v in other.entries.items() if v}
-        return a == b
+        return not differences(self.entries, other.entries)
 
     def to_json_obj(self) -> dict:
         entries = [

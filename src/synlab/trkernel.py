@@ -26,7 +26,6 @@ filtration to the v1-adic one.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from . import fplinalg
@@ -38,7 +37,9 @@ from .graded import (
     Generator,
     Monomial,
     PrimeContext,
+    differences,
     geo,
+    torsion_multiset,
 )
 from .nygaard import SSPage, Variant, run_to_einf
 
@@ -152,12 +153,6 @@ class TrComparison:
     @property
     def ok(self) -> bool:
         return not self.dim_mismatches and not self.torsion_mismatches
-
-    def require_ok(self, what: str) -> None:
-        """Raise VerificationFailure naming the first mismatch."""
-        if not self.ok:
-            first = (self.dim_mismatches or self.torsion_mismatches)[0]
-            raise VerificationFailure(f"{what}: oracle and closed form disagree at {first}")
 
 
 @dataclass
@@ -368,10 +363,12 @@ def tr_gr_module(
     """gr TR^[trunc](Z_p; Sigma^(2 ell) Z_p)/p as a cyclic decomposition.
 
     mode "oracle": brute-force kernel; "closed": family enumeration;
-    "both": run the two independently and attach an entrywise comparison.
-    Every oracle run raises InvariantError unless gr(phi - can) is onto
-    every Tate piece of the window and v1 is onto the kernel;
-    with_surjectivity attaches the first check's report to the result.
+    "both": run the two independently, raise VerificationFailure at the
+    first (stem, line) dimension, else (stem, line, torsion) multiplicity,
+    where they differ, and attach the (empty) comparison.  Every oracle run
+    raises InvariantError unless gr(phi - can) is onto every Tate piece of
+    the window and v1 is onto the kernel; with_surjectivity attaches the
+    first check's report to the result.
     """
     if mode not in ("oracle", "closed", "both"):
         raise InputError(f"unknown mode {mode}")
@@ -390,21 +387,12 @@ def tr_gr_module(
     if vfail:
         raise InvariantError(f"v1 not surjective on the kernel at {vfail[:3]}")
     if mode == "both":
-        lo, hi = window
-        d_or = {k: v for k, v in dec.dims(ctx, window).entries.items() if v}
-        d_cl = {k: v for k, v in closed.dims(ctx, window).entries.items() if v}
-        dim_mismatches = [
-            (k, d_or.get(k, 0), d_cl.get(k, 0))
-            for k in sorted(set(d_or) | set(d_cl))
-            if d_or.get(k, 0) != d_cl.get(k, 0)
-        ]
-        t_or = Counter((tuple(g.bidegree), g.torsion) for g in dec.generators_in(window))
-        t_cl = Counter((tuple(g.bidegree), g.torsion) for g in closed.generators_in(window))
-        torsion_mismatches = [
-            (k, t_or.get(k, 0), t_cl.get(k, 0))
-            for k in sorted(set(t_or) | set(t_cl))
-            if t_or.get(k, 0) != t_cl.get(k, 0)
-        ]
-        result.comparison = TrComparison(dim_mismatches, torsion_mismatches)
+        comp = TrComparison(
+            differences(dec.dims(ctx, window).entries, closed.dims(ctx, window).entries),
+            differences(torsion_multiset(dec.generators_in(window)), torsion_multiset(closed.generators_in(window))),
+        )
+        if not comp.ok:
+            first = (comp.dim_mismatches or comp.torsion_mismatches)[0]
+            raise VerificationFailure(f"twist l={ell}: oracle and closed form disagree at {first}")
+        result.comparison = comp
     return result
-

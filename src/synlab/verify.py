@@ -1,8 +1,11 @@
 """Cross-verification suites: every headline computation two ways, exactly.
 
 Each suite returns a list of Check records (machine readable, with the
-first counterexample coordinates in `detail` on failure).  The acceptance
-grids are the defaults; the CLI can shrink them for smoke runs.
+first counterexample coordinates in `detail` on failure).  A case stops
+at the VerificationFailure (two routes differ, at graded.differences'
+first key) or InvariantError (a route's own check failed) the library
+raises; the suite records it as a FAIL check with its message and goes
+on.  The acceptance grids are the defaults; the CLI can shrink them.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ from .closedforms import (
     enumerate_families,
     family_torsion,
     leading_disjoint,
-    tr_closed_decomposition,
 )
-from .errors import InputError
-from .graded import PrimeContext, geo
+from .errors import InputError, InvariantError, VerificationFailure
+from .graded import PrimeContext, differences, geo, torsion_multiset
 from .nygaard import SSPage, Variant, run_to_einf
 from .trkernel import PageSet, complete_to_kernel, probe_element_torsion, tr_gr_module
+
+#: What a case may raise to fail its check; anything else is a bug.
+RECORDED = (InvariantError, VerificationFailure)
 
 
 @dataclass
@@ -60,31 +65,28 @@ class VerifyReport:
 def _compare_page(ctx, n, ell, variant, window, v1_cutoff):
     """AC1 kernel: oracle page vs closed form.
 
-    Returns (detail, signature): detail is '' when the two agree, and
-    signature is the oracle page's _page_signature, or None when the
-    comparison stopped before reading the page's classes.
+    Returns the oracle page's _signature; raises VerificationFailure at the
+    first differing dimension, else torsion multiplicity, and
+    InvariantError on an uncertified torsion.
     """
-    page = SSPage(ctx, n, ell, variant, window, v1_cutoff)
-    res = run_to_einf(page)
+    res = run_to_einf(SSPage(ctx, n, ell, variant, window, v1_cutoff))
     lo, hi = window
     closed = einf_closed(ctx, n, ell, variant, (lo - ctx.q * (v1_cutoff + 1), hi))
-    d_or = {k: v for k, v in res.dim_table(window).entries.items() if v}
-    d_cl = {k: v for k, v in closed.dims(ctx, window).entries.items() if v}
-    if d_or != d_cl:
-        key = next(k for k in sorted(set(d_or) | set(d_cl)) if d_or.get(k, 0) != d_cl.get(k, 0))
-        return f"dim at (stem,line)={key}: oracle {d_or.get(key, 0)} closed {d_cl.get(key, 0)}", None
+    dims = res.dim_table(window).entries
+    diff = differences(dims, closed.dims(ctx, window).entries)
+    if diff:
+        key, a, b = diff[0]
+        raise VerificationFailure(f"dim at (stem,line)={key}: oracle {a} closed {b}")
     classes = res.classes(window)
-    signature = _signature(d_or, classes)
-    uncert = [c for c in classes if not c.certified]
-    if uncert:
-        c = uncert[0]
-        return f"uncertified torsion at {tuple(c.bidegree)} ({c.representative})", signature
-    t_or = Counter((tuple(c.bidegree), c.v1_torsion) for c in classes)
-    t_cl = Counter((tuple(g.bidegree), g.torsion) for g in closed.generators_in(window))
-    if t_or != t_cl:
-        key = next(k for k in sorted(set(t_or) | set(t_cl)) if t_or[k] != t_cl[k])
-        return f"torsion multiset at {key[0]}: order {key[1]} oracle x{t_or[key]} closed x{t_cl[key]}", signature
-    return "", signature
+    for c in classes:
+        if not c.certified:
+            raise InvariantError(f"uncertified torsion at {tuple(c.bidegree)} ({c.representative})")
+    t_or = Counter((c.bidegree.d, c.bidegree.s, c.v1_torsion) for c in classes)
+    diff = differences(t_or, torsion_multiset(closed.generators_in(window)))
+    if diff:
+        (d, s, order), a, b = diff[0]
+        raise VerificationFailure(f"torsion multiset at {(d, s)}: order {order} oracle x{a} closed x{b}")
+    return _signature(dims, classes)
 
 
 def suite_einf(ps=(2, 3, 5), n_max=3, deg_max=None, ell_max=None, double_cutoff=False) -> list:
@@ -105,22 +107,23 @@ def suite_einf(ps=(2, 3, 5), n_max=3, deg_max=None, ell_max=None, double_cutoff=
             for variant in (Variant.HFP, Variant.TATE, Variant.MUINV):
                 worst = ""
                 base_signatures = {}
-                for ell in ells:
-                    detail, base_signatures[ell] = _compare_page(ctx, n, ell, variant, window, V)
-                    if detail:
-                        worst = f"l={ell}: {detail}"
-                        break
+                try:
+                    for ell in ells:
+                        base_signatures[ell] = _compare_page(ctx, n, ell, variant, window, V)
+                except RECORDED as exc:
+                    worst = f"l={ell}: {exc}"
                 checks.append(
                     Check("einf", f"AC1 p={p} n={n} {variant.value} oracle=closed, stems |d|<={hi}", not worst, worst)
                 )
                 if double_cutoff:
                     worst2 = ""
-                    for ell in ells:
-                        base = base_signatures.get(ell) or _page_signature(ctx, n, ell, variant, window, V)
-                        doubled = _page_signature(ctx, n, ell, variant, window, 2 * V)
-                        if base != doubled:
-                            worst2 = f"l={ell}: output changed under cutoff doubling"
-                            break
+                    try:
+                        for ell in ells:
+                            base = base_signatures.get(ell) or _page_signature(ctx, n, ell, variant, window, V)
+                            if base != _page_signature(ctx, n, ell, variant, window, 2 * V):
+                                raise VerificationFailure("output changed under cutoff doubling")
+                    except RECORDED as exc:
+                        worst2 = f"l={ell}: {exc}"
                     checks.append(
                         Check("einf", f"AC9 p={p} n={n} {variant.value} cutoff doubling stable", not worst2, worst2)
                     )
@@ -135,8 +138,7 @@ def _signature(dims: dict, classes) -> tuple:
 
 def _page_signature(ctx, n, ell, variant, window, v1_cutoff):
     res = run_to_einf(SSPage(ctx, n, ell, variant, window, v1_cutoff))
-    dims = {k: v for k, v in res.dim_table(window).entries.items() if v}
-    return _signature(dims, res.classes(window))
+    return _signature(res.dim_table(window).entries, res.classes(window))
 
 
 def suite_families(ps=(2, 3), ell_max=8, stem_max=300) -> list:
@@ -161,7 +163,7 @@ def suite_families(ps=(2, 3), ell_max=8, stem_max=300) -> list:
                 count += 1
                 try:
                     comps = complete_to_kernel(el.leading(), pages)
-                except Exception as exc:  # InvariantError and friends
+                except RECORDED as exc:
                     bad = f"{el.label()}: {exc}"
                     break
                 if comps != list(el.components):
@@ -204,75 +206,59 @@ def suite_families(ps=(2, 3), ell_max=8, stem_max=300) -> list:
     return checks
 
 
-def _truncation_bound(ctx, ell, m, stem_max) -> int:
-    """First stem where the closed-form tables at truncations m, m+1 differ.
-
-    This is the computed stability bound of AC9: the oracle truncations must
-    agree strictly below it.  When they never differ in the window, the
-    bound is one past the window top.
-    """
-    w = (0, stem_max)
-    a = tr_closed_decomposition(ctx, ell, m, w).dims(ctx, w).entries
-    b = tr_closed_decomposition(ctx, ell, m + 1, w).dims(ctx, w).entries
-    diffs = [k[0] for k in set(a) | set(b) if a.get(k, 0) != b.get(k, 0)]
-    return min(diffs) if diffs else stem_max + 1
-
-
 def suite_tr(ps=(2, 3), ell_max=8, m_max=3, stem_max=200, stability=True) -> list:
-    """AC3 (main theorem), AC4 (surjectivity), truncation half of AC9."""
+    """AC3 (main theorem), AC4 (surjectivity), truncation half of AC9.
+
+    Each (p, l, m) is one tr_gr_module run in mode "both", which raises
+    InvariantError unless gr(phi - can) is onto every Tate piece and v1
+    onto the kernel (a FAIL AC4), and VerificationFailure where the two
+    routes differ (a FAIL AC3).  The table of a run that returns is the
+    closed table, so AC9 reads the first difference of two consecutive
+    ones: truncation m may first show at stem 2*l*p^m - 2, not below.
+    """
     checks = []
     for p in ps:
         ctx = PrimeContext(p)
+        window = (0, stem_max)
         for ell in [l for l in range(1, ell_max + 1) if l % p]:
             prev = None
             for m in range(m_max + 1):
-                res = tr_gr_module(ctx, ell, m, (0, stem_max), mode="both", with_surjectivity=True)
-                comp = res.comparison
-                detail = ""
-                if not comp.ok:
-                    detail = f"first mismatch {comp.dim_mismatches[:1] or comp.torsion_mismatches[:1]}"
-                checks.append(Check("tr", f"AC3 p={p} l={ell} m={m} oracle=closed", comp.ok, detail))
-                surj = res.surjectivity
-                checks.append(
-                    Check(
-                        "tr",
-                        f"AC4 p={p} l={ell} m={m} gr(phi-can) surjective ({surj.pieces_checked} pieces)",
-                        surj.all_surjective,
-                        str(surj.failures[:2]) if surj.failures else "",
-                    )
-                )
+                case = f"p={p} l={ell} m={m}"
+                try:
+                    res = tr_gr_module(ctx, ell, m, window, mode="both", with_surjectivity=True)
+                except InvariantError as exc:
+                    checks.append(Check("tr", f"AC4 {case} gr(phi-can) surjective", False, str(exc)))
+                    prev = None
+                    continue
+                except VerificationFailure as exc:
+                    checks.append(Check("tr", f"AC3 {case} oracle=closed", False, str(exc)))
+                    prev = None
+                    continue
+                checks.append(Check("tr", f"AC3 {case} oracle=closed", True))
+                pieces = res.surjectivity.pieces_checked
+                checks.append(Check("tr", f"AC4 {case} gr(phi-can) surjective ({pieces} pieces)", True))
+                table = res.decomposition.dims(ctx, window).entries
                 if stability and prev is not None:
-                    bound = _truncation_bound(ctx, ell, m - 1, stem_max)
+                    diff = differences(prev, table)
+                    bound = diff[0][0][0] if diff else stem_max + 1
                     floor = min(2 * ell * p**m - 2, stem_max + 1)
-                    w = (0, bound - 1)
-                    d_prev = {k: v for k, v in prev.dims(ctx, w).entries.items() if v}
-                    d_cur = {k: v for k, v in res.decomposition.dims(ctx, w).entries.items() if v}
-                    ok = d_prev == d_cur and bound >= floor
-                    bad = ""
-                    if bound < floor:
-                        bad = f"stability bound {bound} below expected floor {floor}"
-                    elif not ok:
-                        key = next(k for k in sorted(set(d_prev) | set(d_cur)) if d_prev.get(k, 0) != d_cur.get(k, 0))
-                        bad = f"at {key}: m={m-1} gives {d_prev.get(key, 0)}, m={m} gives {d_cur.get(key, 0)}"
-                    checks.append(Check("tr", f"AC9 p={p} l={ell} m={m-1}->{m} stable below stem {bound}", ok, bad))
-                prev = res.decomposition
+                    bad = "" if bound >= floor else f"stability bound {bound} below expected floor {floor}"
+                    checks.append(Check("tr", f"AC9 p={p} l={ell} m={m-1}->{m} stable below stem {bound}", not bad, bad))
+                prev = table
     return checks
 
 
-def suite_assembly(ps=(2, 3, 5), two_line_max=300) -> list:
+def suite_assembly(ps=(2, 3, 5), stem_max=300) -> list:
     """AC6: the 2-line carries only del*l1 powers, TR summands by brute force."""
     checks = []
     for p in ps:
-        ctx = PrimeContext(p)
-        rep = two_line_check(ctx, (0, two_line_max), mode="oracle")
-        checks.append(
-            Check(
-                "assembly",
-                f"AC6 p={p} two-line check, stems<={two_line_max}",
-                rep.ok,
-                str(rep.violations[:3]) if rep.violations else "",
-            )
-        )
+        name = f"AC6 p={p} two-line check, stems<={stem_max}"
+        try:
+            rep = two_line_check(PrimeContext(p), (0, stem_max), mode="oracle")
+        except RECORDED as exc:
+            checks.append(Check("assembly", name, False, str(exc)))
+            continue
+        checks.append(Check("assembly", name, rep.ok, str(rep.violations[:3]) if rep.violations else ""))
     return checks
 
 
@@ -287,20 +273,16 @@ def run_suite(
     ell_max=None,
     m_max=None,
     double_cutoff=False,
-    two_line_max=None,
 ) -> VerifyReport:
     """Run one suite, or all four in order ("all"), from the verify flags.
 
     Each flag maps to suite parameters the same way whichever suites run;
-    None keeps a suite's acceptance default.  ps names the primes of every
-    suite.  deg_max bounds the stems of every suite, the two-line check
-    included unless two_line_max is given.  ell_max bounds the twists of
+    None keeps a suite's acceptance default.  ps names the primes and
+    deg_max bounds the stems of every suite; ell_max bounds the twists of
     einf, families and tr; n_max and double_cutoff reach einf, m_max tr.
     """
     if name != "all" and name not in SUITE_NAMES:
         raise InputError(f"unknown suite {name}; pick from {list(SUITE_NAMES)} or 'all'")
-    if two_line_max is None:
-        two_line_max = deg_max
 
     def given(**kw):
         return {k: v for k, v in kw.items() if v is not None}
@@ -315,5 +297,5 @@ def run_suite(
     if name in ("tr", "all"):
         report.checks += suite_tr(**given(ps=ps, ell_max=ell_max, m_max=m_max, stem_max=deg_max))
     if name in ("assembly", "all"):
-        report.checks += suite_assembly(**given(ps=ps, two_line_max=two_line_max))
+        report.checks += suite_assembly(**given(ps=ps, stem_max=deg_max))
     return report

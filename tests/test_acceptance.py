@@ -55,5 +55,5 @@ def test_ac5_to_ac8_assembly():
     # test_identification_license_boundary, AC8 (K/TC difference supported
     # on stems {-1, (2p-2)k - 1}) is test_k_tc_delta, and the Betti bound
     # values of AC10 are test_betti_bound_values.
-    checks = suite_assembly(ps=(2, 3, 5), two_line_max=300)
+    checks = suite_assembly(ps=(2, 3, 5), stem_max=300)
     _report(checks, "AC6")

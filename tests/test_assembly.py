@@ -14,8 +14,8 @@ from synlab.assembly import (
     two_line_check,
 )
 from synlab.closedforms import TRUNC_INF, family_count, family_multiset, tr_closed_decomposition
-from synlab.errors import InputError, ResourceError, VerificationFailure
-from synlab.graded import TORSION_FREE, CyclicDecomposition, PrimeContext
+from synlab.errors import InputError, InvariantError, ResourceError, VerificationFailure
+from synlab.graded import TORSION_FREE, CyclicDecomposition, DimTable, PrimeContext
 
 CTX3 = PrimeContext(3)
 CTX2 = PrimeContext(2)
@@ -252,3 +252,18 @@ def test_generator_guard_is_the_tr_generator_count(monkeypatch):
     monkeypatch.setattr(assembly, "MAX_GENERATORS", tr_count - 1)
     with pytest.raises(ResourceError, match=f"more than {tr_count - 1} generators"):
         tc_eps_dims(ctx, window)
+
+
+def test_k_theory_underflow_is_an_invariant_failure(monkeypatch, capsys):
+    from synlab import assembly
+    from synlab.cli import main
+
+    # the TC table always holds the class del at stem -1 that K removes
+    def empty(params, mode="closed"):
+        return DimTable({"p": params.p, "n": params.n, "k": params.k}, {}, params.window)
+
+    monkeypatch.setattr(assembly, "tc_mod_dims", empty)
+    with pytest.raises(InvariantError, match="underflow at stem -1"):
+        k_mod_dims(AssemblyParams(3, 4, 1, (-2, 12)))
+    assert main(["ktheory", "--p", "3", "--n", "4", "--k", "1", "--deg-max", "12"]) == 3
+    assert capsys.readouterr().err.startswith("verification failure: K-theory correction underflow")

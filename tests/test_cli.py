@@ -145,7 +145,7 @@ def test_out_file(tmp_path, capsys):
 
 def test_verify_suite_exit_codes(capsys, monkeypatch):
     code, out, err = run(
-        capsys, "verify", "--suite", "assembly", "--p", "3", "--two-line-max", "40"
+        capsys, "verify", "--suite", "assembly", "--p", "3", "--deg-max", "40"
     )
     assert code == 0
     assert json.loads(out)["ok"] is True
@@ -192,11 +192,8 @@ def test_verify_flags_map_the_same_under_all(capsys, monkeypatch):
         ("einf", {"ps": (3, 5), "n_max": 1, "deg_max": 40, "ell_max": 2, "double_cutoff": True}),
         ("families", {"ps": (3, 5), "ell_max": 2, "stem_max": 40}),
         ("tr", {"ps": (3, 5), "ell_max": 2, "m_max": 1, "stem_max": 40}),
-        ("assembly", {"ps": (3, 5), "two_line_max": 40}),
+        ("assembly", {"ps": (3, 5), "stem_max": 40}),
     ]
-    calls.clear()
-    run(capsys, "verify", "--suite", "all", "--deg-max", "40", "--two-line-max", "50")
-    assert calls[-1] == ("assembly", {"two_line_max": 50})
     calls.clear()
     run(capsys, "verify", "--suite", "tr", "--p", "5")
     assert calls == [("tr", {"ps": (5,)})]
@@ -217,14 +214,16 @@ def test_closed_size_guard_exits_two(capsys, monkeypatch, command):
         raise AssertionError("a twist was computed before the size guard")
 
     monkeypatch.setattr(assembly, "family_multiset", no_twist)
-    code, out, err = run(capsys, command, "--p", "3", "--n", "4", "--k", "1", "--deg-max", "10000000")
+    code, out, err = run(capsys, command, "--p", "3", "--n", "4", "--k", "1", "--deg-max", "100000")
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and "generators" in err and "Traceback" not in err
 
 
+# stems -2..299997 is the widest window the table guard passes; at p=3,
+# l=1 it holds 100,036 family elements (100,004 at m=2)
 @pytest.mark.parametrize("argv", [
-    ["--deg-max", "10000000"],
-    ["--m", "2", "--mode", "closed", "--deg-max", "100000000"],
+    ["--deg-max", "299997"],
+    ["--m", "2", "--mode", "closed", "--deg-max", "299997"],
 ])
 def test_closed_tr_size_guard_exits_two_before_any_element(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
@@ -320,3 +319,50 @@ def test_einf_cutoff_below_one_exits_two_in_every_mode(capsys, monkeypatch, cuto
     code, out, err = run(capsys, *EINF_CUTOFF_ARGS, "--v1-cutoff", cutoff, "--mode", mode)
     assert code == 2 and out == ""
     assert err.startswith("error: v1 cutoff must be >= 1")
+
+
+@pytest.mark.parametrize("mode", ["oracle", "closed", "both"])
+@pytest.mark.parametrize("command", sorted(TABLE_ARGS))
+def test_window_guard_exits_two_in_every_mode(capsys, monkeypatch, command, mode):
+    import synlab.cli as climod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a command started on a window past the table guard")
+
+    for name in ("_cmd_einf", "_cmd_tr", "_cmd_assembly"):
+        monkeypatch.setattr(climod, name, no_work)
+    top = str(climod.MAX_TABLE_STEMS - 2)  # one stem too many from -2
+    code, out, err = run(capsys, command, *TABLE_ARGS[command], "--mode", mode, "--deg-max", top)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: window (-2, {top}) spans more than {climod.MAX_TABLE_STEMS} stems")
+    monkeypatch.setattr(climod, "MAX_TABLE_STEMS", climod.MAX_TABLE_STEMS + 1)
+    with pytest.raises(AssertionError, match="past the table guard"):
+        main([command, *TABLE_ARGS[command], "--mode", mode, "--deg-max", top])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "0", "--ell", "0", "--deg-max", "100000000"],
+    ["--n", "1", "--ell", "1", "--deg-max", "10", "--v1-cutoff", "100000000"],
+])
+def test_closed_einf_guards_exit_two_before_any_generator(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator was built before the size guard")
+
+    monkeypatch.setattr(closedforms, "Generator", refuse)
+    code, out, err = run(capsys, "einf", "--p", "3", *argv, "--mode", "closed")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_einf_both_mode_names_the_first_difference(capsys, monkeypatch):
+    import synlab.cli as climod
+
+    einf_closed = climod.einf_closed
+
+    def drop_first(*args):
+        return CyclicDecomposition(list(einf_closed(*args))[1:])
+
+    monkeypatch.setattr(climod, "einf_closed", drop_first)
+    code, out, err = run(capsys, "einf", "--p", "3", "--n", "1", "--ell", "1", "--deg-min", "-4", "--deg-max", "16")
+    assert code == 3 and out == ""
+    assert err == "verification failure: einf oracle and closed form disagree at ((2, 0), 1, 0)\n"

@@ -16,7 +16,8 @@ from synlab.closedforms import (
     leading_disjoint,
     tr_closed_decomposition,
 )
-from synlab.errors import InputError
+from synlab import closedforms
+from synlab.errors import InputError, ResourceError
 from synlab.graded import Monomial, PrimeContext, vp
 from synlab.nygaard import Variant
 
@@ -253,3 +254,17 @@ def test_progressions_give_the_enumeration(draw):
         indices = [(el.tag, el.n, el.r, el.e, el.index) for el in elems]
         assert len(set(indices)) == len(indices), trunc
         assert leading_disjoint(elems), trunc
+
+
+@pytest.mark.parametrize("p,n,ell,variant", [(3, 0, 0, "hfp"), (3, 1, 1, "hfp"), (2, 3, 1, "tate"), (5, 2, 2, "muinv")])
+def test_einf_guard_is_the_generator_count(monkeypatch, p, n, ell, variant):
+    ctx, window = PrimeContext(p), (-300, 300)
+    # the count skips the t sides whose torsion is an empty sum, as the
+    # enumeration does (level 0: only the fixed-point boost leaves classes)
+    count = len(einf_closed(ctx, n, ell, Variant(variant), window))
+    assert count > 0
+    monkeypatch.setattr(closedforms, "MAX_EINF_GENERATORS", count)
+    einf_closed(ctx, n, ell, Variant(variant), window)
+    monkeypatch.setattr(closedforms, "MAX_EINF_GENERATORS", count - 1)
+    with pytest.raises(ResourceError, match=f"more than {count - 1} E-infinity generators"):
+        einf_closed(ctx, n, ell, Variant(variant), window)

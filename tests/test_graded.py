@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synlab.errors import InvariantError
 from synlab.graded import (
@@ -12,6 +14,7 @@ from synlab.graded import (
     Generator,
     Monomial,
     PrimeContext,
+    differences,
     geo,
     vp,
 )
@@ -131,3 +134,20 @@ def test_dimtable_csv_header():
     assert lines[0] == "stem,line,weight,dim"
     assert lines[1] == "5,1,3,1"
 
+
+COUNT_MAPS = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-1, 2)), st.integers(0, 3), max_size=12)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(COUNT_MAPS, COUNT_MAPS)
+def test_differences_is_the_sorted_scan(a, b):
+    naive = []
+    for key in sorted(set(a) | set(b)):
+        if a.get(key, 0) != b.get(key, 0):
+            naive.append((key, a.get(key, 0), b.get(key, 0)))
+    assert differences(a, b) == naive
+    nonzero = lambda m: {k: v for k, v in m.items() if v}
+    assert (differences(a, b) == []) == (nonzero(a) == nonzero(b))
+    # a zero count is an absent key
+    assert differences(a, b) == differences(nonzero(a), b) == differences(a, nonzero(b))
+    assert DimTable({}, a, (-3, 3)).same_entries(DimTable({}, b, (-3, 3))) == (differences(a, b) == [])

@@ -1,12 +1,14 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synlab import nygaard
+from synlab import nygaard, trkernel
 from synlab.cli import main
 from synlab.closedforms import TRUNC_INF, FamilyTag, enumerate_families
-from synlab.errors import InputError, InvariantError, ResourceError
-from synlab.graded import Monomial, PrimeContext
+from synlab.errors import InputError, InvariantError, ResourceError, VerificationFailure
+from synlab.graded import CyclicDecomposition, Monomial, PrimeContext
 from synlab.nygaard import SSPage
 from synlab.trkernel import (
     PageSet,
@@ -159,23 +161,73 @@ def test_tr_oracle_equals_closed_families_with_both_surjectivity_checks(draw):
     assert res.surjectivity.all_surjective, res.surjectivity.failures[:3]
 
 
-def test_a_tate_only_class_fails_every_oracle_run(monkeypatch, capsys):
-    # one Tate class no source class maps to: gr(phi - can) is not onto its
-    # piece, and no oracle table may be built on that
+@pytest.fixture
+def tate_only_class(monkeypatch):
+    """Every TrOracle with a Tate piece in its window gets one Tate class
+    no source class maps to, so gr(phi - can) is not onto that piece."""
     assemble = TrOracle._assemble
 
     def with_a_tate_only_class(oracle):
         assemble(oracle)
         lo, hi = oracle.window
-        key = min(k for k in oracle._tgt_pieces if lo <= k[0] <= hi)
-        level = oracle._tgt_pieces[key][0][0]
-        oracle._tgt_pieces[key].append((level, Monomial(level, oracle.ell, t_exp=10**6)))
+        keys = [k for k in oracle._tgt_pieces if lo <= k[0] <= hi]
+        if keys:  # truncation 0 has no Tate page
+            level = oracle._tgt_pieces[min(keys)][0][0]
+            oracle._tgt_pieces[min(keys)].append((level, Monomial(level, oracle.ell, t_exp=10**6)))
 
     monkeypatch.setattr(TrOracle, "_assemble", with_a_tate_only_class)
+
+
+def test_a_tate_only_class_fails_every_oracle_run(tate_only_class, capsys):
+    # no oracle table may be built on a piece gr(phi - can) does not reach
     with pytest.raises(InvariantError, match="not onto the Tate piece"):
         tr_gr_module(CTX3, 1, 2, (0, 40), mode="oracle")
     code = main(["tr", "--p", "3", "--ell", "1", "--m", "2", "--deg-max", "40", "--mode", "oracle"])
     assert code == 3 and capsys.readouterr().out == ""
+
+
+def test_verify_records_a_failed_oracle_run_and_goes_on(tate_only_class, capsys):
+    argv = ["verify", "--suite", "all", "--p", "3", "--n-max", "1", "--ell-max", "1", "--m-max", "1", "--deg-max", "40"]
+    assert main(argv) == 3
+    out = capsys.readouterr()
+    report = json.loads(out.out)
+    assert report["ok"] is False
+    assert out.err.splitlines() == [
+        f"{'PASS' if c['passed'] else 'FAIL'} {c['suite']}: {c['name']}" + (f"  [{c['detail']}]" if not c["passed"] else "")
+        for c in report["checks"]
+    ]
+    by_suite = {}
+    for c in report["checks"]:
+        by_suite.setdefault(c["suite"], []).append(c)
+    # the suites that build no TrOracle pass, and so does truncation 0,
+    # which has no Tate page; every other oracle run fails its check
+    assert len(by_suite["einf"]) == 6 and len(by_suite["families"]) == 4
+    assert all(c["passed"] for c in by_suite["einf"] + by_suite["families"])
+    assert [(c["name"], c["passed"]) for c in by_suite["tr"]] == [
+        ("AC3 p=3 l=1 m=0 oracle=closed", True),
+        ("AC4 p=3 l=1 m=0 gr(phi-can) surjective (0 pieces)", True),
+        ("AC4 p=3 l=1 m=1 gr(phi-can) surjective", False),
+    ]
+    assert [c["name"] for c in by_suite["assembly"]] == ["AC6 p=3 two-line check, stems<=40"]
+    for c in by_suite["tr"][2:] + by_suite["assembly"]:
+        assert not c["passed"] and c["detail"].startswith("gr(phi - can) not onto the Tate piece at")
+
+
+def test_both_mode_raises_at_the_first_mismatch(monkeypatch, capsys):
+    closed = trkernel.tr_closed_decomposition
+
+    def drop_first(ctx, ell, trunc, window):
+        return CyclicDecomposition(list(closed(ctx, ell, trunc, window))[1:])
+
+    monkeypatch.setattr(trkernel, "tr_closed_decomposition", drop_first)
+    # the dropped generator B[n0,l1]j0e0 sits at (2, 0)
+    first = "twist l=1: oracle and closed form disagree at ((2, 0), 1, 0)"
+    with pytest.raises(VerificationFailure) as exc:
+        tr_gr_module(CTX3, 1, 1, (0, 30), mode="both")
+    assert str(exc.value) == first
+    code = main(["tr", "--p", "3", "--ell", "1", "--m", "1", "--deg-max", "30"])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == "" and out.err == f"verification failure: {first}\n"
 
 
 def test_page_guards_all_fire_before_the_first_page(monkeypatch):
