@@ -96,6 +96,7 @@ def _emit(args, payload: str) -> None:
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
             sys.stdout.write("\n")
+        sys.stdout.flush()  # a reader that has gone raises here, inside main
 
 
 def _cache_dir(args) -> str | None:
@@ -181,7 +182,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         if args.command == "betti-bound":
-            print(betti_bound(PrimeContext(args.p), args.d))
+            print(betti_bound(PrimeContext(args.p), args.d), flush=True)
             return EXIT_OK
         if args.command == "verify":
             code, payload = _cmd_verify(args)
@@ -217,6 +218,14 @@ def main(argv=None) -> int:
     except (VerificationFailure, InvariantError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except BrokenPipeError:
+        # The reader of stdout stopped early, as `| head` does: not an error.
+        # stdout now writes to devnull, so the flush at shutdown cannot
+        # raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
 
 
 if __name__ == "__main__":

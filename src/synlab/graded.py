@@ -226,9 +226,6 @@ class DimTable:
     window: tuple
     notes: dict = field(default_factory=dict)
 
-    def get(self, stem: int, line: int) -> int:
-        return self.entries.get((stem, line), 0)
-
     def same_entries(self, other: "DimTable") -> bool:
         return not differences(self.entries, other.entries)
 

@@ -529,9 +529,10 @@ class EInfResult:
         return hi - h
 
     def _survivors(self, window):
-        """(segment, delta, stem0, heights) over the surviving heights below
-        the v1 cutoff whose stem lies in the window, one range of heights
-        per alive interval, ladders in key order, h ascending."""
+        """(segment, delta, stem0, heights, top) over the surviving heights
+        below the v1 cutoff whose stem lies in the window: one range of
+        heights per alive interval, with the interval's exclusive top as the
+        page has it, ladders in key order, h ascending."""
         q = self.page.ctx.q
         cut = self.page.v1_cutoff
         lo, hi = window
@@ -547,20 +548,22 @@ class EInfResult:
                 for ilo, ihi in alive:
                     hs = range(ilo if ilo > h_min else h_min, ihi if ihi < h_end else h_end)
                     if hs:
-                        yield seg, delta, stem0, hs
+                        yield seg, delta, stem0, hs, ihi
 
-    def iter_alive(self, window):
-        """(monomial, h) over survivors below the v1 cutoff in a stem window."""
-        n, ell = self.page.n, self.page.ell
-        for seg, delta, _stem0, hs in self._survivors(window):
-            a, b = seg.a_slope * delta, seg.b_slope * delta
-            for h in hs:
-                yield Monomial(n, ell, a + h, b + h, seg.e1, seg.e2), h
+    def orbits(self, window):
+        """(stem0, base, heights, top) over the survivor v1-orbits in a stem
+        window, ladders in key order: the ladder's bottom stem, the exponents
+        (t, mu, lam, u) of its height-0 monomial, the range of its alive
+        heights below the v1 cutoff whose stem lies in the window, and the
+        exclusive top of their alive interval, cut by neither window nor
+        cutoff."""
+        for seg, delta, stem0, hs, top in self._survivors(window):
+            yield stem0, (seg.a_slope * delta, seg.b_slope * delta, seg.e1, seg.e2), hs, top
 
     def dim_table(self, window, params=None):
         counts: dict = {}
         q = self.page.ctx.q
-        for seg, _delta, stem0, hs in self._survivors(window):
+        for seg, _delta, stem0, hs, _top in self._survivors(window):
             line = seg.e1 - seg.e2
             for h in hs:
                 key = (stem0 + h * q, line)

@@ -2,30 +2,38 @@
 
 The oracle route: build the fixed-point and Tate E-infinity pages for all
 levels that can reach the window, present the canonical and Frobenius maps
-on the v1-adic associated graded by their name-level formulas
+on the v1-adic associated graded by their name-level formulas, and take the
+kernel of phi - can with exact linear algebra.
 
-    can: v1^s se t^i ...  ->  v1^s se t^i ...        (same level, t-type)
-         v1^s se mu^j ... ->  0                       (j > 0)
-    phi: v1^s se t^i ...  ->  0                       (i > 0)
-         v1^s se mu^j ... ->  v1^s se' t^(p^n l (p-1) - p j) ...  (level + 1)
+A class is a pure base (level, t, mu, lam, u), the monomial
+se(l p^level) t^t mu^mu l1^lam u^u with t = 0 or mu = 0.  Every survivor
+the oracle reads is v1^s times a base whose alive heights form one
+interval (assert_pure_chains), so source and target are direct sums of
+interval modules over F_p[v1].  The maps act on the base alone:
 
-and take kernels of phi - can piece by piece with exact linear algebra.
-A class is (level, Monomial) on the fixed-point or Tate page of that level;
-in the piece at (stem, line, s) it is v1^s times a pure monomial, so it is
-t-type when mu_exp == s and mu-type when t_exp == s.  Both maps act on
-monomial names, so no degree-based name resolution is needed; the one
-degree where two classes share a stem (p | n) stays unambiguous.  Units
-are pinned to +1, which changes no dimension or torsion order (the map's
-bipartite graph is a disjoint union of paths).
+    can: (level, t, 0, ...)  ->  (level, t, 0, ...)                  t-type
+    phi: (level, 0, mu, ...) ->  (level + 1, p^level l (p-1) - p mu, 0, ...)
 
-The kernel's own v1-structure is re-derived, not assumed: the module
-checks that gr(phi - can) is surjective onto every Tate piece and that v1
-is surjective on the computed kernel, which together collapse the abutment
-filtration to the v1-adic one.
+and the height s only decides whether the image is still alive.  Both act
+on names, so no degree-based name resolution is needed.  Units are pinned
+to +1, which changes no dimension or torsion order (the map's bipartite
+graph is a disjoint union of paths).
+
+So the kernel is reduced once per v1-orbit class (base stem, line), not
+once per (stem, line, s) piece: the piece at height s is the class's base
+matrix cut to the rows and columns alive at s, as in Zomorodian and
+Carlsson, "Computing Persistent Homology" (Discrete Comput. Geom. 33,
+2005).  The kernel's own v1-structure is re-derived, not assumed; every
+oracle run checks that gr(phi - can) is onto the Tate piece at every
+(stem, line, s) of the window (the rank there is the number of Tate
+classes alive) and that no kernel bar is born above its orbit's bottom
+(v1 is onto the kernel).  Together they collapse the abutment filtration
+to the v1-adic one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from . import fplinalg
@@ -64,32 +72,36 @@ class PageSet:
             pages = self.hfp if variant is Variant.HFP else self.tate
             pages[i] = run_to_einf(SSPage(ctx, i, ell, variant, window, v1_cutoff))
 
+    def monomial(self, cls: tuple, h: int = 0) -> Monomial:
+        """v1^h times the class cls = (level, t, mu, lam, u), as a monomial."""
+        level, t, mu, lam, u = cls
+        return Monomial(level, self.ell, t + h, mu + h, lam, u)
 
-def gr_can(level: int, mono: Monomial, s: int, pages: PageSet) -> tuple | None:
-    """Associated-graded canonical map on the class (level, mono) at v1-height
-    s; its image (level, mono), or None when it vanishes."""
+
+def gr_can(cls: tuple, h: int, pages: PageSet) -> tuple | None:
+    """Associated-graded canonical map on v1^h times the class cls; its
+    image class on the Tate page of the same level, or None when that
+    image vanishes or v1^h times it is dead."""
+    level, _t, mu, _lam, _u = cls
     if level < 1:
         return None  # level 0 has no Tate target in the limit diagram
-    if mono.mu_exp != s:
-        return None  # v1^s mu^j with j > 0 dies; t^0 mu^0 is t-type too
-    if not pages.tate[level].alive(mono):
-        return None
-    return level, mono
+    if mu:
+        return None  # v1^h mu^j with j > 0 dies; t^0 mu^0 is t-type too
+    return cls if pages.tate[level].alive(pages.monomial(cls, h)) else None
 
 
-def gr_phi(level: int, mono: Monomial, s: int, pages: PageSet) -> tuple | None:
-    """Associated-graded Frobenius on the class (level, mono) at v1-height s,
-    into the next level's Tate page; its image, or None when it vanishes."""
-    if mono.t_exp != s:
-        return None  # v1^s t^i with i > 0 dies
+def gr_phi(cls: tuple, h: int, pages: PageSet) -> tuple | None:
+    """Associated-graded Frobenius on v1^h times the class cls, into the
+    next level's Tate page; its image class, or None when that image
+    vanishes or v1^h times it is dead."""
+    level, t, mu, lam, u = cls
+    if t:
+        return None  # v1^h t^i with i > 0 dies
     p = pages.ctx.p
     if level + 1 > pages.top:
         raise InputError(f"phi target level {level + 1} not modeled")
-    i_t = p**level * pages.ell * (p - 1) - p * (mono.mu_exp - s)
-    target = Monomial(level + 1, pages.ell, i_t + s, s, mono.lam, mono.u_exp)
-    if not pages.tate[level + 1].alive(target):
-        return None
-    return level + 1, target
+    img = (level + 1, p**level * pages.ell * (p - 1) - p * mu, 0, lam, u)
+    return img if pages.tate[level + 1].alive(pages.monomial(img, h)) else None
 
 
 def complete_to_kernel(leading: tuple, pages: PageSet) -> list:
@@ -109,18 +121,19 @@ def complete_to_kernel(leading: tuple, pages: PageSet) -> list:
         raise InputError(f"leading term {mono} is not pure (divisible by v1)")
     if level > pages.top:
         raise InputError("leading term above the top modeled level")
-    if gr_can(level, mono, 0, pages) is not None:
+    cls = (level, mono.t_exp, mono.mu_exp, mono.lam, mono.u_exp)
+    if gr_can(cls, 0, pages) is not None:
         raise InvariantError(f"leading term {mono} at level {level} is not in ker(can)")
     comps = [leading]
-    while level < pages.top:
-        img = gr_phi(level, mono, 0, pages)
-        if img is None:
+    while cls[0] < pages.top:
+        cls = gr_phi(cls, 0, pages)
+        if cls is None:
             break
-        level, mono = img
-        # can is the identity on img, a live t-type Tate class
-        if not pages.hfp[level].alive(mono):
-            raise InvariantError(f"chain from {leading[1]} needs dead class {mono} at level {level}")
-        comps.append(img)
+        # can is the identity on cls, a live t-type Tate class
+        mono = pages.monomial(cls)
+        if not pages.hfp[cls[0]].alive(mono):
+            raise InvariantError(f"chain from {leading[1]} needs dead class {mono} at level {cls[0]}")
+        comps.append((cls[0], mono))
     return comps
 
 
@@ -182,8 +195,20 @@ def _window_torsion_bound(p: int, ell: int, hi: int, m_max: int) -> int:
     return best + 2
 
 
+def _count_above(ends: list, s: int) -> int:
+    """How many of the sorted heights in ends exceed s."""
+    return len(ends) - bisect_right(ends, s)
+
+
 class TrOracle:
-    """Brute-force gr TR^[m](Z_p; Sigma^{2l} Z_p)/p on a stem window."""
+    """Brute-force gr TR^[m](Z_p; Sigma^{2l} Z_p)/p on a stem window.
+
+    Classes are grouped by orbit key (base stem, line).  At each key the
+    columns are the fixed-point classes, ordered by life (the top of their
+    alive interval), and the rows the Tate classes; each carries the range
+    of its alive heights in the window, all starting at the key's bottom
+    height.
+    """
 
     def __init__(self, ctx: PrimeContext, ell: int, trunc, window):
         p = ctx.p
@@ -213,8 +238,9 @@ class TrOracle:
         page_hi = hi + ctx.q * (tors_bound + 2)
         v_cut = tors_bound + 4
         self.pages = PageSet(ctx, ell, self.top, (min(lo, 0), page_hi), v_cut)
-        self._src_pieces: dict = {}
-        self._tgt_pieces: dict = {}
+        self._cols: dict = {}  # orbit key -> [(class, heights, top)], by (top, class)
+        self._rows: dict = {}  # orbit key -> [(class, heights, top)], by class
+        self._bases: dict = {}  # orbit key -> (matrix entries, sorted rank lives)
         self._kernels: dict = {}
         self._assemble()
 
@@ -224,82 +250,107 @@ class TrOracle:
         lo, hi = self.window
         # kills from one stem above can reach the window
         window = (min(lo, 0), hi + 1)
-        sides = ((self.pages.hfp, self._src_pieces), (self.pages.tate, self._tgt_pieces))
-        for pages, pieces in sides:
+        # assert_pure_chains leaves each ladder one alive interval, from the
+        # bottom of its modeled heights; a ladder modeled from above height
+        # 0 has its bottom stem below lo_pad, more than q below the window,
+        # so every orbit of a key starts at the window's bottom height there.
+        for pages, side in ((self.pages.hfp, self._cols), (self.pages.tate, self._rows)):
             for level, res in pages.items():
                 res.assert_pure_chains(window[1])
-                for mono, h in res.iter_alive(window):
-                    pieces.setdefault((mono.stem(self.ctx), mono.line, h), []).append((level, mono))
-        for _pages, pieces in sides:
-            for piece in pieces.values():
-                piece.sort(key=lambda lm: (lm[0], lm[1].t_exp, lm[1].mu_exp))
+                for stem0, (t, mu, lam, u), heights, top in res.orbits(window):
+                    side.setdefault((stem0, lam - u), []).append(((level, t, mu, lam, u), heights, top))
+        for cols in self._cols.values():
+            cols.sort(key=lambda c: (c[2], c[0]))
+        for rows in self._rows.values():
+            rows.sort(key=lambda r: r[0])
 
-    def matrix(self, key) -> fplinalg.FpMatrix:
-        """phi - can from the source piece at key to the Tate piece at key."""
+    def _base(self, key) -> tuple:
+        """(entries, lives) of the base matrix of phi - can at an orbit key:
+        {(row, column): residue}, and the sorted heights below which each
+        unit of rank lives, so the piece at height s has rank #{life > s}.
+
+        Every can/phi image of a column must be a Tate row, alive as long
+        as on its page.  Rows enter one echelon form longest-lived first, on
+        the columns longest-lived first; on any leading set of columns such
+        a form has the rank of its pivots there, so a row that adds to the
+        rank lives as long as it and its pivot column both do.
+        """
+        if key in self._bases:
+            return self._bases[key]
         p = self.ctx.p
-        src = self._src_pieces.get(key, [])
-        tgt = self._tgt_pieces.get(key, [])
-        index = {lm: i for i, lm in enumerate(tgt)}
-        entries = {}
-        s = key[2]
-        for j, (level, mono) in enumerate(src):
-            for img, sign, what in (
-                (gr_can(level, mono, s, self.pages), -1, "can"),
-                (gr_phi(level, mono, s, self.pages) if level < self.top else None, 1, "phi"),
-            ):
+        cols = self._cols.get(key, [])
+        rows = self._rows.get(key, [])
+        index = {cls: i for i, (cls, _hs, _top) in enumerate(rows)}
+        entries: dict = {}
+        for j, (cls, heights, _top) in enumerate(cols):
+            for gr, sign, what in ((gr_can, -1, "can"), (gr_phi, 1, "phi")):
+                if gr is gr_phi and cls[0] >= self.top:
+                    continue
+                img = gr(cls, heights.start, self.pages)
                 if img is None:
                     continue
-                row = index.get(img)
-                if row is None:
-                    raise InvariantError(f"{what} image {img[1]} missing from Tate basis")
-                entries[(row, j)] = (entries.get((row, j), 0) + sign) % p
+                i = index.get(img)
+                if i is None or (rows[i][1].stop < heights.stop and gr(cls, rows[i][1].stop, self.pages) is not None):
+                    raise InvariantError(f"{what} image {self.pages.monomial(img)} missing from Tate basis")
+                entries[(i, j)] = (entries.get((i, j), 0) + sign) % p
         entries = {k: v for k, v in entries.items() if v}
-        return fplinalg.FpMatrix(p, len(tgt), len(src), entries)
+        n = len(cols)
+        by_row: dict = {}
+        for (i, j), v in entries.items():
+            by_row.setdefault(i, {})[n - 1 - j] = v
+        lives = []
+        if by_row:
+            span = fplinalg.VectorSpan(p, n)
+            for i in sorted(by_row, key=lambda i: -rows[i][1].stop):
+                red = span.reduce(by_row[i])
+                if red:
+                    span.add(red)
+                    lives.append(min(rows[i][1].stop, cols[n - 1 - min(red)][1].stop))
+        self._bases[key] = entries, sorted(lives)
+        return self._bases[key]
+
+    def matrix(self, key) -> fplinalg.FpMatrix:
+        """phi - can on the base classes of an orbit key (base stem, line).
+        The piece at height s is this matrix cut to the rows and columns
+        alive at s."""
+        rows, cols = self._rows.get(key, ()), self._cols.get(key, ())
+        return fplinalg.FpMatrix(self.ctx.p, len(rows), len(cols), self._base(key)[0])
 
     def kernel(self, key):
+        """Kernel basis of matrix(key), one vector per free column; its
+        free column is its largest index, and the latest to die.  A matrix
+        whose rank (one per life) fills its columns is not reduced again."""
         if key not in self._kernels:
-            src = self._src_pieces.get(key, [])
-            if not src:
-                self._kernels[key] = []
-            else:
-                self._kernels[key] = fplinalg.kernel_basis(self.matrix(key))
+            full = len(self._base(key)[1]) == len(self._cols.get(key, ()))
+            self._kernels[key] = [] if full else fplinalg.kernel_basis(self.matrix(key))
         return self._kernels[key]
+
+    def _window_heights(self, key, top: int) -> range:
+        """The heights below top of an orbit key whose stem lies in the
+        window."""
+        d, _line = key
+        lo, hi = self.window
+        q = self.ctx.q
+        return range(max(0, -((d - lo) // q)), min(top, (hi - d) // q + 1))
 
     # -- structure extraction ----------------------------------------------
 
-    def _shift_vector(self, key, vec):
-        """Multiply a kernel vector by v1; returns (new key, vector)."""
-        stem, line, s = key
-        nkey = (stem + self.ctx.q, line, s + 1)
-        src = self._src_pieces.get(key, [])
-        nsrc = self._src_pieces.get(nkey, [])
-        nindex = {lm: i for i, lm in enumerate(nsrc)}
-        out = {}
-        for j, c in vec.items():
-            level, mono = src[j]
-            tm = mono.v1_times()
-            pos = nindex.get((level, tm))
-            if pos is not None:
-                out[pos] = c
-            elif self.pages.hfp[level].alive(tm):
-                raise InvariantError("v1 shift left the assembled stem range")
-        return nkey, out
-
     def generators(self) -> list:
-        """Kernel generators: filtration-0 kernel basis, each with the
-        torsion of its chain (probe_element_torsion)."""
+        """Kernel generators: the height-0 kernel basis of each orbit key in
+        the window, each with the torsion of its chain
+        (probe_element_torsion).  The columns are ordered by life, so a
+        vector's torsion is the life of its free column, and no basis of
+        the kernel has smaller torsions."""
         out = []
         lo, hi = self.window
-        for key in sorted(k for k in self._src_pieces if k[2] == 0 and lo <= k[0] <= hi):
-            vecs = self.kernel(key)
-            src = self._src_pieces[key]
-            for vec in vecs:
-                r = probe_element_torsion(self.pages, [src[j] for j in vec])
-                level, mono = src[min(vec)]
-                label = f"ker:L{level}:{mono}@{key[0]},{key[1]}"
-                out.append(
-                    (Generator(label, Bidegree(key[0], key[1]), r), key, vec)
-                )
+        monomial = self.pages.monomial
+        for key in sorted(k for k in self._cols if lo <= k[0] <= hi):
+            cols = self._cols[key]
+            for vec in self.kernel(key):
+                r = probe_element_torsion(self.pages, [(cols[j][0][0], monomial(cols[j][0])) for j in vec])
+                free = cols[max(vec)][0]
+                label = f"ker:L{free[0]}:{monomial(free)}@{key[0]},{key[1]}"
+                out.append((Generator(label, Bidegree(*key), r), key, vec))
         return out
 
     def decomposition(self) -> CyclicDecomposition:
@@ -309,46 +360,54 @@ class TrOracle:
     # -- checks -------------------------------------------------------------
 
     def check_v1_surjectivity(self) -> list:
-        """v1: gr^s -> gr^(s+1) of the kernel must be onto, every bidegree.
+        """[((stem, line, s), kernel dim, carried dim)] over the pieces of
+        the window where a kernel bar is born above its orbit's bottom.
 
-        Checked for every piece whose v1-predecessor stem is still inside
-        the window (so the predecessor kernel is fully assembled).
+        v1 carries the height-0 generators up while their free columns
+        live; the rest of the kernel at s, #{columns alive} - rank, was
+        born above height 0 (all of it where the orbits reach the window
+        from below).
         """
         failures = []
-        lo, hi = self.window
         q = self.ctx.q
-        for key in sorted(self._src_pieces):
-            stem, line, s = key
-            if s == 0 or not (lo <= stem <= hi):
+        for key, cols in self._cols.items():
+            ends = [hs.stop for _c, hs, _t in cols]
+            heights = self._window_heights(key, ends[-1])
+            if not heights:
                 continue
-            pkey = (stem - q, line, s - 1)
-            kdim = len(self.kernel(key))
-            if kdim == 0:
-                continue
-            span = fplinalg.VectorSpan(self.ctx.p, len(self._src_pieces[key]))
-            for pv in self.kernel(pkey):
-                _nk, sh = self._shift_vector(pkey, pv)
-                if sh:
-                    span.add(sh)
-            if span.rank < kdim:
-                failures.append((key, kdim, span.rank))
-        return failures
+            carried = []
+            if heights.start == 0:
+                carried = sorted(ends[max(vec)] for vec in self.kernel(key))
+                heights = heights[1:]
+            lives = self._base(key)[1]
+            for s in heights:
+                kdim = _count_above(ends, s) - _count_above(lives, s)
+                up = _count_above(carried, s)
+                if kdim > up:
+                    failures.append(((key[0] + s * q, key[1], s), kdim, up))
+        return sorted(failures)
 
     def surjectivity_report(self) -> SurjectivityReport:
+        """gr(phi - can) onto the Tate piece at every (stem, line, s) of the
+        window: the rank there is the number of Tate rows alive."""
         rep = SurjectivityReport()
-        lo, hi = self.window
-        for key in sorted(self._tgt_pieces):
-            stem, line, s = key
-            if not (lo <= stem <= hi):
+        q = self.ctx.q
+        for key, rows in self._rows.items():
+            ends = sorted(hs.stop for _c, hs, _t in rows)
+            heights = self._window_heights(key, ends[-1])
+            if not heights:
                 continue
-            src, tgt = self._src_pieces.get(key, []), self._tgt_pieces[key]
-            rep.pieces_checked += 1
-            # kernel_basis has one vector per free column of the reduction
-            # rank reads, so this is the rank of the piece matrix
-            r = len(src) - len(self.kernel(key))
-            rep.margins[key] = len(src) - len(tgt)
-            if r < len(tgt):
-                rep.failures.append((key, len(tgt), r))
+            col_ends = [hs.stop for _c, hs, _t in self._cols.get(key, ())]
+            lives = self._base(key)[1]
+            for s in heights:
+                piece = (key[0] + s * q, key[1], s)
+                n_rows = _count_above(ends, s)
+                rep.pieces_checked += 1
+                rep.margins[piece] = _count_above(col_ends, s) - n_rows
+                rank = _count_above(lives, s)
+                if rank < n_rows:
+                    rep.failures.append((piece, n_rows, rank))
+        rep.failures.sort()
         return rep
 
 

@@ -36,8 +36,8 @@ def test_tc_zp_generator_count_and_degrees():
 
 def test_tc_zp_low_stem_dims():
     table = tc_zp_dims(CTX3, (0, 8)).dims(CTX3, (-1, 4))
-    assert table.get(-1, 1) == 1
-    assert table.get(4, 0) == 1 and table.get(4, 2) == 1
+    assert table.entries.get((-1, 1), 0) == 1
+    assert table.entries.get((4, 0), 0) == 1 and table.entries.get((4, 2), 0) == 1
 
 
 def _keys(gens) -> Counter:
@@ -71,9 +71,9 @@ def test_syntomic_free_generator_contributes_k_reduction_classes():
     for k in (1, 2, 3):
         params = AssemblyParams(3, 5, k, (-1, -1))
         table = syntomic_dims(params)
-        assert table.get(-1, 1) == 1
+        assert table.entries.get((-1, 1), 0) == 1
     params = AssemblyParams(3, 5, 2, (3, 3))
-    assert syntomic_dims(params).get(3, 1) == 2  # v1*del and t*l1 share the spot
+    assert syntomic_dims(params).entries.get((3, 1), 0) == 2  # v1*del and t*l1 share the spot
 
 
 def test_syntomic_torsion_generator_kernel_classes():
@@ -81,8 +81,8 @@ def test_syntomic_torsion_generator_kernel_classes():
     # reduction class at (2,0) and one kernel class at (2 + q + q*k + 1, 1)
     params = AssemblyParams(3, 3, 1, (-2, 20))
     table = syntomic_dims(params)
-    assert table.get(2, 0) == 1
-    assert table.get(2 + 4 + 4 + 1, 1) >= 1
+    assert table.entries.get((2, 0), 0) == 1
+    assert table.entries.get((2 + 4 + 4 + 1, 1), 0) >= 1
 
 
 def test_syntomic_requires_identification_range():
@@ -112,7 +112,7 @@ def test_tc_table_is_column_sums():
 
 
 def test_tc_stem_minus_one_has_del():
-    assert tc_mod_dims(AssemblyParams(3, 3, 1, (-2, 10))).get(-1, 0) == 1
+    assert tc_mod_dims(AssemblyParams(3, 3, 1, (-2, 10))).entries.get((-1, 0), 0) == 1
 
 
 def test_k_tc_delta():
@@ -127,7 +127,7 @@ def test_k_tc_delta():
             if d:
                 diff[key[0]] = d
         assert diff == {-1: -1, q * k - 1: 1}
-        assert kt.get(0, 0) == tc.get(0, 0)
+        assert kt.entries.get((0, 0), 0) == tc.entries.get((0, 0), 0)
 
 
 def test_k_refuses_boundary_k():

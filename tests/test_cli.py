@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +40,24 @@ def test_csv_format(capsys):
 def test_betti_bound(capsys):
     code, out, _ = run(capsys, "betti-bound", "--p", "3", "--d", "3")
     assert code == 0 and out.strip() == "3"
+
+
+@pytest.mark.parametrize("argv", [
+    ["einf", "--p", "3", "--n", "1", "--ell", "1", "--deg-min", "-4", "--deg-max", "16"],
+    ["betti-bound", "--p", "3", "--d", "3"],
+], ids=["table", "betti-bound"])
+def test_a_closed_stdout_stops_quietly(argv):
+    # as `synlab ... | head -3` once head has exited; stdout block-buffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    try:
+        proc = subprocess.run([sys.executable, "-m", "synlab.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0 and proc.stderr == b""
 
 
 def test_einf_cross_checked(capsys):

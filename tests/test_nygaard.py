@@ -19,6 +19,7 @@ from synlab.nygaard import (
     run_to_einf,
     run_to_einf_dense,
 )
+from test_trkernel import iter_alive
 
 CTX3 = PrimeContext(3)
 
@@ -37,7 +38,7 @@ def test_ladder_view_of_basis_cutoff():
             assert divisibility(page.variant, m.t_exp, m.mu_exp) == h
     # E-infinity reports only heights below the cutoff
     res = run_to_einf(page)
-    reported = [m for m, _h in res.iter_alive((page.lo_pad, page.hi_pad))]
+    reported = [m for m, _h in iter_alive(res, (page.lo_pad, page.hi_pad))]
     assert reported and all(divisibility(page.variant, m.t_exp, m.mu_exp) < 2 for m in reported)
 
 
@@ -51,7 +52,7 @@ def test_tate_basis_when_cutoff_one():
     page = SSPage(CTX3, 1, 0, Variant.TATE, (0, 0), v1_cutoff=1)
     assert page.ladders[(0, 0, 0)].monomial(0) == Monomial(level=1)
     res = run_to_einf(page)
-    reported = [m for m, _h in res.iter_alive((page.lo_pad, page.hi_pad))]
+    reported = [m for m, _h in iter_alive(res, (page.lo_pad, page.hi_pad))]
     assert reported and all(divisibility(Variant.TATE, m.t_exp, m.mu_exp) < 1 for m in reported)
 
 
@@ -185,7 +186,7 @@ def test_collapse_after_final_stage():
         p = 3
         c = page._twist_coeff
         G, P = geo(p, 1, n), p ** (n + 1)
-        for mono, h in res.iter_alive((4, 36)):
+        for mono, h in iter_alive(res, (4, 36)):
             if mono.lam or vp(p, (mono.t_exp - mono.mu_exp) + c) != n:
                 continue
             tgt = Monomial(n, ell, mono.t_exp + G + P, mono.mu_exp + G, 1, mono.u_exp)
@@ -320,7 +321,7 @@ def test_dim_table_counts_iter_alive(variant):
         ctx = PrimeContext(p)
         res = run_to_einf(SSPage(ctx, n, ell, variant, window, 5))
         assert all(_is_gapped(lad.alive) for lad in res.page.ladders.values())
-        walked = Counter((m.stem(ctx), m.line) for m, _h in res.iter_alive(window))
+        walked = Counter((m.stem(ctx), m.line) for m, _h in iter_alive(res, window))
         assert res.dim_table(window).entries == dict(walked)
 
 

@@ -1,17 +1,20 @@
 import json
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synlab import nygaard, trkernel
+from synlab import fplinalg, nygaard, trkernel
 from synlab.cli import main
 from synlab.closedforms import TRUNC_INF, FamilyTag, enumerate_families
 from synlab.errors import InputError, InvariantError, ResourceError, VerificationFailure
-from synlab.graded import CyclicDecomposition, Monomial, PrimeContext
+from synlab.graded import Bidegree, CyclicDecomposition, Generator, Monomial, PrimeContext
 from synlab.nygaard import SSPage
 from synlab.trkernel import (
     PageSet,
+    SurjectivityReport,
     TrOracle,
     complete_to_kernel,
     gr_can,
@@ -23,6 +26,131 @@ from synlab.trkernel import (
 CTX3 = PrimeContext(3)
 
 
+def iter_alive(res, window):
+    """(monomial, h) over the survivors of an E-infinity page below its v1
+    cutoff in a stem window."""
+    n, ell = res.page.n, res.page.ell
+    for seg, delta, _stem0, hs, _top in res._survivors(window):
+        a, b = seg.a_slope * delta, seg.b_slope * delta
+        for h in hs:
+            yield Monomial(n, ell, a + h, b + h, seg.e1, seg.e2), h
+
+
+class ReferenceOracle:
+    """The TR kernel piece by piece, on the pages of a TrOracle.
+
+    Every survivor is a Monomial in the piece at (stem, line, s); each piece
+    gets its own matrix and kernel, and v1-surjectivity shifts every kernel
+    vector one piece up.  The can/phi images are read from gr_can/gr_phi at
+    each height.
+    """
+
+    def __init__(self, oracle: TrOracle):
+        self.ctx, self.pages, self.top, self.window = oracle.ctx, oracle.pages, oracle.top, oracle.window
+        self._src_pieces: dict = {}
+        self._tgt_pieces: dict = {}
+        self._kernels: dict = {}
+        lo, hi = self.window
+        window = (min(lo, 0), hi + 1)
+        for pages, pieces in ((self.pages.hfp, self._src_pieces), (self.pages.tate, self._tgt_pieces)):
+            for level, res in pages.items():
+                for mono, h in iter_alive(res, window):
+                    pieces.setdefault((mono.stem(self.ctx), mono.line, h), []).append((level, mono))
+            for piece in pieces.values():
+                piece.sort(key=lambda lm: (lm[0], lm[1].t_exp, lm[1].mu_exp))
+
+    def _image(self, gr, level, mono, s):
+        img = gr((level, mono.t_exp - s, mono.mu_exp - s, mono.lam, mono.u_exp), s, self.pages)
+        return None if img is None else (img[0], self.pages.monomial(img, s))
+
+    def matrix(self, key) -> fplinalg.FpMatrix:
+        p = self.ctx.p
+        src = self._src_pieces.get(key, [])
+        tgt = self._tgt_pieces.get(key, [])
+        index = {lm: i for i, lm in enumerate(tgt)}
+        entries = {}
+        s = key[2]
+        for j, (level, mono) in enumerate(src):
+            for img, sign in (
+                (self._image(gr_can, level, mono, s), -1),
+                (self._image(gr_phi, level, mono, s) if level < self.top else None, 1),
+            ):
+                if img is not None:
+                    row = index[img]
+                    entries[(row, j)] = (entries.get((row, j), 0) + sign) % p
+        entries = {k: v for k, v in entries.items() if v}
+        return fplinalg.FpMatrix(p, len(tgt), len(src), entries)
+
+    def kernel(self, key):
+        if key not in self._kernels:
+            src = self._src_pieces.get(key, [])
+            self._kernels[key] = fplinalg.kernel_basis(self.matrix(key)) if src else []
+        return self._kernels[key]
+
+    def _shift_vector(self, key, vec):
+        """Multiply a kernel vector by v1; returns (new key, vector)."""
+        stem, line, s = key
+        nkey = (stem + self.ctx.q, line, s + 1)
+        src = self._src_pieces.get(key, [])
+        nindex = {lm: i for i, lm in enumerate(self._src_pieces.get(nkey, []))}
+        out = {}
+        for j, c in vec.items():
+            level, mono = src[j]
+            tm = mono.v1_times()
+            pos = nindex.get((level, tm))
+            if pos is not None:
+                out[pos] = c
+            else:
+                assert not self.pages.hfp[level].alive(tm), "v1 shift left the assembled stem range"
+        return nkey, out
+
+    def generators(self) -> list:
+        out = []
+        lo, hi = self.window
+        for key in sorted(k for k in self._src_pieces if k[2] == 0 and lo <= k[0] <= hi):
+            src = self._src_pieces[key]
+            for vec in self.kernel(key):
+                r = probe_element_torsion(self.pages, [src[j] for j in vec])
+                out.append(Generator(f"ref{len(out)}", Bidegree(key[0], key[1]), r))
+        return out
+
+    def check_v1_surjectivity(self) -> list:
+        failures = []
+        lo, hi = self.window
+        q = self.ctx.q
+        for key in sorted(self._src_pieces):
+            stem, line, s = key
+            if s == 0 or not (lo <= stem <= hi):
+                continue
+            pkey = (stem - q, line, s - 1)
+            kdim = len(self.kernel(key))
+            if kdim == 0:
+                continue
+            span = fplinalg.VectorSpan(self.ctx.p, len(self._src_pieces[key]))
+            for pv in self.kernel(pkey):
+                _nk, sh = self._shift_vector(pkey, pv)
+                if sh:
+                    span.add(sh)
+            if span.rank < kdim:
+                failures.append((key, kdim, span.rank))
+        return failures
+
+    def surjectivity_report(self) -> SurjectivityReport:
+        rep = SurjectivityReport()
+        lo, hi = self.window
+        for key in sorted(self._tgt_pieces):
+            stem, line, s = key
+            if not (lo <= stem <= hi):
+                continue
+            src, tgt = self._src_pieces.get(key, []), self._tgt_pieces[key]
+            rep.pieces_checked += 1
+            r = fplinalg.rank(self.matrix(key))
+            rep.margins[key] = len(src) - len(tgt)
+            if r < len(tgt):
+                rep.failures.append((key, len(tgt), r))
+        return rep
+
+
 @pytest.fixture(scope="module")
 def pages31():
     # levels 0..4 so that delta chains close; window deep enough to certify
@@ -31,40 +159,40 @@ def pages31():
 
 
 def test_gr_can_identity_on_t_type(pages31):
-    mono = Monomial(1, 1, t_exp=2, lam=1)
-    assert gr_can(1, mono, 0, pages31) == (1, mono)
+    cls = (1, 2, 0, 1, 0)  # se(3)*t^2*l1 at level 1
+    assert gr_can(cls, 0, pages31) == cls
     # one v1 higher the Tate class is dead, so the graded map vanishes
-    assert gr_can(1, mono.v1_times(), 1, pages31) is None
+    assert gr_can(cls, 1, pages31) is None
 
 
 def test_gr_can_zero_on_mu_type(pages31):
-    assert gr_can(1, Monomial(1, 1, mu_exp=2, u_exp=1).v1_times(), 1, pages31) is None
+    assert gr_can((1, 0, 2, 0, 1), 1, pages31) is None
 
 
 def test_gr_can_identity_includes_bottom_class(pages31):
     # t^0 = mu^0: the canonical map keeps the name (here it survives iff
     # the Tate class does; at level 1, twist 1 it does not)
-    assert gr_can(1, Monomial(1, 1), 0, pages31) is None  # 0 is not congruent to -n*l*p^(n-1) mod p
+    assert gr_can((1, 0, 0, 0, 0), 0, pages31) is None  # 0 is not congruent to -n*l*p^(n-1) mod p
 
 
 def test_gr_phi_formula(pages31):
     # se(3)*mu at level 1: target exponent p^n l (p-1) - p j = 3
-    assert gr_phi(1, Monomial(1, 1, mu_exp=1), 0, pages31) == (2, Monomial(2, 1, t_exp=3))
+    assert gr_phi((1, 0, 1, 0, 0), 0, pages31) == (2, 3, 0, 0, 0)
 
 
 def test_gr_phi_keeps_the_height(pages31):
     # v1 * se(3)*mu: the same target one v1 higher, t^4 mu at level 2
     target = (2, Monomial(2, 1, t_exp=4, mu_exp=1))
     assert pages31.tate[2].alive(target[1])
-    assert gr_phi(1, Monomial(1, 1, mu_exp=1).v1_times(), 1, pages31) == target
+    assert pages31.monomial(gr_phi((1, 0, 1, 0, 0), 1, pages31), 1) == target[1]
 
 
 def test_gr_phi_zero_on_positive_t(pages31):
-    assert gr_phi(1, Monomial(1, 1, t_exp=2, lam=1), 0, pages31) is None
+    assert gr_phi((1, 2, 0, 1, 0), 0, pages31) is None
 
 
 def test_gr_phi_level_zero_bottom(pages31):
-    assert gr_phi(0, Monomial(0, 1), 0, pages31) == (1, Monomial(1, 1, t_exp=2))
+    assert gr_phi((0, 0, 0, 0, 0), 0, pages31) == (1, 2, 0, 0, 0)
 
 
 def test_complete_to_kernel_two_component_chain(pages31):
@@ -142,7 +270,7 @@ def test_surjectivity_report():
 
 
 TR_DRAWS = st.tuples(
-    st.sampled_from((2, 3, 5)),
+    st.sampled_from((2, 3, 5, 7)),
     st.integers(0, 5),
     st.sampled_from((0, 1, 2, 3, TRUNC_INF)),
     st.integers(0, 150),
@@ -161,6 +289,21 @@ def test_tr_oracle_equals_closed_families_with_both_surjectivity_checks(draw):
     assert res.surjectivity.all_surjective, res.surjectivity.failures[:3]
 
 
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.tuples(st.sampled_from((2, 3, 5, 7)), st.integers(0, 4), st.sampled_from((0, 1, 2, 3, TRUNC_INF)),
+                 st.integers(-12, 12), st.integers(0, 110)))
+def test_orbit_reduction_equals_the_per_piece_reference(draw):
+    p, i, m, lo, hi = draw
+    ell = i + 1 + i // (p - 1)  # the i-th positive integer prime to p
+    oracle = TrOracle(PrimeContext(p), ell, m, (lo, hi))
+    ref = ReferenceOracle(oracle)
+    got = Counter((tuple(g.bidegree), g.torsion) for g, _key, _vec in oracle.generators())
+    assert got == Counter((tuple(g.bidegree), g.torsion) for g in ref.generators())
+    new, old = oracle.surjectivity_report(), ref.surjectivity_report()
+    assert (new.pieces_checked, new.margins, new.failures) == (old.pieces_checked, old.margins, old.failures)
+    assert oracle.check_v1_surjectivity() == ref.check_v1_surjectivity() == []
+
+
 @pytest.fixture
 def tate_only_class(monkeypatch):
     """Every TrOracle with a Tate piece in its window gets one Tate class
@@ -170,12 +313,61 @@ def tate_only_class(monkeypatch):
     def with_a_tate_only_class(oracle):
         assemble(oracle)
         lo, hi = oracle.window
-        keys = [k for k in oracle._tgt_pieces if lo <= k[0] <= hi]
+        keys = [k for k in oracle._rows if lo <= k[0] <= hi]
         if keys:  # truncation 0 has no Tate page
-            level = oracle._tgt_pieces[min(keys)][0][0]
-            oracle._tgt_pieces[min(keys)].append((level, Monomial(level, oracle.ell, t_exp=10**6)))
+            rows = oracle._rows[min(keys)]
+            (level, *_rest), heights, top = rows[0]
+            rows.append(((level, 10**6, 0, 0, 0), heights, top))
 
     monkeypatch.setattr(TrOracle, "_assemble", with_a_tate_only_class)
+
+
+def _drop_a_phi_entry(monkeypatch):
+    # se(1)*mu at level 0 is the only class that reaches the Tate class
+    # se(3)*t^-1 at (8, 0), through phi
+    phi = trkernel.gr_phi
+    monkeypatch.setattr(trkernel, "gr_phi", lambda cls, h, pages: None if cls == (0, 0, 1, 0, 0) else phi(cls, h, pages))
+    return re.escape("not onto the Tate piece at ((8, 0, 0)")
+
+
+def _kill_a_tate_row(monkeypatch):
+    # se(3)*t^2 at (2, 0) is the phi image of se(1) and the can image of itself
+    assemble = TrOracle._assemble
+
+    def without_the_row(oracle):
+        assemble(oracle)
+        rows = oracle._rows[(2, 0)]
+        rows[:] = [r for r in rows if r[0] != (1, 2, 0, 0, 0)]
+
+    monkeypatch.setattr(TrOracle, "_assemble", without_the_row)
+    return re.escape("phi image se(1p^1)*t^2 missing from Tate basis")
+
+
+def _end_the_tate_classes_at_height_one(monkeypatch):
+    # every Tate class dies at height 1, so a fixed-point class that lives
+    # on joins the kernel there: se(9)*t^15*l1*u2, whose can image reached
+    # height 3, is in the kernel at height 2 (stem 0), the window's bottom
+    init = PageSet.__init__
+
+    def capped(pages, *args):
+        init(pages, *args)
+        for res in pages.tate.values():
+            for seg in res.page._all_segments():
+                seg.alive = [[(lo, min(hi, lo + 1)) for lo, hi in alive] for alive in seg.alive]
+
+    monkeypatch.setattr(PageSet, "__init__", capped)
+    return re.escape("v1 not surjective on the kernel at [((0, 0, 2), 1, 0)")
+
+
+@pytest.mark.parametrize("mutant", [_drop_a_phi_entry, _kill_a_tate_row, _end_the_tate_classes_at_height_one],
+                         ids=["drop-phi-entry", "kill-tate-row", "late-kernel-bar"])
+def test_every_tr_check_fires(mutant, monkeypatch, capsys):
+    message = mutant(monkeypatch)
+    with pytest.raises(InvariantError, match=message):
+        tr_gr_module(CTX3, 1, 2, (0, 40), mode="oracle")
+    code = main(["tr", "--p", "3", "--ell", "1", "--m", "2", "--deg-max", "40", "--mode", "oracle"])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == "" and out.err.startswith("verification failure: ")
 
 
 def test_a_tate_only_class_fails_every_oracle_run(tate_only_class, capsys):
