@@ -17,7 +17,7 @@ import sys
 
 from . import cache
 from .assembly import AssemblyParams, betti_bound, k_mod_dims, syntomic_dims, tc_mod_dims
-from .closedforms import TRUNC_INF, einf_closed
+from .closedforms import TRUNC_INF, einf_closed_counted
 from .errors import InputError, InvariantError, ResourceError, VerificationFailure
 from .graded import PrimeContext, differences
 from .nygaard import SSPage, Variant, default_v1_cutoff, run_to_einf
@@ -107,16 +107,6 @@ def _table_payload(table, fmt: str) -> str:
     return table.to_json() if fmt == "json" else table.to_csv()
 
 
-def _einf_closed_table(ctx, args, variant, window, cutoff):
-    """The closed-form E-infinity table, counted as the oracle page counts.
-
-    The page reports only v1-heights below the cutoff, and every closed
-    generator is a pure monomial, so v1^j g counts for j < cutoff.
-    """
-    dec = einf_closed(ctx, args.n, args.ell, variant, (window[0] - ctx.q * (cutoff + 1), window[1]))
-    return dec.dims(ctx, window, {"p": args.p, "n": args.n, "k": None}, height_cap=cutoff)
-
-
 def _cmd_einf(args) -> tuple[int, str]:
     ctx = PrimeContext(args.p)
     window = (args.deg_min, args.deg_max)
@@ -125,12 +115,14 @@ def _cmd_einf(args) -> tuple[int, str]:
     if cutoff < 1:
         raise InputError("v1 cutoff must be >= 1")
     meta = {"ell": args.ell, "variant": variant.value, "mode": args.mode, "v1_cutoff": cutoff}
+    params = {"p": args.p, "n": args.n, "k": None}
     if args.mode == "closed":
-        table = _einf_closed_table(ctx, args, variant, window, cutoff)
+        table = einf_closed_counted(ctx, args.n, args.ell, variant, window, cutoff, params)[0]
     else:
         table = run_to_einf(SSPage(ctx, args.n, args.ell, variant, window, cutoff)).dim_table(window)
         if args.mode == "both":
-            diff = differences(table.entries, _einf_closed_table(ctx, args, variant, window, cutoff).entries)
+            closed = einf_closed_counted(ctx, args.n, args.ell, variant, window, cutoff)[0]
+            diff = differences(table.entries, closed.entries)
             if diff:
                 raise VerificationFailure(f"einf oracle and closed form disagree at {diff[0]}")
             meta["cross_checked"] = True

@@ -88,7 +88,7 @@ class FamilyElement(NamedTuple):
     r: int | None
     index: int  # j for mu-type families, i for C
     e: int  # exterior exponent (lambda1 for A/B/F, u for C/D/E/G)
-    components: tuple  # ((level, Monomial), ...), leading component first
+    components: tuple  # classes (level, t, mu, lam, u), leading component first
     torsion: int
     bid: Bidegree  # the bidegree every component shares
 
@@ -172,6 +172,19 @@ def einf_closed(ctx: PrimeContext, n: int, ell: int, variant: Variant, window) -
     return CyclicDecomposition(gens)
 
 
+def einf_closed_counted(ctx: PrimeContext, n: int, ell: int, variant: Variant, window, v1_cutoff: int,
+                        params: dict | None = None) -> tuple:
+    """The closed E-infinity page on a stem window as the oracle page counts
+    it: (its DimTable, its generators with stem in the window).
+
+    The page reports only v1-heights below the cutoff, and every closed
+    generator is a pure monomial, so v1^j g counts for j < v1_cutoff, and
+    generators down to q*(v1_cutoff + 1) stems below the window reach it.
+    """
+    dec = einf_closed(ctx, n, ell, variant, (window[0] - ctx.q * (v1_cutoff + 1), window[1]))
+    return dec.dims(ctx, window, params, height_cap=v1_cutoff), dec.generators_in(window)
+
+
 # ---------------------------------------------------------------------------
 # Kernel generator families
 
@@ -228,9 +241,10 @@ def family_torsion(tag: FamilyTag, ctx: PrimeContext, n: int, ell: int, r: int |
 class Progression(NamedTuple):
     """The family elements (tag, n, r, e, j) for j in js, one kind of chain.
 
-    Component i of element j is se(l*p^level) t^(t0 + t1*j) mu^(m1*j)
-    l1^lam u^u for chain[i] = (level, t0, t1, m1), so every component's
-    stem is affine in j, and so is the torsion at truncation trunc.
+    Component i of element j is the class (level, t0 + t1*j, m1*j, lam, u),
+    the monomial se(l*p^level) t^(t0 + t1*j) mu^(m1*j) l1^lam u^u, for
+    chain[i] = (level, t0, t1, m1), so every component's stem is affine in
+    j, and so is the torsion at truncation trunc.
     """
 
     tag: FamilyTag
@@ -249,9 +263,7 @@ class Progression(NamedTuple):
         return self.lam - self.u
 
     def components(self, j: int) -> tuple:
-        return tuple(
-            (level, Monomial(level, self.ell, t0 + t1 * j, m1 * j, self.lam, self.u)) for level, t0, t1, m1 in self.chain
-        )
+        return tuple((level, t0 + t1 * j, m1 * j, self.lam, self.u) for level, t0, t1, m1 in self.chain)
 
     def affine(self, ctx: PrimeContext) -> tuple:
         """((stem, torsion) at js[0], their increments per step of js).
@@ -262,7 +274,7 @@ class Progression(NamedTuple):
         js = self.js
         ends = []
         for j in sorted({js[0], js[-1]}):
-            bids = {m.bidegree(ctx) for (_lvl, m) in self.components(j)}
+            bids = {Monomial(level, self.ell, *rest).bidegree(ctx) for level, *rest in self.components(j)}
             if len(bids) != 1:
                 raise InputError(f"components of {_label(self.tag, self.n, self.ell, self.r, j, self.e)} "
                                  f"disagree in bidegree: {bids}")
@@ -376,19 +388,20 @@ def enumerate_families(ctx: PrimeContext, ell: int, trunc=TRUNC_INF, window=(0, 
     """All family elements with bidegree in the window, by level, then
     A/B/F, C, D/E/G, then r, e and index ascending.
 
-    Each element is expanded from its progression; its bidegree is that of
-    its leading component and its torsion is family_torsion's.
+    Each element is expanded from its progression; its bidegree is the one
+    its components share, read off Progression.affine, and its torsion is
+    family_torsion's.
     """
     lo, hi = window
     out: list = []
     for prog in family_progressions(ctx, ell, trunc, hi):
-        prog.affine(ctx)  # the bidegree check
-        for j in prog.js:
-            comps = prog.components(j)
-            bid = comps[0][1].bidegree(ctx)
-            if lo <= bid.d:
+        (d0, _t0), (dd, _dt) = prog.affine(ctx)
+        for k, j in enumerate(prog.js):
+            d = d0 + k * dd
+            if lo <= d:
                 torsion = family_torsion(prog.tag, ctx, prog.n, ell, prog.r, j, trunc)
-                out.append(FamilyElement(prog.tag, prog.n, ell, prog.r, j, prog.e, comps, torsion, bid))
+                out.append(FamilyElement(prog.tag, prog.n, ell, prog.r, j, prog.e, prog.components(j), torsion,
+                                         Bidegree(d, prog.line)))
     out.sort(key=lambda el: (el.n, _BLOCK[el.tag], el.r or 0, el.e, el.index))
     return out
 
@@ -423,7 +436,7 @@ def tr_closed_decomposition(ctx: PrimeContext, ell: int, trunc=TRUNC_INF, window
 
 
 def leading_disjoint(elems) -> bool:
-    """No (level, leading monomial) pair repeats across family elements."""
+    """No leading class repeats across family elements."""
     seen = set()
     for el in elems:
         key = el.leading()

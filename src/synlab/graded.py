@@ -100,9 +100,6 @@ class Monomial:
         )
         return Bidegree(d, self.lam - self.u_exp)
 
-    def stem(self, ctx: PrimeContext) -> int:
-        return self.bidegree(ctx).d
-
     @property
     def line(self) -> int:
         return self.lam - self.u_exp
@@ -125,18 +122,23 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
 
-def orbit_stems(q: int, d: int, length, window) -> range:
-    """The stems d + j*q, 0 <= j < length, that lie in the window, ascending.
+def orbit_heights(q: int, d: int, length, window) -> range:
+    """The heights j, 0 <= j < length, with d + j*q in the window, ascending.
 
-    These are the stems of the v1-translates v1^j g of a class g at stem d
+    These are the heights of the v1-translates v1^j g of a class g at stem d
     whose v1-orbit has `length` members; length may be TORSION_FREE.
     """
     lo, hi = window
-    j_lo = max(0, -((d - lo) // q))  # ceil((lo - d) / q)
-    j_hi = (hi - d) // q
+    j_end = (hi - d) // q + 1
     if length != TORSION_FREE:
-        j_hi = min(j_hi, int(length) - 1)
-    return range(d + j_lo * q, d + j_hi * q + 1, q)
+        j_end = min(j_end, int(length))
+    return range(max(0, -((d - lo) // q)), j_end)  # ceil((lo - d) / q)
+
+
+def orbit_stems(q: int, d: int, length, window) -> range:
+    """The stems d + j*q of orbit_heights(q, d, length, window), ascending."""
+    js = orbit_heights(q, d, length, window)
+    return range(d + js.start * q, d + js.stop * q, q)
 
 
 @dataclass(frozen=True)

@@ -341,14 +341,11 @@ class SSPage:
         views = {(seg.e1, seg.e2, d): Ladder(self, seg, d) for seg in self._all_segments() for d in seg.deltas}
         return MappingProxyType(views)
 
-    def _segment_of(self, m: Monomial):
-        """(segment, delta) of the ladder through m, or None off the page."""
-        if m.level != self.n or m.twist != self.ell:
-            raise InputError("monomial belongs to a different page")
-        delta = m.t_exp - m.mu_exp
-        for seg in self.segments.get((m.lam, m.u_exp), ()):
+    def _segment_of(self, lam: int, u: int, delta: int):
+        """The segment holding the ladder (lam, u, delta), or None off the page."""
+        for seg in self.segments.get((lam, u), ()):
             if delta in seg.deltas:
-                return seg, delta
+                return seg
         return None
 
     def _reach(self, stem_lo: int, stem_hi: int):
@@ -500,39 +497,45 @@ class EInfResult:
             raise StateError("page has not completed all stages")
         self.page = page
 
-    # aliveness / chain queries, used by the TR kernel oracle
+    # aliveness / chain queries on classes (level, t, mu, lam, u), the
+    # monomial se(l p^level) t^t mu^mu l1^lam u^u, used by the TR kernel oracle
 
-    def _interval(self, m: Monomial):
-        """(stem0, h, hi) for m at height h of its ladder, inside the alive
-        interval [lo, hi); None when m is dead or lies on no ladder."""
-        found = self.page._segment_of(m)
-        if found is None:
+    def _interval(self, cls: tuple, h: int):
+        """(stem0, height, hi) for v1^h times cls at its height on its
+        ladder, inside the alive interval [lo, hi); None when it is dead or
+        lies on no ladder."""
+        level, t, mu, lam, u = cls
+        if level != self.page.n:
+            raise InputError(f"class {cls} belongs to a different page")
+        delta = t - mu
+        seg = self.page._segment_of(lam, u, delta)
+        if seg is None:
             return None
-        seg, delta = found
-        h = m.t_exp - seg.a_slope * delta
+        height = t + h - seg.a_slope * delta
         for lo, hi in seg.alive[delta - seg.deltas.start]:
-            if lo <= h < hi:
-                return seg.K + seg.stem_slope * delta, h, hi
+            if lo <= height < hi:
+                return seg.K + seg.stem_slope * delta, height, hi
         return None
 
-    def alive(self, m: Monomial) -> bool:
-        return self._interval(m) is not None
+    def alive(self, cls: tuple, h: int = 0) -> bool:
+        return self._interval(cls, h) is not None
 
-    def life(self, m: Monomial) -> int:
-        """Remaining chain length above m: smallest r with v1^r * m dead."""
-        found = self._interval(m)
+    def life(self, cls: tuple, h: int = 0) -> int:
+        """Remaining chain length above v1^h times cls: smallest r with
+        v1^(h+r) times cls dead."""
+        found = self._interval(cls, h)
         if found is None:
             return 0
-        stem0, h, hi = found
+        stem0, height, hi = found
         if hi >= self.page._heights(stem0)[1]:
-            raise InvariantError(f"life of {m} runs into the modeled boundary; enlarge the window")
-        return hi - h
+            raise InvariantError(f"life of v1^{h} * {cls} runs into the modeled boundary; enlarge the window")
+        return hi - height
 
     def _survivors(self, window):
-        """(segment, delta, stem0, heights, top) over the surviving heights
-        below the v1 cutoff whose stem lies in the window: one range of
-        heights per alive interval, with the interval's exclusive top as the
-        page has it, ladders in key order, h ascending."""
+        """(segment, delta, stem0, heights, lo, hi) over the surviving
+        heights below the v1 cutoff whose stem lies in the window: one range
+        of heights per alive interval [lo, hi) as the page has it, ladders in
+        key order, h ascending."""
         q = self.page.ctx.q
         cut = self.page.v1_cutoff
         lo, hi = window
@@ -548,7 +551,7 @@ class EInfResult:
                 for ilo, ihi in alive:
                     hs = range(ilo if ilo > h_min else h_min, ihi if ihi < h_end else h_end)
                     if hs:
-                        yield seg, delta, stem0, hs, ihi
+                        yield seg, delta, stem0, hs, ilo, ihi
 
     def orbits(self, window):
         """(stem0, base, heights, top) over the survivor v1-orbits in a stem
@@ -556,46 +559,31 @@ class EInfResult:
         (t, mu, lam, u) of its height-0 monomial, the range of its alive
         heights below the v1 cutoff whose stem lies in the window, and the
         exclusive top of their alive interval, cut by neither window nor
-        cutoff."""
-        for seg, delta, stem0, hs, top in self._survivors(window):
+        cutoff.
+
+        Heights double as v1-adic filtrations in the TR kernel oracle, which
+        is only right when each orbit it reads starts at the bottom of its
+        ladder's modeled heights; so one ladder yields at most one orbit.
+        An orbit that starts higher raises InvariantError: the name-level
+        can/phi formulas would not apply to it, and this is the tripwire
+        against misreading the page structure.
+        """
+        page = self.page
+        for seg, delta, stem0, hs, ilo, top in self._survivors(window):
+            if ilo != page._heights(stem0)[0]:
+                key = (seg.e1, seg.e2, delta)
+                raise InvariantError(f"page {page.variant} n={page.n}: broken chain on ladder {key}")
             yield stem0, (seg.a_slope * delta, seg.b_slope * delta, seg.e1, seg.e2), hs, top
 
     def dim_table(self, window, params=None):
         counts: dict = {}
         q = self.page.ctx.q
-        for seg, _delta, stem0, hs, _top in self._survivors(window):
+        for seg, _delta, stem0, hs, _lo, _hi in self._survivors(window):
             line = seg.e1 - seg.e2
             for h in hs:
                 key = (stem0 + h * q, line)
                 counts[key] = counts.get(key, 0) + 1
         return DimTable(params or {"p": self.page.ctx.p, "n": self.page.n, "k": None}, counts, window)
-
-    def assert_pure_chains(self, stem_hi: int) -> None:
-        """Survivor chains must be v1-power towers on pure generators.
-
-        Heights double as v1-adic filtrations in the TR kernel oracle, which
-        is only right when every surviving interval in the consumed zone
-        starts at the bottom of its ladder.  Edge rubble above the cutoff or
-        above stem_hi is uncertified by construction and exempt.  If this
-        fired, the name-level can/phi formulas would not apply; it is the
-        tripwire against misreading the page structure.
-        """
-        page = self.page
-        q = page.ctx.q
-        cut = page.v1_cutoff
-        # an interval in the zone starts at a height in [h_lo, cut) with stem
-        # <= stem_hi, and h_lo >= 0 rises past cut once stem0 < lo_pad - (cut-1)*q
-        for seg, deltas, alives in page._reach(page.lo_pad - (cut - 1) * q, stem_hi):
-            for delta, alive in zip(deltas, alives):
-                stem0 = seg.K + seg.stem_slope * delta
-                seen_first = False
-                for ilo, _ihi in alive:
-                    if ilo >= cut or stem0 + ilo * q > stem_hi:
-                        continue
-                    if ilo != page._heights(stem0)[0] or seen_first:
-                        key = (seg.e1, seg.e2, delta)
-                        raise InvariantError(f"page {page.variant} n={page.n}: broken chain on ladder {key}")
-                    seen_first = True
 
     def classes(self, window) -> list:
         """E-infinity generators whose bidegree lies in the window.

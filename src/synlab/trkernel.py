@@ -5,11 +5,14 @@ levels that can reach the window, present the canonical and Frobenius maps
 on the v1-adic associated graded by their name-level formulas, and take the
 kernel of phi - can with exact linear algebra.
 
-A class is a pure base (level, t, mu, lam, u), the monomial
-se(l p^level) t^t mu^mu l1^lam u^u with t = 0 or mu = 0.  Every survivor
-the oracle reads is v1^s times a base whose alive heights form one
-interval (assert_pure_chains), so source and target are direct sums of
-interval modules over F_p[v1].  The maps act on the base alone:
+A class is a tuple of integers (level, t, mu, lam, u), the monomial
+se(l p^level) t^t mu^mu l1^lam u^u; it is the one class form from the
+pages (EInfResult.alive and life take it, with a height) through the
+kernel, the chain solver and the family check.  A base is a pure class,
+t = 0 or mu = 0.  Every survivor the oracle reads is v1^s times a base
+whose alive heights form one interval from the bottom of its ladder
+(EInfResult.orbits raises otherwise), so source and target are direct
+sums of interval modules over F_p[v1].  The maps act on the base alone:
 
     can: (level, t, 0, ...)  ->  (level, t, 0, ...)                  t-type
     phi: (level, 0, mu, ...) ->  (level + 1, p^level l (p-1) - p mu, 0, ...)
@@ -47,6 +50,7 @@ from .graded import (
     PrimeContext,
     differences,
     geo,
+    orbit_heights,
     torsion_multiset,
 )
 from .nygaard import SSPage, Variant, run_to_einf
@@ -73,7 +77,8 @@ class PageSet:
             pages[i] = run_to_einf(SSPage(ctx, i, ell, variant, window, v1_cutoff))
 
     def monomial(self, cls: tuple, h: int = 0) -> Monomial:
-        """v1^h times the class cls = (level, t, mu, lam, u), as a monomial."""
+        """v1^h times the class cls = (level, t, mu, lam, u), as a monomial,
+        for labels and messages."""
         level, t, mu, lam, u = cls
         return Monomial(level, self.ell, t + h, mu + h, lam, u)
 
@@ -87,7 +92,7 @@ def gr_can(cls: tuple, h: int, pages: PageSet) -> tuple | None:
         return None  # level 0 has no Tate target in the limit diagram
     if mu:
         return None  # v1^h mu^j with j > 0 dies; t^0 mu^0 is t-type too
-    return cls if pages.tate[level].alive(pages.monomial(cls, h)) else None
+    return cls if pages.tate[level].alive(cls, h) else None
 
 
 def gr_phi(cls: tuple, h: int, pages: PageSet) -> tuple | None:
@@ -101,12 +106,12 @@ def gr_phi(cls: tuple, h: int, pages: PageSet) -> tuple | None:
     if level + 1 > pages.top:
         raise InputError(f"phi target level {level + 1} not modeled")
     img = (level + 1, p**level * pages.ell * (p - 1) - p * mu, 0, lam, u)
-    return img if pages.tate[level + 1].alive(pages.monomial(img, h)) else None
+    return img if pages.tate[level + 1].alive(img, h) else None
 
 
 def complete_to_kernel(leading: tuple, pages: PageSet) -> list:
-    """Extend a leading term (level, mono), a pure monomial, to a full kernel
-    chain of (level, Monomial) components.
+    """Extend a leading class (level, t, mu, lam, u), a base, to a full
+    kernel chain of classes.
 
     Walks phi(component_i) = can(component_{i+1}) upward through the
     levels; fails loudly when the forced next component is not alive on its
@@ -114,37 +119,35 @@ def complete_to_kernel(leading: tuple, pages: PageSet) -> list:
     at the top modeled level.  Both maps have unit coefficient 1, so the
     components need no coefficients.
     """
-    level, mono = leading
-    if mono.level != level:
-        raise InputError("leading monomial level disagrees")
-    if mono.t_exp > 0 and mono.mu_exp > 0:
-        raise InputError(f"leading term {mono} is not pure (divisible by v1)")
+    level, t, mu, _lam, _u = leading
+    if t > 0 and mu > 0:
+        raise InputError(f"leading term {pages.monomial(leading)} is not pure (divisible by v1)")
     if level > pages.top:
         raise InputError("leading term above the top modeled level")
-    cls = (level, mono.t_exp, mono.mu_exp, mono.lam, mono.u_exp)
-    if gr_can(cls, 0, pages) is not None:
-        raise InvariantError(f"leading term {mono} at level {level} is not in ker(can)")
+    if gr_can(leading, 0, pages) is not None:
+        raise InvariantError(f"leading term {pages.monomial(leading)} at level {level} is not in ker(can)")
     comps = [leading]
+    cls = leading
     while cls[0] < pages.top:
         cls = gr_phi(cls, 0, pages)
         if cls is None:
             break
         # can is the identity on cls, a live t-type Tate class
-        mono = pages.monomial(cls)
-        if not pages.hfp[cls[0]].alive(mono):
-            raise InvariantError(f"chain from {leading[1]} needs dead class {mono} at level {cls[0]}")
-        comps.append((cls[0], mono))
+        if not pages.hfp[cls[0]].alive(cls):
+            raise InvariantError(f"chain from {pages.monomial(leading)} needs dead class {pages.monomial(cls)} "
+                                 f"at level {cls[0]}")
+        comps.append(cls)
     return comps
 
 
 def probe_element_torsion(pages: PageSet, comps) -> int:
-    """Torsion of a kernel chain of (level, Monomial) components.
+    """Torsion of a kernel chain of classes (level, t, mu, lam, u).
 
     v1^r of the chain is zero exactly when every component has died on its
     own page (components are distinct basis elements, so nothing can
     cancel), so the torsion is the largest component life.
     """
-    return max((pages.hfp[level].life(mono) for level, mono in comps), default=0)
+    return max((pages.hfp[cls[0]].life(cls) for cls in comps), default=0)
 
 
 @dataclass
@@ -250,13 +253,12 @@ class TrOracle:
         lo, hi = self.window
         # kills from one stem above can reach the window
         window = (min(lo, 0), hi + 1)
-        # assert_pure_chains leaves each ladder one alive interval, from the
-        # bottom of its modeled heights; a ladder modeled from above height
-        # 0 has its bottom stem below lo_pad, more than q below the window,
-        # so every orbit of a key starts at the window's bottom height there.
+        # orbits yields one alive interval per ladder, from the bottom of its
+        # modeled heights, or raises; a ladder modeled from above height 0
+        # has its bottom stem below lo_pad, more than q below the window, so
+        # every orbit of a key starts at the window's bottom height there.
         for pages, side in ((self.pages.hfp, self._cols), (self.pages.tate, self._rows)):
             for level, res in pages.items():
-                res.assert_pure_chains(window[1])
                 for stem0, (t, mu, lam, u), heights, top in res.orbits(window):
                     side.setdefault((stem0, lam - u), []).append(((level, t, mu, lam, u), heights, top))
         for cols in self._cols.values():
@@ -325,14 +327,6 @@ class TrOracle:
             self._kernels[key] = [] if full else fplinalg.kernel_basis(self.matrix(key))
         return self._kernels[key]
 
-    def _window_heights(self, key, top: int) -> range:
-        """The heights below top of an orbit key whose stem lies in the
-        window."""
-        d, _line = key
-        lo, hi = self.window
-        q = self.ctx.q
-        return range(max(0, -((d - lo) // q)), min(top, (hi - d) // q + 1))
-
     # -- structure extraction ----------------------------------------------
 
     def generators(self) -> list:
@@ -343,13 +337,12 @@ class TrOracle:
         the kernel has smaller torsions."""
         out = []
         lo, hi = self.window
-        monomial = self.pages.monomial
         for key in sorted(k for k in self._cols if lo <= k[0] <= hi):
             cols = self._cols[key]
             for vec in self.kernel(key):
-                r = probe_element_torsion(self.pages, [(cols[j][0][0], monomial(cols[j][0])) for j in vec])
+                r = probe_element_torsion(self.pages, [cols[j][0] for j in vec])
                 free = cols[max(vec)][0]
-                label = f"ker:L{free[0]}:{monomial(free)}@{key[0]},{key[1]}"
+                label = f"ker:L{free[0]}:{self.pages.monomial(free)}@{key[0]},{key[1]}"
                 out.append((Generator(label, Bidegree(*key), r), key, vec))
         return out
 
@@ -372,7 +365,7 @@ class TrOracle:
         q = self.ctx.q
         for key, cols in self._cols.items():
             ends = [hs.stop for _c, hs, _t in cols]
-            heights = self._window_heights(key, ends[-1])
+            heights = orbit_heights(q, key[0], ends[-1], self.window)
             if not heights:
                 continue
             carried = []
@@ -394,7 +387,7 @@ class TrOracle:
         q = self.ctx.q
         for key, rows in self._rows.items():
             ends = sorted(hs.stop for _c, hs, _t in rows)
-            heights = self._window_heights(key, ends[-1])
+            heights = orbit_heights(q, key[0], ends[-1], self.window)
             if not heights:
                 continue
             col_ends = [hs.stop for _c, hs, _t in self._cols.get(key, ())]

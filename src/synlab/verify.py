@@ -17,7 +17,7 @@ from .assembly import two_line_check
 from .closedforms import (
     TRUNC_INF,
     FamilyTag,
-    einf_closed,
+    einf_closed_counted,
     enumerate_families,
     family_torsion,
     leading_disjoint,
@@ -70,10 +70,9 @@ def _compare_page(ctx, n, ell, variant, window, v1_cutoff):
     InvariantError on an uncertified torsion.
     """
     res = run_to_einf(SSPage(ctx, n, ell, variant, window, v1_cutoff))
-    lo, hi = window
-    closed = einf_closed(ctx, n, ell, variant, (lo - ctx.q * (v1_cutoff + 1), hi))
+    closed_dims, closed_gens = einf_closed_counted(ctx, n, ell, variant, window, v1_cutoff)
     dims = res.dim_table(window).entries
-    diff = differences(dims, closed.dims(ctx, window).entries)
+    diff = differences(dims, closed_dims.entries)
     if diff:
         key, a, b = diff[0]
         raise VerificationFailure(f"dim at (stem,line)={key}: oracle {a} closed {b}")
@@ -82,7 +81,7 @@ def _compare_page(ctx, n, ell, variant, window, v1_cutoff):
         if not c.certified:
             raise InvariantError(f"uncertified torsion at {tuple(c.bidegree)} ({c.representative})")
     t_or = Counter((c.bidegree.d, c.bidegree.s, c.v1_torsion) for c in classes)
-    diff = differences(t_or, torsion_multiset(closed.generators_in(window)))
+    diff = differences(t_or, torsion_multiset(closed_gens))
     if diff:
         (d, s, order), a, b = diff[0]
         raise VerificationFailure(f"torsion multiset at {(d, s)}: order {order} oracle x{a} closed x{b}")
@@ -176,7 +175,7 @@ def suite_families(ps=(2, 3), ell_max=8, stem_max=300) -> list:
                 # truncation behavior: drop components above level m
                 for m in (el.n, el.n + 1):
                     want_m = family_torsion(el.tag, ctx, el.n, ell, el.r, el.index, m)
-                    probed_m = probe_element_torsion(pages, [(lvl, mono) for lvl, mono in comps if lvl <= m])
+                    probed_m = probe_element_torsion(pages, [cls for cls in comps if cls[0] <= m])
                     if probed_m != want_m:
                         bad_t = f"{el.label()} at trunc {m}: probed {probed_m} stated {want_m}"
                         break
@@ -191,11 +190,11 @@ def suite_families(ps=(2, 3), ell_max=8, stem_max=300) -> list:
             # mu-tail families of the truncated diagrams
             bad_fg = ""
             for m in range(0, 3):
-                t_elems = [e for e in enumerate_families(ctx, ell, m, window) if e.tag in (FamilyTag.F, FamilyTag.G)]
-                if not leading_disjoint(enumerate_families(ctx, ell, m, window)):
+                m_elems = enumerate_families(ctx, ell, m, window)
+                if not leading_disjoint(m_elems):
                     bad_fg = f"trunc {m}: leading terms collide"
                     break
-                for el in t_elems:
+                for el in (e for e in m_elems if e.tag in (FamilyTag.F, FamilyTag.G)):
                     probed = probe_element_torsion(pages, [el.leading()])
                     if probed != el.torsion:
                         bad_fg = f"{el.label()} trunc {m}: probed {probed} stated {el.torsion}"

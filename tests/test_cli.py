@@ -335,7 +335,7 @@ def test_einf_cutoff_below_one_exits_two_in_every_mode(capsys, monkeypatch, cuto
     def no_work(*args, **kwargs):
         raise AssertionError("work started on a v1 cutoff below 1")
 
-    for name in ("einf_closed", "SSPage"):
+    for name in ("einf_closed_counted", "SSPage"):
         monkeypatch.setattr(climod, name, no_work)
     code, out, err = run(capsys, *EINF_CUTOFF_ARGS, "--v1-cutoff", cutoff, "--mode", mode)
     assert code == 2 and out == ""
@@ -376,14 +376,12 @@ def test_closed_einf_guards_exit_two_before_any_generator(capsys, monkeypatch, a
 
 
 def test_einf_both_mode_names_the_first_difference(capsys, monkeypatch):
-    import synlab.cli as climod
-
-    einf_closed = climod.einf_closed
+    einf_closed = closedforms.einf_closed
 
     def drop_first(*args):
         return CyclicDecomposition(list(einf_closed(*args))[1:])
 
-    monkeypatch.setattr(climod, "einf_closed", drop_first)
+    monkeypatch.setattr(closedforms, "einf_closed", drop_first)
     code, out, err = run(capsys, "einf", "--p", "3", "--n", "1", "--ell", "1", "--deg-min", "-4", "--deg-max", "16")
     assert code == 3 and out == ""
     assert err == "verification failure: einf oracle and closed form disagree at ((2, 0), 1, 0)\n"

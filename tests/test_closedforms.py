@@ -86,7 +86,7 @@ def test_suspension_chain_included_at_level_zero():
     assert len(bottom) == 1
     el = bottom[0]
     assert el.tag is FamilyTag.B and el.bid == (2, 0)
-    assert [lvl for (lvl, _m) in el.components] == [0, 1]
+    assert [cls[0] for cls in el.components] == [0, 1]
     assert el.torsion == 2  # comp2 lives in the short t-range
 
 
@@ -107,7 +107,7 @@ def test_delta_component_emitted_when_in_range():
     el = b2[0]
     assert len(el.components) == 3
     assert el.components[2][0] == 4  # level n+2
-    assert el.components[2][1].t_exp == 3**3 * 1 * 2  # p^(n+1) l (p-1)
+    assert el.components[2][1] == 3**3 * 1 * 2  # t exponent p^(n+1) l (p-1)
     assert el.torsion == family_torsion(FamilyTag.B, CTX3, 2, 1, None, 6) == (1 + 3 + 9 + 27) + 27
 
 
@@ -128,7 +128,7 @@ def test_components_share_bidegree_and_leading_disjoint():
         for trunc in (TRUNC_INF, 0, 1, 2):
             elems = enumerate_families(ctx, ell, trunc, (0, 120))
             for el in elems:
-                assert {m.bidegree(ctx) for _lvl, m in el.components} == {el.bid}
+                assert {Monomial(level, ell, *rest).bidegree(ctx) for level, *rest in el.components} == {el.bid}
             assert leading_disjoint(elems)
 
 

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synlab.errors import InvariantError
@@ -16,6 +16,8 @@ from synlab.graded import (
     PrimeContext,
     differences,
     geo,
+    orbit_heights,
+    orbit_stems,
     vp,
 )
 
@@ -83,6 +85,30 @@ def test_dims_refuses_uncertified_torsion():
     dec = CyclicDecomposition([Generator("g", Bidegree(5, 1), 2, certified=False)])
     with pytest.raises(InvariantError, match="g at \\(5, 1\\) has only a lower bound"):
         dec.dims(CTX3, (0, 20))
+
+
+ORBIT_DRAWS = st.tuples(
+    st.sampled_from((2, 4, 8, 12)),  # q = 2p - 2 for p = 2, 3, 5, 7
+    st.integers(-60, 60),
+    st.one_of(st.integers(0, 12), st.just(TORSION_FREE)),
+    st.integers(-80, 80),
+    st.integers(-1, 40),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(ORBIT_DRAWS)
+@example((4, 10, TORSION_FREE, 30, 20))  # window above d, free orbit
+@example((4, 10, 3, 30, 20))  # window above the orbit's top
+@example((4, 10, TORSION_FREE, -20, 20))  # window wholly below d
+@example((2, 0, TORSION_FREE, 0, 0))
+def test_orbit_heights_is_the_scan_over_j(draw):
+    q, d, length, lo, width = draw
+    hi = lo + width
+    # every j past 200 puts d + j*q above every window drawn
+    scan = [j for j in range(200 if length == TORSION_FREE else length) if lo <= d + j * q <= hi]
+    assert list(orbit_heights(q, d, length, (lo, hi))) == scan
+    assert list(orbit_stems(q, d, length, (lo, hi))) == [d + j * q for j in scan]
 
 
 def test_dims_tc_zp_pattern():

@@ -189,8 +189,7 @@ def test_collapse_after_final_stage():
         for mono, h in iter_alive(res, (4, 36)):
             if mono.lam or vp(p, (mono.t_exp - mono.mu_exp) + c) != n:
                 continue
-            tgt = Monomial(n, ell, mono.t_exp + G + P, mono.mu_exp + G, 1, mono.u_exp)
-            assert not res.alive(tgt)
+            assert not res.alive((n, mono.t_exp + G + P, mono.mu_exp + G, 1, mono.u_exp))
 
 
 def test_cutoff_doubling_stable():
@@ -321,7 +320,7 @@ def test_dim_table_counts_iter_alive(variant):
         ctx = PrimeContext(p)
         res = run_to_einf(SSPage(ctx, n, ell, variant, window, 5))
         assert all(_is_gapped(lad.alive) for lad in res.page.ladders.values())
-        walked = Counter((m.stem(ctx), m.line) for m, _h in iter_alive(res, window))
+        walked = Counter((m.bidegree(ctx).d, m.line) for m, _h in iter_alive(res, window))
         assert res.dim_table(window).entries == dict(walked)
 
 
@@ -382,7 +381,7 @@ def test_residue_class_sweep_matches_every_ladder_sweep(draw):
     assert list(page.ladders) == sorted(page.ladders)
     for (_e1, _e2, delta), lad in page.ladders.items():
         assert (lad.base_a, lad.base_b) == _base_of(page.variant, delta)
-        assert lad.monomial(0).stem(ctx) == lad.stem0
+        assert lad.monomial(0).bidegree(ctx).d == lad.stem0
         assert lad.alive == [(lad.h_lo, lad.h_cap)] and lad.h_lo < lad.h_cap
     reference = _reference_sweep(SSPage(ctx, n, ell, variant, window, cutoff))
     res = run_to_einf(page)

@@ -30,7 +30,7 @@ def iter_alive(res, window):
     """(monomial, h) over the survivors of an E-infinity page below its v1
     cutoff in a stem window."""
     n, ell = res.page.n, res.page.ell
-    for seg, delta, _stem0, hs, _top in res._survivors(window):
+    for seg, delta, _stem0, hs, _lo, _hi in res._survivors(window):
         a, b = seg.a_slope * delta, seg.b_slope * delta
         for h in hs:
             yield Monomial(n, ell, a + h, b + h, seg.e1, seg.e2), h
@@ -55,7 +55,7 @@ class ReferenceOracle:
         for pages, pieces in ((self.pages.hfp, self._src_pieces), (self.pages.tate, self._tgt_pieces)):
             for level, res in pages.items():
                 for mono, h in iter_alive(res, window):
-                    pieces.setdefault((mono.stem(self.ctx), mono.line, h), []).append((level, mono))
+                    pieces.setdefault((mono.bidegree(self.ctx).d, mono.line, h), []).append((level, mono))
             for piece in pieces.values():
                 piece.sort(key=lambda lm: (lm[0], lm[1].t_exp, lm[1].mu_exp))
 
@@ -96,12 +96,12 @@ class ReferenceOracle:
         out = {}
         for j, c in vec.items():
             level, mono = src[j]
-            tm = mono.v1_times()
-            pos = nindex.get((level, tm))
+            pos = nindex.get((level, mono.v1_times()))
             if pos is not None:
                 out[pos] = c
             else:
-                assert not self.pages.hfp[level].alive(tm), "v1 shift left the assembled stem range"
+                cls = (level, mono.t_exp, mono.mu_exp, mono.lam, mono.u_exp)
+                assert not self.pages.hfp[level].alive(cls, 1), "v1 shift left the assembled stem range"
         return nkey, out
 
     def generators(self) -> list:
@@ -110,7 +110,8 @@ class ReferenceOracle:
         for key in sorted(k for k in self._src_pieces if k[2] == 0 and lo <= k[0] <= hi):
             src = self._src_pieces[key]
             for vec in self.kernel(key):
-                r = probe_element_torsion(self.pages, [src[j] for j in vec])
+                comps = [(level, m.t_exp, m.mu_exp, m.lam, m.u_exp) for level, m in (src[j] for j in vec)]
+                r = probe_element_torsion(self.pages, comps)
                 out.append(Generator(f"ref{len(out)}", Bidegree(key[0], key[1]), r))
         return out
 
@@ -182,9 +183,10 @@ def test_gr_phi_formula(pages31):
 
 def test_gr_phi_keeps_the_height(pages31):
     # v1 * se(3)*mu: the same target one v1 higher, t^4 mu at level 2
-    target = (2, Monomial(2, 1, t_exp=4, mu_exp=1))
-    assert pages31.tate[2].alive(target[1])
-    assert pages31.monomial(gr_phi((1, 0, 1, 0, 0), 1, pages31), 1) == target[1]
+    target = (2, 3, 0, 0, 0)
+    assert pages31.tate[2].alive(target, 1)
+    assert gr_phi((1, 0, 1, 0, 0), 1, pages31) == target
+    assert pages31.monomial(target, 1) == Monomial(2, 1, t_exp=4, mu_exp=1)
 
 
 def test_gr_phi_zero_on_positive_t(pages31):
@@ -197,39 +199,46 @@ def test_gr_phi_level_zero_bottom(pages31):
 
 def test_complete_to_kernel_two_component_chain(pages31):
     # the suspension generator's chain: se(l) + c * se(pl) t^(l(p-1))
-    comps = complete_to_kernel((0, Monomial(0, 1)), pages31)
-    assert comps == [
-        (0, Monomial(0, 1)),
-        (1, Monomial(1, 1, t_exp=2)),
-    ]
+    comps = complete_to_kernel((0, 0, 0, 0, 0), pages31)
+    assert comps == [(0, 0, 0, 0, 0), (1, 2, 0, 0, 0)]
     assert probe_element_torsion(pages31, comps) == 2
 
 
 def test_complete_to_kernel_single_component(pages31):
-    comps = complete_to_kernel((1, Monomial(1, 1, t_exp=1, lam=1, u_exp=1)), pages31)
+    comps = complete_to_kernel((1, 1, 0, 1, 1), pages31)
     assert len(comps) == 1
     assert probe_element_torsion(pages31, comps) == 2  # p - i
 
 
 def test_complete_to_kernel_delta_chain(pages31):
     # B at n=2, j = p(p-1) = 6 has three components (p | n+1)
-    comps = complete_to_kernel((2, Monomial(2, 1, mu_exp=6)), pages31)
-    assert [level for level, _mono in comps] == [2, 3, 4]
-    assert comps[2][1].t_exp == 54
+    comps = complete_to_kernel((2, 0, 6, 0, 0), pages31)
+    assert [cls[0] for cls in comps] == [2, 3, 4]
+    assert comps[2][1] == 54  # the t exponent
     assert probe_element_torsion(pages31, comps) == 67
 
 
 def test_complete_to_kernel_rejects_non_kernel_leading(pages31):
     # a t-type class whose canonical image survives is not a chain lead
     with pytest.raises(InvariantError):
-        complete_to_kernel((1, Monomial(1, 1, t_exp=2)), pages31)
+        complete_to_kernel((1, 2, 0, 0, 0), pages31)
 
 
 def test_complete_to_kernel_rejects_a_leading_term_divisible_by_v1(pages31):
     with pytest.raises(InputError, match="not pure"):
-        complete_to_kernel((1, Monomial(1, 1, t_exp=2, lam=1).v1_times()), pages31)
-    with pytest.raises(InputError, match="level disagrees"):
-        complete_to_kernel((2, Monomial(1, 1, t_exp=2, lam=1)), pages31)
+        complete_to_kernel((1, 3, 1, 1, 0), pages31)  # v1 * se(3)*t^2*l1
+    # a class is read on the page of its own level only
+    with pytest.raises(InputError, match="different page"):
+        pages31.hfp[1].alive((2, 2, 0, 1, 0))
+
+
+def test_a_chain_past_the_modeled_heights_is_refused():
+    # stems up to 4 at v1 cutoff 1 model too few heights for the torsion 2
+    # of the suspension generator's chain
+    pages = PageSet(CTX3, 1, 2, (0, 4), 1)
+    comps = complete_to_kernel((0, 0, 0, 0, 0), pages)
+    with pytest.raises(InvariantError, match="runs into the modeled boundary"):
+        probe_element_torsion(pages, comps)
 
 
 def test_truncation_zero_is_shifted_thh():
@@ -359,8 +368,26 @@ def _end_the_tate_classes_at_height_one(monkeypatch):
     return re.escape("v1 not surjective on the kernel at [((0, 0, 2), 1, 0)")
 
 
-@pytest.mark.parametrize("mutant", [_drop_a_phi_entry, _kill_a_tate_row, _end_the_tate_classes_at_height_one],
-                         ids=["drop-phi-entry", "kill-tate-row", "late-kernel-bar"])
+def _start_an_orbit_above_its_bottom(monkeypatch):
+    # se(3)*mu at level 1, ladder (0, 0, -1), loses its bottom height, so
+    # its orbit, which the oracle reads at stems 16..24, starts above the
+    # bottom of its ladder
+    init = PageSet.__init__
+
+    def trimmed(pages, *args):
+        init(pages, *args)
+        seg = pages.hfp[1].page._segment_of(0, 0, -1)
+        i = -1 - seg.deltas.start
+        (lo, hi), *rest = seg.alive[i]
+        seg.alive[i] = [(lo + 1, hi), *rest]
+
+    monkeypatch.setattr(PageSet, "__init__", trimmed)
+    return re.escape("n=1: broken chain on ladder (0, 0, -1)")
+
+
+@pytest.mark.parametrize("mutant", [_drop_a_phi_entry, _kill_a_tate_row, _end_the_tate_classes_at_height_one,
+                                    _start_an_orbit_above_its_bottom],
+                         ids=["drop-phi-entry", "kill-tate-row", "late-kernel-bar", "broken-chain"])
 def test_every_tr_check_fires(mutant, monkeypatch, capsys):
     message = mutant(monkeypatch)
     with pytest.raises(InvariantError, match=message):
