@@ -29,10 +29,11 @@ from .graded import (
     DimTable,
     Generator,
     PrimeContext,
+    orbit_dims,
     orbit_stems,
     torsion_multiset,
 )
-from .trkernel import tr_gr_module
+from .trkernel import MODES, tr_gr_module
 
 # A closed-route table costs about 1.1 us per TR generator, and its peak
 # memory hardly grows with the count (syntomic --p 3 --n 4 --k 1: 4.5 M
@@ -66,7 +67,8 @@ def tc_eps_dims(ctx: PrimeContext, window, mode: str = "closed") -> Counter:
 
     Returns Counter{(stem, line, torsion): multiplicity} over the generators
     of tc_zp_dims and of each twist-l TR summand (l prime to p) with stems
-    up to the window top; no table needs more than this multiset.  Mode
+    up to the window top; no table needs more than this multiset.  A mode
+    outside trkernel.MODES raises InputError before any work.  Mode
     "closed" reads each twist from family_multiset; "oracle" and "both"
     convert the oracle's generators, refusing a torsion that is only a
     lower bound, and under "both" tr_gr_module raises VerificationFailure
@@ -75,6 +77,8 @@ def tc_eps_dims(ctx: PrimeContext, window, mode: str = "closed") -> Counter:
     (family_count summed over the twists), and ResourceError is raised
     past MAX_GENERATORS.
     """
+    if mode not in MODES:
+        raise InputError(f"unknown mode {mode}")
     lo, hi = window
     twists = [ell for ell in range(1, twist_bound(hi) + 1) if ell % ctx.p]
     count = 0
@@ -134,17 +138,19 @@ def syntomic_dims(params: AssemblyParams, mode: str = "closed") -> DimTable:
     # every generator sits at stem >= -1, so reaching stem hi needs nothing
     # below; torsion must be exact for all generators with stem <= hi.
     M = tc_eps_dims(ctx, (min(lo, -1), hi), mode=mode)
-    entries: dict = {}
-    for (d, s, r), mult in M.items():
+
+    def orbits():
         # min(r, k) reduction classes from v1^0 g, and for finite r as many
         # kernel classes from v1^(r - min(r, k)) g shifted by (q*k + 1, +1)
-        top = min(r, k)
-        starts = [(d, s)] if r == TORSION_FREE else [(d, s), (d + (r - top + k) * q + 1, s + 1)]
-        for start, line in starts:
-            for stem in orbit_stems(q, start, top, params.window):
-                entries[(stem, line)] = entries.get((stem, line), 0) + mult
-    notes = {"assoc_graded": True} if params.p2_mode else {}
-    return DimTable({"p": params.p, "n": params.n, "k": k}, entries, params.window, notes)
+        for (d, s, r), mult in M.items():
+            top = min(r, k)
+            yield (d, s, top), mult
+            if r != TORSION_FREE:
+                yield (d + (r - top + k) * q + 1, s + 1, top), mult
+
+    table = orbit_dims(q, params.window, orbits(), {"p": params.p, "n": params.n, "k": k})
+    table.notes.update({"assoc_graded": True} if params.p2_mode else {})
+    return table
 
 
 def tc_mod_dims(params: AssemblyParams, mode: str = "closed") -> DimTable:

@@ -21,7 +21,7 @@ from .closedforms import TRUNC_INF, einf_closed_counted
 from .errors import InputError, InvariantError, ResourceError, VerificationFailure
 from .graded import PrimeContext, differences
 from .nygaard import SSPage, Variant, default_v1_cutoff, run_to_einf
-from .trkernel import tr_gr_module
+from .trkernel import MODES, tr_gr_module
 from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -45,7 +45,7 @@ def _common_flags(sp, mode_default: str, with_nk=False):
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out", type=str, default=None, help="write the table here instead of stdout")
     sp.add_argument("--cache-dir", type=str, default=None)
-    sp.add_argument("--mode", choices=("oracle", "closed", "both"), default=mode_default)
+    sp.add_argument("--mode", choices=MODES, default=mode_default)
 
 
 def build_parser() -> argparse.ArgumentParser:

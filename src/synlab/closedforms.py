@@ -51,6 +51,7 @@ from .graded import (
     Monomial,
     PrimeContext,
     geo,
+    orbit_dims,
 )
 from .nygaard import Variant
 
@@ -64,10 +65,10 @@ TRUNC_INF = math.inf
 # and 445 MB.
 MAX_FAMILY_ELEMENTS = 100_000
 
-# A closed E-infinity generator costs about 6-10 us and 360 B: einf --p 3
-# --n 1 --ell 1 --deg-max 10 --mode closed, whose window is padded by q
-# times the v1 cutoff, takes 5.7 s and 355 MB at --v1-cutoff 740000
-# (986,674 generators, just under this cap).
+# A closed E-infinity generator costs about 2.5 us and 140 B as a multiset
+# key: einf --p 3 --n 1 --ell 1 --deg-max 10 --mode closed, whose window is
+# padded by q*(v1 cutoff - 1), takes 2.3-2.8 s and 150 MB at --v1-cutoff
+# 740000 (986,672 generators, just under this cap; 2-core x86-64 Xeon).
 MAX_EINF_GENERATORS = 1_000_000
 
 
@@ -113,8 +114,9 @@ def residue_range(x_min: int, x_max: int, residue: int, step: int) -> range:
     return range(x_min + (residue - x_min) % step, x_max + 1, step)
 
 
-def einf_closed(ctx: PrimeContext, n: int, ell: int, variant: Variant, window) -> CyclicDecomposition:
-    """Generators of the stated E-infinity page with bidegree in the window.
+def einf_closed(ctx: PrimeContext, n: int, ell: int, variant: Variant, window) -> Counter:
+    """Counter{(stem, line, torsion): multiplicity} over the generators of
+    the stated E-infinity page with stem in the window.
 
     Each class is l1^lam u^u times t^i (the t side) or mu^j (the mu side).
     With cong = n*l*p^(n-1) and geo(a,b) = p^a + ... + p^b, the families
@@ -132,7 +134,7 @@ def einf_closed(ctx: PrimeContext, n: int, ell: int, variant: Variant, window) -
     over Z.  A torsion <= 0 (an empty sum at k = 0 or n = 0) is no class,
     so such a t side keeps only the fixed-point i < p^n resp. p^(k+1).
 
-    The exponent ranges are counted before any generator is built, and
+    The exponent ranges are counted before any is tallied, and
     ResourceError is raised past MAX_EINF_GENERATORS.
     """
     if n < 0 or ell < 0:
@@ -146,7 +148,7 @@ def einf_closed(ctx: PrimeContext, n: int, ell: int, variant: Variant, window) -
     families = [(e, 0, (0,), p**n, geo(p, 0, n - 1), geo(p, 0, n)) for e in (0, 1)]
     families += [(1, e, range(p**k, p ** (k + 1), p**k), p ** (k + 1), geo(p, 1, k), geo(p, 1, k + 1))
                  for k in range(n) for e in (0, 1)]
-    sides: list = []  # (lam, u, t exponents, mu exponents, step, t-side torsion, mu-side torsion)
+    sides: list = []  # (stem at exponent 0, line, t exponents, mu exponents, step, t-side torsion, mu-side torsion)
     for lam, u, residues, step, t_torsion, mu_torsion in families:
         base = Monomial(n, ell, 0, 0, lam, u).bidegree(ctx).d  # stem base - 2i resp. base + 2p*j
         for res in residues:
@@ -158,31 +160,31 @@ def einf_closed(ctx: PrimeContext, n: int, ell: int, variant: Variant, window) -
             if variant is not Variant.TATE:
                 j_min = -((base - lo) // (2 * p))
                 j_range = residue_range(max(j_min, 0) if hfp else j_min, (hi - base) // (2 * p), res + cong, step)
-            sides.append((lam, u, i_range, j_range, step, t_torsion, mu_torsion))
-    if sum(len(i_range) + len(j_range) for _lam, _u, i_range, j_range, *_rest in sides) > MAX_EINF_GENERATORS:
+            sides.append((base, lam - u, i_range, j_range, step, t_torsion, mu_torsion))
+    if sum(len(i_range) + len(j_range) for _base, _line, i_range, j_range, *_rest in sides) > MAX_EINF_GENERATORS:
         raise ResourceError(f"stems {lo}..{hi} need more than {MAX_EINF_GENERATORS} E-infinity generators; narrow the window")
-    gens: list = []
-    for lam, u, i_range, j_range, step, t_torsion, mu_torsion in sides:
-        for i in i_range:
-            m = Monomial(n, ell, i, 0, lam, u)
-            gens.append(Generator(f"L{n}:{m}", m.bidegree(ctx), t_torsion + (max(0, step - i) if hfp else 0)))
-        for j in j_range:
-            m = Monomial(n, ell, 0, j, lam, u)
-            gens.append(Generator(f"L{n}:{m}", m.bidegree(ctx), mu_torsion))
-    return CyclicDecomposition(gens)
+    out: Counter = Counter()
+    for base, line, i_range, j_range, step, t_torsion, mu_torsion in sides:
+        out.update((base - 2 * i, line, t_torsion + (max(0, step - i) if hfp else 0)) for i in i_range)
+        out.update((base + 2 * p * j, line, mu_torsion) for j in j_range)
+    return out
 
 
 def einf_closed_counted(ctx: PrimeContext, n: int, ell: int, variant: Variant, window, v1_cutoff: int,
                         params: dict | None = None) -> tuple:
     """The closed E-infinity page on a stem window as the oracle page counts
-    it: (its DimTable, its generators with stem in the window).
+    it: (its DimTable, the einf_closed multiset of its generators with stem
+    in the window).
 
     The page reports only v1-heights below the cutoff, and every closed
     generator is a pure monomial, so v1^j g counts for j < v1_cutoff, and
-    generators down to q*(v1_cutoff + 1) stems below the window reach it.
+    generators down to q*(v1_cutoff - 1) stems below the window reach it,
+    the reach of EInfResult._survivors.
     """
-    dec = einf_closed(ctx, n, ell, variant, (window[0] - ctx.q * (v1_cutoff + 1), window[1]))
-    return dec.dims(ctx, window, params, height_cap=v1_cutoff), dec.generators_in(window)
+    lo, hi = window
+    gens = einf_closed(ctx, n, ell, variant, (lo - ctx.q * (v1_cutoff - 1), hi))
+    orbits = (((d, s, min(torsion, v1_cutoff)), mult) for (d, s, torsion), mult in gens.items())
+    return orbit_dims(ctx.q, window, orbits, params), Counter({k: m for k, m in gens.items() if lo <= k[0] <= hi})
 
 
 # ---------------------------------------------------------------------------

@@ -104,9 +104,6 @@ class Monomial:
     def line(self) -> int:
         return self.lam - self.u_exp
 
-    def v1_times(self, j: int = 1) -> "Monomial":
-        return Monomial(self.level, self.twist, self.t_exp + j, self.mu_exp + j, self.lam, self.u_exp)
-
     def __str__(self):
         parts = []
         if self.twist:
@@ -141,6 +138,20 @@ def orbit_stems(q: int, d: int, length, window) -> range:
     return range(d + js.start * q, d + js.stop * q, q)
 
 
+def orbit_dims(q: int, window, orbits, params: dict | None = None) -> "DimTable":
+    """The DimTable of v1-orbits on a stem window.
+
+    orbits yields ((stem, line, length), multiplicity): that many orbits
+    v1^j g, j < length, of a class g at (stem, line).  Each translate with
+    its stem in the window counts once at (its stem, line).
+    """
+    counts: dict = {}
+    for (d, s, length), mult in orbits:
+        for stem in orbit_stems(q, d, length, window):
+            counts[(stem, s)] = counts.get((stem, s), 0) + mult
+    return DimTable(params or {}, counts, window)
+
+
 @dataclass(frozen=True)
 class Generator:
     """One cyclic summand F_p[v1]/(v1^torsion) {label at bidegree}."""
@@ -154,11 +165,6 @@ class Generator:
         if self.torsion != TORSION_FREE and (self.torsion <= 0 or self.torsion != int(self.torsion)):
             raise InputError(f"bad torsion order {self.torsion}")
 
-    def require_certified(self, prefix: str = "") -> None:
-        """Raise InvariantError if the torsion is only a lower bound."""
-        if not self.certified:
-            raise InvariantError(f"generator {prefix}{self.label} at {tuple(self.bidegree)} has only a lower bound on its torsion")
-
 
 def torsion_multiset(gens, prefix: str = "") -> Counter:
     """Counter{(stem, line, torsion): multiplicity} of the generators.
@@ -168,7 +174,8 @@ def torsion_multiset(gens, prefix: str = "") -> Counter:
     """
     out: Counter = Counter()
     for g in gens:
-        g.require_certified(prefix)
+        if not g.certified:
+            raise InvariantError(f"generator {prefix}{g.label} at {tuple(g.bidegree)} has only a lower bound on its torsion")
         out[(g.bidegree.d, g.bidegree.s, g.torsion)] += 1
     return out
 
@@ -203,20 +210,14 @@ class CyclicDecomposition:
         lo, hi = window
         return [g for g in self.entries if lo <= g.bidegree.d <= hi]
 
-    def dims(self, ctx: PrimeContext, window, params: dict | None = None, height_cap=TORSION_FREE) -> "DimTable":
+    def dims(self, ctx: PrimeContext, window, params: dict | None = None) -> "DimTable":
         """Counts per (stem, line) of the v1-power translates v1^j g in the
-        window, j below both the torsion of g and height_cap.
+        window, j below the torsion of g.
 
         Raises InvariantError on a generator whose torsion is only a lower
         bound, which would make the counts a guess.
         """
-        counts: dict = {}
-        for g in self.entries:
-            g.require_certified()
-            d, s = g.bidegree
-            for stem in orbit_stems(ctx.q, d, min(g.torsion, height_cap), window):
-                counts[(stem, s)] = counts.get((stem, s), 0) + 1
-        return DimTable(params or {}, counts, window)
+        return orbit_dims(ctx.q, window, torsion_multiset(self.entries).items(), params)
 
 
 @dataclass

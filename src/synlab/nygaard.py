@@ -47,10 +47,11 @@ StageMap.
 Readers.  A height h of a ladder has stem stem0 + h*q, so a class below
 the v1 cutoff V can meet a stem window [lo, hi] only when stem0 lies in
 [lo - (V-1)*q, hi].  The E-infinity readers walk only those deltas of each
-segment (SSPage._reach).  SSPage.ladders is a read-only mapping view of
-the segments with Ladder values, made on first use, for callers that want
-one object per ladder (the dense engine, tests and outside tracing);
-neither the sweep nor the readers use it.
+segment (SSPage._reach).  The dense engine walks the segments too, and
+keys its basis by classes (t, mu, lam, u), the monomials
+se(l*p^n) t^t mu^mu l1^lam u^u.  SSPage.ladders is a read-only mapping
+view of the segments with Ladder values, made on first use; its readers
+are tests and outside tracing, and no code in this package uses it.
 """
 
 from __future__ import annotations
@@ -66,11 +67,11 @@ from .errors import InputError, InvariantError, ResourceError, StateError
 from .graded import (
     Bidegree,
     CyclicDecomposition,
-    DimTable,
     Generator,
     Monomial,
     PrimeContext,
     geo,
+    orbit_dims,
 )
 
 MAX_LADDERS = 5_000_000
@@ -85,15 +86,6 @@ class Variant(str, Enum):
 
 def default_v1_cutoff(ctx: PrimeContext, n: int) -> int:
     return 2 * geo(ctx.p, 0, n + 1)
-
-
-def divisibility(variant: Variant, a: int, b: int) -> int:
-    """Largest j with monomial = v1^j * (monomial valid for the variant)."""
-    if variant is Variant.HFP:
-        return min(a, b)
-    if variant is Variant.TATE:
-        return b
-    return a
 
 
 # Alive sets are lists of half-open height intervals (lo, hi) that are
@@ -187,10 +179,9 @@ class Ladder:
     entry.
     """
 
-    __slots__ = ("_page", "_seg", "e1", "e2", "delta", "base_a", "base_b", "stem0", "h_lo", "h_cap")
+    __slots__ = ("_seg", "e1", "e2", "delta", "base_a", "base_b", "stem0", "h_lo", "h_cap")
 
     def __init__(self, page: "SSPage", seg: Segment, delta: int):
-        self._page = page
         self._seg = seg
         self.e1 = seg.e1
         self.e2 = seg.e2
@@ -203,9 +194,6 @@ class Ladder:
     @property
     def alive(self) -> list:
         return self._seg.alive[self.delta - self._seg.deltas.start]
-
-    def monomial(self, h: int) -> Monomial:
-        return Monomial(self._page.n, self._page.ell, self.base_a + h, self.base_b + h, self.e1, self.e2)
 
 
 class SSPage:
@@ -441,10 +429,11 @@ class SSPage:
 
 
 class StageMap:
-    """The stage differential on the monomials of a page.
+    """The stage differential on the classes (t, mu, lam, u) of a page, the
+    monomials se(l*p^n) t^t mu^mu l1^lam u^u.
 
-    It reads only the page's ladder keys and schedule, never the alive
-    sets, so it serves any stage of the schedule in any state of the page.
+    It reads only the page's segments and schedule, never the alive sets,
+    so it serves any stage of the schedule in any state of the page.
     """
 
     def __init__(self, page: SSPage, stage: str):
@@ -460,25 +449,25 @@ class StageMap:
             for delta in deltas
         }
 
-    def on_monomial(self, m: Monomial):
-        """(coefficient, target monomial), or None when the map is zero.
+    def on_class(self, cls: tuple):
+        """(coefficient, target class), or None when the map is zero.
 
         The map is read from SSPage._stage_sources, as the sweep reads it.  A
-        monomial with p-valuation of (a - b + twist) strictly below the
-        stage index was already consumed at an earlier stage; it can only be
+        class with p-valuation of (t - mu + twist) strictly below the stage
+        index was already consumed at an earlier stage; it can only be
         queried here through a class on which the induced differential
-        vanishes, so the map returns None there as well.  A monomial whose
+        vanishes, so the map returns None there as well.  A class whose
         ladder is not modeled on the page raises InputError.
         """
-        key = (m.lam, m.u_exp, m.t_exp - m.mu_exp)
-        if key not in self.page.ladders:
-            raise InputError(f"monomial {m} lies on no ladder of the page")
-        im = self._images.get(key)
+        t, mu, lam, u = cls
+        if self.page._segment_of(lam, u, t - mu) is None:
+            raise InputError(f"class {cls} lies on no ladder of the page")
+        im = self._images.get((lam, u, t - mu))
         if im is None:
             return None
-        coeff, (lam, u_exp) = im
+        coeff, (tlam, tu) = im
         dt, dmu = self._jump
-        return (coeff, Monomial(m.level, m.twist, m.t_exp + dt, m.mu_exp + dmu, lam, u_exp))
+        return coeff, (t + dt, mu + dmu, tlam, tu)
 
 
 @dataclass(frozen=True)
@@ -576,17 +565,13 @@ class EInfResult:
             yield stem0, (seg.a_slope * delta, seg.b_slope * delta, seg.e1, seg.e2), hs, top
 
     def dim_table(self, window, params=None):
-        counts: dict = {}
         q = self.page.ctx.q
-        for seg, _delta, stem0, hs, _lo, _hi in self._survivors(window):
-            line = seg.e1 - seg.e2
-            for h in hs:
-                key = (stem0 + h * q, line)
-                counts[key] = counts.get(key, 0) + 1
-        return DimTable(params or {"p": self.page.ctx.p, "n": self.page.n, "k": None}, counts, window)
+        orbits = (((stem0 + hs.start * q, seg.e1 - seg.e2, len(hs)), 1) for seg, _d, stem0, hs, _lo, _hi in self._survivors(window))
+        return orbit_dims(q, window, orbits, params or {"p": self.page.ctx.p, "n": self.page.n, "k": None})
 
     def classes(self, window) -> list:
-        """E-infinity generators whose bidegree lies in the window.
+        """E-infinity generators whose bidegree lies in the window: the
+        survivor intervals whose bottom height is a surviving height.
 
         Only heights below the v1 cutoff are reported (the basis contract);
         a chain that runs into the cutoff or the window top gets its length
@@ -596,29 +581,20 @@ class EInfResult:
         page = self.page
         q = page.ctx.q
         cut = page.v1_cutoff
-        lo, hi = window
-        for seg, deltas, alives in page._reach(lo - (cut - 1) * q, hi):
-            for delta, alive in zip(deltas, alives):
-                if not alive:
-                    continue
-                stem0 = seg.K + seg.stem_slope * delta
-                for ilo, ihi in alive:
-                    if ilo >= cut:
-                        break
-                    stem = stem0 + ilo * q
-                    if not (lo <= stem <= hi):
-                        continue
-                    certified = ihi <= cut and ihi < page._heights(stem0)[1]
-                    out.append(
-                        EInfClass(
-                            representative=Monomial(
-                                page.n, page.ell, seg.a_slope * delta + ilo, seg.b_slope * delta + ilo, seg.e1, seg.e2
-                            ),
-                            bidegree=Bidegree(stem, seg.e1 - seg.e2),
-                            v1_torsion=(ihi - ilo) if certified else (min(ihi, cut) - ilo),
-                            certified=certified,
-                        )
-                    )
+        for seg, delta, stem0, hs, ilo, ihi in self._survivors(window):
+            if hs.start != ilo:
+                continue
+            certified = ihi <= cut and ihi < page._heights(stem0)[1]
+            out.append(
+                EInfClass(
+                    representative=Monomial(
+                        page.n, page.ell, seg.a_slope * delta + ilo, seg.b_slope * delta + ilo, seg.e1, seg.e2
+                    ),
+                    bidegree=Bidegree(stem0 + ilo * q, seg.e1 - seg.e2),
+                    v1_torsion=(ihi - ilo) if certified else (min(ihi, cut) - ilo),
+                    certified=certified,
+                )
+            )
         return out
 
 
@@ -638,49 +614,43 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
     Enumerates the page basis explicitly and runs every stage as honest
     linear algebra over F_p (kernels of induced maps modulo accumulated
     boundaries), on sparse vectors indexed by position in each bidegree's
-    basis.  It reads the page's ladders and stage schedule, not its alive
+    basis.  It reads the page's segments and stage schedule, not its alive
     sets, so the page may be fresh or already run.  Only fit for small
-    windows; guards with ResourceError.  A v1-image of the survivors that
-    leaves their span raises InvariantError.
+    windows; guards with ResourceError before any basis entry.  A v1-image
+    of the survivors that leaves their span raises InvariantError.
     """
     ctx = page.ctx
     q = ctx.q
-    size = 0  # sum of h_cap - h_lo, from the segments before any ladder view
+    runs = []  # (stem0, class at height 0, h_lo, h_cap) per ladder
+    size = 0
     for seg in page._all_segments():
         for delta in seg.deltas:
-            h_lo, h_cap = page._heights(seg.K + seg.stem_slope * delta)
+            stem0 = seg.K + seg.stem_slope * delta
+            h_lo, h_cap = page._heights(stem0)
             size += h_cap - h_lo
             if size > DENSE_MAX_BASIS:
                 raise ResourceError("dense engine basis too large; use the ladder engine")
-    basis: dict = {}  # (stem, line) -> list of monomials
-    position: dict = {}  # monomial -> (bidegree, index)
-    for lad in page.ladders.values():
-        stem0, line, monomial = lad.stem0, lad.e1 - lad.e2, lad.monomial
-        for h in range(lad.h_lo, lad.h_cap):
-            basis.setdefault((stem0 + h * q, line), []).append(monomial(h))
-    for bid, monos in basis.items():
-        monos.sort(key=lambda m: (m.t_exp, m.mu_exp))
-        for i, m in enumerate(monos):
-            position[m] = (bid, i)
+            runs.append((stem0, (seg.a_slope * delta, seg.b_slope * delta, seg.e1, seg.e2), h_lo, h_cap))
+    basis, position = _dense_basis(runs, q)
 
     p = ctx.p
-    numerators = {bid: [{i: 1} for i in range(len(monos))] for bid, monos in basis.items()}
-    boundaries = {bid: fplinalg.VectorSpan(p, len(monos)) for bid, monos in basis.items()}
+    numerators = {bid: [{i: 1} for i in range(len(classes))] for bid, classes in basis.items()}
+    boundaries = {bid: fplinalg.VectorSpan(p, len(classes)) for bid, classes in basis.items()}
 
     for stage in page.stages:
-        smap = StageMap(page, stage)
+        on_class = StageMap(page, stage).on_class
 
         def image_vec(bid, vec):
             """The stage image, with entries not yet reduced mod p."""
             tgt_bid = (bid[0] - 1, bid[1] + 1)
-            monos = basis[bid]
+            classes = basis[bid]
             out = {}
             for i, c in vec.items():
-                im = smap.on_monomial(monos[i])
+                im = on_class(classes[i])
                 if im is None:
                     continue
-                coeff, tmono = im
-                pos = position.get(tmono)
+                coeff, tcls = im
+                pos = position.get(tcls)
                 if pos is not None and pos[0] == tgt_bid:
                     out[pos[1]] = out.get(pos[1], 0) + c * coeff
             return out
@@ -714,10 +684,11 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
     def v1_shift(bid, vec):
         """Image of a vector under multiplication by v1, or None at an edge."""
         nxt_bid = (bid[0] + q, bid[1])
-        monos = basis[bid]
+        classes = basis[bid]
         shifted = {}
         for i, c in vec.items():
-            pos = position.get(monos[i].v1_times())
+            t, mu, lam, u = classes[i]
+            pos = position.get((t + 1, mu + 1, lam, u))
             if pos is None or pos[0] != nxt_bid:
                 return nxt_bid, None
             shifted[pos[1]] = c
@@ -742,8 +713,8 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
         except InputError as exc:
             raise InvariantError(f"dense engine at (stem, line) = {bid}: {exc}") from exc
         for rep in reps:
-            lead_mono = basis[bid][min(rep)]
-            if divisibility(page.variant, lead_mono.t_exp, lead_mono.mu_exp) >= page.v1_cutoff:
+            lead = basis[bid][min(rep)]
+            if position[lead][2] >= page.v1_cutoff:
                 continue
             # torsion: shift until the class dies (lands in the boundaries)
             r = 0
@@ -756,5 +727,21 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
                 if vec is None:
                     certified = False
                     break
-            gens.append(Generator(f"dense:L{page.n}:{lead_mono}", Bidegree(stem, line), r, certified))
+            gens.append(Generator(f"dense:L{page.n}:{Monomial(page.n, page.ell, *lead)}", Bidegree(stem, line), r, certified))
     return CyclicDecomposition(gens)
+
+
+def _dense_basis(runs, q: int) -> tuple:
+    """(basis, position) from the ladder runs (stem0, class at height 0,
+    h_lo, h_cap): basis maps (stem, line) to its classes (t, mu, lam, u),
+    ascending, and position a class to (bidegree, index, height)."""
+    basis: dict = {}
+    for stem0, (a, b, lam, u), h_lo, h_cap in runs:
+        for h in range(h_lo, h_cap):
+            basis.setdefault((stem0 + h * q, lam - u), []).append(((a + h, b + h, lam, u), h))
+    position: dict = {}
+    for bid, entries in basis.items():
+        entries.sort()
+        position.update((cls, (bid, i, h)) for i, (cls, h) in enumerate(entries))
+        basis[bid] = [cls for cls, _h in entries]
+    return basis, position

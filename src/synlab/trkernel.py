@@ -55,6 +55,8 @@ from .graded import (
 )
 from .nygaard import SSPage, Variant, run_to_einf
 
+MODES = ("oracle", "closed", "both")  # the routes: TR oracle, closed forms, or both compared
+
 
 class PageSet:
     """Fixed-point and Tate E-infinity pages for levels 0..top.
@@ -422,7 +424,7 @@ def tr_gr_module(
     the window and v1 is onto the kernel; with_surjectivity attaches the
     first check's report to the result.
     """
-    if mode not in ("oracle", "closed", "both"):
+    if mode not in MODES:
         raise InputError(f"unknown mode {mode}")
     closed = None
     if mode in ("closed", "both"):

@@ -23,7 +23,7 @@ from .closedforms import (
     leading_disjoint,
 )
 from .errors import InputError, InvariantError, VerificationFailure
-from .graded import PrimeContext, differences, geo, torsion_multiset
+from .graded import PrimeContext, differences, geo
 from .nygaard import SSPage, Variant, run_to_einf
 from .trkernel import PageSet, complete_to_kernel, probe_element_torsion, tr_gr_module
 
@@ -81,7 +81,7 @@ def _compare_page(ctx, n, ell, variant, window, v1_cutoff):
         if not c.certified:
             raise InvariantError(f"uncertified torsion at {tuple(c.bidegree)} ({c.representative})")
     t_or = Counter((c.bidegree.d, c.bidegree.s, c.v1_torsion) for c in classes)
-    diff = differences(t_or, torsion_multiset(closed_gens))
+    diff = differences(t_or, closed_gens)
     if diff:
         (d, s, order), a, b = diff[0]
         raise VerificationFailure(f"torsion multiset at {(d, s)}: order {order} oracle x{a} closed x{b}")

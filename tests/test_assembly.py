@@ -267,3 +267,20 @@ def test_k_theory_underflow_is_an_invariant_failure(monkeypatch, capsys):
         k_mod_dims(AssemblyParams(3, 4, 1, (-2, 12)))
     assert main(["ktheory", "--p", "3", "--n", "4", "--k", "1", "--deg-max", "12"]) == 3
     assert capsys.readouterr().err.startswith("verification failure: K-theory correction underflow")
+
+
+def test_unknown_mode_is_refused_before_any_work(monkeypatch):
+    from synlab import assembly
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on an unknown mode")
+
+    for name in ("family_count", "family_multiset", "tr_gr_module", "tc_zp_dims"):
+        monkeypatch.setattr(assembly, name, no_work)
+    # with and without a twist in the window
+    for window in ((-2, -1), (-2, 40)):
+        with pytest.raises(InputError, match="unknown mode bogus"):
+            tc_eps_dims(CTX3, window, mode="bogus")
+        with pytest.raises(InputError, match="unknown mode bogus"):
+            syntomic_dims(AssemblyParams(3, 4, 1, window), mode="bogus")
+    assert assembly.MODES is trkernel.MODES

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -367,9 +368,9 @@ def test_window_guard_exits_two_in_every_mode(capsys, monkeypatch, command, mode
 ])
 def test_closed_einf_guards_exit_two_before_any_generator(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
-        raise AssertionError("a generator was built before the size guard")
+        raise AssertionError("a tally started before the size guard")
 
-    monkeypatch.setattr(closedforms, "Generator", refuse)
+    monkeypatch.setattr(closedforms, "Counter", refuse)
     code, out, err = run(capsys, "einf", "--p", "3", *argv, "--mode", "closed")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
@@ -379,7 +380,8 @@ def test_einf_both_mode_names_the_first_difference(capsys, monkeypatch):
     einf_closed = closedforms.einf_closed
 
     def drop_first(*args):
-        return CyclicDecomposition(list(einf_closed(*args))[1:])
+        gens = einf_closed(*args)
+        return gens - Counter([next(iter(gens))])
 
     monkeypatch.setattr(closedforms, "einf_closed", drop_first)
     code, out, err = run(capsys, "einf", "--p", "3", "--n", "1", "--ell", "1", "--deg-min", "-4", "--deg-max", "16")

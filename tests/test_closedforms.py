@@ -18,7 +18,7 @@ from synlab.closedforms import (
 )
 from synlab import closedforms
 from synlab.errors import InputError, ResourceError
-from synlab.graded import Monomial, PrimeContext, vp
+from synlab.graded import Monomial, PrimeContext, orbit_stems, vp
 from synlab.nygaard import Variant
 
 CTX3 = PrimeContext(3)
@@ -26,35 +26,49 @@ CTX5 = PrimeContext(5)
 
 
 def gens_at(dec, stem, line):
-    return [g for g in dec if tuple(g.bidegree) == (stem, line)]
+    """{(stem, line, torsion): multiplicity} of a closed page at one bidegree."""
+    return {k: m for k, m in dec.items() if k[:2] == (stem, line)}
 
 
 def test_hfp_unit_torsion():
     dec = einf_closed(CTX3, 1, 0, Variant.HFP, (0, 10))
-    unit = [g for g in gens_at(dec, 0, 0) if g.label == "L1:1"]
-    assert len(unit) == 1 and unit[0].torsion == 4  # 1 + p
+    # the unit 1, torsion 1 + p, and l1 u t^2, torsion p - 2
+    assert gens_at(dec, 0, 0) == {(0, 0, 4): 1, (0, 0, 1): 1}
 
 
 def test_tate_periodic_generators():
     dec = einf_closed(CTX3, 2, 0, Variant.TATE, (-40, 40))
-    pure = [g for g in dec if "l1" not in g.label and "u" not in g.label]
-    stems = sorted(g.bidegree.d for g in pure)
-    assert stems == [-36, -18, 0, 18, 36]  # t^{+-p^n}-periodic
-    assert all(g.torsion == 4 for g in pure)  # 1 + p
+    # the pure t^i (i = 0 mod p^n) are the line-0 classes at stems 2p^n Z;
+    # the other line-0 classes, l1 u t^i with vp(i) = 1, sit at 4 - 2i
+    pure = {k: m for k, m in dec.items() if k[1] == 0 and k[0] % 18 == 0}
+    assert pure == {(d, 0, 4): 1 for d in (-36, -18, 0, 18, 36)}  # t^{+-p^n}-periodic, torsion 1 + p
 
 
 def test_twisted_boundary_generator():
     # i = 2 is congruent to -n*l*p^(n-1) mod p^n; torsion 1 + (p^n - i)
     dec = einf_closed(CTX3, 1, 1, Variant.HFP, (0, 10))
-    t2 = [g for g in dec if g.label == "L1:se(1p^1)*t^2"]
-    assert len(t2) == 1 and t2[0].torsion == 2
+    assert gens_at(dec, 2, 0) == {(2, 0, 2): 1}  # se(1p^1) t^2
 
 
 def test_level_zero_pages():
     hfp = einf_closed(CTX3, 0, 1, Variant.HFP, (0, 20))
-    assert all(g.torsion == 1 for g in hfp)
-    assert {tuple(g.bidegree) for g in hfp} == {(2, 0), (7, 1), (8, 0), (13, 1), (14, 0), (19, 1), (20, 0)}
-    assert len(einf_closed(CTX3, 0, 0, Variant.TATE, (-20, 20))) == 0
+    assert {k[2] for k in hfp} == {1} and set(hfp.values()) == {1}
+    assert {k[:2] for k in hfp} == {(2, 0), (7, 1), (8, 0), (13, 1), (14, 0), (19, 1), (20, 0)}
+    assert einf_closed(CTX3, 0, 0, Variant.TATE, (-20, 20)) == Counter()
+
+
+@pytest.mark.parametrize("p,V,half,count", [(3, 14, 81, 75), (5, 32, 250, 158)])
+def test_closed_window_reaches_as_far_as_the_page(monkeypatch, p, V, half, count):
+    # einf_closed_counted tallies the generators down to q*(V - 1) stems
+    # below the window, the reach of EInfResult._survivors: each one has a
+    # stem in the window at some height below the cutoff V
+    ctx, window = PrimeContext(p), (-half, half)
+    tallied = []
+    einf = closedforms.einf_closed
+    monkeypatch.setattr(closedforms, "einf_closed", lambda *args: tallied.append(einf(*args)) or tallied[-1])
+    closedforms.einf_closed_counted(ctx, 2, 1, Variant.HFP, window, V)
+    assert sum(tallied[0].values()) == count
+    assert all(orbit_stems(ctx.q, d, V, window) for d, _s, _t in tallied[0])
 
 
 def test_enumerate_c_family_starts_at_level_one():
@@ -261,7 +275,7 @@ def test_einf_guard_is_the_generator_count(monkeypatch, p, n, ell, variant):
     ctx, window = PrimeContext(p), (-300, 300)
     # the count skips the t sides whose torsion is an empty sum, as the
     # enumeration does (level 0: only the fixed-point boost leaves classes)
-    count = len(einf_closed(ctx, n, ell, Variant(variant), window))
+    count = sum(einf_closed(ctx, n, ell, Variant(variant), window).values())
     assert count > 0
     monkeypatch.setattr(closedforms, "MAX_EINF_GENERATORS", count)
     einf_closed(ctx, n, ell, Variant(variant), window)

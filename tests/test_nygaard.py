@@ -15,7 +15,6 @@ from synlab.nygaard import (
     Variant,
     _interval_intersect,
     _interval_subtract,
-    divisibility,
     run_to_einf,
     run_to_einf_dense,
 )
@@ -24,22 +23,31 @@ from test_trkernel import iter_alive
 CTX3 = PrimeContext(3)
 
 
+def _class(lad, h):
+    """The class (t, mu, lam, u) at height h of a ladder."""
+    return (lad.base_a + h, lad.base_b + h, lad.e1, lad.e2)
+
+
+def _divisibility(variant, t, mu):
+    """Largest j with t^t mu^mu = v1^j * (a monomial valid for the variant)."""
+    return min(t, mu) if variant is Variant.HFP else mu if variant is Variant.TATE else t
+
+
 def test_ladder_view_of_basis_cutoff():
     # window stems 0..6 with cutoff 2: the delta=0 ladder holds exactly 1, t*mu
     page = SSPage(CTX3, 0, 0, Variant.HFP, (0, 6), v1_cutoff=2)
     lad = page.ladders[(0, 0, 0)]
-    monos = [lad.monomial(h) for h in range(page.v1_cutoff)]
-    assert monos == [Monomial(), Monomial(t_exp=1, mu_exp=1)]
+    assert [_class(lad, h) for h in range(page.v1_cutoff)] == [(0, 0, 0, 0), (1, 1, 0, 0)]
     # every ladder starts at a monomial of the variant not divisible by v1,
     # so height is v1-divisibility and the cutoff bounds what is reported
     for lad in page.ladders.values():
         for h in (lad.h_lo, lad.h_cap - 1):
-            m = lad.monomial(h)
-            assert divisibility(page.variant, m.t_exp, m.mu_exp) == h
+            t, mu, _lam, _u = _class(lad, h)
+            assert _divisibility(page.variant, t, mu) == h
     # E-infinity reports only heights below the cutoff
     res = run_to_einf(page)
     reported = [m for m, _h in iter_alive(res, (page.lo_pad, page.hi_pad))]
-    assert reported and all(divisibility(page.variant, m.t_exp, m.mu_exp) < 2 for m in reported)
+    assert reported and all(_divisibility(page.variant, m.t_exp, m.mu_exp) < 2 for m in reported)
 
 
 def test_page_bottom_class_stem():
@@ -50,55 +58,49 @@ def test_page_bottom_class_stem():
 
 def test_tate_basis_when_cutoff_one():
     page = SSPage(CTX3, 1, 0, Variant.TATE, (0, 0), v1_cutoff=1)
-    assert page.ladders[(0, 0, 0)].monomial(0) == Monomial(level=1)
+    assert _class(page.ladders[(0, 0, 0)], 0) == (0, 0, 0, 0)
     res = run_to_einf(page)
     reported = [m for m, _h in iter_alive(res, (page.lo_pad, page.hi_pad))]
-    assert reported and all(divisibility(Variant.TATE, m.t_exp, m.mu_exp) < 1 for m in reported)
-
-
-def test_divisibility_per_variant():
-    assert divisibility(Variant.HFP, 3, 1) == 1
-    assert divisibility(Variant.TATE, -3, 2) == 2
-    assert divisibility(Variant.MUINV, 2, -5) == 2
+    assert reported and all(_divisibility(Variant.TATE, m.t_exp, m.mu_exp) < 1 for m in reported)
 
 
 def test_stage_t0_on_t():
     page = SSPage(CTX3, 1, 0, Variant.HFP, (-6, 12), v1_cutoff=4)
     d = StageMap(page, "T0")
-    coeff, tgt = d.on_monomial(Monomial(level=1, t_exp=1))
-    assert coeff == 1 and tgt == Monomial(level=1, t_exp=4, lam=1)
+    coeff, tgt = d.on_class((1, 0, 0, 0))  # t
+    assert coeff == 1 and tgt == (4, 0, 1, 0)  # t^4 l1
 
 
 def test_stage_t0_on_mu_leibniz():
     page = SSPage(CTX3, 1, 0, Variant.HFP, (-6, 12), v1_cutoff=4)
     d = StageMap(page, "T0")
-    coeff, tgt = d.on_monomial(Monomial(level=1, mu_exp=1))
+    coeff, tgt = d.on_class((0, 1, 0, 0))  # mu
     assert coeff == 3 - 1  # -1 mod 3
-    assert tgt == Monomial(level=1, t_exp=3, mu_exp=1, lam=1)
+    assert tgt == (3, 1, 1, 0)  # t^3 mu l1
 
 
 def test_stage_u_rule():
     page = SSPage(CTX3, 1, 0, Variant.HFP, (-6, 12), v1_cutoff=4)
     page.run_stage("T0")
     d = StageMap(page, "U")
-    coeff, tgt = d.on_monomial(Monomial(level=1, u_exp=1))
-    assert coeff == 1 and tgt == Monomial(level=1, t_exp=4, mu_exp=1)  # v1 t^3
+    coeff, tgt = d.on_class((0, 0, 0, 1))  # u
+    assert coeff == 1 and tgt == (4, 1, 0, 0)  # v1 t^3
 
 
 def test_twisted_coefficient_on_bottom_class():
     # d(se) at stage T_{n-1} carries the unit l*n; it dies when p | l*n
     page = SSPage(CTX3, 1, 1, Variant.HFP, (0, 12), v1_cutoff=2)
     # -l*n*(p-1) = 1 mod 3
-    assert StageMap(page, "T0").on_monomial(Monomial(level=1, twist=1))[0] == 1
+    assert StageMap(page, "T0").on_class((0, 0, 0, 0))[0] == 1
     page3 = SSPage(CTX3, 1, 3, Variant.HFP, (0, 30), v1_cutoff=2)
-    assert StageMap(page3, "T0").on_monomial(Monomial(level=1, twist=3)) is None
+    assert StageMap(page3, "T0").on_class((0, 0, 0, 0)) is None
 
 
 def test_stage_maps_refuse_a_ladder_off_the_page():
     page = SSPage(CTX3, 1, 1, Variant.HFP, (0, 12), v1_cutoff=2)
     assert (0, 0, 10**6) not in page.ladders
     with pytest.raises(InputError):
-        StageMap(page, "T0").on_monomial(Monomial(level=1, twist=1, t_exp=10**6))
+        StageMap(page, "T0").on_class((10**6, 0, 0, 0))
 
 
 def test_stage_order_enforced():
@@ -121,17 +123,18 @@ def test_differential_bidegree_shift_and_dd_zero():
             hits = 0
             for lad in page.ladders.values():
                 for h in (lad.h_lo, lad.h_cap - 1):
-                    mono = lad.monomial(h)
-                    img = d.on_monomial(mono)
+                    cls = _class(lad, h)
+                    img = d.on_class(cls)
                     if img is None:
                         continue
                     hits += 1
                     coeff, tgt = img
                     assert coeff % p
-                    src_bid, tgt_bid = mono.bidegree(ctx), tgt.bidegree(ctx)
+                    src_bid = Monomial(n, ell, *cls).bidegree(ctx)
+                    tgt_bid = Monomial(n, ell, *tgt).bidegree(ctx)
                     assert tgt_bid.d == src_bid.d - 1 and tgt_bid.s == src_bid.s + 1
-                    if (tgt.lam, tgt.u_exp, tgt.t_exp - tgt.mu_exp) in page.ladders:
-                        assert d.on_monomial(tgt) is None  # d o d = 0
+                    if (tgt[2], tgt[3], tgt[0] - tgt[1]) in page.ladders:
+                        assert d.on_class(tgt) is None  # d o d = 0
             assert hits, (p, n, ell, stage)
 
 
@@ -139,12 +142,12 @@ def test_t_stage_images_are_lambda_multiples_and_vanish_on_them():
     page = SSPage(CTX3, 2, 1, Variant.HFP, (0, 30), v1_cutoff=3)
     d = StageMap(page, "T0")
     for key, lad in page.ladders.items():
-        mono = lad.monomial(lad.h_lo)
-        img = d.on_monomial(mono)
-        if mono.lam == 1:
+        cls = _class(lad, lad.h_lo)
+        img = d.on_class(cls)
+        if cls[2] == 1:  # lam
             assert img is None
         elif img is not None:
-            assert img[1].lam == 1
+            assert img[1][2] == 1
 
 
 def test_n0_pattern():
@@ -231,11 +234,19 @@ def test_resource_guard_dense(monkeypatch):
             made.append(self)
             super().__post_init__()
 
+    def no_basis(*args):
+        raise AssertionError("a basis entry was made")
+
     page = SSPage(CTX3, 2, 1, Variant.HFP, (-500, 500), v1_cutoff=40)
     monkeypatch.setattr(nygaard, "Monomial", CountingMonomial)
+    monkeypatch.setattr(nygaard, "_dense_basis", no_basis)
     with pytest.raises(ResourceError):
         run_to_einf_dense(page, (-500, 500))
-    assert made == [] and "ladders" not in vars(page)  # refused before any view or monomial
+    # refused before any basis entry, ladder view or monomial
+    assert made == [] and "ladders" not in vars(page)
+    # a page within the guard does reach the basis
+    with pytest.raises(AssertionError, match="basis entry"):
+        run_to_einf_dense(SSPage(CTX3, 1, 1, Variant.HFP, (0, 24), 4), (0, 24))
 
 
 def test_dense_engine_refusal_names_the_bidegree(monkeypatch):
@@ -381,7 +392,7 @@ def test_residue_class_sweep_matches_every_ladder_sweep(draw):
     assert list(page.ladders) == sorted(page.ladders)
     for (_e1, _e2, delta), lad in page.ladders.items():
         assert (lad.base_a, lad.base_b) == _base_of(page.variant, delta)
-        assert lad.monomial(0).bidegree(ctx).d == lad.stem0
+        assert Monomial(n, ell, *_class(lad, 0)).bidegree(ctx).d == lad.stem0
         assert lad.alive == [(lad.h_lo, lad.h_cap)] and lad.h_lo < lad.h_cap
     reference = _reference_sweep(SSPage(ctx, n, ell, variant, window, cutoff))
     res = run_to_einf(page)
@@ -392,7 +403,7 @@ def test_residue_class_sweep_matches_every_ladder_sweep(draw):
         # Matched by representative: a class either engine leaves
         # uncertified (its chain runs into the cutoff or the modeled band)
         # carries a lower bound on the other engine's torsion.
-        dense = run_to_einf_dense(page, window)  # reads the ladders, not the alive sets
+        dense = run_to_einf_dense(page, window)  # reads the segments, not the alive sets
         ladder = {f"dense:L{n}:{cl.representative}": cl for cl in res.classes(window)}
         assert sorted(ladder) == sorted(g.label for g in dense)
         for g in dense:

@@ -96,7 +96,8 @@ class ReferenceOracle:
         out = {}
         for j, c in vec.items():
             level, mono = src[j]
-            pos = nindex.get((level, mono.v1_times()))
+            up = Monomial(mono.level, mono.twist, mono.t_exp + 1, mono.mu_exp + 1, mono.lam, mono.u_exp)
+            pos = nindex.get((level, up))
             if pos is not None:
                 out[pos] = c
             else:
