@@ -217,8 +217,11 @@ def two_line_check(ctx: PrimeContext, window, mode: str = "closed") -> TwoLineRe
     Only generators whose v1-orbit meets the window are examined, so an
     empty window passes vacuously.  A violation is a (stem, line, torsion)
     key off lines -1..2, or a line-2 key with more generators than del*l1
-    puts there, with that excess.
+    puts there, with that excess.  A mode outside trkernel.MODES raises
+    InputError, on an empty window too.
     """
+    if mode not in MODES:
+        raise InputError(f"unknown mode {mode}")
     lo, hi = window
     multiset = tc_eps_dims(ctx, window, mode=mode) if lo <= hi else Counter()
     allowed = torsion_multiset(g for g in tc_zp_dims(ctx, window) if g.label == "Zp:del*l1")

@@ -33,8 +33,13 @@ fixed-point split (delta < 0 on the mu side, delta >= 0 on the t side).
 Each range is a Segment: on it the base exponents and the bottom stem
 stem0 are affine in delta, and so are the modeled heights [h_lo, h_cap),
 up to the floor of a division, so none of them is stored.  The only
-per-ladder state is segment.alive[delta - start], the ladder's list of
-alive height intervals.
+per-ladder state is the ladder's alive height intervals, kept in two
+array('q') columns lo and hi at index delta - start: [lo, hi) is the
+ladder's one interval, lo == hi marks a dead ladder, and lo < 0 sends the
+reader to the segment's side map `multi`, which holds the few ladders
+(0.2-2 %) with two or more intervals.  The columns are not containers the
+garbage collector tracks, so a page costs it a handful of objects rather
+than one list per ladder.
 
 Stages.  SSPage._stage_sources states once which ladders a stage map acts
 on, as progressions of source deltas with a constant coefficient: T_k
@@ -56,10 +61,14 @@ are tests and outside tracing, and no code in this package uses it.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import compress, repeat
+from operator import floordiv, ne
 from types import MappingProxyType
 
 from . import fplinalg
@@ -67,13 +76,17 @@ from .errors import InputError, InvariantError, ResourceError, StateError
 from .graded import (
     Bidegree,
     CyclicDecomposition,
+    DimTable,
     Generator,
     Monomial,
     PrimeContext,
     geo,
-    orbit_dims,
 )
 
+# A ladder costs 16 bytes in its segment's two array('q') columns, so the
+# cap holds a page's columns to 80 MB; the side map adds a tuple per
+# ladder with two or more intervals.  SSPage.check_size enforces it before
+# any column is allocated.
 MAX_LADDERS = 5_000_000
 DENSE_MAX_BASIS = 80_000
 
@@ -88,11 +101,13 @@ def default_v1_cutoff(ctx: PrimeContext, n: int) -> int:
     return 2 * geo(ctx.p, 0, n + 1)
 
 
-# Alive sets are lists of half-open height intervals (lo, hi) that are
-# sorted and gapped: lo < hi within an interval and hi < lo' between
+# An alive set is a sequence of half-open height intervals (lo, hi) that
+# are sorted and gapped: lo < hi within an interval and hi < lo' between
 # neighbours.  A ladder starts with one interval; subtracting and
-# intersecting gapped lists yields gapped lists, so no merge pass is needed.
-# A cut replaces a ladder's list and never edits it in place.
+# intersecting gapped sequences yields gapped lists, so no merge pass is
+# needed.  A segment keeps one interval in its lo/hi columns and two or
+# more as a tuple in its side map; Segment.intervals reads either form and
+# Segment.store writes the right one, so a set is replaced, never edited.
 
 
 def _interval_subtract(A, B):
@@ -148,13 +163,23 @@ def _clip(r: range, lo: int, hi: int) -> range:
     return range(first, min(r.stop, hi), r.step)
 
 
+def _floors(c: int, slope: int, x0: int, x1: int, q: int):
+    """(c - slope*x) // q for x in range(x0, x1), slope < 0, as a C-level iterator."""
+    return map(floordiv, range(c - slope * x0, c - slope * x1, -slope), repeat(q))
+
+
+_MULTI = -1  # lo of a ladder whose intervals are in the side map
+
+
 @dataclass(slots=True)
 class Segment:
     """The ladders (e1, e2, delta) of a page for delta in `deltas`.
 
     A ladder's base monomial is t^(a_slope*delta) mu^(b_slope*delta) and
-    its bottom stem is K + stem_slope*delta.  alive[i] is the alive list of
-    the ladder at delta = deltas.start + i.
+    its bottom stem is K + stem_slope*delta.  The ladder at delta =
+    deltas.start + i has the one alive interval [lo[i], hi[i]) when 0 <=
+    lo[i] < hi[i], none when lo[i] == hi[i], and the intervals multi[i]
+    when lo[i] < 0.
     """
 
     e1: int
@@ -164,19 +189,38 @@ class Segment:
     b_slope: int
     stem_slope: int
     K: int
-    alive: list | None = None  # filled by SSPage._build
+    lo: array | None = None  # filled by SSPage._build
+    hi: array | None = None
+    multi: dict = field(default_factory=dict)
 
     def by_stem(self, stem_lo: int, stem_hi: int) -> range:
         """The deltas of the segment whose bottom stem lies in [stem_lo, stem_hi]."""
         r = _deltas_by_stem(self.K, self.stem_slope, stem_lo, stem_hi)
         return _clip(self.deltas, r.start, r.stop)
 
+    def intervals(self, i: int) -> tuple:
+        """The alive intervals of the ladder at index i, ascending."""
+        lo = self.lo[i]
+        if lo < 0:
+            return self.multi[i]
+        hi = self.hi[i]
+        return ((lo, hi),) if lo < hi else ()
+
+    def store(self, i: int, intervals) -> None:
+        """Make the sorted gapped intervals the alive set of the ladder at index i."""
+        if len(intervals) > 1:
+            self.multi[i] = tuple(intervals)
+            self.lo[i], self.hi[i] = _MULTI, 0
+        else:
+            self.multi.pop(i, None)
+            self.lo[i], self.hi[i] = intervals[0] if intervals else (0, 0)
+
 
 class Ladder:
     """Read-only view of one ladder: all v1-multiples of one pure monomial.
 
-    The fields are computed from the segment; `alive` is the segment's live
-    entry.
+    The fields are computed from the segment; `alive` is a list made from
+    the segment's columns on each read.
     """
 
     __slots__ = ("_seg", "e1", "e2", "delta", "base_a", "base_b", "stem0", "h_lo", "h_cap")
@@ -193,7 +237,7 @@ class Ladder:
 
     @property
     def alive(self) -> list:
-        return self._seg.alive[self.delta - self._seg.deltas.start]
+        return list(self._seg.intervals(self.delta - self._seg.deltas.start))
 
 
 class SSPage:
@@ -214,7 +258,7 @@ class SSPage:
         return shape.ladder_count
 
     def _place(self, ctx, n, ell, variant, window, v1_cutoff):
-        """Everything but the alive lists: parameters, schedule, padded
+        """Everything but the alive columns: parameters, schedule, padded
         window and the segments' delta ranges; then the size guard."""
         if n < 0 or ell < 0:
             raise InputError("need n >= 0 and twist >= 0")
@@ -302,7 +346,6 @@ class SSPage:
         # lo_pad, and neither is clamped otherwise.
         full_below = hi_pad - (v - 1) * q
         wide = full_below >= lo_pad
-        full = (0, v)
         for seg in self._all_segments():
             d, K, sl = seg.deltas, seg.K, seg.stem_slope
             top = hi_pad - K + q  # unclamped h_cap = (top - sl*x) // q
@@ -310,15 +353,17 @@ class SSPage:
             mid = seg.by_stem(min(lo_pad, full_below + 1), max(full_below, lo_pad - 1))
             m0 = min(mid.start, d.stop)
             m1 = max(mid.stop, m0)
-            seg.alive = (
-                [[(0, (top - sl * x) // q)] for x in range(d.start, m0)]
-                + (
-                    [[full] for _ in range(m1 - m0)]
-                    if wide
-                    else [[((bottom - sl * x) // q, (top - sl * x) // q)] for x in range(m0, m1)]
-                )
-                + [[((bottom - sl * x) // q, v)] for x in range(m1, d.stop)]
-            )
+            lo = array("q", bytes(8 * (m0 - d.start)))
+            hi = array("q", _floors(top, sl, d.start, m0, q))
+            if wide:
+                lo.frombytes(bytes(8 * (m1 - m0)))
+                hi.extend(array("q", [v]) * (m1 - m0))
+            else:
+                lo.extend(_floors(bottom, sl, m0, m1, q))
+                hi.extend(_floors(top, sl, m0, m1, q))
+            lo.extend(_floors(bottom, sl, m1, d.stop, q))
+            hi.extend(array("q", [v]) * (d.stop - m1))
+            seg.lo, seg.hi = lo, hi
 
     # -- lookups ----------------------------------------------------------
 
@@ -337,13 +382,13 @@ class SSPage:
         return None
 
     def _reach(self, stem_lo: int, stem_hi: int):
-        """(segment, deltas, their alive lists) per segment, in key order,
-        over the ladders whose bottom stem lies in [stem_lo, stem_hi]."""
+        """(segment, indices) per segment, in key order, over the ladders
+        whose bottom stem lies in [stem_lo, stem_hi]."""
         for seg in self._all_segments():
             deltas = seg.by_stem(stem_lo, stem_hi)
             if deltas:
                 start = seg.deltas.start
-                yield seg, deltas, seg.alive[deltas.start - start : deltas.stop - start]
+                yield seg, range(deltas.start - start, deltas.stop - start)
 
     # -- stages ----------------------------------------------------------
 
@@ -383,48 +428,53 @@ class SSPage:
         # pair: T_k sources have e1 = 0 and targets e1 = 1, U sources have
         # e2 = 1 and targets e2 = 0, and delta -> delta + P is injective.
         for _coeff, src, deltas, tkey in self._stage_sources(stage):
-            As, a0 = src.alive, src.deltas.start
+            Alo, Ahi, a0 = src.lo, src.hi, src.deltas.start
             for tgt in self.segments[tkey]:
                 t0 = tgt.deltas.start
                 run = _clip(deltas, t0 - P, tgt.deltas.stop - P)  # targets on tgt
                 if not run:
                     continue
-                Bs = tgt.alive
+                Blo, Bhi = tgt.lo, tgt.hi
                 off = a0 + P - t0  # target index of source index i
                 # t^a mu^b goes to t^(a+G+P) mu^(b+G): height h at delta
                 # lands at height h + s at delta + P, s = G + P + a_src - a_tgt
                 ds = src.a_slope - tgt.a_slope
                 s0 = G + P - tgt.a_slope * P + ds * a0
                 i0, i1, step = run.start - a0, run.stop - a0, run.step
-                for i, A, B in zip(range(i0, i1, step), As[i0:i1:step], Bs[i0 + off : i1 + off : step]):
-                    if not A or not B:
-                        continue
+                j0, j1 = i0 + off, i1 + off
+                pairs = zip(range(i0, i1, step), Alo[i0:i1:step], Ahi[i0:i1:step], Blo[j0:j1:step], Bhi[j0:j1:step])
+                for i, alo, ahi, blo, bhi in pairs:
+                    if alo == ahi or blo == bhi:
+                        continue  # a dead end
                     s = s0 + ds * i
-                    if len(A) == 1 and len(B) == 1:
+                    if alo >= 0 and blo >= 0:
                         # One interval each, 95-98 % of the pairs cut on the
-                        # benchmark workloads: dead = [lo, hi) is cut from
-                        # both inline.  Through the interval helpers this
-                        # case takes the einf-grid jobs from 0.30 to 0.47 s
-                        # (one process, best of 3, 2-core x86-64 Xeon).
-                        (alo, ahi), (blo, bhi) = A[0], B[0]
+                        # benchmark workloads: dead = [dlo, dhi) is cut from
+                        # both columns in place; only a split goes to the
+                        # side map.
                         dlo = alo if alo > blo - s else blo - s
                         dhi = ahi if ahi < bhi - s else bhi - s
                         if dlo < dhi:
-                            if alo < dlo:
-                                As[i] = [(alo, dlo), (dhi, ahi)] if dhi < ahi else [(alo, dlo)]
+                            if alo == dlo:
+                                Alo[i] = dhi
+                            elif dhi == ahi:
+                                Ahi[i] = dlo
                             else:
-                                As[i] = [(dhi, ahi)] if dhi < ahi else []
+                                src.store(i, ((alo, dlo), (dhi, ahi)))
                             dlo += s
                             dhi += s
-                            if blo < dlo:
-                                Bs[i + off] = [(blo, dlo), (dhi, bhi)] if dhi < bhi else [(blo, dlo)]
+                            if blo == dlo:
+                                Blo[i + off] = dhi
+                            elif dhi == bhi:
+                                Bhi[i + off] = dlo
                             else:
-                                Bs[i + off] = [(dhi, bhi)] if dhi < bhi else []
+                                tgt.store(i + off, ((blo, dlo), (dhi, bhi)))
                         continue
+                    A, B = src.intervals(i), tgt.intervals(i + off)
                     dead = _interval_intersect(A, _interval_shift(B, -s))
                     if dead:
-                        As[i] = _interval_subtract(A, dead)
-                        Bs[i + off] = _interval_subtract(B, _interval_shift(dead, s))
+                        src.store(i, _interval_subtract(A, dead))
+                        tgt.store(i + off, _interval_subtract(B, _interval_shift(dead, s)))
         self.stages_done.append(stage)
 
 
@@ -501,7 +551,7 @@ class EInfResult:
         if seg is None:
             return None
         height = t + h - seg.a_slope * delta
-        for lo, hi in seg.alive[delta - seg.deltas.start]:
+        for lo, hi in seg.intervals(delta - seg.deltas.start):
             if lo <= height < hi:
                 return seg.K + seg.stem_slope * delta, height, hi
         return None
@@ -528,16 +578,16 @@ class EInfResult:
         q = self.page.ctx.q
         cut = self.page.v1_cutoff
         lo, hi = window
-        for seg, deltas, alives in self.page._reach(lo - (cut - 1) * q, hi):
-            K, sl = seg.K, seg.stem_slope
-            for delta, alive in zip(deltas, alives):
-                if not alive:
-                    continue
+        for seg, indices in self.page._reach(lo - (cut - 1) * q, hi):
+            K, sl, start = seg.K, seg.stem_slope, seg.deltas.start
+            i0, i1 = indices.start, indices.stop
+            for i in compress(indices, map(ne, seg.lo[i0:i1], seg.hi[i0:i1])):  # the live ladders
+                delta = start + i
                 stem0 = K + sl * delta
                 # lo <= stem0 + h*q <= hi, solved for h
                 h_min = -((stem0 - lo) // q)
                 h_end = min(cut, (hi - stem0) // q + 1)
-                for ilo, ihi in alive:
+                for ilo, ihi in seg.intervals(i):
                     hs = range(ilo if ilo > h_min else h_min, ihi if ihi < h_end else h_end)
                     if hs:
                         yield seg, delta, stem0, hs, ilo, ihi
@@ -564,10 +614,52 @@ class EInfResult:
                 raise InvariantError(f"page {page.variant} n={page.n}: broken chain on ladder {key}")
             yield stem0, (seg.a_slope * delta, seg.b_slope * delta, seg.e1, seg.e2), hs, top
 
-    def dim_table(self, window, params=None):
-        q = self.page.ctx.q
-        orbits = (((stem0 + hs.start * q, seg.e1 - seg.e2, len(hs)), 1) for seg, _d, stem0, hs, _lo, _hi in self._survivors(window))
-        return orbit_dims(q, window, orbits, params or {"p": self.page.ctx.p, "n": self.page.n, "k": None})
+    def dim_table(self, window) -> DimTable:
+        """The dimensions of the page on a stem window, as counted() counts them."""
+        return self.counted(window)[0]
+
+    def _certified(self, stem0: int, top: int) -> bool:
+        """Whether the torsion of a generator on the ladder with bottom stem
+        stem0, alive up to the exclusive height top, is exact: the chain
+        dies below the v1 cutoff and inside the modeled heights."""
+        return top <= self.page.v1_cutoff and top < self.page._heights(stem0)[1]
+
+    def _einf_class(self, seg: Segment, delta: int, stem0: int, ilo: int, ihi: int) -> EInfClass:
+        """The generator v1^ilo times the height-0 class of ladder delta of seg."""
+        page = self.page
+        certified = self._certified(stem0, ihi)
+        return EInfClass(
+            representative=Monomial(page.n, page.ell, seg.a_slope * delta + ilo, seg.b_slope * delta + ilo, seg.e1, seg.e2),
+            bidegree=Bidegree(stem0 + ilo * page.ctx.q, seg.e1 - seg.e2),
+            v1_torsion=(ihi - ilo) if certified else (min(ihi, page.v1_cutoff) - ilo),
+            certified=certified,
+        )
+
+    def counted(self, window) -> tuple:
+        """(DimTable, generators, uncertified) on a stem window from one walk
+        of the survivors: the dimensions, the Counter{(stem, line, torsion):
+        multiplicity} of the certified generators (the form of
+        closedforms.einf_closed_counted), and the first generator whose
+        torsion is only a lower bound as an EInfClass, or None.  The
+        generators are those of classes(window)."""
+        page = self.page
+        q = page.ctx.q
+        dims: dict = {}
+        gens: Counter = Counter()
+        uncertified = None
+        for seg, delta, stem0, hs, ilo, ihi in self._survivors(window):
+            line = seg.e1 - seg.e2
+            if hs.start == ilo:
+                if self._certified(stem0, ihi):
+                    gens[(stem0 + ilo * q, line, ihi - ilo)] += 1
+                elif uncertified is None:
+                    uncertified = self._einf_class(seg, delta, stem0, ilo, ihi)
+            # hs is already cut to the window and the cutoff, so each of
+            # its heights counts once, at its stem
+            for stem in range(stem0 + hs.start * q, stem0 + hs.stop * q, q):
+                dims[(stem, line)] = dims.get((stem, line), 0) + 1
+        table = DimTable({"p": page.ctx.p, "n": page.n, "k": None}, dims, window)
+        return table, gens, uncertified
 
     def classes(self, window) -> list:
         """E-infinity generators whose bidegree lies in the window: the
@@ -577,25 +669,11 @@ class EInfResult:
         a chain that runs into the cutoff or the window top gets its length
         so far with certified=False, i.e. "torsion at least this".
         """
-        out = []
-        page = self.page
-        q = page.ctx.q
-        cut = page.v1_cutoff
-        for seg, delta, stem0, hs, ilo, ihi in self._survivors(window):
-            if hs.start != ilo:
-                continue
-            certified = ihi <= cut and ihi < page._heights(stem0)[1]
-            out.append(
-                EInfClass(
-                    representative=Monomial(
-                        page.n, page.ell, seg.a_slope * delta + ilo, seg.b_slope * delta + ilo, seg.e1, seg.e2
-                    ),
-                    bidegree=Bidegree(stem0 + ilo * q, seg.e1 - seg.e2),
-                    v1_torsion=(ihi - ilo) if certified else (min(ihi, cut) - ilo),
-                    certified=certified,
-                )
-            )
-        return out
+        return [
+            self._einf_class(seg, delta, stem0, ilo, ihi)
+            for seg, delta, stem0, hs, ilo, ihi in self._survivors(window)
+            if hs.start == ilo
+        ]
 
 
 def run_to_einf(page: SSPage) -> EInfResult:

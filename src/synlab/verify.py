@@ -69,23 +69,19 @@ def _compare_page(ctx, n, ell, variant, window, v1_cutoff):
     first differing dimension, else torsion multiplicity, and
     InvariantError on an uncertified torsion.
     """
-    res = run_to_einf(SSPage(ctx, n, ell, variant, window, v1_cutoff))
+    table, gens, uncertified = run_to_einf(SSPage(ctx, n, ell, variant, window, v1_cutoff)).counted(window)
     closed_dims, closed_gens = einf_closed_counted(ctx, n, ell, variant, window, v1_cutoff)
-    dims = res.dim_table(window).entries
-    diff = differences(dims, closed_dims.entries)
+    diff = differences(table.entries, closed_dims.entries)
     if diff:
         key, a, b = diff[0]
         raise VerificationFailure(f"dim at (stem,line)={key}: oracle {a} closed {b}")
-    classes = res.classes(window)
-    for c in classes:
-        if not c.certified:
-            raise InvariantError(f"uncertified torsion at {tuple(c.bidegree)} ({c.representative})")
-    t_or = Counter((c.bidegree.d, c.bidegree.s, c.v1_torsion) for c in classes)
-    diff = differences(t_or, closed_gens)
+    if uncertified is not None:
+        raise InvariantError(f"uncertified torsion at {tuple(uncertified.bidegree)} ({uncertified.representative})")
+    diff = differences(gens, closed_gens)
     if diff:
         (d, s, order), a, b = diff[0]
         raise VerificationFailure(f"torsion multiset at {(d, s)}: order {order} oracle x{a} closed x{b}")
-    return _signature(dims, classes)
+    return _signature(table.entries, gens)
 
 
 def suite_einf(ps=(2, 3, 5), n_max=3, deg_max=None, ell_max=None, double_cutoff=False) -> list:
@@ -129,15 +125,15 @@ def suite_einf(ps=(2, 3, 5), n_max=3, deg_max=None, ell_max=None, double_cutoff=
     return checks
 
 
-def _signature(dims: dict, classes) -> tuple:
-    """What cutoff doubling must not change: the dimensions and the certified torsion."""
-    tors = tuple(sorted((tuple(c.bidegree), c.v1_torsion) for c in classes if c.certified))
-    return tuple(sorted(dims.items())), tors
+def _signature(dims: dict, gens: Counter) -> tuple:
+    """What cutoff doubling must not change: the dimensions and the
+    (stem, line, torsion) multiset of the certified generators."""
+    return tuple(sorted(dims.items())), tuple(sorted(gens.items()))
 
 
 def _page_signature(ctx, n, ell, variant, window, v1_cutoff):
-    res = run_to_einf(SSPage(ctx, n, ell, variant, window, v1_cutoff))
-    return _signature(res.dim_table(window).entries, res.classes(window))
+    table, gens, _uncertified = run_to_einf(SSPage(ctx, n, ell, variant, window, v1_cutoff)).counted(window)
+    return _signature(table.entries, gens)
 
 
 def suite_families(ps=(2, 3), ell_max=8, stem_max=300) -> list:

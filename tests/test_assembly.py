@@ -283,4 +283,8 @@ def test_unknown_mode_is_refused_before_any_work(monkeypatch):
             tc_eps_dims(CTX3, window, mode="bogus")
         with pytest.raises(InputError, match="unknown mode bogus"):
             syntomic_dims(AssemblyParams(3, 4, 1, window), mode="bogus")
+    # an inverted window too, on which two_line_check computes no table
+    for window in ((-2, 40), (4, 2)):
+        with pytest.raises(InputError, match="unknown mode bogus"):
+            two_line_check(CTX3, window, mode="bogus")
     assert assembly.MODES is trkernel.MODES

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -270,7 +272,7 @@ def test_bad_inputs():
 
 
 def test_ladder_guard_fires_before_any_ladder(monkeypatch):
-    # SSPage._build allocates the alive lists, the only per-ladder state
+    # SSPage._build allocates the alive columns, the only per-ladder state
     built = []
     build = SSPage._build
 
@@ -281,7 +283,7 @@ def test_ladder_guard_fires_before_any_ladder(monkeypatch):
     monkeypatch.setattr(SSPage, "_build", counting_build)
     args = (CTX3, 1, 1, Variant.HFP, (0, 30))
     page = SSPage(*args)
-    assert built == [page] and all(seg.alive is not None for seg in page._all_segments())
+    assert built == [page] and all(seg.lo is not None for seg in page._all_segments())
     assert SSPage.check_size(*args) == page.ladder_count == len(page.ladders) > 10
     built.clear()
     monkeypatch.setattr(nygaard, "MAX_LADDERS", 10)
@@ -415,6 +417,51 @@ def test_residue_class_sweep_matches_every_ladder_sweep(draw):
                 assert cl.v1_torsion <= g.torsion
             elif cl.certified:
                 assert g.torsion <= cl.v1_torsion
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(PAGE_DRAWS)
+def test_counted_walk_matches_the_object_readers(draw):
+    p, n, ell, variant, lo, width, cutoff = draw
+    ctx = PrimeContext(p)
+    window = (lo, lo + width)
+    res = run_to_einf(SSPage(ctx, n, ell, variant, window, cutoff))
+    table, gens, uncertified = res.counted(window)
+    walked = Counter((m.bidegree(ctx).d, m.line) for m, _h in iter_alive(res, window))
+    assert table.entries == res.dim_table(window).entries == dict(walked)
+    classes = res.classes(window)
+    assert gens == Counter((c.bidegree.d, c.bidegree.s, c.v1_torsion) for c in classes if c.certified)
+    assert uncertified == next((c for c in classes if not c.certified), None)
+
+
+@pytest.mark.parametrize("p, n, variant, window", [(3, 1, Variant.HFP, (0, 40)), (3, 2, Variant.TATE, (-20, 40)),
+                                                   (2, 2, Variant.MUINV, (-10, 30))])
+def test_an_uncertified_torsion_fails_the_page_check_by_name(p, n, variant, window, monkeypatch):
+    ctx = PrimeContext(p)
+    built = []
+    monomial = nygaard.Monomial
+    monkeypatch.setattr(nygaard, "Monomial", lambda *args: built.append(args) or monomial(*args))
+    certifying = geo(p, 0, n) + 1
+    verify._compare_page(ctx, n, 1, variant, window, certifying)
+    assert built == []  # a passing check names no class
+    res = run_to_einf(SSPage(ctx, n, 1, variant, window, 2))  # 2 < certifying
+    first = next(c for c in res.classes(window) if not c.certified)
+    message = f"uncertified torsion at {tuple(first.bidegree)} ({first.representative})"
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        verify._compare_page(ctx, n, 1, variant, window, 2)
+
+
+def test_a_page_adds_almost_no_tracked_objects():
+    # The alive state is two array columns per segment, which the garbage
+    # collector does not track; a container per ladder made every full
+    # collection walk every ladder of every page held.
+    gc.collect()
+    before = len(gc.get_objects())
+    res = run_to_einf(SSPage(PrimeContext(7), 3, 1, Variant.TATE, (-4, 600)))
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert res.page.ladder_count > 300_000
+    assert added < res.page.ladder_count // 100
 
 
 TRANSLATION_DRAWS = st.tuples(

@@ -363,7 +363,8 @@ def _end_the_tate_classes_at_height_one(monkeypatch):
         init(pages, *args)
         for res in pages.tate.values():
             for seg in res.page._all_segments():
-                seg.alive = [[(lo, min(hi, lo + 1)) for lo, hi in alive] for alive in seg.alive]
+                for i in range(len(seg.deltas)):
+                    seg.store(i, [(lo, min(hi, lo + 1)) for lo, hi in seg.intervals(i)])
 
     monkeypatch.setattr(PageSet, "__init__", capped)
     return re.escape("v1 not surjective on the kernel at [((0, 0, 2), 1, 0)")
@@ -379,8 +380,8 @@ def _start_an_orbit_above_its_bottom(monkeypatch):
         init(pages, *args)
         seg = pages.hfp[1].page._segment_of(0, 0, -1)
         i = -1 - seg.deltas.start
-        (lo, hi), *rest = seg.alive[i]
-        seg.alive[i] = [(lo + 1, hi), *rest]
+        (lo, hi), *rest = seg.intervals(i)
+        seg.store(i, [(lo + 1, hi), *rest])
 
     monkeypatch.setattr(PageSet, "__init__", trimmed)
     return re.escape("n=1: broken chain on ladder (0, 0, -1)")
