@@ -36,10 +36,10 @@ up to the floor of a division, so none of them is stored.  The only
 per-ladder state is the ladder's alive height intervals, kept in two
 array('q') columns lo and hi at index delta - start: [lo, hi) is the
 ladder's one interval, lo == hi marks a dead ladder, and lo < 0 sends the
-reader to the segment's side map `multi`, which holds the few ladders
-(0.2-2 %) with two or more intervals.  The columns are not containers the
-garbage collector tracks, so a page costs it a handful of objects rather
-than one list per ladder.
+reader to the segment's side map `split`, which holds the two intervals
+of each of the few split ladders (0.2-2 %); no stage cuts a split ladder
+again.  The columns are not containers the garbage collector tracks, so a
+page costs it a handful of objects rather than one list per ladder.
 
 Stages.  SSPage._stage_sources states once which ladders a stage map acts
 on, as progressions of source deltas with a constant coefficient: T_k
@@ -84,8 +84,8 @@ from .graded import (
 )
 
 # A ladder costs 16 bytes in its segment's two array('q') columns, so the
-# cap holds a page's columns to 80 MB; the side map adds a tuple per
-# ladder with two or more intervals.  SSPage.check_size enforces it before
+# cap holds a page's columns to 80 MB; the side map adds a pair of
+# intervals per split ladder.  SSPage.check_size enforces it before
 # any column is allocated.
 MAX_LADDERS = 5_000_000
 DENSE_MAX_BASIS = 80_000
@@ -103,51 +103,15 @@ def default_v1_cutoff(ctx: PrimeContext, n: int) -> int:
 
 # An alive set is a sequence of half-open height intervals (lo, hi) that
 # are sorted and gapped: lo < hi within an interval and hi < lo' between
-# neighbours.  A ladder starts with one interval; subtracting and
-# intersecting gapped sequences yields gapped lists, so no merge pass is
-# needed.  A segment keeps one interval in its lo/hi columns and two or
-# more as a tuple in its side map; Segment.intervals reads either form and
-# Segment.store writes the right one, so a set is replaced, never edited.
-
-
-def _interval_subtract(A, B):
-    """A \\ B for sorted gapped interval lists."""
-    if not A or not B:
-        return list(A)
-    out = []
-    for lo, hi in A:
-        cur = lo
-        for blo, bhi in B:
-            if bhi <= cur or blo >= hi:
-                continue
-            if blo > cur:
-                out.append((cur, blo))
-            cur = max(cur, bhi)
-            if cur >= hi:
-                break
-        if cur < hi:
-            out.append((cur, hi))
-    return out
-
-
-def _interval_intersect(A, B):
-    """A & B for sorted gapped interval lists."""
-    out = []
-    ai = bi = 0
-    while ai < len(A) and bi < len(B):
-        lo = max(A[ai][0], B[bi][0])
-        hi = min(A[ai][1], B[bi][1])
-        if lo < hi:
-            out.append((lo, hi))
-        if A[ai][1] <= B[bi][1]:
-            ai += 1
-        else:
-            bi += 1
-    return out
-
-
-def _interval_shift(A, s):
-    return [(lo + s, hi + s) for lo, hi in A]
+# neighbours.  A ladder starts with one interval, its modeled heights
+# [h_lo, h_cap), and a cut trims one end of an interval or splits it in
+# two.  A split ladder holds exactly two intervals and is never cut again:
+# no later stage pair overlaps it.  That is checked, not derived: run_stage
+# tests every pair that holds a split ladder and raises InvariantError on
+# an overlap.  (The tests also find that every split keeps both ends of
+# [h_lo, h_cap).)  A segment keeps one interval in its lo/hi columns and a
+# split's two in its side map; Segment.intervals reads either form and
+# Segment.store writes the right one.
 
 
 def _deltas_by_stem(K: int, stem_slope: int, stem_lo: int, stem_hi: int) -> range:
@@ -168,7 +132,7 @@ def _floors(c: int, slope: int, x0: int, x1: int, q: int):
     return map(floordiv, range(c - slope * x0, c - slope * x1, -slope), repeat(q))
 
 
-_MULTI = -1  # lo of a ladder whose intervals are in the side map
+_SPLIT = -1  # lo of a split ladder, whose two intervals are in the side map
 
 
 @dataclass(slots=True)
@@ -178,8 +142,8 @@ class Segment:
     A ladder's base monomial is t^(a_slope*delta) mu^(b_slope*delta) and
     its bottom stem is K + stem_slope*delta.  The ladder at delta =
     deltas.start + i has the one alive interval [lo[i], hi[i]) when 0 <=
-    lo[i] < hi[i], none when lo[i] == hi[i], and the intervals multi[i]
-    when lo[i] < 0.
+    lo[i] < hi[i], none when lo[i] == hi[i], and is split when lo[i] < 0:
+    then split[i] holds its two intervals, and no stage cuts it again.
     """
 
     e1: int
@@ -191,7 +155,7 @@ class Segment:
     K: int
     lo: array | None = None  # filled by SSPage._build
     hi: array | None = None
-    multi: dict = field(default_factory=dict)
+    split: dict = field(default_factory=dict)
 
     def by_stem(self, stem_lo: int, stem_hi: int) -> range:
         """The deltas of the segment whose bottom stem lies in [stem_lo, stem_hi]."""
@@ -202,17 +166,18 @@ class Segment:
         """The alive intervals of the ladder at index i, ascending."""
         lo = self.lo[i]
         if lo < 0:
-            return self.multi[i]
+            return self.split[i]
         hi = self.hi[i]
         return ((lo, hi),) if lo < hi else ()
 
     def store(self, i: int, intervals) -> None:
-        """Make the sorted gapped intervals the alive set of the ladder at index i."""
-        if len(intervals) > 1:
-            self.multi[i] = tuple(intervals)
-            self.lo[i], self.hi[i] = _MULTI, 0
+        """Make no interval, one, or the two of a split the alive set of the
+        ladder at index i."""
+        if len(intervals) == 2:
+            self.split[i] = tuple(intervals)
+            self.lo[i], self.hi[i] = _SPLIT, 0
         else:
-            self.multi.pop(i, None)
+            self.split.pop(i, None)
             self.lo[i], self.hi[i] = intervals[0] if intervals else (0, 0)
 
 
@@ -447,34 +412,34 @@ class SSPage:
                     if alo == ahi or blo == bhi:
                         continue  # a dead end
                     s = s0 + ds * i
-                    if alo >= 0 and blo >= 0:
-                        # One interval each, 95-98 % of the pairs cut on the
-                        # benchmark workloads: dead = [dlo, dhi) is cut from
-                        # both columns in place; only a split goes to the
-                        # side map.
-                        dlo = alo if alo > blo - s else blo - s
-                        dhi = ahi if ahi < bhi - s else bhi - s
-                        if dlo < dhi:
-                            if alo == dlo:
-                                Alo[i] = dhi
-                            elif dhi == ahi:
-                                Ahi[i] = dlo
-                            else:
-                                src.store(i, ((alo, dlo), (dhi, ahi)))
-                            dlo += s
-                            dhi += s
-                            if blo == dlo:
-                                Blo[i + off] = dhi
-                            elif dhi == bhi:
-                                Bhi[i + off] = dlo
-                            else:
-                                tgt.store(i + off, ((blo, dlo), (dhi, bhi)))
+                    if alo < 0 or blo < 0:
+                        # a split ladder is never cut again
+                        for xlo, xhi in src.intervals(i):
+                            for ylo, yhi in tgt.intervals(i + off):
+                                if max(xlo, ylo - s) < min(xhi, yhi - s):
+                                    seg, j = (src, i) if alo < 0 else (tgt, i + off)
+                                    key = (seg.e1, seg.e2, seg.deltas.start + j)
+                                    raise InvariantError(f"stage {stage} cuts the split ladder {key}")
                         continue
-                    A, B = src.intervals(i), tgt.intervals(i + off)
-                    dead = _interval_intersect(A, _interval_shift(B, -s))
-                    if dead:
-                        src.store(i, _interval_subtract(A, dead))
-                        tgt.store(i + off, _interval_subtract(B, _interval_shift(dead, s)))
+                    # dead = [dlo, dhi) is cut from both columns in place;
+                    # only a split goes to the side map
+                    dlo = alo if alo > blo - s else blo - s
+                    dhi = ahi if ahi < bhi - s else bhi - s
+                    if dlo < dhi:
+                        if alo == dlo:
+                            Alo[i] = dhi
+                        elif dhi == ahi:
+                            Ahi[i] = dlo
+                        else:
+                            src.store(i, ((alo, dlo), (dhi, ahi)))
+                        dlo += s
+                        dhi += s
+                        if blo == dlo:
+                            Blo[i + off] = dhi
+                        elif dhi == bhi:
+                            Bhi[i + off] = dlo
+                        else:
+                            tgt.store(i + off, ((blo, dlo), (dhi, bhi)))
         self.stages_done.append(stage)
 
 

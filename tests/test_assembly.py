@@ -1,6 +1,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synlab import trkernel
 from synlab.assembly import (
@@ -288,3 +290,22 @@ def test_unknown_mode_is_refused_before_any_work(monkeypatch):
         with pytest.raises(InputError, match="unknown mode bogus"):
             two_line_check(CTX3, window, mode="bogus")
     assert assembly.MODES is trkernel.MODES
+
+
+@st.composite
+def _licensed_tables(draw):
+    """A prime, n, a k inside the identification license (4 | k at p = 2)
+    and a window with top at most 120."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(4 if p == 2 else 2, 6))
+    k = draw(st.sampled_from(range(4, 2 ** (n - 2) + 1, 4)) if p == 2 else st.integers(1, p ** (n - 2)))
+    top = draw(st.integers(0, 120))
+    return AssemblyParams(p, n, k, (draw(st.integers(-4, top)), top))
+
+
+@settings(max_examples=20)
+@given(_licensed_tables())
+def test_random_tables_agree_on_both_routes(params):
+    # mode="both" raises VerificationFailure at the first twist whose oracle
+    # and closed form differ; the table it returns is the closed one
+    assert syntomic_dims(params, mode="both") == syntomic_dims(params, mode="closed")

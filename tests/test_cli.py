@@ -103,6 +103,12 @@ def test_input_errors_exit_two(capsys):
     assert code == 2
     code, _, _ = run(capsys, "syntomic", "--p", "3", "--n", "2", "--k", "2", "--deg-max", "10")
     assert code == 2
+    for argv, message in (
+        (["syntomic", "--p", "3", "--n", "1", "--k", "1"], "need n >= 2"),
+        (["syntomic", "--p", "3", "--n", "3", "--k", "0"], "need k >= 1"),
+        (["tr", "--p", "3", "--ell", "3", "--mode", "oracle"], "twist must be positive and prime to p"),
+    ):
+        assert run(capsys, *argv, "--deg-max", "10") == (2, "", f"error: {message}\n")
 
 
 def test_cache_transparency(tmp_path, capsys):

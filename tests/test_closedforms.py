@@ -71,6 +71,12 @@ def test_closed_window_reaches_as_far_as_the_page(monkeypatch, p, V, half, count
     assert all(orbit_stems(ctx.q, d, V, window) for d, _s, _t in tallied[0])
 
 
+@pytest.mark.parametrize("n, ell", [(-1, 0), (1, -1)])
+def test_closed_page_refuses_a_negative_level_or_twist(n, ell):
+    with pytest.raises(InputError, match="need n >= 0 and twist >= 0"):
+        einf_closed(CTX3, n, ell, Variant.HFP, (0, 10))
+
+
 def test_enumerate_c_family_starts_at_level_one():
     elems = enumerate_families(CTX3, 1, TRUNC_INF, (0, 40))
     c0 = [e for e in elems if e.tag is FamilyTag.C and e.n == 0]
@@ -254,7 +260,7 @@ def _twist_draws(draw):
     return p, ell, hi
 
 
-@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@settings(max_examples=150)
 @given(_twist_draws())
 def test_progressions_give_the_enumeration(draw):
     p, ell, hi = draw

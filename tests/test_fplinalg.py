@@ -111,7 +111,7 @@ def matrices(draw):
     return FpMatrix(p, rows, cols, entries)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(matrices())
 def test_rank_nullity_and_annihilation_randomized(m):
     ker = kernel_basis(m)
@@ -120,7 +120,7 @@ def test_rank_nullity_and_annihilation_randomized(m):
         assert m.mul_vec(v) == {}
 
 
-@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(PRIMES, st.integers(1, 30), st.integers(1, 12), st.integers(0, 6), st.sampled_from([0.2, 0.6, 1.0]), SEEDS)
 def test_subquotient_rank_arithmetic_randomized(p, dim, count, den_count, density, seed):
     vecs = random_vectors(seed, p, count, dim, density)
@@ -141,7 +141,7 @@ def test_subquotient_rank_arithmetic_randomized(p, dim, count, den_count, densit
         assert num_span.contains(r)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(PRIMES, st.integers(1, 90), st.integers(1, 40), st.sampled_from([0.05, 0.3]), SEEDS, st.randoms(use_true_random=False))
 def test_span_basis_is_independent_of_insertion_order(p, dim, count, density, seed, shuffler):
     """The dense engine's labels read the canonical reduced echelon form."""

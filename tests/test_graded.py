@@ -96,7 +96,7 @@ ORBIT_DRAWS = st.tuples(
 )
 
 
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(ORBIT_DRAWS)
 @example((4, 10, TORSION_FREE, 30, 20))  # window above d, free orbit
 @example((4, 10, 3, 30, 20))  # window above the orbit's top
@@ -164,7 +164,7 @@ def test_dimtable_csv_header():
 COUNT_MAPS = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-1, 2)), st.integers(0, 3), max_size=12)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(COUNT_MAPS, COUNT_MAPS)
 def test_differences_is_the_sorted_scan(a, b):
     naive = []

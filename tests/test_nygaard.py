@@ -12,11 +12,10 @@ from synlab import nygaard, verify
 from synlab.errors import InputError, InvariantError, ResourceError, StateError
 from synlab.graded import Monomial, PrimeContext, geo, vp
 from synlab.nygaard import (
+    EInfResult,
     SSPage,
     StageMap,
     Variant,
-    _interval_intersect,
-    _interval_subtract,
     run_to_einf,
     run_to_einf_dense,
 )
@@ -109,11 +108,16 @@ def test_stage_order_enforced():
     page = SSPage(CTX3, 2, 0, Variant.HFP, (0, 10), v1_cutoff=2)
     with pytest.raises(StateError):
         page.run_stage("U")
+    with pytest.raises(InputError, match="stage T5 not scheduled for n=2"):
+        StageMap(page, "T5")
     page.run_stage("T0")
     with pytest.raises(StateError):
         page.run_stage("T0")
+    with pytest.raises(StateError, match="page has not completed all stages"):
+        EInfResult(page)
     page.run_stage("T1")
     page.run_stage("U")
+    assert EInfResult(page).page is page
 
 
 def test_differential_bidegree_shift_and_dd_zero():
@@ -294,37 +298,8 @@ def test_ladder_guard_fires_before_any_ladder(monkeypatch):
     assert built == []
 
 
-def _gapped_from_steps(start, steps):
-    out, cur = [], start
-    for gap, length in steps:
-        out.append((cur + gap, cur + gap + length))
-        cur += gap + length
-    return out
-
-
-GAPPED = st.builds(
-    _gapped_from_steps,
-    st.integers(-20, 20),
-    st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), max_size=6),
-)
-
-
-def _heights(ivs):
-    return {h for lo, hi in ivs for h in range(lo, hi)}
-
-
 def _is_gapped(ivs):
     return all(lo < hi for lo, hi in ivs) and all(a[1] < b[0] for a, b in zip(ivs, ivs[1:]))
-
-
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
-@given(GAPPED, GAPPED)
-def test_interval_helpers_match_sets_and_stay_gapped(A, B):
-    meet = _interval_intersect(A, B)
-    rest = _interval_subtract(A, B)
-    assert _heights(meet) == _heights(A) & _heights(B)
-    assert _heights(rest) == _heights(A) - _heights(B)
-    assert _is_gapped(meet) and _is_gapped(rest)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -340,10 +315,10 @@ def test_dim_table_counts_iter_alive(variant):
 def _reference_sweep(page):
     """Every ladder at every stage, with the valuation test read off the
     stage formulas and the shift off _base_of; cuts come from the
-    pre-stage state.  Runs on a {key: alive} dict read from the fresh page
-    and returns it."""
+    pre-stage state.  Runs on a {key: set of alive heights} dict read from
+    the fresh page, and returns each set as its maximal runs [lo, hi)."""
     p, c = page.ctx.p, page._twist_coeff
-    alive = {key: list(lad.alive) for key, lad in page.ladders.items()}
+    alive = {key: {h for lo, hi in lad.alive for h in range(lo, hi)} for key, lad in page.ladders.items()}
     for stage in page.stages:
         k, G, P = page.schedule[stage]
         cuts = []
@@ -359,18 +334,75 @@ def _reference_sweep(page):
             if tkey not in alive:
                 continue
             s = G + P + _base_of(page.variant, delta)[0] - _base_of(page.variant, delta + P)[0]
-            dead = _interval_intersect(A, [(lo - s, hi - s) for lo, hi in alive[tkey]])
-            cuts.append(((e1, e2, delta), tkey, dead, [(lo + s, hi + s) for lo, hi in dead]))
+            dead = A & {h - s for h in alive[tkey]}
+            cuts.append(((e1, e2, delta), tkey, dead, {h + s for h in dead}))
         for key, tkey, dead, tdead in cuts:
-            alive[key] = _interval_subtract(alive[key], dead)
-            alive[tkey] = _interval_subtract(alive[tkey], tdead)
-    return alive
+            alive[key] -= dead
+            alive[tkey] -= tdead
+    return {key: _runs(heights) for key, heights in alive.items()}
+
+
+def _runs(heights):
+    """The maximal runs [lo, hi) of a set of integers, ascending."""
+    out = []
+    for h in sorted(heights):
+        if out and out[-1][1] == h:
+            out[-1] = (out[-1][0], h + 1)
+        else:
+            out.append((h, h + 1))
+    return out
 
 
 def _base_of(variant, delta):
     if variant is Variant.HFP:
         return (max(delta, 0), max(-delta, 0))
     return (delta, 0) if variant is Variant.TATE else (0, -delta)
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_a_stage_that_cuts_a_split_ladder_raises_naming_it(side):
+    # Split one T0 pair's source or target in the middle of the heights the
+    # pair would cut: the sweep must raise, naming the stage and that ladder.
+    page = SSPage(CTX3, 2, 1, Variant.HFP, (0, 60), 6)
+    _k, G, P = page.schedule["T0"]
+    for (e1, e2, delta), src in page.ladders.items():
+        tgt = page.ladders.get((1, e2, delta + P))
+        if e1 or tgt is None or vp(3, delta + page._twist_coeff) != 0:
+            continue
+        s = G + P + src.base_a - tgt.base_a
+        lo, hi = max(src.h_lo, tgt.h_lo - s), min(src.h_cap, tgt.h_cap - s)
+        if hi - lo >= 3:
+            break
+    lad, mid = (src, (lo + hi) // 2) if side == "source" else (tgt, (lo + hi) // 2 + s)
+    seg = page._segment_of(lad.e1, lad.e2, lad.delta)
+    seg.store(lad.delta - seg.deltas.start, [(lad.h_lo, mid), (mid + 1, lad.h_cap)])
+    key = (lad.e1, lad.e2, lad.delta)
+    with pytest.raises(InvariantError, match=re.escape(f"stage T0 cuts the split ladder {key}")):
+        run_to_einf(page)
+
+
+@st.composite
+def _split_pages(draw):
+    """(p, n, twist, variant, window, cutoff): p in {2, 3, 5, 7}, n <= 4,
+    twist <= p^2, a window inside [-300, 300] and a cutoff from 1 to
+    2*geo(p, 0, n+1) + 2."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(0, 4))
+    lo = draw(st.integers(-300, 300))
+    return (p, n, draw(st.integers(0, p * p)), draw(st.sampled_from(list(Variant))), (lo, draw(st.integers(lo, 300))),
+            draw(st.integers(1, 2 * geo(p, 0, n + 1) + 2)))
+
+
+@settings(max_examples=200)
+@given(_split_pages())
+def test_no_stage_cuts_a_split_ladder(draw):
+    # run_stage raises InvariantError when a pair would cut a split ladder
+    p, n, ell, variant, window, cutoff = draw
+    page = run_to_einf(SSPage(PrimeContext(p), n, ell, variant, window, cutoff)).page
+    for seg in page._all_segments():
+        for i, ((lo, _x), (_y, hi)) in seg.split.items():
+            # a split keeps both ends of the ladder's modeled heights
+            assert (lo, hi) == page._heights(seg.K + seg.stem_slope * (seg.deltas.start + i))
 
 
 PAGE_DRAWS = st.tuples(
@@ -384,7 +416,7 @@ PAGE_DRAWS = st.tuples(
 )
 
 
-@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(PAGE_DRAWS)
 def test_residue_class_sweep_matches_every_ladder_sweep(draw):
     p, n, ell, variant, lo, width, cutoff = draw
@@ -419,7 +451,7 @@ def test_residue_class_sweep_matches_every_ladder_sweep(draw):
                 assert g.torsion <= cl.v1_torsion
 
 
-@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(PAGE_DRAWS)
 def test_counted_walk_matches_the_object_readers(draw):
     p, n, ell, variant, lo, width, cutoff = draw
@@ -476,7 +508,7 @@ TRANSLATION_DRAWS = st.tuples(
 )
 
 
-@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(TRANSLATION_DRAWS)
 def test_congruent_twists_give_translated_pages(draw):
     # A page depends on the twist l only through the stem offset 2*l*p^n and

@@ -287,7 +287,7 @@ TR_DRAWS = st.tuples(
 )
 
 
-@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(TR_DRAWS)
 def test_tr_oracle_equals_closed_families_with_both_surjectivity_checks(draw):
     p, i, m, hi = draw
@@ -299,7 +299,7 @@ def test_tr_oracle_equals_closed_families_with_both_surjectivity_checks(draw):
     assert res.surjectivity.all_surjective, res.surjectivity.failures[:3]
 
 
-@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(st.tuples(st.sampled_from((2, 3, 5, 7)), st.integers(0, 4), st.sampled_from((0, 1, 2, 3, TRUNC_INF)),
                  st.integers(-12, 12), st.integers(0, 110)))
 def test_orbit_reduction_equals_the_per_piece_reference(draw):
