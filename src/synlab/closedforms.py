@@ -437,12 +437,12 @@ def tr_closed_decomposition(ctx: PrimeContext, ell: int, trunc=TRUNC_INF, window
     return CyclicDecomposition(gens)
 
 
-def leading_disjoint(elems) -> bool:
-    """No leading class repeats across family elements."""
+def repeated_leading(elems):
+    """The first leading class repeated across family elements, or None."""
     seen = set()
     for el in elems:
         key = el.leading()
         if key in seen:
-            return False
+            return key
         seen.add(key)
-    return True
+    return None

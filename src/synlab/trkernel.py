@@ -61,14 +61,19 @@ MODES = ("oracle", "closed", "both")  # the routes: TR oracle, closed forms, or 
 class PageSet:
     """Fixed-point and Tate E-infinity pages for levels 0..top.
 
+    window is the stem window the caller reads, tors_bound the largest
+    torsion it probes there; each page pads window by its v1 cutoff,
+    tors_bound + 4, and a longer life raises at the modeled boundary.
     Every page's size guard runs before the first page is built, so a
     window too large for the top page fails before any work.
     """
 
-    def __init__(self, ctx: PrimeContext, ell: int, top: int, window, v1_cutoff: int):
+    def __init__(self, ctx: PrimeContext, ell: int, top: int, window, tors_bound: int):
+        v1_cutoff = tors_bound + 4
         self.ctx = ctx
         self.ell = ell
         self.top = top
+        self.window = window
         plan = [(i, v) for i in range(top + 1) for v in (Variant.HFP, Variant.TATE) if i >= 1 or v is Variant.HFP]
         for i, variant in plan:
             SSPage.check_size(ctx, i, ell, variant, window, v1_cutoff)
@@ -240,9 +245,8 @@ class TrOracle:
                 raise InputError("truncation level must be >= 0")
             self.top = trunc
             tors_bound = geo(p, 0, trunc) + 2
-        page_hi = hi + ctx.q * (tors_bound + 2)
-        v_cut = tors_bound + 4
-        self.pages = PageSet(ctx, ell, self.top, (min(lo, 0), page_hi), v_cut)
+        # the pages read the window and one stem above it, whose kills reach it
+        self.pages = PageSet(ctx, ell, self.top, (min(lo, 0), hi + 1), tors_bound)
         self._cols: dict = {}  # orbit key -> [(class, heights, top)], by (top, class)
         self._rows: dict = {}  # orbit key -> [(class, heights, top)], by class
         self._bases: dict = {}  # orbit key -> (matrix entries, sorted rank lives)
@@ -252,16 +256,13 @@ class TrOracle:
     # -- basis assembly ---------------------------------------------------
 
     def _assemble(self):
-        lo, hi = self.window
-        # kills from one stem above can reach the window
-        window = (min(lo, 0), hi + 1)
         # orbits yields one alive interval per ladder, from the bottom of its
         # modeled heights, or raises; a ladder modeled from above height 0
         # has its bottom stem below lo_pad, more than q below the window, so
         # every orbit of a key starts at the window's bottom height there.
         for pages, side in ((self.pages.hfp, self._cols), (self.pages.tate, self._rows)):
             for level, res in pages.items():
-                for stem0, (t, mu, lam, u), heights, top in res.orbits(window):
+                for stem0, (t, mu, lam, u), heights, top in res.orbits(self.pages.window):
                     side.setdefault((stem0, lam - u), []).append(((level, t, mu, lam, u), heights, top))
         for cols in self._cols.values():
             cols.sort(key=lambda c: (c[2], c[0]))

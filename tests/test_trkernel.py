@@ -157,7 +157,7 @@ class ReferenceOracle:
 def pages31():
     # levels 0..4 so that delta chains close; window deep enough to certify
     # torsion orders up to the B-exceptional value 67
-    return PageSet(CTX3, 1, 4, (0, 340), 72)
+    return PageSet(CTX3, 1, 4, (0, 340), 68)
 
 
 def test_gr_can_identity_on_t_type(pages31):
@@ -234,10 +234,10 @@ def test_complete_to_kernel_rejects_a_leading_term_divisible_by_v1(pages31):
 
 
 def test_a_chain_past_the_modeled_heights_is_refused():
-    # stems up to 4 at v1 cutoff 1 model too few heights for the torsion 2
-    # of the suspension generator's chain
-    pages = PageSet(CTX3, 1, 2, (0, 4), 1)
-    comps = complete_to_kernel((0, 0, 0, 0, 0), pages)
+    # stems up to 60 with torsion bound 0 model too few heights for the
+    # torsion 67 of the delta chain at stem 54
+    pages = PageSet(CTX3, 1, 4, (0, 60), 0)
+    comps = complete_to_kernel((2, 0, 6, 0, 0), pages)
     with pytest.raises(InvariantError, match="runs into the modeled boundary"):
         probe_element_torsion(pages, comps)
 
@@ -488,7 +488,7 @@ def test_chain_solver_agrees_with_enumerator():
         elems = enumerate_families(ctx, ell, TRUNC_INF, (0, top))
         levels = max(e.n for e in elems) + 2
         maxtors = max(e.torsion for e in elems)
-        pages = PageSet(ctx, ell, levels, (0, top + ctx.q * (maxtors + 2)), maxtors + 4)
+        pages = PageSet(ctx, ell, levels, (0, top), maxtors)
         for el in elems:
             comps = complete_to_kernel(el.leading(), pages)
             assert comps == list(el.components), (p, el.label())

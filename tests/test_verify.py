@@ -15,7 +15,7 @@ import pytest
 from synlab import assembly, closedforms, trkernel, verify
 from synlab.cli import main
 from synlab.closedforms import TRUNC_INF, FamilyTag, enumerate_families
-from synlab.graded import CyclicDecomposition, Generator, Monomial, PrimeContext
+from synlab.graded import Bidegree, CyclicDecomposition, Generator, Monomial, PrimeContext
 from synlab.nygaard import Variant
 
 CTX3 = PrimeContext(3)
@@ -115,6 +115,21 @@ def test_ac3_fires_on_a_changed_family_torsion(capsys, monkeypatch):
                                    f"twist l=1: oracle and closed form disagree at {first}")])
 
 
+def test_ac9_fires_when_a_truncation_changes_below_its_floor(capsys, monkeypatch):
+    tr_gr_module = verify.tr_gr_module
+
+    def add_a_class_at_truncation_one(ctx, ell, m, window, **kw):
+        res = tr_gr_module(ctx, ell, m, window, **kw)
+        if m == 1:
+            res.decomposition = CyclicDecomposition([*res.decomposition, Generator("extra", Bidegree(2, 0), 1)])
+        return res
+
+    monkeypatch.setattr(verify, "tr_gr_module", add_a_class_at_truncation_one)
+    # truncation 1 may first differ from truncation 0 at stem 2*l*p - 2 = 4
+    assert _failed(capsys, "--suite", "tr", "--p", "3", "--ell-max", "1", "--m-max", "1", "--deg-max", "40") == (
+        3, [("AC9 p=3 l=1 m=0->1 stable below stem 2", "stability bound 2 below expected floor 4")])
+
+
 def _at(trunc, change):
     """Apply change to the family elements of one truncation level only."""
     return lambda level, els: change(els) if level == trunc else els
@@ -124,21 +139,33 @@ def _first(els, **fields):
     return [els[0]._replace(**fields), *els[1:]]
 
 
-# B[n0,l1]j0e0, the first element, is the chain (0, 0, 0, 0, 0), (1, 2, 0, 0, 0)
+def _second(els, **fields):
+    return [els[0], els[1]._replace(**fields), *els[2:]]
+
+
+# B[n0,l1]j0e0, the first element, is the chain (0, 0, 0, 0, 0), (1, 2, 0, 0, 0), and B[n0,l1]j0e1, the
+# second, the chain (0, 0, 0, 1, 0), (1, 2, 0, 1, 0)
 CHAIN = "B[n0,l1]j0e0: solver chain [(0, 0, 0, 0, 0), (1, 2, 0, 0, 0)] != stated [(0, 0, 0, 0, 0), (1, 3, 1, 0, 0)]"
+SECOND_CHAIN = "B[n0,l1]j0e1: solver chain [(0, 1, 0, 1, 0)] != stated [(0, 1, 0, 1, 0), (1, 2, 0, 1, 0)]"
+SOLVE = "AC2 p=3 l=1 chains solve (30 elements, stems<=60)"
+TORSION = ("AC2 p=3 l=1 torsion orders match", "B[n0,l1]j0e0: probed 2 stated 3")
 FAMILY_MUTANTS = {
-    "torsion-off-by-one": (_at(TRUNC_INF, lambda els: _first(els, torsion=els[0].torsion + 1)),
-                           [("AC2 p=3 l=1 torsion orders match", "B[n0,l1]j0e0: probed 2 stated 3")]),
+    "torsion-off-by-one": (_at(TRUNC_INF, lambda els: _first(els, torsion=els[0].torsion + 1)), [TORSION]),
     "changed-component": (_at(TRUNC_INF, lambda els: _first(els, components=((0, 0, 0, 0, 0), (1, 3, 1, 0, 0)))),
-                          [("AC2 p=3 l=1 chains solve (1 elements, stems<=60)", CHAIN),
+                          [(SOLVE, CHAIN),
                            ("AC2 p=3 l=1 torsion orders match", CHAIN)]),
     "repeated-leading-class": (_at(TRUNC_INF, lambda els: els + els[:1]),
-                               [("AC2 p=3 l=1 leading terms disjoint", "")]),
+                               [("AC2 p=3 l=1 leading terms disjoint", "leading terms collide at (0, 0, 0, 0, 0)")]),
     "repeated-truncated-leading-class": (_at(1, lambda els: els + els[:1]),
-                                         [("AC2 p=3 l=1 truncated mu-tails", "trunc 1: leading terms collide")]),
+                                         [("AC2 p=3 l=1 truncated mu-tails",
+                                           "trunc 1: leading terms collide at (0, 0, 0, 0, 0)")]),
     "wrong-mu-tail-torsion": (_at(0, lambda els: [e._replace(torsion=e.torsion + 1) if e.tag in (FamilyTag.F, FamilyTag.G)
                                                   else e for e in els]),
                               [("AC2 p=3 l=1 truncated mu-tails", "F[n0,l1]j1e0 trunc 0: probed 1 stated 2")]),
+    # a torsion failure of the first element hides no chain failure of the second
+    "torsion-then-chain": (_at(TRUNC_INF, lambda els: _second(_first(els, torsion=els[0].torsion + 1),
+                                                              components=((0, 1, 0, 1, 0), (1, 2, 0, 1, 0)))),
+                           [(SOLVE, SECOND_CHAIN), TORSION]),
 }
 
 
@@ -174,7 +201,7 @@ def test_ac2_fires_on_a_chain_that_needs_a_dead_class(capsys, monkeypatch):
     monkeypatch.setattr(verify, "PageSet", with_a_dead_class)
     detail = (f"{first.label()}: chain from {Monomial(first.n, 1, *first.leading()[1:])} needs dead class "
               f"{Monomial(level, 1, *dead[1:])} at level {level}")
-    assert _failed(capsys, *FAMILY_GRID) == (3, [("AC2 p=3 l=1 chains solve (1 elements, stems<=60)", detail),
+    assert _failed(capsys, *FAMILY_GRID) == (3, [(SOLVE, detail),
                                                  ("AC2 p=3 l=1 torsion orders match", detail)])
 
 
