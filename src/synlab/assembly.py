@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .closedforms import TRUNC_INF, family_count, family_multiset
+from .closedforms import TRUNC_INF, family_count
 from .errors import InputError, InvariantError, ResourceError
 from .graded import (
     TORSION_FREE,
@@ -68,14 +68,13 @@ def tc_eps_dims(ctx: PrimeContext, window, mode: str = "closed") -> Counter:
     Returns Counter{(stem, line, torsion): multiplicity} over the generators
     of tc_zp_dims and of each twist-l TR summand (l prime to p) with stems
     up to the window top; no table needs more than this multiset.  A mode
-    outside trkernel.MODES raises InputError before any work.  Mode
-    "closed" reads each twist from family_multiset; "oracle" and "both"
-    convert the oracle's generators, refusing a torsion that is only a
-    lower bound, and under "both" tr_gr_module raises VerificationFailure
-    on the first twist whose oracle and closed form disagree.  Before any
-    twist is computed, the TR generators are counted from the window
-    (family_count summed over the twists), and ResourceError is raised
-    past MAX_GENERATORS.
+    outside trkernel.MODES raises InputError before any work.  Every mode
+    reads each twist as tr_gr_module's multiset: "closed" the family tally,
+    "oracle" the oracle's generators, refusing a torsion that is only a
+    lower bound, and "both" raises VerificationFailure on the first twist
+    whose oracle and closed form disagree.  Before any twist is computed,
+    the TR generators are counted from the window (family_count summed over
+    the twists), and ResourceError is raised past MAX_GENERATORS.
     """
     if mode not in MODES:
         raise InputError(f"unknown mode {mode}")
@@ -88,11 +87,7 @@ def tc_eps_dims(ctx: PrimeContext, window, mode: str = "closed") -> Counter:
             raise ResourceError(f"stems up to {hi} need more than {MAX_GENERATORS} generators; lower the window top")
     out = torsion_multiset(tc_zp_dims(ctx, window))
     for ell in twists:
-        if mode == "closed":
-            out.update(family_multiset(ctx, ell, hi))
-            continue
-        tr = tr_gr_module(ctx, ell, TRUNC_INF, (0, hi), mode=mode)
-        out.update(torsion_multiset(tr.decomposition, f"l{ell}:"))
+        out.update(tr_gr_module(ctx, ell, TRUNC_INF, (0, hi), mode=mode).multiset)
     return out
 
 

@@ -19,7 +19,7 @@ from . import cache
 from .assembly import AssemblyParams, betti_bound, k_mod_dims, syntomic_dims, tc_mod_dims
 from .closedforms import TRUNC_INF, einf_closed_counted
 from .errors import InputError, InvariantError, ResourceError, VerificationFailure
-from .graded import PrimeContext, differences
+from .graded import PrimeContext, differences, orbit_dims
 from .nygaard import SSPage, Variant, default_v1_cutoff, run_to_einf
 from .trkernel import MODES, tr_gr_module
 from .verify import SUITE_NAMES, run_suite
@@ -135,7 +135,7 @@ def _cmd_tr(args) -> tuple[int, str]:
     window = (args.deg_min, args.deg_max)
     trunc = TRUNC_INF if args.m is None else args.m
     res = tr_gr_module(ctx, args.ell, trunc, window, mode=args.mode)
-    table = res.decomposition.dims(ctx, window, {"p": args.p, "n": None, "k": None})
+    table = orbit_dims(ctx.q, window, res.multiset.items(), {"p": args.p, "n": None, "k": None})
     table.notes.update({"ell": args.ell, "m": None if args.m is None else args.m, "mode": args.mode})
     if args.mode == "both":
         table.notes["cross_checked"] = True

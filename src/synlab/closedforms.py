@@ -19,8 +19,9 @@ finite C index set; F/G past _tilt = 0 at the top level of a finite
 truncation.  Component exponents, hence stem and torsion, are affine in j
 within a progression; the B/E index with _tilt = 0 is a progression of its
 own.  Three readers share them: enumerate_families expands them into
-elements, family_count sums their lengths, and family_multiset tallies
-(stem, line, torsion) without building any element.
+elements (for the family check), family_count sums their lengths, and
+tr_closed_decomposition tallies the closed TR summand as (stem, line,
+torsion) without building any element.
 
 Index edge cases the displayed ranges miss are handled explicitly:
 
@@ -44,25 +45,17 @@ from itertools import count, repeat
 from typing import NamedTuple
 
 from .errors import InputError, ResourceError
-from .graded import (
-    Bidegree,
-    CyclicDecomposition,
-    Generator,
-    Monomial,
-    PrimeContext,
-    geo,
-    orbit_dims,
-)
+from .graded import Bidegree, Monomial, PrimeContext, geo, orbit_dims
 from .nygaard import Variant
 
 #: Truncation sentinel: the untruncated (inverse limit) module.
 TRUNC_INF = math.inf
 
-# A closed TR decomposition costs 15-24 us and about 1 KB per family
-# element, and the table printed from it grows with the window: tr --p 3
-# --ell 1 --mode closed --deg-max 60000 (20,034 elements) takes 1.4 s and
-# 107 MB in all, and --deg-max 300000 (100,006, just past this cap) 7.7 s
-# and 445 MB.
+# The closed TR tally costs about 1 us and 130-170 B per family element;
+# the table printed from it sets the cost: tr --p 3 --ell 1 --mode closed
+# --deg-max 60000 (20,034 elements) takes 0.9 s and 100 MB in all, and
+# --deg-max 290000 (96,704, just under this cap) 4.2-5.1 s and 407 MB as
+# JSON, 2.4 s and 102 MB as CSV (2-core x86-64 Xeon).
 MAX_FAMILY_ELEMENTS = 100_000
 
 # A closed E-infinity generator costs about 2.5 us and 140 B as a multiset
@@ -410,31 +403,25 @@ def enumerate_families(ctx: PrimeContext, ell: int, trunc=TRUNC_INF, window=(0, 
 
 def family_count(ctx: PrimeContext, ell: int, hi: int, trunc=TRUNC_INF) -> int:
     """len(enumerate_families(ctx, ell, trunc, (0, hi))), the summed
-    lengths of the progressions.  Every family stem is at least 2l, so any
-    window starting at or below 0 gives the same count."""
+    lengths of the progressions.  Every family stem is at least 2l - 1, so
+    any window starting at or below 0 gives the same count."""
     return sum(len(prog.js) for prog in family_progressions(ctx, ell, trunc, hi))
 
 
-def family_multiset(ctx: PrimeContext, ell: int, hi: int) -> Counter:
-    """Counter{(stem, line, torsion): multiplicity} over
-    enumerate_families(ctx, ell, TRUNC_INF, (0, hi)), read off the
-    progressions without building any element."""
+def tr_closed_decomposition(ctx: PrimeContext, ell: int, trunc=TRUNC_INF, hi: int = 200) -> Counter:
+    """The closed twist-l TR summand at truncation trunc: Counter{(stem,
+    line, torsion): multiplicity} over enumerate_families(ctx, ell, trunc,
+    (0, hi)), read off the progressions without building any element.
+    Refuses with ResourceError past MAX_FAMILY_ELEMENTS elements, counted
+    from the progressions before any is tallied."""
+    progs = family_progressions(ctx, ell, trunc, hi)
+    if sum(len(prog.js) for prog in progs) > MAX_FAMILY_ELEMENTS:
+        raise ResourceError(f"stems up to {hi} need more than {MAX_FAMILY_ELEMENTS} family elements; lower the window top")
     out: Counter = Counter()
-    for prog in family_progressions(ctx, ell, TRUNC_INF, hi):
+    for prog in progs:
         (d0, t0), (dd, dt) = prog.affine(ctx)
         out.update(zip(count(d0, dd), repeat(prog.line, len(prog.js)), count(t0, dt)))
     return out
-
-
-def tr_closed_decomposition(ctx: PrimeContext, ell: int, trunc=TRUNC_INF, window=(0, 200)) -> CyclicDecomposition:
-    """The family elements in the window as generators.  Refuses with
-    ResourceError past MAX_FAMILY_ELEMENTS elements with stems up to the
-    window top, counted from the progressions before any is built."""
-    if family_count(ctx, ell, window[1], trunc) > MAX_FAMILY_ELEMENTS:
-        raise ResourceError(f"stems up to {window[1]} need more than {MAX_FAMILY_ELEMENTS} family elements; lower the window top")
-    elems = enumerate_families(ctx, ell, trunc, window)
-    gens = [Generator(el.label(), el.bid, el.torsion) for el in elems]
-    return CyclicDecomposition(gens)
 
 
 def repeated_leading(elems):

@@ -208,12 +208,12 @@ class Ladder:
 class SSPage:
     """One twisted Nygaard page and its staged differential state."""
 
-    def __init__(self, ctx: PrimeContext, n: int, ell: int, variant: Variant, window, v1_cutoff: int | None = None):
+    def __init__(self, ctx: PrimeContext, n: int, ell: int, variant: Variant, window, v1_cutoff: int):
         self._place(ctx, n, ell, variant, window, v1_cutoff)
         self._build()
 
     @classmethod
-    def check_size(cls, ctx: PrimeContext, n: int, ell: int, variant: Variant, window, v1_cutoff=None) -> int:
+    def check_size(cls, ctx: PrimeContext, n: int, ell: int, variant: Variant, window, v1_cutoff: int) -> int:
         """The ladder count of SSPage(ctx, n, ell, variant, window, v1_cutoff),
         from its segment ranges alone, allocating no ladder.  Raises what the
         constructor would raise before building: InputError, or
@@ -235,7 +235,7 @@ class SSPage:
         self.ell = ell
         self.variant = Variant(variant)
         self.window = (lo, hi)
-        self.v1_cutoff = v1_cutoff if v1_cutoff is not None else default_v1_cutoff(ctx, n)
+        self.v1_cutoff = v1_cutoff
         if self.v1_cutoff < 1:
             raise InputError("v1 cutoff must be >= 1")
         p = ctx.p

@@ -37,6 +37,7 @@ to the v1-adic one.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import fplinalg
@@ -50,6 +51,7 @@ from .graded import (
     PrimeContext,
     differences,
     geo,
+    orbit_dims,
     orbit_heights,
     torsion_multiset,
 )
@@ -180,7 +182,8 @@ class TrComparison:
 
 @dataclass
 class TrResult:
-    decomposition: CyclicDecomposition
+    multiset: Counter  # (stem, line, torsion) -> multiplicity: the oracle's if it ran, else the closed tally
+    decomposition: CyclicDecomposition | None = None  # the oracle's labelled generators, if it ran
     comparison: TrComparison | None = None
     surjectivity: SurjectivityReport | None = None
 
@@ -415,21 +418,23 @@ def tr_gr_module(
     mode: str = "both",
     with_surjectivity: bool = False,
 ) -> TrResult:
-    """gr TR^[trunc](Z_p; Sigma^(2 ell) Z_p)/p as a cyclic decomposition.
+    """gr TR^[trunc](Z_p; Sigma^(2 ell) Z_p)/p as a (stem, line, torsion) multiset.
 
-    mode "oracle": brute-force kernel; "closed": family enumeration;
-    "both": run the two independently, raise VerificationFailure at the
-    first (stem, line) dimension, else (stem, line, torsion) multiplicity,
+    mode "oracle": brute-force kernel; "closed": the family tally
+    (tr_closed_decomposition) over stems up to the window top; "both": run
+    the two independently, raise VerificationFailure at the first (stem,
+    line) dimension, else in-window (stem, line, torsion) multiplicity,
     where they differ, and attach the (empty) comparison.  Every oracle run
     raises InvariantError unless gr(phi - can) is onto every Tate piece of
-    the window and v1 is onto the kernel; with_surjectivity attaches the
-    first check's report to the result.
+    the window and v1 is onto the kernel, and on a generator whose torsion
+    is only a lower bound; with_surjectivity attaches the first check's
+    report to the result.
     """
     if mode not in MODES:
         raise InputError(f"unknown mode {mode}")
     closed = None
     if mode in ("closed", "both"):
-        closed = tr_closed_decomposition(ctx, ell, trunc, (0, window[1]))
+        closed = tr_closed_decomposition(ctx, ell, trunc, window[1])
     if mode == "closed":
         return TrResult(closed)
     oracle = TrOracle(ctx, ell, trunc, window)
@@ -437,14 +442,16 @@ def tr_gr_module(
     surj = oracle.surjectivity_report()
     if surj.failures:
         raise InvariantError(f"gr(phi - can) not onto the Tate piece at {surj.failures[0]}")
-    result = TrResult(dec, surjectivity=surj if with_surjectivity else None)
     vfail = oracle.check_v1_surjectivity()
     if vfail:
         raise InvariantError(f"v1 not surjective on the kernel at {vfail[:3]}")
+    result = TrResult(torsion_multiset(dec, f"l{ell}:"), dec, surjectivity=surj if with_surjectivity else None)
     if mode == "both":
+        lo, hi = window
+        routes = (result.multiset, closed)
         comp = TrComparison(
-            differences(dec.dims(ctx, window).entries, closed.dims(ctx, window).entries),
-            differences(torsion_multiset(dec.generators_in(window)), torsion_multiset(closed.generators_in(window))),
+            differences(*(orbit_dims(ctx.q, window, route.items()).entries for route in routes)),
+            differences(*({key: m for key, m in route.items() if lo <= key[0] <= hi} for route in routes)),
         )
         if not comp.ok:
             first = (comp.dim_mismatches or comp.torsion_mismatches)[0]

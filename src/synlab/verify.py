@@ -22,7 +22,7 @@ from .closedforms import (
     repeated_leading,
 )
 from .errors import InputError, InvariantError, VerificationFailure
-from .graded import PrimeContext, differences, geo
+from .graded import PrimeContext, differences, geo, orbit_dims
 from .nygaard import SSPage, Variant, run_to_einf
 from .trkernel import PageSet, complete_to_kernel, probe_element_torsion, tr_gr_module
 
@@ -242,7 +242,7 @@ def suite_tr(ps=(2, 3), ell_max=8, m_max=3, stem_max=200) -> list:
                 checks.append(Check("tr", f"AC3 {case} oracle=closed", True))
                 pieces = res.surjectivity.pieces_checked
                 checks.append(Check("tr", f"AC4 {case} gr(phi-can) surjective ({pieces} pieces)", True))
-                table = res.decomposition.dims(ctx, window).entries
+                table = orbit_dims(ctx.q, window, res.multiset.items()).entries
                 if prev is not None:
                     diff = differences(prev, table)
                     bound = diff[0][0][0] if diff else stem_max + 1
@@ -275,9 +275,19 @@ def run_suite(name: str, ps=None, n_max=None, deg_max=None, ell_max=None, m_max=
     None keeps a suite's acceptance default.  ps names the primes and
     deg_max bounds the stems of every suite; ell_max bounds the twists of
     einf, families and tr; n_max and double_cutoff reach einf, m_max tr.
+    A flag that leaves a suite it runs with no case or an empty stem window
+    raises InputError before any suite runs.
     """
     if name != "all" and name not in SUITE_NAMES:
         raise InputError(f"unknown suite {name}; pick from {list(SUITE_NAMES)} or 'all'")
+    runs = SUITE_NAMES if name == "all" else (name,)
+    # (flag, value, least value with a case, suites reached); einf always has twist 0
+    for flag, value, least, reaches in (("--deg-max", deg_max, 0, SUITE_NAMES), ("--n-max", n_max, 0, ("einf",)),
+                                        ("--ell-max", ell_max, 1, ("families", "tr")), ("--m-max", m_max, 0, ("tr",))):
+        empty = [suite for suite in runs if suite in reaches]
+        if value is not None and value < least and empty:
+            raise InputError(f"{flag} {value} leaves suite {empty[0]} with no case or an empty stem window; "
+                             f"need {flag} >= {least}")
 
     def given(**kw):
         return {k: v for k, v in kw.items() if v is not None}

@@ -15,7 +15,7 @@ from synlab.assembly import (
     tc_zp_dims,
     two_line_check,
 )
-from synlab.closedforms import TRUNC_INF, family_count, family_multiset, tr_closed_decomposition
+from synlab.closedforms import TRUNC_INF, family_count, tr_closed_decomposition
 from synlab.errors import InputError, InvariantError, ResourceError, VerificationFailure
 from synlab.graded import TORSION_FREE, CyclicDecomposition, DimTable, PrimeContext
 
@@ -64,7 +64,7 @@ def test_tc_eps_stem_two_from_first_twist():
     eps = tc_eps_dims(CTX3, (0, 6))
     at2 = {k: m for k, m in eps.items() if k[0] == 2}
     assert sum(at2.values()) == 1
-    assert set(at2) <= set(family_multiset(CTX3, 1, 6))
+    assert set(at2) <= set(tr_closed_decomposition(CTX3, 1, TRUNC_INF, 6))
     assert not any(d == 2 for (d, _s, _t) in _keys(tc_zp_dims(CTX3, (0, 6))))
 
 
@@ -173,6 +173,15 @@ def test_two_line_check_windows():
     assert vac.ok and vac.line2_count == 0
 
 
+def test_two_line_check_reads_only_orbits_that_meet_the_window(monkeypatch):
+    from synlab import assembly
+
+    key = (10, 3, 2)  # a line-3 class g and v1*g, at stems 10 and 10 + q
+    monkeypatch.setattr(assembly, "tc_eps_dims", lambda ctx, window, mode: Counter({key: 1}))
+    assert two_line_check(CTX3, (10 + 2 * CTX3.q, 40)).ok  # the orbit ends below the window
+    assert two_line_check(CTX3, (10 + CTX3.q, 40)).violations == [(key, 1)]
+
+
 def test_betti_bound_values():
     assert betti_bound(CTX3, 3) == 3
     assert betti_bound(CTX3, 0) == 3
@@ -188,7 +197,7 @@ def test_tc_eps_is_tc_zp_then_prefixed_twists(p):
     want = _keys(tc_zp_dims(ctx, (-2, hi)))
     for ell in range(1, hi):
         if ell % p and 2 * ell - 1 <= hi:
-            want.update(_keys(tr_closed_decomposition(ctx, ell, TRUNC_INF, (0, hi))))
+            want.update(tr_closed_decomposition(ctx, ell, TRUNC_INF, hi))
     assert tc_eps_dims(ctx, (-2, hi)) == want
 
 
@@ -201,7 +210,7 @@ def test_tc_eps_merge_is_linear(monkeypatch):
         raise AssertionError("a twist built a per-generator object")
 
     monkeypatch.setattr(closedforms, "FamilyElement", no_object)
-    monkeypatch.setattr(assembly, "tr_gr_module", no_object)
+    monkeypatch.setattr(closedforms, "enumerate_families", no_object)
     check = Generator.__post_init__
 
     def only_tc_zp(self):
@@ -220,24 +229,23 @@ def test_both_mode_raises_on_a_twist_mismatch(monkeypatch):
     assert syntomic_dims(params, mode="both").entries == syntomic_dims(params).entries
     closed = trkernel.tr_closed_decomposition
 
-    def drop_first(ctx, ell, trunc, window):
-        return CyclicDecomposition(list(closed(ctx, ell, trunc, window))[1:])
+    def drop_lowest(ctx, ell, trunc, hi):
+        multiset = closed(ctx, ell, trunc, hi)
+        return multiset - Counter([min(multiset)])
 
-    monkeypatch.setattr(trkernel, "tr_closed_decomposition", drop_first)
+    monkeypatch.setattr(trkernel, "tr_closed_decomposition", drop_lowest)
     with pytest.raises(VerificationFailure, match="twist l=1: oracle and closed form disagree"):
         syntomic_dims(params, mode="both")
 
 
 def test_assembly_refuses_uncertified_torsion(monkeypatch):
-    from synlab import assembly
     from synlab.errors import InvariantError
     from synlab.graded import Bidegree, Generator
-    from synlab.trkernel import TrResult
 
-    def one_bound(ctx, ell, trunc, window, mode):
-        return TrResult(CyclicDecomposition([Generator("g", Bidegree(2 * ell, 0), 2, certified=False)]))
+    def one_bound(oracle):
+        return CyclicDecomposition([Generator("g", Bidegree(2 * oracle.ell, 0), 2, certified=False)])
 
-    monkeypatch.setattr(assembly, "tr_gr_module", one_bound)
+    monkeypatch.setattr(trkernel.TrOracle, "decomposition", one_bound)
     params = AssemblyParams(3, 3, 1, (-2, 12))
     for table in (syntomic_dims, tc_mod_dims, k_mod_dims):
         with pytest.raises(InvariantError, match="l1:g at \\(2, 0\\)"):
@@ -277,7 +285,7 @@ def test_unknown_mode_is_refused_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started on an unknown mode")
 
-    for name in ("family_count", "family_multiset", "tr_gr_module", "tc_zp_dims"):
+    for name in ("family_count", "tr_gr_module", "tc_zp_dims"):
         monkeypatch.setattr(assembly, name, no_work)
     # with and without a twist in the window
     for window in ((-2, -1), (-2, 40)):

@@ -20,6 +20,8 @@ BENCH = Path(__file__).resolve().parents[1] / "benchmark"
 JOB_IDS = (
     "cli tc --p 3 --n 4 --k 1 --deg-max 60 --deg-min -2 --format json",
     "cli einf --p 5 --n 2 --ell 2 --variant tate --deg-max 900 --mode closed --deg-min -900 --format json",
+    # the truncated closed tally behind `tr --m`
+    "cli tr --p 2 --ell 1 --m 3 --deg-max 900 --mode closed --deg-min -2 --format json",
     "tr p=3 ell=1 m=0 hi=200",
     "syntomic-oracle p=3 n=4 k=1 window=-4..20",
     "suite_einf p=3 n_max=3 ell_max=1 deg_max=108 double_cutoff=True",

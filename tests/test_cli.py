@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 from synlab import assembly, cache, closedforms, nygaard, trkernel
 from synlab.cli import main
-from synlab.graded import CyclicDecomposition, DimTable
+from synlab.graded import DimTable, Generator
 
 
 def run(capsys, *argv):
@@ -227,6 +228,28 @@ def test_verify_flags_map_the_same_under_all(capsys, monkeypatch):
     assert calls == [("tr", {"ps": (5,)})]
 
 
+@pytest.mark.parametrize("argv", [
+    "--suite tr --m-max -1",
+    "--suite families --ell-max 0",
+    "--suite einf --n-max -1",
+    "--suite tr --p 3 --ell-max 1 --m-max 0 --deg-max -1",
+    "--suite all --n-max -1 --ell-max 0 --m-max -1",
+    "--suite families --deg-max -1",
+    "--suite assembly --deg-max -1",
+])
+def test_verify_refuses_an_empty_grid_before_any_suite(capsys, monkeypatch, argv):
+    import synlab.verify as verifymod
+
+    def no_work(**kw):
+        raise AssertionError("a suite ran on an empty grid")
+
+    for name in ("einf", "families", "tr", "assembly"):
+        monkeypatch.setattr(verifymod, f"suite_{name}", no_work)
+    code, out, err = run(capsys, "verify", *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("error: --") and "no case or an empty stem window" in err
+
+
 def test_size_guard_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(nygaard, "MAX_LADDERS", 10)
     code, out, err = run(capsys, "einf", "--p", "3", "--n", "1", "--ell", "1", "--deg-max", "30", "--mode", "oracle")
@@ -241,7 +264,7 @@ def test_closed_size_guard_exits_two(capsys, monkeypatch, command):
     def no_twist(*args, **kwargs):
         raise AssertionError("a twist was computed before the size guard")
 
-    monkeypatch.setattr(assembly, "family_multiset", no_twist)
+    monkeypatch.setattr(assembly, "tr_gr_module", no_twist)
     code, out, err = run(capsys, command, "--p", "3", "--n", "4", "--k", "1", "--deg-max", "100000")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "generators" in err and "Traceback" not in err
@@ -258,10 +281,39 @@ def test_closed_tr_size_guard_exits_two_before_any_element(capsys, monkeypatch, 
         raise AssertionError("work started before the size guard")
 
     monkeypatch.setattr(closedforms, "enumerate_families", refuse)
+    monkeypatch.setattr(closedforms.Progression, "affine", refuse)
     monkeypatch.setattr(trkernel, "TrOracle", refuse)
     code, out, err = run(capsys, "tr", "--p", "3", "--ell", "1", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "family elements" in err
+
+
+GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "benchmark" / "golden.json").read_text())["digests"]
+
+
+@pytest.mark.parametrize("argv", [
+    "tr --p 3 --ell 2 --deg-max 900 --mode closed --deg-min -2 --format json",
+    "tr --p 2 --ell 1 --m 3 --deg-max 900 --mode closed --deg-min -2 --format json",
+    "syntomic --p 3 --n 4 --k 1 --deg-max 600 --deg-min -2 --format json",
+])
+def test_closed_tables_build_no_object_per_family_element(capsys, monkeypatch, argv):
+    # the closed route tallies the family progressions: no FamilyElement,
+    # no enumeration and no Generator but TC(Z_p)'s, and the golden bytes
+    def no_object(*args, **kwargs):
+        raise AssertionError("a family element was built")
+
+    monkeypatch.setattr(closedforms, "FamilyElement", no_object)
+    monkeypatch.setattr(closedforms, "enumerate_families", no_object)
+    check = Generator.__post_init__
+
+    def only_tc_zp(self):
+        assert self.label.startswith("Zp:"), f"twist generator {self.label} built"
+        check(self)
+
+    monkeypatch.setattr(Generator, "__post_init__", only_tc_zp)
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[f"cli {argv}"]
 
 
 @pytest.mark.parametrize("command", ["syntomic", "tc", "ktheory"])
@@ -277,10 +329,11 @@ def test_table_modes_print_the_same_table(capsys, command):
 def test_table_mode_both_exits_three_on_a_mismatch(capsys, monkeypatch):
     closed = trkernel.tr_closed_decomposition
 
-    def drop_first(ctx, ell, trunc, window):
-        return CyclicDecomposition(list(closed(ctx, ell, trunc, window))[1:])
+    def drop_lowest(ctx, ell, trunc, hi):
+        multiset = closed(ctx, ell, trunc, hi)
+        return multiset - Counter([min(multiset)])
 
-    monkeypatch.setattr(trkernel, "tr_closed_decomposition", drop_first)
+    monkeypatch.setattr(trkernel, "tr_closed_decomposition", drop_lowest)
     code, out, err = run(capsys, "tc", "--p", "3", "--n", "3", "--k", "1", "--deg-max", "12", "--mode", "both")
     assert code == 3 and out == ""
     assert err.startswith("verification failure: twist l=1")

@@ -11,14 +11,13 @@ from synlab.closedforms import (
     einf_closed,
     enumerate_families,
     family_count,
-    family_multiset,
     family_torsion,
     repeated_leading,
     tr_closed_decomposition,
 )
 from synlab import closedforms
 from synlab.errors import InputError, ResourceError
-from synlab.graded import Monomial, PrimeContext, orbit_stems, vp
+from synlab.graded import Monomial, PrimeContext, orbit_dims, orbit_stems, vp
 from synlab.nygaard import Variant
 
 CTX3 = PrimeContext(3)
@@ -170,8 +169,8 @@ def test_negative_truncation_refused():
 
 def test_stems_bounded_below_by_connectivity():
     for ell in (1, 2, 4):
-        dec = tr_closed_decomposition(CTX3, ell, TRUNC_INF, (0, 100))
-        table = dec.dims(CTX3, (0, 2 * ell - 2))
+        multiset = tr_closed_decomposition(CTX3, ell, TRUNC_INF, 100)
+        table = orbit_dims(CTX3.q, (0, 2 * ell - 2), multiset.items())
         assert not table.entries  # nothing below stem 2l - 1
 
 
@@ -267,12 +266,11 @@ def _twist_draws(draw):
 def test_progressions_give_the_enumeration(draw):
     p, ell, hi = draw
     ctx = PrimeContext(p)
-    elems = enumerate_families(ctx, ell, TRUNC_INF, (0, hi))
-    multiset = family_multiset(ctx, ell, hi)
-    assert multiset == Counter((el.bid.d, el.bid.s, el.torsion) for el in elems)
-    assert family_count(ctx, ell, hi) == sum(multiset.values())
     for trunc in (TRUNC_INF, 0, 1, 2, 3):
         elems = enumerate_families(ctx, ell, trunc, (0, hi))
+        multiset = tr_closed_decomposition(ctx, ell, trunc, hi)
+        assert multiset == Counter((el.bid.d, el.bid.s, el.torsion) for el in elems), trunc
+        assert family_count(ctx, ell, hi, trunc) == sum(multiset.values()), trunc
         indices = [(el.tag, el.n, el.r, el.e, el.index) for el in elems]
         assert len(set(indices)) == len(indices), trunc
         assert repeated_leading(elems) is None, trunc

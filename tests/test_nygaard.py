@@ -16,6 +16,7 @@ from synlab.nygaard import (
     SSPage,
     StageMap,
     Variant,
+    default_v1_cutoff,
     run_to_einf,
     run_to_einf_dense,
 )
@@ -201,6 +202,20 @@ def test_collapse_after_final_stage():
             assert not res.alive((n, mono.t_exp + G + P, mono.mu_exp + G, 1, mono.u_exp))
 
 
+def test_alive_and_life_off_the_alive_intervals():
+    page = SSPage(CTX3, 1, 1, Variant.HFP, (0, 40), v1_cutoff=4)
+    res = run_to_einf(page)
+    # no ladder of the page holds a class this far from its window
+    far = (1, 10**6, 0, 0, 0)
+    assert page._segment_of(0, 0, 10**6) is None
+    assert not res.alive(far) and res.life(far) == 0
+    # v1^r g is dead, on the ladder of g, for r the life of g
+    mono, _h = next(iter_alive(res, (4, 36)))
+    g = (1, mono.t_exp, mono.mu_exp, mono.lam, mono.u_exp)
+    r = res.life(g)
+    assert r > 0 and not res.alive(g, r) and res.life(g, r) == 0
+
+
 def test_cutoff_doubling_stable():
     for variant in (Variant.HFP, Variant.TATE, Variant.MUINV):
         base = run_to_einf(SSPage(CTX3, 1, 1, variant, (-10, 20), v1_cutoff=5))
@@ -268,9 +283,9 @@ def test_dense_engine_refusal_names_the_bidegree(monkeypatch):
 
 def test_bad_inputs():
     with pytest.raises(InputError):
-        SSPage(CTX3, -1, 0, Variant.HFP, (0, 10))
+        SSPage(CTX3, -1, 0, Variant.HFP, (0, 10), 4)
     with pytest.raises(InputError):
-        SSPage(CTX3, 1, 0, Variant.HFP, (10, 0))
+        SSPage(CTX3, 1, 0, Variant.HFP, (10, 0), 4)
     with pytest.raises(InputError):
         SSPage(CTX3, 1, 0, Variant.HFP, (0, 10), v1_cutoff=0)
 
@@ -285,7 +300,7 @@ def test_ladder_guard_fires_before_any_ladder(monkeypatch):
         build(page)
 
     monkeypatch.setattr(SSPage, "_build", counting_build)
-    args = (CTX3, 1, 1, Variant.HFP, (0, 30))
+    args = (CTX3, 1, 1, Variant.HFP, (0, 30), default_v1_cutoff(CTX3, 1))
     page = SSPage(*args)
     assert built == [page] and all(seg.lo is not None for seg in page._all_segments())
     assert SSPage.check_size(*args) == page.ladder_count == len(page.ladders) > 10
@@ -489,7 +504,7 @@ def test_a_page_adds_almost_no_tracked_objects():
     # collection walk every ladder of every page held.
     gc.collect()
     before = len(gc.get_objects())
-    res = run_to_einf(SSPage(PrimeContext(7), 3, 1, Variant.TATE, (-4, 600)))
+    res = run_to_einf(SSPage(PrimeContext(7), 3, 1, Variant.TATE, (-4, 600), default_v1_cutoff(PrimeContext(7), 3)))
     gc.collect()
     added = len(gc.get_objects()) - before
     assert res.page.ladder_count > 300_000

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from synlab import fplinalg, nygaard, trkernel
 from synlab.cli import main
-from synlab.closedforms import TRUNC_INF, FamilyTag, enumerate_families
+from synlab.closedforms import TRUNC_INF, enumerate_families
 from synlab.errors import InputError, InvariantError, ResourceError, VerificationFailure
-from synlab.graded import Bidegree, CyclicDecomposition, Generator, Monomial, PrimeContext
+from synlab.graded import Bidegree, Generator, Monomial, PrimeContext
 from synlab.nygaard import SSPage
 from synlab.trkernel import (
     PageSet,
@@ -437,11 +437,12 @@ def test_verify_records_a_failed_oracle_run_and_goes_on(tate_only_class, capsys)
 def test_both_mode_raises_at_the_first_mismatch(monkeypatch, capsys):
     closed = trkernel.tr_closed_decomposition
 
-    def drop_first(ctx, ell, trunc, window):
-        return CyclicDecomposition(list(closed(ctx, ell, trunc, window))[1:])
+    def drop_lowest(ctx, ell, trunc, hi):
+        multiset = closed(ctx, ell, trunc, hi)
+        return multiset - Counter([min(multiset)])
 
-    monkeypatch.setattr(trkernel, "tr_closed_decomposition", drop_first)
-    # the dropped generator B[n0,l1]j0e0 sits at (2, 0)
+    monkeypatch.setattr(trkernel, "tr_closed_decomposition", drop_lowest)
+    # the dropped generator, B[n0,l1]j0e0, sits at (2, 0)
     first = "twist l=1: oracle and closed form disagree at ((2, 0), 1, 0)"
     with pytest.raises(VerificationFailure) as exc:
         tr_gr_module(CTX3, 1, 1, (0, 30), mode="both")

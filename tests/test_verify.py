@@ -15,7 +15,7 @@ import pytest
 from synlab import assembly, closedforms, trkernel, verify
 from synlab.cli import main
 from synlab.closedforms import TRUNC_INF, FamilyTag, enumerate_families
-from synlab.graded import Bidegree, CyclicDecomposition, Generator, Monomial, PrimeContext
+from synlab.graded import Monomial, PrimeContext
 from synlab.nygaard import Variant
 
 CTX3 = PrimeContext(3)
@@ -97,19 +97,19 @@ def test_ac3_fires_on_a_changed_family_torsion(capsys, monkeypatch):
     closed = trkernel.tr_closed_decomposition
     raised = []
 
-    def raise_one_torsion(ctx, ell, trunc, window):
-        gens = list(closed(ctx, ell, trunc, window))
+    def raise_one_torsion(ctx, ell, trunc, hi):
+        multiset = closed(ctx, ell, trunc, hi)
         if trunc == 1:
-            g = gens[0]
-            gens[0] = Generator(g.label, g.bidegree, g.torsion + 1)
-            raised.append(g)
-        return CyclicDecomposition(gens)
+            stem, line, torsion = min(multiset)
+            multiset = multiset - Counter([(stem, line, torsion)]) + Counter([(stem, line, torsion + 1)])
+            raised.append((stem, line, torsion))
+        return multiset
 
     monkeypatch.setattr(trkernel, "tr_closed_decomposition", raise_one_torsion)
     code, failed = _failed(capsys, "--suite", "tr", "--p", "3", "--ell-max", "1", "--m-max", "1", "--deg-max", "40")
     # the closed orbit now reaches one v1-step higher, where the oracle has
     # one class fewer
-    (stem, line), torsion = raised[0].bidegree, raised[0].torsion
+    stem, line, torsion = raised[0]
     first = ((stem + torsion * CTX3.q, line), 1, 2)
     assert (code, failed) == (3, [("AC3 p=3 l=1 m=1 oracle=closed",
                                    f"twist l=1: oracle and closed form disagree at {first}")])
@@ -121,7 +121,7 @@ def test_ac9_fires_when_a_truncation_changes_below_its_floor(capsys, monkeypatch
     def add_a_class_at_truncation_one(ctx, ell, m, window, **kw):
         res = tr_gr_module(ctx, ell, m, window, **kw)
         if m == 1:
-            res.decomposition = CyclicDecomposition([*res.decomposition, Generator("extra", Bidegree(2, 0), 1)])
+            res.multiset[(2, 0, 1)] += 1
         return res
 
     monkeypatch.setattr(verify, "tr_gr_module", add_a_class_at_truncation_one)
