@@ -5,6 +5,13 @@ A vector is a sparse row: a dict from column to a nonzero residue in
 stored.  Pivots are always the first nonzero column and rows are kept
 fully reduced, so every basis returned here is deterministic.  Matrices
 store entries sparsely as {(row, col): residue}.
+
+rank reads a matrix by rows, through a VectorSpan.  kernel_basis reads it
+by columns in one elimination pass that tracks the combination behind
+each kept column; a column that reduces to zero yields its kernel vector
+directly, which is the free-column basis of the row echelon form (see
+kernel_basis).  subquotient tests containment of the denominator by one
+rank comparison.
 """
 
 from __future__ import annotations
@@ -40,6 +47,16 @@ def _residues(vec, p: int, dim: int) -> dict:
         if v:
             row[c] = v
     return row
+
+
+def _subtract(row: dict, c: int, src: dict, p: int) -> None:
+    """row -= c*src in place, deleting the entries that become 0."""
+    for j, b in src.items():
+        x = (row.get(j, 0) - c * b) % p
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
 
 @dataclass(frozen=True)
@@ -99,12 +116,7 @@ class VectorSpan:
         # Each stored row is 0 at every other pivot, so the coefficient of
         # a pivot row is the input's own entry there.
         for piv, c in [(j, v) for j, v in row.items() if j in rows]:
-            for j, b in rows[piv].items():
-                x = (row.get(j, 0) - c * b) % p
-                if x:
-                    row[j] = x
-                else:
-                    del row[j]
+            _subtract(row, c, rows[piv], p)
         return row
 
     def reduce(self, vec) -> dict:
@@ -128,12 +140,7 @@ class VectorSpan:
             other = self._rows[opiv]
             c = other.get(piv)
             if c:
-                for j, v in row.items():
-                    x = (other.get(j, 0) - c * v) % p
-                    if x:
-                        other[j] = x
-                    else:
-                        del other[j]
+                _subtract(other, c, row, p)
                 if len(other) == 1:
                     self._tails.discard(opiv)
         self._rows[piv] = row
@@ -167,22 +174,49 @@ def rank(m: FpMatrix) -> int:
 def kernel_basis(m: FpMatrix):
     """Deterministic basis of {v : m.v = 0}, one vector per free column.
 
-    The vector of free column f is e_f minus, for each pivot row with an
-    entry at f, that entry at the row's pivot.
+    One pass over the columns in order: each column is reduced against the
+    earlier independent columns, which are kept fully reduced along with
+    the combination of columns that makes each of them.  A column that
+    reduces to zero is free, and its combination is its kernel vector: 1
+    at the free column and otherwise supported on earlier pivot columns.
+    A kernel vector with 1 at a free column and 0 at every other free
+    column is unique, so this is the free-column basis of the reduced row
+    echelon form, listed by free column.
     """
     p = m.p
-    pivot_rows = _row_span(m)._rows
-    at_free: dict = {}  # free col -> {pivot: -entry}
-    for piv in sorted(pivot_rows):
-        for j, v in pivot_rows[piv].items():
-            if j != piv:
-                at_free.setdefault(j, {})[piv] = p - v
+    columns = [{} for _ in range(m.cols)]
+    for (r, c), v in m.entries.items():
+        columns[c][r] = v
+    pivots: dict = {}  # pivot row -> (reduced column with 1 there, its combination)
+    tails: set = set()  # pivots whose columns have entries past the pivot row
     basis = []
-    for f in range(m.cols):
-        if f not in pivot_rows:
-            vec = {f: 1}
-            vec.update(at_free.get(f, ()))
-            basis.append(vec)
+    for f, col in enumerate(columns):
+        combo = {f: 1}
+        # Each kept column is 0 at every other pivot row, so the coefficient
+        # of a pivot is the input's own entry there.
+        for piv, c in [(r, v) for r, v in col.items() if r in pivots]:
+            pcol, pcombo = pivots[piv]
+            _subtract(col, c, pcol, p)
+            _subtract(combo, c, pcombo, p)
+        if not col:
+            basis.append(combo)
+            continue
+        piv = min(col)
+        inv = pow(col[piv], -1, p)
+        if inv != 1:
+            col = {r: v * inv % p for r, v in col.items()}
+            combo = {j: v * inv % p for j, v in combo.items()}
+        for opiv in list(tails):
+            ocol, ocombo = pivots[opiv]
+            c = ocol.get(piv)
+            if c:
+                _subtract(ocol, c, col, p)
+                _subtract(ocombo, c, combo, p)
+                if len(ocol) == 1:
+                    tails.discard(opiv)
+        pivots[piv] = (col, combo)
+        if len(col) > 1:
+            tails.add(piv)
     return basis
 
 
@@ -192,12 +226,10 @@ def subquotient(numerator, denominator, p: int, ambient_dim: int) -> list:
     Requires span(denominator) to be contained in span(numerator); each
     representative is reduced modulo the denominator (and earlier
     representatives), so rank(num) = len(representatives) + rank(den).
+    The span built along the way is span(num) + span(den), so containment
+    is one rank test: that span has the rank of span(num) alone.
     """
     _check_prime(p)
-    num_span = VectorSpan(p, ambient_dim, numerator)
-    for v in denominator:
-        if not num_span.contains(v):
-            raise InputError("denominator not contained in numerator span")
     acc = VectorSpan(p, ambient_dim, denominator)
     reps = []
     for v in numerator:
@@ -205,4 +237,6 @@ def subquotient(numerator, denominator, p: int, ambient_dim: int) -> list:
         if red:
             reps.append(red)
             acc.add(red)
+    if acc.rank != VectorSpan(p, ambient_dim, numerator).rank:
+        raise InputError("denominator not contained in numerator span")
     return reps

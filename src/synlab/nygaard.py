@@ -88,6 +88,12 @@ from .graded import (
 # intervals per split ladder.  SSPage.check_size enforces it before
 # any column is allocated.
 MAX_LADDERS = 5_000_000
+# The dense engine's cost per basis element grows with the page: p=3 n=2
+# l=1 tate takes 7.5 us per element at 13,524 elements and 18.5 us at
+# 79,028.  Near this cap five pages took 13-19 us and 500-590 B of peak
+# RSS per element, so a page at the cap runs in about 1.0-1.5 s and
+# 37-42 MB over the interpreter (2-core x86-64 Xeon).  run_to_einf_dense
+# checks it before any basis entry is made.
 DENSE_MAX_BASIS = 80_000
 
 
@@ -658,9 +664,13 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
     linear algebra over F_p (kernels of induced maps modulo accumulated
     boundaries), on sparse vectors indexed by position in each bidegree's
     basis.  It reads the page's segments and stage schedule, not its alive
-    sets, so the page may be fresh or already run.  Only fit for small
-    windows; guards with ResourceError before any basis entry.  A v1-image
-    of the survivors that leaves their span raises InvariantError.
+    sets, so the page may be fresh or already run.  A numerator whose stage
+    image is zero modulo the target's boundaries passes through unchanged
+    (its kernel vector is its own unit vector); only the columns with a
+    nonzero image go into kernel_basis (_stage_kernel).  Only fit for
+    small windows; guards with ResourceError before any basis entry.  A
+    v1-image of the survivors that leaves their span raises
+    InvariantError.
     """
     ctx = page.ctx
     q = ctx.q
@@ -708,20 +718,7 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
             if tgt_dim == 0 or not nvecs:
                 new_numerators[bid] = list(nvecs)
             else:
-                bspan = boundaries[tgt_bid]
-                reduced = [bspan.reduce(image_vec(bid, v)) for v in nvecs]
-                combos = fplinalg.kernel_basis(fplinalg.FpMatrix.from_columns(p, reduced, tgt_dim))
-                kept = []
-                for combo in combos:
-                    acc = {}
-                    for j, c in combo.items():
-                        for t, x in nvecs[j].items():
-                            acc[t] = acc.get(t, 0) + c * x
-                    kept.append({t: x % p for t, x in acc.items() if x % p})
-                new_numerators[bid] = kept
-                for red in reduced:
-                    if red:
-                        bspan.add(red)
+                new_numerators[bid] = _stage_kernel(p, nvecs, [image_vec(bid, v) for v in nvecs], boundaries[tgt_bid], tgt_dim)
         numerators = new_numerators
 
     def v1_shift(bid, vec):
@@ -772,6 +769,41 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
                     break
             gens.append(Generator(f"dense:L{page.n}:{Monomial(page.n, page.ell, *lead)}", Bidegree(stem, line), r, certified))
     return CyclicDecomposition(gens)
+
+
+def _stage_kernel(p: int, nvecs: list, images: list, bspan, tgt_dim: int) -> list:
+    """The combinations of nvecs whose images vanish modulo bspan, one per
+    free column of the reduced images, in column order; the reduced
+    images are then added to bspan.
+
+    A column whose image is zero modulo bspan is free, and its kernel
+    vector is its own unit vector, so its numerator passes through as it
+    is; an empty image is not reduced.  Only the live columns go into
+    kernel_basis, whose vectors are mapped back to their free columns.
+    """
+    live, reduced = [], []
+    for j, im in enumerate(images):
+        red = bspan.reduce(im) if im else im
+        if red:
+            live.append(j)
+            reduced.append(red)
+    combos = fplinalg.kernel_basis(fplinalg.FpMatrix.from_columns(p, reduced, tgt_dim))
+    # a kernel vector's last column is its free column
+    at_free = {live[max(combo)]: combo for combo in combos}
+    live_set = set(live)
+    kept = []
+    for j, v in enumerate(nvecs):
+        if j not in live_set:
+            kept.append(v)
+        elif j in at_free:
+            acc = {}
+            for i, c in at_free[j].items():
+                for t, x in nvecs[live[i]].items():
+                    acc[t] = acc.get(t, 0) + c * x
+            kept.append({t: x % p for t, x in acc.items() if x % p})
+    for red in reduced:
+        bspan.add(red)
+    return kept
 
 
 def _dense_basis(runs, q: int) -> tuple:

@@ -26,6 +26,9 @@ JOB_IDS = (
     "syntomic-oracle p=3 n=4 k=1 window=-4..20",
     "suite_einf p=3 n_max=3 ell_max=1 deg_max=108 double_cutoff=True",
     "dense p=3 n=1 ell=0 hfp window=+-8p",
+    "dense p=5 n=1 ell=2 hfp window=+-16p",
+    # four stages: T_0, T_1, T_2, then U
+    "dense p=2 n=3 ell=1 hfp window=+-8p",
     # the widest dense page: its spans exceed 64 columns
     "dense p=3 n=2 ell=1 tate window=+-8p",
 )

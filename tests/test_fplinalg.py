@@ -101,6 +101,20 @@ def random_vectors(seed, p, count, dim, density):
     return [{j: rng.randrange(1, p) for j in range(dim) if rng.random() < density} for _ in range(count)]
 
 
+def random_combinations(seed, p, vecs, count):
+    """count random F_p-combinations of vecs, entries not yet reduced."""
+    rng = random.Random(seed)
+    combos = []
+    for _ in range(count):
+        combo = {}
+        for v in vecs:
+            c = rng.randrange(p)
+            for j, x in v.items():
+                combo[j] = combo.get(j, 0) + c * x
+        combos.append(combo)
+    return combos
+
+
 @st.composite
 def matrices(draw):
     p = draw(PRIMES)
@@ -109,6 +123,52 @@ def matrices(draw):
     rows, cols = draw(st.integers(1, hi)), draw(st.integers(1, hi))
     entries = {(i, j): v for i, row in enumerate(random_vectors(draw(SEEDS), p, rows, cols, density)) for j, v in row.items()}
     return FpMatrix(p, rows, cols, entries)
+
+
+@st.composite
+def matrices_with_zero_columns(draw):
+    m = draw(matrices())
+    zero = set(draw(st.lists(st.integers(0, m.cols - 1), max_size=m.cols)))
+    return FpMatrix(m.p, m.rows, m.cols, {(r, c): v for (r, c), v in m.entries.items() if c not in zero})
+
+
+def reference_kernel_basis(m):
+    """The kernel read off the reduced row echelon form of m.
+
+    The vector of free column f is e_f minus, for each pivot row with an
+    entry at f, that entry at the row's pivot.
+    """
+    rows: dict = {}
+    for (r, c), v in m.entries.items():
+        rows.setdefault(r, {})[c] = v
+    pivot_rows = {min(row): row for row in VectorSpan(m.p, m.cols, [rows[r] for r in sorted(rows)]).basis()}
+    at_free: dict = {}  # free col -> {pivot: -entry}
+    for piv in sorted(pivot_rows):
+        for j, v in pivot_rows[piv].items():
+            if j != piv:
+                at_free.setdefault(j, {})[piv] = m.p - v
+    basis = []
+    for f in range(m.cols):
+        if f not in pivot_rows:
+            vec = {f: 1}
+            vec.update(at_free.get(f, ()))
+            basis.append(vec)
+    return basis
+
+
+@settings(max_examples=120, derandomize=True)
+@given(st.one_of(matrices(), matrices_with_zero_columns()))
+def test_kernel_basis_is_the_free_column_basis(m):
+    """The dense engine's labels read this form, vector for vector."""
+    ker = kernel_basis(m)
+    assert ker == reference_kernel_basis(m)
+    # each vector's last nonzero column is its free column, where it holds 1,
+    # and it holds 0 at every other free column
+    free = [max(v) for v in ker]
+    assert free == sorted(set(free))
+    for v, f in zip(ker, free):
+        assert v[f] == 1 and all(0 < x < m.p for x in v.values())
+        assert not set(v) & (set(free) - {f})
 
 
 @settings(max_examples=60)
@@ -125,20 +185,28 @@ def test_rank_nullity_and_annihilation_randomized(m):
 def test_subquotient_rank_arithmetic_randomized(p, dim, count, den_count, density, seed):
     vecs = random_vectors(seed, p, count, dim, density)
     num_span = VectorSpan(p, dim, vecs)
-    # denominator: random combinations of the numerator
-    rng = random.Random(seed + 1)
-    den = []
-    for _ in range(den_count):
-        combo = {}
-        for v in vecs:
-            c = rng.randrange(p)
-            for j, x in v.items():
-                combo[j] = combo.get(j, 0) + c * x
-        den.append(combo)
+    den = random_combinations(seed + 1, p, vecs, den_count)
     reps = subquotient(vecs, den, p, dim)
     assert len(reps) == num_span.rank - VectorSpan(p, dim, den).rank
     for r in reps:
         assert num_span.contains(r)
+
+
+@settings(max_examples=60)
+@given(PRIMES, st.integers(2, 30), st.integers(0, 6), st.sampled_from([0.2, 0.6, 1.0]), SEEDS)
+def test_subquotient_refuses_a_denominator_outside_the_numerator(p, dim, den_count, density, seed):
+    rng = random.Random(seed)
+    vecs = random_vectors(seed, p, rng.randrange(1, dim), dim, density)
+    num_span = VectorSpan(p, dim, vecs)
+    # fewer vectors than columns, so some unit vector lies outside their span
+    out = next(j for j in range(dim) if not num_span.contains({j: 1}))
+    den = random_combinations(seed + 1, p, vecs, den_count)
+    assert len(subquotient(vecs, den, p, dim)) == num_span.rank - VectorSpan(p, dim, den).rank
+    stray = random_combinations(seed + 2, p, vecs, 1)[0]
+    stray[out] = stray.get(out, 0) + rng.randrange(1, p)
+    den.insert(rng.randrange(len(den) + 1), stray)
+    with pytest.raises(InputError, match="^denominator not contained in numerator span$"):
+        subquotient(vecs, den, p, dim)
 
 
 @settings(max_examples=60)

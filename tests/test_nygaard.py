@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from synlab import nygaard, verify
 from synlab.errors import InputError, InvariantError, ResourceError, StateError
+from synlab.fplinalg import FpMatrix, VectorSpan, kernel_basis
 from synlab.graded import Monomial, PrimeContext, geo, vp
 from synlab.nygaard import (
     EInfResult,
@@ -245,6 +246,51 @@ def test_ladder_engine_matches_dense_engine():
         a = sorted((tuple(c.bidegree), c.v1_torsion) for c in ladder.classes(window) if c.certified)
         b = sorted((tuple(g.bidegree), g.torsion) for g in dense if g.certified)
         assert a == b, (p, n, ell, variant)
+
+
+@settings(max_examples=80, derandomize=True)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_stage_kernel_equals_the_kernel_over_every_column(p, src_dim, tgt_dim, seed):
+    """Zero-image numerators pass through and the live kernel vectors are
+    merged back in column order: the same list as a kernel over every
+    column.  On a page every stage maps monomials to monomials, so no live
+    column is ever free there; this draws images that make some free."""
+    rng = random.Random(seed)
+
+    def vec(dim, density):
+        return {j: rng.randrange(1, p) for j in range(dim) if rng.random() < density}
+
+    def combination(vecs):
+        out = {}
+        for v in vecs:
+            c = rng.randrange(p)
+            for j, x in v.items():
+                out[j] = (out.get(j, 0) + c * x) % p
+        return {j: x for j, x in out.items() if x}
+
+    bounds = [vec(tgt_dim, 0.3) for _ in range(rng.randrange(3))]
+    nvecs = [vec(src_dim, 0.4) for _ in range(rng.randrange(1, 10))]
+    images = []
+    for _ in nvecs:
+        kind = rng.randrange(4)  # empty, a boundary, dependent on earlier images, or random
+        images.append({} if kind == 0 else combination(bounds) if kind == 1 else
+                      combination(images) if kind == 2 else vec(tgt_dim, 0.4))
+
+    ref_span = VectorSpan(p, tgt_dim, bounds)
+    reduced = [ref_span.reduce(im) for im in images]
+    want = []
+    for combo in kernel_basis(FpMatrix.from_columns(p, reduced, tgt_dim)):
+        acc = {}
+        for j, c in combo.items():
+            for t, x in nvecs[j].items():
+                acc[t] = acc.get(t, 0) + c * x
+        want.append({t: x % p for t, x in acc.items() if x % p})
+    for red in reduced:
+        ref_span.add(red)
+
+    span = VectorSpan(p, tgt_dim, bounds)
+    assert nygaard._stage_kernel(p, nvecs, images, span, tgt_dim) == want
+    assert span.basis() == ref_span.basis()
 
 
 def test_resource_guard_dense(monkeypatch):
