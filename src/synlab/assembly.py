@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .closedforms import TRUNC_INF, family_count
+from .closedforms import TRUNC_INF, family_count, tr_closed_decomposition
 from .errors import InputError, InvariantError, ResourceError
 from .graded import (
     TORSION_FREE,
@@ -35,11 +35,11 @@ from .graded import (
 )
 from .trkernel import MODES, tr_gr_module
 
-# A closed-route table costs about 1.1 us per TR generator, and its peak
+# A closed-route table costs about 0.4 us per TR generator, and its peak
 # memory hardly grows with the count (syntomic --p 3 --n 4 --k 1: 4.5 M
-# generators at --deg-max 9000 in 4.8 s and 26 MB, 50 M at 30000 in 57 s
-# and 40 MB; syntomic --p 2 --n 4 --k 4 --deg-max 35700: 79.7 M in 91 s
-# and 47 MB), so this cap keeps a table near 90 s.
+# generators at --deg-max 9000 in 1.8-2.4 s and 25 MB, 50 M at 30000 in
+# 22 s and 39 MB; syntomic --p 2 --n 4 --k 4 --deg-max 35700: 79.7 M in
+# 32 s and 46 MB; 2-core x86-64 Xeon), so this cap keeps a table near 35 s.
 MAX_GENERATORS = 80_000_000
 
 
@@ -68,13 +68,16 @@ def tc_eps_dims(ctx: PrimeContext, window, mode: str = "closed") -> Counter:
     Returns Counter{(stem, line, torsion): multiplicity} over the generators
     of tc_zp_dims and of each twist-l TR summand (l prime to p) with stems
     up to the window top; no table needs more than this multiset.  A mode
-    outside trkernel.MODES raises InputError before any work.  Every mode
-    reads each twist as tr_gr_module's multiset: "closed" the family tally,
-    "oracle" the oracle's generators, refusing a torsion that is only a
-    lower bound, and "both" raises VerificationFailure on the first twist
-    whose oracle and closed form disagree.  Before any twist is computed,
-    the TR generators are counted from the window (family_count summed over
-    the twists), and ResourceError is raised past MAX_GENERATORS.
+    outside trkernel.MODES raises InputError before any work.  "closed"
+    tallies each twist's family progressions straight into the returned
+    Counter (tr_closed_decomposition), so no per-twist multiset is built.
+    "oracle" and "both" read each twist as tr_gr_module's multiset: the
+    oracle's generators, refusing a torsion that is only a lower bound, and
+    for "both" raising VerificationFailure on the first twist whose oracle
+    and closed form disagree.  Before any twist is computed, the TR
+    generators are counted from the window (family_count summed over the
+    twists), and ResourceError is raised past MAX_GENERATORS; a twist past
+    MAX_FAMILY_ELEMENTS is refused before it is tallied.
     """
     if mode not in MODES:
         raise InputError(f"unknown mode {mode}")
@@ -87,7 +90,10 @@ def tc_eps_dims(ctx: PrimeContext, window, mode: str = "closed") -> Counter:
             raise ResourceError(f"stems up to {hi} need more than {MAX_GENERATORS} generators; lower the window top")
     out = torsion_multiset(tc_zp_dims(ctx, window))
     for ell in twists:
-        out.update(tr_gr_module(ctx, ell, TRUNC_INF, (0, hi), mode=mode).multiset)
+        if mode == "closed":
+            tr_closed_decomposition(ctx, ell, TRUNC_INF, hi, out)
+        else:
+            out.update(tr_gr_module(ctx, ell, TRUNC_INF, (0, hi), mode=mode).multiset)
     return out
 
 

@@ -45,7 +45,7 @@ from itertools import count, repeat
 from typing import NamedTuple
 
 from .errors import InputError, ResourceError
-from .graded import Bidegree, Monomial, PrimeContext, geo, orbit_dims
+from .graded import Bidegree, Monomial, PrimeContext, geo, monomial_stem, orbit_dims
 from .nygaard import Variant
 
 #: Truncation sentinel: the untruncated (inverse limit) module.
@@ -263,17 +263,27 @@ class Progression(NamedTuple):
     def affine(self, ctx: PrimeContext) -> tuple:
         """((stem, torsion) at js[0], their increments per step of js).
 
-        Raises InputError unless the components agree in bidegree at the
-        first and the last j; stems are affine in j, so that covers every j.
+        The components share the line lam - u, so they agree in bidegree
+        exactly when their stems (graded.monomial_stem) agree.  Raises
+        InputError unless they do at the first and the last j; stems are
+        affine in j, so that covers every j.  The exponents are checked once
+        per progression as Monomial checks them, and no object is built per
+        component except on the failure path, for the message.
         """
+        p, ell, lam, u = ctx.p, self.ell, self.lam, self.u
+        if lam not in (0, 1) or u not in (0, 1):
+            raise InputError("exterior exponents must be 0 or 1")
+        if ell < 0 or any(level < 0 for level, *_ in self.chain):
+            raise InputError("level and twist must be nonnegative")
         js = self.js
         ends = []
-        for j in sorted({js[0], js[-1]}):
-            bids = {Monomial(level, self.ell, *rest).bidegree(ctx) for level, *rest in self.components(j)}
-            if len(bids) != 1:
-                raise InputError(f"components of {_label(self.tag, self.n, self.ell, self.r, j, self.e)} "
+        for j in (js[0], js[-1]) if len(js) > 1 else (js[0],):
+            stems = {monomial_stem(p, level, ell, t0 + t1 * j, m1 * j, lam, u) for level, t0, t1, m1 in self.chain}
+            if len(stems) != 1:
+                bids = {Monomial(level, ell, *rest).bidegree(ctx) for level, *rest in self.components(j)}
+                raise InputError(f"components of {_label(self.tag, self.n, ell, self.r, j, self.e)} "
                                  f"disagree in bidegree: {bids}")
-            ends.append((next(iter(bids)).d, family_torsion(self.tag, ctx, self.n, self.ell, self.r, j, self.trunc)))
+            ends.append((stems.pop(), family_torsion(self.tag, ctx, self.n, ell, self.r, j, self.trunc)))
         (d0, t0), (d1, t1) = ends[0], ends[-1]
         steps = max(len(js) - 1, 1)
         return (d0, t0), ((d1 - d0) // steps, (t1 - t0) // steps)
@@ -408,16 +418,24 @@ def family_count(ctx: PrimeContext, ell: int, hi: int, trunc=TRUNC_INF) -> int:
     return sum(len(prog.js) for prog in family_progressions(ctx, ell, trunc, hi))
 
 
-def tr_closed_decomposition(ctx: PrimeContext, ell: int, trunc=TRUNC_INF, hi: int = 200) -> Counter:
+def tr_closed_decomposition(ctx: PrimeContext, ell: int, trunc=TRUNC_INF, hi: int = 200,
+                            out: Counter | None = None) -> Counter:
     """The closed twist-l TR summand at truncation trunc: Counter{(stem,
     line, torsion): multiplicity} over enumerate_families(ctx, ell, trunc,
     (0, hi)), read off the progressions without building any element.
+
+    The tally goes into `out` when it is given, so a caller summing twists
+    adds each one in place, and into a fresh Counter otherwise; the Counter
+    tallied into is returned.  Each progression costs a few integer
+    operations (Progression.affine) and one C-level count of its elements.
     Refuses with ResourceError past MAX_FAMILY_ELEMENTS elements, counted
-    from the progressions before any is tallied."""
+    from the progressions before any is tallied, so a refusal leaves `out`
+    as it was."""
     progs = family_progressions(ctx, ell, trunc, hi)
     if sum(len(prog.js) for prog in progs) > MAX_FAMILY_ELEMENTS:
         raise ResourceError(f"stems up to {hi} need more than {MAX_FAMILY_ELEMENTS} family elements; lower the window top")
-    out: Counter = Counter()
+    if out is None:
+        out = Counter()
     for prog in progs:
         (d0, t0), (dd, dt) = prog.affine(ctx)
         out.update(zip(count(d0, dd), repeat(prog.line, len(prog.js)), count(t0, dt)))

@@ -83,15 +83,6 @@ class FpMatrix:
         entries = {(i, j): v for j, col in enumerate(columns) for i, v in _residues(col, p, nrows).items()}
         return cls(p, nrows, len(columns), entries)
 
-    def mul_vec(self, v) -> dict:
-        v = _residues(v, self.p, self.cols)
-        out: dict = {}
-        for (r, c), a in self.entries.items():
-            x = v.get(c)
-            if x:
-                out[r] = out.get(r, 0) + a * x
-        return _residues(out, self.p, self.rows)
-
 
 class VectorSpan:
     """Incrementally built row space in reduced echelon form.

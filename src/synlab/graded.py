@@ -68,6 +68,12 @@ class Bidegree(NamedTuple):
     s: int  # line
 
 
+def monomial_stem(p: int, level: int, twist: int, t_exp: int, mu_exp: int, lam: int, u_exp: int) -> int:
+    """Stem of se(twist*p^level) t^t_exp mu^mu_exp l1^lam u^u_exp; its line
+    is lam - u_exp.  No exponent is checked here (see Monomial)."""
+    return 2 * twist * p**level - 2 * t_exp + 2 * p * mu_exp + (2 * p - 1) * lam - u_exp
+
+
 @dataclass(frozen=True)
 class Monomial:
     """se(twist*p^level) * t^t_exp * mu^mu_exp * l1^lam * u^u_exp.
@@ -90,15 +96,8 @@ class Monomial:
             raise InputError("level and twist must be nonnegative")
 
     def bidegree(self, ctx: PrimeContext) -> Bidegree:
-        p = ctx.p
-        d = (
-            2 * self.twist * p**self.level
-            - 2 * self.t_exp
-            + 2 * p * self.mu_exp
-            + (2 * p - 1) * self.lam
-            - self.u_exp
-        )
-        return Bidegree(d, self.lam - self.u_exp)
+        return Bidegree(monomial_stem(ctx.p, self.level, self.twist, self.t_exp, self.mu_exp, self.lam, self.u_exp),
+                        self.lam - self.u_exp)
 
     @property
     def line(self) -> int:

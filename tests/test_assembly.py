@@ -280,13 +280,14 @@ def test_k_theory_underflow_is_an_invariant_failure(monkeypatch, capsys):
 
 
 def test_unknown_mode_is_refused_before_any_work(monkeypatch):
-    from synlab import assembly
+    from synlab import assembly, closedforms
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started on an unknown mode")
 
-    for name in ("family_count", "tr_gr_module", "tc_zp_dims"):
+    for name in ("family_count", "tr_closed_decomposition", "tr_gr_module", "tc_zp_dims"):
         monkeypatch.setattr(assembly, name, no_work)
+    monkeypatch.setattr(closedforms.Progression, "affine", no_work)
     # with and without a twist in the window
     for window in ((-2, -1), (-2, 40)):
         with pytest.raises(InputError, match="unknown mode bogus"):

@@ -19,6 +19,8 @@ BENCH = Path(__file__).resolve().parents[1] / "benchmark"
 
 JOB_IDS = (
     "cli tc --p 3 --n 4 --k 1 --deg-max 60 --deg-min -2 --format json",
+    # a deg-600 headline table, the closed table with the most wall time
+    "cli tc --p 2 --n 5 --k 4 --deg-max 600 --deg-min -2 --format csv",
     "cli einf --p 5 --n 2 --ell 2 --variant tate --deg-max 900 --mode closed --deg-min -900 --format json",
     # the truncated closed tally behind `tr --m`
     "cli tr --p 2 --ell 1 --m 3 --deg-max 900 --mode closed --deg-min -2 --format json",

@@ -264,7 +264,10 @@ def test_closed_size_guard_exits_two(capsys, monkeypatch, command):
     def no_twist(*args, **kwargs):
         raise AssertionError("a twist was computed before the size guard")
 
-    monkeypatch.setattr(assembly, "tr_gr_module", no_twist)
+    # the closed tally, and tr_gr_module for the other modes
+    for name in ("tr_closed_decomposition", "tr_gr_module"):
+        monkeypatch.setattr(assembly, name, no_twist)
+    monkeypatch.setattr(closedforms.Progression, "affine", no_twist)
     code, out, err = run(capsys, command, "--p", "3", "--n", "4", "--k", "1", "--deg-max", "100000")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "generators" in err and "Traceback" not in err

@@ -466,6 +466,48 @@ def test_no_stage_cuts_a_split_ladder(draw):
             assert (lo, hi) == page._heights(seg.K + seg.stem_slope * (seg.deltas.start + i))
 
 
+def _minus(interval, cut) -> tuple:
+    """The intervals of [lo, hi) left after removing [dlo, dhi) from it."""
+    (lo, hi), (dlo, dhi) = interval, cut
+    if dlo >= dhi:
+        return (interval,)
+    return tuple((a, b) for a, b in ((lo, max(lo, dlo)), (min(hi, dhi), hi)) if a < b)
+
+
+@settings(max_examples=150)
+@given(_split_pages())
+def test_t_stage_pairs_hold_their_built_intervals(draw):
+    # Each T stage visits ladders no earlier stage cut: every (source,
+    # target) pair still holds the interval SSPage._heights gave it, and the
+    # stage removes [max(alo, blo - s), min(ahi, bhi - s)) from the source
+    # and that interval shifted by s from the target.  Nothing is claimed
+    # of U, whose pairs are mostly cut before it runs.
+    p, n, ell, variant, window, cutoff = draw
+    page = SSPage(PrimeContext(p), n, ell, variant, window, cutoff)
+
+    def built(seg, delta):
+        return page._heights(seg.K + seg.stem_slope * delta)
+
+    for stage in page.stages[:-1]:
+        _k, G, P = page.schedule[stage]
+        expected = []  # (segment, index, intervals after the stage)
+        for _coeff, src, deltas, tkey in page._stage_sources(stage):
+            for tgt in page.segments[tkey]:
+                for delta in deltas:
+                    if delta + P not in tgt.deltas:
+                        continue
+                    i, j = delta - src.deltas.start, delta + P - tgt.deltas.start
+                    (alo, ahi), (blo, bhi) = built(src, delta), built(tgt, delta + P)
+                    assert src.intervals(i) == ((alo, ahi),) and tgt.intervals(j) == ((blo, bhi),), (stage, delta)
+                    s = G + P + src.a_slope * delta - tgt.a_slope * (delta + P)
+                    dlo, dhi = max(alo, blo - s), min(ahi, bhi - s)
+                    expected.append((src, i, _minus((alo, ahi), (dlo, dhi))))
+                    expected.append((tgt, j, _minus((blo, bhi), (dlo + s, dhi + s))))
+        page.run_stage(stage)
+        for seg, i, intervals in expected:
+            assert seg.intervals(i) == intervals, (stage, seg.e1, seg.e2, seg.deltas.start + i)
+
+
 PAGE_DRAWS = st.tuples(
     st.sampled_from((2, 3, 5, 7)),
     st.integers(0, 3),
