@@ -231,12 +231,11 @@ class DimTable:
     def same_entries(self, other: "DimTable") -> bool:
         return not differences(self.entries, other.entries)
 
-    def to_json_obj(self) -> dict:
-        entries = [
-            {"stem": d, "line": s, "weight": (d + s) // 2, "dim": n}
-            for (d, s), n in sorted(self.entries.items())
-            if n
-        ]
+    def _rows(self):
+        """(stem, line, weight, dim) over the nonzero entries, by (stem, line)."""
+        return ((d, s, (d + s) // 2, n) for (d, s), n in sorted(self.entries.items()) if n)
+
+    def _json_obj(self, entries) -> dict:
         obj = {
             "p": self.params.get("p"),
             "n": self.params.get("n"),
@@ -248,15 +247,27 @@ class DimTable:
             obj["meta"] = dict(sorted(self.notes.items()))
         return obj
 
+    def to_json_obj(self) -> dict:
+        return self._json_obj([{"stem": d, "line": s, "weight": w, "dim": n} for d, s, w, n in self._rows()])
+
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=False)
+        """json.dumps(self.to_json_obj(), indent=2), byte for byte.  With an
+        indent the json module encodes in pure Python, so the entries block,
+        all integers, is written here, and the rest goes through json.dumps
+        with a null in its place."""
+        text = json.dumps(self._json_obj(None), indent=2)
+        rows = ",\n".join(
+            f'    {{\n      "stem": {d},\n      "line": {s},\n      "weight": {w},\n      "dim": {n}\n    }}'
+            for d, s, w, n in self._rows()
+        )
+        block = f'[\n{rows}\n  ]' if rows else "[]"
+        # JSON escapes a newline inside a string, so this is the top-level key
+        return text.replace('\n  "entries": null', f'\n  "entries": {block}', 1)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["stem", "line", "weight", "dim"])
-        for (d, s), n in sorted(self.entries.items()):
-            if n:
-                w.writerow([d, s, (d + s) // 2, n])
+        w.writerows(self._rows())
         return buf.getvalue()
 

@@ -537,28 +537,36 @@ class EInfResult:
         if found is None:
             return 0
         stem0, height, hi = found
-        if hi >= self.page._heights(stem0)[1]:
+        return self.bounded_top(cls, stem0, hi, h) - height
+
+    def bounded_top(self, cls: tuple, stem0: int, top: int, h: int = 0) -> int:
+        """top, the exclusive top of the alive interval holding v1^h times
+        cls, whose ladder has bottom stem stem0; InvariantError when it is
+        the ladder's modeled boundary, above which the page knows nothing."""
+        if top >= self.page._heights(stem0)[1]:
             raise InvariantError(f"life of v1^{h} * {cls} runs into the modeled boundary; enlarge the window")
-        return hi - height
+        return top
 
     def _survivors(self, window):
         """(segment, delta, stem0, heights, lo, hi) over the surviving
         heights below the v1 cutoff whose stem lies in the window: one range
         of heights per alive interval [lo, hi) as the page has it, ladders in
-        key order, h ascending."""
+        key order, h ascending.  The intervals are read off the segment's
+        columns and split map directly."""
         q = self.page.ctx.q
         cut = self.page.v1_cutoff
         lo, hi = window
         for seg, indices in self.page._reach(lo - (cut - 1) * q, hi):
-            K, sl, start = seg.K, seg.stem_slope, seg.deltas.start
+            K, sl, start, split = seg.K, seg.stem_slope, seg.deltas.start, seg.split
             i0, i1 = indices.start, indices.stop
-            for i in compress(indices, map(ne, seg.lo[i0:i1], seg.hi[i0:i1])):  # the live ladders
+            los, his = seg.lo[i0:i1], seg.hi[i0:i1]
+            for i, ilo, ihi in compress(zip(indices, los, his), map(ne, los, his)):  # the live ladders
                 delta = start + i
                 stem0 = K + sl * delta
                 # lo <= stem0 + h*q <= hi, solved for h
                 h_min = -((stem0 - lo) // q)
                 h_end = min(cut, (hi - stem0) // q + 1)
-                for ilo, ihi in seg.intervals(i):
+                for ilo, ihi in split[i] if ilo < 0 else ((ilo, ihi),):
                     hs = range(ilo if ilo > h_min else h_min, ihi if ihi < h_end else h_end)
                     if hs:
                         yield seg, delta, stem0, hs, ilo, ihi
@@ -579,8 +587,10 @@ class EInfResult:
         against misreading the page structure.
         """
         page = self.page
+        q, lo_pad = page.ctx.q, page.lo_pad
         for seg, delta, stem0, hs, ilo, top in self._survivors(window):
-            if ilo != page._heights(stem0)[0]:
+            h_lo = -((stem0 - lo_pad) // q)  # the bottom of SSPage._heights(stem0)
+            if ilo != (h_lo if h_lo > 0 else 0):
                 key = (seg.e1, seg.e2, delta)
                 raise InvariantError(f"page {page.variant} n={page.n}: broken chain on ladder {key}")
             yield stem0, (seg.a_slope * delta, seg.b_slope * delta, seg.e1, seg.e2), hs, top

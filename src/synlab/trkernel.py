@@ -18,7 +18,8 @@ sums of interval modules over F_p[v1].  The maps act on the base alone:
     phi: (level, 0, mu, ...) ->  (level + 1, p^level l (p-1) - p mu, 0, ...)
 
 and the height s only decides whether the image is still alive.  Both act
-on names, so no degree-based name resolution is needed.  Units are pinned
+on names (can_image, phi_image), so no degree-based name resolution is
+needed.  Units are pinned
 to +1, which changes no dimension or torsion order (the map's bipartite
 graph is a disjoint union of paths).
 
@@ -26,7 +27,15 @@ So the kernel is reduced once per v1-orbit class (base stem, line), not
 once per (stem, line, s) piece: the piece at height s is the class's base
 matrix cut to the rows and columns alive at s, as in Zomorodian and
 Carlsson, "Computing Persistent Homology" (Discrete Comput. Geom. 33,
-2005).  The kernel's own v1-structure is re-derived, not assumed; every
+2005).  A base matrix reads each image off its key's own Tate rows, which
+carry their alive heights, and asks the page only where a row stops below
+its column.  Most base matrices have at most one entry per row and per
+column; such a matrix is its own echelon form, so its rank lives and
+kernel are read off its entries, and only the others are eliminated.  A
+kernel generator's torsion is the largest alive top among its columns,
+refused where that top is the page's modeled boundary.
+
+The kernel's own v1-structure is re-derived, not assumed; every
 oracle run checks that gr(phi - can) is onto the Tate piece at every
 (stem, line, s) of the window (the rank there is the number of Tate
 classes alive) and that no kernel bar is born above its orbit's bottom
@@ -92,30 +101,43 @@ class PageSet:
         return Monomial(level, self.ell, t + h, mu + h, lam, u)
 
 
-def gr_can(cls: tuple, h: int, pages: PageSet) -> tuple | None:
-    """Associated-graded canonical map on v1^h times the class cls; its
-    image class on the Tate page of the same level, or None when that
-    image vanishes or v1^h times it is dead."""
+def can_image(cls: tuple) -> tuple | None:
+    """The name of the canonical image of the class cls on the Tate page of
+    its level, or None where can vanishes on names."""
     level, _t, mu, _lam, _u = cls
     if level < 1:
         return None  # level 0 has no Tate target in the limit diagram
     if mu:
         return None  # v1^h mu^j with j > 0 dies; t^0 mu^0 is t-type too
-    return cls if pages.tate[level].alive(cls, h) else None
+    return cls
 
 
-def gr_phi(cls: tuple, h: int, pages: PageSet) -> tuple | None:
-    """Associated-graded Frobenius on v1^h times the class cls, into the
-    next level's Tate page; its image class, or None when that image
-    vanishes or v1^h times it is dead."""
+def phi_image(cls: tuple, pages: PageSet) -> tuple | None:
+    """The name of the Frobenius image of the class cls on the next level's
+    Tate page, or None where phi vanishes on names."""
     level, t, mu, lam, u = cls
     if t:
         return None  # v1^h t^i with i > 0 dies
     p = pages.ctx.p
     if level + 1 > pages.top:
         raise InputError(f"phi target level {level + 1} not modeled")
-    img = (level + 1, p**level * pages.ell * (p - 1) - p * mu, 0, lam, u)
-    return img if pages.tate[level + 1].alive(img, h) else None
+    return (level + 1, p**level * pages.ell * (p - 1) - p * mu, 0, lam, u)
+
+
+def gr_can(cls: tuple, h: int, pages: PageSet) -> tuple | None:
+    """Associated-graded canonical map on v1^h times the class cls; its
+    image class on the Tate page of the same level, or None when that
+    image vanishes or v1^h times it is dead."""
+    img = can_image(cls)
+    return img if img is not None and pages.tate[img[0]].alive(img, h) else None
+
+
+def gr_phi(cls: tuple, h: int, pages: PageSet) -> tuple | None:
+    """Associated-graded Frobenius on v1^h times the class cls, into the
+    next level's Tate page; its image class, or None when that image
+    vanishes or v1^h times it is dead."""
+    img = phi_image(cls, pages)
+    return img if img is not None and pages.tate[img[0]].alive(img, h) else None
 
 
 def complete_to_kernel(leading: tuple, pages: PageSet) -> list:
@@ -213,6 +235,42 @@ def _count_above(ends: list, s: int) -> int:
     return len(ends) - bisect_right(ends, s)
 
 
+def _partial_permutation(entries: dict, row_stops: list, col_stops: list) -> tuple | None:
+    """(lives, kernel) of a matrix {(row, column): residue} with at most one
+    entry in each row and each column, or None for any other matrix.
+
+    Each entry is one unit of rank, alive below min(row stop, column stop),
+    and the kernel is spanned by the unit vectors of the columns with no
+    entry, as fplinalg.kernel_basis lists it.
+    """
+    used = {j for _i, j in entries}
+    if len(used) != len(entries) or len({i for i, _j in entries}) != len(entries):
+        return None
+    lives = sorted(r if r < c else c for r, c in ((row_stops[i], col_stops[j]) for i, j in entries))
+    return lives, [{j: 1} for j in range(len(col_stops)) if j not in used]
+
+
+def _echelon_lives(p: int, entries: dict, row_stops: list, col_stops: list) -> list:
+    """The sorted rank lives of a matrix {(row, column): residue} whose
+    columns are ordered by stop: rows enter one echelon form longest-lived
+    first, on the columns longest-lived first.  On any leading set of
+    columns such a form has the rank of its pivots there, so a row that
+    adds to the rank lives as long as it and its pivot column both do."""
+    n = len(col_stops)
+    by_row: dict = {}
+    for (i, j), v in entries.items():
+        by_row.setdefault(i, {})[n - 1 - j] = v
+    lives = []
+    if by_row:
+        span = fplinalg.VectorSpan(p, n)
+        for i in sorted(by_row, key=lambda i: -row_stops[i]):
+            red = span.reduce(by_row[i])
+            if red:
+                span.add(red)
+                lives.append(min(row_stops[i], col_stops[n - 1 - min(red)]))
+    return sorted(lives)
+
+
 class TrOracle:
     """Brute-force gr TR^[m](Z_p; Sigma^{2l} Z_p)/p on a stem window.
 
@@ -273,48 +331,44 @@ class TrOracle:
             rows.sort(key=lambda r: r[0])
 
     def _base(self, key) -> tuple:
-        """(entries, lives) of the base matrix of phi - can at an orbit key:
-        {(row, column): residue}, and the sorted heights below which each
-        unit of rank lives, so the piece at height s has rank #{life > s}.
+        """(entries, lives, kernel) of the base matrix of phi - can at an
+        orbit key: {(row, column): residue}; the sorted heights below which
+        each unit of rank lives, so the piece at height s has rank
+        #{life > s}; and, for a matrix with at most one entry per row and
+        per column, its kernel basis (else None, and kernel reduces it).
 
         Every can/phi image of a column must be a Tate row, alive as long
-        as on its page.  Rows enter one echelon form longest-lived first, on
-        the columns longest-lived first; on any leading set of columns such
-        a form has the rank of its pivots there, so a row that adds to the
-        rank lives as long as it and its pivot column both do.
+        as on its page.  The images are named by can_image and phi_image
+        and looked up among the key's rows, which start at the columns'
+        bottom height; the Tate page is asked only whether an image is
+        still alive where its row stops below the column, a missing row
+        stopping at the bottom.
         """
         if key in self._bases:
             return self._bases[key]
-        p = self.ctx.p
+        p, pages, top = self.ctx.p, self.pages, self.top
         cols = self._cols.get(key, [])
         rows = self._rows.get(key, [])
         index = {cls: i for i, (cls, _hs, _top) in enumerate(rows)}
         entries: dict = {}
         for j, (cls, heights, _top) in enumerate(cols):
-            for gr, sign, what in ((gr_can, -1, "can"), (gr_phi, 1, "phi")):
-                if gr is gr_phi and cls[0] >= self.top:
-                    continue
-                img = gr(cls, heights.start, self.pages)
+            for img, sign, what in ((can_image(cls), -1, "can"),
+                                    (phi_image(cls, pages) if cls[0] < top else None, 1, "phi")):
                 if img is None:
                     continue
                 i = index.get(img)
-                if i is None or (rows[i][1].stop < heights.stop and gr(cls, rows[i][1].stop, self.pages) is not None):
-                    raise InvariantError(f"{what} image {self.pages.monomial(img)} missing from Tate basis")
-                entries[(i, j)] = (entries.get((i, j), 0) + sign) % p
+                stop = heights.start if i is None else rows[i][1].stop  # no row stops at the bottom
+                if stop < heights.stop and pages.tate[img[0]].alive(img, stop):
+                    raise InvariantError(f"{what} image {pages.monomial(img)} missing from Tate basis")
+                if i is not None:
+                    entries[(i, j)] = (entries.get((i, j), 0) + sign) % p
         entries = {k: v for k, v in entries.items() if v}
-        n = len(cols)
-        by_row: dict = {}
-        for (i, j), v in entries.items():
-            by_row.setdefault(i, {})[n - 1 - j] = v
-        lives = []
-        if by_row:
-            span = fplinalg.VectorSpan(p, n)
-            for i in sorted(by_row, key=lambda i: -rows[i][1].stop):
-                red = span.reduce(by_row[i])
-                if red:
-                    span.add(red)
-                    lives.append(min(rows[i][1].stop, cols[n - 1 - min(red)][1].stop))
-        self._bases[key] = entries, sorted(lives)
+        row_stops = [hs.stop for _c, hs, _t in rows]
+        col_stops = [hs.stop for _c, hs, _t in cols]
+        found = _partial_permutation(entries, row_stops, col_stops)
+        if found is None:
+            found = _echelon_lives(p, entries, row_stops, col_stops), None
+        self._bases[key] = (entries, *found)
         return self._bases[key]
 
     def matrix(self, key) -> fplinalg.FpMatrix:
@@ -327,26 +381,31 @@ class TrOracle:
     def kernel(self, key):
         """Kernel basis of matrix(key), one vector per free column; its
         free column is its largest index, and the latest to die.  A matrix
-        whose rank (one per life) fills its columns is not reduced again."""
+        with at most one entry per row and per column has it from _base;
+        any other is reduced by fplinalg.kernel_basis."""
         if key not in self._kernels:
-            full = len(self._base(key)[1]) == len(self._cols.get(key, ()))
-            self._kernels[key] = [] if full else fplinalg.kernel_basis(self.matrix(key))
+            found = self._base(key)[2]
+            self._kernels[key] = fplinalg.kernel_basis(self.matrix(key)) if found is None else found
         return self._kernels[key]
 
     # -- structure extraction ----------------------------------------------
 
     def generators(self) -> list:
         """Kernel generators: the height-0 kernel basis of each orbit key in
-        the window, each with the torsion of its chain
-        (probe_element_torsion).  The columns are ordered by life, so a
-        vector's torsion is the life of its free column, and no basis of
-        the kernel has smaller torsions."""
+        the window, each with the torsion of its chain.  v1^r of a chain is
+        zero exactly when every component has died (probe_element_torsion),
+        and every column of a key in the window is alive from height 0, so
+        the torsion is the largest top among the vector's columns; a top at
+        the modeled boundary raises, as EInfResult.life does.  The columns
+        are ordered by life, so that is the top of the free column, and no
+        basis of the kernel has smaller torsions."""
         out = []
         lo, hi = self.window
+        hfp = self.pages.hfp
         for key in sorted(k for k in self._cols if lo <= k[0] <= hi):
             cols = self._cols[key]
             for vec in self.kernel(key):
-                r = probe_element_torsion(self.pages, [cols[j][0] for j in vec])
+                r = max(hfp[cls[0]].bounded_top(cls, key[0], top) for cls, _hs, top in (cols[j] for j in vec))
                 free = cols[max(vec)][0]
                 label = f"ker:L{free[0]}:{self.pages.monomial(free)}@{key[0]},{key[1]}"
                 out.append((Generator(label, Bidegree(*key), r), key, vec))

@@ -25,6 +25,9 @@ JOB_IDS = (
     # the truncated closed tally behind `tr --m`
     "cli tr --p 2 --ell 1 --m 3 --deg-max 900 --mode closed --deg-min -2 --format json",
     "tr p=3 ell=1 m=0 hi=200",
+    # the heaviest TR oracle job: 15 pages up to level 7, so every TR path
+    # (Tate rows, base matrices, kernels, generator torsions) runs
+    "tr p=2 ell=1 m=inf hi=100",
     "syntomic-oracle p=3 n=4 k=1 window=-4..20",
     "suite_einf p=3 n_max=3 ell_max=1 deg_max=108 double_cutoff=True",
     "dense p=3 n=1 ell=0 hfp window=+-8p",

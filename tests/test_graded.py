@@ -154,6 +154,23 @@ def test_dimtable_json_roundtrip():
     assert [e["weight"] for e in obj["entries"]] == [0, 3]
 
 
+NOTE_VALUES = st.one_of(st.booleans(), st.integers(-5, 5), st.text(max_size=8), st.lists(st.integers(0, 3), max_size=3))
+
+
+@settings(max_examples=200)
+@given(
+    st.dictionaries(st.sampled_from(("p", "n", "k")), st.one_of(st.none(), st.integers(0, 7))),
+    st.dictionaries(st.tuples(st.integers(-40, 400), st.integers(-1, 2)), st.integers(0, 30), max_size=20),
+    st.tuples(st.integers(-10, 10), st.integers(-10, 500)),
+    st.dictionaries(st.text(max_size=6), NOTE_VALUES, max_size=3),
+)
+@example({"p": 3}, {}, (0, 10), {})  # empty entries and no meta block
+@example({}, {(0, 0): 0}, (0, 0), {"entries": None, "x": 'a\n  "entries": null'})
+def test_dimtable_json_is_the_indented_json_dump(params, entries, window, notes):
+    table = DimTable(params, entries, window, notes)
+    assert table.to_json() == json.dumps(table.to_json_obj(), indent=2)
+
+
 def test_dimtable_csv_header():
     table = DimTable({}, {(5, 1): 1}, (0, 10))
     lines = table.to_csv().strip().splitlines()

@@ -315,6 +315,63 @@ def test_orbit_reduction_equals_the_per_piece_reference(draw):
     assert oracle.check_v1_surjectivity() == ref.check_v1_surjectivity() == []
 
 
+@settings(max_examples=80)
+@given(TR_DRAWS, st.booleans())
+def test_every_generator_torsion_is_the_probed_torsion_of_its_chain(draw, starved):
+    # generators reads a torsion off its columns' alive tops, the probe asks
+    # each component's page for its life; a starved torsion bound models so
+    # few heights that chains run into the boundary, and both must refuse
+    p, i, m, hi = draw
+    ell = i + 1 + i // (p - 1)  # the i-th positive integer prime to p
+    with pytest.MonkeyPatch.context() as mp:
+        if starved:
+            mp.setattr(trkernel, "_window_torsion_bound", lambda *args: 0)
+        oracle = TrOracle(PrimeContext(p), ell, m, (0, hi))
+    lo, hi = oracle.window
+    probed = []
+    try:
+        for key in sorted(k for k in oracle._cols if lo <= k[0] <= hi):
+            for vec in oracle.kernel(key):
+                probed.append(probe_element_torsion(oracle.pages, [oracle._cols[key][j][0] for j in vec]))
+    except InvariantError as exc:
+        with pytest.raises(InvariantError, match=re.escape(str(exc))):
+            oracle.generators()
+    else:
+        assert [gen.torsion for gen, _key, _vec in oracle.generators()] == probed
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(p, entries, row_stops, col_stops): a matrix over F_p of at most 6 x
+    6, with rows and columns alive below their stops and columns ordered by
+    stop; half the draws have at most one entry per row and per column."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    row_stops = draw(st.lists(st.integers(1, 8), min_size=n_rows, max_size=n_rows))
+    col_stops = sorted(draw(st.lists(st.integers(1, 8), min_size=n_cols, max_size=n_cols)))
+    residue = st.integers(1, p - 1)
+    if draw(st.booleans()):  # a partial permutation, possibly empty
+        pairs = zip(draw(st.permutations(range(n_rows))), draw(st.permutations(range(n_cols))))
+        entries = {pair: draw(residue) for pair in pairs if draw(st.booleans())}
+    else:
+        cells = st.tuples(st.integers(0, max(n_rows - 1, 0)), st.integers(0, max(n_cols - 1, 0)))
+        entries = draw(st.dictionaries(cells, residue, max_size=12 if n_rows and n_cols else 0))
+    return p, entries, row_stops, col_stops
+
+
+@settings(max_examples=300)
+@given(sparse_matrices())
+def test_partial_permutations_skip_the_elimination_with_the_same_results(draw):
+    p, entries, row_stops, col_stops = draw
+    one_per_line = all(len({cell[axis] for cell in entries}) == len(entries) for axis in (0, 1))
+    found = trkernel._partial_permutation(entries, row_stops, col_stops)
+    assert (found is not None) == one_per_line
+    if found is not None:
+        lives, kernel = found
+        assert lives == trkernel._echelon_lives(p, entries, row_stops, col_stops)
+        assert kernel == fplinalg.kernel_basis(fplinalg.FpMatrix(p, len(row_stops), len(col_stops), entries))
+
+
 @pytest.fixture
 def tate_only_class(monkeypatch):
     """Every TrOracle with a Tate piece in its window gets one Tate class
@@ -335,9 +392,10 @@ def tate_only_class(monkeypatch):
 
 def _drop_a_phi_entry(monkeypatch):
     # se(1)*mu at level 0 is the only class that reaches the Tate class
-    # se(3)*t^-1 at (8, 0), through phi
-    phi = trkernel.gr_phi
-    monkeypatch.setattr(trkernel, "gr_phi", lambda cls, h, pages: None if cls == (0, 0, 1, 0, 0) else phi(cls, h, pages))
+    # se(3)*t^-1 at (8, 0), through phi; phi_image names the image for both
+    # gr_phi and the oracle's base matrices
+    phi = trkernel.phi_image
+    monkeypatch.setattr(trkernel, "phi_image", lambda cls, pages: None if cls == (0, 0, 1, 0, 0) else phi(cls, pages))
     return re.escape("not onto the Tate piece at ((8, 0, 0)")
 
 
@@ -352,6 +410,23 @@ def _kill_a_tate_row(monkeypatch):
 
     monkeypatch.setattr(TrOracle, "_assemble", without_the_row)
     return re.escape("phi image se(1p^1)*t^2 missing from Tate basis")
+
+
+def _cut_a_tate_row_short(monkeypatch):
+    # se(9)*t^-6 at (30, 0), the phi image of se(3)*mu^4, is alive at
+    # heights 0..2 of the window on its page, as its column is; its row now
+    # stops at height 2 while the page still has it alive there
+    assemble = TrOracle._assemble
+
+    def with_a_short_row(oracle):
+        assemble(oracle)
+        rows = oracle._rows[(30, 0)]
+        k = next(k for k, (cls, _hs, _top) in enumerate(rows) if cls == (2, -6, 0, 0, 0))
+        cls, heights, top = rows[k]
+        rows[k] = (cls, range(heights.start, heights.stop - 1), top)
+
+    monkeypatch.setattr(TrOracle, "_assemble", with_a_short_row)
+    return re.escape("phi image se(1p^2)*t^-6 missing from Tate basis")
 
 
 def _end_the_tate_classes_at_height_one(monkeypatch):
@@ -388,9 +463,9 @@ def _start_an_orbit_above_its_bottom(monkeypatch):
     return re.escape("n=1: broken chain on ladder (0, 0, -1)")
 
 
-@pytest.mark.parametrize("mutant", [_drop_a_phi_entry, _kill_a_tate_row, _end_the_tate_classes_at_height_one,
-                                    _start_an_orbit_above_its_bottom],
-                         ids=["drop-phi-entry", "kill-tate-row", "late-kernel-bar", "broken-chain"])
+@pytest.mark.parametrize("mutant", [_drop_a_phi_entry, _kill_a_tate_row, _cut_a_tate_row_short,
+                                    _end_the_tate_classes_at_height_one, _start_an_orbit_above_its_bottom],
+                         ids=["drop-phi-entry", "kill-tate-row", "short-tate-row", "late-kernel-bar", "broken-chain"])
 def test_every_tr_check_fires(mutant, monkeypatch, capsys):
     message = mutant(monkeypatch)
     with pytest.raises(InvariantError, match=message):
