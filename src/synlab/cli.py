@@ -90,8 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, payload: str) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise InputError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
@@ -201,7 +204,10 @@ def main(argv=None) -> int:
             code, payload = _cmd_assembly(args, args.command)
         else:  # pragma: no cover
             raise InputError(f"unknown command {args.command}")
-        cache.store(cache_dir, key, payload)
+        try:
+            cache.store(cache_dir, key, payload)
+        except OSError as exc:
+            raise InputError(f"cannot write to cache directory {cache_dir}: {exc.strerror or exc}") from exc
         _emit(args, payload)
         return code
     except (InputError, ResourceError) as exc:

@@ -6,12 +6,14 @@ stored.  Pivots are always the first nonzero column and rows are kept
 fully reduced, so every basis returned here is deterministic.  Matrices
 store entries sparsely as {(row, col): residue}.
 
-rank reads a matrix by rows, through a VectorSpan.  kernel_basis reads it
-by columns in one elimination pass that tracks the combination behind
-each kept column; a column that reduces to zero yields its kernel vector
-directly, which is the free-column basis of the row echelon form (see
-kernel_basis).  subquotient tests containment of the denominator by one
-rank comparison.
+Every elimination goes through a VectorSpan, and each vector is
+eliminated once.  VectorSpan.extend adds vectors in order and tracks the
+combination behind each row it makes; a vector that adds nothing yields
+its kernel combination directly, which is the free-column basis of the
+row echelon form (see extend).  kernel_basis is extend over a matrix's
+columns on an empty span, and rank reads a matrix by rows.  subquotient
+grows a copy of a denominator span and tests containment by one rank
+comparison.
 """
 
 from __future__ import annotations
@@ -76,13 +78,6 @@ class FpMatrix:
             if not (0 < v < self.p):
                 raise InputError(f"entry ({r},{c})={v} not reduced and nonzero mod {self.p}")
 
-    @classmethod
-    def from_columns(cls, p: int, columns, nrows: int) -> "FpMatrix":
-        """The matrix whose j-th column is the sparse vector columns[j]."""
-        columns = list(columns)
-        entries = {(i, j): v for j, col in enumerate(columns) for i, v in _residues(col, p, nrows).items()}
-        return cls(p, nrows, len(columns), entries)
-
 
 class VectorSpan:
     """Incrementally built row space in reduced echelon form.
@@ -119,25 +114,79 @@ class VectorSpan:
     def add(self, vec) -> bool:
         """Insert vec; True if it enlarged the span."""
         row = self._reduce_row(vec)
-        if not row:
-            return False
+        if row:
+            self._insert(row)
+        return bool(row)
+
+    def extend(self, vectors) -> list:
+        """Add vectors in order; return the kernel combination of each one
+        that adds nothing, in order.
+
+        A combination maps a vector's index to a coefficient, and the
+        vectors it combines sum to an element of the span as it was before
+        the call.  Each row carries the combination behind it: a row made
+        here starts from its own vector, a row from before the call starts
+        empty, and a new row substituted into an old one carries its
+        combination along.  A vector that reduces to zero is free, and its
+        combination is 1 at its own index and otherwise supported on the
+        earlier vectors that made rows.  Such a kernel vector, 0 at every
+        other free index, is unique: on an empty span this is the
+        free-column basis of the reduced row echelon form of the matrix
+        with these columns, listed by free column.
+        """
+        p = self.p
+        rows = self._rows
+        combos: dict = {}  # pivot -> combination behind its row, if any
+        kernel = []
+        for f, vec in enumerate(vectors):
+            row = _residues(vec, p, self.dim)
+            if not row:
+                kernel.append({f: 1})
+                continue
+            combo = {f: 1}
+            for piv, c in [(j, v) for j, v in row.items() if j in rows]:
+                _subtract(row, c, rows[piv], p)
+                if piv in combos:
+                    _subtract(combo, c, combos[piv], p)
+            if row:
+                self._insert(row, combo, combos)
+            else:
+                kernel.append(combo)
+        return kernel
+
+    def _insert(self, row: dict, combo=None, combos=None) -> None:
+        """Make the reduced nonzero row a pivot row, 1 at its pivot, and
+        clear its pivot column from the other rows; given combos (pivot ->
+        combination), combo is scaled along and carried into them."""
         p = self.p
         piv = min(row)
         inv = pow(row[piv], -1, p)
         if inv != 1:
             row = {j: v * inv % p for j, v in row.items()}
+            if combos is not None:
+                combo = {j: v * inv % p for j, v in combo.items()}
         # only a row with entries past its own pivot can have one at piv
         for opiv in list(self._tails):
             other = self._rows[opiv]
             c = other.get(piv)
             if c:
                 _subtract(other, c, row, p)
+                if combos is not None:
+                    _subtract(combos.setdefault(opiv, {}), c, combo, p)
                 if len(other) == 1:
                     self._tails.discard(opiv)
         self._rows[piv] = row
+        if combos is not None:
+            combos[piv] = combo
         if len(row) > 1:
             self._tails.add(piv)
-        return True
+
+    def copy(self) -> "VectorSpan":
+        """The same span, sharing no row with this one."""
+        span = VectorSpan(self.p, self.dim)
+        span._rows = {piv: dict(row) for piv, row in self._rows.items()}
+        span._tails = set(self._tails)
+        return span
 
     @property
     def rank(self) -> int:
@@ -163,71 +212,34 @@ def rank(m: FpMatrix) -> int:
 
 
 def kernel_basis(m: FpMatrix):
-    """Deterministic basis of {v : m.v = 0}, one vector per free column.
-
-    One pass over the columns in order: each column is reduced against the
-    earlier independent columns, which are kept fully reduced along with
-    the combination of columns that makes each of them.  A column that
-    reduces to zero is free, and its combination is its kernel vector: 1
-    at the free column and otherwise supported on earlier pivot columns.
-    A kernel vector with 1 at a free column and 0 at every other free
-    column is unique, so this is the free-column basis of the reduced row
-    echelon form, listed by free column.
-    """
-    p = m.p
+    """Deterministic basis of {v : m.v = 0}, one vector per free column:
+    VectorSpan.extend over the columns of m on an empty span."""
     columns = [{} for _ in range(m.cols)]
     for (r, c), v in m.entries.items():
         columns[c][r] = v
-    pivots: dict = {}  # pivot row -> (reduced column with 1 there, its combination)
-    tails: set = set()  # pivots whose columns have entries past the pivot row
-    basis = []
-    for f, col in enumerate(columns):
-        combo = {f: 1}
-        # Each kept column is 0 at every other pivot row, so the coefficient
-        # of a pivot is the input's own entry there.
-        for piv, c in [(r, v) for r, v in col.items() if r in pivots]:
-            pcol, pcombo = pivots[piv]
-            _subtract(col, c, pcol, p)
-            _subtract(combo, c, pcombo, p)
-        if not col:
-            basis.append(combo)
-            continue
-        piv = min(col)
-        inv = pow(col[piv], -1, p)
-        if inv != 1:
-            col = {r: v * inv % p for r, v in col.items()}
-            combo = {j: v * inv % p for j, v in combo.items()}
-        for opiv in list(tails):
-            ocol, ocombo = pivots[opiv]
-            c = ocol.get(piv)
-            if c:
-                _subtract(ocol, c, col, p)
-                _subtract(ocombo, c, combo, p)
-                if len(ocol) == 1:
-                    tails.discard(opiv)
-        pivots[piv] = (col, combo)
-        if len(col) > 1:
-            tails.add(piv)
-    return basis
+    return VectorSpan(m.p, m.rows).extend(columns)
 
 
-def subquotient(numerator, denominator, p: int, ambient_dim: int) -> list:
-    """A list of representatives of span(numerator) modulo span(denominator).
+def subquotient(numerator, denominator, base: VectorSpan) -> list:
+    """A list of representatives of span(numerator) modulo D =
+    span(base) + span(denominator), in base's field and dimension.
 
-    Requires span(denominator) to be contained in span(numerator); each
-    representative is reduced modulo the denominator (and earlier
-    representatives), so rank(num) = len(representatives) + rank(den).
-    The span built along the way is span(num) + span(den), so containment
-    is one rank test: that span has the rank of span(num) alone.
+    Requires D to be contained in span(numerator).  D grows on a copy of
+    base, which is never changed; each representative is reduced modulo D
+    and the earlier representatives, so rank(num) = len(representatives)
+    + rank(D).  The span built along the way is span(num) + D, so
+    containment is one rank test: that span has the rank of span(num)
+    alone.
     """
-    _check_prime(p)
-    acc = VectorSpan(p, ambient_dim, denominator)
+    acc = base.copy()
+    for v in denominator:
+        acc.add(v)
     reps = []
     for v in numerator:
         red = acc.reduce(v)
         if red:
             reps.append(red)
             acc.add(red)
-    if acc.rank != VectorSpan(p, ambient_dim, numerator).rank:
+    if acc.rank != VectorSpan(base.p, base.dim, numerator).rank:
         raise InputError("denominator not contained in numerator span")
     return reps

@@ -88,11 +88,11 @@ from .graded import (
 # intervals per split ladder.  SSPage.check_size enforces it before
 # any column is allocated.
 MAX_LADDERS = 5_000_000
-# The dense engine's cost per basis element grows with the page: p=3 n=2
-# l=1 tate takes 7.5 us per element at 13,524 elements and 18.5 us at
-# 79,028.  Near this cap five pages took 13-19 us and 500-590 B of peak
-# RSS per element, so a page at the cap runs in about 1.0-1.5 s and
-# 37-42 MB over the interpreter (2-core x86-64 Xeon).  run_to_einf_dense
+# The dense engine's cost per basis element hardly grows with the page:
+# p=3 n=2 l=1 tate takes 9.4 us per element at 13,524 elements and 9.5 us
+# at 79,028.  Near this cap five pages took 8.9-9.9 us and 520-610 B of
+# peak RSS per element, so a page at the cap runs in about 0.7-0.8 s and
+# 40-47 MB over the interpreter (2-core x86-64 Xeon).  run_to_einf_dense
 # checks it before any basis entry is made.
 DENSE_MAX_BASIS = 80_000
 
@@ -674,13 +674,14 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
     linear algebra over F_p (kernels of induced maps modulo accumulated
     boundaries), on sparse vectors indexed by position in each bidegree's
     basis.  It reads the page's segments and stage schedule, not its alive
-    sets, so the page may be fresh or already run.  A numerator whose stage
-    image is zero modulo the target's boundaries passes through unchanged
-    (its kernel vector is its own unit vector); only the columns with a
-    nonzero image go into kernel_basis (_stage_kernel).  Only fit for
-    small windows; guards with ResourceError before any basis entry.  A
-    v1-image of the survivors that leaves their span raises
-    InvariantError.
+    sets, so the page may be fresh or already run.  Each stage image is
+    eliminated once: one VectorSpan.extend on the target's boundary span
+    both grows that span and yields the stage kernel (_stage_kernel), and
+    a numerator whose image is zero modulo the boundaries passes through
+    unchanged.  The generators start from a copy of each boundary span's
+    echelon rows.  Only fit for small windows; guards with ResourceError
+    before any basis entry.  A v1-image of the survivors that leaves their
+    span raises InvariantError.
     """
     ctx = page.ctx
     q = ctx.q
@@ -718,9 +719,9 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
                     out[pos[1]] = out.get(pos[1], 0) + c * coeff
             return out
 
-        # Each target bidegree has one source bidegree, which reduces its
-        # images by the target's boundaries before adding them, so the
-        # boundary spans can grow in place.
+        # Each target bidegree has one source bidegree, so its boundary
+        # span can grow in place while that source's images are eliminated
+        # against it.
         new_numerators = {}
         for bid, nvecs in numerators.items():
             tgt_bid = (bid[0] - 1, bid[1] + 1)
@@ -751,15 +752,12 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
         if not (lo <= stem <= hi):
             continue
         # Generators: survivors modulo boundaries AND modulo v1 times the
-        # survivors one v1-step down.
-        denom = boundaries[bid].basis()
+        # survivors one v1-step down.  subquotient copies the boundary
+        # span's echelon rows; the torsion loop below reads it unchanged.
         prev_bid = (stem - q, line)
-        for v in numerators.get(prev_bid, ()):
-            _, sh = v1_shift(prev_bid, v)
-            if sh:
-                denom.append(sh)
+        shifts = [sh for v in numerators.get(prev_bid, ()) if (sh := v1_shift(prev_bid, v)[1])]
         try:
-            reps = fplinalg.subquotient(numerators[bid], denom, p, len(basis[bid]))
+            reps = fplinalg.subquotient(numerators[bid], shifts, boundaries[bid])
         except InputError as exc:
             raise InvariantError(f"dense engine at (stem, line) = {bid}: {exc}") from exc
         for rep in reps:
@@ -783,36 +781,24 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
 
 def _stage_kernel(p: int, nvecs: list, images: list, bspan, tgt_dim: int) -> list:
     """The combinations of nvecs whose images vanish modulo bspan, one per
-    free column of the reduced images, in column order; the reduced
-    images are then added to bspan.
+    free column of the images reduced modulo bspan, in column order; the
+    images join bspan in the same pass (VectorSpan.extend), so each is
+    eliminated once.  tgt_dim is bspan's dimension.
 
-    A column whose image is zero modulo bspan is free, and its kernel
-    vector is its own unit vector, so its numerator passes through as it
-    is; an empty image is not reduced.  Only the live columns go into
-    kernel_basis, whose vectors are mapped back to their free columns.
+    A column whose image is zero modulo bspan is free with its own unit
+    vector as kernel vector, so its numerator passes through as it is.
     """
-    live, reduced = [], []
-    for j, im in enumerate(images):
-        red = bspan.reduce(im) if im else im
-        if red:
-            live.append(j)
-            reduced.append(red)
-    combos = fplinalg.kernel_basis(fplinalg.FpMatrix.from_columns(p, reduced, tgt_dim))
-    # a kernel vector's last column is its free column
-    at_free = {live[max(combo)]: combo for combo in combos}
-    live_set = set(live)
     kept = []
-    for j, v in enumerate(nvecs):
-        if j not in live_set:
-            kept.append(v)
-        elif j in at_free:
-            acc = {}
-            for i, c in at_free[j].items():
-                for t, x in nvecs[live[i]].items():
-                    acc[t] = acc.get(t, 0) + c * x
-            kept.append({t: x % p for t, x in acc.items() if x % p})
-    for red in reduced:
-        bspan.add(red)
+    for combo in bspan.extend(images):
+        if len(combo) == 1:
+            (j,) = combo
+            kept.append(nvecs[j])
+            continue
+        acc = {}
+        for i, c in combo.items():
+            for t, x in nvecs[i].items():
+                acc[t] = acc.get(t, 0) + c * x
+        kept.append({t: x % p for t, x in acc.items() if x % p})
     return kept
 
 

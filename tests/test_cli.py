@@ -172,6 +172,27 @@ def test_out_file(tmp_path, capsys):
     assert [e["dim"] for e in entries if (e["stem"], e["line"]) == (0, 0)] == [1]
 
 
+@pytest.mark.parametrize("where", ["out-missing-dir", "out-directory", "cache-dir-a-file"])
+def test_unwritable_destination_exits_two(tmp_path, capsys, where):
+    (tmp_path / "file").write_text("")
+    flag, dest = {
+        "out-missing-dir": ("--out", tmp_path / "missing" / "x"),
+        "out-directory": ("--out", tmp_path),
+        "cache-dir-a-file": ("--cache-dir", tmp_path / "file"),
+    }[where]
+    code, out, err = run(capsys, "syntomic", "--p", "3", "--n", "4", "--k", "1", "--deg-max", "10", flag, str(dest))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write ") and str(dest) in err and err.count("\n") == 1
+
+
+def test_verify_to_an_unwritable_out_exits_two(tmp_path, capsys):
+    dest = tmp_path / "missing" / "y"
+    code, out, err = run(capsys, "verify", "--suite", "einf", "--p", "2", "--n-max", "0", "--deg-max", "4", "--out", str(dest))
+    assert code == 2 and out == ""
+    (line,) = [ln for ln in err.splitlines() if not ln.startswith("PASS ")]
+    assert line == f"error: cannot write --out {dest}: No such file or directory"
+
+
 def test_verify_suite_exit_codes(capsys, monkeypatch):
     code, out, err = run(
         capsys, "verify", "--suite", "assembly", "--p", "3", "--deg-max", "40"

@@ -59,21 +59,21 @@ def test_kernel_rank_one_f5():
 
 
 def test_subquotient_trivial():
-    assert subquotient([{0: 1}], [{0: 1}], 3, 2) == []
+    assert subquotient([{0: 1}], [{0: 1}], VectorSpan(3, 2)) == []
 
 
 def test_subquotient_full():
-    assert len(subquotient([{0: 1}, {1: 1}], [], 3, 2)) == 2
+    assert len(subquotient([{0: 1}, {1: 1}], [], VectorSpan(3, 2))) == 2
 
 
 def test_subquotient_representative_reduced():
     # one representative, congruent to e2 mod the denominator
-    assert subquotient([{0: 1}, {0: 1, 1: 1}], [{0: 1}], 5, 2) == [{1: 1}]
+    assert subquotient([{0: 1}, {0: 1, 1: 1}], [{0: 1}], VectorSpan(5, 2)) == [{1: 1}]
 
 
 def test_subquotient_containment_enforced():
     with pytest.raises(InputError):
-        subquotient([{0: 1}], [{1: 1}], 3, 2)
+        subquotient([{0: 1}], [{1: 1}], VectorSpan(3, 2))
 
 
 def test_compose_and_zero():
@@ -199,7 +199,7 @@ def test_subquotient_rank_arithmetic_randomized(p, dim, count, den_count, densit
     vecs = random_vectors(seed, p, count, dim, density)
     num_span = VectorSpan(p, dim, vecs)
     den = random_combinations(seed + 1, p, vecs, den_count)
-    reps = subquotient(vecs, den, p, dim)
+    reps = subquotient(vecs, den, VectorSpan(p, dim))
     assert len(reps) == num_span.rank - VectorSpan(p, dim, den).rank
     for r in reps:
         assert num_span.contains(r)
@@ -214,12 +214,12 @@ def test_subquotient_refuses_a_denominator_outside_the_numerator(p, dim, den_cou
     # fewer vectors than columns, so some unit vector lies outside their span
     out = next(j for j in range(dim) if not num_span.contains({j: 1}))
     den = random_combinations(seed + 1, p, vecs, den_count)
-    assert len(subquotient(vecs, den, p, dim)) == num_span.rank - VectorSpan(p, dim, den).rank
+    assert len(subquotient(vecs, den, VectorSpan(p, dim))) == num_span.rank - VectorSpan(p, dim, den).rank
     stray = random_combinations(seed + 2, p, vecs, 1)[0]
     stray[out] = stray.get(out, 0) + rng.randrange(1, p)
     den.insert(rng.randrange(len(den) + 1), stray)
     with pytest.raises(InputError, match="^denominator not contained in numerator span$"):
-        subquotient(vecs, den, p, dim)
+        subquotient(vecs, den, VectorSpan(p, dim))
 
 
 @settings(max_examples=60)
@@ -236,3 +236,34 @@ def test_span_basis_is_independent_of_insertion_order(p, dim, count, density, se
     for row, piv in zip(basis, pivots):
         assert row[piv] == 1 and all(0 < x < p for x in row.values())
         assert not set(row) & (set(pivots) - {piv})
+
+
+@settings(max_examples=100, derandomize=True)
+@given(PRIMES, st.integers(1, 40), st.integers(0, 15), st.integers(1, 25), st.sampled_from([0.1, 0.4]), SEEDS)
+def test_extend_on_a_span_with_rows_is_the_kernel_modulo_those_rows(p, dim, held, count, density, seed):
+    """extend eliminates each vector once against the rows a span already
+    holds: its kernel is kernel_basis of the vectors reduced modulo those
+    rows, and the span ends as if they were added one by one."""
+    rng = random.Random(seed)
+    rows = random_vectors(seed + 1, p, held, dim, density)
+    vecs = random_vectors(seed + 2, p, count, dim, density)
+    for i in range(count):
+        # some vectors lie in the held span or depend on earlier ones
+        pool = rows if rng.random() < 0.5 else vecs[:i]
+        if pool and rng.random() < 0.4:
+            vecs[i] = random_combinations(rng.randrange(2**32), p, pool, 1)[0]
+    held_span = VectorSpan(p, dim, rows)
+    reduced = [held_span.reduce(v) for v in vecs]
+    want = kernel_basis(FpMatrix(p, dim, count, {(i, j): x for j, col in enumerate(reduced) for i, x in col.items()}))
+    one_by_one = VectorSpan(p, dim, rows)
+    for v in vecs:
+        one_by_one.add(v)
+
+    assert held_span.extend(vecs) == want
+    assert held_span.basis() == one_by_one.basis()
+
+
+def test_subquotient_leaves_its_base_span_unchanged():
+    base = VectorSpan(5, 3, [{0: 1, 2: 1}])
+    assert subquotient([{0: 1, 2: 1}, {1: 1}, {2: 1}], [{1: 1, 2: 3}], base) == [{2: 2}]
+    assert base.basis() == [{0: 1, 2: 1}]

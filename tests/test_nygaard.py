@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synlab import nygaard, verify
+from synlab import fplinalg, nygaard, verify
 from synlab.errors import InputError, InvariantError, ResourceError, StateError
-from synlab.fplinalg import FpMatrix, VectorSpan, kernel_basis
+from synlab.fplinalg import VectorSpan, _residues, kernel_basis
 from synlab.graded import Monomial, PrimeContext, geo, vp
 from synlab.nygaard import (
     EInfResult,
@@ -24,6 +24,17 @@ from synlab.nygaard import (
 from test_trkernel import iter_alive
 
 CTX3 = PrimeContext(3)
+
+
+class FpMatrix(fplinalg.FpMatrix):
+    """FpMatrix with a constructor from its list of columns."""
+
+    @classmethod
+    def from_columns(cls, p: int, columns, nrows: int) -> "FpMatrix":
+        """The matrix whose j-th column is the sparse vector columns[j]."""
+        columns = list(columns)
+        entries = {(i, j): v for j, col in enumerate(columns) for i, v in _residues(col, p, nrows).items()}
+        return cls(p, nrows, len(columns), entries)
 
 
 def _class(lad, h):
