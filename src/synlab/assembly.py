@@ -18,7 +18,7 @@ sign discussion.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .closedforms import TRUNC_INF, family_count, tr_closed_decomposition
 from .errors import InputError, InvariantError, ResourceError
@@ -97,21 +97,18 @@ def tc_eps_dims(ctx: PrimeContext, window, mode: str = "closed") -> Counter:
     return out
 
 
-@dataclass(frozen=True)
-class AssemblyParams:
-    p: int
-    n: int
-    k: int
-    window: tuple
+class AssemblyParams(NamedTuple("AssemblyParams", [("p", int), ("n", int), ("k", int), ("window", tuple)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        ctx = PrimeContext(self.p)  # validates primality
-        if self.n < 2:
+    def __new__(cls, p: int, n: int, k: int, window: tuple):
+        PrimeContext(p)  # validates primality
+        if n < 2:
             raise InputError("need n >= 2")
-        if self.k < 1:
+        if k < 1:
             raise InputError("need k >= 1")
-        if self.p == 2 and self.k % 4:
+        if p == 2 and k % 4:
             raise InputError("at p = 2 the quotient needs 4 | k (v1^4 self map)")
+        return super().__new__(cls, p, n, k, window)
 
     @property
     def ctx(self) -> PrimeContext:
@@ -202,10 +199,10 @@ def k_mod_dims(params: AssemblyParams, mode: str = "closed") -> DimTable:
     return DimTable(dict(tc.params), entries, tc.window, notes)
 
 
-@dataclass
 class TwoLineReport:
-    violations: list = field(default_factory=list)
-    line2_count: int = 0
+    def __init__(self, violations: list | None = None, line2_count: int = 0):
+        self.violations = [] if violations is None else violations
+        self.line2_count = line2_count
 
     @property
     def ok(self) -> bool:

@@ -11,6 +11,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -86,6 +87,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--double-cutoff", action="store_true", help="also run the cutoff-doubling stability half of AC9")
     sp.add_argument("--out", type=str, default=None)
     return ap
+
+
+def _check_out(path: str) -> None:
+    """Refuse, before any work, an --out path that cannot be written: a
+    directory, or a file whose directory is missing or not writable.
+    _emit still reports a write that fails all the same."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(parent, os.W_OK | os.X_OK) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        code = errno.EACCES
+    else:
+        return
+    raise InputError(f"cannot write --out {path}: {os.strerror(code)}")
 
 
 def _emit(args, payload: str) -> None:
@@ -176,6 +193,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         if args.command == "betti-bound":
             print(betti_bound(PrimeContext(args.p), args.d), flush=True)
             return EXIT_OK

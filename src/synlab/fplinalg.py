@@ -18,7 +18,7 @@ comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InputError
 
@@ -61,22 +61,20 @@ def _subtract(row: dict, c: int, src: dict, p: int) -> None:
             del row[j]
 
 
-@dataclass(frozen=True)
-class FpMatrix:
+class FpMatrix(NamedTuple("FpMatrix", [("p", int), ("rows", int), ("cols", int), ("entries", dict)])):
     """Sparse matrix over F_p; entries maps (row, col) to a nonzero residue."""
 
-    p: int
-    rows: int
-    cols: int
-    entries: dict = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_prime(self.p)
-        for (r, c), v in self.entries.items():
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise InputError(f"entry ({r},{c}) outside {self.rows}x{self.cols}")
-            if not (0 < v < self.p):
-                raise InputError(f"entry ({r},{c})={v} not reduced and nonzero mod {self.p}")
+    def __new__(cls, p: int, rows: int, cols: int, entries: dict | None = None):
+        _check_prime(p)
+        entries = {} if entries is None else entries
+        for (r, c), v in entries.items():
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise InputError(f"entry ({r},{c}) outside {rows}x{cols}")
+            if not (0 < v < p):
+                raise InputError(f"entry ({r},{c})={v} not reduced and nonzero mod {p}")
+        return super().__new__(cls, p, rows, cols, entries)
 
 
 class VectorSpan:

@@ -20,7 +20,6 @@ import io
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import fplinalg
@@ -34,7 +33,7 @@ def geo(p: int, lo: int, hi: int) -> int:
     """p^lo + p^(lo+1) + ... + p^hi, and 0 when hi < lo (empty sum)."""
     if hi < lo:
         return 0
-    return sum(p**i for i in range(lo, hi + 1))
+    return (p ** (hi + 1) - p**lo) // (p - 1)
 
 
 def vp(p: int, m: int):
@@ -49,13 +48,15 @@ def vp(p: int, m: int):
     return v
 
 
-@dataclass(frozen=True)
-class PrimeContext:
-    p: int
+class PrimeContext(NamedTuple("PrimeContext", [("p", int)])):
+    """The prime p, checked on construction."""
 
-    def __post_init__(self):
-        if not fplinalg.is_prime(self.p):
-            raise InputError(f"p={self.p} is not prime")
+    __slots__ = ()
+
+    def __new__(cls, p: int):
+        if not fplinalg.is_prime(p):
+            raise InputError(f"p={p} is not prime")
+        return super().__new__(cls, p)
 
     @property
     def q(self) -> int:
@@ -74,26 +75,22 @@ def monomial_stem(p: int, level: int, twist: int, t_exp: int, mu_exp: int, lam: 
     return 2 * twist * p**level - 2 * t_exp + 2 * p * mu_exp + (2 * p - 1) * lam - u_exp
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple("Monomial", [("level", int), ("twist", int), ("t_exp", int), ("mu_exp", int),
+                                       ("lam", int), ("u_exp", int)])):
     """se(twist*p^level) * t^t_exp * mu^mu_exp * l1^lam * u^u_exp.
 
     Exponent sign conventions are the page variant's business; this class
     only does grading arithmetic.  lam and u_exp are 0 or 1 (exterior).
     """
 
-    level: int = 0
-    twist: int = 0
-    t_exp: int = 0
-    mu_exp: int = 0
-    lam: int = 0
-    u_exp: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lam not in (0, 1) or self.u_exp not in (0, 1):
+    def __new__(cls, level: int = 0, twist: int = 0, t_exp: int = 0, mu_exp: int = 0, lam: int = 0, u_exp: int = 0):
+        if lam not in (0, 1) or u_exp not in (0, 1):
             raise InputError("exterior exponents must be 0 or 1")
-        if self.level < 0 or self.twist < 0:
+        if level < 0 or twist < 0:
             raise InputError("level and twist must be nonnegative")
+        return super().__new__(cls, level, twist, t_exp, mu_exp, lam, u_exp)
 
     def bidegree(self, ctx: PrimeContext) -> Bidegree:
         return Bidegree(monomial_stem(ctx.p, self.level, self.twist, self.t_exp, self.mu_exp, self.lam, self.u_exp),
@@ -151,18 +148,19 @@ def orbit_dims(q: int, window, orbits, params: dict | None = None) -> "DimTable"
     return DimTable(params or {}, counts, window)
 
 
-@dataclass(frozen=True)
-class Generator:
-    """One cyclic summand F_p[v1]/(v1^torsion) {label at bidegree}."""
+class Generator(NamedTuple("Generator", [("label", str), ("bidegree", Bidegree), ("torsion", float), ("certified", bool)])):
+    """One cyclic summand F_p[v1]/(v1^torsion) {label at bidegree}.
 
-    label: str
-    bidegree: Bidegree
-    torsion: float  # positive int, or TORSION_FREE
-    certified: bool = True  # False: torsion only known to be >= the stated value
+    torsion is a positive int or TORSION_FREE; certified False means the
+    torsion is only known to be >= the stated value.
+    """
 
-    def __post_init__(self):
-        if self.torsion != TORSION_FREE and (self.torsion <= 0 or self.torsion != int(self.torsion)):
-            raise InputError(f"bad torsion order {self.torsion}")
+    __slots__ = ()
+
+    def __new__(cls, label: str, bidegree: Bidegree, torsion: float, certified: bool = True):
+        if torsion != TORSION_FREE and (torsion <= 0 or torsion != int(torsion)):
+            raise InputError(f"bad torsion order {torsion}")
+        return super().__new__(cls, label, bidegree, torsion, certified)
 
 
 def torsion_multiset(gens, prefix: str = "") -> Counter:
@@ -189,11 +187,11 @@ def differences(a: dict, b: dict) -> list:
     return [(k, a.get(k, 0), b.get(k, 0)) for k in sorted(keys)]
 
 
-@dataclass
 class CyclicDecomposition:
-    entries: list = field(default_factory=list)
+    """A list of Generators with distinct labels."""
 
-    def __post_init__(self):
+    def __init__(self, entries: list | None = None):
+        self.entries = [] if entries is None else entries
         labels = [g.label for g in self.entries]
         if len(set(labels)) != len(labels):
             dup = sorted({x for x in labels if labels.count(x) > 1})
@@ -219,14 +217,20 @@ class CyclicDecomposition:
         return orbit_dims(ctx.q, window, torsion_multiset(self.entries).items(), params)
 
 
-@dataclass
 class DimTable:
     """Map (stem, line) -> dimension over F_p, with the request parameters."""
 
-    params: dict
-    entries: dict
-    window: tuple
-    notes: dict = field(default_factory=dict)
+    def __init__(self, params: dict, entries: dict, window: tuple, notes: dict | None = None):
+        self.params = params
+        self.entries = entries
+        self.window = window
+        self.notes = {} if notes is None else notes
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.params, self.entries, self.window, self.notes)
+                == (other.params, other.entries, other.window, other.notes))
 
     def same_entries(self, other: "DimTable") -> bool:
         return not differences(self.entries, other.entries)

@@ -64,12 +64,12 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import compress, repeat
 from operator import floordiv, ne
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import fplinalg
 from .errors import InputError, InvariantError, ResourceError, StateError
@@ -141,7 +141,6 @@ def _floors(c: int, slope: int, x0: int, x1: int, q: int):
 _SPLIT = -1  # lo of a split ladder, whose two intervals are in the side map
 
 
-@dataclass(slots=True)
 class Segment:
     """The ladders (e1, e2, delta) of a page for delta in `deltas`.
 
@@ -152,16 +151,20 @@ class Segment:
     then split[i] holds its two intervals, and no stage cuts it again.
     """
 
-    e1: int
-    e2: int
-    deltas: range
-    a_slope: int
-    b_slope: int
-    stem_slope: int
-    K: int
-    lo: array | None = None  # filled by SSPage._build
-    hi: array | None = None
-    split: dict = field(default_factory=dict)
+    __slots__ = ("e1", "e2", "deltas", "a_slope", "b_slope", "stem_slope", "K", "lo", "hi", "split")
+
+    def __init__(self, e1: int, e2: int, deltas: range, a_slope: int, b_slope: int, stem_slope: int, K: int,
+                 lo: array | None = None, hi: array | None = None, split: dict | None = None):
+        self.e1 = e1
+        self.e2 = e2
+        self.deltas = deltas
+        self.a_slope = a_slope
+        self.b_slope = b_slope
+        self.stem_slope = stem_slope
+        self.K = K
+        self.lo = lo  # filled by SSPage._build
+        self.hi = hi
+        self.split = {} if split is None else split
 
     def by_stem(self, stem_lo: int, stem_hi: int) -> range:
         """The deltas of the segment whose bottom stem lies in [stem_lo, stem_hi]."""
@@ -481,18 +484,17 @@ class StageMap:
         ladder is not modeled on the page raises InputError.
         """
         t, mu, lam, u = cls
-        if self.page._segment_of(lam, u, t - mu) is None:
-            raise InputError(f"class {cls} lies on no ladder of the page")
         im = self._images.get((lam, u, t - mu))
-        if im is None:
+        if im is None:  # every source of the map lies on the page
+            if self.page._segment_of(lam, u, t - mu) is None:
+                raise InputError(f"class {cls} lies on no ladder of the page")
             return None
         coeff, (tlam, tu) = im
         dt, dmu = self._jump
         return coeff, (t + dt, mu + dmu, tlam, tu)
 
 
-@dataclass(frozen=True)
-class EInfClass:
+class EInfClass(NamedTuple):
     representative: Monomial  # elementary vector in the E2 basis
     bidegree: Bidegree
     v1_torsion: float  # exact order, or a lower bound when not certified

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import fplinalg
 from .closedforms import TRUNC_INF, tr_closed_decomposition
@@ -181,19 +181,18 @@ def probe_element_torsion(pages: PageSet, comps) -> int:
     return max((pages.hfp[cls[0]].life(cls) for cls in comps), default=0)
 
 
-@dataclass
 class SurjectivityReport:
-    failures: list = field(default_factory=list)
-    pieces_checked: int = 0
-    margins: dict = field(default_factory=dict)  # (stem, line, s) -> src_dim - tgt_dim
+    def __init__(self, failures: list | None = None, pieces_checked: int = 0, margins: dict | None = None):
+        self.failures = [] if failures is None else failures
+        self.pieces_checked = pieces_checked
+        self.margins = {} if margins is None else margins  # (stem, line, s) -> src_dim - tgt_dim
 
     @property
     def all_surjective(self) -> bool:
         return not self.failures
 
 
-@dataclass
-class TrComparison:
+class TrComparison(NamedTuple):
     dim_mismatches: list
     torsion_mismatches: list
 
@@ -202,8 +201,7 @@ class TrComparison:
         return not self.dim_mismatches and not self.torsion_mismatches
 
 
-@dataclass
-class TrResult:
+class TrResult(NamedTuple):
     multiset: Counter  # (stem, line, torsion) -> multiplicity: the oracle's if it ran, else the closed tally
     decomposition: CyclicDecomposition | None = None  # the oracle's labelled generators, if it ran
     comparison: TrComparison | None = None
@@ -504,10 +502,11 @@ def tr_gr_module(
     vfail = oracle.check_v1_surjectivity()
     if vfail:
         raise InvariantError(f"v1 not surjective on the kernel at {vfail[:3]}")
-    result = TrResult(torsion_multiset(dec, f"l{ell}:"), dec, surjectivity=surj if with_surjectivity else None)
+    multiset = torsion_multiset(dec, f"l{ell}:")
+    comp = None
     if mode == "both":
         lo, hi = window
-        routes = (result.multiset, closed)
+        routes = (multiset, closed)
         comp = TrComparison(
             differences(*(orbit_dims(ctx.q, window, route.items()).entries for route in routes)),
             differences(*({key: m for key, m in route.items() if lo <= key[0] <= hi} for route in routes)),
@@ -515,5 +514,4 @@ def tr_gr_module(
         if not comp.ok:
             first = (comp.dim_mismatches or comp.torsion_mismatches)[0]
             raise VerificationFailure(f"twist l={ell}: oracle and closed form disagree at {first}")
-        result.comparison = comp
-    return result
+    return TrResult(multiset, dec, comp, surj if with_surjectivity else None)

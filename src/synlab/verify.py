@@ -10,7 +10,7 @@ The acceptance grids are the defaults; the CLI can shrink them.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from .assembly import two_line_check
 from .closedforms import (
@@ -30,8 +30,7 @@ from .trkernel import PageSet, complete_to_kernel, probe_element_torsion, tr_gr_
 RECORDED = (InvariantError, VerificationFailure)
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     suite: str
     name: str
     passed: bool
@@ -43,16 +42,16 @@ class Check:
         return f"{mark} {self.suite}: {self.name}{tail}"
 
 
-@dataclass
 class VerifyReport:
-    checks: list = field(default_factory=list)
+    def __init__(self, checks: list | None = None):
+        self.checks = [] if checks is None else checks
 
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def to_json_obj(self) -> dict:
-        return {"ok": self.ok, "checks": [asdict(c) for c in self.checks]}
+        return {"ok": self.ok, "checks": [c._asdict() for c in self.checks]}
 
 
 def _case(suite: str, name: str, walk, *args) -> Check:

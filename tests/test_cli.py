@@ -193,6 +193,42 @@ def test_verify_to_an_unwritable_out_exits_two(tmp_path, capsys):
     assert line == f"error: cannot write --out {dest}: No such file or directory"
 
 
+@pytest.mark.parametrize("argv, work", [
+    ("verify --suite einf --p 2 --n-max 0 --deg-max 4", "run_suite"),
+    ("syntomic --p 3 --n 4 --k 1 --deg-max 10", "syntomic_dims"),
+])
+@pytest.mark.parametrize("where", ["missing-dir", "directory", "file-as-dir", "no-permission"])
+def test_unwritable_out_exits_two_before_any_work(tmp_path, capsys, monkeypatch, argv, work, where):
+    import synlab.cli as climod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before --out was checked")
+
+    monkeypatch.setattr(climod, work, no_work)
+    (tmp_path / "file").write_text("")
+    dest, reason = {
+        "missing-dir": (tmp_path / "missing" / "y", "No such file or directory"),
+        "directory": (tmp_path, "Is a directory"),
+        "file-as-dir": (tmp_path / "file" / "y", "Not a directory"),
+        "no-permission": (tmp_path / "y", "Permission denied"),
+    }[where]
+    if where == "no-permission":  # a root user may write anywhere, so deny access itself
+        monkeypatch.setattr(climod.os, "access", lambda path, mode: False)
+    code, out, err = run(capsys, *argv.split(), "--out", str(dest))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write --out {dest}: {reason}\n"
+
+
+def test_a_write_that_fails_after_the_check_exits_two(tmp_path, capsys, monkeypatch):
+    import synlab.cli as climod
+
+    monkeypatch.setattr(climod, "_check_out", lambda path: None)
+    dest = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "syntomic", "--p", "3", "--n", "4", "--k", "1", "--deg-max", "10", "--out", str(dest))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write --out {dest}: No such file or directory\n"
+
+
 def test_verify_suite_exit_codes(capsys, monkeypatch):
     code, out, err = run(
         capsys, "verify", "--suite", "assembly", "--p", "3", "--deg-max", "40"
@@ -328,13 +364,13 @@ def test_closed_tables_build_no_object_per_family_element(capsys, monkeypatch, a
 
     monkeypatch.setattr(closedforms, "FamilyElement", no_object)
     monkeypatch.setattr(closedforms, "enumerate_families", no_object)
-    check = Generator.__post_init__
+    check = Generator.__new__
 
-    def only_tc_zp(self):
-        assert self.label.startswith("Zp:"), f"twist generator {self.label} built"
-        check(self)
+    def only_tc_zp(cls, label, *args, **kwargs):
+        assert label.startswith("Zp:"), f"twist generator {label} built"
+        return check(cls, label, *args, **kwargs)
 
-    monkeypatch.setattr(Generator, "__post_init__", only_tc_zp)
+    monkeypatch.setattr(Generator, "__new__", only_tc_zp)
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[f"cli {argv}"]

@@ -32,6 +32,14 @@ def test_geo_empty_sum_conventions():
     assert geo(2, 1, 3) == 14
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_geo_closed_form_is_the_sum(p):
+    for lo in (0, 1):
+        for hi in range(-1, 13):
+            want = sum(p**i for i in range(lo, hi + 1))
+            assert geo(p, lo, hi) == want and type(geo(p, lo, hi)) is int, (p, lo, hi)
+
+
 def test_vp():
     assert vp(3, 18) == 2 and vp(3, -18) == 2 and vp(3, 1) == 0
     assert vp(3, 0) == float("inf")

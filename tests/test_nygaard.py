@@ -117,6 +117,43 @@ def test_stage_maps_refuse_a_ladder_off_the_page():
         StageMap(page, "T0").on_class((10**6, 0, 0, 0))
 
 
+def reference_on_class(stage_map, cls):
+    """StageMap.on_class as it read with the page check first."""
+    t, mu, lam, u = cls
+    if stage_map.page._segment_of(lam, u, t - mu) is None:
+        raise InputError(f"class {cls} lies on no ladder of the page")
+    im = stage_map._images.get((lam, u, t - mu))
+    if im is None:
+        return None
+    coeff, (tlam, tu) = im
+    dt, dmu = stage_map._jump
+    return coeff, (t + dt, mu + dmu, tlam, tu)
+
+
+@pytest.mark.parametrize("p, n, ell, variant", [(3, 1, 1, Variant.HFP), (2, 3, 1, Variant.TATE),
+                                                (5, 2, 2, Variant.MUINV)])
+def test_stage_map_values_over_every_class_of_a_page(p, n, ell, variant):
+    page = SSPage(PrimeContext(p), n, ell, variant, (-8, 24), v1_cutoff=5)
+    off_page = [(lam, u, delta) for (lam, u), segs in page.segments.items() for seg in segs
+                for delta in (seg.deltas.start - 1, seg.deltas.stop) if (lam, u, delta) not in page.ladders]
+    assert off_page
+    for stage in page.stages:
+        d = StageMap(page, stage)
+        hits = 0
+        for lad in page.ladders.values():
+            for h in range(lad.h_lo, lad.h_cap):
+                cls = _class(lad, h)
+                got = d.on_class(cls)
+                assert got == reference_on_class(d, cls), (stage, cls)
+                hits += got is not None
+        assert hits, stage
+        for lam, u, delta in off_page:
+            cls = (delta, 0, lam, u)
+            for on_class in (d.on_class, lambda c: reference_on_class(d, c)):
+                with pytest.raises(InputError, match=re.escape(f"class {cls} lies on no ladder of the page")):
+                    on_class(cls)
+
+
 def test_stage_order_enforced():
     page = SSPage(CTX3, 2, 0, Variant.HFP, (0, 10), v1_cutoff=2)
     with pytest.raises(StateError):
@@ -308,9 +345,9 @@ def test_resource_guard_dense(monkeypatch):
     made = []
 
     class CountingMonomial(Monomial):
-        def __post_init__(self):
-            made.append(self)
-            super().__post_init__()
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
 
     def no_basis(*args):
         raise AssertionError("a basis entry was made")
