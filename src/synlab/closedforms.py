@@ -190,47 +190,45 @@ def _tilt(ctx: PrimeContext, n: int, ell: int, j: int) -> int:
     return p**n * ell * (p - 1) - p * j
 
 
+# tag -> (sort block, geo start): A/B/F are the lambda^e mu^j chains of a
+# level n, C the t^i l1 u^e classes, D/E/G the mu^j l1 u^e chains of an r
+_KINDS = {FamilyTag.A: (0, 0), FamilyTag.B: (0, 0), FamilyTag.F: (0, 0), FamilyTag.C: (1, None),
+          FamilyTag.D: (2, 1), FamilyTag.E: (2, 1), FamilyTag.G: (2, 1)}
+
+
 def family_torsion(tag: FamilyTag, ctx: PrimeContext, n: int, ell: int, r: int | None, index: int, trunc=TRUNC_INF) -> int:
-    """Exact v1-torsion order of one family generator, after truncation."""
+    """Exact v1-torsion order of one family generator, after truncation m.
+
+    The untruncated order, with geo(lo, k) = p^lo + ... + p^k, (lo, k) =
+    (0, n) for A/B/F and (1, r) for D/E/G, and i_t = _tilt(index):
+
+        C           p - index
+        A, D, F, G  geo(lo, k)
+        B, E        geo(lo, k) + p^(k+1) - i_t, for 0 <= i_t < p^(k+1);
+                    at i_t = 0 with l = 1, the delta chain's
+                    geo(lo, n+1) + p^(n+1)
+
+    A truncation m >= n changes only B/E: m = n leaves geo(lo, k), m = n+1
+    caps the untruncated order at geo(lo, n+1).  An m < n refuses, and so
+    does a B/E index outside its range.
+    """
+    if trunc < n:
+        raise InputError(f"family at level {n} does not survive truncation at {trunc}")
     p = ctx.p
-    tag = FamilyTag(tag)
-    m = trunc
-    if m != TRUNC_INF and m < n:
-        raise InputError(f"family at level {n} does not survive truncation at {m}")
-    if tag is FamilyTag.A:
-        return geo(p, 0, n)
     if tag is FamilyTag.C:
         return p - index
-    if tag is FamilyTag.D:
-        return geo(p, 1, r)
-    if tag is FamilyTag.F:
-        return geo(p, 0, n)
-    if tag is FamilyTag.G:
-        return geo(p, 1, r)
+    lo = _KINDS[tag][1]
+    k = r if lo else n
+    base = geo(p, lo, k)
+    if tag is not FamilyTag.B and tag is not FamilyTag.E:
+        return base
     i_t = _tilt(ctx, n, ell, index)
-    if tag is FamilyTag.B:
-        if not 0 <= i_t < p ** (n + 1):
-            raise InputError("index outside the B range")
-        full = geo(p, 0, n) + (p ** (n + 1) - i_t)
-        if i_t == 0 and ell == 1:
-            full = geo(p, 0, n + 1) + p ** (n + 1)
-        if m == n:
-            return geo(p, 0, n)
-        if m == n + 1:
-            return min(full, geo(p, 0, n + 1))
-        return full
-    if tag is FamilyTag.E:
-        if not 0 <= i_t < p ** (r + 1):
-            raise InputError("index outside the E range")
-        full = geo(p, 1, r) + (p ** (r + 1) - i_t)
-        if i_t == 0 and ell == 1:
-            full = geo(p, 1, n + 1) + p ** (n + 1)
-        if m == n:
-            return geo(p, 1, r)
-        if m == n + 1:
-            return min(full, geo(p, 1, n + 1))
-        return full
-    raise InputError(f"unknown tag {tag}")
+    if not 0 <= i_t < p ** (k + 1):
+        raise InputError(f"index outside the {tag.value} range")
+    if trunc == n:
+        return base
+    full = geo(p, lo, n + 1) + p ** (n + 1) if i_t == 0 and ell == 1 else base + p ** (k + 1) - i_t
+    return min(full, geo(p, lo, n + 1)) if trunc == n + 1 else full
 
 
 class Progression(NamedTuple):
@@ -386,9 +384,6 @@ def _level_progressions(ctx: PrimeContext, ell: int, n: int, trunc, hi: int) -> 
     return out
 
 
-_BLOCK = {FamilyTag.A: 0, FamilyTag.B: 0, FamilyTag.F: 0, FamilyTag.C: 1, FamilyTag.D: 2, FamilyTag.E: 2, FamilyTag.G: 2}
-
-
 def enumerate_families(ctx: PrimeContext, ell: int, trunc=TRUNC_INF, window=(0, 200)) -> list:
     """All family elements with bidegree in the window, by level, then
     A/B/F, C, D/E/G, then r, e and index ascending.
@@ -407,7 +402,7 @@ def enumerate_families(ctx: PrimeContext, ell: int, trunc=TRUNC_INF, window=(0, 
                 torsion = family_torsion(prog.tag, ctx, prog.n, ell, prog.r, j, trunc)
                 out.append(FamilyElement(prog.tag, prog.n, ell, prog.r, j, prog.e, prog.components(j), torsion,
                                          Bidegree(d, prog.line)))
-    out.sort(key=lambda el: (el.n, _BLOCK[el.tag], el.r or 0, el.e, el.index))
+    out.sort(key=lambda el: (el.n, _KINDS[el.tag][0], el.r or 0, el.e, el.index))
     return out
 
 

@@ -480,14 +480,12 @@ class StageMap:
         class with p-valuation of (t - mu + twist) strictly below the stage
         index was already consumed at an earlier stage; it can only be
         queried here through a class on which the induced differential
-        vanishes, so the map returns None there as well.  A class whose
-        ladder is not modeled on the page raises InputError.
+        vanishes, so the map returns None there as well.  Every source of
+        the map lies on the page, so a class off the page gets None too.
         """
         t, mu, lam, u = cls
         im = self._images.get((lam, u, t - mu))
-        if im is None:  # every source of the map lies on the page
-            if self.page._segment_of(lam, u, t - mu) is None:
-                raise InputError(f"class {cls} lies on no ladder of the page")
+        if im is None:
             return None
         coeff, (tlam, tu) = im
         dt, dmu = self._jump
@@ -727,11 +725,10 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
         new_numerators = {}
         for bid, nvecs in numerators.items():
             tgt_bid = (bid[0] - 1, bid[1] + 1)
-            tgt_dim = len(basis.get(tgt_bid, ()))
-            if tgt_dim == 0 or not nvecs:
+            if not basis.get(tgt_bid) or not nvecs:
                 new_numerators[bid] = list(nvecs)
             else:
-                new_numerators[bid] = _stage_kernel(p, nvecs, [image_vec(bid, v) for v in nvecs], boundaries[tgt_bid], tgt_dim)
+                new_numerators[bid] = _stage_kernel(p, nvecs, [image_vec(bid, v) for v in nvecs], boundaries[tgt_bid])
         numerators = new_numerators
 
     def v1_shift(bid, vec):
@@ -781,11 +778,11 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
     return CyclicDecomposition(gens)
 
 
-def _stage_kernel(p: int, nvecs: list, images: list, bspan, tgt_dim: int) -> list:
+def _stage_kernel(p: int, nvecs: list, images: list, bspan) -> list:
     """The combinations of nvecs whose images vanish modulo bspan, one per
     free column of the images reduced modulo bspan, in column order; the
     images join bspan in the same pass (VectorSpan.extend), so each is
-    eliminated once.  tgt_dim is bspan's dimension.
+    eliminated once.
 
     A column whose image is zero modulo bspan is free with its own unit
     vector as kernel vector, so its numerator passes through as it is.

@@ -406,12 +406,11 @@ class TrOracle:
                 r = max(hfp[cls[0]].bounded_top(cls, key[0], top) for cls, _hs, top in (cols[j] for j in vec))
                 free = cols[max(vec)][0]
                 label = f"ker:L{free[0]}:{self.pages.monomial(free)}@{key[0]},{key[1]}"
-                out.append((Generator(label, Bidegree(*key), r), key, vec))
+                out.append(Generator(label, Bidegree(*key), r))
         return out
 
     def decomposition(self) -> CyclicDecomposition:
-        gens = [g for g, _k, _v in self.generators()]
-        return CyclicDecomposition(gens)
+        return CyclicDecomposition(self.generators())
 
     # -- checks -------------------------------------------------------------
 

@@ -21,6 +21,8 @@ JOB_IDS = (
     "cli tc --p 3 --n 4 --k 1 --deg-max 60 --deg-min -2 --format json",
     # a deg-600 headline table, the closed table with the most wall time
     "cli tc --p 2 --n 5 --k 4 --deg-max 600 --deg-min -2 --format csv",
+    # the deg-600 headline table whose closed route reaches the p=7 D/E/G families
+    "cli syntomic --p 7 --n 3 --k 1 --deg-max 600 --deg-min -2 --format json",
     "cli einf --p 5 --n 2 --ell 2 --variant tate --deg-max 900 --mode closed --deg-min -900 --format json",
     # the truncated closed tally behind `tr --m`
     "cli tr --p 2 --ell 1 --m 3 --deg-max 900 --mode closed --deg-min -2 --format json",

@@ -1,13 +1,14 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synlab.closedforms import (
     TRUNC_INF,
     FamilyTag,
     Progression,
+    _tilt,
     einf_closed,
     enumerate_families,
     family_count,
@@ -17,7 +18,7 @@ from synlab.closedforms import (
 )
 from synlab import closedforms
 from synlab.errors import InputError, ResourceError
-from synlab.graded import Monomial, PrimeContext, orbit_dims, orbit_stems, vp
+from synlab.graded import Monomial, PrimeContext, geo, orbit_dims, orbit_stems, vp
 from synlab.nygaard import Variant
 
 CTX3 = PrimeContext(3)
@@ -139,6 +140,105 @@ def test_family_torsion_values():
     assert family_torsion(FamilyTag.B, CTX3, 2, 1, None, 6, trunc=3) == 40
     with pytest.raises(InputError):
         family_torsion(FamilyTag.A, CTX3, 2, 1, None, 0, trunc=1)
+
+
+def reference_family_torsion(tag: FamilyTag, ctx: PrimeContext, n: int, ell: int, r: int | None, index: int, trunc=TRUNC_INF) -> int:
+    """closedforms.family_torsion as it read branch by branch, one per tag."""
+    p = ctx.p
+    tag = FamilyTag(tag)
+    m = trunc
+    if m != TRUNC_INF and m < n:
+        raise InputError(f"family at level {n} does not survive truncation at {m}")
+    if tag is FamilyTag.A:
+        return geo(p, 0, n)
+    if tag is FamilyTag.C:
+        return p - index
+    if tag is FamilyTag.D:
+        return geo(p, 1, r)
+    if tag is FamilyTag.F:
+        return geo(p, 0, n)
+    if tag is FamilyTag.G:
+        return geo(p, 1, r)
+    i_t = _tilt(ctx, n, ell, index)
+    if tag is FamilyTag.B:
+        if not 0 <= i_t < p ** (n + 1):
+            raise InputError("index outside the B range")
+        full = geo(p, 0, n) + (p ** (n + 1) - i_t)
+        if i_t == 0 and ell == 1:
+            full = geo(p, 0, n + 1) + p ** (n + 1)
+        if m == n:
+            return geo(p, 0, n)
+        if m == n + 1:
+            return min(full, geo(p, 0, n + 1))
+        return full
+    if tag is FamilyTag.E:
+        if not 0 <= i_t < p ** (r + 1):
+            raise InputError("index outside the E range")
+        full = geo(p, 1, r) + (p ** (r + 1) - i_t)
+        if i_t == 0 and ell == 1:
+            full = geo(p, 1, n + 1) + p ** (n + 1)
+        if m == n:
+            return geo(p, 1, r)
+        if m == n + 1:
+            return min(full, geo(p, 1, n + 1))
+        return full
+    raise InputError(f"unknown tag {tag}")
+
+
+@st.composite
+def family_inputs(draw):
+    """(tag, ctx, n, ell, r, index, trunc) over p in {2, 3, 5, 7}, levels
+    0..3, twists 1..5 and truncations TRUNC_INF, n-1..n+2: C indices 1..p-1,
+    B/E indices whose tilt runs past either end of the range, and
+    any index for A/D/F/G."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    ctx = PrimeContext(p)
+    tag = draw(st.sampled_from(list(FamilyTag)))
+    mu_lu = tag in (FamilyTag.D, FamilyTag.E, FamilyTag.G)
+    n = draw(st.integers(1 if mu_lu else 0, 3))
+    ell = draw(st.integers(1, 5))
+    r = draw(st.integers(1, n)) if mu_lu else None
+    trunc = draw(st.sampled_from((TRUNC_INF, n - 1, n, n + 1, n + 2)))
+    if tag is FamilyTag.C:
+        index = draw(st.integers(1, p - 1))
+    elif tag in (FamilyTag.B, FamilyTag.E):
+        k = n if tag is FamilyTag.B else r
+        top = _tilt(ctx, n, ell, 0) // p  # the largest index with tilt >= 0
+        index = draw(st.integers(top - p**k - 1, top + 2))
+    else:
+        index = draw(st.integers(0, 60))
+    return tag, ctx, n, ell, r, index, trunc
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+# the delta chains (tilt 0 at twist 1): B at p | n+1, E at r = n with p not | n+1
+DELTA_CHAINS = [(FamilyTag.B, CTX3, 2, 1, None, 6), (FamilyTag.B, PrimeContext(2), 1, 1, None, 1),
+                (FamilyTag.E, CTX3, 1, 1, 1, 2), (FamilyTag.E, CTX5, 2, 1, 2, 20)]
+
+
+@settings(max_examples=1500, derandomize=True)
+@given(family_inputs())
+@example((FamilyTag.E, CTX3, 2, 2, 1, 11, 3))  # a tilted E at r < n, cut at n+1
+@example((FamilyTag.B, CTX5, 1, 2, None, 7, 1))  # a tilted B cut at n
+@example((FamilyTag.B, CTX3, 1, 1, None, 3, 2))  # a B index past the range
+@example((FamilyTag.E, CTX3, 3, 1, 2, 60, 4))  # an E index past the range
+@example((FamilyTag.A, CTX3, 2, 1, None, 0, 1))  # below the truncation
+def test_family_torsion_equals_the_tag_by_tag_reference(draw):
+    assert _outcome(family_torsion, *draw) == _outcome(reference_family_torsion, *draw), draw
+
+
+@pytest.mark.parametrize("chain", DELTA_CHAINS, ids=lambda c: f"{c[0].value}-p{c[1].p}-n{c[2]}")
+def test_family_torsion_of_the_delta_chains_equals_the_reference(chain):
+    tag, ctx, n, ell, r, index = chain
+    assert _tilt(ctx, n, ell, index) == 0
+    for trunc in (TRUNC_INF, n, n + 1, n + 2):
+        assert family_torsion(*chain, trunc) == reference_family_torsion(*chain, trunc), trunc
 
 
 def test_components_share_bidegree_and_leading_disjoint():
