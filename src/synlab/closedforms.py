@@ -45,7 +45,7 @@ from itertools import count, repeat
 from typing import NamedTuple
 
 from .errors import InputError, ResourceError
-from .graded import Bidegree, Monomial, PrimeContext, geo, monomial_stem, orbit_dims
+from .graded import Bidegree, Monomial, PrimeContext, geo, monomial_stem, orbit_dims, range_len
 from .nygaard import Variant
 
 #: Truncation sentinel: the untruncated (inverse limit) module.
@@ -154,7 +154,7 @@ def einf_closed(ctx: PrimeContext, n: int, ell: int, variant: Variant, window) -
                 j_min = -((base - lo) // (2 * p))
                 j_range = residue_range(max(j_min, 0) if hfp else j_min, (hi - base) // (2 * p), res + cong, step)
             sides.append((base, lam - u, i_range, j_range, step, t_torsion, mu_torsion))
-    if sum(len(i_range) + len(j_range) for _base, _line, i_range, j_range, *_rest in sides) > MAX_EINF_GENERATORS:
+    if sum(range_len(i) + range_len(j) for _base, _line, i, j, *_rest in sides) > MAX_EINF_GENERATORS:
         raise ResourceError(f"stems {lo}..{hi} need more than {MAX_EINF_GENERATORS} E-infinity generators; narrow the window")
     out: Counter = Counter()
     for base, line, i_range, j_range, step, t_torsion, mu_torsion in sides:

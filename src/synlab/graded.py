@@ -36,16 +36,10 @@ def geo(p: int, lo: int, hi: int) -> int:
     return (p ** (hi + 1) - p**lo) // (p - 1)
 
 
-def vp(p: int, m: int):
-    """p-adic valuation; vp(0) is +infinity."""
-    if m == 0:
-        return math.inf
-    m = abs(m)
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
+def range_len(r: range) -> int:
+    """len(r) for a step > 0, by arithmetic: len() raises OverflowError on
+    a range longer than sys.maxsize."""
+    return max(0, -((r.start - r.stop) // r.step))
 
 
 class PrimeContext(NamedTuple("PrimeContext", [("p", int)])):

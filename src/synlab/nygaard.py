@@ -81,6 +81,7 @@ from .graded import (
     Monomial,
     PrimeContext,
     geo,
+    range_len,
 )
 
 # A ladder costs 16 bytes in its segment's two array('q') columns, so the
@@ -265,7 +266,7 @@ class SSPage:
         self.hi_pad = hi + 2 * self.v1_cutoff * p
         self._twist_coeff = -ell * n * (p - 1) * p ** (n - 1) if n >= 1 else 0
         self.segments = {(e1, e2): self._side_segments(e1, e2) for e1 in (0, 1) for e2 in (0, 1)}
-        self.ladder_count = sum(len(seg.deltas) for seg in self._all_segments())
+        self.ladder_count = sum(range_len(seg.deltas) for seg in self._all_segments())
         if self.ladder_count > MAX_LADDERS:
             raise ResourceError(f"page needs more than {MAX_LADDERS} ladders; shrink the window or cutoff")
 
@@ -294,7 +295,7 @@ class SSPage:
                 (range(mu_deltas.start, min(mu_deltas.stop, 0)), 0, -1, -2 * p),
                 (range(max(t_deltas.start, 0), t_deltas.stop), 1, 0, -2),
             )
-        return tuple(Segment(e1, e2, deltas, a, b, s, K) for deltas, a, b, s in sides if len(deltas))
+        return tuple(Segment(e1, e2, deltas, a, b, s, K) for deltas, a, b, s in sides if deltas)
 
     def _all_segments(self):
         """Every segment, in key order."""

@@ -40,13 +40,16 @@ oracle run checks that gr(phi - can) is onto the Tate piece at every
 (stem, line, s) of the window (the rank there is the number of Tate
 classes alive) and that no kernel bar is born above its orbit's bottom
 (v1 is onto the kernel).  Together they collapse the abutment filtration
-to the v1-adic one.
+to the v1-adic one.  The generators and both checks come from one walk
+over the orbit keys, ascending, which reduces each key's base matrix
+once; so the first fault in key order is the one raised.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
+from functools import cached_property
 from typing import NamedTuple
 
 from . import fplinalg
@@ -308,8 +311,6 @@ class TrOracle:
         self.pages = PageSet(ctx, ell, self.top, (min(lo, 0), hi + 1), tors_bound)
         self._cols: dict = {}  # orbit key -> [(class, heights, top)], by (top, class)
         self._rows: dict = {}  # orbit key -> [(class, heights, top)], by class
-        self._bases: dict = {}  # orbit key -> (matrix entries, sorted rank lives)
-        self._kernels: dict = {}
         self._assemble()
 
     # -- basis assembly ---------------------------------------------------
@@ -332,8 +333,10 @@ class TrOracle:
         """(entries, lives, kernel) of the base matrix of phi - can at an
         orbit key: {(row, column): residue}; the sorted heights below which
         each unit of rank lives, so the piece at height s has rank
-        #{life > s}; and, for a matrix with at most one entry per row and
-        per column, its kernel basis (else None, and kernel reduces it).
+        #{life > s}; and its kernel basis, one vector per free column, whose
+        free column is its largest index and the latest to die.  A matrix
+        with at most one entry per row and per column has its lives and
+        kernel read off its entries; any other is eliminated.
 
         Every can/phi image of a column must be a Tate row, alive as long
         as on its page.  The images are named by can_image and phi_image
@@ -342,8 +345,6 @@ class TrOracle:
         still alive where its row stops below the column, a missing row
         stopping at the bottom.
         """
-        if key in self._bases:
-            return self._bases[key]
         p, pages, top = self.ctx.p, self.pages, self.top
         cols = self._cols.get(key, [])
         rows = self._rows.get(key, [])
@@ -365,9 +366,9 @@ class TrOracle:
         col_stops = [hs.stop for _c, hs, _t in cols]
         found = _partial_permutation(entries, row_stops, col_stops)
         if found is None:
-            found = _echelon_lives(p, entries, row_stops, col_stops), None
-        self._bases[key] = (entries, *found)
-        return self._bases[key]
+            found = (_echelon_lives(p, entries, row_stops, col_stops),
+                     fplinalg.kernel_basis(fplinalg.FpMatrix(p, len(rows), len(cols), entries)))
+        return (entries, *found)
 
     def matrix(self, key) -> fplinalg.FpMatrix:
         """phi - can on the base classes of an orbit key (base stem, line).
@@ -378,15 +379,50 @@ class TrOracle:
 
     def kernel(self, key):
         """Kernel basis of matrix(key), one vector per free column; its
-        free column is its largest index, and the latest to die.  A matrix
-        with at most one entry per row and per column has it from _base;
-        any other is reduced by fplinalg.kernel_basis."""
-        if key not in self._kernels:
-            found = self._base(key)[2]
-            self._kernels[key] = fplinalg.kernel_basis(self.matrix(key)) if found is None else found
-        return self._kernels[key]
+        free column is its largest index, and the latest to die."""
+        return self._base(key)[2]
 
-    # -- structure extraction ----------------------------------------------
+    # -- structure extraction and checks, in one walk ----------------------
+
+    @cached_property
+    def _walk(self) -> tuple:
+        """(generators, surjectivity report, v1 failures) from one visit of
+        each orbit key with a height in the window, keys ascending, and one
+        _base call per visit; the first reader runs it."""
+        q, window, hfp = self.ctx.q, self.window, self.pages.hfp
+        gens, v1_failures, rep = [], [], SurjectivityReport()
+        for key in sorted(self._cols.keys() | self._rows.keys()):
+            cols, rows = self._cols.get(key, ()), self._rows.get(key, ())
+            col_ends = [hs.stop for _c, hs, _t in cols]
+            row_ends = sorted(hs.stop for _c, hs, _t in rows)
+            col_hs = orbit_heights(q, key[0], col_ends[-1] if cols else 0, window)
+            row_hs = orbit_heights(q, key[0], row_ends[-1] if rows else 0, window)
+            if not (col_hs or row_hs):
+                continue
+            _entries, lives, kernel = self._base(key)
+            carried = []
+            if col_hs and col_hs.start == 0:  # the base stem is in the window
+                for vec in kernel:
+                    r = max(hfp[cls[0]].bounded_top(cls, key[0], top) for cls, _hs, top in (cols[j] for j in vec))
+                    free = cols[max(vec)][0]
+                    label = f"ker:L{free[0]}:{self.pages.monomial(free)}@{key[0]},{key[1]}"
+                    gens.append(Generator(label, Bidegree(*key), r))
+                    carried.append(col_ends[max(vec)])
+                carried.sort()
+                col_hs = col_hs[1:]
+            for s in col_hs:
+                kdim, up = _count_above(col_ends, s) - _count_above(lives, s), _count_above(carried, s)
+                if kdim > up:
+                    v1_failures.append(((key[0] + s * q, key[1], s), kdim, up))
+            for s in row_hs:
+                piece = (key[0] + s * q, key[1], s)
+                n_rows, rank = _count_above(row_ends, s), _count_above(lives, s)
+                rep.pieces_checked += 1
+                rep.margins[piece] = _count_above(col_ends, s) - n_rows
+                if rank < n_rows:
+                    rep.failures.append((piece, n_rows, rank))
+        rep.failures.sort()
+        return gens, rep, sorted(v1_failures)
 
     def generators(self) -> list:
         """Kernel generators: the height-0 kernel basis of each orbit key in
@@ -397,22 +433,15 @@ class TrOracle:
         the modeled boundary raises, as EInfResult.life does.  The columns
         are ordered by life, so that is the top of the free column, and no
         basis of the kernel has smaller torsions."""
-        out = []
-        lo, hi = self.window
-        hfp = self.pages.hfp
-        for key in sorted(k for k in self._cols if lo <= k[0] <= hi):
-            cols = self._cols[key]
-            for vec in self.kernel(key):
-                r = max(hfp[cls[0]].bounded_top(cls, key[0], top) for cls, _hs, top in (cols[j] for j in vec))
-                free = cols[max(vec)][0]
-                label = f"ker:L{free[0]}:{self.pages.monomial(free)}@{key[0]},{key[1]}"
-                out.append(Generator(label, Bidegree(*key), r))
-        return out
+        return self._walk[0]
 
     def decomposition(self) -> CyclicDecomposition:
         return CyclicDecomposition(self.generators())
 
-    # -- checks -------------------------------------------------------------
+    def surjectivity_report(self) -> SurjectivityReport:
+        """gr(phi - can) onto the Tate piece at every (stem, line, s) of the
+        window: the rank there is the number of Tate rows alive."""
+        return self._walk[1]
 
     def check_v1_surjectivity(self) -> list:
         """[((stem, line, s), kernel dim, carried dim)] over the pieces of
@@ -423,47 +452,7 @@ class TrOracle:
         born above height 0 (all of it where the orbits reach the window
         from below).
         """
-        failures = []
-        q = self.ctx.q
-        for key, cols in self._cols.items():
-            ends = [hs.stop for _c, hs, _t in cols]
-            heights = orbit_heights(q, key[0], ends[-1], self.window)
-            if not heights:
-                continue
-            carried = []
-            if heights.start == 0:
-                carried = sorted(ends[max(vec)] for vec in self.kernel(key))
-                heights = heights[1:]
-            lives = self._base(key)[1]
-            for s in heights:
-                kdim = _count_above(ends, s) - _count_above(lives, s)
-                up = _count_above(carried, s)
-                if kdim > up:
-                    failures.append(((key[0] + s * q, key[1], s), kdim, up))
-        return sorted(failures)
-
-    def surjectivity_report(self) -> SurjectivityReport:
-        """gr(phi - can) onto the Tate piece at every (stem, line, s) of the
-        window: the rank there is the number of Tate rows alive."""
-        rep = SurjectivityReport()
-        q = self.ctx.q
-        for key, rows in self._rows.items():
-            ends = sorted(hs.stop for _c, hs, _t in rows)
-            heights = orbit_heights(q, key[0], ends[-1], self.window)
-            if not heights:
-                continue
-            col_ends = [hs.stop for _c, hs, _t in self._cols.get(key, ())]
-            lives = self._base(key)[1]
-            for s in heights:
-                piece = (key[0] + s * q, key[1], s)
-                n_rows = _count_above(ends, s)
-                rep.pieces_checked += 1
-                rep.margins[piece] = _count_above(col_ends, s) - n_rows
-                rank = _count_above(lives, s)
-                if rank < n_rows:
-                    rep.failures.append((piece, n_rows, rank))
-        rep.failures.sort()
-        return rep
+        return self._walk[2]
 
 
 def tr_gr_module(

@@ -316,6 +316,21 @@ def test_size_guard_exits_two(capsys, monkeypatch):
     assert code == 2 and out == "" and "Traceback" not in err
 
 
+# each page or closed count holds a range longer than sys.maxsize, whose
+# len() raises OverflowError; the guards count ranges by arithmetic
+@pytest.mark.parametrize("argv, cap", [
+    ("einf --p 3 --n 40 --ell 1 --deg-max 10", f"{nygaard.MAX_LADDERS} ladders"),
+    ("einf --p 3 --n 40 --ell 1 --deg-max 10 --mode oracle", f"{nygaard.MAX_LADDERS} ladders"),
+    ("einf --p 3 --n 40 --ell 1 --deg-max 10 --mode closed", f"{closedforms.MAX_EINF_GENERATORS} E-infinity generators"),
+    ("einf --p 2 --n 70 --ell 1 --deg-max 10 --mode both", f"{nygaard.MAX_LADDERS} ladders"),
+    ("tr --p 3 --ell 1 --m 39 --deg-max 10 --mode oracle", f"{nygaard.MAX_LADDERS} ladders"),
+], ids=["einf-p3-both", "einf-p3-oracle", "einf-p3-closed", "einf-p2-both", "tr-oracle"])
+def test_a_size_past_sys_maxsize_exits_two(capsys, argv, cap):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"more than {cap}" in err
+
+
 @pytest.mark.parametrize("command", ["syntomic", "tc", "ktheory"])
 def test_closed_size_guard_exits_two(capsys, monkeypatch, command):
     def no_twist(*args, **kwargs):

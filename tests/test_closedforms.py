@@ -18,8 +18,9 @@ from synlab.closedforms import (
 )
 from synlab import closedforms
 from synlab.errors import InputError, ResourceError
-from synlab.graded import Monomial, PrimeContext, geo, orbit_dims, orbit_stems, vp
+from synlab.graded import Monomial, PrimeContext, geo, orbit_dims, orbit_stems
 from synlab.nygaard import Variant
+from test_graded import vp
 
 CTX3 = PrimeContext(3)
 CTX5 = PrimeContext(5)

@@ -1,5 +1,7 @@
 import json
+import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,11 +20,24 @@ from synlab.graded import (
     geo,
     orbit_heights,
     orbit_stems,
-    vp,
+    range_len,
 )
 
 
 CTX3 = PrimeContext(3)
+
+
+def vp(p: int, m: int):
+    """p-adic valuation; vp(0) is +infinity.  The reference valuation of
+    the page and family tests."""
+    if m == 0:
+        return math.inf
+    m = abs(m)
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
 
 
 def test_geo_empty_sum_conventions():
@@ -43,6 +58,18 @@ def test_geo_closed_form_is_the_sum(p):
 def test_vp():
     assert vp(3, 18) == 2 and vp(3, -18) == 2 and vp(3, 1) == 0
     assert vp(3, 0) == float("inf")
+
+
+@given(st.integers(-30, 30), st.integers(-30, 30), st.integers(1, 7))
+def test_range_len_is_len(start, stop, step):
+    assert range_len(range(start, stop, step)) == len(range(start, stop, step))
+
+
+def test_range_len_past_sys_maxsize():
+    r = range(-(3**41), 10, 2)
+    with pytest.raises(OverflowError):
+        len(r)
+    assert range_len(r) == (3**41 + 11) // 2 > sys.maxsize
 
 
 def test_generator_bidegrees():

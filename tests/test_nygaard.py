@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from synlab import fplinalg, nygaard, verify
 from synlab.errors import InputError, InvariantError, ResourceError, StateError
 from synlab.fplinalg import VectorSpan, _residues, kernel_basis
-from synlab.graded import Monomial, PrimeContext, geo, vp
+from synlab.graded import Monomial, PrimeContext, geo
 from synlab.nygaard import (
     EInfResult,
     SSPage,
@@ -21,6 +21,7 @@ from synlab.nygaard import (
     run_to_einf,
     run_to_einf_dense,
 )
+from test_graded import vp
 from test_trkernel import iter_alive
 
 CTX3 = PrimeContext(3)

@@ -282,6 +282,22 @@ def test_surjectivity_report():
     assert vac.all_surjective and vac.pieces_checked == 0
 
 
+@pytest.mark.parametrize("p, m, window", [(3, 2, (0, 60)), (2, TRUNC_INF, (-4, 80))], ids=["m2", "m-inf"])
+def test_every_orbit_key_is_reduced_once(monkeypatch, p, m, window):
+    # generators, both surjectivity checks and their failures come from one
+    # walk, which builds each key's base matrix once
+    calls = Counter()
+    base = TrOracle._base
+
+    def counting_base(oracle, key):
+        calls[key] += 1
+        return base(oracle, key)
+
+    monkeypatch.setattr(TrOracle, "_base", counting_base)
+    tr_gr_module(PrimeContext(p), 1, m, window, mode="oracle")
+    assert calls and max(calls.values()) == 1
+
+
 TR_DRAWS = st.tuples(
     st.sampled_from((2, 3, 5, 7)),
     st.integers(0, 5),
@@ -475,6 +491,29 @@ def test_every_tr_check_fires(mutant, monkeypatch, capsys):
     code = main(["tr", "--p", "3", "--ell", "1", "--m", "2", "--deg-max", "40", "--mode", "oracle"])
     out = capsys.readouterr()
     assert code == 3 and out.out == "" and out.err.startswith("verification failure: ")
+
+
+def test_a_tate_only_class_lists_its_one_piece(tate_only_class):
+    oracle = TrOracle(CTX3, 1, 2, (0, 40))
+    rep = oracle.surjectivity_report()
+    assert (rep.failures, rep.pieces_checked) == ([((1, 1, 0), 2, 1)], 59)
+    assert oracle.check_v1_surjectivity() == []
+
+
+def test_a_late_kernel_bar_lists_every_piece_it_reaches(monkeypatch):
+    # each failing piece is (stem, line, s) with its kernel dim and the dim
+    # v1 carries up from height 0; v1 is tested from the orbit's bottom
+    _end_the_tate_classes_at_height_one(monkeypatch)
+    oracle = TrOracle(CTX3, 1, 2, (0, 40))
+    rep = oracle.surjectivity_report()
+    assert (rep.failures, rep.pieces_checked) == ([], 27)
+    one = [(0, 0, 2), (1, 1, 2), (2, 0, 2), (3, 1, 1), (6, 0, 3), (7, 1, 2), (8, 0, 1), (9, 1, 1), (11, 1, 3),
+           (12, 0, 2), (13, 1, 2), (34, 0, 1), (38, 0, 2)]
+    two = [(14, 0, 1), (15, 1, 1), (16, 0, 1), (18, 0, 2), (19, 1, 2), (20, 0, 2), (21, 1, 1), (24, 0, 3),
+           (25, 1, 2), (26, 0, 1), (27, 1, 1), (29, 1, 3), (30, 0, 2), (31, 1, 2), (32, 0, 1), (33, 1, 1),
+           (36, 0, 2), (37, 1, 2), (39, 1, 1)]
+    want = sorted([(piece, 1, 0) for piece in one] + [(piece, 2, 1) for piece in two])
+    assert len(want) == 32 and oracle.check_v1_surjectivity() == want
 
 
 def test_a_tate_only_class_fails_every_oracle_run(tate_only_class, capsys):
