@@ -49,35 +49,30 @@ def _common_flags(sp, mode_default: str, with_nk=False):
     sp.add_argument("--mode", choices=MODES, default=mode_default)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="synlab", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("einf", help="E-infinity page of one twisted Nygaard spectral sequence")
+def _einf_flags(sp) -> None:
     _common_flags(sp, "both")
     sp.add_argument("--v1-cutoff", type=int, default=None)
     sp.add_argument("--n", type=int, required=True, help="level of the C_(p^n) construction")
     sp.add_argument("--ell", type=int, required=True, help="twist")
     sp.add_argument("--variant", choices=("hfp", "tate", "muinv"), default="hfp")
 
-    sp = sub.add_parser("tr", help="gr TR(Z_p; Sigma^(2l) Z_p)/p dimension table")
+
+def _tr_flags(sp) -> None:
     _common_flags(sp, "both")
     sp.add_argument("--ell", type=int, required=True, help="twist (prime to p)")
     sp.add_argument("--m", type=int, default=None, help="truncation level (omitted: untruncated)")
 
-    for name, help_text in (
-        ("syntomic", "mod (p, v1^k) syntomic cohomology table of Z/p^n"),
-        ("tc", "pi_* TC(Z/p^n)/(p, v1^k) dimension table"),
-        ("ktheory", "pi_* K(Z/p^n)/(p, v1^k) dimension table"),
-    ):
-        sp = sub.add_parser(name, help=help_text)
-        _common_flags(sp, "closed", with_nk=True)
 
-    sp = sub.add_parser("betti-bound", help="p-power truncation depth for mod p Betti numbers")
+def _assembly_flags(sp) -> None:
+    _common_flags(sp, "closed", with_nk=True)
+
+
+def _betti_flags(sp) -> None:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--d", type=int, required=True, help="affine cohomological dimension")
 
-    sp = sub.add_parser("verify", help="run a cross-verification suite")
+
+def _verify_flags(sp) -> None:
     sp.add_argument("--suite", choices=SUITE_NAMES + ("all",), required=True)
     sp.add_argument("--p", type=int, action="append", default=None, help="restrict to this prime (repeatable)")
     sp.add_argument("--n-max", type=int, default=None)
@@ -86,7 +81,49 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m-max", type=int, default=None)
     sp.add_argument("--double-cutoff", action="store_true", help="also run the cutoff-doubling stability half of AC9")
     sp.add_argument("--out", type=str, default=None)
+
+
+# name -> (help, flags builder), in the order the top-level usage lists them.
+# A command line is parsed by its command's parser alone; the full parser,
+# built from the same table, answers a top-level -h and every line that
+# parser cannot take whole.  (The module docstring is the top-level help.)
+COMMANDS = {
+    "einf": ("E-infinity page of one twisted Nygaard spectral sequence", _einf_flags),
+    "tr": ("gr TR(Z_p; Sigma^(2l) Z_p)/p dimension table", _tr_flags),
+    "syntomic": ("mod (p, v1^k) syntomic cohomology table of Z/p^n", _assembly_flags),
+    "tc": ("pi_* TC(Z/p^n)/(p, v1^k) dimension table", _assembly_flags),
+    "ktheory": ("pi_* K(Z/p^n)/(p, v1^k) dimension table", _assembly_flags),
+    "betti-bound": ("p-power truncation depth for mod p Betti numbers", _betti_flags),
+    "verify": ("run a cross-verification suite", _verify_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or with `command` that command's parser alone: the
+    parser add_parser makes for it (prog "synlab <command>", no
+    description), so its usage, help and error text are the full
+    parser's, byte for byte."""
+    if command is not None:
+        ap = argparse.ArgumentParser(prog=f"synlab {command}")
+        COMMANDS[command][1](ap)
+        return ap
+    ap = argparse.ArgumentParser(prog="synlab", description=__doc__)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags) in COMMANDS.items():
+        add_flags(sub.add_parser(name, help=help_text))
     return ap
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """argv parsed by its command's own parser when its first word is a
+    command and nothing is left over.  Anything else (no command, an
+    unknown one, a top-level -h, arguments left over) goes to the full
+    parser, which reports it as it always has."""
+    if argv and argv[0] in COMMANDS:
+        args, extra = build_parser(argv[0]).parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _check_out(path: str) -> None:
@@ -190,8 +227,7 @@ def _cmd_verify(args) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         if getattr(args, "out", None):
             _check_out(args.out)

@@ -65,6 +65,10 @@ MAX_FAMILY_ELEMENTS = 100_000
 MAX_EINF_GENERATORS = 1_000_000
 
 
+def _einf_refusal(lo: int, hi: int) -> ResourceError:
+    return ResourceError(f"stems {lo}..{hi} need more than {MAX_EINF_GENERATORS} E-infinity generators; narrow the window")
+
+
 class FamilyTag(str, Enum):
     A = "A"
     B = "B"
@@ -155,7 +159,7 @@ def einf_closed(ctx: PrimeContext, n: int, ell: int, variant: Variant, window) -
                 j_range = residue_range(max(j_min, 0) if hfp else j_min, (hi - base) // (2 * p), res + cong, step)
             sides.append((base, lam - u, i_range, j_range, step, t_torsion, mu_torsion))
     if sum(range_len(i) + range_len(j) for _base, _line, i, j, *_rest in sides) > MAX_EINF_GENERATORS:
-        raise ResourceError(f"stems {lo}..{hi} need more than {MAX_EINF_GENERATORS} E-infinity generators; narrow the window")
+        raise _einf_refusal(lo, hi)
     out: Counter = Counter()
     for base, line, i_range, j_range, step, t_torsion, mu_torsion in sides:
         out.update((base - 2 * i, line, t_torsion + (max(0, step - i) if hfp else 0)) for i in i_range)
@@ -172,10 +176,14 @@ def einf_closed_counted(ctx: PrimeContext, n: int, ell: int, variant: Variant, w
     The page reports only v1-heights below the cutoff, and every closed
     generator is a pure monomial, so v1^j g counts for j < v1_cutoff, and
     generators down to q*(v1_cutoff - 1) stems below the window reach it,
-    the reach of EInfResult._survivors.
+    the reach of EInfResult._survivors.  A refusal names the window asked
+    for, not that reach.
     """
     lo, hi = window
-    gens = einf_closed(ctx, n, ell, variant, (lo - ctx.q * (v1_cutoff - 1), hi))
+    try:
+        gens = einf_closed(ctx, n, ell, variant, (lo - ctx.q * (v1_cutoff - 1), hi))
+    except ResourceError:
+        raise _einf_refusal(lo, hi) from None
     orbits = (((d, s, min(torsion, v1_cutoff)), mult) for (d, s, torsion), mult in gens.items())
     return orbit_dims(ctx.q, window, orbits, params), Counter({k: m for k, m in gens.items() if lo <= k[0] <= hi})
 

@@ -23,14 +23,42 @@ from typing import NamedTuple
 from .errors import InputError
 
 
+# The first thirteen primes: as Miller-Rabin bases they decide every n below
+# MR_LIMIT, the least strong pseudoprime to all of them (Sorenson and
+# Webster); the first twelve stop at 318665857834031151167461
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Whether n is prime: trial division below 2**16, the cheap path every
+    span and matrix takes; deterministic Miller-Rabin over _MR_BASES up to
+    MR_LIMIT; an InputError past it, rather than an unbounded search."""
+    if n < 1 << 16:
+        if n < 2:
             return False
-        d += 1
+        d = 2
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 1
+        return True
+    if n >= MR_LIMIT:
+        raise InputError(f"cannot decide whether {n} is prime: primality is decided only below {MR_LIMIT}")
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
     return True
 
 

@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from synlab import assembly, cache, closedforms, nygaard, trkernel
+from synlab import assembly, cache, cli, closedforms, fplinalg, nygaard, trkernel
 from synlab.cli import main
 from synlab.graded import DimTable, Generator
 
@@ -521,3 +522,92 @@ def test_einf_both_mode_names_the_first_difference(capsys, monkeypatch):
     code, out, err = run(capsys, "einf", "--p", "3", "--n", "1", "--ell", "1", "--deg-min", "-4", "--deg-max", "16")
     assert code == 3 and out == ""
     assert err == "verification failure: einf oracle and closed form disagree at ((2, 0), 1, 0)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--deg-max", "10"],
+    ["--deg-min", "-4", "--deg-max", "10"],
+])
+def test_einf_closed_refusal_names_the_window_asked_for(capsys, argv):
+    # the closed page counts generators from q*(cutoff - 1) stems below the
+    # window; the refusal names the window, not that reach
+    code, out, err = run(capsys, "einf", "--p", "3", "--n", "40", "--ell", "1", "--mode", "closed", *argv)
+    lo = argv[argv.index("--deg-min") + 1] if "--deg-min" in argv else "-2"
+    assert code == 2 and out == ""
+    assert err == f"error: stems {lo}..10 need more than {closedforms.MAX_EINF_GENERATORS} E-infinity generators; narrow the window\n"
+
+
+@pytest.mark.parametrize("p", [str(2**61 - 1), str(10**16 + 61)])
+def test_a_large_prime_is_decided_at_once(capsys, p):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "betti-bound", "--p", p, "--d", "1")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and out == "3\n" and err == ""
+
+
+def test_a_prime_past_the_decided_range_exits_two(capsys):
+    code, out, err = run(capsys, "betti-bound", "--p", str(fplinalg.MR_LIMIT), "--d", "1")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot decide whether {fplinalg.MR_LIMIT} is prime")
+
+
+VALID_LINES = [
+    "einf --p 3 --n 1 --ell 1 --deg-max 10",
+    "tr --p 3 --ell 1 --deg-max 20 --mode closed",
+    "syntomic --p 3 --n 2 --k 1 --deg-max 10",
+    "tc --p 2 --n 5 --k 4 --deg-max 600 --deg-min -2 --format json",
+    "ktheory --p 3 --n 3 --k 1 --deg-max 10 --format csv",
+    "betti-bound --p 3 --d 3",
+    "verify --suite einf --p 3 --n-max 1 --deg-max 10",
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own exits: help, usage errors
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("line", VALID_LINES + [f"{command} -h" for command in cli.COMMANDS] + [
+    "",
+    "-h",
+    "bogus --p 3",
+    "--p 3 tc",
+    "tc --p 3 --n 2 --k 1 --deg-max 10 extra more",
+    "tc --p x --n 2 --k 1 --deg-max 10",
+    "tc --p 3 --n 2 --k 1 --deg-max 10 --mode nope",
+    "tc --p 3 --n 2 --k 1",
+    "tc --p 3 --n 2 --k 1 --deg-m 10",
+    "tc --p=3 --n=2 --k 1 --deg-max=10",
+    "tc -- --p 3",
+    "tc --p 5 --p 3 --n 2 --k 1 --deg-max 10",
+    "verify --suite families --p 2 --p 3 --deg-max 6",
+    "tc --p 3 --n 2 --k 1 --deg-max 10 -h extra",
+    "einf --deg-min -6 --p 3 --n 1 --ell 1 --deg-max 10",
+])
+def test_one_command_parser_answers_as_the_full_parser(capsys, monkeypatch, line):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = line.split()
+    got = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+    assert got == _outcome(capsys, argv)
+
+
+@pytest.mark.parametrize("line", VALID_LINES, ids=[line.split()[0] for line in VALID_LINES])
+def test_a_command_runs_without_the_full_parser(capsys, monkeypatch, line):
+    code, out, err = run(capsys, *line.split())
+    assert code == 0
+    build = cli.build_parser
+
+    def one_command_only(command=None):
+        if command is None:
+            raise AssertionError("the full parser was built")
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", one_command_only)
+    assert run(capsys, *line.split()) == (code, out, err)
+    if f"cli {line}" in GOLDEN:
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[f"cli {line}"]

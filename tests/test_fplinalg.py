@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from synlab.errors import InputError
 from synlab.fplinalg import (
+    MR_LIMIT,
     FpMatrix,
     VectorSpan,
     _residues,
@@ -37,6 +39,43 @@ def test_prime_checked():
     with pytest.raises(InputError):
         FpMatrix(4, 1, 1, {})
     assert is_prime(2) and is_prime(13) and not is_prime(1) and not is_prime(9)
+
+
+def test_is_prime_agrees_with_a_sieve_below_1e5():
+    # trial division below 2**16, Miller-Rabin from there on
+    top = 10**5
+    sieve = bytearray([1]) * top
+    sieve[0] = sieve[1] = 0
+    for d in range(2, 317):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, top, d)))
+    assert [n for n in range(-3, top) if is_prime(n)] == [n for n in range(top) if sieve[n]]
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+    3825123056546413051,  # to the bases 2 through 23
+    318665857834031151167461,  # to the bases 2 through 37
+    # Carmichael numbers
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+    5394826801, 232250619601, 9746347772161, 1436697831295441, 60977817398996785,
+    (2**31 - 1) * (10**9 + 7), MR_LIMIT - 2,
+])
+def test_is_prime_refuses_strong_pseudoprimes_and_carmichael_numbers(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [65537, 2**31 - 1, 10**16 + 61, 10**18 + 3, 2**61 - 1, 3317044064679887385961813])
+def test_is_prime_decides_a_large_prime_at_once(n):
+    t0 = time.perf_counter()
+    assert is_prime(n)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_is_prime_refuses_past_the_decided_range():
+    for n in (MR_LIMIT, 2**127 - 1):
+        with pytest.raises(InputError, match=f"cannot decide whether {n} is prime"):
+            is_prime(n)
 
 
 def test_kernel_identity_trivial():
