@@ -44,17 +44,21 @@ MAX_GENERATORS = 80_000_000
 
 
 def tc_zp_dims(ctx: PrimeContext, window) -> CyclicDecomposition:
-    """gr TC(Z_p)/p: a free F_p[v1]-module on p + 3 generators."""
+    """gr TC(Z_p)/p, a free F_p[v1]-module on p + 3 generators: those with
+    stem at most the window top.  v1 raises the stem, so the orbit of a
+    generator above the top never meets the window."""
     p = ctx.p
+    hi = window[1]
     gens = [
         Generator("Zp:1", Bidegree(0, 0), TORSION_FREE),
         Generator("Zp:l1", Bidegree(2 * p - 1, 1), TORSION_FREE),
         Generator("Zp:del", Bidegree(-1, 1), TORSION_FREE),
         Generator("Zp:del*l1", Bidegree(2 * p - 2, 2), TORSION_FREE),
     ]
-    for i in range(1, p):
+    # t^i*l1 sits at stem 2p - 1 - 2i, at most hi from i = (2p - hi)//2 on
+    for i in range(max(1, (2 * p - hi) // 2), p):
         gens.append(Generator(f"Zp:t^{i}*l1", Bidegree(2 * p - 1 - 2 * i, 1), TORSION_FREE))
-    return CyclicDecomposition(gens)
+    return CyclicDecomposition([g for g in gens if g.bidegree.d <= hi])
 
 
 def twist_bound(window_top: int) -> int:

@@ -28,9 +28,11 @@ its vectors are sparse rows ({basis index: residue}, see fplinalg).  It is
 an independent cross-check on small windows, exercised by the test suite.
 
 Layout.  A ladder is keyed (e1, e2, delta) with delta = a - b.  For each
-(e1, e2) the modeled deltas form at most two ranges, one per side of the
-fixed-point split (delta < 0 on the mu side, delta >= 0 on the t side).
-Each range is a Segment: on it the base exponents and the bottom stem
+(e1, e2) the modeled deltas, the band, form at most two ranges, one per
+side of the fixed-point split (delta < 0 on the mu side, delta >= 0 on the
+t side).  The page sweeps only part of the band: each range is clipped to
+the hull of the ladders its readers can depend on (SSPage._cone), and the
+clipped range is a Segment.  On it the base exponents and the bottom stem
 stem0 are affine in delta, and so are the modeled heights [h_lo, h_cap),
 up to the floor of a division, so none of them is stored.  The only
 per-ladder state is the ladder's alive height intervals, kept in two
@@ -52,7 +54,12 @@ StageMap.
 Readers.  A height h of a ladder has stem stem0 + h*q, so a class below
 the v1 cutoff V can meet a stem window [lo, hi] only when stem0 lies in
 [lo - (V-1)*q, hi].  The E-infinity readers walk only those deltas of each
-segment (SSPage._reach).  The dense engine walks the segments too, and
+segment (SSPage._reach), and a stage cut reads only its pair's states
+before the stage, so the page sweeps the backward cone of those ladders
+through the stage partners and no other.  A class on the band whose
+ladder the page did not sweep has no answer: EInfResult raises rather
+than call it dead.  The dense engine reads the whole band, since a
+subquotient needs every partner of the classes at the window stems, and
 keys its basis by classes (t, mu, lam, u), the monomials
 se(l*p^n) t^t mu^mu l1^lam u^u.  SSPage.ladders is a read-only mapping
 view of the segments with Ladder values, made on first use; its readers
@@ -66,7 +73,7 @@ from collections import Counter
 from collections.abc import Mapping
 from enum import Enum
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import floordiv, ne
 from types import MappingProxyType
 from typing import NamedTuple
@@ -84,10 +91,11 @@ from .graded import (
     range_len,
 )
 
-# A ladder costs 16 bytes in its segment's two array('q') columns, so the
-# cap holds a page's columns to 80 MB; the side map adds a pair of
-# intervals per split ladder.  SSPage.check_size enforces it before
-# any column is allocated.
+# A swept ladder costs 16 bytes in its segment's two array('q') columns,
+# so the cap holds a page's columns to 80 MB; the side map adds a pair of
+# intervals per split ladder.  It counts the swept ladders, the cone of
+# the page's readers, not the modeled band around them.
+# SSPage.check_size enforces it before any column is allocated.
 MAX_LADDERS = 5_000_000
 # The dense engine's cost per basis element hardly grows with the page:
 # p=3 n=2 l=1 tate takes 9.4 us per element at 13,524 elements and 9.5 us
@@ -140,6 +148,11 @@ def _floors(c: int, slope: int, x0: int, x1: int, q: int):
 
 
 _SPLIT = -1  # lo of a split ladder, whose two intervals are in the side map
+
+# The (source, target) (e1, e2) pairs of a stage: T_k maps e1 = 0 to e1 = 1,
+# U maps e2 = 1 to e2 = 0.
+_T_PAIRS = (((0, 0), (1, 0)), ((0, 1), (1, 1)))
+_U_PAIRS = (((0, 1), (0, 0)), ((1, 1), (1, 0)))
 
 
 class Segment:
@@ -234,7 +247,8 @@ class SSPage:
 
     def _place(self, ctx, n, ell, variant, window, v1_cutoff):
         """Everything but the alive columns: parameters, schedule, padded
-        window and the segments' delta ranges; then the size guard."""
+        window and the swept segments' delta ranges, the band clipped to the
+        cone of the window's readers; then the size guard."""
         if n < 0 or ell < 0:
             raise InputError("need n >= 0 and twist >= 0")
         lo, hi = window
@@ -265,15 +279,72 @@ class SSPage:
         self.lo_pad = lo - ctx.q - 2 * (n + 3)
         self.hi_pad = hi + 2 * self.v1_cutoff * p
         self._twist_coeff = -ell * n * (p - 1) * p ** (n - 1) if n >= 1 else 0
-        self.segments = {(e1, e2): self._side_segments(e1, e2) for e1 in (0, 1) for e2 in (0, 1)}
+        self.segments = self._cone(self._band(), lo - (self.v1_cutoff - 1) * ctx.q, hi)
         self.ladder_count = sum(range_len(seg.deltas) for seg in self._all_segments())
         if self.ladder_count > MAX_LADDERS:
             raise ResourceError(f"page needs more than {MAX_LADDERS} ladders; shrink the window or cutoff")
 
     # -- construction ---------------------------------------------------
 
+    def _band(self) -> dict:
+        """{(e1, e2): segments} over every modeled ladder, the padded band
+        that _heights models, made afresh with no columns."""
+        return {(e1, e2): self._side_segments(e1, e2) for e1 in (0, 1) for e2 in (0, 1)}
+
+    def _cone(self, band: dict, stem_lo: int, stem_hi: int) -> dict:
+        """The band cut to the ladders a reader of the bottom stems [stem_lo,
+        stem_hi] can depend on, the nonempty segments per (e1, e2).
+
+        A stage cut reads only its pair's two states before the stage, so a
+        read ladder depends on its partner at each stage, on their partners
+        at the stages before, and so on back to the first.  The walk runs the
+        schedule backwards and keeps one delta interval per segment, the
+        hull of all it has added: at each stage a needed source needs its
+        target at delta + P, and a needed target its source at delta - P,
+        over the stage's (e1, e2) pairs as _stage_sources walks them.  The
+        hull ignores which progressions the stage acts on, so it holds every
+        true partner and some ladders more; those are swept, and no reader
+        reads them.  The band segments are clipped in place.
+        """
+        need = {}  # segment -> (first, stop) of its needed deltas, or None
+        for segs in band.values():
+            for seg in segs:
+                r = seg.by_stem(stem_lo, stem_hi)
+                need[seg] = (r.start, r.stop) if r else None
+
+        def widen(seg, interval, shift):
+            """Hull seg's need with interval + shift, cut to its deltas."""
+            d = seg.deltas
+            a, b = interval[0] + shift, interval[1] + shift
+            if a < d.start:
+                a = d.start
+            if b > d.stop:
+                b = d.stop
+            if a < b:
+                old = need[seg]
+                if old is not None:
+                    if old[0] < a:
+                        a = old[0]
+                    if old[1] > b:
+                        b = old[1]
+                need[seg] = (a, b)
+
+        for stage in reversed(self.stages):
+            k, _G, P = self.schedule[stage]
+            for skey, tkey in _U_PAIRS if k is None else _T_PAIRS:
+                for src in band[skey]:
+                    for tgt in band[tkey]:
+                        if need[src] is not None:
+                            widen(tgt, need[src], P)
+                        if need[tgt] is not None:
+                            widen(src, need[tgt], -P)
+        for seg, interval in need.items():
+            if interval is not None:
+                seg.deltas = range(*interval)
+        return {key: tuple(seg for seg in segs if need[seg] is not None) for key, segs in band.items()}
+
     def _side_segments(self, e1: int, e2: int) -> tuple:
-        """The nonempty segments of (e1, e2), deltas ascending.
+        """The nonempty band segments of (e1, e2), deltas ascending.
 
         A ladder is worth modeling when some height h in [0, v_internal)
         puts its stem inside [lo_pad, hi_pad]; stems climb with h, so that
@@ -367,9 +438,10 @@ class SSPage:
 
     # -- stages ----------------------------------------------------------
 
-    def _stage_sources(self, stage: str):
+    def _stage_sources(self, stage: str, segments: dict | None = None):
         """(coefficient, source segment, source deltas, target (e1, e2)) over
-        the progressions of ladders on which the stage map is nonzero.
+        the progressions of ladders of `segments` (the swept segments when
+        None) on which the stage map is nonzero.
 
         T_k acts on t^a mu^b (e1 = 0) when vp(delta + c) == k, with the
         coefficient (delta + c)/p^k mod p; so coefficient r in 1..p-1 sits
@@ -379,19 +451,20 @@ class SSPage:
         not be on the page.
         """
         k = self.schedule[stage][0]
+        segments = self.segments if segments is None else segments
         if k is None:
-            for e1 in (0, 1):
-                for seg in self.segments[(e1, 1)]:
-                    yield 1, seg, seg.deltas, (e1, 0)
+            for skey, tkey in _U_PAIRS:
+                for seg in segments[skey]:
+                    yield 1, seg, seg.deltas, tkey
             return
         p = self.ctx.p
         step = p ** (k + 1)
-        for e2 in (0, 1):
-            for seg in self.segments[(0, e2)]:
+        for skey, tkey in _T_PAIRS:
+            for seg in segments[skey]:
                 d = seg.deltas
                 for r in range(1, p):
                     first = d.start + (r * p**k - self._twist_coeff - d.start) % step
-                    yield r, seg, range(first, d.stop, step), (1, e2)
+                    yield r, seg, range(first, d.stop, step), tkey
 
     def run_stage(self, stage: str):
         expected = self.stages[len(self.stages_done)] if len(self.stages_done) < len(self.stages) else None
@@ -457,8 +530,9 @@ class StageMap:
     """The stage differential on the classes (t, mu, lam, u) of a page, the
     monomials se(l*p^n) t^t mu^mu l1^lam u^u.
 
-    It reads only the page's segments and schedule, never the alive sets,
-    so it serves any stage of the schedule in any state of the page.
+    It reads only the page's band (SSPage._band) and schedule, never the
+    alive sets, so it serves any stage of the schedule in any state of the
+    page.
     """
 
     def __init__(self, page: SSPage, stage: str):
@@ -470,7 +544,7 @@ class StageMap:
         # source key -> (coefficient, target (e1, e2))
         self._images = {
             (seg.e1, seg.e2, delta): (coeff, tkey)
-            for coeff, seg, deltas, tkey in page._stage_sources(stage)
+            for coeff, seg, deltas, tkey in page._stage_sources(stage, page._band())
             for delta in deltas
         }
 
@@ -482,7 +556,7 @@ class StageMap:
         index was already consumed at an earlier stage; it can only be
         queried here through a class on which the induced differential
         vanishes, so the map returns None there as well.  Every source of
-        the map lies on the page, so a class off the page gets None too.
+        the map lies on the band, so a class off the band gets None too.
         """
         t, mu, lam, u = cls
         im = self._images.get((lam, u, t - mu))
@@ -514,13 +588,18 @@ class EInfResult:
     def _interval(self, cls: tuple, h: int):
         """(stem0, height, hi) for v1^h times cls at its height on its
         ladder, inside the alive interval [lo, hi); None when it is dead or
-        lies on no ladder."""
+        lies on no ladder of the band.  A ladder on the band that the page
+        did not sweep has no answer: InvariantError."""
         level, t, mu, lam, u = cls
-        if level != self.page.n:
+        page = self.page
+        if level != page.n:
             raise InputError(f"class {cls} belongs to a different page")
         delta = t - mu
-        seg = self.page._segment_of(lam, u, delta)
+        seg = page._segment_of(lam, u, delta)
         if seg is None:
+            if (lam, u) in page.segments and any(delta in s.deltas for s in page._side_segments(lam, u)):
+                raise InvariantError(f"class {cls} lies on a ladder page {page.variant} n={page.n} did not sweep: "
+                                     f"no reader of its window depends on it")
             return None
         height = t + h - seg.a_slope * delta
         for lo, hi in seg.intervals(delta - seg.deltas.start):
@@ -674,12 +753,14 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
     Enumerates the page basis explicitly and runs every stage as honest
     linear algebra over F_p (kernels of induced maps modulo accumulated
     boundaries), on sparse vectors indexed by position in each bidegree's
-    basis.  It reads the page's segments and stage schedule, not its alive
-    sets, so the page may be fresh or already run.  Each stage image is
-    eliminated once: one VectorSpan.extend on the target's boundary span
-    both grows that span and yields the stage kernel (_stage_kernel), and
-    a numerator whose image is zero modulo the boundaries passes through
-    unchanged.  The generators start from a copy of each boundary span's
+    basis.  It reads the page's band and stage schedule, not its alive
+    sets, so the page may be fresh or already run.  It takes every modeled
+    class at every height: a subquotient needs every partner of the classes
+    at the window stems, where the sweep needs only its readers' cone.
+    Each stage image is eliminated once: one VectorSpan.extend on the
+    target's boundary span both grows that span and yields the stage kernel
+    (_stage_kernel), and a numerator whose image is zero modulo the
+    boundaries passes through unchanged.  The generators start from a copy of each boundary span's
     echelon rows.  Only fit for small windows; guards with ResourceError
     before any basis entry.  A v1-image of the survivors that leaves their
     span raises InvariantError.
@@ -688,7 +769,7 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
     q = ctx.q
     runs = []  # (stem0, class at height 0, h_lo, h_cap) per ladder
     size = 0
-    for seg in page._all_segments():
+    for seg in chain.from_iterable(page._band().values()):
         for delta in seg.deltas:
             stem0 = seg.K + seg.stem_slope * delta
             h_lo, h_cap = page._heights(stem0)

@@ -36,6 +36,18 @@ def test_tc_zp_generator_count_and_degrees():
             assert (2 * p - 1 - 2 * i, 1) in bids
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_tc_zp_builds_only_the_generators_the_window_reaches(p):
+    ctx = PrimeContext(p)
+    full = tc_zp_dims(ctx, (-4, 2 * p - 1))
+    assert len(full) == p + 3
+    for hi in range(-3, 2 * p + 1):
+        window = (-4, hi)
+        dec = tc_zp_dims(ctx, window)
+        assert all(g.bidegree.d <= hi for g in dec)
+        assert dec.dims(ctx, window).entries == full.dims(ctx, window).entries, hi
+
+
 def test_tc_zp_low_stem_dims():
     table = tc_zp_dims(CTX3, (0, 8)).dims(CTX3, (-1, 4))
     assert table.entries.get((-1, 1), 0) == 1

@@ -32,6 +32,8 @@ JOB_IDS = (
     "tr p=2 ell=1 m=inf hi=100",
     "syntomic-oracle p=3 n=4 k=1 window=-4..20",
     "suite_einf p=3 n_max=3 ell_max=1 deg_max=108 double_cutoff=True",
+    # p=5 pages over 11 twists, each swept only on the cone of its window
+    "suite_einf p=5 n_max=1 ell_max=12 deg_max=250 double_cutoff=False",
     "dense p=3 n=1 ell=0 hfp window=+-8p",
     "dense p=5 n=1 ell=2 hfp window=+-16p",
     # four stages: T_0, T_1, T_2, then U

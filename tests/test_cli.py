@@ -545,6 +545,18 @@ def test_a_large_prime_is_decided_at_once(capsys, p):
     assert code == 0 and out == "3\n" and err == ""
 
 
+@pytest.mark.parametrize("argv, want", [
+    ("tc --p 1000003 --n 2 --k 1 --deg-max 10", 0),
+    ("syntomic --p 1000003 --n 2 --k 1 --deg-max 10 --mode oracle", 2),  # the page guard refuses
+])
+def test_a_large_prime_builds_only_the_zp_generators_the_window_reaches(capsys, argv, want):
+    # gr TC(Z_p) has p + 3 generators; all but a few sit above stem 10
+    t0 = time.perf_counter()
+    code, _out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - t0 < 1.0
+    assert code == want and (err == "") == (want == 0)
+
+
 def test_a_prime_past_the_decided_range_exits_two(capsys):
     code, out, err = run(capsys, "betti-bound", "--p", str(fplinalg.MR_LIMIT), "--d", "1")
     assert code == 2 and out == ""

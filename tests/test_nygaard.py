@@ -21,6 +21,7 @@ from synlab.nygaard import (
     run_to_einf,
     run_to_einf_dense,
 )
+from synlab.trkernel import _window_torsion_bound
 from test_graded import vp
 from test_trkernel import iter_alive
 
@@ -621,13 +622,100 @@ def test_an_uncertified_torsion_fails_the_page_check_by_name(p, n, variant, wind
         verify._compare_page(ctx, n, 1, variant, window, 2)
 
 
+def _band_page(*args) -> SSPage:
+    """SSPage(*args) with its cone step made the identity, so it sweeps
+    every ladder of its band."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SSPage, "_cone", lambda page, band, stem_lo, stem_hi: band)
+        return SSPage(*args)
+
+
+def _outcome(read, *args):
+    """read(*args), or the type and message of the InvariantError it raises."""
+    try:
+        return read(*args)
+    except InvariantError as exc:
+        return InvariantError, str(exc)
+
+
+def _read_alive(page) -> dict:
+    """{(e1, e2, delta): alive intervals} over the ladders a reader of the
+    page's window reads, those SSPage._reach gives for its bottom stems."""
+    lo, hi = page.window
+    reach = page._reach(lo - (page.v1_cutoff - 1) * page.ctx.q, hi)
+    return {(seg.e1, seg.e2, seg.deltas.start + i): seg.intervals(i) for seg, indices in reach for i in indices}
+
+
+@st.composite
+def _cone_pages(draw):
+    """SSPage arguments: p in {2, 3, 5, 7}, n <= 4, twist <= 6, any variant,
+    a window inside [-300, 300] and a cutoff up to 40; or a page of the
+    PageSet a TR oracle builds for twist l and stems up to hi, at its
+    cutoff tors_bound + 4."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    lo = draw(st.integers(-300, 300))
+    hi = draw(st.integers(lo, 300))
+    if draw(st.booleans()):
+        return (p, draw(st.integers(0, 4)), draw(st.integers(0, 6)), draw(st.sampled_from(list(Variant))), (lo, hi),
+                draw(st.integers(1, 40)))
+    ell = draw(st.sampled_from([ell for ell in range(1, 7) if ell % p]))
+    m_max = -1  # as TrOracle at TRUNC_INF: the levels that reach stem hi
+    while 2 * ell * p ** (m_max + 1) <= hi:
+        m_max += 1
+    n = draw(st.integers(0, max(m_max + 2, 0)))
+    variant = draw(st.sampled_from([Variant.HFP, Variant.TATE] if n else [Variant.HFP]))
+    return p, n, ell, variant, (min(lo, 0), hi + 1), _window_torsion_bound(p, ell, hi, m_max) + 4
+
+
+@settings(max_examples=150, derandomize=True)
+@given(_cone_pages())
+def test_the_cone_sweep_reads_as_the_band_sweep(draw):
+    # The page sweeps only the cone of its readers; the same page with every
+    # band ladder swept must give each reader the same answer, and so must
+    # the set-based reference sweep over the band, ladder for ladder.
+    p, n, ell, variant, window, cutoff = draw
+    args = (PrimeContext(p), n, ell, variant, window, cutoff)
+    page = SSPage(*args)
+    band = _band_page(*args)
+    assert page.ladder_count <= band.ladder_count
+    res, full = _outcome(run_to_einf, page), _outcome(run_to_einf, band)
+    if isinstance(res, tuple) or isinstance(full, tuple):
+        assert res == full  # the same split-ladder cut
+        return
+    read = _read_alive(page)
+    assert read == _read_alive(band)
+    for reader in (EInfResult.counted, EInfResult.classes, lambda r, w: list(r.orbits(w))):
+        assert _outcome(reader, res, window) == _outcome(reader, full, window)
+    if sum(lad.h_cap - lad.h_lo for lad in band.ladders.values()) <= 20_000:
+        reference = _reference_sweep(_band_page(*args))
+        assert {key: list(alive) for key, alive in read.items()} == {key: reference[key] for key in read}
+
+
+def test_a_ladder_the_page_did_not_sweep_has_no_answer():
+    args = (CTX3, 2, 1, Variant.HFP, (0, 40), 6)
+    page, band = SSPage(*args), _band_page(*args)
+    res = run_to_einf(page)
+    unswept = [key for key in band.ladders if key not in page.ladders]
+    assert unswept and page.ladder_count < band.ladder_count
+    e1, e2, delta = unswept[0]
+    base_a, base_b = _base_of(page.variant, delta)
+    cls = (2, base_a, base_b, e1, e2)
+    for read in (res.alive, res.life):
+        with pytest.raises(InvariantError, match=re.escape(f"class {cls} lies on a ladder page")):
+            read(cls)
+    # a class off the band is still dead
+    assert page._segment_of(0, 0, 10**6) is None and not res.alive((2, 10**6, 0, 0, 0))
+
+
 def test_a_page_adds_almost_no_tracked_objects():
     # The alive state is two array columns per segment, which the garbage
     # collector does not track; a container per ladder made every full
-    # collection walk every ladder of every page held.
+    # collection walk every ladder of every page held.  The window is wide
+    # because the page sweeps only the cone of its readers: at (-4, 600)
+    # it sweeps fewer than half of the ladders asserted below.
     gc.collect()
     before = len(gc.get_objects())
-    res = run_to_einf(SSPage(PrimeContext(7), 3, 1, Variant.TATE, (-4, 600), default_v1_cutoff(PrimeContext(7), 3)))
+    res = run_to_einf(SSPage(PrimeContext(7), 3, 1, Variant.TATE, (-4, 85_000), default_v1_cutoff(PrimeContext(7), 3)))
     gc.collect()
     added = len(gc.get_objects()) - before
     assert res.page.ladder_count > 300_000
