@@ -17,10 +17,10 @@ sign discussion.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from typing import NamedTuple
 
-from .closedforms import TRUNC_INF, family_count, tr_closed_decomposition
+from .closedforms import TRUNC_INF, family_progressions, tr_closed_decomposition
 from .errors import InputError, InvariantError, ResourceError
 from .graded import (
     TORSION_FREE,
@@ -35,11 +35,13 @@ from .graded import (
 )
 from .trkernel import MODES, tr_gr_module
 
-# A closed-route table costs about 0.4 us per TR generator, and its peak
-# memory hardly grows with the count (syntomic --p 3 --n 4 --k 1: 4.5 M
-# generators at --deg-max 9000 in 1.8-2.4 s and 25 MB, 50 M at 30000 in
-# 22 s and 39 MB; syntomic --p 2 --n 4 --k 4 --deg-max 35700: 79.7 M in
-# 32 s and 46 MB; 2-core x86-64 Xeon), so this cap keeps a table near 35 s.
+# A closed-route table costs about 0.3 us per TR generator, and its peak
+# memory grows with the count, as tc_eps_dims holds each twist's family
+# progressions from the size guard to the tally (syntomic --p 3 --n 4 --k
+# 1: 4.5 M generators at --deg-max 9000 in 1.2-1.5 s and 28 MB, 50 M at
+# 30000 in 12-13 s and 53 MB; syntomic --p 2 --n 4 --k 4 --deg-max 35700:
+# 79.7 M in 23 s and 64 MB; 2-core x86-64 Xeon), so this cap keeps a
+# table within about 35 s and 70 MB.
 MAX_GENERATORS = 80_000_000
 
 
@@ -78,24 +80,31 @@ def tc_eps_dims(ctx: PrimeContext, window, mode: str = "closed") -> Counter:
     "oracle" and "both" read each twist as tr_gr_module's multiset: the
     oracle's generators, refusing a torsion that is only a lower bound, and
     for "both" raising VerificationFailure on the first twist whose oracle
-    and closed form disagree.  Before any twist is computed, the TR
-    generators are counted from the window (family_count summed over the
-    twists), and ResourceError is raised past MAX_GENERATORS; a twist past
-    MAX_FAMILY_ELEMENTS is refused before it is tallied.
+    and closed form disagree.  Before any twist is computed, each twist's
+    family progressions are built once and the TR generators counted from
+    their lengths, and ResourceError is raised past MAX_GENERATORS; a
+    twist past MAX_FAMILY_ELEMENTS is refused before it is tallied.  The
+    closed tally reads the progressions built for that count, each twist's
+    dropped once it is tallied; holding them until then costs memory at
+    very wide windows (see MAX_GENERATORS).
     """
     if mode not in MODES:
         raise InputError(f"unknown mode {mode}")
     lo, hi = window
-    twists = [ell for ell in range(1, twist_bound(hi) + 1) if ell % ctx.p]
+    held = deque()  # (twist, its family progressions), in twist order
     count = 0
-    for ell in twists:
-        count += family_count(ctx, ell, hi)
-        if count > MAX_GENERATORS:
-            raise ResourceError(f"stems up to {hi} need more than {MAX_GENERATORS} generators; lower the window top")
+    for ell in range(1, twist_bound(hi) + 1):
+        if ell % ctx.p:
+            progs = family_progressions(ctx, ell, TRUNC_INF, hi)
+            count += sum(len(prog.js) for prog in progs)
+            if count > MAX_GENERATORS:
+                raise ResourceError(f"stems up to {hi} need more than {MAX_GENERATORS} generators; lower the window top")
+            held.append((ell, progs))
     out = torsion_multiset(tc_zp_dims(ctx, window))
-    for ell in twists:
+    while held:
+        ell, progs = held.popleft()
         if mode == "closed":
-            tr_closed_decomposition(ctx, ell, TRUNC_INF, hi, out)
+            tr_closed_decomposition(ctx, ell, TRUNC_INF, hi, out, progs)
         else:
             out.update(tr_gr_module(ctx, ell, TRUNC_INF, (0, hi), mode=mode).multiset)
     return out

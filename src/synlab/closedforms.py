@@ -18,10 +18,11 @@ residue classes mod p^r per (r, e) for D/E, split at _tilt = p^(r+1); the
 finite C index set; F/G past _tilt = 0 at the top level of a finite
 truncation.  Component exponents, hence stem and torsion, are affine in j
 within a progression; the B/E index with _tilt = 0 is a progression of its
-own.  Three readers share them: enumerate_families expands them into
-elements (for the family check), family_count sums their lengths, and
-tr_closed_decomposition tallies the closed TR summand as (stem, line,
-torsion) without building any element.
+own.  Two readers share them: enumerate_families expands them into
+elements (for the family check), and tr_closed_decomposition tallies the
+closed TR summand as (stem, line, torsion) without building any element.
+A table builds each twist's progressions once, counts their lengths for
+its size guard, and hands them to the tally (assembly.tc_eps_dims).
 
 Index edge cases the displayed ranges miss are handled explicitly:
 
@@ -414,27 +415,22 @@ def enumerate_families(ctx: PrimeContext, ell: int, trunc=TRUNC_INF, window=(0, 
     return out
 
 
-def family_count(ctx: PrimeContext, ell: int, hi: int, trunc=TRUNC_INF) -> int:
-    """len(enumerate_families(ctx, ell, trunc, (0, hi))), the summed
-    lengths of the progressions.  Every family stem is at least 2l - 1, so
-    any window starting at or below 0 gives the same count."""
-    return sum(len(prog.js) for prog in family_progressions(ctx, ell, trunc, hi))
-
-
 def tr_closed_decomposition(ctx: PrimeContext, ell: int, trunc=TRUNC_INF, hi: int = 200,
-                            out: Counter | None = None) -> Counter:
+                            out: Counter | None = None, progressions: list | None = None) -> Counter:
     """The closed twist-l TR summand at truncation trunc: Counter{(stem,
     line, torsion): multiplicity} over enumerate_families(ctx, ell, trunc,
     (0, hi)), read off the progressions without building any element.
 
     The tally goes into `out` when it is given, so a caller summing twists
     adds each one in place, and into a fresh Counter otherwise; the Counter
-    tallied into is returned.  Each progression costs a few integer
-    operations (Progression.affine) and one C-level count of its elements.
-    Refuses with ResourceError past MAX_FAMILY_ELEMENTS elements, counted
-    from the progressions before any is tallied, so a refusal leaves `out`
-    as it was."""
-    progs = family_progressions(ctx, ell, trunc, hi)
+    tallied into is returned.  `progressions`, when given, must be
+    family_progressions(ctx, ell, trunc, hi), which a caller that has
+    already built them passes on instead of having them built again.  Each
+    progression costs a few integer operations (Progression.affine) and one
+    C-level count of its elements.  Refuses with ResourceError past
+    MAX_FAMILY_ELEMENTS elements, counted from the progressions before any
+    is tallied, so a refusal leaves `out` as it was."""
+    progs = family_progressions(ctx, ell, trunc, hi) if progressions is None else progressions
     if sum(len(prog.js) for prog in progs) > MAX_FAMILY_ELEMENTS:
         raise ResourceError(f"stems up to {hi} need more than {MAX_FAMILY_ELEMENTS} family elements; lower the window top")
     if out is None:

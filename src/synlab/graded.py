@@ -136,9 +136,11 @@ def orbit_dims(q: int, window, orbits, params: dict | None = None) -> "DimTable"
     its stem in the window counts once at (its stem, line).
     """
     counts: dict = {}
+    get = counts.get
     for (d, s, length), mult in orbits:
-        for stem in orbit_stems(q, d, length, window):
-            counts[(stem, s)] = counts.get((stem, s), 0) + mult
+        js = orbit_heights(q, d, length, window)
+        for stem in range(d + js.start * q, d + js.stop * q, q):
+            counts[(stem, s)] = get((stem, s), 0) + mult
     return DimTable(params or {}, counts, window)
 
 

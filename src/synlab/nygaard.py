@@ -279,7 +279,10 @@ class SSPage:
         self.lo_pad = lo - ctx.q - 2 * (n + 3)
         self.hi_pad = hi + 2 * self.v1_cutoff * p
         self._twist_coeff = -ell * n * (p - 1) * p ** (n - 1) if n >= 1 else 0
-        self.segments = self._cone(self._band(), lo - (self.v1_cutoff - 1) * ctx.q, hi)
+        # the bottom stems of the ladders the window's readers read: v1^h g
+        # with h below the cutoff reaches the window from (V-1)*q below it
+        self.read_stems = (lo - (self.v1_cutoff - 1) * ctx.q, hi)
+        self.segments = self._cone(self._band(), *self.read_stems)
         self.ladder_count = sum(range_len(seg.deltas) for seg in self._all_segments())
         if self.ladder_count > MAX_LADDERS:
             raise ResourceError(f"page needs more than {MAX_LADDERS} ladders; shrink the window or cutoff")
@@ -588,8 +591,10 @@ class EInfResult:
     def _interval(self, cls: tuple, h: int):
         """(stem0, height, hi) for v1^h times cls at its height on its
         ladder, inside the alive interval [lo, hi); None when it is dead or
-        lies on no ladder of the band.  A ladder on the band that the page
-        did not sweep has no answer: InvariantError."""
+        lies on no ladder of the band.  A ladder on the band has no answer,
+        InvariantError, when the page did not sweep it or its bottom stem
+        lies outside page.read_stems: a ladder swept only as a partner of
+        the read ones may not have all its own partners swept."""
         level, t, mu, lam, u = cls
         page = self.page
         if level != page.n:
@@ -601,10 +606,15 @@ class EInfResult:
                 raise InvariantError(f"class {cls} lies on a ladder page {page.variant} n={page.n} did not sweep: "
                                      f"no reader of its window depends on it")
             return None
+        stem0 = seg.K + seg.stem_slope * delta
+        read_lo, read_hi = page.read_stems
+        if not read_lo <= stem0 <= read_hi:
+            raise InvariantError(f"class {cls} lies on a ladder with bottom stem {stem0}, outside the read stems "
+                                 f"{read_lo}..{read_hi} of page {page.variant} n={page.n}")
         height = t + h - seg.a_slope * delta
         for lo, hi in seg.intervals(delta - seg.deltas.start):
             if lo <= height < hi:
-                return seg.K + seg.stem_slope * delta, height, hi
+                return stem0, height, hi
         return None
 
     def alive(self, cls: tuple, h: int = 0) -> bool:
@@ -632,11 +642,15 @@ class EInfResult:
         heights below the v1 cutoff whose stem lies in the window: one range
         of heights per alive interval [lo, hi) as the page has it, ladders in
         key order, h ascending.  The intervals are read off the segment's
-        columns and split map directly."""
-        q = self.page.ctx.q
-        cut = self.page.v1_cutoff
+        columns and split map directly.  A window not inside page.window
+        raises InputError: the page answers only its own window's readers."""
+        page = self.page
+        q = page.ctx.q
+        cut = page.v1_cutoff
         lo, hi = window
-        for seg, indices in self.page._reach(lo - (cut - 1) * q, hi):
+        if not (page.window[0] <= lo and hi <= page.window[1]):
+            raise InputError(f"window {tuple(window)} is not inside the page window {page.window}")
+        for seg, indices in page._reach(lo - (cut - 1) * q, hi):
             K, sl, start, split = seg.K, seg.stem_slope, seg.deltas.start, seg.split
             i0, i1 = indices.start, indices.stop
             los, his = seg.lo[i0:i1], seg.hi[i0:i1]

@@ -15,7 +15,7 @@ from synlab.assembly import (
     tc_zp_dims,
     two_line_check,
 )
-from synlab.closedforms import TRUNC_INF, family_count, tr_closed_decomposition
+from synlab.closedforms import MAX_FAMILY_ELEMENTS, TRUNC_INF, family_progressions, tr_closed_decomposition
 from synlab.errors import InputError, InvariantError, ResourceError, VerificationFailure
 from synlab.graded import TORSION_FREE, CyclicDecomposition, DimTable, PrimeContext
 
@@ -202,10 +202,10 @@ def test_betti_bound_values():
         betti_bound(CTX3, -1)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_tc_eps_is_tc_zp_then_prefixed_twists(p):
+@pytest.mark.parametrize("hi", [120, 600])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_tc_eps_is_tc_zp_then_prefixed_twists(p, hi):
     ctx = PrimeContext(p)
-    hi = 120
     want = _keys(tc_zp_dims(ctx, (-2, hi)))
     for ell in range(1, hi):
         if ell % p and 2 * ell - 1 <= hi:
@@ -232,8 +232,49 @@ def test_tc_eps_merge_is_linear(monkeypatch):
     monkeypatch.setattr(Generator, "__new__", only_tc_zp)
     eps = tc_eps_dims(CTX3, (-2, 200))
     twists = [ell for ell in range(1, assembly.twist_bound(200) + 1) if ell % 3]
-    tr_count = sum(family_count(CTX3, ell, 200) for ell in twists)
+    tr_count = sum(len(prog.js) for ell in twists for prog in family_progressions(CTX3, ell, TRUNC_INF, 200))
     assert sum(eps.values()) == len(tc_zp_dims(CTX3, (-2, 200))) + tr_count
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_tc_eps_builds_each_twists_progressions_once(monkeypatch, p):
+    # the size guard's count and the closed tally read the same build
+    from synlab import assembly, closedforms
+
+    ctx, window = PrimeContext(p), (-2, 300)
+    calls = Counter()
+    build = closedforms.family_progressions
+
+    def counted(ctx, ell, *args):
+        calls[ell] += 1
+        return build(ctx, ell, *args)
+
+    # every build, by the table or inside the tally
+    monkeypatch.setattr(assembly, "family_progressions", counted)
+    monkeypatch.setattr(closedforms, "family_progressions", counted)
+    tc_eps_dims(ctx, window)
+    twists = [ell for ell in range(1, assembly.twist_bound(window[1]) + 1) if ell % p]
+    assert calls == Counter(twists)
+
+
+def test_table_refuses_a_twist_past_the_family_cap(monkeypatch):
+    # a twist past MAX_FAMILY_ELEMENTS is refused inside a table, with the
+    # message a single tr table gives, before it is tallied
+    from synlab import closedforms
+
+    ctx, window = CTX3, (-2, 300)
+    first = sum(len(prog.js) for prog in family_progressions(ctx, 1, TRUNC_INF, window[1]))
+    assert first < MAX_FAMILY_ELEMENTS
+    monkeypatch.setattr(closedforms, "MAX_FAMILY_ELEMENTS", first)
+    tc_eps_dims(ctx, window)
+    monkeypatch.setattr(closedforms, "MAX_FAMILY_ELEMENTS", first - 1)
+    message = f"stems up to {window[1]} need more than {first - 1} family elements; lower the window top"
+    with pytest.raises(ResourceError) as refused:
+        tc_eps_dims(ctx, window)
+    assert str(refused.value) == message
+    with pytest.raises(ResourceError) as refused_alone:
+        tr_closed_decomposition(ctx, 1, TRUNC_INF, window[1])
+    assert str(refused_alone.value) == message
 
 
 def test_both_mode_raises_on_a_twist_mismatch(monkeypatch):
@@ -297,7 +338,7 @@ def test_unknown_mode_is_refused_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started on an unknown mode")
 
-    for name in ("family_count", "tr_closed_decomposition", "tr_gr_module", "tc_zp_dims"):
+    for name in ("family_progressions", "tr_closed_decomposition", "tr_gr_module", "tc_zp_dims"):
         monkeypatch.setattr(assembly, name, no_work)
     monkeypatch.setattr(closedforms.Progression, "affine", no_work)
     # with and without a twist in the window

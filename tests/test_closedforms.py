@@ -11,7 +11,7 @@ from synlab.closedforms import (
     _tilt,
     einf_closed,
     enumerate_families,
-    family_count,
+    family_progressions,
     family_torsion,
     repeated_leading,
     tr_closed_decomposition,
@@ -333,14 +333,14 @@ def test_enumeration_matches_every_index_scan(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_family_count_matches_the_enumeration(p):
+def test_progression_lengths_match_the_enumeration(p):
     ctx = PrimeContext(p)
     for ell in (1, 2, 4, 9, 13):
         if ell % p == 0:
             continue
         for hi in (2 * ell - 1, 2 * ell, 2 * ell * p + 5, 97, 250):
             expected = len(enumerate_families(ctx, ell, TRUNC_INF, (0, hi)))
-            assert family_count(ctx, ell, hi) == expected
+            assert sum(len(prog.js) for prog in family_progressions(ctx, ell, TRUNC_INF, hi)) == expected
             assert len(enumerate_families(ctx, ell, TRUNC_INF, (-9, hi))) == expected
 
 
@@ -371,7 +371,7 @@ def test_progressions_give_the_enumeration(draw):
         elems = enumerate_families(ctx, ell, trunc, (0, hi))
         multiset = tr_closed_decomposition(ctx, ell, trunc, hi)
         assert multiset == Counter((el.bid.d, el.bid.s, el.torsion) for el in elems), trunc
-        assert family_count(ctx, ell, hi, trunc) == sum(multiset.values()), trunc
+        assert sum(len(prog.js) for prog in family_progressions(ctx, ell, trunc, hi)) == sum(multiset.values()), trunc
         indices = [(el.tag, el.n, el.r, el.e, el.index) for el in elems]
         assert len(set(indices)) == len(indices), trunc
         assert repeated_leading(elems) is None, trunc

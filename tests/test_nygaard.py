@@ -60,9 +60,10 @@ def test_ladder_view_of_basis_cutoff():
         for h in (lad.h_lo, lad.h_cap - 1):
             t, mu, _lam, _u = _class(lad, h)
             assert _divisibility(page.variant, t, mu) == h
-    # E-infinity reports only heights below the cutoff
-    res = run_to_einf(page)
-    reported = [m for m, _h in iter_alive(res, (page.lo_pad, page.hi_pad))]
+    # E-infinity reports only heights below the cutoff, on a page whose own
+    # window is the padded band of the first
+    res = run_to_einf(SSPage(CTX3, 0, 0, Variant.HFP, (page.lo_pad, page.hi_pad), v1_cutoff=2))
+    reported = [m for m, _h in iter_alive(res, res.page.window)]
     assert reported and all(_divisibility(page.variant, m.t_exp, m.mu_exp) < 2 for m in reported)
 
 
@@ -75,8 +76,9 @@ def test_page_bottom_class_stem():
 def test_tate_basis_when_cutoff_one():
     page = SSPage(CTX3, 1, 0, Variant.TATE, (0, 0), v1_cutoff=1)
     assert _class(page.ladders[(0, 0, 0)], 0) == (0, 0, 0, 0)
-    res = run_to_einf(page)
-    reported = [m for m, _h in iter_alive(res, (page.lo_pad, page.hi_pad))]
+    # read on a page whose own window is the padded band of the first
+    res = run_to_einf(SSPage(CTX3, 1, 0, Variant.TATE, (page.lo_pad, page.hi_pad), v1_cutoff=1))
+    reported = [m for m, _h in iter_alive(res, res.page.window)]
     assert reported and all(_divisibility(Variant.TATE, m.t_exp, m.mu_exp) < 1 for m in reported)
 
 
@@ -226,9 +228,11 @@ def test_tate_level_zero_vanishes():
 
 
 def test_collapse_after_final_stage():
-    # t^(p^n) is a permanent cycle: the would-be stage T_n kills nothing
+    # t^(p^n) is a permanent cycle: the would-be stage T_n kills nothing.
+    # The targets' ladders start down to stem -37 (n = 2), so the page's
+    # read stems, (v1_cutoff - 1)*q below its window, reach below that.
     for n, ell in ((1, 0), (1, 1), (2, 1)):
-        page = SSPage(CTX3, n, ell, Variant.HFP, (0, 40), v1_cutoff=4)
+        page = SSPage(CTX3, n, ell, Variant.HFP, (-30, 40), v1_cutoff=4)
         res = run_to_einf(page)
         p = 3
         c = page._twist_coeff
@@ -641,8 +645,7 @@ def _outcome(read, *args):
 def _read_alive(page) -> dict:
     """{(e1, e2, delta): alive intervals} over the ladders a reader of the
     page's window reads, those SSPage._reach gives for its bottom stems."""
-    lo, hi = page.window
-    reach = page._reach(lo - (page.v1_cutoff - 1) * page.ctx.q, hi)
+    reach = page._reach(*page.read_stems)
     return {(seg.e1, seg.e2, seg.deltas.start + i): seg.intervals(i) for seg, indices in reach for i in indices}
 
 
@@ -707,6 +710,27 @@ def test_a_ladder_the_page_did_not_sweep_has_no_answer():
     assert page._segment_of(0, 0, 10**6) is None and not res.alive((2, 10**6, 0, 0, 0))
 
 
+def test_readers_refuse_to_read_outside_their_page():
+    # A ladder swept only as a partner of the read ones need not have its
+    # own partners swept, so the page answers only inside its window.
+    page = SSPage(CTX3, 2, 1, Variant.HFP, (0, 40), 6)
+    res = run_to_einf(page)
+    for window in ((-1, 40), (0, 41), (-10, 50)):
+        for read in (res.counted, res.classes, res.dim_table, lambda w: list(res.orbits(w))):
+            with pytest.raises(InputError, match=re.escape(f"window {window} is not inside the page window (0, 40)")):
+                read(window)
+    assert res.dim_table(page.window).entries and res.classes((4, 36))
+    read_lo, read_hi = page.read_stems
+    outside = [(seg, delta) for seg in page._all_segments() for delta in seg.deltas
+               if not read_lo <= seg.K + seg.stem_slope * delta <= read_hi]
+    assert outside
+    for seg, delta in outside[:: max(len(outside) // 8, 1)]:
+        cls = (2, seg.a_slope * delta, seg.b_slope * delta, seg.e1, seg.e2)
+        for read in (res.alive, res.life):
+            with pytest.raises(InvariantError, match=re.escape(f"class {cls} lies on a ladder with bottom stem")):
+                read(cls)
+
+
 def test_a_page_adds_almost_no_tracked_objects():
     # The alive state is two array columns per segment, which the garbage
     # collector does not track; a container per ladder made every full
@@ -744,11 +768,11 @@ def test_congruent_twists_give_translated_pages(draw):
     assert (n * ell - n * ell2) % p == 0
     ctx = PrimeContext(p)
     shift = 2 * (ell2 - ell) * p**n
-    res = run_to_einf(SSPage(ctx, n, ell, variant, (lo, lo + width), cutoff))
-    res2 = run_to_einf(SSPage(ctx, n, ell2, variant, (lo + shift, lo + width + shift), cutoff))
+    # each page is read on its own window, which reaches 10 stems below lo
+    res = run_to_einf(SSPage(ctx, n, ell, variant, (lo - 10, lo + width), cutoff))
+    res2 = run_to_einf(SSPage(ctx, n, ell2, variant, (lo - 10 + shift, lo + width + shift), cutoff))
     alive = {key: lad.alive for key, lad in res.page.ladders.items()}
     assert {key: lad.alive for key, lad in res2.page.ladders.items()} == alive
     assert any(alive.values())
-    window2 = (lo - 10 + shift, lo + width + shift)
-    moved = {(d - shift, s): k for (d, s), k in res2.dim_table(window2).entries.items()}
-    assert moved == res.dim_table((lo - 10, lo + width)).entries
+    moved = {(d - shift, s): k for (d, s), k in res2.dim_table(res2.page.window).entries.items()}
+    assert moved == res.dim_table(res.page.window).entries
