@@ -29,11 +29,11 @@ matrix cut to the rows and columns alive at s, as in Zomorodian and
 Carlsson, "Computing Persistent Homology" (Discrete Comput. Geom. 33,
 2005).  A base matrix reads each image off its key's own Tate rows, which
 carry their alive heights, and asks the page only where a row stops below
-its column.  Most base matrices have at most one entry per row and per
-column; such a matrix is its own echelon form, so its rank lives and
-kernel are read off its entries, and only the others are eliminated.  A
-kernel generator's torsion is the largest alive top among its columns,
-refused where that top is the page's modeled boundary.
+its column.  Nearly every base matrix has at most one entry per column;
+its rows then have disjoint supports, so its rank lives and kernel are
+read off its entries, and only the others are eliminated.  A kernel
+generator's torsion is the largest alive top among its columns, refused
+where that top is the page's modeled boundary.
 
 The kernel's own v1-structure is re-derived, not assumed; every
 oracle run checks that gr(phi - can) is onto the Tate piece at every
@@ -42,12 +42,12 @@ classes alive) and that no kernel bar is born above its orbit's bottom
 (v1 is onto the kernel).  Together they collapse the abutment filtration
 to the v1-adic one.  The generators and both checks come from one walk
 over the orbit keys, ascending, which reduces each key's base matrix
-once; so the first fault in key order is the one raised.
+once and reads both checks off one sweep up the key's heights; so the
+first fault in key order is the one raised.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from functools import cached_property
 from typing import NamedTuple
@@ -231,24 +231,34 @@ def _window_torsion_bound(p: int, ell: int, hi: int, m_max: int) -> int:
     return best + 2
 
 
-def _count_above(ends: list, s: int) -> int:
-    """How many of the sorted heights in ends exceed s."""
-    return len(ends) - bisect_right(ends, s)
+def _one_per_column(p: int, entries: dict, row_stops: list, col_stops: list) -> tuple | None:
+    """(lives, kernel) of a matrix {(row, column): residue} whose columns
+    are ordered by stop and hold at most one entry each, or None for any
+    other matrix.
 
-
-def _partial_permutation(entries: dict, row_stops: list, col_stops: list) -> tuple | None:
-    """(lives, kernel) of a matrix {(row, column): residue} with at most one
-    entry in each row and each column, or None for any other matrix.
-
-    Each entry is one unit of rank, alive below min(row stop, column stop),
-    and the kernel is spanned by the unit vectors of the columns with no
-    entry, as fplinalg.kernel_basis lists it.
+    Such a matrix's rows have disjoint supports, so each row some column
+    hits is one unit of rank, alive below min(row stop, stop of the last
+    column hitting it), the pivot _echelon_lives finds.  Its kernel is
+    fplinalg.kernel_basis's free-column basis: an empty column j gives
+    {j: 1}, and a column j hitting a row first hit by column j0 gives
+    {j: 1, j0: -v_j / v_j0}.
     """
-    used = {j for _i, j in entries}
-    if len(used) != len(entries) or len({i for i, _j in entries}) != len(entries):
+    hit = {j: (i, v) for (i, j), v in entries.items()}
+    if len(hit) != len(entries):
         return None
-    lives = sorted(r if r < c else c for r, c in ((row_stops[i], col_stops[j]) for i, j in entries))
-    return lives, [{j: 1} for j in range(len(col_stops)) if j not in used]
+    first, last, kernel = {}, {}, []
+    for j in range(len(col_stops)):
+        if j not in hit:
+            kernel.append({j: 1})
+            continue
+        i, v = hit[j]
+        last[i] = j
+        if i in first:
+            j0, v0 = first[i]
+            kernel.append({j: 1, j0: -v * pow(v0, -1, p) % p})
+        else:
+            first[i] = (j, v)
+    return sorted(min(row_stops[i], col_stops[j]) for i, j in last.items()), kernel
 
 
 def _echelon_lives(p: int, entries: dict, row_stops: list, col_stops: list) -> list:
@@ -329,14 +339,20 @@ class TrOracle:
         for rows in self._rows.values():
             rows.sort(key=lambda r: r[0])
 
-    def _base(self, key) -> tuple:
+    def _stops(self, key) -> tuple:
+        """The stops of an orbit key's columns and of its rows, in order."""
+        return ([hs.stop for _c, hs, _t in self._cols.get(key, ())],
+                [hs.stop for _c, hs, _t in self._rows.get(key, ())])
+
+    def _base(self, key, col_stops: list, row_stops: list) -> tuple:
         """(entries, lives, kernel) of the base matrix of phi - can at an
-        orbit key: {(row, column): residue}; the sorted heights below which
-        each unit of rank lives, so the piece at height s has rank
-        #{life > s}; and its kernel basis, one vector per free column, whose
-        free column is its largest index and the latest to die.  A matrix
-        with at most one entry per row and per column has its lives and
-        kernel read off its entries; any other is eliminated.
+        orbit key, given the stops of its columns and rows (_stops):
+        {(row, column): residue}; the sorted heights below which each unit
+        of rank lives, so the piece at height s has rank #{life > s}; and
+        its kernel basis, one vector per free column, whose free column is
+        its largest index and the latest to die.  A matrix with at most one
+        entry per column has its lives and kernel read off its entries
+        (_one_per_column); any other is eliminated.
 
         Every can/phi image of a column must be a Tate row, alive as long
         as on its page.  The images are named by can_image and phi_image
@@ -346,9 +362,8 @@ class TrOracle:
         stopping at the bottom.
         """
         p, pages, top = self.ctx.p, self.pages, self.top
-        cols = self._cols.get(key, [])
-        rows = self._rows.get(key, [])
-        index = {cls: i for i, (cls, _hs, _top) in enumerate(rows)}
+        cols = self._cols.get(key, ())
+        index = {cls: i for i, (cls, _hs, _top) in enumerate(self._rows.get(key, ()))}
         entries: dict = {}
         for j, (cls, heights, _top) in enumerate(cols):
             for img, sign, what in ((can_image(cls), -1, "can"),
@@ -356,31 +371,29 @@ class TrOracle:
                 if img is None:
                     continue
                 i = index.get(img)
-                stop = heights.start if i is None else rows[i][1].stop  # no row stops at the bottom
+                stop = heights.start if i is None else row_stops[i]  # no row stops at the bottom
                 if stop < heights.stop and pages.tate[img[0]].alive(img, stop):
                     raise InvariantError(f"{what} image {pages.monomial(img)} missing from Tate basis")
                 if i is not None:
                     entries[(i, j)] = (entries.get((i, j), 0) + sign) % p
         entries = {k: v for k, v in entries.items() if v}
-        row_stops = [hs.stop for _c, hs, _t in rows]
-        col_stops = [hs.stop for _c, hs, _t in cols]
-        found = _partial_permutation(entries, row_stops, col_stops)
+        found = _one_per_column(p, entries, row_stops, col_stops)
         if found is None:
             found = (_echelon_lives(p, entries, row_stops, col_stops),
-                     fplinalg.kernel_basis(fplinalg.FpMatrix(p, len(rows), len(cols), entries)))
+                     fplinalg.kernel_basis(fplinalg.FpMatrix(p, len(row_stops), len(col_stops), entries)))
         return (entries, *found)
 
     def matrix(self, key) -> fplinalg.FpMatrix:
         """phi - can on the base classes of an orbit key (base stem, line).
         The piece at height s is this matrix cut to the rows and columns
         alive at s."""
-        rows, cols = self._rows.get(key, ()), self._cols.get(key, ())
-        return fplinalg.FpMatrix(self.ctx.p, len(rows), len(cols), self._base(key)[0])
+        col_stops, row_stops = self._stops(key)
+        return fplinalg.FpMatrix(self.ctx.p, len(row_stops), len(col_stops), self._base(key, col_stops, row_stops)[0])
 
     def kernel(self, key):
         """Kernel basis of matrix(key), one vector per free column; its
         free column is its largest index, and the latest to die."""
-        return self._base(key)[2]
+        return self._base(key, *self._stops(key))[2]
 
     # -- structure extraction and checks, in one walk ----------------------
 
@@ -388,40 +401,61 @@ class TrOracle:
     def _walk(self) -> tuple:
         """(generators, surjectivity report, v1 failures) from one visit of
         each orbit key with a height in the window, keys ascending, and one
-        _base call per visit; the first reader runs it."""
+        _base call per visit; the first reader runs it.
+
+        A key's counts are step functions of the height, so one index per
+        sorted list (column stops, rank lives, carried stops, row stops)
+        moves up the key's heights, each past the stops at or below the
+        height: the count alive there is the list's length less the index.
+        """
         q, window, hfp = self.ctx.q, self.window, self.pages.hfp
         gens, v1_failures, rep = [], [], SurjectivityReport()
+        margins, failures = rep.margins, rep.failures
         for key in sorted(self._cols.keys() | self._rows.keys()):
-            cols, rows = self._cols.get(key, ()), self._rows.get(key, ())
-            col_ends = [hs.stop for _c, hs, _t in cols]
-            row_ends = sorted(hs.stop for _c, hs, _t in rows)
-            col_hs = orbit_heights(q, key[0], col_ends[-1] if cols else 0, window)
-            row_hs = orbit_heights(q, key[0], row_ends[-1] if rows else 0, window)
-            if not (col_hs or row_hs):
+            col_stops, row_stops = self._stops(key)
+            col_top, row_top = col_stops[-1] if col_stops else 0, max(row_stops, default=0)
+            hs = orbit_heights(q, key[0], max(col_top, row_top), window)
+            if not hs:
                 continue
-            _entries, lives, kernel = self._base(key)
+            _entries, lives, kernel = self._base(key, col_stops, row_stops)
+            stem, line = key
+            v1_from = hs.start
             carried = []
-            if col_hs and col_hs.start == 0:  # the base stem is in the window
+            if v1_from == 0 and col_top:  # the base stem is in the window
+                cols = self._cols[key]
                 for vec in kernel:
-                    r = max(hfp[cls[0]].bounded_top(cls, key[0], top) for cls, _hs, top in (cols[j] for j in vec))
-                    free = cols[max(vec)][0]
-                    label = f"ker:L{free[0]}:{self.pages.monomial(free)}@{key[0]},{key[1]}"
+                    r = max(hfp[cls[0]].bounded_top(cls, stem, top) for cls, _hs, top in (cols[j] for j in vec))
+                    last = max(vec)
+                    free = cols[last][0]
+                    label = f"ker:L{free[0]}:{self.pages.monomial(free)}@{stem},{line}"
                     gens.append(Generator(label, Bidegree(*key), r))
-                    carried.append(col_ends[max(vec)])
+                    carried.append(col_stops[last])
                 carried.sort()
-                col_hs = col_hs[1:]
-            for s in col_hs:
-                kdim, up = _count_above(col_ends, s) - _count_above(lives, s), _count_above(carried, s)
-                if kdim > up:
-                    v1_failures.append(((key[0] + s * q, key[1], s), kdim, up))
-            for s in row_hs:
-                piece = (key[0] + s * q, key[1], s)
-                n_rows, rank = _count_above(row_ends, s), _count_above(lives, s)
-                rep.pieces_checked += 1
-                rep.margins[piece] = _count_above(col_ends, s) - n_rows
-                if rank < n_rows:
-                    rep.failures.append((piece, n_rows, rank))
-        rep.failures.sort()
+                v1_from = 1
+            v1_to, rows_to = min(hs.stop, col_top), min(hs.stop, row_top)
+            row_ends = sorted(row_stops)
+            n_cols, n_lives, n_carried, n_rows = len(col_stops), len(lives), len(carried), len(row_ends)
+            ci = li = ki = ri = 0
+            for s in hs:
+                while ci < n_cols and col_stops[ci] <= s:
+                    ci += 1
+                while li < n_lives and lives[li] <= s:
+                    li += 1
+                if v1_from <= s < v1_to:
+                    while ki < n_carried and carried[ki] <= s:
+                        ki += 1
+                    kdim, up = (n_cols - ci) - (n_lives - li), n_carried - ki
+                    if kdim > up:
+                        v1_failures.append(((stem + s * q, line, s), kdim, up))
+                if s < rows_to:
+                    while ri < n_rows and row_ends[ri] <= s:
+                        ri += 1
+                    piece, alive, rank = (stem + s * q, line, s), n_rows - ri, n_lives - li
+                    margins[piece] = n_cols - ci - alive
+                    if rank < alive:
+                        failures.append((piece, alive, rank))
+            rep.pieces_checked += max(0, rows_to - hs.start)
+        failures.sort()
         return gens, rep, sorted(v1_failures)
 
     def generators(self) -> list:

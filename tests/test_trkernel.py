@@ -1,5 +1,6 @@
 import json
 import re
+from bisect import bisect_right
 from collections import Counter
 
 import pytest
@@ -10,7 +11,7 @@ from synlab import fplinalg, nygaard, trkernel
 from synlab.cli import main
 from synlab.closedforms import TRUNC_INF, enumerate_families
 from synlab.errors import InputError, InvariantError, ResourceError, VerificationFailure
-from synlab.graded import Bidegree, Generator, Monomial, PrimeContext
+from synlab.graded import Bidegree, Generator, Monomial, PrimeContext, orbit_heights
 from synlab.nygaard import SSPage
 from synlab.trkernel import (
     PageSet,
@@ -289,9 +290,9 @@ def test_every_orbit_key_is_reduced_once(monkeypatch, p, m, window):
     calls = Counter()
     base = TrOracle._base
 
-    def counting_base(oracle, key):
+    def counting_base(oracle, key, *args):
         calls[key] += 1
-        return base(oracle, key)
+        return base(oracle, key, *args)
 
     monkeypatch.setattr(TrOracle, "_base", counting_base)
     tr_gr_module(PrimeContext(p), 1, m, window, mode="oracle")
@@ -362,38 +363,104 @@ def test_every_generator_torsion_is_the_probed_torsion_of_its_chain(draw, starve
 def sparse_matrices(draw):
     """(p, entries, row_stops, col_stops): a matrix over F_p of at most 6 x
     6, with rows and columns alive below their stops and columns ordered by
-    stop; half the draws have at most one entry per row and per column."""
+    stop.  A quarter of the draws are partial permutations, a quarter have
+    at most one entry per column on repeated rows, a quarter are chains (k
+    rows, k + 1 columns of one entry each, one row hit twice), and the rest
+    are any matrix."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
-    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("permutation", "column", "chain", "any")))
+    if kind == "chain":
+        n_rows = draw(st.integers(1, 5))
+        n_cols = n_rows + 1
+    else:
+        n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     row_stops = draw(st.lists(st.integers(1, 8), min_size=n_rows, max_size=n_rows))
     col_stops = sorted(draw(st.lists(st.integers(1, 8), min_size=n_cols, max_size=n_cols)))
     residue = st.integers(1, p - 1)
-    if draw(st.booleans()):  # a partial permutation, possibly empty
+    if kind == "permutation":  # possibly empty
         pairs = zip(draw(st.permutations(range(n_rows))), draw(st.permutations(range(n_cols))))
         entries = {pair: draw(residue) for pair in pairs if draw(st.booleans())}
+    elif kind == "column" and n_rows:
+        row = st.integers(0, n_rows - 1)
+        entries = {(draw(row), j): draw(residue) for j in range(n_cols) if draw(st.booleans())}
+    elif kind == "chain":
+        targets = draw(st.permutations([*range(n_rows), draw(st.integers(0, n_rows - 1))]))
+        entries = {(i, j): draw(residue) for j, i in enumerate(targets)}
     else:
         cells = st.tuples(st.integers(0, max(n_rows - 1, 0)), st.integers(0, max(n_cols - 1, 0)))
         entries = draw(st.dictionaries(cells, residue, max_size=12 if n_rows and n_cols else 0))
     return p, entries, row_stops, col_stops
 
 
-@settings(max_examples=300)
+def _eliminated(p, entries, row_stops, col_stops) -> tuple:
+    """The rank lives and kernel basis of a matrix by full elimination."""
+    matrix = fplinalg.FpMatrix(p, len(row_stops), len(col_stops), entries)
+    return trkernel._echelon_lives(p, entries, row_stops, col_stops), fplinalg.kernel_basis(matrix)
+
+
+@settings(max_examples=400)
 @given(sparse_matrices())
-def test_partial_permutations_skip_the_elimination_with_the_same_results(draw):
+def test_one_entry_per_column_skips_the_elimination_with_the_same_results(draw):
     p, entries, row_stops, col_stops = draw
-    one_per_line = all(len({cell[axis] for cell in entries}) == len(entries) for axis in (0, 1))
-    found = trkernel._partial_permutation(entries, row_stops, col_stops)
-    assert (found is not None) == one_per_line
+    one_per_column = len({j for _i, j in entries}) == len(entries)
+    found = trkernel._one_per_column(p, entries, row_stops, col_stops)
+    assert (found is not None) == one_per_column
     if found is not None:
-        lives, kernel = found
-        assert lives == trkernel._echelon_lives(p, entries, row_stops, col_stops)
-        assert kernel == fplinalg.kernel_basis(fplinalg.FpMatrix(p, len(row_stops), len(col_stops), entries))
+        assert found == _eliminated(p, entries, row_stops, col_stops)
 
 
-@pytest.fixture
-def tate_only_class(monkeypatch):
-    """Every TrOracle with a Tate piece in its window gets one Tate class
-    no source class maps to, so gr(phi - can) is not onto that piece."""
+@pytest.mark.parametrize("m", [0, 1, 2, 3, TRUNC_INF], ids=["m0", "m1", "m2", "m3", "m-inf"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_every_orbit_key_is_reduced_as_by_elimination(p, m):
+    # the column rule on the oracles' own base matrices, at twists 1 and 2
+    repeated_rows = 0
+    for ell in (1, 2 if p > 2 else 3):
+        oracle = TrOracle(PrimeContext(p), ell, m, (-8, 90))
+        for key in oracle._cols.keys() | oracle._rows.keys():
+            col_stops, row_stops = oracle._stops(key)
+            entries, lives, kernel = oracle._base(key, col_stops, row_stops)
+            assert (lives, kernel) == _eliminated(p, entries, row_stops, col_stops), key
+            one_per_column = len({j for _i, j in entries}) == len(entries)
+            repeated_rows += one_per_column and len({i for i, _j in entries}) < len(entries)
+    assert repeated_rows or m == 0
+
+
+def _bisection_walk(oracle) -> tuple:
+    """(failures, pieces_checked, margins, v1 failures) of an oracle's
+    checks, each count at each height by bisection on its sorted list."""
+    q, window = oracle.ctx.q, oracle.window
+    failures, margins, v1_failures, pieces = [], {}, [], 0
+    for key in sorted(oracle._cols.keys() | oracle._rows.keys()):
+        col_ends, row_stops = oracle._stops(key)
+        row_ends = sorted(row_stops)
+        col_hs = orbit_heights(q, key[0], col_ends[-1] if col_ends else 0, window)
+        row_hs = orbit_heights(q, key[0], row_ends[-1] if row_ends else 0, window)
+        if not (col_hs or row_hs):
+            continue
+        _entries, lives, kernel = oracle._base(key, col_ends, row_stops)
+
+        def above(ends, s):
+            return len(ends) - bisect_right(ends, s)
+
+        carried = []
+        if col_hs and col_hs.start == 0:
+            carried = sorted(col_ends[max(vec)] for vec in kernel)
+            col_hs = col_hs[1:]
+        for s in col_hs:
+            kdim, up = above(col_ends, s) - above(lives, s), above(carried, s)
+            if kdim > up:
+                v1_failures.append(((key[0] + s * q, key[1], s), kdim, up))
+        for s in row_hs:
+            piece = (key[0] + s * q, key[1], s)
+            n_rows, rank = above(row_ends, s), above(lives, s)
+            pieces += 1
+            margins[piece] = above(col_ends, s) - n_rows
+            if rank < n_rows:
+                failures.append((piece, n_rows, rank))
+    return sorted(failures), pieces, list(margins.items()), sorted(v1_failures)
+
+
+def _add_a_tate_only_class(monkeypatch):
     assemble = TrOracle._assemble
 
     def with_a_tate_only_class(oracle):
@@ -406,6 +473,31 @@ def tate_only_class(monkeypatch):
             rows.append(((level, 10**6, 0, 0, 0), heights, top))
 
     monkeypatch.setattr(TrOracle, "_assemble", with_a_tate_only_class)
+
+
+@settings(max_examples=60)
+@given(st.tuples(st.sampled_from((2, 3, 5, 7)), st.integers(0, 3), st.sampled_from((0, 1, 2, 3, TRUNC_INF)),
+                 st.integers(-12, 12), st.integers(0, 90)),
+       st.sampled_from(("none", "tate-only-class", "late-kernel-bar")))
+def test_the_pointer_sweep_lists_what_a_bisection_walk_lists(draw, fault):
+    p, i, m, lo, hi = draw
+    ell = i + 1 + i // (p - 1)  # the i-th positive integer prime to p
+    with pytest.MonkeyPatch.context() as mp:
+        if fault == "tate-only-class":
+            _add_a_tate_only_class(mp)
+        elif fault == "late-kernel-bar":
+            _end_the_tate_classes_at_height_one(mp)
+        oracle = TrOracle(PrimeContext(p), ell, m, (lo, hi))
+    rep = oracle.surjectivity_report()
+    got = (rep.failures, rep.pieces_checked, list(rep.margins.items()), oracle.check_v1_surjectivity())
+    assert got == _bisection_walk(oracle)
+
+
+@pytest.fixture
+def tate_only_class(monkeypatch):
+    """Every TrOracle with a Tate piece in its window gets one Tate class
+    no source class maps to, so gr(phi - can) is not onto that piece."""
+    _add_a_tate_only_class(monkeypatch)
 
 
 def _drop_a_phi_entry(monkeypatch):
