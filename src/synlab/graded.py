@@ -144,16 +144,18 @@ def orbit_dims(q: int, window, orbits, params: dict | None = None) -> "DimTable"
     return DimTable(params or {}, counts, window)
 
 
-class Generator(NamedTuple("Generator", [("label", str), ("bidegree", Bidegree), ("torsion", float), ("certified", bool)])):
+class Generator(NamedTuple("Generator", [("label", object), ("bidegree", Bidegree), ("torsion", float), ("certified", bool)])):
     """One cyclic summand F_p[v1]/(v1^torsion) {label at bidegree}.
 
-    torsion is a positive int or TORSION_FREE; certified False means the
-    torsion is only known to be >= the stated value.
+    label is a str, or a hashable key whose str() is the label text, made
+    only when a message reads it; torsion is a positive int or
+    TORSION_FREE; certified False means the torsion is only known to be
+    >= the stated value.
     """
 
     __slots__ = ()
 
-    def __new__(cls, label: str, bidegree: Bidegree, torsion: float, certified: bool = True):
+    def __new__(cls, label, bidegree: Bidegree, torsion: float, certified: bool = True):
         if torsion != TORSION_FREE and (torsion <= 0 or torsion != int(torsion)):
             raise InputError(f"bad torsion order {torsion}")
         return super().__new__(cls, label, bidegree, torsion, certified)
@@ -184,13 +186,14 @@ def differences(a: dict, b: dict) -> list:
 
 
 class CyclicDecomposition:
-    """A list of Generators with distinct labels."""
+    """A list of Generators with distinct labels, compared as keys; only a
+    refusal formats them."""
 
     def __init__(self, entries: list | None = None):
         self.entries = [] if entries is None else entries
         labels = [g.label for g in self.entries]
         if len(set(labels)) != len(labels):
-            dup = sorted({x for x in labels if labels.count(x) > 1})
+            dup = sorted({str(x) for x in labels if labels.count(x) > 1})
             raise InvariantError(f"duplicate generator labels: {dup[:5]}")
 
     def __iter__(self):

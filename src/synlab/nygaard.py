@@ -95,7 +95,7 @@ from .graded import (
 # so the cap holds a page's columns to 80 MB; the side map adds a pair of
 # intervals per split ladder.  It counts the swept ladders, the cone of
 # the page's readers, not the modeled band around them.
-# SSPage.check_size enforces it before any column is allocated.
+# SSPage._place enforces it before any column is allocated.
 MAX_LADDERS = 5_000_000
 # The dense engine's cost per basis element hardly grows with the page:
 # p=3 n=2 l=1 tate takes 9.4 us per element at 13,524 elements and 9.5 us
@@ -236,14 +236,16 @@ class SSPage:
         self._build()
 
     @classmethod
-    def check_size(cls, ctx: PrimeContext, n: int, ell: int, variant: Variant, window, v1_cutoff: int) -> int:
-        """The ladder count of SSPage(ctx, n, ell, variant, window, v1_cutoff),
-        from its segment ranges alone, allocating no ladder.  Raises what the
-        constructor would raise before building: InputError, or
-        ResourceError past MAX_LADDERS ladders."""
-        shape = cls.__new__(cls)
-        shape._place(ctx, n, ell, variant, window, v1_cutoff)
-        return shape.ladder_count
+    def placed(cls, ctx: PrimeContext, n: int, ell: int, variant: Variant, window, v1_cutoff: int) -> "SSPage":
+        """SSPage(ctx, n, ell, variant, window, v1_cutoff) placed but not
+        built: its schedule, swept segments and ladder_count, and no ladder
+        allocated.  Raises what the constructor would raise before building:
+        InputError, or ResourceError past MAX_LADDERS ladders.  _build then
+        gives it the constructor's columns, so a caller that guards several
+        pages places each once."""
+        page = cls.__new__(cls)
+        page._place(ctx, n, ell, variant, window, v1_cutoff)
+        return page
 
     def _place(self, ctx, n, ell, variant, window, v1_cutoff):
         """Everything but the alive columns: parameters, schedule, padded

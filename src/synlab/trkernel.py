@@ -43,7 +43,11 @@ classes alive) and that no kernel bar is born above its orbit's bottom
 to the v1-adic one.  The generators and both checks come from one walk
 over the orbit keys, ascending, which reduces each key's base matrix
 once and reads both checks off one sweep up the key's heights; so the
-first fault in key order is the one raised.
+first fault in key order is the one raised.  Most keys have at most one
+column and one row; such a key is decided by arithmetic on its one
+entry, with no matrix, and each check fails on at most one run of its
+heights.  A generator's label is held as its free class and orbit key
+(KernelLabel) and formatted only where a message reads it.
 """
 
 from __future__ import annotations
@@ -78,8 +82,10 @@ class PageSet:
     window is the stem window the caller reads, tors_bound the largest
     torsion it probes there; each page pads window by its v1 cutoff,
     tors_bound + 4, and a longer life raises at the modeled boundary.
-    Every page's size guard runs before the first page is built, so a
-    window too large for the top page fails before any work.
+    Each page is placed once (SSPage.placed), and every page's size guard
+    runs there before the first page is built, so a window too large for
+    the top page fails before any work; the placed pages are then built
+    and run to E-infinity.
     """
 
     def __init__(self, ctx: PrimeContext, ell: int, top: int, window, tors_bound: int):
@@ -88,20 +94,32 @@ class PageSet:
         self.ell = ell
         self.top = top
         self.window = window
-        plan = [(i, v) for i in range(top + 1) for v in (Variant.HFP, Variant.TATE) if i >= 1 or v is Variant.HFP]
-        for i, variant in plan:
-            SSPage.check_size(ctx, i, ell, variant, window, v1_cutoff)
+        placed = [SSPage.placed(ctx, i, ell, variant, window, v1_cutoff)
+                  for i in range(top + 1) for variant in (Variant.HFP, Variant.TATE) if i >= 1 or variant is Variant.HFP]
         self.hfp = {}
         self.tate = {}
-        for i, variant in plan:
-            pages = self.hfp if variant is Variant.HFP else self.tate
-            pages[i] = run_to_einf(SSPage(ctx, i, ell, variant, window, v1_cutoff))
+        for page in placed:
+            page._build()
+            (self.hfp if page.variant is Variant.HFP else self.tate)[page.n] = run_to_einf(page)
 
     def monomial(self, cls: tuple, h: int = 0) -> Monomial:
         """v1^h times the class cls = (level, t, mu, lam, u), as a monomial,
         for labels and messages."""
         level, t, mu, lam, u = cls
         return Monomial(level, self.ell, t + h, mu + h, lam, u)
+
+
+class KernelLabel(tuple):
+    """A kernel generator's label as the tuple (free, twist, stem, line):
+    the class (level, t, mu, lam, u) of its free column, the twist and its
+    orbit key.  str formats it, ker:L{level}:{monomial}@{stem},{line}, only
+    where a message reads it."""
+
+    __slots__ = ()
+
+    def __str__(self):
+        (level, t, mu, lam, u), ell, stem, line = self
+        return f"ker:L{level}:{Monomial(level, ell, t, mu, lam, u)}@{stem},{line}"
 
 
 def can_image(cls: tuple) -> tuple | None:
@@ -361,19 +379,13 @@ class TrOracle:
         still alive where its row stops below the column, a missing row
         stopping at the bottom.
         """
-        p, pages, top = self.ctx.p, self.pages, self.top
-        cols = self._cols.get(key, ())
+        p = self.ctx.p
         index = {cls: i for i, (cls, _hs, _top) in enumerate(self._rows.get(key, ()))}
         entries: dict = {}
-        for j, (cls, heights, _top) in enumerate(cols):
-            for img, sign, what in ((can_image(cls), -1, "can"),
-                                    (phi_image(cls, pages) if cls[0] < top else None, 1, "phi")):
-                if img is None:
-                    continue
+        for j, (cls, heights, _top) in enumerate(self._cols.get(key, ())):
+            for img, sign, what in self._images(cls):
                 i = index.get(img)
-                stop = heights.start if i is None else row_stops[i]  # no row stops at the bottom
-                if stop < heights.stop and pages.tate[img[0]].alive(img, stop):
-                    raise InvariantError(f"{what} image {pages.monomial(img)} missing from Tate basis")
+                self._refuse_missing(img, what, heights, heights.start if i is None else row_stops[i])
                 if i is not None:
                     entries[(i, j)] = (entries.get((i, j), 0) + sign) % p
         entries = {k: v for k, v in entries.items() if v}
@@ -382,6 +394,42 @@ class TrOracle:
             found = (_echelon_lives(p, entries, row_stops, col_stops),
                      fplinalg.kernel_basis(fplinalg.FpMatrix(p, len(row_stops), len(col_stops), entries)))
         return (entries, *found)
+
+    def _images(self, cls: tuple) -> list:
+        """[(image, sign, map)] of a column's class: its can image, sign -1,
+        then below the top level its phi image, sign +1, where not None."""
+        imgs = [] if (img := can_image(cls)) is None else [(img, -1, "can")]
+        if cls[0] < self.top and (img := phi_image(cls, self.pages)) is not None:
+            imgs.append((img, 1, "phi"))
+        return imgs
+
+    def _refuse_missing(self, img: tuple, what: str, heights: range, stop: int):
+        """Raise unless the image img of a column alive at heights is dead on
+        its Tate page where its row stops, at stop; an image no row of the
+        key holds stops at the bottom, heights.start."""
+        if stop < heights.stop and self.pages.tate[img[0]].alive(img, stop):
+            raise InvariantError(f"{what} image {self.pages.monomial(img)} missing from Tate basis")
+
+    def _small_base(self, cols, rows) -> tuple:
+        """_base of an orbit key of at most one column and one row, by
+        arithmetic: the one entry is the sum mod p of the signs of the images
+        that hit the row; a nonzero entry is one unit of rank, alive below
+        min(row stop, column stop), and otherwise the column, if any, is the
+        kernel.  The images are refused as in _base, in the same order."""
+        if not cols:
+            return {}, [], []
+        (cls, heights, _top), = cols
+        row, row_stop = (rows[0][0], rows[0][1].stop) if rows else (None, 0)
+        v = 0
+        for img, sign, what in self._images(cls):
+            hit = img == row
+            self._refuse_missing(img, what, heights, row_stop if hit else heights.start)
+            if hit:
+                v += sign
+        v %= self.ctx.p
+        if v:
+            return {(0, 0): v}, [min(row_stop, heights.stop)], []
+        return {}, [], [{0: 1}]
 
     def matrix(self, key) -> fplinalg.FpMatrix:
         """phi - can on the base classes of an orbit key (base stem, line).
@@ -400,63 +448,100 @@ class TrOracle:
     @cached_property
     def _walk(self) -> tuple:
         """(generators, surjectivity report, v1 failures) from one visit of
-        each orbit key with a height in the window, keys ascending, and one
-        _base call per visit; the first reader runs it.
+        each orbit key with a height in the window, keys ascending: a key of
+        at most one column and one row by _visit_small, any other by _visit;
+        the first reader runs it."""
+        gens, v1_failures, rep = [], [], SurjectivityReport()
+        for key in sorted(self._cols.keys() | self._rows.keys()):
+            cols, rows = self._cols.get(key, ()), self._rows.get(key, ())
+            visit = self._visit_small if len(cols) < 2 and len(rows) < 2 else self._visit
+            visit(key, cols, rows, gens, rep, v1_failures)
+        rep.failures.sort()
+        return gens, rep, sorted(v1_failures)
+
+    def _visit(self, key, cols, _rows, gens: list, rep: SurjectivityReport, v1_failures: list):
+        """Add an orbit key's generators, margins, pieces checked and
+        failures of both checks to gens, rep and v1_failures, from one _base
+        call, if the key has a height in the window.
 
         A key's counts are step functions of the height, so one index per
         sorted list (column stops, rank lives, carried stops, row stops)
         moves up the key's heights, each past the stops at or below the
         height: the count alive there is the list's length less the index.
         """
-        q, window, hfp = self.ctx.q, self.window, self.pages.hfp
-        gens, v1_failures, rep = [], [], SurjectivityReport()
+        q, hfp = self.ctx.q, self.pages.hfp
+        col_stops, row_stops = self._stops(key)
+        col_top, row_top = col_stops[-1] if col_stops else 0, max(row_stops, default=0)
+        hs = orbit_heights(q, key[0], max(col_top, row_top), self.window)
+        if not hs:
+            return
+        _entries, lives, kernel = self._base(key, col_stops, row_stops)
+        stem, line = key
+        v1_from = hs.start
+        carried = []
+        if v1_from == 0 and col_top:  # the base stem is in the window
+            for vec in kernel:
+                r = max(hfp[cls[0]].bounded_top(cls, stem, top) for cls, _hs, top in (cols[j] for j in vec))
+                last = max(vec)
+                gens.append(Generator(KernelLabel((cols[last][0], self.ell, stem, line)), Bidegree(*key), r))
+                carried.append(col_stops[last])
+            carried.sort()
+            v1_from = 1
+        v1_to, rows_to = min(hs.stop, col_top), min(hs.stop, row_top)
+        row_ends = sorted(row_stops)
         margins, failures = rep.margins, rep.failures
-        for key in sorted(self._cols.keys() | self._rows.keys()):
-            col_stops, row_stops = self._stops(key)
-            col_top, row_top = col_stops[-1] if col_stops else 0, max(row_stops, default=0)
-            hs = orbit_heights(q, key[0], max(col_top, row_top), window)
-            if not hs:
-                continue
-            _entries, lives, kernel = self._base(key, col_stops, row_stops)
-            stem, line = key
-            v1_from = hs.start
-            carried = []
-            if v1_from == 0 and col_top:  # the base stem is in the window
-                cols = self._cols[key]
-                for vec in kernel:
-                    r = max(hfp[cls[0]].bounded_top(cls, stem, top) for cls, _hs, top in (cols[j] for j in vec))
-                    last = max(vec)
-                    free = cols[last][0]
-                    label = f"ker:L{free[0]}:{self.pages.monomial(free)}@{stem},{line}"
-                    gens.append(Generator(label, Bidegree(*key), r))
-                    carried.append(col_stops[last])
-                carried.sort()
-                v1_from = 1
-            v1_to, rows_to = min(hs.stop, col_top), min(hs.stop, row_top)
-            row_ends = sorted(row_stops)
-            n_cols, n_lives, n_carried, n_rows = len(col_stops), len(lives), len(carried), len(row_ends)
-            ci = li = ki = ri = 0
-            for s in hs:
-                while ci < n_cols and col_stops[ci] <= s:
-                    ci += 1
-                while li < n_lives and lives[li] <= s:
-                    li += 1
-                if v1_from <= s < v1_to:
-                    while ki < n_carried and carried[ki] <= s:
-                        ki += 1
-                    kdim, up = (n_cols - ci) - (n_lives - li), n_carried - ki
-                    if kdim > up:
-                        v1_failures.append(((stem + s * q, line, s), kdim, up))
-                if s < rows_to:
-                    while ri < n_rows and row_ends[ri] <= s:
-                        ri += 1
-                    piece, alive, rank = (stem + s * q, line, s), n_rows - ri, n_lives - li
-                    margins[piece] = n_cols - ci - alive
-                    if rank < alive:
-                        failures.append((piece, alive, rank))
-            rep.pieces_checked += max(0, rows_to - hs.start)
-        failures.sort()
-        return gens, rep, sorted(v1_failures)
+        n_cols, n_lives, n_carried, n_rows = len(col_stops), len(lives), len(carried), len(row_ends)
+        ci = li = ki = ri = 0
+        for s in hs:
+            while ci < n_cols and col_stops[ci] <= s:
+                ci += 1
+            while li < n_lives and lives[li] <= s:
+                li += 1
+            if v1_from <= s < v1_to:
+                while ki < n_carried and carried[ki] <= s:
+                    ki += 1
+                kdim, up = (n_cols - ci) - (n_lives - li), n_carried - ki
+                if kdim > up:
+                    v1_failures.append(((stem + s * q, line, s), kdim, up))
+            if s < rows_to:
+                while ri < n_rows and row_ends[ri] <= s:
+                    ri += 1
+                piece, alive, rank = (stem + s * q, line, s), n_rows - ri, n_lives - li
+                margins[piece] = n_cols - ci - alive
+                if rank < alive:
+                    failures.append((piece, alive, rank))
+        rep.pieces_checked += max(0, rows_to - hs.start)
+
+    def _visit_small(self, key, cols, rows, gens: list, rep: SurjectivityReport, v1_failures: list):
+        """_visit for a key of at most one column and one row, by arithmetic
+        on _small_base.  Every count is 0 or 1, so each check fails on one
+        run of heights: the Tate check where the row is alive at or above
+        the rank's life, the v1 check where the column is alive at or above
+        it, unless v1 carries a height-0 generator up; and the margin is 0
+        below the column stop and -1 above it."""
+        stem, line = key
+        c = cols[0][1].stop if cols else 0
+        r = rows[0][1].stop if rows else 0
+        q = self.ctx.q
+        hs = orbit_heights(q, stem, max(c, r), self.window)
+        if not hs:
+            return
+        _entries, lives, kernel = self._small_base(cols, rows)
+        life = lives[0] if lives else 0
+        start, rows_to = hs.start, min(hs.stop, r)
+        if start == 0 and kernel:  # the base stem is in the window, and its column is free
+            cls, _hs, top = cols[0]
+            gens.append(Generator(KernelLabel((cls, self.ell, stem, line)), Bidegree(*key),
+                                  self.pages.hfp[cls[0]].bounded_top(cls, stem, top)))
+        else:
+            v1_failures += [((stem + s * q, line, s), 1, 0) for s in range(max(start, life), min(hs.stop, c))]
+        margins = rep.margins
+        for s in range(start, min(rows_to, c)):
+            margins[(stem + s * q, line, s)] = 0
+        for s in range(max(start, c), rows_to):
+            margins[(stem + s * q, line, s)] = -1
+        rep.failures += [((stem + s * q, line, s), 1, 0) for s in range(max(start, life), rows_to)]
+        rep.pieces_checked += max(0, rows_to - start)
 
     def generators(self) -> list:
         """Kernel generators: the height-0 kernel basis of each orbit key in

@@ -389,13 +389,15 @@ def test_ladder_guard_fires_before_any_ladder(monkeypatch):
     args = (CTX3, 1, 1, Variant.HFP, (0, 30), default_v1_cutoff(CTX3, 1))
     page = SSPage(*args)
     assert built == [page] and all(seg.lo is not None for seg in page._all_segments())
-    assert SSPage.check_size(*args) == page.ladder_count == len(page.ladders) > 10
+    placed = SSPage.placed(*args)
+    assert placed.ladder_count == page.ladder_count == len(page.ladders) > 10
+    assert all(seg.lo is None for seg in placed._all_segments())
     built.clear()
     monkeypatch.setattr(nygaard, "MAX_LADDERS", 10)
     with pytest.raises(ResourceError):
         SSPage(*args)
     with pytest.raises(ResourceError):
-        SSPage.check_size(*args)
+        SSPage.placed(*args)
     assert built == []
 
 

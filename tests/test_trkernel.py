@@ -11,9 +11,10 @@ from synlab import fplinalg, nygaard, trkernel
 from synlab.cli import main
 from synlab.closedforms import TRUNC_INF, enumerate_families
 from synlab.errors import InputError, InvariantError, ResourceError, VerificationFailure
-from synlab.graded import Bidegree, Generator, Monomial, PrimeContext, orbit_heights
+from synlab.graded import Bidegree, CyclicDecomposition, Generator, Monomial, PrimeContext, orbit_heights, torsion_multiset
 from synlab.nygaard import SSPage
 from synlab.trkernel import (
+    KernelLabel,
     PageSet,
     SurjectivityReport,
     TrOracle,
@@ -359,6 +360,35 @@ def test_every_generator_torsion_is_the_probed_torsion_of_its_chain(draw, starve
         assert [gen.torsion for gen in oracle.generators()] == probed
 
 
+@settings(max_examples=30)
+@given(TR_DRAWS)
+def test_a_generator_label_reads_as_its_text(draw):
+    # a label is kept as its free class and orbit key; the text a message or
+    # the distinct-label refusal reads is ker:L{level}:{monomial}@{stem},{line}
+    p, i, m, hi = draw
+    ell = i + 1 + i // (p - 1)  # the i-th positive integer prime to p
+    oracle = TrOracle(PrimeContext(p), ell, m, (0, hi))
+    lo, hi = oracle.window
+    texts = []
+    for (stem, line) in sorted(k for k in oracle._cols if lo <= k[0] <= hi):
+        for vec in oracle.kernel((stem, line)):
+            free = oracle._cols[(stem, line)][max(vec)][0]
+            texts.append(f"ker:L{free[0]}:{oracle.pages.monomial(free)}@{stem},{line}")
+    gens = oracle.generators()
+    assert [str(g.label) for g in gens] == texts
+    assert len(oracle.decomposition()) == len(gens)
+    for g, text in zip(gens, texts):
+        with pytest.raises(InvariantError) as exc:
+            torsion_multiset([g._replace(certified=False)], f"l{ell}:")
+        assert str(exc.value) == f"generator l{ell}:{text} at {tuple(g.bidegree)} has only a lower bound on its torsion"
+    if gens:
+        # a second generator with the same key, made afresh, is refused by its text
+        again = Generator(KernelLabel(tuple(gens[-1].label)), Bidegree(0, 0), 1)
+        with pytest.raises(InvariantError) as exc:
+            CyclicDecomposition([*gens, again])
+        assert str(exc.value) == f"duplicate generator labels: {[texts[-1]]}"
+
+
 @st.composite
 def sparse_matrices(draw):
     """(p, entries, row_stops, col_stops): a matrix over F_p of at most 6 x
@@ -491,6 +521,125 @@ def test_the_pointer_sweep_lists_what_a_bisection_walk_lists(draw, fault):
     rep = oracle.surjectivity_report()
     got = (rep.failures, rep.pieces_checked, list(rep.margins.items()), oracle.check_v1_surjectivity())
     assert got == _bisection_walk(oracle)
+
+
+def _add_tate_only_rows(monkeypatch):
+    # a Tate row no image reaches, alive two heights past the column, joins
+    # each key of one column and no row, and a key of one such row and no
+    # column is made beside it and two heights below the window
+    assemble = TrOracle._assemble
+
+    def with_tate_only_rows(oracle):
+        assemble(oracle)
+        oracle._rows[(oracle.window[0] - 2 * oracle.ctx.q, 5)] = [((0, 10**6, 2, 0, 0), range(0, 4), 4)]
+        for (stem, line), cols in list(oracle._cols.items()):
+            if len(cols) == 1 and (stem, line) not in oracle._rows:
+                (level, *_rest), heights, top = cols[0]
+                heights = range(heights.start, heights.stop + 2)
+                oracle._rows[(stem, line)] = [((level, 10**6, 0, 0, 0), heights, top)]
+                oracle._rows[(stem, line + 4)] = [((level, 10**6, 1, 0, 0), heights, top)]
+
+    monkeypatch.setattr(TrOracle, "_assemble", with_tate_only_rows)
+
+
+def _hit_one_row_twice(monkeypatch):
+    # phi sends each t-type class above level 0 to its can image, itself,
+    # so below the top level the two images of its column cancel on one row
+    phi = trkernel.phi_image
+    monkeypatch.setattr(trkernel, "phi_image", lambda cls, pages: cls if cls[0] and not cls[2] else phi(cls, pages))
+
+
+def _drop_the_one_rows(monkeypatch):
+    # the row of every key of one column and one row goes, though its class
+    # is alive on its page wherever a can or phi image names it
+    assemble = TrOracle._assemble
+
+    def without_the_one_rows(oracle):
+        assemble(oracle)
+        for key, cols in oracle._cols.items():
+            if len(cols) == 1 and len(oracle._rows.get(key, ())) == 1:
+                del oracle._rows[key]
+
+    monkeypatch.setattr(TrOracle, "_assemble", without_the_one_rows)
+
+
+def _one_visit(oracle, visit, key) -> tuple:
+    """What one visit of an orbit key adds: its generators' texts,
+    bidegrees and torsions, failures, margins, pieces checked and v1
+    failures; or the InvariantError it raises."""
+    gens, rep, v1_failures = [], SurjectivityReport(), []
+    try:
+        visit(key, oracle._cols.get(key, ()), oracle._rows.get(key, ()), gens, rep, v1_failures)
+    except InvariantError as exc:
+        return "raises", str(exc)
+    return ([(str(g.label), g.bidegree, g.torsion) for g in gens], rep.failures, list(rep.margins.items()),
+            rep.pieces_checked, v1_failures)
+
+
+def _base_or_raise(base, *args) -> tuple:
+    try:
+        return base(*args)
+    except InvariantError as exc:
+        return "raises", str(exc)
+
+
+SMALL_KEY_FAULTS = {
+    "none": None,
+    "tate-only-row": _add_tate_only_rows,
+    "zero-entry": _hit_one_row_twice,
+    "column-after-its-row": lambda mp: _end_the_tate_classes_at_height_one(mp),
+    "missing-row": _drop_the_one_rows,
+}
+
+
+def _small_keys_as_by_base(p, i, m, window, fault) -> Counter:
+    """Require each orbit key of at most one column and one row of a faulted
+    oracle to be decided by _small_base and _visit_small as by _base and
+    _visit; count the keys by (columns, rows, outcome)."""
+    ell = i + 1 + i // (p - 1)  # the i-th positive integer prime to p
+    seen = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        if SMALL_KEY_FAULTS[fault]:
+            SMALL_KEY_FAULTS[fault](mp)
+        oracle = TrOracle(PrimeContext(p), ell, m, window)
+        for key in sorted(oracle._cols.keys() | oracle._rows.keys()):
+            cols, rows = oracle._cols.get(key, ()), oracle._rows.get(key, ())
+            if len(cols) > 1 or len(rows) > 1:
+                continue
+            small = _base_or_raise(oracle._small_base, cols, rows)
+            assert small == _base_or_raise(oracle._base, key, *oracle._stops(key)), key
+            assert _one_visit(oracle, oracle._visit_small, key) == _one_visit(oracle, oracle._visit, key), key
+            if small[0] == "raises":
+                outcome = "raises"
+            elif not small[0]:
+                outcome = "zero"
+            else:
+                outcome = "column-outlives-row" if cols[0][1].stop > rows[0][1].stop else "rank"
+            seen[(len(cols), len(rows), outcome)] += 1
+    return seen
+
+
+@settings(max_examples=100)
+@given(st.tuples(st.sampled_from((2, 3, 5, 7)), st.integers(0, 3), st.sampled_from((0, 1, 2, 3, TRUNC_INF)),
+                 st.integers(-12, 12), st.integers(0, 90)),
+       st.sampled_from(sorted(SMALL_KEY_FAULTS)))
+def test_a_key_of_one_column_and_one_row_is_decided_as_by_its_base_matrix(draw, fault):
+    p, i, m, lo, hi = draw
+    _small_keys_as_by_base(p, i, m, (lo, hi), fault)
+
+
+@pytest.mark.parametrize("fault, case", [
+    ("none", (1, 1, "rank")),
+    ("none", (1, 0, "zero")),
+    ("tate-only-row", (0, 1, "zero")),
+    ("tate-only-row", (1, 1, "zero")),
+    ("zero-entry", (1, 1, "zero")),
+    ("column-after-its-row", (1, 1, "column-outlives-row")),
+    ("missing-row", (1, 0, "raises")),
+])
+def test_every_small_key_case_is_met(fault, case):
+    # each case the arithmetic path tells apart, met on one oracle
+    assert _small_keys_as_by_base(3, 0, 2, (0, 40), fault)[case]
 
 
 @pytest.fixture
@@ -681,6 +830,21 @@ def test_page_guards_all_fire_before_the_first_page(monkeypatch):
     with pytest.raises(ResourceError):
         TrOracle(*args)
     assert built == []
+
+
+def test_every_page_is_placed_once(monkeypatch):
+    # the size guard's placement is the one the page is built from
+    placed = []
+    cone = SSPage._cone
+
+    def counting_cone(page, *args):
+        placed.append(page)
+        return cone(page, *args)
+
+    monkeypatch.setattr(SSPage, "_cone", counting_cone)
+    pages = PageSet(CTX3, 1, 3, (0, 60), 10)
+    built = [res.page for res in (*pages.hfp.values(), *pages.tate.values())]
+    assert len(built) == 7 and Counter(map(id, placed)) == Counter(map(id, built))
 
 
 def test_twist_validation():
