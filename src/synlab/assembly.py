@@ -73,10 +73,11 @@ def tc_eps_dims(ctx: PrimeContext, window, mode: str = "closed") -> Counter:
 
     Returns Counter{(stem, line, torsion): multiplicity} over the generators
     of tc_zp_dims and of each twist-l TR summand (l prime to p) with stems
-    up to the window top; no table needs more than this multiset.  A mode
-    outside trkernel.MODES raises InputError before any work.  "closed"
-    tallies each twist's family progressions straight into the returned
-    Counter (tr_closed_decomposition), so no per-twist multiset is built.
+    up to the window top; no table needs more than this multiset, and the
+    window's bottom is not read.  A mode outside trkernel.MODES raises
+    InputError before any work.  "closed" tallies each twist's family
+    progressions straight into the returned Counter
+    (tr_closed_decomposition), so no per-twist multiset is built.
     "oracle" and "both" read each twist as tr_gr_module's multiset: the
     oracle's generators, refusing a torsion that is only a lower bound, and
     for "both" raising VerificationFailure on the first twist whose oracle
@@ -90,7 +91,7 @@ def tc_eps_dims(ctx: PrimeContext, window, mode: str = "closed") -> Counter:
     """
     if mode not in MODES:
         raise InputError(f"unknown mode {mode}")
-    lo, hi = window
+    hi = window[1]
     held = deque()  # (twist, its family progressions), in twist order
     count = 0
     for ell in range(1, twist_bound(hi) + 1):
@@ -145,10 +146,7 @@ def syntomic_dims(params: AssemblyParams, mode: str = "closed") -> DimTable:
     ctx = params.ctx
     q = ctx.q
     k = params.k
-    lo, hi = params.window
-    # every generator sits at stem >= -1, so reaching stem hi needs nothing
-    # below; torsion must be exact for all generators with stem <= hi.
-    M = tc_eps_dims(ctx, (min(lo, -1), hi), mode=mode)
+    M = tc_eps_dims(ctx, params.window, mode=mode)
 
     def orbits():
         # min(r, k) reduction classes from v1^0 g, and for finite r as many

@@ -222,19 +222,15 @@ class VectorSpan:
         return [dict(self._rows[piv]) for piv in sorted(self._rows)]
 
 
-def _row_span(m: FpMatrix) -> VectorSpan:
-    """Span of the rows of m, added in row order."""
+def rank(m: FpMatrix) -> int:
+    """Rank of the span of the rows of m, added in row order."""
     span = VectorSpan(m.p, m.cols)
     rows: dict = {}
     for (r, c), v in m.entries.items():
         rows.setdefault(r, {})[c] = v
     for r in sorted(rows):
         span.add(rows[r])
-    return span
-
-
-def rank(m: FpMatrix) -> int:
-    return _row_span(m).rank
+    return span.rank
 
 
 def kernel_basis(m: FpMatrix):

@@ -44,10 +44,11 @@ to the v1-adic one.  The generators and both checks come from one walk
 over the orbit keys, ascending, which reduces each key's base matrix
 once and reads both checks off one sweep up the key's heights; so the
 first fault in key order is the one raised.  Most keys have at most one
-column and one row; such a key is decided by arithmetic on its one
-entry, with no matrix, and each check fails on at most one run of its
-heights.  A generator's label is held as its free class and orbit key
-(KernelLabel) and formatted only where a message reads it.
+column and one row; such a key's base is decided by arithmetic on its
+one entry, with no matrix, and its heights are swept as any other key's.
+The walk keeps one surjectivity margin, the smallest, at the first
+piece that reaches it.  A generator's label is held as its free class
+and orbit key (KernelLabel) and formatted only where a message reads it.
 """
 
 from __future__ import annotations
@@ -203,10 +204,12 @@ def probe_element_torsion(pages: PageSet, comps) -> int:
 
 
 class SurjectivityReport:
-    def __init__(self, failures: list | None = None, pieces_checked: int = 0, margins: dict | None = None):
-        self.failures = [] if failures is None else failures
-        self.pieces_checked = pieces_checked
-        self.margins = {} if margins is None else margins  # (stem, line, s) -> src_dim - tgt_dim
+    def __init__(self):
+        self.failures = []
+        self.pieces_checked = 0
+        # {(stem, line, s): src_dim - tgt_dim} at the first piece, in walk
+        # order, of the smallest margin; empty where no piece is checked
+        self.margins = {}
 
     @property
     def all_surjective(self) -> bool:
@@ -447,22 +450,21 @@ class TrOracle:
 
     @cached_property
     def _walk(self) -> tuple:
-        """(generators, surjectivity report, v1 failures) from one visit of
-        each orbit key with a height in the window, keys ascending: a key of
-        at most one column and one row by _visit_small, any other by _visit;
-        the first reader runs it."""
+        """(generators, surjectivity report, v1 failures) from one _visit of
+        each orbit key with a height in the window, keys ascending; the
+        first reader runs it."""
         gens, v1_failures, rep = [], [], SurjectivityReport()
         for key in sorted(self._cols.keys() | self._rows.keys()):
-            cols, rows = self._cols.get(key, ()), self._rows.get(key, ())
-            visit = self._visit_small if len(cols) < 2 and len(rows) < 2 else self._visit
-            visit(key, cols, rows, gens, rep, v1_failures)
+            self._visit(key, self._cols.get(key, ()), self._rows.get(key, ()), gens, rep, v1_failures)
         rep.failures.sort()
         return gens, rep, sorted(v1_failures)
 
-    def _visit(self, key, cols, _rows, gens: list, rep: SurjectivityReport, v1_failures: list):
-        """Add an orbit key's generators, margins, pieces checked and
-        failures of both checks to gens, rep and v1_failures, from one _base
-        call, if the key has a height in the window.
+    def _visit(self, key, cols, rows, gens: list, rep: SurjectivityReport, v1_failures: list):
+        """Add an orbit key's generators, pieces checked and failures of both
+        checks to gens, rep and v1_failures, from one base, if the key has a
+        height in the window; a margin below rep's smallest replaces it.  A
+        key of at most one column and one row takes _small_base, any other
+        _base.
 
         A key's counts are step functions of the height, so one index per
         sorted list (column stops, rank lives, carried stops, row stops)
@@ -475,7 +477,10 @@ class TrOracle:
         hs = orbit_heights(q, key[0], max(col_top, row_top), self.window)
         if not hs:
             return
-        _entries, lives, kernel = self._base(key, col_stops, row_stops)
+        if len(cols) < 2 and len(rows) < 2:
+            _entries, lives, kernel = self._small_base(cols, rows)
+        else:
+            _entries, lives, kernel = self._base(key, col_stops, row_stops)
         stem, line = key
         v1_from = hs.start
         carried = []
@@ -489,8 +494,9 @@ class TrOracle:
             v1_from = 1
         v1_to, rows_to = min(hs.stop, col_top), min(hs.stop, row_top)
         row_ends = sorted(row_stops)
-        margins, failures = rep.margins, rep.failures
+        failures = rep.failures
         n_cols, n_lives, n_carried, n_rows = len(col_stops), len(lives), len(carried), len(row_ends)
+        low = min(rep.margins.values(), default=n_cols + 1)  # above any margin of this key
         ci = li = ki = ri = 0
         for s in hs:
             while ci < n_cols and col_stops[ci] <= s:
@@ -507,41 +513,12 @@ class TrOracle:
                 while ri < n_rows and row_ends[ri] <= s:
                     ri += 1
                 piece, alive, rank = (stem + s * q, line, s), n_rows - ri, n_lives - li
-                margins[piece] = n_cols - ci - alive
+                margin = n_cols - ci - alive
+                if margin < low:
+                    low, rep.margins = margin, {piece: margin}
                 if rank < alive:
                     failures.append((piece, alive, rank))
         rep.pieces_checked += max(0, rows_to - hs.start)
-
-    def _visit_small(self, key, cols, rows, gens: list, rep: SurjectivityReport, v1_failures: list):
-        """_visit for a key of at most one column and one row, by arithmetic
-        on _small_base.  Every count is 0 or 1, so each check fails on one
-        run of heights: the Tate check where the row is alive at or above
-        the rank's life, the v1 check where the column is alive at or above
-        it, unless v1 carries a height-0 generator up; and the margin is 0
-        below the column stop and -1 above it."""
-        stem, line = key
-        c = cols[0][1].stop if cols else 0
-        r = rows[0][1].stop if rows else 0
-        q = self.ctx.q
-        hs = orbit_heights(q, stem, max(c, r), self.window)
-        if not hs:
-            return
-        _entries, lives, kernel = self._small_base(cols, rows)
-        life = lives[0] if lives else 0
-        start, rows_to = hs.start, min(hs.stop, r)
-        if start == 0 and kernel:  # the base stem is in the window, and its column is free
-            cls, _hs, top = cols[0]
-            gens.append(Generator(KernelLabel((cls, self.ell, stem, line)), Bidegree(*key),
-                                  self.pages.hfp[cls[0]].bounded_top(cls, stem, top)))
-        else:
-            v1_failures += [((stem + s * q, line, s), 1, 0) for s in range(max(start, life), min(hs.stop, c))]
-        margins = rep.margins
-        for s in range(start, min(rows_to, c)):
-            margins[(stem + s * q, line, s)] = 0
-        for s in range(max(start, c), rows_to):
-            margins[(stem + s * q, line, s)] = -1
-        rep.failures += [((stem + s * q, line, s), 1, 0) for s in range(max(start, life), rows_to)]
-        rep.pieces_checked += max(0, rows_to - start)
 
     def generators(self) -> list:
         """Kernel generators: the height-0 kernel basis of each orbit key in

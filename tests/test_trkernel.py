@@ -39,6 +39,12 @@ def iter_alive(res, window):
             yield Monomial(n, ell, a + h, b + h, seg.e1, seg.e2), h
 
 
+def _first_smallest(margins) -> dict:
+    """{piece: margin} at the first of the (piece, margin) pairs, in the
+    order given, whose margin is the smallest; {} for no pair."""
+    return dict([min(margins, key=lambda pm: pm[1])]) if margins else {}
+
+
 class ReferenceOracle:
     """The TR kernel piece by piece, on the pages of a TrOracle.
 
@@ -141,8 +147,13 @@ class ReferenceOracle:
         return failures
 
     def surjectivity_report(self) -> SurjectivityReport:
+        """The report of the checks piece by piece; its one margin is the
+        first smallest of the per-piece margins in the oracle's walk order,
+        by orbit key (base stem, line), then height."""
         rep = SurjectivityReport()
         lo, hi = self.window
+        q = self.ctx.q
+        margins = []
         for key in sorted(self._tgt_pieces):
             stem, line, s = key
             if not (lo <= stem <= hi):
@@ -150,9 +161,15 @@ class ReferenceOracle:
             src, tgt = self._src_pieces.get(key, []), self._tgt_pieces[key]
             rep.pieces_checked += 1
             r = fplinalg.rank(self.matrix(key))
-            rep.margins[key] = len(src) - len(tgt)
+            margins.append((key, len(src) - len(tgt)))
             if r < len(tgt):
                 rep.failures.append((key, len(tgt), r))
+
+        def walk_order(piece_margin):
+            (stem, line, s), _margin = piece_margin
+            return stem - s * q, line, s
+
+        rep.margins = _first_smallest(sorted(margins, key=walk_order))
         return rep
 
 
@@ -457,9 +474,10 @@ def test_every_orbit_key_is_reduced_as_by_elimination(p, m):
 
 def _bisection_walk(oracle) -> tuple:
     """(failures, pieces_checked, margins, v1 failures) of an oracle's
-    checks, each count at each height by bisection on its sorted list."""
+    checks, each count at each height by bisection on its sorted list; the
+    margins are the first smallest per-piece margin in walk order."""
     q, window = oracle.ctx.q, oracle.window
-    failures, margins, v1_failures, pieces = [], {}, [], 0
+    failures, margins, v1_failures, pieces = [], [], [], 0
     for key in sorted(oracle._cols.keys() | oracle._rows.keys()):
         col_ends, row_stops = oracle._stops(key)
         row_ends = sorted(row_stops)
@@ -484,10 +502,10 @@ def _bisection_walk(oracle) -> tuple:
             piece = (key[0] + s * q, key[1], s)
             n_rows, rank = above(row_ends, s), above(lives, s)
             pieces += 1
-            margins[piece] = above(col_ends, s) - n_rows
+            margins.append((piece, above(col_ends, s) - n_rows))
             if rank < n_rows:
                 failures.append((piece, n_rows, rank))
-    return sorted(failures), pieces, list(margins.items()), sorted(v1_failures)
+    return sorted(failures), pieces, _first_smallest(margins), sorted(v1_failures)
 
 
 def _add_a_tate_only_class(monkeypatch):
@@ -519,7 +537,7 @@ def test_the_pointer_sweep_lists_what_a_bisection_walk_lists(draw, fault):
             _end_the_tate_classes_at_height_one(mp)
         oracle = TrOracle(PrimeContext(p), ell, m, (lo, hi))
     rep = oracle.surjectivity_report()
-    got = (rep.failures, rep.pieces_checked, list(rep.margins.items()), oracle.check_v1_surjectivity())
+    got = (rep.failures, rep.pieces_checked, rep.margins, oracle.check_v1_surjectivity())
     assert got == _bisection_walk(oracle)
 
 
@@ -563,16 +581,16 @@ def _drop_the_one_rows(monkeypatch):
     monkeypatch.setattr(TrOracle, "_assemble", without_the_one_rows)
 
 
-def _one_visit(oracle, visit, key) -> tuple:
-    """What one visit of an orbit key adds: its generators' texts,
-    bidegrees and torsions, failures, margins, pieces checked and v1
-    failures; or the InvariantError it raises."""
+def _one_visit(oracle, key) -> tuple:
+    """What one _visit of an orbit key adds to a fresh report: its
+    generators' texts, bidegrees and torsions, failures, smallest margin,
+    pieces checked and v1 failures; or the InvariantError it raises."""
     gens, rep, v1_failures = [], SurjectivityReport(), []
     try:
-        visit(key, oracle._cols.get(key, ()), oracle._rows.get(key, ()), gens, rep, v1_failures)
+        oracle._visit(key, oracle._cols.get(key, ()), oracle._rows.get(key, ()), gens, rep, v1_failures)
     except InvariantError as exc:
         return "raises", str(exc)
-    return ([(str(g.label), g.bidegree, g.torsion) for g in gens], rep.failures, list(rep.margins.items()),
+    return ([(str(g.label), g.bidegree, g.torsion) for g in gens], rep.failures, rep.margins,
             rep.pieces_checked, v1_failures)
 
 
@@ -594,8 +612,8 @@ SMALL_KEY_FAULTS = {
 
 def _small_keys_as_by_base(p, i, m, window, fault) -> Counter:
     """Require each orbit key of at most one column and one row of a faulted
-    oracle to be decided by _small_base and _visit_small as by _base and
-    _visit; count the keys by (columns, rows, outcome)."""
+    oracle to be decided by _small_base as by _base, and visited alike with
+    either; count the keys by (columns, rows, outcome)."""
     ell = i + 1 + i // (p - 1)  # the i-th positive integer prime to p
     seen = Counter()
     with pytest.MonkeyPatch.context() as mp:
@@ -608,7 +626,11 @@ def _small_keys_as_by_base(p, i, m, window, fault) -> Counter:
                 continue
             small = _base_or_raise(oracle._small_base, cols, rows)
             assert small == _base_or_raise(oracle._base, key, *oracle._stops(key)), key
-            assert _one_visit(oracle, oracle._visit_small, key) == _one_visit(oracle, oracle._visit, key), key
+            visited = _one_visit(oracle, key)
+            with pytest.MonkeyPatch.context() as by_base:
+                by_base.setattr(oracle, "_small_base",
+                                lambda _cols, _rows, key=key: oracle._base(key, *oracle._stops(key)))
+                assert visited == _one_visit(oracle, key), key
             if small[0] == "raises":
                 outcome = "raises"
             elif not small[0]:
@@ -737,7 +759,7 @@ def test_every_tr_check_fires(mutant, monkeypatch, capsys):
 def test_a_tate_only_class_lists_its_one_piece(tate_only_class):
     oracle = TrOracle(CTX3, 1, 2, (0, 40))
     rep = oracle.surjectivity_report()
-    assert (rep.failures, rep.pieces_checked) == ([((1, 1, 0), 2, 1)], 59)
+    assert (rep.failures, rep.pieces_checked, rep.margins) == ([((1, 1, 0), 2, 1)], 59, {(1, 1, 0): -1})
     assert oracle.check_v1_surjectivity() == []
 
 
