@@ -58,7 +58,13 @@ segment (SSPage._reach), and a stage cut reads only its pair's states
 before the stage, so the page sweeps the backward cone of those ladders
 through the stage partners and no other.  A class on the band whose
 ladder the page did not sweep has no answer: EInfResult raises rather
-than call it dead.  The dense engine reads the whole band, since a
+than call it dead.  Two readers walk those deltas.  EInfResult._survivors
+yields a range of heights per alive interval to counted, classes and
+dim_table, so to the CLI's einf and the E-infinity suites, and to the
+tests' reference TR oracle.  EInfResult.land_orbits lands each orbit the
+TR oracle reads straight in its key list, with no per-orbit range;
+neither reader calls the other, so the E-infinity suites witness the TR
+one.  The dense engine reads the whole band, since a
 subquotient needs every partner of the classes at the window stems, and
 keys its basis by classes (t, mu, lam, u), the monomials
 se(l*p^n) t^t mu^mu l1^lam u^u.  SSPage.ladders is a read-only mapping
@@ -639,19 +645,27 @@ class EInfResult:
             raise InvariantError(f"life of v1^{h} * {cls} runs into the modeled boundary; enlarge the window")
         return top
 
+    def _inside(self, window) -> tuple:
+        """window as (lo, hi); InputError unless it lies inside page.window:
+        the page answers only its own window's readers."""
+        lo, hi = window
+        if not (self.page.window[0] <= lo and hi <= self.page.window[1]):
+            raise InputError(f"window {tuple(window)} is not inside the page window {self.page.window}")
+        return lo, hi
+
     def _survivors(self, window):
         """(segment, delta, stem0, heights, lo, hi) over the surviving
         heights below the v1 cutoff whose stem lies in the window: one range
         of heights per alive interval [lo, hi) as the page has it, ladders in
         key order, h ascending.  The intervals are read off the segment's
-        columns and split map directly.  A window not inside page.window
-        raises InputError: the page answers only its own window's readers."""
+        columns and split map directly.  counted, classes and dim_table read
+        the page through it; the TR oracle reads land_orbits instead.  A
+        window not inside page.window raises InputError: the page answers
+        only its own window's readers."""
         page = self.page
         q = page.ctx.q
         cut = page.v1_cutoff
-        lo, hi = window
-        if not (page.window[0] <= lo and hi <= page.window[1]):
-            raise InputError(f"window {tuple(window)} is not inside the page window {page.window}")
+        lo, hi = self._inside(window)
         for seg, indices in page._reach(lo - (cut - 1) * q, hi):
             K, sl, start, split = seg.K, seg.stem_slope, seg.deltas.start, seg.split
             i0, i1 = indices.start, indices.stop
@@ -667,29 +681,55 @@ class EInfResult:
                     if hs:
                         yield seg, delta, stem0, hs, ilo, ihi
 
-    def orbits(self, window):
-        """(stem0, base, heights, top) over the survivor v1-orbits in a stem
-        window, ladders in key order: the ladder's bottom stem, the exponents
-        (t, mu, lam, u) of its height-0 monomial, the range of its alive
-        heights below the v1 cutoff whose stem lies in the window, and the
-        exclusive top of their alive interval, cut by neither window nor
-        cutoff.
+    def land_orbits(self, window, keys: dict, as_rows: bool = False) -> None:
+        """Append each survivor v1-orbit in a stem window to its key's list
+        in keys, keys[(stem0, e1 - e2)], a column as (top, class) and, with
+        as_rows, a row as (class, top): the class (n, t, mu, lam, u) of the
+        ladder's height-0 monomial and the exclusive top of the orbit's
+        alive interval, cut by neither window nor cutoff.  An orbit is an
+        alive interval with a height below the v1 cutoff whose stem lies in
+        the window; every orbit of a key starts at the key's first such
+        height and ends at min(top, the key's end), which the caller
+        solves once per key.  A class lies on one ladder of one page, so
+        no two entries of a key tie.
 
         Heights double as v1-adic filtrations in the TR kernel oracle, which
         is only right when each orbit it reads starts at the bottom of its
-        ladder's modeled heights; so one ladder yields at most one orbit.
+        ladder's modeled heights; so one ladder lands at most one orbit.
         An orbit that starts higher raises InvariantError: the name-level
         can/phi formulas would not apply to it, and this is the tripwire
-        against misreading the page structure.
+        against misreading the page structure.  A window not inside
+        page.window raises InputError, as in _survivors.
         """
         page = self.page
-        q, lo_pad = page.ctx.q, page.lo_pad
-        for seg, delta, stem0, hs, ilo, top in self._survivors(window):
-            h_lo = -((stem0 - lo_pad) // q)  # the bottom of SSPage._heights(stem0)
-            if ilo != (h_lo if h_lo > 0 else 0):
-                key = (seg.e1, seg.e2, delta)
-                raise InvariantError(f"page {page.variant} n={page.n}: broken chain on ladder {key}")
-            yield stem0, (seg.a_slope * delta, seg.b_slope * delta, seg.e1, seg.e2), hs, top
+        q, cut, n, lo_pad = page.ctx.q, page.v1_cutoff, page.n, page.lo_pad
+        lo, hi = self._inside(window)
+        for seg, indices in page._reach(lo - (cut - 1) * q, hi):
+            K, sl, a, b, e1, e2 = seg.K, seg.stem_slope, seg.a_slope, seg.b_slope, seg.e1, seg.e2
+            start, split, line, los, his = seg.deltas.start, seg.split, e1 - e2, seg.lo, seg.hi
+            i0, i1 = indices.start, indices.stop
+            for i in compress(indices, map(ne, los[i0:i1], his[i0:i1])):  # the live ladders
+                ilo = los[i]
+                if ilo >= cut:
+                    continue  # alive only from the cutoff up
+                ihi, stem0 = his[i], K + sl * (start + i)
+                # the key's first height and end: lo <= stem0 + h*q <= hi, h < cut
+                first = -((stem0 - lo) // q)
+                if ihi <= first and ilo >= 0:
+                    continue  # dead below the window
+                end = (hi - stem0) // q + 1
+                if first < 0:
+                    first = 0
+                if end > cut:
+                    end = cut
+                for ilo, ihi in split[i] if ilo < 0 else ((ilo, ihi),):
+                    if (ilo if ilo > first else first) < (ihi if ihi < end else end):
+                        delta = start + i
+                        bottom = -((stem0 - lo_pad) // q)  # of SSPage._heights(stem0)
+                        if ilo != (bottom if bottom > 0 else 0):
+                            raise InvariantError(f"page {page.variant} n={n}: broken chain on ladder {(e1, e2, delta)}")
+                        cls = (n, a * delta, b * delta, e1, e2)
+                        keys.setdefault((stem0, line), []).append((cls, ihi) if as_rows else (ihi, cls))
 
     def dim_table(self, window) -> DimTable:
         """The dimensions of the page on a stem window, as counted() counts them."""

@@ -11,7 +11,7 @@ pages (EInfResult.alive and life take it, with a height) through the
 kernel, the chain solver and the family check.  A base is a pure class,
 t = 0 or mu = 0.  Every survivor the oracle reads is v1^s times a base
 whose alive heights form one interval from the bottom of its ladder
-(EInfResult.orbits raises otherwise), so source and target are direct
+(EInfResult.land_orbits raises otherwise), so source and target are direct
 sums of interval modules over F_p[v1].  The maps act on the base alone:
 
     can: (level, t, 0, ...)  ->  (level, t, 0, ...)                  t-type
@@ -95,6 +95,7 @@ class PageSet:
         self.ell = ell
         self.top = top
         self.window = window
+        self.v1_cutoff = v1_cutoff
         placed = [SSPage.placed(ctx, i, ell, variant, window, v1_cutoff)
                   for i in range(top + 1) for variant in (Variant.HFP, Variant.TATE) if i >= 1 or variant is Variant.HFP]
         self.hfp = {}
@@ -306,11 +307,13 @@ def _echelon_lives(p: int, entries: dict, row_stops: list, col_stops: list) -> l
 class TrOracle:
     """Brute-force gr TR^[m](Z_p; Sigma^{2l} Z_p)/p on a stem window.
 
-    Classes are grouped by orbit key (base stem, line).  At each key the
-    columns are the fixed-point classes, ordered by life (the top of their
-    alive interval), and the rows the Tate classes; each carries the range
-    of its alive heights in the window, all starting at the key's bottom
-    height.
+    Classes are grouped by orbit key (base stem, line), each page landing
+    its orbits straight in the key lists (EInfResult.land_orbits).  At each
+    key the columns are the fixed-point classes as (top, class), ordered by
+    life (the top of their alive interval), and the rows the Tate classes
+    as (class, top), ordered by class.  Every orbit of a key starts at the
+    key's first height in the window and stops at min(top, the key's end),
+    so _stops solves that span once per key and reads each stop off a top.
     """
 
     def __init__(self, ctx: PrimeContext, ell: int, trunc, window):
@@ -340,34 +343,40 @@ class TrOracle:
             tors_bound = geo(p, 0, trunc) + 2
         # the pages read the window and one stem above it, whose kills reach it
         self.pages = PageSet(ctx, ell, self.top, (min(lo, 0), hi + 1), tors_bound)
-        self._cols: dict = {}  # orbit key -> [(class, heights, top)], by (top, class)
-        self._rows: dict = {}  # orbit key -> [(class, heights, top)], by class
+        self._cols: dict = {}  # orbit key -> [(top, class)] of its fixed-point orbits, sorted
+        self._rows: dict = {}  # orbit key -> [(class, top)] of its Tate orbits, sorted
         self._assemble()
 
     # -- basis assembly ---------------------------------------------------
 
     def _assemble(self):
-        # orbits yields one alive interval per ladder, from the bottom of its
-        # modeled heights, or raises; a ladder modeled from above height 0
-        # has its bottom stem below lo_pad, more than q below the window, so
-        # every orbit of a key starts at the window's bottom height there.
-        for pages, side in ((self.pages.hfp, self._cols), (self.pages.tate, self._rows)):
-            for level, res in pages.items():
-                for stem0, (t, mu, lam, u), heights, top in res.orbits(self.pages.window):
-                    side.setdefault((stem0, lam - u), []).append(((level, t, mu, lam, u), heights, top))
-        for cols in self._cols.values():
-            cols.sort(key=lambda c: (c[2], c[0]))
-        for rows in self._rows.values():
-            rows.sort(key=lambda r: r[0])
+        # land_orbits lands one alive interval per ladder, from the bottom of
+        # its modeled heights, or raises; a ladder modeled from above height
+        # 0 has its bottom stem below lo_pad, more than q below the window,
+        # so every orbit of a key starts at the key's first height (_stops).
+        for pages, side, as_rows in ((self.pages.hfp, self._cols, False), (self.pages.tate, self._rows, True)):
+            for res in pages.values():
+                res.land_orbits(self.pages.window, side, as_rows)
+            for orbits in side.values():
+                orbits.sort()
 
-    def _stops(self, key) -> tuple:
-        """The stops of an orbit key's columns and of its rows, in order."""
-        return ([hs.stop for _c, hs, _t in self._cols.get(key, ())],
-                [hs.stop for _c, hs, _t in self._rows.get(key, ())])
+    def _stops(self, stem: int, cols, rows) -> tuple:
+        """(start, column stops, row stops) of the columns and rows of an
+        orbit key of base stem stem, the key's span solved once: each orbit
+        starts at height start, the first whose stem reaches the pages'
+        window, and stops at min(top, end), end the first height past both
+        that window and the v1 cutoff."""
+        q, (lo, hi) = self.ctx.q, self.pages.window
+        start, end = -((stem - lo) // q), (hi - stem) // q + 1
+        if end > self.pages.v1_cutoff:
+            end = self.pages.v1_cutoff
+        return (start if start > 0 else 0, [top if top < end else end for top, _c in cols],
+                [top if top < end else end for _c, top in rows])
 
-    def _base(self, key, col_stops: list, row_stops: list) -> tuple:
+    def _base(self, key, start: int, col_stops: list, row_stops: list) -> tuple:
         """(entries, lives, kernel) of the base matrix of phi - can at an
-        orbit key, given the stops of its columns and rows (_stops):
+        orbit key, given its start and the stops of its columns and rows
+        (_stops):
         {(row, column): residue}; the sorted heights below which each unit
         of rank lives, so the piece at height s has rank #{life > s}; and
         its kernel basis, one vector per free column, whose free column is
@@ -377,18 +386,18 @@ class TrOracle:
 
         Every can/phi image of a column must be a Tate row, alive as long
         as on its page.  The images are named by can_image and phi_image
-        and looked up among the key's rows, which start at the columns'
-        bottom height; the Tate page is asked only whether an image is
-        still alive where its row stops below the column, a missing row
-        stopping at the bottom.
+        and looked up among the key's rows, which start with the columns,
+        at start; the Tate page is asked only whether an image is still
+        alive where its row stops below the column, a missing row stopping
+        at start.
         """
         p = self.ctx.p
-        index = {cls: i for i, (cls, _hs, _top) in enumerate(self._rows.get(key, ()))}
+        index = {cls: i for i, (cls, _top) in enumerate(self._rows.get(key, ()))}
         entries: dict = {}
-        for j, (cls, heights, _top) in enumerate(self._cols.get(key, ())):
+        for j, (_top, cls) in enumerate(self._cols.get(key, ())):
             for img, sign, what in self._images(cls):
                 i = index.get(img)
-                self._refuse_missing(img, what, heights, heights.start if i is None else row_stops[i])
+                self._refuse_missing(img, what, col_stops[j], start if i is None else row_stops[i])
                 if i is not None:
                     entries[(i, j)] = (entries.get((i, j), 0) + sign) % p
         entries = {k: v for k, v in entries.items() if v}
@@ -406,14 +415,14 @@ class TrOracle:
             imgs.append((img, 1, "phi"))
         return imgs
 
-    def _refuse_missing(self, img: tuple, what: str, heights: range, stop: int):
-        """Raise unless the image img of a column alive at heights is dead on
-        its Tate page where its row stops, at stop; an image no row of the
-        key holds stops at the bottom, heights.start."""
-        if stop < heights.stop and self.pages.tate[img[0]].alive(img, stop):
+    def _refuse_missing(self, img: tuple, what: str, col_stop: int, stop: int):
+        """Raise unless the image img of a column alive below col_stop is
+        dead on its Tate page where its row stops, at stop; an image no row
+        of the key holds stops at the key's start."""
+        if stop < col_stop and self.pages.tate[img[0]].alive(img, stop):
             raise InvariantError(f"{what} image {self.pages.monomial(img)} missing from Tate basis")
 
-    def _small_base(self, cols, rows) -> tuple:
+    def _small_base(self, cols, rows, start: int, col_stops: list, row_stops: list) -> tuple:
         """_base of an orbit key of at most one column and one row, by
         arithmetic: the one entry is the sum mod p of the signs of the images
         that hit the row; a nonzero entry is one unit of rank, alive below
@@ -421,30 +430,35 @@ class TrOracle:
         kernel.  The images are refused as in _base, in the same order."""
         if not cols:
             return {}, [], []
-        (cls, heights, _top), = cols
-        row, row_stop = (rows[0][0], rows[0][1].stop) if rows else (None, 0)
+        (_top, cls), = cols
+        col_stop, = col_stops
+        row, row_stop = (rows[0][0], row_stops[0]) if rows else (None, 0)
         v = 0
         for img, sign, what in self._images(cls):
             hit = img == row
-            self._refuse_missing(img, what, heights, row_stop if hit else heights.start)
+            self._refuse_missing(img, what, col_stop, row_stop if hit else start)
             if hit:
                 v += sign
         v %= self.ctx.p
         if v:
-            return {(0, 0): v}, [min(row_stop, heights.stop)], []
+            return {(0, 0): v}, [min(row_stop, col_stop)], []
         return {}, [], [{0: 1}]
+
+    def _base_of(self, key) -> tuple:
+        """_base of an orbit key, its start and stops read by _stops."""
+        return self._base(key, *self._stops(key[0], self._cols.get(key, ()), self._rows.get(key, ())))
 
     def matrix(self, key) -> fplinalg.FpMatrix:
         """phi - can on the base classes of an orbit key (base stem, line).
         The piece at height s is this matrix cut to the rows and columns
         alive at s."""
-        col_stops, row_stops = self._stops(key)
-        return fplinalg.FpMatrix(self.ctx.p, len(row_stops), len(col_stops), self._base(key, col_stops, row_stops)[0])
+        entries = self._base_of(key)[0]
+        return fplinalg.FpMatrix(self.ctx.p, len(self._rows.get(key, ())), len(self._cols.get(key, ())), entries)
 
     def kernel(self, key):
         """Kernel basis of matrix(key), one vector per free column; its
         free column is its largest index, and the latest to die."""
-        return self._base(key, *self._stops(key))[2]
+        return self._base_of(key)[2]
 
     # -- structure extraction and checks, in one walk ----------------------
 
@@ -464,7 +478,7 @@ class TrOracle:
         checks to gens, rep and v1_failures, from one base, if the key has a
         height in the window; a margin below rep's smallest replaces it.  A
         key of at most one column and one row takes _small_base, any other
-        _base.
+        _base; both get the key's start and stops from one _stops.
 
         A key's counts are step functions of the height, so one index per
         sorted list (column stops, rank lives, carried stops, row stops)
@@ -472,28 +486,28 @@ class TrOracle:
         height: the count alive there is the list's length less the index.
         """
         q, hfp = self.ctx.q, self.pages.hfp
-        col_stops, row_stops = self._stops(key)
-        col_top, row_top = col_stops[-1] if col_stops else 0, max(row_stops, default=0)
-        hs = orbit_heights(q, key[0], max(col_top, row_top), self.window)
+        stem, line = key
+        start, col_stops, row_stops = self._stops(stem, cols, rows)
+        row_ends = sorted(row_stops)
+        col_top, row_top = col_stops[-1] if col_stops else 0, row_ends[-1] if row_ends else 0
+        hs = orbit_heights(q, stem, max(col_top, row_top), self.window)
         if not hs:
             return
         if len(cols) < 2 and len(rows) < 2:
-            _entries, lives, kernel = self._small_base(cols, rows)
+            _entries, lives, kernel = self._small_base(cols, rows, start, col_stops, row_stops)
         else:
-            _entries, lives, kernel = self._base(key, col_stops, row_stops)
-        stem, line = key
+            _entries, lives, kernel = self._base(key, start, col_stops, row_stops)
         v1_from = hs.start
         carried = []
         if v1_from == 0 and col_top:  # the base stem is in the window
             for vec in kernel:
-                r = max(hfp[cls[0]].bounded_top(cls, stem, top) for cls, _hs, top in (cols[j] for j in vec))
+                r = max(hfp[cls[0]].bounded_top(cls, stem, top) for top, cls in (cols[j] for j in vec))
                 last = max(vec)
-                gens.append(Generator(KernelLabel((cols[last][0], self.ell, stem, line)), Bidegree(*key), r))
+                gens.append(Generator(KernelLabel((cols[last][1], self.ell, stem, line)), Bidegree(*key), r))
                 carried.append(col_stops[last])
             carried.sort()
             v1_from = 1
         v1_to, rows_to = min(hs.stop, col_top), min(hs.stop, row_top)
-        row_ends = sorted(row_stops)
         failures = rep.failures
         n_cols, n_lives, n_carried, n_rows = len(col_stops), len(lives), len(carried), len(row_ends)
         low = min(rep.margins.values(), default=n_cols + 1)  # above any margin of this key

@@ -23,7 +23,7 @@ from synlab.nygaard import (
 )
 from synlab.trkernel import _window_torsion_bound
 from test_graded import vp
-from test_trkernel import iter_alive
+from test_trkernel import _outcome, iter_alive
 
 CTX3 = PrimeContext(3)
 
@@ -636,12 +636,11 @@ def _band_page(*args) -> SSPage:
         return SSPage(*args)
 
 
-def _outcome(read, *args):
-    """read(*args), or the type and message of the InvariantError it raises."""
-    try:
-        return read(*args)
-    except InvariantError as exc:
-        return InvariantError, str(exc)
+def _landed(res, window) -> dict:
+    """The orbit key lists EInfResult.land_orbits lands for a stem window."""
+    keys: dict = {}
+    res.land_orbits(window, keys)
+    return keys
 
 
 def _read_alive(page) -> dict:
@@ -689,7 +688,7 @@ def test_the_cone_sweep_reads_as_the_band_sweep(draw):
         return
     read = _read_alive(page)
     assert read == _read_alive(band)
-    for reader in (EInfResult.counted, EInfResult.classes, lambda r, w: list(r.orbits(w))):
+    for reader in (EInfResult.counted, EInfResult.classes, _landed):
         assert _outcome(reader, res, window) == _outcome(reader, full, window)
     if sum(lad.h_cap - lad.h_lo for lad in band.ladders.values()) <= 20_000:
         reference = _reference_sweep(_band_page(*args))
@@ -718,7 +717,7 @@ def test_readers_refuse_to_read_outside_their_page():
     page = SSPage(CTX3, 2, 1, Variant.HFP, (0, 40), 6)
     res = run_to_einf(page)
     for window in ((-1, 40), (0, 41), (-10, 50)):
-        for read in (res.counted, res.classes, res.dim_table, lambda w: list(res.orbits(w))):
+        for read in (res.counted, res.classes, res.dim_table, lambda w: _landed(res, w)):
             with pytest.raises(InputError, match=re.escape(f"window {window} is not inside the page window (0, 40)")):
                 read(window)
     assert res.dim_table(page.window).entries and res.classes((4, 36))

@@ -369,7 +369,7 @@ def test_every_generator_torsion_is_the_probed_torsion_of_its_chain(draw, starve
     try:
         for key in sorted(k for k in oracle._cols if lo <= k[0] <= hi):
             for vec in oracle.kernel(key):
-                probed.append(probe_element_torsion(oracle.pages, [oracle._cols[key][j][0] for j in vec]))
+                probed.append(probe_element_torsion(oracle.pages, [oracle._cols[key][j][1] for j in vec]))
     except InvariantError as exc:
         with pytest.raises(InvariantError, match=re.escape(str(exc))):
             oracle.generators()
@@ -389,7 +389,7 @@ def test_a_generator_label_reads_as_its_text(draw):
     texts = []
     for (stem, line) in sorted(k for k in oracle._cols if lo <= k[0] <= hi):
         for vec in oracle.kernel((stem, line)):
-            free = oracle._cols[(stem, line)][max(vec)][0]
+            free = oracle._cols[(stem, line)][max(vec)][1]
             texts.append(f"ker:L{free[0]}:{oracle.pages.monomial(free)}@{stem},{line}")
     gens = oracle.generators()
     assert [str(g.label) for g in gens] == texts
@@ -464,12 +464,154 @@ def test_every_orbit_key_is_reduced_as_by_elimination(p, m):
     for ell in (1, 2 if p > 2 else 3):
         oracle = TrOracle(PrimeContext(p), ell, m, (-8, 90))
         for key in oracle._cols.keys() | oracle._rows.keys():
-            col_stops, row_stops = oracle._stops(key)
-            entries, lives, kernel = oracle._base(key, col_stops, row_stops)
+            start, col_stops, row_stops = oracle._stops(key[0], oracle._cols.get(key, ()), oracle._rows.get(key, ()))
+            entries, lives, kernel = oracle._base(key, start, col_stops, row_stops)
             assert (lives, kernel) == _eliminated(p, entries, row_stops, col_stops), key
             one_per_column = len({j for _i, j in entries}) == len(entries)
             repeated_rows += one_per_column and len({i for i, _j in entries}) < len(entries)
     assert repeated_rows or m == 0
+
+
+def _orbits(res, window):
+    """(stem0, base, heights, top) over the survivor v1-orbits of a page in
+    a stem window, as EInfResult.orbits read them before land_orbits:
+    ladders in key order, the base exponents (t, mu, lam, u), the range of
+    the orbit's heights below the v1 cutoff whose stem lies in the window,
+    and the exclusive top of its alive interval; an orbit that starts above
+    its ladder's bottom raises."""
+    page = res.page
+    q, lo_pad = page.ctx.q, page.lo_pad
+    for seg, delta, stem0, hs, ilo, top in res._survivors(window):
+        h_lo = -((stem0 - lo_pad) // q)  # the bottom of SSPage._heights(stem0)
+        if ilo != (h_lo if h_lo > 0 else 0):
+            key = (seg.e1, seg.e2, delta)
+            raise InvariantError(f"page {page.variant} n={page.n}: broken chain on ladder {key}")
+        yield stem0, (seg.a_slope * delta, seg.b_slope * delta, seg.e1, seg.e2), hs, top
+
+
+def _grouped(pages: dict, window, as_rows: bool) -> dict:
+    """{orbit key: [(class, heights, top)]} over the _orbits of the pages
+    {level: EInfResult}, grouped and sorted as TrOracle._assemble did
+    before land_orbits: columns by (top, class), rows by class."""
+    side: dict = {}
+    for level, res in pages.items():
+        for stem0, (t, mu, lam, u), heights, top in _orbits(res, window):
+            side.setdefault((stem0, lam - u), []).append(((level, t, mu, lam, u), heights, top))
+    for orbits in side.values():
+        orbits.sort(key=(lambda o: o[0]) if as_rows else (lambda o: (o[2], o[0])))
+    return side
+
+
+def _as_landed(grouped: dict, span, as_rows: bool) -> dict:
+    """grouped in land_orbits' form, (class, top) per row and (top, class)
+    per column, after requiring each orbit's heights to be range(start,
+    min(top, end)), (start, end) = span(stem) of its key's base stem."""
+    out = {}
+    for (stem, line), orbits in grouped.items():
+        start, end = span(stem)
+        assert [heights for _cls, heights, _top in orbits] == [range(start, min(top, end)) for _c, _h, top in orbits]
+        out[(stem, line)] = [(cls, top) if as_rows else (top, cls) for cls, _heights, top in orbits]
+    return out
+
+
+def _landed(res, window, as_rows: bool) -> dict:
+    """The key lists land_orbits lands for one page, each sorted."""
+    keys: dict = {}
+    res.land_orbits(window, keys, as_rows)
+    return {key: sorted(orbits) for key, orbits in keys.items()}
+
+
+def _span_of(q: int, window, cutoff: int):
+    """span(stem): the first height and the end of an orbit of base stem
+    stem read in window below the v1 cutoff."""
+    lo, hi = window
+    return lambda stem: (max(0, -((stem - lo) // q)), min(cutoff, (hi - stem) // q + 1))
+
+
+def _reads_alike(res, window):
+    """Require land_orbits to land, on both sides, the key lists of the
+    _orbits grouping on one page, or to raise its InvariantError; return
+    what the grouping gives."""
+    span = _span_of(res.page.ctx.q, window, res.page.v1_cutoff)
+    for as_rows in (False, True):
+        want = _outcome(lambda: _as_landed(_grouped({res.page.n: res}, window, as_rows), span, as_rows))
+        assert _outcome(_landed, res, window, as_rows) == want
+    return want
+
+
+def _split_a_landed_ladder(page, window) -> bool:
+    """Split the first one-interval ladder read in window whose interval
+    [lo, hi) lands three heights or more into [lo, lo + 1) and [lo + 2, hi),
+    so that its second interval lands above the ladder's bottom; False
+    where no ladder does."""
+    q, cut = page.ctx.q, page.v1_cutoff
+    span = _span_of(q, window, cut)
+    for seg, indices in page._reach(window[0] - (cut - 1) * q, window[1]):
+        for i in indices:
+            lo, hi = seg.lo[i], seg.hi[i]
+            first, end = span(seg.K + seg.stem_slope * (seg.deltas.start + i))
+            if 0 <= lo and max(lo + 2, first) < min(hi, end):
+                seg.store(i, [(lo, lo + 1), (lo + 2, hi)])
+                return True
+    return False
+
+
+def _outcome(read, *args):
+    """read(*args), or the type and message of the InvariantError it raises."""
+    try:
+        return read(*args)
+    except InvariantError as exc:
+        return InvariantError, str(exc)
+
+
+@st.composite
+def _tr_pages(draw):
+    """(page, read window): a fixed-point page, or a Tate page above level
+    0, at p in {2, 3, 5, 7}, n <= 4 and twist <= 6 on a window inside
+    [-300, 300] with a cutoff up to 40, and a window inside the page's to
+    read."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(0, 4))
+    variant = draw(st.sampled_from([nygaard.Variant.HFP, nygaard.Variant.TATE] if n else [nygaard.Variant.HFP]))
+    lo = draw(st.integers(-300, 300))
+    hi = draw(st.integers(lo, min(lo + 300, 300)))
+    page = SSPage(PrimeContext(p), n, draw(st.integers(0, 6)), variant, (lo, hi), draw(st.integers(1, 40)))
+    read_lo = draw(st.integers(lo, hi))
+    return page, (read_lo, draw(st.integers(read_lo, hi)))
+
+
+@settings(max_examples=150)
+@given(_tr_pages())
+def test_land_orbits_lands_what_the_orbits_grouping_lands(draw):
+    page, window = draw
+    res = nygaard.run_to_einf(page)
+    _reads_alike(res, window)
+    _reads_alike(res, page.window)
+    # no page's window meets a split ladder's second interval, which would
+    # start above the ladder's bottom; one made to is refused by both
+    if _split_a_landed_ladder(page, window):
+        assert _reads_alike(res, window)[0] is InvariantError
+
+
+TR_ORACLE_JOBS = [(p, ell, m, 100 if m == TRUNC_INF else 200)
+                  for p, ell in ((2, 1), (3, 1), (3, 2)) for m in (0, 1, 2, 3, TRUNC_INF)]
+
+
+@pytest.mark.parametrize("p, ell, m, hi", TR_ORACLE_JOBS)
+def test_every_tr_page_lands_what_the_orbits_grouping_lands(p, ell, m, hi):
+    # the benchmark's fifteen TR oracles, page by page and assembled; each
+    # key's _stops are the stops of the grouping's heights
+    oracle = TrOracle(PrimeContext(p), ell, m, (0, hi))
+    pages, window = oracle.pages, oracle.pages.window
+    for res in (*pages.hfp.values(), *pages.tate.values()):
+        _reads_alike(res, window)
+    span = _span_of(oracle.ctx.q, window, pages.v1_cutoff)
+    cols, rows = _grouped(pages.hfp, window, False), _grouped(pages.tate, window, True)
+    assert (oracle._cols, oracle._rows) == (_as_landed(cols, span, False), _as_landed(rows, span, True))
+    for key in cols.keys() | rows.keys():
+        start = span(key[0])[0]
+        col_stops, row_stops = ([hs.stop for _c, hs, _t in side.get(key, ())] for side in (cols, rows))
+        assert oracle._stops(key[0], oracle._cols.get(key, ()), oracle._rows.get(key, ())) == (start, col_stops, row_stops)
 
 
 def _bisection_walk(oracle) -> tuple:
@@ -479,13 +621,13 @@ def _bisection_walk(oracle) -> tuple:
     q, window = oracle.ctx.q, oracle.window
     failures, margins, v1_failures, pieces = [], [], [], 0
     for key in sorted(oracle._cols.keys() | oracle._rows.keys()):
-        col_ends, row_stops = oracle._stops(key)
+        start, col_ends, row_stops = oracle._stops(key[0], oracle._cols.get(key, ()), oracle._rows.get(key, ()))
         row_ends = sorted(row_stops)
         col_hs = orbit_heights(q, key[0], col_ends[-1] if col_ends else 0, window)
         row_hs = orbit_heights(q, key[0], row_ends[-1] if row_ends else 0, window)
         if not (col_hs or row_hs):
             continue
-        _entries, lives, kernel = oracle._base(key, col_ends, row_stops)
+        _entries, lives, kernel = oracle._base(key, start, col_ends, row_stops)
 
         def above(ends, s):
             return len(ends) - bisect_right(ends, s)
@@ -517,8 +659,8 @@ def _add_a_tate_only_class(monkeypatch):
         keys = [k for k in oracle._rows if lo <= k[0] <= hi]
         if keys:  # truncation 0 has no Tate page
             rows = oracle._rows[min(keys)]
-            (level, *_rest), heights, top = rows[0]
-            rows.append(((level, 10**6, 0, 0, 0), heights, top))
+            (level, *_rest), top = rows[0]
+            rows.append(((level, 10**6, 0, 0, 0), top))
 
     monkeypatch.setattr(TrOracle, "_assemble", with_a_tate_only_class)
 
@@ -542,20 +684,19 @@ def test_the_pointer_sweep_lists_what_a_bisection_walk_lists(draw, fault):
 
 
 def _add_tate_only_rows(monkeypatch):
-    # a Tate row no image reaches, alive two heights past the column, joins
-    # each key of one column and no row, and a key of one such row and no
-    # column is made beside it and two heights below the window
+    # a Tate row no image reaches, alive two heights past the column's top,
+    # joins each key of one column and no row, and a key of one such row and
+    # no column is made beside it and two heights below the window
     assemble = TrOracle._assemble
 
     def with_tate_only_rows(oracle):
         assemble(oracle)
-        oracle._rows[(oracle.window[0] - 2 * oracle.ctx.q, 5)] = [((0, 10**6, 2, 0, 0), range(0, 4), 4)]
+        oracle._rows[(oracle.window[0] - 2 * oracle.ctx.q, 5)] = [((0, 10**6, 2, 0, 0), 4)]
         for (stem, line), cols in list(oracle._cols.items()):
             if len(cols) == 1 and (stem, line) not in oracle._rows:
-                (level, *_rest), heights, top = cols[0]
-                heights = range(heights.start, heights.stop + 2)
-                oracle._rows[(stem, line)] = [((level, 10**6, 0, 0, 0), heights, top)]
-                oracle._rows[(stem, line + 4)] = [((level, 10**6, 1, 0, 0), heights, top)]
+                top, (level, *_rest) = cols[0]
+                oracle._rows[(stem, line)] = [((level, 10**6, 0, 0, 0), top + 2)]
+                oracle._rows[(stem, line + 4)] = [((level, 10**6, 1, 0, 0), top + 2)]
 
     monkeypatch.setattr(TrOracle, "_assemble", with_tate_only_rows)
 
@@ -624,19 +765,20 @@ def _small_keys_as_by_base(p, i, m, window, fault) -> Counter:
             cols, rows = oracle._cols.get(key, ()), oracle._rows.get(key, ())
             if len(cols) > 1 or len(rows) > 1:
                 continue
-            small = _base_or_raise(oracle._small_base, cols, rows)
-            assert small == _base_or_raise(oracle._base, key, *oracle._stops(key)), key
+            start, col_stops, row_stops = oracle._stops(key[0], cols, rows)
+            small = _base_or_raise(oracle._small_base, cols, rows, start, col_stops, row_stops)
+            assert small == _base_or_raise(oracle._base, key, start, col_stops, row_stops), key
             visited = _one_visit(oracle, key)
             with pytest.MonkeyPatch.context() as by_base:
                 by_base.setattr(oracle, "_small_base",
-                                lambda _cols, _rows, key=key: oracle._base(key, *oracle._stops(key)))
+                                lambda _cols, _rows, *span, key=key: oracle._base(key, *span))
                 assert visited == _one_visit(oracle, key), key
             if small[0] == "raises":
                 outcome = "raises"
             elif not small[0]:
                 outcome = "zero"
             else:
-                outcome = "column-outlives-row" if cols[0][1].stop > rows[0][1].stop else "rank"
+                outcome = "column-outlives-row" if col_stops[0] > row_stops[0] else "rank"
             seen[(len(cols), len(rows), outcome)] += 1
     return seen
 
@@ -702,9 +844,9 @@ def _cut_a_tate_row_short(monkeypatch):
     def with_a_short_row(oracle):
         assemble(oracle)
         rows = oracle._rows[(30, 0)]
-        k = next(k for k, (cls, _hs, _top) in enumerate(rows) if cls == (2, -6, 0, 0, 0))
-        cls, heights, top = rows[k]
-        rows[k] = (cls, range(heights.start, heights.stop - 1), top)
+        k = next(k for k, (cls, _top) in enumerate(rows) if cls == (2, -6, 0, 0, 0))
+        _start, _col_stops, row_stops = oracle._stops(30, (), rows)
+        rows[k] = (rows[k][0], row_stops[k] - 1)
 
     monkeypatch.setattr(TrOracle, "_assemble", with_a_short_row)
     return re.escape("phi image se(1p^2)*t^-6 missing from Tate basis")
@@ -727,26 +869,37 @@ def _end_the_tate_classes_at_height_one(monkeypatch):
     return re.escape("v1 not surjective on the kernel at [((0, 0, 2), 1, 0)")
 
 
-def _start_an_orbit_above_its_bottom(monkeypatch):
-    # se(3)*mu at level 1, ladder (0, 0, -1), loses its bottom height, so
-    # its orbit, which the oracle reads at stems 16..24, starts above the
-    # bottom of its ladder
+def _trim_a_ladder_bottom(monkeypatch, side: str, level: int, delta: int):
+    # the ladder (0, 0, delta) of the level's fixed-point or Tate page loses
+    # its bottom height, so its orbit starts above the bottom of its ladder
     init = PageSet.__init__
 
     def trimmed(pages, *args):
         init(pages, *args)
-        seg = pages.hfp[1].page._segment_of(0, 0, -1)
-        i = -1 - seg.deltas.start
+        seg = getattr(pages, side)[level].page._segment_of(0, 0, delta)
+        i = delta - seg.deltas.start
         (lo, hi), *rest = seg.intervals(i)
         seg.store(i, [(lo + 1, hi), *rest])
 
     monkeypatch.setattr(PageSet, "__init__", trimmed)
-    return re.escape("n=1: broken chain on ladder (0, 0, -1)")
+    return re.escape(f"page {nygaard.Variant(side)} n={level}: broken chain on ladder (0, 0, {delta})")
+
+
+def _start_an_orbit_above_its_bottom(monkeypatch):
+    # se(3)*mu at level 1, which the oracle reads as a column at stems 16..24
+    return _trim_a_ladder_bottom(monkeypatch, "hfp", 1, -1)
+
+
+def _start_a_tate_orbit_above_its_bottom(monkeypatch):
+    # se(9)*t^3 at level 2, which the oracle reads as a row at stems 12..24
+    return _trim_a_ladder_bottom(monkeypatch, "tate", 2, 3)
 
 
 @pytest.mark.parametrize("mutant", [_drop_a_phi_entry, _kill_a_tate_row, _cut_a_tate_row_short,
-                                    _end_the_tate_classes_at_height_one, _start_an_orbit_above_its_bottom],
-                         ids=["drop-phi-entry", "kill-tate-row", "short-tate-row", "late-kernel-bar", "broken-chain"])
+                                    _end_the_tate_classes_at_height_one, _start_an_orbit_above_its_bottom,
+                                    _start_a_tate_orbit_above_its_bottom],
+                         ids=["drop-phi-entry", "kill-tate-row", "short-tate-row", "late-kernel-bar", "broken-chain",
+                              "broken-tate-chain"])
 def test_every_tr_check_fires(mutant, monkeypatch, capsys):
     message = mutant(monkeypatch)
     with pytest.raises(InvariantError, match=message):
