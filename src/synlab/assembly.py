@@ -30,7 +30,7 @@ from .graded import (
     Generator,
     PrimeContext,
     orbit_dims,
-    orbit_stems,
+    orbit_heights,
     torsion_multiset,
 )
 from .trkernel import MODES, tr_gr_module
@@ -237,7 +237,7 @@ def two_line_check(ctx: PrimeContext, window, mode: str = "closed") -> TwoLineRe
     rep = TwoLineReport()
     for key, mult in sorted(multiset.items()):
         d, s, torsion = key
-        if not orbit_stems(ctx.q, d, torsion, window):
+        if not orbit_heights(ctx.q, d, torsion, window):
             continue
         if s == 2:
             rep.line2_count += mult

@@ -122,12 +122,6 @@ def orbit_heights(q: int, d: int, length, window) -> range:
     return range(max(0, -((d - lo) // q)), j_end)  # ceil((lo - d) / q)
 
 
-def orbit_stems(q: int, d: int, length, window) -> range:
-    """The stems d + j*q of orbit_heights(q, d, length, window), ascending."""
-    js = orbit_heights(q, d, length, window)
-    return range(d + js.start * q, d + js.stop * q, q)
-
-
 def orbit_dims(q: int, window, orbits, params: dict | None = None) -> "DimTable":
     """The DimTable of v1-orbits on a stem window.
 

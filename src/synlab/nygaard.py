@@ -630,20 +630,16 @@ class EInfResult:
 
     def life(self, cls: tuple, h: int = 0) -> int:
         """Remaining chain length above v1^h times cls: smallest r with
-        v1^(h+r) times cls dead."""
+        v1^(h+r) times cls dead; InvariantError where the page does not
+        certify that length (_certified)."""
         found = self._interval(cls, h)
         if found is None:
             return 0
         stem0, height, hi = found
-        return self.bounded_top(cls, stem0, hi, h) - height
-
-    def bounded_top(self, cls: tuple, stem0: int, top: int, h: int = 0) -> int:
-        """top, the exclusive top of the alive interval holding v1^h times
-        cls, whose ladder has bottom stem stem0; InvariantError when it is
-        the ladder's modeled boundary, above which the page knows nothing."""
-        if top >= self.page._heights(stem0)[1]:
-            raise InvariantError(f"life of v1^{h} * {cls} runs into the modeled boundary; enlarge the window")
-        return top
+        if not self._certified(stem0, hi):
+            raise InvariantError(f"life of v1^{h} * {cls} is not certified on page {self.page.variant} n={self.page.n}: "
+                                 f"it reaches the v1 cutoff or the modeled boundary; enlarge the window")
+        return hi - height
 
     def _inside(self, window) -> tuple:
         """window as (lo, hi); InputError unless it lies inside page.window:
@@ -738,7 +734,8 @@ class EInfResult:
     def _certified(self, stem0: int, top: int) -> bool:
         """Whether the torsion of a generator on the ladder with bottom stem
         stem0, alive up to the exclusive height top, is exact: the chain
-        dies below the v1 cutoff and inside the modeled heights."""
+        dies by the v1 cutoff and inside the modeled heights.  The one
+        torsion rule: counted, classes, life and the TR oracle read it."""
         return top <= self.page.v1_cutoff and top < self.page._heights(stem0)[1]
 
     def _einf_class(self, seg: Segment, delta: int, stem0: int, ilo: int, ihi: int) -> EInfClass:
@@ -748,7 +745,7 @@ class EInfResult:
         return EInfClass(
             representative=Monomial(page.n, page.ell, seg.a_slope * delta + ilo, seg.b_slope * delta + ilo, seg.e1, seg.e2),
             bidegree=Bidegree(stem0 + ilo * page.ctx.q, seg.e1 - seg.e2),
-            v1_torsion=(ihi - ilo) if certified else (min(ihi, page.v1_cutoff) - ilo),
+            v1_torsion=min(ihi, page.v1_cutoff) - ilo,  # ihi itself where certified
             certified=certified,
         )
 

@@ -32,8 +32,9 @@ carry their alive heights, and asks the page only where a row stops below
 its column.  Nearly every base matrix has at most one entry per column;
 its rows then have disjoint supports, so its rank lives and kernel are
 read off its entries, and only the others are eliminated.  A kernel
-generator's torsion is the largest alive top among its columns, refused
-where that top is the page's modeled boundary.
+generator's torsion is the largest alive top among its columns, that of
+its free column, certified by its page (EInfResult._certified) or kept as
+a lower bound that torsion_multiset refuses.
 
 The kernel's own v1-structure is re-derived, not assumed; every
 oracle run checks that gr(phi - can) is onto the Tate piece at every
@@ -81,8 +82,8 @@ class PageSet:
     """Fixed-point and Tate E-infinity pages for levels 0..top.
 
     window is the stem window the caller reads, tors_bound the largest
-    torsion it probes there; each page pads window by its v1 cutoff,
-    tors_bound + 4, and a longer life raises at the modeled boundary.
+    torsion it probes there; every page pads window by the one v1 cutoff,
+    tors_bound + 4, and certifies no torsion past it (EInfResult._certified).
     Each page is placed once (SSPage.placed), and every page's size guard
     runs there before the first page is built, so a window too large for
     the top page fails before any work; the placed pages are then built
@@ -485,7 +486,7 @@ class TrOracle:
         moves up the key's heights, each past the stops at or below the
         height: the count alive there is the list's length less the index.
         """
-        q, hfp = self.ctx.q, self.pages.hfp
+        q, hfp, cutoff = self.ctx.q, self.pages.hfp, self.pages.v1_cutoff
         stem, line = key
         start, col_stops, row_stops = self._stops(stem, cols, rows)
         row_ends = sorted(row_stops)
@@ -501,9 +502,10 @@ class TrOracle:
         carried = []
         if v1_from == 0 and col_top:  # the base stem is in the window
             for vec in kernel:
-                r = max(hfp[cls[0]].bounded_top(cls, stem, top) for top, cls in (cols[j] for j in vec))
                 last = max(vec)
-                gens.append(Generator(KernelLabel((cols[last][1], self.ell, stem, line)), Bidegree(*key), r))
+                top, free = cols[last]
+                gens.append(Generator(KernelLabel((free, self.ell, stem, line)), Bidegree(*key),
+                                      min(top, cutoff), hfp[free[0]]._certified(stem, top)))
                 carried.append(col_stops[last])
             carried.sort()
             v1_from = 1
@@ -539,10 +541,11 @@ class TrOracle:
         the window, each with the torsion of its chain.  v1^r of a chain is
         zero exactly when every component has died (probe_element_torsion),
         and every column of a key in the window is alive from height 0, so
-        the torsion is the largest top among the vector's columns; a top at
-        the modeled boundary raises, as EInfResult.life does.  The columns
-        are ordered by life, so that is the top of the free column, and no
-        basis of the kernel has smaller torsions."""
+        the torsion is the largest top among the vector's columns.  The
+        columns are ordered by life, so that is the top of the free column,
+        and no basis of the kernel has smaller torsions.  Its page certifies
+        it (EInfResult._certified), or the generator has certified=False and
+        the lower bound min(top, v1 cutoff), as an E-infinity generator does."""
         return self._walk[0]
 
     def decomposition(self) -> CyclicDecomposition:
@@ -580,10 +583,10 @@ def tr_gr_module(
     the two independently, raise VerificationFailure at the first (stem,
     line) dimension, else in-window (stem, line, torsion) multiplicity,
     where they differ, and attach the (empty) comparison.  Every oracle run
-    raises InvariantError unless gr(phi - can) is onto every Tate piece of
-    the window and v1 is onto the kernel, and on a generator whose torsion
-    is only a lower bound; with_surjectivity attaches the first check's
-    report to the result.
+    raises InvariantError, in this order, unless gr(phi - can) is onto every
+    Tate piece of the window, unless v1 is onto the kernel, and at the first
+    uncertified generator (torsion_multiset, naming its label);
+    with_surjectivity attaches the first check's report to the result.
     """
     if mode not in MODES:
         raise InputError(f"unknown mode {mode}")

@@ -274,8 +274,8 @@ def run_suite(name: str, ps=None, n_max=None, deg_max=None, ell_max=None, m_max=
     None keeps a suite's acceptance default.  ps names the primes and
     deg_max bounds the stems of every suite; ell_max bounds the twists of
     einf, families and tr; n_max and double_cutoff reach einf, m_max tr.
-    A flag that leaves a suite it runs with no case or an empty stem window
-    raises InputError before any suite runs.
+    A flag that leaves a suite it runs with no case or an empty stem window,
+    or a p that is not prime, raises InputError before any suite runs.
     """
     if name != "all" and name not in SUITE_NAMES:
         raise InputError(f"unknown suite {name}; pick from {list(SUITE_NAMES)} or 'all'")
@@ -287,6 +287,8 @@ def run_suite(name: str, ps=None, n_max=None, deg_max=None, ell_max=None, m_max=
         if value is not None and value < least and empty:
             raise InputError(f"{flag} {value} leaves suite {empty[0]} with no case or an empty stem window; "
                              f"need {flag} >= {least}")
+    for p in ps or ():
+        PrimeContext(p)
 
     def given(**kw):
         return {k: v for k, v in kw.items() if v is not None}

@@ -308,6 +308,18 @@ def test_verify_refuses_an_empty_grid_before_any_suite(capsys, monkeypatch, argv
     assert err.startswith("error: --") and "no case or an empty stem window" in err
 
 
+@pytest.mark.parametrize("suite", ["einf", "families", "tr", "assembly", "all"])
+def test_verify_refuses_a_composite_p_before_any_page(capsys, monkeypatch, suite):
+    # p=3 sorts first and is prime, so a check made per suite would build
+    # its pages before reaching p=4
+    def no_page(*args):
+        raise AssertionError("a page was built before every --p was checked")
+
+    monkeypatch.setattr(nygaard.SSPage, "_place", no_page)
+    code, out, err = run(capsys, "verify", "--suite", suite, "--p", "4", "--p", "3", "--n-max", "2", "--deg-max", "3000")
+    assert (code, out, err) == (2, "", "error: p=4 is not prime\n")
+
+
 def test_size_guard_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(nygaard, "MAX_LADDERS", 10)
     code, out, err = run(capsys, "einf", "--p", "3", "--n", "1", "--ell", "1", "--deg-max", "30", "--mode", "oracle")

@@ -18,7 +18,7 @@ from synlab.closedforms import (
 )
 from synlab import closedforms
 from synlab.errors import InputError, ResourceError
-from synlab.graded import Monomial, PrimeContext, geo, orbit_dims, orbit_stems
+from synlab.graded import Monomial, PrimeContext, geo, orbit_dims, orbit_heights
 from synlab.nygaard import Variant
 from test_graded import vp
 
@@ -69,7 +69,7 @@ def test_closed_window_reaches_as_far_as_the_page(monkeypatch, p, V, half, count
     monkeypatch.setattr(closedforms, "einf_closed", lambda *args: tallied.append(einf(*args)) or tallied[-1])
     closedforms.einf_closed_counted(ctx, 2, 1, Variant.HFP, window, V)
     assert sum(tallied[0].values()) == count
-    assert all(orbit_stems(ctx.q, d, V, window) for d, _s, _t in tallied[0])
+    assert all(orbit_heights(ctx.q, d, V, window) for d, _s, _t in tallied[0])
 
 
 @pytest.mark.parametrize("n, ell", [(-1, 0), (1, -1)])

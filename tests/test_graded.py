@@ -19,7 +19,6 @@ from synlab.graded import (
     differences,
     geo,
     orbit_heights,
-    orbit_stems,
     range_len,
 )
 
@@ -143,7 +142,6 @@ def test_orbit_heights_is_the_scan_over_j(draw):
     # every j past 200 puts d + j*q above every window drawn
     scan = [j for j in range(200 if length == TORSION_FREE else length) if lo <= d + j * q <= hi]
     assert list(orbit_heights(q, d, length, (lo, hi))) == scan
-    assert list(orbit_stems(q, d, length, (lo, hi))) == [d + j * q for j in scan]
 
 
 def test_dims_tc_zp_pattern():

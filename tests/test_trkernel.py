@@ -4,7 +4,7 @@ from bisect import bisect_right
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synlab import fplinalg, nygaard, trkernel
@@ -254,11 +254,12 @@ def test_complete_to_kernel_rejects_a_leading_term_divisible_by_v1(pages31):
 
 
 def test_a_chain_past_the_modeled_heights_is_refused():
-    # stems up to 60 with torsion bound 0 model too few heights for the
-    # torsion 67 of the delta chain at stem 54
+    # stems up to 60 with torsion bound 0, v1 cutoff 4, certify no life
+    # long enough for the torsion 67 of the delta chain at stem 54
     pages = PageSet(CTX3, 1, 4, (0, 60), 0)
     comps = complete_to_kernel((2, 0, 6, 0, 0), pages)
-    with pytest.raises(InvariantError, match="runs into the modeled boundary"):
+    message = "life of v1^0 * (2, 0, 6, 0, 0) is not certified on page Variant.HFP n=2: it reaches the v1 cutoff"
+    with pytest.raises(InvariantError, match=re.escape(message)):
         probe_element_torsion(pages, comps)
 
 
@@ -355,9 +356,10 @@ def test_orbit_reduction_equals_the_per_piece_reference(draw):
 @settings(max_examples=80)
 @given(TR_DRAWS, st.booleans())
 def test_every_generator_torsion_is_the_probed_torsion_of_its_chain(draw, starved):
-    # generators reads a torsion off its columns' alive tops, the probe asks
-    # each component's page for its life; a starved torsion bound models so
-    # few heights that chains run into the boundary, and both must refuse
+    # generators reads a torsion off its free column's alive top, the probe
+    # asks each component's page for its life; a starved torsion bound
+    # models so few heights that chains pass the cutoff, and a generator is
+    # certified exactly where the probe of its chain answers, with its answer
     p, i, m, hi = draw
     ell = i + 1 + i // (p - 1)  # the i-th positive integer prime to p
     with pytest.MonkeyPatch.context() as mp:
@@ -366,15 +368,47 @@ def test_every_generator_torsion_is_the_probed_torsion_of_its_chain(draw, starve
         oracle = TrOracle(PrimeContext(p), ell, m, (0, hi))
     lo, hi = oracle.window
     probed = []
-    try:
-        for key in sorted(k for k in oracle._cols if lo <= k[0] <= hi):
-            for vec in oracle.kernel(key):
-                probed.append(probe_element_torsion(oracle.pages, [oracle._cols[key][j][1] for j in vec]))
-    except InvariantError as exc:
-        with pytest.raises(InvariantError, match=re.escape(str(exc))):
-            oracle.generators()
-    else:
-        assert [gen.torsion for gen in oracle.generators()] == probed
+    for key in sorted(k for k in oracle._cols if lo <= k[0] <= hi):
+        for vec in oracle.kernel(key):
+            try:
+                probed.append((probe_element_torsion(oracle.pages, [oracle._cols[key][j][1] for j in vec]), True))
+            except InvariantError as exc:
+                assert "is not certified on page Variant.HFP" in str(exc)
+                probed.append((min(oracle._cols[key][max(vec)][0], oracle.pages.v1_cutoff), False))
+    assert [(gen.torsion, gen.certified) for gen in oracle.generators()] == probed
+
+
+def test_an_undersized_torsion_bound_leaves_generators_uncertified_and_is_refused(capsys, monkeypatch):
+    # at the real bound the cutoff is 119; at 54 it is 58, and the chains at
+    # (66, 0) and (67, 1), alive up to 94 below the modeled boundary, pass it
+    monkeypatch.setattr(trkernel, "_window_torsion_bound", lambda *args: 54)
+    oracle = TrOracle(PrimeContext(2), 1, TRUNC_INF, (0, 100))
+    assert oracle.pages.v1_cutoff == 58
+    uncertified = [g for g in oracle.generators() if not g.certified]
+    assert [(tuple(g.bidegree), g.torsion) for g in uncertified] == [((66, 0), 58), ((67, 1), 58)]
+    assert [oracle._cols[g.bidegree][-1][0] for g in uncertified] == [94, 94]
+    message = "generator l1:ker:L6:se(1p^6)*t^32*l1*u6@66,0 at (66, 0) has only a lower bound on its torsion"
+    with pytest.raises(InvariantError) as exc:
+        tr_gr_module(PrimeContext(2), 1, TRUNC_INF, (0, 100), mode="oracle")
+    assert str(exc.value) == message
+    assert main(["tr", "--p", "2", "--ell", "1", "--deg-max", "100", "--mode", "oracle"]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"verification failure: {message}\n")
+
+
+@settings(max_examples=60)
+@given(st.sampled_from((2, 3, 5, 7)).flatmap(lambda p: st.tuples(
+    st.just(p), st.sampled_from([ell for ell in range(1, 7) if ell % p]), st.sampled_from((0, 1, 2, 3, TRUNC_INF)),
+    st.integers(0, 300))))
+@example((2, 5, TRUNC_INF, 300))
+@example((7, 6, TRUNC_INF, 300))
+def test_every_generator_is_certified_at_the_window_torsion_bound(draw):
+    # the real bound sizes the pages so that no chain passes the cutoff or
+    # the modeled boundary, at the primes the acceptance grids reach and at
+    # p = 5, 7, which only the headline tables reach
+    p, ell, m, hi = draw
+    gens = TrOracle(PrimeContext(p), ell, m, (0, hi)).generators()
+    assert all(g.certified for g in gens), [(str(g.label), g.torsion) for g in gens if not g.certified][:3]
 
 
 @settings(max_examples=30)
