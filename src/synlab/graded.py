@@ -127,14 +127,20 @@ def orbit_dims(q: int, window, orbits, params: dict | None = None) -> "DimTable"
 
     orbits yields ((stem, line, length), multiplicity): that many orbits
     v1^j g, j < length, of a class g at (stem, line).  Each translate with
-    its stem in the window counts once at (its stem, line).
+    its stem in the window counts once at (its stem, line): the heights
+    orbit_heights gives, solved here inline.
     """
+    lo, hi = window
     counts: dict = {}
     get = counts.get
     for (d, s, length), mult in orbits:
-        js = orbit_heights(q, d, length, window)
-        for stem in range(d + js.start * q, d + js.stop * q, q):
-            counts[(stem, s)] = get((stem, s), 0) + mult
+        end = (hi - d) // q + 1
+        if length < end:  # never for TORSION_FREE
+            end = int(length)
+        # the first stem d + j*q >= lo, j >= 0
+        for stem in range(d if d >= lo else d - (d - lo) // q * q, d + end * q, q):
+            key = (stem, s)
+            counts[key] = get(key, 0) + mult
     return DimTable(params or {}, counts, window)
 
 
@@ -172,8 +178,10 @@ def torsion_multiset(gens, prefix: str = "") -> Counter:
 def differences(a: dict, b: dict) -> list:
     """[(key, a count, b count), ...] in key order over the keys where the
     count maps a and b differ, an absent key counting 0.  Two routes are
-    compared here, so maps that agree cost one equality test and no sort."""
-    if a == b:
+    compared here, so maps that agree cost one equality test and no sort:
+    dict's own, in C, which Counter's Python-level == would replace; a zero
+    count it tells apart from an absent key falls to the scan below."""
+    if dict.__eq__(a, b):
         return []
     keys = [k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0)]
     return [(k, a.get(k, 0), b.get(k, 0)) for k in sorted(keys)]

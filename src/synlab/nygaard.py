@@ -58,13 +58,15 @@ segment (SSPage._reach), and a stage cut reads only its pair's states
 before the stage, so the page sweeps the backward cone of those ladders
 through the stage partners and no other.  A class on the band whose
 ladder the page did not sweep has no answer: EInfResult raises rather
-than call it dead.  Two readers walk those deltas.  EInfResult._survivors
-yields a range of heights per alive interval to counted, classes and
-dim_table, so to the CLI's einf and the E-infinity suites, and to the
-tests' reference TR oracle.  EInfResult.land_orbits lands each orbit the
-TR oracle reads straight in its key list, with no per-orbit range;
-neither reader calls the other, so the E-infinity suites witness the TR
-one.  The dense engine reads the whole band, since a
+than call it dead.  Three readers walk those deltas.  EInfResult.counted
+reads the reached columns itself and solves each live ladder's window
+heights once, for the dimensions and generators dim_table, the CLI's
+einf and the E-infinity suites read.  EInfResult._survivors yields a
+range of heights per alive interval to classes and to the tests, whose
+references witness counted through it.  EInfResult.land_orbits lands
+each orbit the TR oracle reads straight in its key list, with no
+per-orbit range.  No reader calls another, so the E-infinity suites
+witness the TR one.  The dense engine reads the whole band, since a
 subquotient needs every partner of the classes at the window stems, and
 keys its basis by classes (t, mu, lam, u), the monomials
 se(l*p^n) t^t mu^mu l1^lam u^u.  SSPage.ladders is a read-only mapping
@@ -116,6 +118,12 @@ class Variant(str, Enum):
     HFP = "hfp"  # homotopy fixed points: a >= 0, b >= 0
     TATE = "tate"  # t-inverted: a in Z, b >= 0
     MUINV = "muinv"  # mu-inverted: a >= 0, b in Z
+
+    def __format__(self, spec: str) -> str:
+        """format(str(self), spec), as Enum formats from Python 3.11 on; on
+        3.10 a str-mixin member formats as its value, and messages that
+        name a page's variant would read differently."""
+        return format(str(self), spec)
 
 
 def default_v1_cutoff(ctx: PrimeContext, n: int) -> int:
@@ -592,6 +600,7 @@ class EInfResult:
         if list(page.stages_done) != list(page.stages):
             raise StateError("page has not completed all stages")
         self.page = page
+        self._q = page.ctx.q
 
     # aliveness / chain queries on classes (level, t, mu, lam, u), the
     # monomial se(l p^level) t^t mu^mu l1^lam u^u, used by the TR kernel oracle
@@ -654,10 +663,10 @@ class EInfResult:
         heights below the v1 cutoff whose stem lies in the window: one range
         of heights per alive interval [lo, hi) as the page has it, ladders in
         key order, h ascending.  The intervals are read off the segment's
-        columns and split map directly.  counted, classes and dim_table read
-        the page through it; the TR oracle reads land_orbits instead.  A
-        window not inside page.window raises InputError: the page answers
-        only its own window's readers."""
+        columns and split map directly.  classes and the tests' references
+        read the page through it; counted and land_orbits walk the columns
+        themselves.  A window not inside page.window raises InputError: the
+        page answers only its own window's readers."""
         page = self.page
         q = page.ctx.q
         cut = page.v1_cutoff
@@ -735,8 +744,12 @@ class EInfResult:
         """Whether the torsion of a generator on the ladder with bottom stem
         stem0, alive up to the exclusive height top, is exact: the chain
         dies by the v1 cutoff and inside the modeled heights.  The one
-        torsion rule: counted, classes, life and the TR oracle read it."""
-        return top <= self.page.v1_cutoff and top < self.page._heights(stem0)[1]
+        torsion rule: counted, classes, life and the TR oracle read it.
+        The modeled heights end at min((hi_pad - stem0) // q + 1,
+        v_internal) (SSPage._heights); v_internal exceeds the cutoff, so
+        once top <= v1_cutoff only the first end can bind."""
+        page = self.page
+        return top <= page.v1_cutoff and top < (page.hi_pad - stem0) // self._q + 1
 
     def _einf_class(self, seg: Segment, delta: int, stem0: int, ilo: int, ihi: int) -> EInfClass:
         """The generator v1^ilo times the height-0 class of ladder delta of seg."""
@@ -751,27 +764,46 @@ class EInfResult:
 
     def counted(self, window) -> tuple:
         """(DimTable, generators, uncertified) on a stem window from one walk
-        of the survivors: the dimensions, the Counter{(stem, line, torsion):
-        multiplicity} of the certified generators (the form of
-        closedforms.einf_closed_counted), and the first generator whose
-        torsion is only a lower bound as an EInfClass, or None.  The
-        generators are those of classes(window)."""
+        of the reached ladders' columns: the dimensions, the
+        Counter{(stem, line, torsion): multiplicity} of the certified
+        generators (the form of closedforms.einf_closed_counted), and the
+        first generator whose torsion is only a lower bound as an EInfClass,
+        or None.  The heights and generators are those _survivors and
+        classes(window) give, in their order; each live ladder's window
+        heights are solved once, as land_orbits solves them."""
         page = self.page
-        q = page.ctx.q
+        q, cut, certified = self._q, page.v1_cutoff, self._certified
+        lo, hi = self._inside(window)
         dims: dict = {}
+        get = dims.get
         gens: Counter = Counter()
         uncertified = None
-        for seg, delta, stem0, hs, ilo, ihi in self._survivors(window):
-            line = seg.e1 - seg.e2
-            if hs.start == ilo:
-                if self._certified(stem0, ihi):
-                    gens[(stem0 + ilo * q, line, ihi - ilo)] += 1
-                elif uncertified is None:
-                    uncertified = self._einf_class(seg, delta, stem0, ilo, ihi)
-            # hs is already cut to the window and the cutoff, so each of
-            # its heights counts once, at its stem
-            for stem in range(stem0 + hs.start * q, stem0 + hs.stop * q, q):
-                dims[(stem, line)] = dims.get((stem, line), 0) + 1
+        for seg, indices in page._reach(lo - (cut - 1) * q, hi):
+            K, sl, start, split, line = seg.K, seg.stem_slope, seg.deltas.start, seg.split, seg.e1 - seg.e2
+            los, his = seg.lo, seg.hi
+            for i in compress(indices, map(ne, los[indices.start:indices.stop], his[indices.start:indices.stop])):
+                ilo = los[i]  # the live ladders, as in land_orbits
+                if ilo >= cut:
+                    continue  # alive only from the cutoff up
+                ihi, stem0 = his[i], K + sl * (start + i)
+                # the window's heights below the cutoff: lo <= stem0 + h*q <= hi, h < cut
+                first = -((stem0 - lo) // q)
+                end = (hi - stem0) // q + 1
+                if end > cut:
+                    end = cut
+                for ilo, ihi in split[i] if ilo < 0 else ((ilo, ihi),):
+                    h0 = ilo if ilo > first else first
+                    h1 = ihi if ihi < end else end
+                    if h0 >= h1:
+                        continue
+                    if h0 == ilo:  # the interval's generator is a surviving height
+                        if certified(stem0, ihi):
+                            gens[(stem0 + ilo * q, line, ihi - ilo)] += 1
+                        elif uncertified is None:
+                            uncertified = self._einf_class(seg, start + i, stem0, ilo, ihi)
+                    for stem in range(stem0 + h0 * q, stem0 + h1 * q, q):
+                        key = (stem, line)
+                        dims[key] = get(key, 0) + 1
         table = DimTable({"p": page.ctx.p, "n": page.n, "k": None}, dims, window)
         return table, gens, uncertified
 

@@ -67,66 +67,92 @@ def _case(suite: str, name: str, walk, *args) -> Check:
     return Check(suite, name, True)
 
 
-def _oracle_page(ctx, n, ell, variant, window, v1_cutoff):
-    """(dims, gens, uncertified) of an oracle page: its dimensions, the
-    (stem, line, torsion) multiset of its certified generators, and its
-    first uncertified generator or None."""
-    table, gens, uncertified = run_to_einf(SSPage(ctx, n, ell, variant, window, v1_cutoff)).counted(window)
+def _oracle_page(page: SSPage):
+    """(dims, gens, uncertified) of a placed oracle page, which this builds
+    and runs: its dimensions on its window, the (stem, line, torsion)
+    multiset of its certified generators, and its first uncertified
+    generator or None."""
+    page._build()
+    table, gens, uncertified = run_to_einf(page).counted(page.window)
     return table.entries, gens, uncertified
 
 
-def _compare_page(ctx, n, ell, variant, window, v1_cutoff):
-    """AC1 kernel: the oracle page's (dims, gens), which must be the closed
-    form's.  Raises VerificationFailure at the first differing dimension,
-    else torsion multiplicity, and InvariantError on an uncertified torsion."""
-    dims, gens, uncertified = _oracle_page(ctx, n, ell, variant, window, v1_cutoff)
-    closed_dims, closed_gens = einf_closed_counted(ctx, n, ell, variant, window, v1_cutoff)
-    diff = differences(dims, closed_dims.entries)
+def _differ(dims, gens, other_dims, other_gens, names, uncertified=None):
+    """Raise VerificationFailure at the first dimension where two pages'
+    (dims, gens) differ, else at the first torsion multiplicity, naming
+    each side's count after names; InvariantError between the two, on an
+    uncertified torsion of the first page."""
+    diff = differences(dims, other_dims)
     if diff:
         key, a, b = diff[0]
-        raise VerificationFailure(f"dim at (stem,line)={key}: oracle {a} closed {b}")
+        raise VerificationFailure(f"dim at (stem,line)={key}: {names[0]} {a} {names[1]} {b}")
     if uncertified is not None:
         raise InvariantError(f"uncertified torsion at {tuple(uncertified.bidegree)} ({uncertified.representative})")
-    diff = differences(gens, closed_gens)
+    diff = differences(gens, other_gens)
     if diff:
         (d, s, order), a, b = diff[0]
-        raise VerificationFailure(f"torsion multiset at {(d, s)}: order {order} oracle x{a} closed x{b}")
+        raise VerificationFailure(f"torsion multiset at {(d, s)}: order {order} {names[0]} x{a} {names[1]} x{b}")
+
+
+def _compare_page(page: SSPage):
+    """AC1 kernel: the (dims, gens) of a placed oracle page, which must be
+    the closed form's.  Raises VerificationFailure at the first differing
+    dimension, else torsion multiplicity, and InvariantError on an
+    uncertified torsion."""
+    dims, gens, uncertified = _oracle_page(page)
+    closed_dims, closed_gens = einf_closed_counted(page.ctx, page.n, page.ell, page.variant, page.window,
+                                                   page.v1_cutoff)
+    _differ(dims, gens, closed_dims.entries, closed_gens, ("oracle", "closed"), uncertified)
     return dims, gens
 
 
 def suite_einf(ps=(2, 3, 5), n_max=3, deg_max=None, ell_max=None, double_cutoff=False) -> list:
     """AC1 (and the cutoff half of AC9 when double_cutoff is set).
 
-    Cutoff doubling must not change a page's (dims, gens).  That check
-    reuses the base pages the AC1 case reached, and builds only the rest.
+    Every page of the grid, at cutoff V and under double_cutoff at 2V, is
+    placed (SSPage.placed) before the first is built, so a page past
+    MAX_LADDERS anywhere in the grid raises ResourceError before any work.
+    A case builds each placed page it reads; only a page a failed case
+    already built is placed again.  Cutoff doubling must not change a
+    page's (dims, gens).  That check reuses the base pages the AC1 case
+    reached, and builds only the rest.
     """
-    checks = []
+    grid = []  # (ctx, stem bound, n, variant, twists, V, {(twist, cutoff): placed page})
     for p in ps:
         ctx = PrimeContext(p)
         hi = deg_max if deg_max is not None else 4 * p**3
-        window = (-hi, hi)
         lmax = ell_max if ell_max is not None else p * p
         ells = [0] + [l for l in range(1, lmax + 1) if l % p]
         for n in range(n_max + 1):
             V = geo(p, 0, n) + 1
+            cutoffs = (V, 2 * V) if double_cutoff else (V,)
             for variant in (Variant.HFP, Variant.TATE, Variant.MUINV):
-                base_pages = {}
+                placed = {(ell, cut): SSPage.placed(ctx, n, ell, variant, (-hi, hi), cut)
+                          for ell in ells for cut in cutoffs}
+                grid.append((ctx, hi, n, variant, ells, V, placed))
+    checks = []
+    for ctx, hi, n, variant, ells, V, placed in grid:
+        base_pages = {}
 
-                def pages():
-                    for ell in ells:
-                        yield f"l={ell}"
-                        base_pages[ell] = _compare_page(ctx, n, ell, variant, window, V)
+        def take(ell, cut):
+            page = placed.pop((ell, cut), None)
+            return SSPage.placed(ctx, n, ell, variant, (-hi, hi), cut) if page is None else page
 
-                def doubled():
-                    for ell in ells:
-                        yield f"l={ell}"
-                        base = base_pages.get(ell) or _oracle_page(ctx, n, ell, variant, window, V)[:2]
-                        if base != _oracle_page(ctx, n, ell, variant, window, 2 * V)[:2]:
-                            raise VerificationFailure("output changed under cutoff doubling")
+        def pages():
+            for ell in ells:
+                yield f"l={ell}"
+                base_pages[ell] = _compare_page(take(ell, V))
 
-                checks.append(_case("einf", f"AC1 p={p} n={n} {variant.value} oracle=closed, stems |d|<={hi}", pages))
-                if double_cutoff:
-                    checks.append(_case("einf", f"AC9 p={p} n={n} {variant.value} cutoff doubling stable", doubled))
+        def doubled():
+            for ell in ells:
+                yield f"l={ell}"
+                dims, gens = base_pages.get(ell) or _oracle_page(take(ell, V))[:2]
+                twice_dims, twice_gens, _uncertified = _oracle_page(take(ell, 2 * V))
+                _differ(dims, gens, twice_dims, twice_gens, ("base", "doubled"))
+
+        checks.append(_case("einf", f"AC1 p={ctx.p} n={n} {variant.value} oracle=closed, stems |d|<={hi}", pages))
+        if double_cutoff:
+            checks.append(_case("einf", f"AC9 p={ctx.p} n={n} {variant.value} cutoff doubling stable", doubled))
     return checks
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from synlab import assembly, cache, cli, closedforms, fplinalg, nygaard, trkernel
 from synlab.cli import main
-from synlab.graded import DimTable, Generator
+from synlab.graded import DimTable, Generator, geo
 
 
 def run(capsys, *argv):
@@ -327,6 +327,20 @@ def test_size_guard_exits_two(capsys, monkeypatch):
     assert err.startswith("error:") and "Traceback" not in err
     code, out, err = run(capsys, "tr", "--p", "2", "--ell", "1", "--deg-max", "40", "--mode", "oracle")
     assert code == 2 and out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--double-cutoff"]], ids=["V", "2V"])
+def test_verify_einf_places_its_whole_grid_before_any_page(capsys, monkeypatch, extra):
+    # at these stems every page of n <= 11 at cutoff V fits under
+    # MAX_LADDERS and no page of n = 12 does, so a suite that built its
+    # pages in grid order would run for minutes before it refused
+    def no_build(page):
+        raise AssertionError("a page was built before every page of the grid was placed")
+
+    monkeypatch.setattr(nygaard.SSPage, "_build", no_build)
+    code, out, err = run(capsys, "verify", "--suite", "einf", "--p", "3", "--n-max", "12", "--deg-max", "10", *extra)
+    assert (code, out) == (2, "") and err.startswith("error:") and f"more than {nygaard.MAX_LADDERS} ladders" in err
+    assert nygaard.SSPage.placed(nygaard.PrimeContext(3), 11, 8, nygaard.Variant.HFP, (-10, 10), geo(3, 0, 11) + 1)
 
 
 # each page or closed count holds a range longer than sys.maxsize, whose

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,7 @@ from synlab.graded import (
     PrimeContext,
     differences,
     geo,
+    orbit_dims,
     orbit_heights,
     range_len,
 )
@@ -144,6 +146,32 @@ def test_orbit_heights_is_the_scan_over_j(draw):
     assert list(orbit_heights(q, d, length, (lo, hi))) == scan
 
 
+ORBIT_LISTS = st.lists(
+    st.tuples(
+        st.integers(-60, 60),
+        st.integers(-1, 2),
+        st.one_of(st.integers(1, 12), st.integers(1, 12).map(float), st.just(TORSION_FREE)),
+        st.integers(1, 3),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from((2, 4, 8, 12)), ORBIT_LISTS, st.integers(-80, 80), st.integers(-1, 40))
+@example(4, [(-30, 0, TORSION_FREE, 2), (-30, 0, 12, 1), (-29, 0, 9, 1)], 0, 20)  # orbits from below the window
+@example(4, [(10, 1, TORSION_FREE, 1), (10, 1, 3, 2), (30, 1, 1, 1)], 10, 20)  # the window's ends
+def test_orbit_dims_counts_the_heights_orbit_heights_gives(q, orbits, lo, width):
+    window = (lo, lo + width)
+    reference: dict = {}
+    for d, s, length, mult in orbits:
+        for j in orbit_heights(q, d, length, window):
+            reference[(d + j * q, s)] = reference.get((d + j * q, s), 0) + mult
+    table = orbit_dims(q, window, (((d, s, length), mult) for d, s, length, mult in orbits), {"p": 3})
+    assert list(table.entries.items()) == list(reference.items())  # the same cells, in the same order
+    assert (table.params, table.window) == ({"p": 3}, window)
+
+
 def test_dims_tc_zp_pattern():
     # basis 1, l1, del, del*l1, t*l1, t^2*l1 over F_3[v1], stems -1..4
     gens = [
@@ -227,3 +255,5 @@ def test_differences_is_the_sorted_scan(a, b):
     # a zero count is an absent key
     assert differences(a, b) == differences(nonzero(a), b) == differences(a, nonzero(b))
     assert DimTable({}, a, (-3, 3)).same_entries(DimTable({}, b, (-3, 3))) == (differences(a, b) == [])
+    # a Counter compares as the dict it is
+    assert differences(Counter(a), b) == differences(a, Counter(b)) == naive

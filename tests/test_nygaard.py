@@ -5,14 +5,15 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synlab import fplinalg, nygaard, verify
 from synlab.errors import InputError, InvariantError, ResourceError, StateError
 from synlab.fplinalg import VectorSpan, _residues, kernel_basis
-from synlab.graded import Monomial, PrimeContext, geo
+from synlab.graded import Bidegree, Monomial, PrimeContext, geo
 from synlab.nygaard import (
+    EInfClass,
     EInfResult,
     SSPage,
     StageMap,
@@ -576,8 +577,9 @@ def test_residue_class_sweep_matches_every_ladder_sweep(draw):
     reference = _reference_sweep(SSPage(ctx, n, ell, variant, window, cutoff))
     res = run_to_einf(page)
     assert {k: lad.alive for k, lad in page.ladders.items()} == reference
-    # the closed forms, at a cutoff that certifies every torsion (AC1)
-    verify._compare_page(ctx, n, ell, variant, window, max(cutoff, geo(p, 0, n) + 1))  # raises on a difference
+    # the closed forms, at a cutoff that certifies every torsion (AC1);
+    # raises on a difference
+    verify._compare_page(SSPage.placed(ctx, n, ell, variant, window, max(cutoff, geo(p, 0, n) + 1)))
     if sum(lad.h_cap - lad.h_lo for lad in page.ladders.values()) <= 4000:
         # Matched by representative: a class either engine leaves
         # uncertified (its chain runs into the cutoff or the modeled band)
@@ -596,16 +598,44 @@ def test_residue_class_sweep_matches_every_ladder_sweep(draw):
                 assert g.torsion <= cl.v1_torsion
 
 
-@settings(max_examples=60)
-@given(PAGE_DRAWS)
-def test_counted_walk_matches_the_object_readers(draw):
+def _counted_reference(res, window) -> tuple:
+    """(dims, certified generators, first uncertified EInfClass) of a run
+    page on a stem window, read off _survivors height by height.  A torsion
+    is exact when its chain dies by the v1 cutoff and below the end of its
+    ladder's modeled heights, as SSPage._heights gives it."""
+    page = res.page
+    q, cut = page.ctx.q, page.v1_cutoff
+    dims, gens, uncertified = Counter(), Counter(), None
+    for seg, delta, stem0, hs, ilo, ihi in res._survivors(window):
+        line = seg.e1 - seg.e2
+        dims.update((stem0 + h * q, line) for h in hs)
+        if hs.start != ilo:
+            continue  # the interval's generator lies below the window
+        if ihi <= cut and ihi < page._heights(stem0)[1]:
+            gens[(stem0 + ilo * q, line, ihi - ilo)] += 1
+        elif uncertified is None:
+            rep = Monomial(page.n, page.ell, seg.a_slope * delta + ilo, seg.b_slope * delta + ilo, seg.e1, seg.e2)
+            uncertified = EInfClass(rep, Bidegree(stem0 + ilo * q, line), min(ihi, cut) - ilo, False)
+    return dict(dims), gens, uncertified
+
+
+@settings(max_examples=150)
+@given(PAGE_DRAWS, st.integers(0, 50), st.integers(0, 50))
+@example((3, 2, 1, Variant.HFP, -33, 27, 6), 0, 0)  # four split ladders survive in the window
+@example((2, 2, 4, Variant.HFP, 47, 6, 5), 2, 1)  # three split ladders, a window inside the page's
+@example((2, 3, 0, Variant.TATE, 32, 39, 5), 0, 0)  # twelve split ladders, certified and uncertified torsions
+def test_counted_walk_matches_the_object_readers(draw, cut_lo, cut_hi):
+    # counted walks the columns itself; _survivors, the reader of classes,
+    # witnesses it on any window inside the page's, height by height
     p, n, ell, variant, lo, width, cutoff = draw
-    ctx = PrimeContext(p)
-    window = (lo, lo + width)
-    res = run_to_einf(SSPage(ctx, n, ell, variant, window, cutoff))
+    res = run_to_einf(SSPage(PrimeContext(p), n, ell, variant, (lo, lo + width), cutoff))
+    window = (lo + min(cut_lo, width), lo + width - min(cut_hi, width - min(cut_lo, width)))
     table, gens, uncertified = res.counted(window)
-    walked = Counter((m.bidegree(ctx).d, m.line) for m, _h in iter_alive(res, window))
-    assert table.entries == res.dim_table(window).entries == dict(walked)
+    dims, ref_gens, ref_uncertified = _counted_reference(res, window)
+    assert list(table.entries.items()) == list(dims.items())  # the same cells, in the same order
+    assert list(gens.items()) == list(ref_gens.items())
+    assert uncertified == ref_uncertified
+    assert table == res.dim_table(window) and (table.window, table.params) == (window, {"p": p, "n": n, "k": None})
     classes = res.classes(window)
     assert gens == Counter((c.bidegree.d, c.bidegree.s, c.v1_torsion) for c in classes if c.certified)
     assert uncertified == next((c for c in classes if not c.certified), None)
@@ -619,13 +649,13 @@ def test_an_uncertified_torsion_fails_the_page_check_by_name(p, n, variant, wind
     monomial = nygaard.Monomial
     monkeypatch.setattr(nygaard, "Monomial", lambda *args: built.append(args) or monomial(*args))
     certifying = geo(p, 0, n) + 1
-    verify._compare_page(ctx, n, 1, variant, window, certifying)
+    verify._compare_page(SSPage.placed(ctx, n, 1, variant, window, certifying))
     assert built == []  # a passing check names no class
     res = run_to_einf(SSPage(ctx, n, 1, variant, window, 2))  # 2 < certifying
     first = next(c for c in res.classes(window) if not c.certified)
     message = f"uncertified torsion at {tuple(first.bidegree)} ({first.representative})"
     with pytest.raises(InvariantError, match=re.escape(message)):
-        verify._compare_page(ctx, n, 1, variant, window, 2)
+        verify._compare_page(SSPage.placed(ctx, n, 1, variant, window, 2))
 
 
 def _band_page(*args) -> SSPage:

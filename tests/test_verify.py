@@ -58,6 +58,21 @@ def test_ac1_fires_on_a_dropped_closed_generator(capsys, monkeypatch):
     assert (stem, line) == dropped[0][:2] and oracle == closed + 1
 
 
+def test_ac9_rebuilds_the_base_page_a_failed_ac1_case_read(capsys, monkeypatch):
+    # AC1 builds the l=1 page and fails on it, so AC9 must place it afresh
+    einf_closed = closedforms.einf_closed
+
+    def add_a_generator(ctx, n, ell, variant, window):
+        gens = einf_closed(ctx, n, ell, variant, window)
+        if (n, ell, variant) == HFP_PAGE:
+            gens[(0, 0, 1)] += 1
+        return gens
+
+    monkeypatch.setattr(closedforms, "einf_closed", add_a_generator)
+    assert _failed(capsys, *EINF_GRID, "--double-cutoff") == (
+        3, [("AC1 p=3 n=1 hfp oracle=closed, stems |d|<=30", "l=1: dim at (stem,line)=(0, 0): oracle 0 closed 1")])
+
+
 def test_ac1_fires_on_a_changed_closed_torsion(capsys, monkeypatch):
     counted = verify.einf_closed_counted
     moved = []
@@ -80,17 +95,25 @@ def test_ac1_fires_on_a_changed_closed_torsion(capsys, monkeypatch):
 
 def test_ac9_fires_when_the_doubled_cutoff_page_differs(capsys, monkeypatch):
     run_to_einf = verify.run_to_einf
+    killed = []
 
     def kill_a_survivor_at_the_doubled_cutoff(page):
         res = run_to_einf(page)
         if (page.n, page.ell, page.variant) == HFP_PAGE and page.v1_cutoff == 2 * 5:
-            seg, delta, *_ = next(res._survivors(page.window))
+            seg, delta, stem0, hs, *_ = next(res._survivors(page.window))
             seg.store(delta - seg.deltas.start, [])
+            killed.append((stem0 + hs.start * CTX3.q, seg.e1 - seg.e2))
         return res
 
     monkeypatch.setattr(verify, "run_to_einf", kill_a_survivor_at_the_doubled_cutoff)
-    assert _failed(capsys, *EINF_GRID, "--double-cutoff") == (
-        3, [("AC9 p=3 n=1 hfp cutoff doubling stable", "l=1: output changed under cutoff doubling")])
+    code, failed = _failed(capsys, *EINF_GRID, "--double-cutoff")
+    assert code == 3 and len(failed) == 1
+    name, detail = failed[0]
+    assert name == "AC9 p=3 n=1 hfp cutoff doubling stable"
+    # the first differing key is the lowest stem of the killed survivor
+    stem, line, base, doubled = map(int, re.fullmatch(r"l=1: dim at \(stem,line\)=\((-?\d+), (-?\d+)\): "
+                                                      r"base (\d+) doubled (\d+)", detail).groups())
+    assert (stem, line) == killed[0] and base == doubled + 1
 
 
 def test_ac3_fires_on_a_changed_family_torsion(capsys, monkeypatch):
