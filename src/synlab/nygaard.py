@@ -23,9 +23,10 @@ torsion orders do not depend on that choice.  Because the maps are diagonal
 on monomials, iterated subquotient homology reduces to pairwise interval
 cancellation along ladders, which this module performs exactly.  The
 "dense" engine (run_to_einf_dense) computes the same homology with full
-linear algebra over F_p on the explicit page basis, one stage at a time;
-its vectors are sparse rows ({basis index: residue}, see fplinalg).  It is
-an independent cross-check on small windows, exercised by the test suite.
+linear algebra over F_p on the explicit page basis, one chain of
+bidegrees at a time; its vectors are sparse rows ({basis index: residue},
+see fplinalg).  It is an independent cross-check on small windows,
+exercised by the test suite.
 
 Layout.  A ladder is keyed (e1, e2, delta) with delta = a - b.  For each
 (e1, e2) the modeled deltas, the band, form at most two ranges, one per
@@ -66,12 +67,13 @@ range of heights per alive interval to classes and to the tests, whose
 references witness counted through it.  EInfResult.land_orbits lands
 each orbit the TR oracle reads straight in its key list, with no
 per-orbit range.  No reader calls another, so the E-infinity suites
-witness the TR one.  The dense engine reads the whole band, since a
-subquotient needs every partner of the classes at the window stems, and
-keys its basis by classes (t, mu, lam, u), the monomials
-se(l*p^n) t^t mu^mu l1^lam u^u.  SSPage.ladders is a read-only mapping
-view of the segments with Ladder values, made on first use; its readers
-are tests and outside tracing, and no code in this package uses it.
+witness the TR one.  The dense engine takes its basis from the whole
+band, since a subquotient needs every partner of the classes at the window
+stems, keys it by classes (t, mu, lam, u), the monomials
+se(l*p^n) t^t mu^mu l1^lam u^u, and stages only the chains its generators
+read.  SSPage.ladders is a read-only mapping view of the segments with
+Ladder values, made on first use; its readers are tests and outside
+tracing, and no code in this package uses it.
 """
 
 from __future__ import annotations
@@ -105,11 +107,12 @@ from .graded import (
 # the page's readers, not the modeled band around them.
 # SSPage._place enforces it before any column is allocated.
 MAX_LADDERS = 5_000_000
-# The dense engine's cost per basis element hardly grows with the page:
-# p=3 n=2 l=1 tate takes 9.4 us per element at 13,524 elements and 9.5 us
-# at 79,028.  Near this cap five pages took 8.9-9.9 us and 520-610 B of
-# peak RSS per element, so a page at the cap runs in about 0.7-0.8 s and
-# 40-47 MB over the interpreter (2-core x86-64 Xeon).  run_to_einf_dense
+# The dense engine stages only the chains its window reads, so its cost
+# per basis element grows with the share of the band the window reaches:
+# p=3 n=2 l=1 tate took 2.8-4.4 us and 350 B of peak RSS per element at
+# 13,524 elements (window +-24), and 7.4-8.0 us and 454 B at 79,028
+# (+-380), so a page at this cap runs in about 0.6 s and 35 MB over the
+# interpreter (2-core x86-64 Xeon, Python 3.11).  run_to_einf_dense
 # checks it before any basis entry is made.
 DENSE_MAX_BASIS = 80_000
 
@@ -606,7 +609,7 @@ class EInfResult:
     # monomial se(l p^level) t^t mu^mu l1^lam u^u, used by the TR kernel oracle
 
     def _interval(self, cls: tuple, h: int):
-        """(stem0, height, hi) for v1^h times cls at its height on its
+        """(height, hi) for v1^h times cls at its height on its
         ladder, inside the alive interval [lo, hi); None when it is dead or
         lies on no ladder of the band.  A ladder on the band has no answer,
         InvariantError, when the page did not sweep it or its bottom stem
@@ -631,7 +634,7 @@ class EInfResult:
         height = t + h - seg.a_slope * delta
         for lo, hi in seg.intervals(delta - seg.deltas.start):
             if lo <= height < hi:
-                return stem0, height, hi
+                return height, hi
         return None
 
     def alive(self, cls: tuple, h: int = 0) -> bool:
@@ -644,10 +647,10 @@ class EInfResult:
         found = self._interval(cls, h)
         if found is None:
             return 0
-        stem0, height, hi = found
-        if not self._certified(stem0, hi):
+        height, hi = found
+        if not self._certified(hi):
             raise InvariantError(f"life of v1^{h} * {cls} is not certified on page {self.page.variant} n={self.page.n}: "
-                                 f"it reaches the v1 cutoff or the modeled boundary; enlarge the window")
+                                 "it reaches the v1 cutoff; enlarge the window")
         return hi - height
 
     def _inside(self, window) -> tuple:
@@ -740,21 +743,23 @@ class EInfResult:
         """The dimensions of the page on a stem window, as counted() counts them."""
         return self.counted(window)[0]
 
-    def _certified(self, stem0: int, top: int) -> bool:
-        """Whether the torsion of a generator on the ladder with bottom stem
-        stem0, alive up to the exclusive height top, is exact: the chain
-        dies by the v1 cutoff and inside the modeled heights.  The one
+    def _certified(self, top: int) -> bool:
+        """Whether the torsion of a generator alive up to the exclusive
+        height top is exact: the chain dies by the v1 cutoff V.  The one
         torsion rule: counted, classes, life and the TR oracle read it.
-        The modeled heights end at min((hi_pad - stem0) // q + 1,
-        v_internal) (SSPage._heights); v_internal exceeds the cutoff, so
-        once top <= v1_cutoff only the first end can bind."""
-        page = self.page
-        return top <= page.v1_cutoff and top < (page.hi_pad - stem0) // self._q + 1
+
+        It need not ask whether the chain also dies inside the modeled
+        heights, which end at min((hi_pad - stem0) // q + 1, v_internal)
+        (SSPage._heights), v_internal > V: every reader's ladder has its
+        bottom stem stem0 in page.read_stems, so stem0 <= hi, and hi_pad =
+        hi + 2*p*V with q = 2p - 2 < 2p gives (hi_pad - stem0) // q + 1 >=
+        V + 1.  A chain dead by the cutoff dies inside the modeled band."""
+        return top <= self.page.v1_cutoff
 
     def _einf_class(self, seg: Segment, delta: int, stem0: int, ilo: int, ihi: int) -> EInfClass:
         """The generator v1^ilo times the height-0 class of ladder delta of seg."""
         page = self.page
-        certified = self._certified(stem0, ihi)
+        certified = self._certified(ihi)
         return EInfClass(
             representative=Monomial(page.n, page.ell, seg.a_slope * delta + ilo, seg.b_slope * delta + ilo, seg.e1, seg.e2),
             bidegree=Bidegree(stem0 + ilo * page.ctx.q, seg.e1 - seg.e2),
@@ -797,7 +802,7 @@ class EInfResult:
                     if h0 >= h1:
                         continue
                     if h0 == ilo:  # the interval's generator is a surviving height
-                        if certified(stem0, ihi):
+                        if certified(ihi):
                             gens[(stem0 + ilo * q, line, ihi - ilo)] += 1
                         elif uncertified is None:
                             uncertified = self._einf_class(seg, start + i, stem0, ilo, ihi)
@@ -835,20 +840,26 @@ def run_to_einf(page: SSPage) -> EInfResult:
 def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
     """Independent subquotient computation of the same E-infinity page.
 
-    Enumerates the page basis explicitly and runs every stage as honest
-    linear algebra over F_p (kernels of induced maps modulo accumulated
-    boundaries), on sparse vectors indexed by position in each bidegree's
-    basis.  It reads the page's band and stage schedule, not its alive
-    sets, so the page may be fresh or already run.  It takes every modeled
-    class at every height: a subquotient needs every partner of the classes
-    at the window stems, where the sweep needs only its readers' cone.
-    Each stage image is eliminated once: one VectorSpan.extend on the
-    target's boundary span both grows that span and yields the stage kernel
+    Enumerates the page basis explicitly, over the whole band, and runs the
+    stages as honest linear algebra over F_p (kernels of induced maps
+    modulo accumulated boundaries), on sparse vectors indexed by position
+    in each bidegree's basis.  It reads the page's band and stage schedule,
+    not its alive sets, so the page may be fresh or already run.
+
+    Every stage maps (stem, line) to (stem - 1, line + 1), so the
+    computation splits into independent chains keyed by stem + line, each
+    of at most three bidegrees (line in -1, 0, 1).  A chain is staged
+    lazily, the first time the generator phase reads one of its
+    bidegrees: every stage in order, each of its source bidegrees in
+    turn, so each bidegree sees the same eliminations as in a stage-major
+    sweep of the band, and chains nothing reads are never staged.  Each
+    stage image is eliminated once: one VectorSpan.extend on the target's
+    boundary span both grows that span and yields the stage kernel
     (_stage_kernel), and a numerator whose image is zero modulo the
-    boundaries passes through unchanged.  The generators start from a copy of each boundary span's
-    echelon rows.  Only fit for small windows; guards with ResourceError
-    before any basis entry.  A v1-image of the survivors that leaves their
-    span raises InvariantError.
+    boundaries passes through unchanged.  The generators start from a copy
+    of each boundary span's echelon rows.  Only fit for small windows;
+    guards with ResourceError before any basis entry.  A v1-image of the
+    survivors that leaves their span raises InvariantError.
     """
     ctx = page.ctx
     q = ctx.q
@@ -865,38 +876,45 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
     basis, position = _dense_basis(runs, q)
 
     p = ctx.p
-    numerators = {bid: [{i: 1} for i in range(len(classes))] for bid, classes in basis.items()}
-    boundaries = {bid: fplinalg.VectorSpan(p, len(classes)) for bid, classes in basis.items()}
+    on_classes = [StageMap(page, stage).on_class for stage in page.stages]
+    numerators: dict = {}
+    boundaries: dict = {}
+    staged_chains: set = set()
 
-    for stage in page.stages:
-        on_class = StageMap(page, stage).on_class
+    def image_vec(on_class, bid, tgt_bid, vec):
+        """The stage image, with entries not yet reduced mod p."""
+        classes = basis[bid]
+        out = {}
+        for i, c in vec.items():
+            im = on_class(classes[i])
+            if im is None:
+                continue
+            coeff, tcls = im
+            pos = position.get(tcls)
+            if pos is not None and pos[0] == tgt_bid:
+                out[pos[1]] = out.get(pos[1], 0) + c * coeff
+        return out
 
-        def image_vec(bid, vec):
-            """The stage image, with entries not yet reduced mod p."""
-            tgt_bid = (bid[0] - 1, bid[1] + 1)
-            classes = basis[bid]
-            out = {}
-            for i, c in vec.items():
-                im = on_class(classes[i])
-                if im is None:
-                    continue
-                coeff, tcls = im
-                pos = position.get(tcls)
-                if pos is not None and pos[0] == tgt_bid:
-                    out[pos[1]] = out.get(pos[1], 0) + c * coeff
-            return out
-
+    def staged(bid):
+        """Run every stage on the chain of bid, once, before its first read."""
+        key = bid[0] + bid[1]
+        if key in staged_chains or bid not in basis:
+            return
+        staged_chains.add(key)
+        bids = [b for line in (-1, 0, 1) if (b := (key - line, line)) in basis]
+        for b in bids:
+            numerators[b] = [{i: 1} for i in range(len(basis[b]))]
+            boundaries[b] = fplinalg.VectorSpan(p, len(basis[b]))
         # Each target bidegree has one source bidegree, so its boundary
         # span can grow in place while that source's images are eliminated
         # against it.
-        new_numerators = {}
-        for bid, nvecs in numerators.items():
-            tgt_bid = (bid[0] - 1, bid[1] + 1)
-            if not basis.get(tgt_bid) or not nvecs:
-                new_numerators[bid] = list(nvecs)
-            else:
-                new_numerators[bid] = _stage_kernel(p, nvecs, [image_vec(bid, v) for v in nvecs], boundaries[tgt_bid])
-        numerators = new_numerators
+        for on_class in on_classes:
+            for b in bids:
+                tgt_bid = (b[0] - 1, b[1] + 1)
+                nvecs = numerators[b]
+                if nvecs and tgt_bid in basis:
+                    images = [image_vec(on_class, b, tgt_bid, v) for v in nvecs]
+                    numerators[b] = _stage_kernel(p, nvecs, images, boundaries[tgt_bid])
 
     def v1_shift(bid, vec):
         """Image of a vector under multiplication by v1, or None at an edge."""
@@ -921,6 +939,8 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
         # survivors one v1-step down.  subquotient copies the boundary
         # span's echelon rows; the torsion loop below reads it unchanged.
         prev_bid = (stem - q, line)
+        staged(bid)
+        staged(prev_bid)
         shifts = [sh for v in numerators.get(prev_bid, ()) if (sh := v1_shift(prev_bid, v)[1])]
         try:
             reps = fplinalg.subquotient(numerators[bid], shifts, boundaries[bid])
@@ -935,7 +955,10 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
             vec = rep
             cur_bid = bid
             certified = True
-            while vec and not boundaries[cur_bid].contains(vec):
+            while vec:
+                staged(cur_bid)
+                if boundaries[cur_bid].contains(vec):
+                    break
                 cur_bid, vec = v1_shift(cur_bid, vec)
                 r += 1
                 if vec is None:

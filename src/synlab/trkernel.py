@@ -505,7 +505,7 @@ class TrOracle:
                 last = max(vec)
                 top, free = cols[last]
                 gens.append(Generator(KernelLabel((free, self.ell, stem, line)), Bidegree(*key),
-                                      min(top, cutoff), hfp[free[0]]._certified(stem, top)))
+                                      min(top, cutoff), hfp[free[0]]._certified(top)))
                 carried.append(col_stops[last])
             carried.sort()
             v1_from = 1

@@ -5,7 +5,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from synlab import fplinalg, nygaard, verify
@@ -268,19 +268,21 @@ def test_cutoff_doubling_stable():
 
 
 def test_ladder_engine_matches_dense_engine():
-    rng = random.Random(5)
     cases = [
-        (3, 1, 0, Variant.HFP),
-        (3, 1, 1, Variant.HFP),
-        (3, 1, 1, Variant.TATE),
-        (3, 1, 0, Variant.MUINV),
-        (2, 2, 1, Variant.HFP),
-        (2, 1, 1, Variant.MUINV),
-        (5, 1, 2, Variant.HFP),
+        (3, 1, 0, Variant.HFP, 0),
+        (3, 1, 1, Variant.HFP, 0),
+        (3, 1, 1, Variant.TATE, 0),
+        (3, 1, 0, Variant.MUINV, 0),
+        (2, 2, 1, Variant.HFP, 0),
+        (2, 1, 1, Variant.MUINV, 0),
+        (5, 1, 2, Variant.HFP, 0),
+        # the most stages, on windows reaching below stem 0
+        (3, 2, 1, Variant.TATE, -8),
+        (2, 3, 1, Variant.HFP, -8),
     ]
-    for p, n, ell, variant in cases:
+    for p, n, ell, variant, lo in cases:
         ctx = PrimeContext(p)
-        window = (0, 8 * p)
+        window = (lo * p, 8 * p)
         V = geo(p, 0, n) + 1
         ladder = run_to_einf(SSPage(ctx, n, ell, variant, window, V))
         dense = run_to_einf_dense(SSPage(ctx, n, ell, variant, window, V), window)
@@ -366,6 +368,159 @@ def test_dense_engine_refusal_names_the_bidegree(monkeypatch):
     monkeypatch.setattr(nygaard.fplinalg, "subquotient", refuse)
     with pytest.raises(InvariantError, match=r"dense engine at \(stem, line\) = \(-?\d+, -?\d+\): denominator"):
         run_to_einf_dense(SSPage(CTX3, 1, 1, Variant.HFP, (0, 24), 4), (0, 24))
+
+
+def _dense_stage_major(page, window) -> list:
+    """The generators of run_to_einf_dense as the engine once made them,
+    stage by stage over every bidegree of the band: the reference for the
+    chain-by-chain, staged-on-first-read engine.  It calls
+    nygaard._stage_kernel and StageMap through the module, so a test can
+    count its calls as it counts the engine's."""
+    q, p = page.ctx.q, page.ctx.p
+    runs = []
+    for seg in itertools.chain.from_iterable(page._band().values()):
+        for delta in seg.deltas:
+            stem0 = seg.K + seg.stem_slope * delta
+            runs.append((stem0, (seg.a_slope * delta, seg.b_slope * delta, seg.e1, seg.e2), *page._heights(stem0)))
+    basis, position = nygaard._dense_basis(runs, q)
+    numerators = {bid: [{i: 1} for i in range(len(classes))] for bid, classes in basis.items()}
+    boundaries = {bid: VectorSpan(p, len(classes)) for bid, classes in basis.items()}
+    for stage in page.stages:
+        on_class = nygaard.StageMap(page, stage).on_class
+        new_numerators = {}
+        for bid, nvecs in numerators.items():
+            tgt_bid = (bid[0] - 1, bid[1] + 1)
+            if not basis.get(tgt_bid) or not nvecs:
+                new_numerators[bid] = list(nvecs)
+                continue
+            images = []
+            for vec in nvecs:
+                out = {}
+                for i, c in vec.items():
+                    im = on_class(basis[bid][i])
+                    if im is not None and (pos := position.get(im[1])) is not None and pos[0] == tgt_bid:
+                        out[pos[1]] = out.get(pos[1], 0) + c * im[0]
+                images.append(out)
+            new_numerators[bid] = nygaard._stage_kernel(p, nvecs, images, boundaries[tgt_bid])
+        numerators = new_numerators
+
+    def v1_shift(bid, vec):
+        nxt_bid = (bid[0] + q, bid[1])
+        shifted = {}
+        for i, c in vec.items():
+            t, mu, lam, u = basis[bid][i]
+            pos = position.get((t + 1, mu + 1, lam, u))
+            if pos is None or pos[0] != nxt_bid:
+                return nxt_bid, None
+            shifted[pos[1]] = c
+        return nxt_bid, shifted
+
+    gens = []
+    lo, hi = window
+    for bid in sorted(basis):
+        stem, line = bid
+        if not lo <= stem <= hi:
+            continue
+        prev_bid = (stem - q, line)
+        shifts = [sh for v in numerators.get(prev_bid, ()) if (sh := v1_shift(prev_bid, v)[1])]
+        try:
+            reps = fplinalg.subquotient(numerators[bid], shifts, boundaries[bid])
+        except InputError as exc:
+            raise InvariantError(f"dense engine at (stem, line) = {bid}: {exc}") from exc
+        for rep in reps:
+            lead = basis[bid][min(rep)]
+            if position[lead][2] >= page.v1_cutoff:
+                continue
+            r, vec, cur_bid, certified = 0, rep, bid, True
+            while vec and not boundaries[cur_bid].contains(vec):
+                cur_bid, vec = v1_shift(cur_bid, vec)
+                r += 1
+                if vec is None:
+                    certified = False
+                    break
+            gens.append((f"dense:L{page.n}:{Monomial(page.n, page.ell, *lead)}", Bidegree(stem, line), r, certified))
+    return gens
+
+
+def _band_size(page) -> int:
+    """The dense engine's basis size on a page: every modeled height of
+    every band ladder."""
+    size = 0
+    for seg in itertools.chain.from_iterable(page._band().values()):
+        for delta in seg.deltas:
+            h_lo, h_cap = page._heights(seg.K + seg.stem_slope * delta)
+            size += h_cap - h_lo
+    return size
+
+
+@st.composite
+def _dense_draws(draw):
+    """A page and a read window whose ends are the page window's, anything
+    inside it, or the padded band's stems (lo_pad, hi_pad), where the
+    lowest bidegrees have no v1 step below and the torsion climb runs off
+    the band; cutoffs of 1..4 leave some torsions uncertified."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(0, 3))
+    variant = draw(st.sampled_from(list(Variant)))
+    lo = draw(st.integers(-40, 40))
+    hi = lo + draw(st.integers(0, 40))
+    page = SSPage(PrimeContext(p), n, draw(st.integers(0, 3)), variant, (lo, hi), draw(st.integers(1, 4)))
+    assume(_band_size(page) <= 6000)
+    read_lo = draw(st.sampled_from((lo, lo, min(hi, lo + draw(st.integers(0, 10))), page.lo_pad)))
+    read_hi = draw(st.sampled_from((hi, hi, max(read_lo, hi - draw(st.integers(0, 10))), page.hi_pad)))
+    return page, (read_lo, read_hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dense_draws())
+@example((SSPage(PrimeContext(3), 2, 1, Variant.TATE, (-6, 6), 2), (-6, 6)))
+@example((SSPage(PrimeContext(2), 3, 1, Variant.HFP, (-4, 4), 1), (-4, 4)))
+def test_the_lazy_dense_engine_equals_the_stage_major_reference(draw):
+    # every chain it reads sees the eliminations the stage-major sweep
+    # makes, so the generators agree entry for entry, uncertified ones too;
+    # a read window in the padding, where a chain's partners lie off the
+    # band, is refused at the same bidegree
+    page, window = draw
+    got = _outcome(lambda: [(g.label, g.bidegree, g.torsion, g.certified) for g in run_to_einf_dense(page, window)])
+    assert got == _outcome(_dense_stage_major, page, window)
+
+
+def test_the_dense_engine_stages_only_the_chains_it_reads(monkeypatch):
+    page = SSPage(CTX3, 2, 1, Variant.TATE, (-24, 24), geo(3, 0, 2) + 1)
+    lo, q = page.window[0], CTX3.q
+    last = [None]
+    on_class = StageMap.on_class
+
+    def recording(self, cls):
+        last[0] = cls
+        return on_class(self, cls)
+
+    monkeypatch.setattr(StageMap, "on_class", recording)
+
+    def chains_staged(engine) -> list:
+        """The chain key stem + line of the source bidegree of each
+        _stage_kernel call the engine makes; a call's images were made by
+        on_class on its source classes just before it."""
+        keys = []
+        stage_kernel = nygaard._stage_kernel
+
+        def counting(p, nvecs, images, bspan):
+            stem, line = Monomial(page.n, page.ell, *last[0]).bidegree(CTX3)
+            keys.append(stem + line)
+            return stage_kernel(p, nvecs, images, bspan)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(nygaard, "_stage_kernel", counting)
+            engine(page, page.window)
+        return keys
+
+    lazy, whole = chains_staged(run_to_einf_dense), chains_staged(_dense_stage_major)
+    assert len(lazy) < len(whole)
+    # chain k holds (k + 1, -1), (k, 0) and (k - 1, 1); the lowest bidegree
+    # the generator phase reads is the v1 step below the window, (lo - q, -1)
+    # on chain lo - q - 1, so no chain whose bidegrees all lie below
+    # lo - q - 1 is staged; the whole-band sweep stages some
+    assert min(lazy) >= lo - q - 1 > min(whole) + 1
 
 
 def test_bad_inputs():
@@ -639,6 +794,23 @@ def test_counted_walk_matches_the_object_readers(draw, cut_lo, cut_hi):
     classes = res.classes(window)
     assert gens == Counter((c.bidegree.d, c.bidegree.s, c.v1_torsion) for c in classes if c.certified)
     assert uncertified == next((c for c in classes if not c.certified), None)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(0, 4), st.integers(0, 6), st.sampled_from(list(Variant)),
+       st.integers(-300, 300), st.integers(0, 300), st.integers(1, 200))
+def test_a_chain_dead_by_the_cutoff_dies_inside_the_modeled_heights(p, n, ell, variant, lo, width, cutoff):
+    # EInfResult._certified asks only top <= V: every ladder its readers can
+    # read, the bottom stems in read_stems that _interval admits for life
+    # and _reach walks for counted, classes and land_orbits, models heights
+    # past V, since its bottom stem is at most hi and hi_pad = hi + 2*p*V
+    page = SSPage.placed(PrimeContext(p), n, ell, variant, (lo, lo + width), cutoff)
+    q = page.ctx.q
+    assert page.read_stems[1] == page.window[1]
+    for seg, indices in page._reach(*page.read_stems):
+        for i in indices:
+            stem0 = seg.K + seg.stem_slope * (seg.deltas.start + i)
+            assert (page.hi_pad - stem0) // q + 1 > cutoff
 
 
 @pytest.mark.parametrize("p, n, variant, window", [(3, 1, Variant.HFP, (0, 40)), (3, 2, Variant.TATE, (-20, 40)),
