@@ -7,13 +7,15 @@ fully reduced, so every basis returned here is deterministic.  Matrices
 store entries sparsely as {(row, col): residue}.
 
 Every elimination goes through a VectorSpan, and each vector is
-eliminated once.  VectorSpan.extend adds vectors in order and tracks the
-combination behind each row it makes; a vector that adds nothing yields
-its kernel combination directly, which is the free-column basis of the
-row echelon form (see extend).  kernel_basis is extend over a matrix's
-columns on an empty span, and rank reads a matrix by rows.  subquotient
-grows a copy of a denominator span and tests containment by one rank
-comparison.
+eliminated once, in one pass that makes its residues and finds the pivot
+rows it hits, then one subtraction per hit.  VectorSpan.extend adds
+vectors in order and tracks the combination behind each row it makes; a
+vector that adds nothing yields its kernel combination directly, which is
+the free-column basis of the row echelon form (see extend).  kernel_basis
+is extend over a matrix's columns on an empty span, and rank reads a
+matrix by rows.  subquotient grows a copy of a denominator span, inserts
+each representative it has reduced without reducing it again, and tests
+containment by one rank comparison.
 """
 
 from __future__ import annotations
@@ -67,18 +69,6 @@ def _check_prime(p: int) -> None:
         raise InputError(f"modulus {p} is not prime")
 
 
-def _residues(vec, p: int, dim: int) -> dict:
-    """A fresh sparse row of vec mod p; a column outside [0, dim) raises."""
-    row = {}
-    for c, v in vec.items():
-        if not 0 <= c < dim:
-            raise InputError(f"column {c} outside ambient dim {dim}")
-        v %= p
-        if v:
-            row[c] = v
-    return row
-
-
 def _subtract(row: dict, c: int, src: dict, p: int) -> None:
     """row -= c*src in place, deleting the entries that become 0."""
     for j, b in src.items():
@@ -121,25 +111,37 @@ class VectorSpan:
         for v in vectors:
             self.add(v)
 
-    def _reduce_row(self, vec) -> dict:
-        p = self.p
-        row = _residues(vec, p, self.dim)
-        rows = self._rows
+    def _reduce_row(self, vec) -> tuple:
+        """(row, hits): vec reduced modulo the span, a fresh sparse row,
+        and the pairs (pivot, coefficient) of the pivot rows taken off it,
+        in order.  One pass over vec makes its residues mod p and finds the
+        pivots it hits; a column outside [0, dim) raises."""
+        p, dim, rows = self.p, self.dim, self._rows
+        row = {}
+        hits = []
+        for c, v in vec.items():
+            if not 0 <= c < dim:
+                raise InputError(f"column {c} outside ambient dim {dim}")
+            v %= p
+            if v:
+                row[c] = v
+                if c in rows:
+                    hits.append((c, v))
         # Each stored row is 0 at every other pivot, so the coefficient of
         # a pivot row is the input's own entry there.
-        for piv, c in [(j, v) for j, v in row.items() if j in rows]:
+        for piv, c in hits:
             _subtract(row, c, rows[piv], p)
-        return row
+        return row, hits
 
     def reduce(self, vec) -> dict:
-        return self._reduce_row(vec)
+        return self._reduce_row(vec)[0]
 
     def contains(self, vec) -> bool:
-        return not self._reduce_row(vec)
+        return not self._reduce_row(vec)[0]
 
     def add(self, vec) -> bool:
         """Insert vec; True if it enlarged the span."""
-        row = self._reduce_row(vec)
+        row = self._reduce_row(vec)[0]
         if row:
             self._insert(row)
         return bool(row)
@@ -161,17 +163,15 @@ class VectorSpan:
         with these columns, listed by free column.
         """
         p = self.p
-        rows = self._rows
         combos: dict = {}  # pivot -> combination behind its row, if any
         kernel = []
         for f, vec in enumerate(vectors):
-            row = _residues(vec, p, self.dim)
-            if not row:
+            if not vec:
                 kernel.append({f: 1})
                 continue
+            row, hits = self._reduce_row(vec)
             combo = {f: 1}
-            for piv, c in [(j, v) for j, v in row.items() if j in rows]:
-                _subtract(row, c, rows[piv], p)
+            for piv, c in hits:
                 if piv in combos:
                     _subtract(combo, c, combos[piv], p)
             if row:
@@ -192,15 +192,16 @@ class VectorSpan:
             if combos is not None:
                 combo = {j: v * inv % p for j, v in combo.items()}
         # only a row with entries past its own pivot can have one at piv
-        for opiv in list(self._tails):
-            other = self._rows[opiv]
-            c = other.get(piv)
-            if c:
-                _subtract(other, c, row, p)
-                if combos is not None:
-                    _subtract(combos.setdefault(opiv, {}), c, combo, p)
-                if len(other) == 1:
-                    self._tails.discard(opiv)
+        if self._tails:
+            for opiv in list(self._tails):
+                other = self._rows[opiv]
+                c = other.get(piv)
+                if c:
+                    _subtract(other, c, row, p)
+                    if combos is not None:
+                        _subtract(combos.setdefault(opiv, {}), c, combo, p)
+                    if len(other) == 1:
+                        self._tails.discard(opiv)
         self._rows[piv] = row
         if combos is not None:
             combos[piv] = combo
@@ -261,7 +262,9 @@ def subquotient(numerator, denominator, base: VectorSpan) -> list:
         red = acc.reduce(v)
         if red:
             reps.append(red)
-            acc.add(red)
+            # red is reduced modulo acc already; acc takes a copy, so no
+            # later insert changes the returned row
+            acc._insert(dict(red))
     if acc.rank != VectorSpan(base.p, base.dim, numerator).rank:
         raise InputError("denominator not contained in numerator span")
     return reps

@@ -67,23 +67,25 @@ range of heights per alive interval to classes and to the tests, whose
 references witness counted through it.  EInfResult.land_orbits lands
 each orbit the TR oracle reads straight in its key list, with no
 per-orbit range.  No reader calls another, so the E-infinity suites
-witness the TR one.  The dense engine takes its basis from the whole
-band, since a subquotient needs every partner of the classes at the window
-stems, keys it by classes (t, mu, lam, u), the monomials
-se(l*p^n) t^t mu^mu l1^lam u^u, and stages only the chains its generators
-read.  SSPage.ladders is a read-only mapping view of the segments with
-Ladder values, made on first use; its readers are tests and outside
-tracing, and no code in this package uses it.
+witness the TR one.  The dense engine builds its basis one chain at a
+time, on the chain's first read, from the whole band's ladders, since a
+subquotient needs every partner of the classes at the window stems; it
+keys the basis by classes (t, mu, lam, u), the monomials
+se(l*p^n) t^t mu^mu l1^lam u^u, and builds and stages only the chains its
+generators read.  SSPage.ladders is a read-only mapping view of the
+segments with Ladder values, made on first use; its readers are tests and
+outside tracing, and no code in this package uses it.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Mapping
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress, product, repeat
 from operator import floordiv, ne
 from types import MappingProxyType
 from typing import NamedTuple
@@ -107,11 +109,12 @@ from .graded import (
 # the page's readers, not the modeled band around them.
 # SSPage._place enforces it before any column is allocated.
 MAX_LADDERS = 5_000_000
-# The dense engine stages only the chains its window reads, so its cost
-# per basis element grows with the share of the band the window reaches:
-# p=3 n=2 l=1 tate took 2.8-4.4 us and 350 B of peak RSS per element at
-# 13,524 elements (window +-24), and 7.4-8.0 us and 454 B at 79,028
-# (+-380), so a page at this cap runs in about 0.6 s and 35 MB over the
+# The cap counts the whole band, but the dense engine builds and stages
+# only the chains its window reads, so its cost per counted element grows
+# with the share of the band the window reaches: p=3 n=2 l=1 tate took
+# 2.0-2.1 us and 242 B of peak RSS per element at 13,524 elements (window
+# +-24, 45 % of them built), and 4.7-4.9 us and 439 B at 79,028 (+-380),
+# so a page at this cap runs in about 0.4 s and 35 MB over the
 # interpreter (2-core x86-64 Xeon, Python 3.11).  run_to_einf_dense
 # checks it before any basis entry is made.
 DENSE_MAX_BASIS = 80_000
@@ -840,19 +843,24 @@ def run_to_einf(page: SSPage) -> EInfResult:
 def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
     """Independent subquotient computation of the same E-infinity page.
 
-    Enumerates the page basis explicitly, over the whole band, and runs the
-    stages as honest linear algebra over F_p (kernels of induced maps
-    modulo accumulated boundaries), on sparse vectors indexed by position
-    in each bidegree's basis.  It reads the page's band and stage schedule,
-    not its alive sets, so the page may be fresh or already run.
+    Enumerates the page basis explicitly and runs the stages as honest
+    linear algebra over F_p (kernels of induced maps modulo accumulated
+    boundaries), on sparse vectors indexed by position in each bidegree's
+    basis.  It reads the page's band and stage schedule, not its alive
+    sets, so the page may be fresh or already run.
 
     Every stage maps (stem, line) to (stem - 1, line + 1), so the
     computation splits into independent chains keyed by stem + line, each
-    of at most three bidegrees (line in -1, 0, 1).  A chain is staged
-    lazily, the first time the generator phase reads one of its
-    bidegrees: every stage in order, each of its source bidegrees in
-    turn, so each bidegree sees the same eliminations as in a stage-major
-    sweep of the band, and chains nothing reads are never staged.  Each
+    of at most three bidegrees (line in -1, 0, 1).  One walk of the band's
+    ladders counts the basis for the guard and groups the ladders by the
+    bidegrees they reach; a chain's basis is made from them the first
+    time anything reads the chain (_chain_basis), each bidegree's classes
+    sorted as over the whole band, so every index and label is the
+    same.  A chain is staged lazily too, the first time the generator
+    phase reads one of its bidegrees: every stage in order, each of its
+    source bidegrees in turn, so each bidegree sees the same eliminations
+    as in a stage-major sweep of the band; a v1 step reads the basis of
+    the chain one step up.  Chains nothing reads are never built.  Each
     stage image is eliminated once: one VectorSpan.extend on the target's
     boundary span both grows that span and yields the stage kernel
     (_stage_kernel), and a numerator whose image is zero modulo the
@@ -863,17 +871,33 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
     """
     ctx = page.ctx
     q = ctx.q
-    runs = []  # (stem0, class at height 0, h_lo, h_cap) per ladder
+    # (stem0, class at height 0, h_lo, h_cap) per ladder, grouped by the
+    # bidegrees it reaches, (line, stem0 mod q); each group ends sorted,
+    # beside its bottom stems, for _chain_basis
+    runs: dict = {}
     size = 0
     for seg in chain.from_iterable(page._band().values()):
+        line = seg.e1 - seg.e2
         for delta in seg.deltas:
             stem0 = seg.K + seg.stem_slope * delta
             h_lo, h_cap = page._heights(stem0)
             size += h_cap - h_lo
             if size > DENSE_MAX_BASIS:
                 raise ResourceError("dense engine basis too large; use the ladder engine")
-            runs.append((stem0, (seg.a_slope * delta, seg.b_slope * delta, seg.e1, seg.e2), h_lo, h_cap))
-    basis, position = _dense_basis(runs, q)
+            cls = (seg.a_slope * delta, seg.b_slope * delta, seg.e1, seg.e2)
+            runs.setdefault((line, stem0 % q), []).append((stem0, cls, h_lo, h_cap))
+    for key, group in runs.items():
+        group.sort()
+        runs[key] = ([run[0] for run in group], group)
+    basis: dict = {}  # (stem, line) -> its classes, ascending
+    position: dict = {}  # class -> (bidegree, index, height)
+    chains: set = set()
+
+    def read(key):
+        """Make the basis of chain key, once, before its first read."""
+        if key not in chains:
+            chains.add(key)
+            _chain_basis(runs, key, q, page._v_internal, basis, position)
 
     p = ctx.p
     on_classes = [StageMap(page, stage).on_class for stage in page.stages]
@@ -898,7 +922,10 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
     def staged(bid):
         """Run every stage on the chain of bid, once, before its first read."""
         key = bid[0] + bid[1]
-        if key in staged_chains or bid not in basis:
+        if key in staged_chains:
+            return
+        read(key)
+        if bid not in basis:
             return
         staged_chains.add(key)
         bids = [b for line in (-1, 0, 1) if (b := (key - line, line)) in basis]
@@ -919,6 +946,7 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
     def v1_shift(bid, vec):
         """Image of a vector under multiplication by v1, or None at an edge."""
         nxt_bid = (bid[0] + q, bid[1])
+        read(nxt_bid[0] + nxt_bid[1])
         classes = basis[bid]
         shifted = {}
         for i, c in vec.items():
@@ -931,9 +959,11 @@ def run_to_einf_dense(page: SSPage, window) -> CyclicDecomposition:
 
     gens = []
     lo, hi = window
-    for bid in sorted(basis):
+    # every basis stem lies in [lo_pad, hi_pad] (SSPage._heights)
+    for bid in product(range(max(lo, page.lo_pad), min(hi, page.hi_pad) + 1), (-1, 0, 1)):
         stem, line = bid
-        if not (lo <= stem <= hi):
+        read(stem + line)
+        if bid not in basis:
             continue
         # Generators: survivors modulo boundaries AND modulo v1 times the
         # survivors one v1-step down.  subquotient copies the boundary
@@ -991,17 +1021,30 @@ def _stage_kernel(p: int, nvecs: list, images: list, bspan) -> list:
     return kept
 
 
-def _dense_basis(runs, q: int) -> tuple:
-    """(basis, position) from the ladder runs (stem0, class at height 0,
-    h_lo, h_cap): basis maps (stem, line) to its classes (t, mu, lam, u),
-    ascending, and position a class to (bidegree, index, height)."""
-    basis: dict = {}
-    for stem0, (a, b, lam, u), h_lo, h_cap in runs:
-        for h in range(h_lo, h_cap):
-            basis.setdefault((stem0 + h * q, lam - u), []).append(((a + h, b + h, lam, u), h))
-    position: dict = {}
-    for bid, entries in basis.items():
-        entries.sort()
-        position.update((cls, (bid, i, h)) for i, (cls, h) in enumerate(entries))
-        basis[bid] = [cls for cls, _h in entries]
-    return basis, position
+def _chain_basis(runs: dict, key: int, q: int, v: int, basis: dict, position: dict) -> None:
+    """Enter the bidegrees (key - line, line), line in -1, 0, 1, of chain
+    key that some ladder reaches into basis, (stem, line) -> its classes
+    (t, mu, lam, u), ascending, and position, class -> (bidegree, index,
+    height).
+
+    runs maps (line, stem0 mod q) to the ladders' bottom stems, ascending,
+    and their runs (stem0, class at height 0, h_lo, h_cap) in the same
+    order.  A ladder reaches stem at height (stem - stem0) / q < v, so one
+    bisection per bidegree finds the runs that may reach it.
+    """
+    for line in (-1, 0, 1):
+        stem = key - line
+        group = runs.get((line, stem % q))
+        if group is None:
+            continue
+        stems, ladders = group
+        entries = []
+        for stem0, (a, b, lam, u), h_lo, h_cap in ladders[bisect_right(stems, stem - v * q):bisect_right(stems, stem)]:
+            h = (stem - stem0) // q
+            if h_lo <= h < h_cap:
+                entries.append(((a + h, b + h, lam, u), h))
+        if entries:
+            entries.sort()
+            bid = (stem, line)
+            position.update((cls, (bid, i, h)) for i, (cls, h) in enumerate(entries))
+            basis[bid] = [cls for cls, _h in entries]

@@ -5,17 +5,123 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synlab import fplinalg
 from synlab.errors import InputError
 from synlab.fplinalg import (
     MR_LIMIT,
     FpMatrix,
     VectorSpan,
-    _residues,
+    _subtract,
     is_prime,
     kernel_basis,
     rank,
     subquotient,
 )
+
+
+def _residues(vec, p: int, dim: int) -> dict:
+    """A fresh sparse row of vec mod p; a column outside [0, dim) raises."""
+    row = {}
+    for c, v in vec.items():
+        if not 0 <= c < dim:
+            raise InputError(f"column {c} outside ambient dim {dim}")
+        v %= p
+        if v:
+            row[c] = v
+    return row
+
+
+class ReferenceSpan(VectorSpan):
+    """VectorSpan as it reduced a vector in two passes, residues first and
+    then the pivots they hit, with the full body of every method that
+    reduces or inserts: the reference for the one-pass reduction."""
+
+    def _reduce_row(self, vec) -> dict:
+        p = self.p
+        row = _residues(vec, p, self.dim)
+        rows = self._rows
+        for piv, c in [(j, v) for j, v in row.items() if j in rows]:
+            _subtract(row, c, rows[piv], p)
+        return row
+
+    def reduce(self, vec) -> dict:
+        return self._reduce_row(vec)
+
+    def contains(self, vec) -> bool:
+        return not self._reduce_row(vec)
+
+    def add(self, vec) -> bool:
+        row = self._reduce_row(vec)
+        if row:
+            self._insert(row)
+        return bool(row)
+
+    def extend(self, vectors) -> list:
+        p = self.p
+        rows = self._rows
+        combos: dict = {}
+        kernel = []
+        for f, vec in enumerate(vectors):
+            row = _residues(vec, p, self.dim)
+            if not row:
+                kernel.append({f: 1})
+                continue
+            combo = {f: 1}
+            for piv, c in [(j, v) for j, v in row.items() if j in rows]:
+                _subtract(row, c, rows[piv], p)
+                if piv in combos:
+                    _subtract(combo, c, combos[piv], p)
+            if row:
+                self._insert(row, combo, combos)
+            else:
+                kernel.append(combo)
+        return kernel
+
+    def _insert(self, row: dict, combo=None, combos=None) -> None:
+        p = self.p
+        piv = min(row)
+        inv = pow(row[piv], -1, p)
+        if inv != 1:
+            row = {j: v * inv % p for j, v in row.items()}
+            if combos is not None:
+                combo = {j: v * inv % p for j, v in combo.items()}
+        for opiv in list(self._tails):
+            other = self._rows[opiv]
+            c = other.get(piv)
+            if c:
+                _subtract(other, c, row, p)
+                if combos is not None:
+                    _subtract(combos.setdefault(opiv, {}), c, combo, p)
+                if len(other) == 1:
+                    self._tails.discard(opiv)
+        self._rows[piv] = row
+        if combos is not None:
+            combos[piv] = combo
+        if len(row) > 1:
+            self._tails.add(piv)
+
+    def copy(self) -> "ReferenceSpan":
+        span = ReferenceSpan(self.p, self.dim)
+        span._rows = {piv: dict(row) for piv, row in self._rows.items()}
+        span._tails = set(self._tails)
+        return span
+
+
+def reference_subquotient(numerator, denominator, base: ReferenceSpan) -> list:
+    """subquotient as it reduced each representative twice, through reduce
+    and then add."""
+    acc = base.copy()
+    for v in denominator:
+        acc.add(v)
+    reps = []
+    for v in numerator:
+        red = acc.reduce(v)
+        if red:
+            reps.append(red)
+            acc.add(red)
+    if acc.rank != ReferenceSpan(base.p, base.dim, numerator).rank:
+        raise InputError("denominator not contained in numerator span")
+    return reps
 
 
 def mat(p, rows):
@@ -306,3 +412,87 @@ def test_subquotient_leaves_its_base_span_unchanged():
     base = VectorSpan(5, 3, [{0: 1, 2: 1}])
     assert subquotient([{0: 1, 2: 1}, {1: 1}, {2: 1}], [{1: 1, 2: 3}], base) == [{2: 2}]
     assert base.basis() == [{0: 1, 2: 1}]
+
+
+def _state(span) -> list:
+    """A span's pivot rows, in insertion order and with each row's entry
+    order, and its tail pivots."""
+    return [(piv, list(row.items())) for piv, row in span._rows.items()], span._tails
+
+
+def _result(f, *args):
+    """f(*args), or the type and message of the InputError it raises."""
+    try:
+        return f(*args)
+    except InputError as exc:
+        return InputError, str(exc)
+
+
+@st.composite
+def general_rows(draw):
+    """p, dim, and vectors of several entries each, raw entries in
+    [-2p, 2p] so some are multiples of p: numerators; denominators and base
+    rows drawn as combinations of them, some with a stray vector that may
+    leave their span; and vectors for extend, with a column outside
+    [0, dim) in some."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    dim = draw(st.integers(1, 12))
+    vec = st.dictionaries(st.integers(0, dim - 1), st.integers(-2 * p, 2 * p), max_size=dim)
+    num = draw(st.lists(vec, min_size=1, max_size=10))
+
+    def combinations(count):
+        out = []
+        for _ in range(count):
+            combo = {}
+            for v in num:
+                c = draw(st.integers(-p, 2 * p))
+                for j, x in v.items():
+                    combo[j] = combo.get(j, 0) + c * x
+            out.append(combo)
+        return out
+
+    base = combinations(draw(st.integers(0, 2)))
+    den = combinations(draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        den.insert(draw(st.integers(0, len(den))), draw(vec))
+    vecs = draw(st.lists(st.one_of(vec, st.sampled_from(num + den) if num + den else vec), max_size=16))
+    if draw(st.booleans()):
+        bad = dict(draw(vec))
+        bad[draw(st.sampled_from([-1, dim, dim + 3]))] = draw(st.integers(-2 * p, 2 * p))
+        vecs.insert(draw(st.integers(0, len(vecs))), dict(draw(st.permutations(list(bad.items())))))
+    return p, dim, num, base, den, vecs
+
+
+@settings(max_examples=300, derandomize=True)
+@given(general_rows())
+def test_one_pass_reduction_equals_the_two_pass_reference(draw):
+    # dense-witness reduces only one-entry rows, so this draws rows of
+    # several entries, zero residues and tails
+    p, dim, num, base, den, vecs = draw
+    new, ref = VectorSpan(p, dim), ReferenceSpan(p, dim)
+    for v in base + vecs:
+        for op in ("reduce", "contains", "add"):
+            assert _result(getattr(new, op), v) == _result(getattr(ref, op), v)
+        assert _state(new) == _state(ref)
+    # extend on held rows: the same kernel combinations and rows, or the
+    # same refusal at the same vector
+    new, ref = VectorSpan(p, dim, base), ReferenceSpan(p, dim, base)
+    assert _result(new.extend, vecs) == _result(ref.extend, vecs)
+    assert _state(new) == _state(ref)
+
+    spans = []
+    copy = VectorSpan.copy
+
+    def recording(self):
+        spans.append(copy(self))
+        return spans[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(VectorSpan, "copy", recording)
+        got = _result(subquotient, num, den, VectorSpan(p, dim, base))
+    assert got == _result(reference_subquotient, num, den, ReferenceSpan(p, dim, base))
+    if isinstance(got, list):
+        # the representatives share no dict with the span they grew
+        (acc,) = spans
+        assert {id(rep) for rep in got}.isdisjoint(id(row) for row in acc._rows.values())
+

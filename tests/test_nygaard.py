@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from synlab import fplinalg, nygaard, verify
 from synlab.errors import InputError, InvariantError, ResourceError, StateError
-from synlab.fplinalg import VectorSpan, _residues, kernel_basis
+from synlab.fplinalg import VectorSpan, kernel_basis
 from synlab.graded import Bidegree, Monomial, PrimeContext, geo
 from synlab.nygaard import (
     EInfClass,
@@ -23,6 +23,7 @@ from synlab.nygaard import (
     run_to_einf_dense,
 )
 from synlab.trkernel import _window_torsion_bound
+from test_fplinalg import _residues
 from test_graded import vp
 from test_trkernel import _outcome, iter_alive
 
@@ -349,7 +350,7 @@ def test_resource_guard_dense(monkeypatch):
 
     page = SSPage(CTX3, 2, 1, Variant.HFP, (-500, 500), v1_cutoff=40)
     monkeypatch.setattr(nygaard, "Monomial", CountingMonomial)
-    monkeypatch.setattr(nygaard, "_dense_basis", no_basis)
+    monkeypatch.setattr(nygaard, "_chain_basis", no_basis)
     with pytest.raises(ResourceError):
         run_to_einf_dense(page, (-500, 500))
     # refused before any basis entry, ladder view or monomial
@@ -370,19 +371,33 @@ def test_dense_engine_refusal_names_the_bidegree(monkeypatch):
         run_to_einf_dense(SSPage(CTX3, 1, 1, Variant.HFP, (0, 24), 4), (0, 24))
 
 
-def _dense_stage_major(page, window) -> list:
-    """The generators of run_to_einf_dense as the engine once made them,
-    stage by stage over every bidegree of the band: the reference for the
-    chain-by-chain, staged-on-first-read engine.  It calls
-    nygaard._stage_kernel and StageMap through the module, so a test can
-    count its calls as it counts the engine's."""
-    q, p = page.ctx.q, page.ctx.p
-    runs = []
+def _dense_basis(page) -> tuple:
+    """(basis, position) over the whole band, as the dense engine once made
+    them: basis maps (stem, line) to its classes (t, mu, lam, u),
+    ascending, and position a class to (bidegree, index, height)."""
+    basis: dict = {}
     for seg in itertools.chain.from_iterable(page._band().values()):
         for delta in seg.deltas:
             stem0 = seg.K + seg.stem_slope * delta
-            runs.append((stem0, (seg.a_slope * delta, seg.b_slope * delta, seg.e1, seg.e2), *page._heights(stem0)))
-    basis, position = nygaard._dense_basis(runs, q)
+            a, b, lam, u = seg.a_slope * delta, seg.b_slope * delta, seg.e1, seg.e2
+            for h in range(*page._heights(stem0)):
+                basis.setdefault((stem0 + h * page.ctx.q, lam - u), []).append(((a + h, b + h, lam, u), h))
+    position: dict = {}
+    for bid, entries in basis.items():
+        entries.sort()
+        position.update((cls, (bid, i, h)) for i, (cls, h) in enumerate(entries))
+        basis[bid] = [cls for cls, _h in entries]
+    return basis, position
+
+
+def _dense_stage_major(page, window) -> list:
+    """The generators of run_to_einf_dense as the engine once made them,
+    stage by stage over every bidegree of the whole band's basis: the
+    reference for the chain-by-chain, built- and staged-on-first-read
+    engine.  It calls nygaard._stage_kernel and StageMap through the
+    module, so a test can count its calls as it counts the engine's."""
+    q, p = page.ctx.q, page.ctx.p
+    basis, position = _dense_basis(page)
     numerators = {bid: [{i: 1} for i in range(len(classes))] for bid, classes in basis.items()}
     boundaries = {bid: VectorSpan(p, len(classes)) for bid, classes in basis.items()}
     for stage in page.stages:
@@ -476,13 +491,28 @@ def _dense_draws(draw):
 @example((SSPage(PrimeContext(3), 2, 1, Variant.TATE, (-6, 6), 2), (-6, 6)))
 @example((SSPage(PrimeContext(2), 3, 1, Variant.HFP, (-4, 4), 1), (-4, 4)))
 def test_the_lazy_dense_engine_equals_the_stage_major_reference(draw):
-    # every chain it reads sees the eliminations the stage-major sweep
-    # makes, so the generators agree entry for entry, uncertified ones too;
-    # a read window in the padding, where a chain's partners lie off the
-    # band, is refused at the same bidegree
+    # every chain it reads has the whole band's basis there, index for
+    # index, and sees the eliminations the stage-major sweep makes, so the
+    # generators agree entry for entry, uncertified ones too; a read window
+    # in the padding, where a chain's partners lie off the band, is refused
+    # at the same bidegree
     page, window = draw
-    got = _outcome(lambda: [(g.label, g.bidegree, g.torsion, g.certified) for g in run_to_einf_dense(page, window)])
+    chains, made = set(), []
+    chain_basis = nygaard._chain_basis
+
+    def recording(runs, key, q, v, basis, position):
+        chains.add(key)
+        made[:] = [basis, position]
+        chain_basis(runs, key, q, v, basis, position)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nygaard, "_chain_basis", recording)
+        got = _outcome(lambda: [(g.label, g.bidegree, g.torsion, g.certified) for g in run_to_einf_dense(page, window)])
     assert got == _outcome(_dense_stage_major, page, window)
+    basis, position = _dense_basis(page)
+    got_basis, got_position = made
+    assert got_basis == {bid: classes for bid, classes in basis.items() if sum(bid) in chains}
+    assert got_position == {cls: pos for cls, pos in position.items() if sum(pos[0]) in chains}
 
 
 def test_the_dense_engine_stages_only_the_chains_it_reads(monkeypatch):
@@ -521,6 +551,23 @@ def test_the_dense_engine_stages_only_the_chains_it_reads(monkeypatch):
     # on chain lo - q - 1, so no chain whose bidegrees all lie below
     # lo - q - 1 is staged; the whole-band sweep stages some
     assert min(lazy) >= lo - q - 1 > min(whole) + 1
+
+
+def test_the_dense_engine_builds_the_basis_only_of_the_chains_it_reads(monkeypatch):
+    page = SSPage(CTX3, 2, 1, Variant.TATE, (-24, 24), geo(3, 0, 2) + 1)
+    made = []
+    chain_basis = nygaard._chain_basis
+
+    def counting(runs, key, q, v, basis, position):
+        before = len(position)
+        chain_basis(runs, key, q, v, basis, position)
+        made.append(len(position) - before)
+
+    monkeypatch.setattr(nygaard, "_chain_basis", counting)
+    run_to_einf_dense(page, page.window)
+    # the guard still counts the whole band; the basis holds only the
+    # chains the generators, their v1 steps and torsion climbs read
+    assert 0 < sum(made) < _band_size(page)
 
 
 def test_bad_inputs():
