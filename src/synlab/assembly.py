@@ -35,13 +35,14 @@ from .graded import (
 )
 from .trkernel import MODES, tr_gr_module
 
-# A closed-route table costs about 0.3 us per TR generator, and its peak
-# memory grows with the count, as tc_eps_dims holds each twist's family
-# progressions from the size guard to the tally (syntomic --p 3 --n 4 --k
-# 1: 4.5 M generators at --deg-max 9000 in 1.2-1.5 s and 28 MB, 50 M at
-# 30000 in 12-13 s and 53 MB; syntomic --p 2 --n 4 --k 4 --deg-max 35700:
-# 79.7 M in 23 s and 64 MB; 2-core x86-64 Xeon), so this cap keeps a
-# table within about 35 s and 70 MB.
+# A closed-route table costs about 0.3 us per TR generator, most of it the
+# C-level count, and its peak memory grows with the count, as tc_eps_dims
+# holds each twist's family progressions, with their stem lines, from the
+# size guard to the tally (syntomic --p 3 --n 4 --k 1: 4.5 M generators
+# at --deg-max 9000 in 1.0 s and 35 MB, 50 M at 30000 in 13-14 s and 76
+# MB; syntomic --p 2 --n 4 --k 4 --deg-max 35700: 79.7 M in 19-20 s and
+# 81 MB; peak RSS of the process, 2-core x86-64 Xeon), so this cap keeps a
+# table within about 25 s and 85 MB.
 MAX_GENERATORS = 80_000_000
 
 

@@ -17,8 +17,9 @@ from synlab.closedforms import (
     tr_closed_decomposition,
 )
 from synlab import closedforms
+from synlab.assembly import tc_eps_dims, tc_zp_dims, twist_bound
 from synlab.errors import InputError, ResourceError
-from synlab.graded import Monomial, PrimeContext, geo, orbit_dims, orbit_heights
+from synlab.graded import Monomial, PrimeContext, geo, monomial_stem, orbit_dims, orbit_heights, torsion_multiset
 from synlab.nygaard import Variant
 from test_graded import vp
 
@@ -345,6 +346,28 @@ def test_progression_lengths_match_the_enumeration(p):
 
 
 
+def _reference_affine(prog, ctx):
+    """Progression.affine as a set of monomial_stem calls at both ends of
+    the progression, checked as Monomial checks its exponents."""
+    p, ell, lam, u = ctx.p, prog.ell, prog.lam, prog.u
+    if lam not in (0, 1) or u not in (0, 1):
+        raise InputError("exterior exponents must be 0 or 1")
+    if ell < 0 or any(level < 0 for level, *_ in prog.chain):
+        raise InputError("level and twist must be nonnegative")
+    js = prog.js
+    ends = []
+    for j in (js[0], js[-1]) if len(js) > 1 else (js[0],):
+        stems = {monomial_stem(p, level, ell, t0 + t1 * j, m1 * j, lam, u) for level, t0, t1, m1 in prog.chain}
+        if len(stems) != 1:
+            bids = {Monomial(level, ell, *rest).bidegree(ctx) for level, *rest in prog.components(j)}
+            raise InputError(f"components of {closedforms._label(prog.tag, prog.n, ell, prog.r, j, prog.e)} "
+                             f"disagree in bidegree: {bids}")
+        ends.append((stems.pop(), family_torsion(prog.tag, ctx, prog.n, ell, prog.r, j, prog.trunc)))
+    (d0, t0), (d1, t1) = ends[0], ends[-1]
+    steps = max(len(js) - 1, 1)
+    return (d0, t0), ((d1 - d0) // steps, (t1 - t0) // steps)
+
+
 def test_progression_checks_bidegrees_at_both_ends():
     # mu^j at level 1 against t^(5 - 2j) at level 2 (p = 3, l = 1): both at
     # stem 12 for j = 1, apart at j = 4
@@ -360,6 +383,68 @@ def _twist_draws(draw):
     ell = draw(st.integers(1, 40).filter(lambda x: x % p))
     hi = draw(st.integers(2 * ell - 1, 2 * ell * p**3 + 40))
     return p, ell, hi
+
+
+@settings(max_examples=200, derandomize=True)
+@given(_twist_draws(), st.sampled_from((0, 1, 2, 3, TRUNC_INF)))
+def test_progression_lines_equal_the_reference(draw, trunc):
+    # the lines solved once per chain, and solved by affine itself for a
+    # progression built without them
+    p, ell, hi = draw
+    ctx = PrimeContext(p)
+    for prog in family_progressions(ctx, ell, trunc, hi):
+        want = _reference_affine(prog, ctx)
+        assert prog.affine(ctx) == want, prog
+        assert prog._replace(lines=()).affine(ctx) == want, prog
+
+
+# mu^j at level 1 against t^(t0 - 2j) at level 2 (p = 3, l = 1) over j = 1, 4:
+# t0 = 5 meets it at j = 1 only, t0 = 2 at j = 4 only
+@pytest.mark.parametrize("lam, chain, message", [
+    (0, ((1, 0, 0, 1), (2, 5, -2, 0)), "j4e0 disagree"),
+    (0, ((1, 0, 0, 1), (2, 2, -2, 0)), "j1e0 disagree"),
+    (2, ((1, 0, 0, 1),), "exterior exponents"),
+    (0, ((1, 0, 0, 1), (-1, 0, 0, 0)), "level and twist"),
+], ids=["last", "first", "lam", "level"])
+def test_a_hand_built_refusal_is_the_references(lam, chain, message):
+    prog = Progression(FamilyTag.A, 1, 1, None, 0, range(1, 5, 3), lam, 0, chain, TRUNC_INF)
+    with pytest.raises(InputError) as want:
+        _reference_affine(prog, CTX3)
+    assert message in str(want.value)
+    with pytest.raises(InputError) as got:
+        prog.affine(CTX3)
+    assert str(got.value) == str(want.value)
+
+
+def test_an_empty_progression_is_refused():
+    empty = Progression(FamilyTag.A, 1, 1, None, 0, range(0), 0, 0, ((1, 0, 0, 1),), TRUNC_INF)
+    with pytest.raises(InputError, match="has no index"):
+        empty.affine(CTX3)
+    with pytest.raises(InputError, match="has no index"):
+        tr_closed_decomposition(CTX3, 1, TRUNC_INF, 50, progressions=[empty])
+
+
+def _leading_tally(ctx, ell, hi):
+    """The closed twist-l multiset, each element's stem and line read off
+    its leading component's Monomial and its torsion off family_torsion."""
+    out = Counter()
+    for prog in family_progressions(ctx, ell, TRUNC_INF, hi):
+        for j in prog.js:
+            level, *rest = prog.components(j)[0]
+            bid = Monomial(level, ell, *rest).bidegree(ctx)
+            out[bid.d, bid.s, family_torsion(prog.tag, ctx, prog.n, ell, prog.r, j, prog.trunc)] += 1
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_closed_table_tally_equals_the_leading_components(p):
+    ctx = PrimeContext(p)
+    for hi in (60, 173, 300):
+        want = torsion_multiset(tc_zp_dims(ctx, (-4, hi)))
+        for ell in range(1, twist_bound(hi) + 1):
+            if ell % p:
+                want.update(_leading_tally(ctx, ell, hi))
+        assert tc_eps_dims(ctx, (-4, hi), "closed") == want, hi
 
 
 @settings(max_examples=150)
